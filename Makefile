@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-github baseline check-baseline certify bench-quick
+.PHONY: test lint lint-github baseline check-baseline certify perf perf-compare
 
 test:
 	$(PY) -m pytest -x -q
@@ -34,5 +34,11 @@ check-baseline:
 certify:
 	$(PY) -m repro lint --certify
 
-bench-quick:
-	$(PY) -m repro bench --quick --no-out --no-history
+# The performance instrument (perf/README.md): all five workloads into
+# perf/out/results.json; compare two such files with
+#   make perf-compare A=before.json B=after.json
+perf:
+	python3 perf/run.py
+
+perf-compare:
+	python3 perf/compare.py $(A) $(B)

@@ -18,7 +18,6 @@ from repro.net import LossInjector
 
 def measure_ack_policy(delayed_segments):
     config = PipelineConfig.full()
-    config.ack_every_segment = delayed_segments <= 1
     config.delayed_ack_segments = delayed_segments
     bench = EchoBench(
         "flextoe",

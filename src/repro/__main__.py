@@ -13,9 +13,6 @@ own argument parser — ``python -m repro <cmd> --help`` for details):
   verifier, stage race lint, sim-process lint, atomicity pass.
 * ``faults`` — run a named deterministic fault plan as an asserted test
   (:mod:`repro.faults.cli`).
-* ``bench``  — simulator performance matrix; writes schema-versioned
-  ``BENCH_flextoe.json`` and gates regressions with ``--compare``
-  (:mod:`repro.bench.cli`).
 """
 
 import argparse
@@ -57,14 +54,13 @@ def demo():
             % (stack, hist.percentile(50) / 1e3, hist.percentile(99) / 1e3, (hist.min_value or 0) / 1e3)
         )
     print("\nAll four stacks exchanged RPCs over the simulated testbed.")
-    print("Next: python -m repro lint  |  python -m repro faults --list  |  python -m repro bench --quick")
+    print("Next: python -m repro lint  |  python -m repro faults --list")
     return 0
 
 
 COMMANDS = {
     "lint": "static analysis: XDP verifier, stage race lint, sim-process lint",
     "faults": "run a deterministic fault plan as an asserted test",
-    "bench": "simulator performance matrix -> BENCH_flextoe.json",
 }
 
 
@@ -82,7 +78,7 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Dispatch manually so subcommand options (e.g. ``bench --quick``)
+    # Dispatch manually so subcommand options (e.g. ``faults --list``)
     # reach the subsystem's own parser verbatim (argparse.REMAINDER
     # mis-parses leading optionals after a subparser, bpo-17050).
     if argv and argv[0] in COMMANDS:
@@ -91,13 +87,12 @@ def main(argv=None):
             from repro.analysis.cli import main as lint_main
 
             return lint_main(rest)
-        if command == "faults":
-            from repro.faults.cli import main as faults_main
+        from repro.faults.cli import main as faults_main
 
-            return faults_main(rest)
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(rest)
+        return faults_main(rest)
+    if argv and argv[0] == "bench":
+        print("repro: 'bench' was removed; run python3 perf/run.py (see perf/README.md)", file=sys.stderr)
+        return 2
     build_parser().parse_args(argv)
     return demo()
 

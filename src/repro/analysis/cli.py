@@ -54,7 +54,7 @@ def _builtin_factories():
 def _verify_builtins():
     """Run the CFG verifier over the builtin assembly programs."""
     from repro.analysis.verifier import VerifierError
-    from repro.xdp.verifier import verify
+    from repro.analysis.verifier import verify
 
     factories = _builtin_factories()
     findings = []

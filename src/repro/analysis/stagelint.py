@@ -376,15 +376,15 @@ def _resolve_call(program, caller, name, is_self_call):
     return matches
 
 
-def summarize(program):
-    """Bottom-up transitive write summaries per function.
-
-    Returns ``({qualname: frozenset(entry)}, cycle_qualnames)`` where an
-    entry is ``(token, attr, lineno, filename, rmw, chain)`` — ``chain``
-    the tuple of callee qualnames the write was inlined through (empty
-    for the function's own writes). Summaries are memoized per callee;
-    recursion is cut at the back edge (cycle members still contribute
-    every write reachable without re-entering the cycle).
+def _summarize(program, access_list):
+    """One bottom-up traversal of the call graph over ``access_list``
+    (``"writes"`` or ``"reads_at"``, the :class:`FunctionInfo` attribute
+    holding a function's own access sites). Returns
+    ``({qualname: frozenset(entry)}, cycle_qualnames)``; an entry is the
+    site with ``filename`` spliced in after ``lineno`` and the inlining
+    ``chain`` appended. Summaries are memoized per callee; recursion is
+    cut at the back edge (cycle members still contribute every access
+    reachable without re-entering the cycle).
     """
     memo = {}
     on_stack = []
@@ -401,15 +401,16 @@ def summarize(program):
         on_stack.append(qualname)
         try:
             entries = {
-                (token, attr, lineno, info.filename, rmw, ())
-                for token, attr, lineno, rmw in info.writes
+                site[:3] + (info.filename,) + site[3:] + ((),)
+                for site in getattr(info, access_list)
             }
             for _lineno, name, args, is_self_call in info.calls:
                 for callee in _resolve_call(program, info, name, is_self_call):
                     if callee.qualname == qualname:
                         cycles.add(qualname)
                         continue
-                    for token, attr, wline, wfile, rmw, chain in summary(callee.qualname):
+                    for entry in summary(callee.qualname):
+                        token, chain = entry[0], entry[-1]
                         if len(chain) >= MAX_CHAIN_DEPTH:
                             continue
                         if isinstance(token, str) and token.startswith(_PARAM_PREFIX):
@@ -422,7 +423,7 @@ def summarize(program):
                             token = args[position] if position < len(args) else None
                         if not isinstance(token, str):
                             continue  # literal or untracked binding
-                        entries.add((token, attr, wline, wfile, rmw, (callee.qualname,) + chain))
+                        entries.add((token,) + entry[1:-1] + ((callee.qualname,) + chain,))
         finally:
             on_stack.pop()
         result = frozenset(entries)
@@ -434,56 +435,23 @@ def summarize(program):
     return memo, cycles
 
 
-def summarize_reads(program):
-    """Bottom-up transitive *read* summaries per function.
+def summarize(program):
+    """Transitive write summaries per function:
+    ``({qualname: frozenset(entry)}, cycle_qualnames)`` where an entry is
+    ``(token, attr, lineno, filename, rmw, chain)`` — ``chain`` the tuple
+    of callee qualnames the write was inlined through (empty for the
+    function's own writes).
+    """
+    return _summarize(program, "writes")
 
-    Mirrors :func:`summarize` for load sites: returns
-    ``{qualname: frozenset((token, attr, lineno, filename, chain))}``
-    with the same param-binding substitution and cycle cuts. The
-    happens-before lint (:mod:`repro.analysis.hblint`) needs read
+
+def summarize_reads(program):
+    """Transitive *read* summaries per function:
+    ``{qualname: frozenset((token, attr, lineno, filename, chain))}``.
+    The happens-before lint (:mod:`repro.analysis.hblint`) needs read
     footprints — a stale read through a helper is as racy as a write.
     """
-    memo = {}
-    on_stack = []
-
-    def summary(qualname):
-        cached = memo.get(qualname)
-        if cached is not None:
-            return cached
-        if qualname in on_stack:
-            return frozenset()
-        info = program[qualname]
-        on_stack.append(qualname)
-        try:
-            entries = {
-                (token, attr, lineno, info.filename, ())
-                for token, attr, lineno in info.reads_at
-            }
-            for _lineno, name, args, is_self_call in info.calls:
-                for callee in _resolve_call(program, info, name, is_self_call):
-                    if callee.qualname == qualname:
-                        continue
-                    for token, attr, rline, rfile, chain in summary(callee.qualname):
-                        if len(chain) >= MAX_CHAIN_DEPTH:
-                            continue
-                        if isinstance(token, str) and token.startswith(_PARAM_PREFIX):
-                            formal = token[len(_PARAM_PREFIX):]
-                            if formal not in callee.params:
-                                continue
-                            position = callee.params.index(formal)
-                            token = args[position] if position < len(args) else None
-                        if not isinstance(token, str):
-                            continue
-                        entries.add((token, attr, rline, rfile, (callee.qualname,) + chain))
-        finally:
-            on_stack.pop()
-        result = frozenset(entries)
-        memo[qualname] = result
-        return result
-
-    for qualname in program:
-        summary(qualname)
-    return memo
+    return _summarize(program, "reads_at")[0]
 
 
 def _ownership_rule(qualname, role, class_name, partition, attr):

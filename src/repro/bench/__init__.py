@@ -1,36 +1,10 @@
-"""Continuous benchmark harness (ISSUE 5).
+"""Scenario libraries whose gates pytest holds.
 
-Runs a fixed matrix of short deterministic scenarios against the
-simulator and reports *simulator* performance — events/sec, simulated
-nanoseconds advanced per wall-clock second, and peak RSS — as opposed to
-the paper-figure benchmarks under ``benchmarks/`` which report
-*simulated* performance (Gbps, RPC latency).
+* :mod:`repro.bench.attack` — goodput-under-attack runs with their
+  survivability gates (``tests/integration/test_attack_scenarios.py``).
+* :mod:`repro.bench.shard` — flow-group-sharded connscale runs
+  (``tests/integration/test_shard_determinism.py``).
 
-``python -m repro bench`` writes a schema-versioned ``BENCH_flextoe.json``
-at the repo root; ``--compare BASELINE.json`` fails on calibrated
-events/sec regressions beyond the threshold (15 % by default). See
-:mod:`repro.bench.runner` for the schema and the calibration scheme that
-makes cross-machine comparisons meaningful.
+Host time, peak RSS and events-per-op numbers have one source,
+``python3 perf/run.py``; nothing here writes a report or gates on time.
 """
-
-from repro.bench.runner import (
-    SCHEMA,
-    BenchResult,
-    calibrate,
-    compare_reports,
-    run_matrix,
-    write_report,
-)
-from repro.bench.scenarios import SCENARIOS, QUICK_MATRIX, run_scenario
-
-__all__ = [
-    "SCHEMA",
-    "BenchResult",
-    "SCENARIOS",
-    "QUICK_MATRIX",
-    "calibrate",
-    "compare_reports",
-    "run_matrix",
-    "run_scenario",
-    "write_report",
-]

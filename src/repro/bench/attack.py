@@ -250,8 +250,6 @@ def _run_case(kind, mode, quick):
         "completed": tally["completed"],
         "refused": tally["refused"],
         "errors": tally["errors"],
-        "events": bed.sim.processed_events,
-        "sim_ns": bed.sim.now,
         "slab_watermark": CONN_SLAB.high_water - slab_base,
         "mem_used_bytes": server.machine.memory.hugepages.used,
         "syn_dropped": plane.syn_dropped,
@@ -280,9 +278,8 @@ def _write_attack_log(kind, mode, attacker):
 
 def run_attack_scenario(kind, quick):
     """baseline/off/on sub-runs plus the survivability gates; returns
-    ``(merged_sim, checks, metrics)`` for the bench runner."""
-    from repro.bench.shard import MergedSim
-
+    ``(checks, metrics)``: deterministic counters and ratios, then the
+    goodput and memory readings behind them."""
     modes = {}
     for mode in ("baseline", "off", "on"):
         modes[mode] = _run_case(kind, mode, quick)
@@ -359,8 +356,4 @@ def run_attack_scenario(kind, quick):
         "mem_used_off_bytes": modes["off"]["mem_used_bytes"],
         "mem_used_on_bytes": modes["on"]["mem_used_bytes"],
     }
-    merged = MergedSim(
-        sum(m["events"] for m in modes.values()),
-        sum(m["sim_ns"] for m in modes.values()),
-    )
-    return merged, checks, metrics
+    return checks, metrics

@@ -267,17 +267,6 @@ def _merge_counters(merged, counters):
             merged[key] = merged.get(key, 0) + value
 
 
-class MergedSim:
-    """Duck-typed stand-in for a Simulator in bench accounting: the sum
-    of the shards' event counts and the maximum of their clocks."""
-
-    __slots__ = ("processed_events", "now")
-
-    def __init__(self, processed_events, now):
-        self.processed_events = processed_events
-        self.now = now
-
-
 def merge_results(shard_results):
     """Deterministic merge, in stable shard order."""
     ordered = sorted(shard_results, key=lambda r: r["shard"])

@@ -112,6 +112,7 @@ class ConnectionDirectory:
             "index",
             "record",
             "cc_flow",
+            "snd_iss",
             "last_snd_una",
             "stalled_since",
             "closing",
@@ -120,10 +121,11 @@ class ConnectionDirectory:
             "rto_multiplier",
         )
 
-        def __init__(self, index, record, cc_flow):
+        def __init__(self, index, record, cc_flow, snd_iss):
             self.index = index
             self.record = record
             self.cc_flow = cc_flow
+            self.snd_iss = snd_iss
             self.last_snd_una = None
             self.stalled_since = None
             self.closing = False
@@ -135,8 +137,8 @@ class ConnectionDirectory:
             self.retry_attempts = 0
             self.rto_multiplier = 1
 
-    def add(self, index, record, cc_flow):
-        entry = self.Entry(index, record, cc_flow)
+    def add(self, index, record, cc_flow, snd_iss):
+        entry = self.Entry(index, record, cc_flow, snd_iss)
         self.entries[index] = entry
         self.by_tuple[record.four_tuple] = entry
         return entry

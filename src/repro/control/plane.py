@@ -63,6 +63,13 @@ BROADCAST_MAC = (1 << 48) - 1
 #: Control-plane context-queue id (reserved; app contexts start at 1).
 CONTROL_CONTEXT = 0
 
+#: Timer-loop period; handshake retransmission timeout; congestion-control
+#: period; how long a closing connection may wait for the peer's FIN.
+TIMER_TICK_NS = 50_000
+SYN_RTO_NS = 1_000_000
+CC_INTERVAL_NS = 50_000
+LINGER_NS = 2_000_000
+
 
 class ControlPlaneConfig:
     def __init__(
@@ -70,18 +77,11 @@ class ControlPlaneConfig:
         rx_buffer_size=256 * 1024,
         tx_buffer_size=256 * 1024,
         rto_ns=250_000,
-        syn_rto_ns=1_000_000,
-        timer_tick_ns=50_000,
-        cc_interval_ns=50_000,
-        linger_ns=2_000_000,
         mss=1448,
         max_syn_retries=8,
         max_data_retries=10,
         rto_max_ns=4_000_000,
         recovery_enabled=True,
-        watchdog_enabled=True,
-        watchdog_interval_ns=100_000,
-        watchdog_miss_threshold=3,
         snapshot_interval_ns=250_000,
         reboot_delay_ns=100_000,
         syn_defense_enabled=False,
@@ -94,18 +94,11 @@ class ControlPlaneConfig:
         self.rx_buffer_size = rx_buffer_size
         self.tx_buffer_size = tx_buffer_size
         self.rto_ns = rto_ns
-        self.syn_rto_ns = syn_rto_ns
-        self.timer_tick_ns = timer_tick_ns
-        self.cc_interval_ns = cc_interval_ns
-        self.linger_ns = linger_ns
         self.mss = mss
         self.max_syn_retries = max_syn_retries
         self.max_data_retries = max_data_retries
         self.rto_max_ns = rto_max_ns
         self.recovery_enabled = recovery_enabled
-        self.watchdog_enabled = watchdog_enabled
-        self.watchdog_interval_ns = watchdog_interval_ns
-        self.watchdog_miss_threshold = watchdog_miss_threshold
         self.snapshot_interval_ns = snapshot_interval_ns
         self.reboot_delay_ns = reboot_delay_ns
         # Overload defense (off by default: the legacy accept-on-SYN-ACK
@@ -684,12 +677,13 @@ class ControlPlane:
         # queued for an earlier connection that used the same index.
         self._conn_token += 1
         token = self._conn_token
+        snd_iss = (pending.iss + 1) & 0xFFFFFFFF
         record = self.nic.offload_connection(
             index=index,
             four_tuple=pending.four_tuple,
             peer_mac=pending.peer_mac,
             local_mac=self.local_mac,
-            iss=(pending.iss + 1) & 0xFFFFFFFF,
+            iss=snd_iss,
             irs=pending.irs,
             context_id=ctx.context_id,
             opaque=token,
@@ -700,15 +694,10 @@ class ControlPlane:
         flow = self.cc.new_flow()
         if self.policy.rate_limit_bps is not None:
             flow.rate_bps = min(flow.rate_bps, self.policy.rate_limit_bps)
-        self.directory.add(index, record, flow)
+        self.directory.add(index, record, flow, snd_iss)
         self._program_rate(index, flow)
         if self.recovery is not None:
-            self.recovery.track(
-                index,
-                record,
-                snd_iss=(pending.iss + 1) & 0xFFFFFFFF,
-                rcv_irs=pending.irs,
-            )
+            self.recovery.track(index, record, snd_iss=snd_iss, rcv_irs=pending.irs)
         info = EstablishedInfo(index, pending.four_tuple, rx_buffer, tx_buffer, token=token)
         if pending.waiter is not None:
             pending.waiter.succeed(info)
@@ -726,7 +715,7 @@ class ControlPlane:
     def _timer_loop(self):
         config = self.config
         while True:
-            yield self.sim.timeout(config.timer_tick_ns)
+            yield self.sim.timeout(TIMER_TICK_NS)
             if self.recovery is not None and self.recovery.degraded:
                 # The data path is down and being recovered: nothing to
                 # retransmit into, and outage time must not count toward
@@ -746,7 +735,7 @@ class ControlPlane:
                     self._note_pending_gone(pending)
                     self.embryonic_reaped += 1
                     continue
-                if now - pending.last_sent_at < config.syn_rto_ns:
+                if now - pending.last_sent_at < SYN_RTO_NS:
                     continue
                 if pending.attempts >= config.max_syn_retries:
                     self.pending.pop(pending.four_tuple, None)
@@ -811,13 +800,19 @@ class ControlPlane:
                     entry.reset_backoff()
                 # Teardown: remove once closed on both sides (or linger out).
                 if entry.closing:
+                    # fin_seq/fin_pending are clear once our FIN is ACKed
+                    # but also while a posted HC_FIN is still unconsumed.
+                    # The FIN's sequence unit tells the two apart: seq
+                    # runs one past snd_iss + tx_pos only after the FIN
+                    # was sent (go-back-N rewinds it), and tx_sent == 0
+                    # then means it was ACKed.
                     done = (
                         proto.fin_seq is None
-                        and not proto.fin_pending
                         and proto.tx_sent == 0
                         and proto.rx_fin_seq is not None
+                        and (proto.seq - proto.tx_pos - entry.snd_iss) & 0xFFFFFFFF == 1
                     )
-                    lingered = now - entry.close_requested_at > config.linger_ns
+                    lingered = now - entry.close_requested_at > LINGER_NS
                     if done or lingered:
                         self.directory.remove(entry.index)
                         self.nic.remove_connection(entry.index)
@@ -827,9 +822,8 @@ class ControlPlane:
     # -- congestion control ---------------------------------------------------
 
     def _cc_loop(self):
-        config = self.config
         while True:
-            yield self.sim.timeout(config.cc_interval_ns)
+            yield self.sim.timeout(CC_INTERVAL_NS)
             if not self.cc_enabled:
                 continue
             if self.recovery is not None and self.recovery.degraded:

@@ -72,22 +72,15 @@ class PipelineConfig:
         post_replicas=4,
         n_flow_groups=4,
         dma_replicas=4,
-        ring_capacity=128,
-        descriptor_pool=256,
         mss=1448,
-        ack_every_segment=True,
         delayed_ack_segments=1,
         use_timestamps=True,
         use_ecn=True,
         tracepoints_enabled=False,
-        tcpdump_enabled=False,
         costs=None,
-        xdp_ingress=None,
-        extra_trace_overhead_cycles=0,
         state_cache_lmem_entries=16,
         state_cache_cls_entries=512,
         emem_cache_records=16384,
-        heartbeat_interval_ns=50_000,
     ):
         if n_flow_groups < 1:
             raise ValueError("need at least one flow group")
@@ -97,22 +90,15 @@ class PipelineConfig:
         self.post_replicas = post_replicas
         self.n_flow_groups = n_flow_groups
         self.dma_replicas = dma_replicas
-        self.ring_capacity = ring_capacity
-        self.descriptor_pool = descriptor_pool
         self.mss = mss
-        self.ack_every_segment = ack_every_segment
         self.delayed_ack_segments = max(1, delayed_ack_segments)
         self.use_timestamps = use_timestamps
         self.use_ecn = use_ecn
         self.tracepoints_enabled = tracepoints_enabled
-        self.tcpdump_enabled = tcpdump_enabled
         self.costs = costs or StageCosts()
-        self.xdp_ingress = xdp_ingress
-        self.extra_trace_overhead_cycles = extra_trace_overhead_cycles
         self.state_cache_lmem_entries = state_cache_lmem_entries
         self.state_cache_cls_entries = state_cache_cls_entries
         self.emem_cache_records = emem_cache_records
-        self.heartbeat_interval_ns = heartbeat_interval_ns
 
     @classmethod
     def baseline_run_to_completion(cls):

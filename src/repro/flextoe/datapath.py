@@ -26,6 +26,12 @@ from repro.proto.packet import Frame
 from repro.sim import Interrupt, Resource, Store
 from repro.nfp.queues import ClsRing, WorkQueue
 
+#: Slots per protocol/post CLS ring; host-control descriptors in flight;
+#: period of each stage FPC's liveness beat.
+RING_CAPACITY = 128
+DESCRIPTOR_POOL = 256
+HEARTBEAT_INTERVAL_NS = 50_000
+
 
 class _ImemLevel:
     __slots__ = ("latency_cycles", "reads", "writes")
@@ -80,10 +86,9 @@ class FlexToeDatapath:
         self.ecn_codepoint = ECN_ECT0 if config.use_ecn else ECN_NOT_ECT
         self.imem_latency_level = _ImemLevel()
 
-        cap = config.ring_capacity
         self.pre_in = WorkQueue(sim, capacity=None, name="pre-in", backing="imem")
-        self.proto_rings = [ClsRing(sim, capacity=cap, name="proto-in-%d" % g) for g in range(config.n_flow_groups)]
-        self.post_rings = [ClsRing(sim, capacity=cap, name="post-in-%d" % g) for g in range(config.n_flow_groups)]
+        self.proto_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="proto-in-%d" % g) for g in range(config.n_flow_groups)]
+        self.post_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="post-in-%d" % g) for g in range(config.n_flow_groups)]
         self.dma_ring = WorkQueue(sim, capacity=None, name="dma-in", backing="imem")
         self.ctx_ring = WorkQueue(sim, capacity=None, name="ctx-in", backing="imem")
         self.nbi_ring = WorkQueue(sim, capacity=None, name="nbi-in", backing="imem")
@@ -103,7 +108,7 @@ class FlexToeDatapath:
         # Run-to-completion baseline: one segment in the whole NIC at a
         # time — service programs contend on this lock (Table 3 row 1).
         self.serial_lock = None if config.pipelined else Resource(sim, capacity=1, name="rtc-serial")
-        self.descriptor_pool = Resource(sim, capacity=config.descriptor_pool, name="hc-descriptors")
+        self.descriptor_pool = Resource(sim, capacity=DESCRIPTOR_POOL, name="hc-descriptors")
         self._held_descriptors = deque()
 
         # conn_index -> completion event of that connection's latest RX
@@ -208,14 +213,13 @@ class FlexToeDatapath:
         charged via the atomic engine), so they never perturb pipeline
         timing; they die with the data-path on crash(), which is exactly
         what stops the beats and trips the control-plane watchdog."""
-        interval = self.config.heartbeat_interval_ns
         for stage_kind in sorted(self.stage_fpcs):
             for slot, _fpc in enumerate(self.stage_fpcs[stage_kind]):
                 key = (stage_kind, slot)
 
                 def publisher(_key=key):
                     while True:
-                        yield self.sim.timeout(interval)
+                        yield self.sim.timeout(HEARTBEAT_INTERVAL_NS)
                         self.heartbeats.publish(_key)
 
                 process = self.sim.process(

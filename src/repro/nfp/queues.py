@@ -16,14 +16,15 @@ from repro.sim import Store
 from repro.nfp.memory import LAT_CLS, LAT_EMEM, LAT_IMEM
 
 
-class ClsRing:
-    """A bounded ring in island-local CLS memory."""
+class _Ring:
+    """A bounded producer/consumer queue over a :class:`Store`; the
+    subclasses differ only in the backing memory's access latency."""
 
     __slots__ = ("store", "access_latency", "name", "tap")
 
-    def __init__(self, sim, capacity=64, name="cls-ring"):
+    def __init__(self, sim, capacity, name, access_latency):
         self.store = Store(sim, capacity=capacity, name=name)
-        self.access_latency = LAT_CLS
+        self.access_latency = access_latency
         self.name = name
         # Optional enqueue observer (``tap(item)``), fired synchronously
         # before the item enters the store. Used by the happens-before
@@ -59,44 +60,23 @@ class ClsRing:
         return self.store.max_occupancy
 
 
-class WorkQueue:
+class ClsRing(_Ring):
+    """A bounded ring in island-local CLS memory."""
+
+    __slots__ = ()
+
+    def __init__(self, sim, capacity=64, name="cls-ring"):
+        _Ring.__init__(self, sim, capacity, name, LAT_CLS)
+
+
+class WorkQueue(_Ring):
     """An IMEM- or EMEM-backed work queue (cross-island, work-stealing)."""
 
-    __slots__ = ("store", "access_latency", "backing", "name", "tap")
+    __slots__ = ("backing",)
 
     def __init__(self, sim, capacity=None, name="work-queue", backing="imem"):
-        self.store = Store(sim, capacity=capacity, name=name)
-        self.access_latency = LAT_IMEM if backing == "imem" else LAT_EMEM
+        _Ring.__init__(self, sim, capacity, name, LAT_IMEM if backing == "imem" else LAT_EMEM)
         self.backing = backing
-        self.name = name
-        self.tap = None  # see ClsRing.tap
-
-    def put(self, item):
-        if self.tap is not None:
-            self.tap(item)
-        return self.store.put(item)
-
-    def get(self):
-        return self.store.get()
-
-    def try_put(self, item):
-        accepted = self.store.try_put(item)
-        if accepted and self.tap is not None:
-            self.tap(item)
-        return accepted
-
-    def force_put(self, item):
-        """Unconditional enqueue past the capacity bound (overflow path)."""
-        if self.tap is not None:
-            self.tap(item)
-        return self.store.force_put(item)
-
-    def __len__(self):
-        return len(self.store)
-
-    @property
-    def max_occupancy(self):
-        return self.store.max_occupancy
 
 
 class TicketLock:

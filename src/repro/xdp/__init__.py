@@ -8,8 +8,9 @@ into FlexTOE; here they run on a faithful register VM:
 * :mod:`repro.xdp.vm` — a 64-bit 11-register eBPF interpreter with
   packet/stack/map memory and the map helpers.
 * :mod:`repro.xdp.asm` — a textual assembler producing VM programs.
-* :mod:`repro.xdp.verifier` — load-time checks (bounded programs, no
-  back-edges, register initialization, valid helpers).
+* :mod:`repro.analysis.verifier` — load-time checks (bounded programs,
+  no back-edges, register initialization, valid helpers), re-exported
+  here as ``verify`` / ``VerifierError``.
 * :mod:`repro.xdp.adapter` — runs native-Python or VM programs as
   FlexTOE pipeline modules with per-instruction cycle accounting.
 * :mod:`repro.xdp.jit` — proof-carrying check-eliding compiler: a
@@ -24,7 +25,7 @@ from repro.xdp.asm import assemble
 from repro.xdp.jit import JitProgram, compile_program
 from repro.xdp.maps import BpfArrayMap, BpfHashMap, BpfLruHashMap
 from repro.xdp.program import XDP_DROP, XDP_PASS, XDP_REDIRECT, XDP_TX
-from repro.xdp.verifier import VerifierError, verify
+from repro.analysis.verifier import VerifierError, verify
 from repro.xdp.vm import BpfVm, VmFault
 
 __all__ = [

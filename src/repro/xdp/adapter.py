@@ -25,7 +25,7 @@ import os
 from repro.flextoe.module import ACTION_DROP, ACTION_PASS, ACTION_REDIRECT, ACTION_TX, DatapathModule
 from repro.proto.packet import Frame
 from repro.xdp.program import XDP_DROP, XDP_PASS, XDP_REDIRECT, XDP_TX
-from repro.xdp.verifier import verify
+from repro.analysis.verifier import verify
 
 
 def jit_enabled_default():

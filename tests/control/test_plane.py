@@ -186,3 +186,67 @@ def test_teardown_removes_connection_state():
     # After the linger, both directories are empty.
     assert len(client.control_plane.directory) == 0
     assert len(client.nic.datapath.conn_table) == 0
+
+
+@pytest.mark.parametrize("syn_offset_ns", [-2400, -2000, -1600])
+def test_passive_close_just_before_a_tick_keeps_its_fin(syn_offset_ns):
+    # Passive closer: the peer's FIN has arrived, close() posts HC_FIN
+    # ~500 ns before a timer tick, and the next SYN lands around that
+    # tick. The tick must not take "FIN not consumed by the NIC yet" for
+    # "FIN sent and ACKed": that removed the connection, and the stale
+    # HC_FIN then closed whichever connection reused its index.
+    from repro.control.plane import LINGER_NS, TIMER_TICK_NS
+    from repro.libtoe.api import COST_SEND
+
+    bed, server, client = build()
+    bed.seed_all_arp()
+    sim = bed.sim
+    server_ctx = server.new_context()
+    seen = {"later_indices": []}
+
+    def server_app():
+        listener = server_ctx.listen(7000)
+        first = yield from server_ctx.accept(listener)
+        seen["first_index"] = first.conn_index
+        while (yield from server_ctx.recv(first, 1024)) != b"":
+            pass
+        tick = (sim.now // TIMER_TICK_NS + 2) * TIMER_TICK_NS
+        seen["tick"] = tick
+        yield sim.timeout(tick - 500 - server_ctx.core.clock.cycles_to_ns(COST_SEND) - sim.now)
+        yield from server_ctx.close(first)
+        assert sim.now == tick - 500
+        while True:
+            sock = yield from server_ctx.accept(listener)
+            seen["later_indices"].append(sock.conn_index)
+            yield from server_ctx.send(sock, (yield from server_ctx.recv(sock, 1024)))
+
+    def first_client(ctx):
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield from ctx.send(sock, b"bye")
+        yield from ctx.close(sock)
+        seen["first_eof"] = yield from ctx.recv(sock, 1024)
+
+    def later_client(ctx, key, start_ns):
+        yield sim.timeout(start_ns - sim.now)
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield sim.timeout(20_000)  # room for a stray FIN to land first
+        yield from ctx.send(sock, b"hello")
+        seen[key] = yield from ctx.recv(sock, 1024)
+        seen[key + "_fin"] = sock.peer_fin
+
+    sim.process(server_app(), name="server")
+    sim.process(first_client(client.new_context()), name="first")
+    sim.run(until=40_000)
+    tick = seen["tick"]
+    sim.process(later_client(client.new_context(), "second", tick + syn_offset_ns), name="second")
+    sim.process(later_client(client.new_context(), "third", tick + 3 * TIMER_TICK_NS), name="third")
+    sim.run(until=tick + 2 * TIMER_TICK_NS)
+    # The closer's FIN went out and it reached `done` on a tick, long
+    # before the linger would have expired.
+    assert seen.get("first_eof") == b""
+    assert 2 * TIMER_TICK_NS < LINGER_NS
+    assert seen["first_index"] not in server.control_plane.directory.entries
+    sim.run(until=tick + 6 * TIMER_TICK_NS)
+    assert (seen.get("second"), seen.get("second_fin")) == (b"hello", False)
+    assert (seen.get("third"), seen.get("third_fin")) == (b"hello", False)
+    assert seen["later_indices"][1] == seen["first_index"]  # the index is reused

@@ -10,9 +10,9 @@ def test_help_advertises_every_subcommand(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    for command in ("lint", "faults", "bench"):
-        assert command in out
-    assert "pytest-benchmark" not in out  # stale hint must not return
+    assert "{lint,faults}" in out
+    assert sorted(COMMANDS) == ["faults", "lint"]
+    assert "bench" not in out  # perf/ is the only performance instrument
 
 
 def test_commands_registry_matches_parser():
@@ -29,20 +29,21 @@ def test_unknown_command_is_an_error(capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
-def test_bench_list_forwards_to_subparser(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "echo-rpc-16pair" in out
-    assert "fault-soak" in out
+def test_removed_bench_command_points_at_perf(capsys):
+    assert main(["bench", "--quick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "python3 perf/run.py" in captured.err
 
 
-def test_bench_option_reaches_subparser_verbatim(capsys):
+def test_faults_option_reaches_subparser_verbatim(capsys):
     # The bpo-17050 regression: a leading optional after the subcommand
     # must reach the subsystem parser, not die at the top level.
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--help"])
+        main(["faults", "--help"])
     assert excinfo.value.code == 0
-    assert "--compare" in capsys.readouterr().out
+    assert "--list" in capsys.readouterr().out
 
 
 def test_faults_list_forwards_to_subparser(capsys):

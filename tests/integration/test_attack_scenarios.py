@@ -16,7 +16,7 @@ from repro.bench.attack import run_attack_scenario
 
 @pytest.fixture(scope="module")
 def synflood():
-    _sim, checks, metrics = run_attack_scenario("synflood", quick=True)
+    checks, metrics = run_attack_scenario("synflood", quick=True)
     return checks, metrics
 
 
@@ -43,7 +43,7 @@ def test_synflood_slab_watermark_bounded(synflood):
 
 
 def test_churn_scenario_gates_hold():
-    _sim, checks, metrics = run_attack_scenario("churn", quick=True)
+    checks, metrics = run_attack_scenario("churn", quick=True)
     assert checks["on_ratio"] >= 0.5
     assert checks["detector_drops"] > 0
     # Churn burns host buffer memory; the detector must stop the burn.
@@ -51,7 +51,7 @@ def test_churn_scenario_gates_hold():
 
 
 def test_incast_scenario_stops_rst_reflection():
-    _sim, checks, _metrics = run_attack_scenario("incast", quick=True)
+    checks, _metrics = run_attack_scenario("incast", quick=True)
     assert checks["rsts_reflected_off"] > 0
     assert checks["rsts_reflected_on"] < checks["rsts_reflected_off"]
     assert checks["on_ratio"] >= 0.5
