@@ -4,10 +4,15 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-github baseline check-baseline certify perf perf-compare
+.PHONY: test durations lint lint-github baseline check-baseline certify perf perf-compare
 
 test:
 	$(PY) -m pytest -x -q
+
+# Tier-1 wall time and its 20 slowest tests: the table CI uploads as the
+# tier1-durations artefact.
+durations:
+	$(PY) -m pytest --durations=20 | sed -n '/slowest 20 durations/,$$p'
 
 # Gate on findings not present in the committed baseline (all passes:
 # xdp-verifier, xdp-deadcode, stage-race, atomicity, hb-race, ordering,

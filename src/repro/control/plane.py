@@ -712,6 +712,11 @@ class ControlPlane:
 
     # -- timers ------------------------------------------------------------
 
+    def _rto_ns(self, entry):
+        """Current retransmission timeout: RTT-scaled, backed off, capped."""
+        base_rto = max(self.config.rto_ns, 4_000 * max(1, entry.record.post.rtt_est))
+        return min(base_rto * entry.rto_multiplier, self.config.rto_max_ns)
+
     def _timer_loop(self):
         config = self.config
         while True:
@@ -759,8 +764,6 @@ class ControlPlane:
             # Data-path retransmission timeouts and zero-window probes.
             for entry in self.directory:
                 proto = entry.record.proto
-                base_rto = max(config.rto_ns, 4_000 * max(1, entry.record.post.rtt_est))
-                rto = min(base_rto * entry.rto_multiplier, config.rto_max_ns)
                 if proto.remote_win == 0 and (proto.tx_sent > 0 or proto.tx_avail > 0):
                     # Persist state: the peer (or its slow-path shim)
                     # closed the window. Classic TCP probes forever —
@@ -768,7 +771,7 @@ class ControlPlane:
                     entry.retry_attempts = 0
                     if entry.stalled_since is None:
                         entry.stalled_since = now
-                    elif now - entry.stalled_since > rto:
+                    elif now - entry.stalled_since > self._rto_ns(entry):
                         entry.stalled_since = now
                         entry.rto_multiplier = min(entry.rto_multiplier * 2, 64)
                         self.probes_posted += 1
@@ -783,7 +786,10 @@ class ControlPlane:
                         entry.last_snd_una = snd_una
                         entry.stalled_since = now
                         entry.reset_backoff()
-                    elif entry.stalled_since is not None and now - entry.stalled_since > rto:
+                    elif (
+                        entry.stalled_since is not None
+                        and now - entry.stalled_since > self._rto_ns(entry)
+                    ):
                         if entry.retry_attempts >= config.max_data_retries:
                             self._abort_connection(entry)
                             continue

@@ -4,8 +4,9 @@ FlexTOE's split — host control plane owns everything exceptional, NIC
 data path owns the common case — only pays off if the host can *recover*
 the data path when it dies. This module adds the three pieces:
 
-* **Watchdog** — FPC stage groups publish heartbeat sequence numbers
-  into CTM/EMEM (:class:`repro.flextoe.state.HeartbeatBoard`); the
+* **Watchdog** — every FPC stage group's heartbeat sequence number
+  advances with the clock until the chip dies
+  (:class:`repro.flextoe.state.HeartbeatBoard` derives it on read); the
   :class:`RecoveryManager` samples the board over MMIO on its own tick
   and declares the data path failed after ``WATCHDOG_MISS_THRESHOLD``
   consecutive samples with no advancing beat.

@@ -142,14 +142,15 @@ class FlexToeDatapath:
         self.stage_fpcs = {}
 
         #: Every spawned data-path process (stage threads, GRO delivery,
-        #: heartbeat publishers, snapshot DMA). crash() interrupts them all.
+        #: snapshot DMA). crash() interrupts them all.
         self.processes = []
         self.crashed = False
-        self.heartbeats = HeartbeatBoard()
+        #: Liveness is derived from the clock, not simulated: no process
+        #: beats, so an idle data path schedules nothing.
+        self.heartbeats = HeartbeatBoard(sim, HEARTBEAT_INTERVAL_NS, self.stage_fpcs)
 
         sanitizer.maybe_install_from_env()
         self._assign_fpcs()
-        self._spawn_heartbeats()
         self.hb_monitor = None
         if sanitizer.enabled() and config.pipelined:
             # Differential check of the static happens-before model
@@ -206,27 +207,6 @@ class FlexToeDatapath:
         self.processes.append(process)
         return process
 
-    def _spawn_heartbeats(self):
-        """One heartbeat publisher per registered stage-group FPC.
-
-        Publishers are zero-cost sim processes (the beat write itself is
-        charged via the atomic engine), so they never perturb pipeline
-        timing; they die with the data-path on crash(), which is exactly
-        what stops the beats and trips the control-plane watchdog."""
-        for stage_kind in sorted(self.stage_fpcs):
-            for slot, _fpc in enumerate(self.stage_fpcs[stage_kind]):
-                key = (stage_kind, slot)
-
-                def publisher(_key=key):
-                    while True:
-                        yield self.sim.timeout(HEARTBEAT_INTERVAL_NS)
-                        self.heartbeats.publish(_key)
-
-                process = self.sim.process(
-                    self._killable(publisher()), name="hb-{}-{}".format(stage_kind, slot)
-                )
-                self.processes.append(process)
-
     def enable_state_snapshots(self, writer, interval_ns):
         """Periodically DMA volatile protocol fields to a host shadow.
 
@@ -261,13 +241,15 @@ class FlexToeDatapath:
     def crash(self):
         """Hard-stop the data path (fault injection / recovery quiesce).
 
-        Kills every spawned process and detaches the NBI ingress handler;
-        NIC-internal state (rings, caches, connection table) is dead with
-        the chip. Host-visible memory — context queue pairs, the control
-        ring, payload buffers — is untouched. Idempotent."""
+        Kills every spawned process, freezes the heartbeat board and
+        detaches the NBI ingress handler; NIC-internal state (rings,
+        caches, connection table) is dead with the chip. Host-visible
+        memory — context queue pairs, the control ring, payload
+        buffers — is untouched. Idempotent."""
         if self.crashed:
             return
         self.crashed = True
+        self.heartbeats.frozen_at = self.sim.now
         self.mac.rx_handler = None
         for process in self.processes:
             if process.is_alive:
@@ -492,7 +474,9 @@ class FlexToeDatapath:
         total = 0
         count = 0
         for stage in self.post_stages:
-            stage_total, stage_count = stage.take_rtt_samples(index)
-            total += stage_total
-            count += stage_count
-        record.post.fold_rtt_samples(total, count)
+            if stage.rtt_samples:
+                stage_total, stage_count = stage.take_rtt_samples(index)
+                total += stage_total
+                count += stage_count
+        if count:
+            record.post.fold_rtt_samples(total, count)

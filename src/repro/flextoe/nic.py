@@ -88,8 +88,10 @@ class FlexToeNic:
     def read_heartbeats(self):
         """Watchdog MMIO sample of the stage-group heartbeat board.
 
-        A crashed chip still returns the (frozen) board — the watchdog
-        detects failure by the beats not advancing, not by read errors."""
+        One sequence per ``(stage_kind, slot)`` in ``stage_fpcs``, derived
+        from the clock. A crashed chip still returns the board, frozen at
+        the crash instant — the watchdog detects failure by the beats
+        not advancing, not by read errors."""
         return self.datapath.heartbeats.snapshot()
 
     def enable_state_snapshots(self, writer, interval_ns):

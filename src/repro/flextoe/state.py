@@ -247,33 +247,34 @@ atomic("post", "cnt_ackb", "cnt_ecnb", "cnt_fretx")
 class HeartbeatBoard:
     """Per-stage-group heartbeat sequence numbers in CTM/EMEM.
 
-    Each stage group's firmware bumps its own slot (single writer per
-    key), so the per-group sequences need no atomicity; the aggregate
-    ``hb_beats`` counter is bumped by every group and therefore goes
-    through the atomic-add engine. The control plane samples the board
-    over MMIO on its watchdog tick and declares the data path failed
-    after a configured number of samples with no advancing beat.
+    Each stage group bumps its own slot every ``interval_ns`` from the
+    moment the data path is built until the chip dies; nothing else
+    stops a beat (an FPC stall does not — the beat never competes for
+    an issue slot). The sequence is therefore a function of the clock
+    and is derived on read, not simulated: one beat per whole interval
+    strictly before ``frozen_at`` (the crash instant) or, while alive,
+    before now — a beat landing on the very instant of a read is not
+    yet visible to it.
     """
 
-    __slots__ = ("groups", "hb_beats")
+    __slots__ = ("sim", "interval_ns", "stage_fpcs", "epoch", "frozen_at")
 
-    def __init__(self):
-        self.groups = {}  # (stage_kind, group) -> sequence number
-        self.hb_beats = 0
-
-    def publish(self, key):
-        """One heartbeat from stage group ``key``; returns FPC cycles."""
-        self.groups[key] = self.groups.get(key, 0) + 1
-        return atomic_add(self, "hb_beats", 1)
+    def __init__(self, sim, interval_ns, stage_fpcs):
+        self.sim = sim
+        self.interval_ns = interval_ns
+        self.stage_fpcs = stage_fpcs  # stage kind -> [Fpc, ...] (live view)
+        self.epoch = sim.now
+        self.frozen_at = None
 
     def snapshot(self):
         """Host-side MMIO read of every group's current sequence."""
-        return dict(self.groups)
-
-
-#: The aggregate heartbeat counter is written by every stage group, so
-#: it must go through the atomic-add engine like the post counters.
-atomic("heartbeat", "hb_beats")
+        at = self.sim.now if self.frozen_at is None else self.frozen_at
+        seq = max(0, at - self.epoch - 1) // self.interval_ns
+        return {
+            (stage_kind, slot): seq
+            for stage_kind, fpcs in self.stage_fpcs.items()
+            for slot in range(len(fpcs))
+        }
 
 
 TOTAL_STATE_BYTES = PreprocState.SIZE_BYTES + ProtocolState.SIZE_BYTES + PostprocState.SIZE_BYTES

@@ -243,7 +243,6 @@ def test_atomic_registry_parses_declarations():
         "cnt_ackb": "post",
         "cnt_ecnb": "post",
         "cnt_fretx": "post",
-        "hb_beats": "heartbeat",
     }
 
 

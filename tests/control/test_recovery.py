@@ -4,6 +4,8 @@ typed handshake timeouts (ISSUE 4 satellites)."""
 import pytest
 
 from repro.control import ControlPlaneConfig
+from repro.control.recovery import WATCHDOG_INTERVAL_NS, WATCHDOG_MISS_THRESHOLD
+from repro.flextoe.datapath import HEARTBEAT_INTERVAL_NS
 from repro.harness import Testbed
 from repro.libtoe.errors import (
     ConnectRefusedError,
@@ -292,6 +294,80 @@ def test_recovery_at_scale_reoffloads_every_shadow():
         assert record.proto.ack == recovery.shadows[index].rcv_nxt
     # The NIC-side table was rebuilt, not leaked: one record per shadow.
     assert len(server.nic.datapath.conn_table) == n_bulk + 1
+
+
+#: Crash offset past a watchdog sample -> ``last_detect_ns - crash_ns``.
+#: Recorded on the board that ran one publisher process per stage group
+#: (commit 366c279) and pinned here on the derived board. Offset 0 is the
+#: one that moved: there the crash lands on the sample instant *and* a
+#: beat instant, the old board ordered the three by heap sequence
+#: (sample, beat, crash: 400_000), and the derived board counts only
+#: beats strictly before an instant (300_000).
+DETECT_LATENCY_NS = {
+    0: 300_000,
+    1: 399_999,
+    25_000: 375_000,
+    49_999: 350_001,
+    50_000: 350_000,
+    50_001: 349_999,
+    99_999: 300_001,
+    100_000: 300_000,
+}
+
+
+@pytest.mark.parametrize("offset_ns", sorted(DETECT_LATENCY_NS))
+def test_watchdog_detect_latency_is_the_publisher_boards(offset_ns):
+    bed, server, client = build()
+    sample_ns = 10 * WATCHDOG_INTERVAL_NS
+    bed.sim.run(until=sample_ns)
+
+    def crasher():
+        yield bed.sim.timeout(offset_ns)
+        server.nic.crash()
+
+    bed.sim.process(crasher(), name="crasher")
+    bed.sim.run(until=sample_ns + 10 * WATCHDOG_INTERVAL_NS)
+    recovery = server.control_plane.recovery
+    assert recovery.watchdog_fired == 1
+    latency_ns = recovery.last_detect_ns - (sample_ns + offset_ns)
+    assert latency_ns == DETECT_LATENCY_NS[offset_ns]
+    low = (WATCHDOG_MISS_THRESHOLD - 1) * WATCHDOG_INTERVAL_NS
+    assert low < latency_ns <= low + 2 * WATCHDOG_INTERVAL_NS
+
+
+def test_heartbeat_board_is_a_function_of_the_clock():
+    """Live it advances with time, crashed it is frozen, rebooted it
+    starts again from zero — with no process publishing anything."""
+    # A slower sampler than the beat would read a live board as stuck.
+    assert WATCHDOG_INTERVAL_NS >= HEARTBEAT_INTERVAL_NS
+    bed, server, client = build(
+        server_kwargs={"config": ControlPlaneConfig(recovery_enabled=False)}
+    )
+    nic = server.nic
+
+    def groups():
+        return {
+            (stage_kind, slot)
+            for stage_kind, fpcs in nic.datapath.stage_fpcs.items()
+            for slot in range(len(fpcs))
+        }
+
+    bed.sim.run(until=1_000_000)
+    before = nic.read_heartbeats()
+    assert set(before) == groups()
+    bed.sim.run(until=bed.sim.now + WATCHDOG_INTERVAL_NS)
+    assert all(nic.read_heartbeats()[key] > before[key] for key in before)
+
+    nic.crash()
+    frozen = nic.read_heartbeats()
+    bed.sim.run(until=bed.sim.now + 1_000_000)
+    assert nic.read_heartbeats() == frozen
+
+    nic.reboot()
+    assert set(nic.read_heartbeats()) == groups()
+    assert set(nic.read_heartbeats().values()) == {0}
+    bed.sim.run(until=bed.sim.now + WATCHDOG_INTERVAL_NS)
+    assert 0 < min(nic.read_heartbeats().values()) < min(frozen.values())
 
 
 def test_handshake_timeout_is_typed_and_configurable():

@@ -179,7 +179,6 @@ def test_atomic_add_charges_engine_latency_and_saturates():
         "cnt_ackb": "post",
         "cnt_ecnb": "post",
         "cnt_fretx": "post",
-        "hb_beats": "heartbeat",
     }
     assert atomic_add(record.post, "cnt_ackb", 1460) == LAT_ATOMIC_ADD
     assert record.post.cnt_ackb == 1460

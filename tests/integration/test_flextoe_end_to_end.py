@@ -4,6 +4,7 @@ handshake, data transfer through the full NIC pipeline, teardown."""
 import pytest
 
 from repro.harness import Testbed
+from tests.integration.driver import run_apps
 
 
 @pytest.fixture
@@ -23,9 +24,11 @@ def run_pair(bed, server_proc, client_proc, until=2_000_000_000):
     client_ctx = client.new_context()
     results = {}
 
-    sim.process(server_proc(server_ctx, results), name="server-app")
-    sim.process(client_proc(client_ctx, server.ip, results), name="client-app")
-    sim.run(until=until)
+    apps = [
+        sim.process(server_proc(server_ctx, results), name="server-app"),
+        sim.process(client_proc(client_ctx, server.ip, results), name="client-app"),
+    ]
+    run_apps(bed, apps, deadline_ns=until)
     return results
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
 from repro.harness import Testbed
+from tests.integration.driver import run_apps
 
 STACKS = ["flextoe", "linux", "tas", "chelsio"]
 
@@ -59,9 +60,11 @@ def echo_exchange(server_stack, client_stack):
             results["round%d" % round_id] = reply == message[::-1]
         results["done"] = True
 
-    sim.process(server_app(server_ctx), name="server-app")
-    sim.process(client_app(client_ctx), name="client-app")
-    sim.run(until=4_000_000_000)
+    apps = [
+        sim.process(server_app(server_ctx), name="server-app"),
+        sim.process(client_app(client_ctx), name="client-app"),
+    ]
+    run_apps(bed, apps, deadline_ns=4_000_000_000)
     return results
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
 from repro.faults import BurstLoss, FaultPlan
 from repro.harness import Testbed
+from tests.integration.driver import run_apps
 
 
 def stable_seed(*parts):
@@ -79,9 +80,11 @@ def test_stream_integrity_under_loss(stack, loss):
             tail += chunk
         results["tail"] = tail
 
-    bed.sim.process(server_app(), name="server")
-    bed.sim.process(client_app(), name="client")
-    bed.sim.run(until=3_000_000_000)  # 3 s: covers many RTOs
+    apps = [
+        bed.sim.process(server_app(), name="server"),
+        bed.sim.process(client_app(), name="client"),
+    ]
+    run_apps(bed, apps, deadline_ns=3_000_000_000)  # 3 s: covers many RTOs
     dropped = len(controller.log.actions("drop"))
     if loss >= 0.05:
         # Low-loss cells on TSO-sized baseline streams can legitimately
@@ -120,9 +123,11 @@ def test_bidirectional_soak_with_loss_flextoe_pair():
         sock = yield from client_ctx.connect(server.ip, 7000)
         yield from pump(client_ctx, sock, results, "client")
 
-    bed.sim.process(server_app(), name="server")
-    bed.sim.process(client_app(), name="client")
-    bed.sim.run(until=3_000_000_000)
+    apps = [
+        bed.sim.process(server_app(), name="server"),
+        bed.sim.process(client_app(), name="client"),
+    ]
+    run_apps(bed, apps, deadline_ns=3_000_000_000)
     assert len(controller.log.actions("drop")) > 0
     assert results.get("server") == blob
     assert results.get("client") == blob
