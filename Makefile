@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test durations lint lint-github baseline check-baseline certify perf perf-compare
+.PHONY: test durations loc lint lint-github baseline check-baseline certify perf perf-compare
 
 test:
 	$(PY) -m pytest -x -q
@@ -13,6 +13,13 @@ test:
 # tier1-durations artefact.
 durations:
 	$(PY) -m pytest --durations=20 | sed -n '/slowest 20 durations/,$$p'
+
+# Lines under src/repro, total and per package: ROADMAP item 3's line
+# target, tracked in CI beside the durations table.
+loc:
+	@for d in src/repro src/repro/*/; do \
+		printf '%6d %s\n' $$(find $$d -name '*.py' | xargs wc -l | awk 'END {print $$1}') $$d; \
+	done
 
 # Gate on findings not present in the committed baseline (all passes:
 # xdp-verifier, xdp-deadcode, stage-race, atomicity, hb-race, ordering,
@@ -35,7 +42,7 @@ check-baseline:
 	rm -f lint-baseline.regen.json
 
 # Export + independently re-check the proof-carrying XDP certificates
-# and the pipeline commutability certificate.
+# (the ones the JIT consumes).
 certify:
 	$(PY) -m repro lint --certify
 

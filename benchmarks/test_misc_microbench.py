@@ -16,7 +16,8 @@ from repro.nfp import Fpc
 from repro.proto import make_tcp_frame, str_to_ip
 from repro.sim import Simulator
 from repro.xdp import XdpAdapter
-from repro.xdp.builtins import SpliceEntry, SpliceProgram, splice_key
+from repro.xdp.builtins import SpliceEntry, splice_asm_program, splice_key
+from repro.xdp.builtins.splice import SPLICE_FD
 
 ECN_GRADIENT_CYCLES = 1500  # paper's measured FPC cost
 
@@ -39,12 +40,12 @@ def measure_ecn_gradient_ns():
 def measure_splice_rate():
     """Splicing executed back-to-back on idle FPC threads."""
     sim = Simulator()
-    splice = SpliceProgram()
-    adapter = XdpAdapter(py_program=splice)
+    program, maps = splice_asm_program()
+    adapter = XdpAdapter(program, maps)
     src = str_to_ip("10.0.0.1")
     dst = str_to_ip("10.0.0.2")
     key = splice_key(src, dst, 1000, 2000)
-    splice.install(key, SpliceEntry(0xCC, str_to_ip("10.0.0.3"), 7, 8, 10, 20))
+    maps[SPLICE_FD].update(key, SpliceEntry(0xCC, str_to_ip("10.0.0.3"), 7, 8, 10, 20).pack())
 
     n_packets = 2000
     fpcs = [Fpc(sim, "fpc%d" % i) for i in range(3)]  # the 3 idle FPCs/island

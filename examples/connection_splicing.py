@@ -16,13 +16,14 @@ from repro.net import Link, Port
 from repro.proto import FLAG_ACK, make_tcp_frame, str_to_ip
 from repro.sim import Simulator
 from repro.xdp import XdpAdapter
-from repro.xdp.builtins import SpliceEntry, SpliceProgram, splice_key
+from repro.xdp.builtins import SpliceEntry, splice_asm_program, splice_key
+from repro.xdp.builtins.splice import SPLICE_FD
 
 
 def main():
     sim = Simulator()
-    splice = SpliceProgram()
-    nic = FlexToeNic(sim, ingress_modules=ModuleChain([XdpAdapter(py_program=splice)]))
+    program, maps = splice_asm_program()
+    nic = FlexToeNic(sim, ingress_modules=ModuleChain([XdpAdapter(program, maps)]))
 
     wire = Port(sim, "wire")
     nic_port = Port(sim, "nic")
@@ -53,7 +54,7 @@ def main():
         seq_delta=555_000,
         ack_delta=777_000,
     )
-    splice.install(key, entry)
+    maps[SPLICE_FD].update(key, entry.pack())
     print("installed splice: client:33000 -> proxy:80  ==>  proxy:41000 -> backend:8080")
 
     n = 500

@@ -10,7 +10,8 @@ Subcommands (each forwards its remaining arguments to the subsystem's
 own argument parser — ``python -m repro <cmd> --help`` for details):
 
 * ``lint``   — static analysis suite (:mod:`repro.analysis.cli`): XDP
-  verifier, stage race lint, sim-process lint, atomicity pass.
+  verifier and dead-code lint, stage race, atomicity, happens-before
+  race, ordering and sim-process passes.
 * ``faults`` — run a named deterministic fault plan as an asserted test
   (:mod:`repro.faults.cli`).
 """
@@ -59,7 +60,10 @@ def demo():
 
 
 COMMANDS = {
-    "lint": "static analysis: XDP verifier, stage race lint, sim-process lint",
+    "lint": (
+        "static analysis: xdp-verifier, xdp-deadcode, stage-race, atomicity, "
+        "hb-race, ordering, sim-process"
+    ),
     "faults": "run a deterministic fault plan as an asserted test",
 }
 

@@ -1,6 +1,6 @@
 """``python -m repro lint`` / ``repro-lint``: run all analysis passes.
 
-Five passes over the tree, one exit code:
+Seven passes over the tree, one exit code:
 
 1. **xdp-verifier** — every builtin XDP assembly program must pass the
    CFG dataflow verifier (:mod:`repro.analysis.verifier`);
@@ -13,7 +13,14 @@ Five passes over the tree, one exit code:
 4. **atomicity** — read-modify-writes by replicated stage instances
    must be declared commutative atomic-add counters
    (:func:`repro.analysis.stagelint.lint_atomicity`);
-5. **sim-process** — no wall-clock time, global RNG, or non-event
+5. **hb-race** — a connection-state field shared across stage kinds
+   must be immutable, single-owner or declared atomic
+   (:func:`repro.analysis.hblint.lint_hb`);
+6. **ordering** — replicated stages emit into ordered rings only behind
+   a chain fence, reorder-buffer offers carry an upstream sequencer
+   ticket, and ACKs leave after their notification
+   (:func:`repro.analysis.hblint.lint_ordering`);
+7. **sim-process** — no wall-clock time, global RNG, or non-event
    yields in simulation code (:mod:`repro.analysis.simlint`).
 
 Exit status 0 when clean, 1 when any pass reports findings, so CI can
@@ -22,8 +29,9 @@ machine-readable report from :mod:`repro.analysis.report`;
 ``--format=github`` prints GitHub Actions ``::warning`` annotations;
 ``--baseline report.json`` compares against a stored report and fails
 only on *new* findings. ``--certify`` additionally exports each builtin
-program's proof-carrying compilation certificate
-(:mod:`repro.analysis.certificate`) into the JSON report.
+XDP program's proof-carrying compilation certificate
+(:mod:`repro.analysis.certificate`, the input of the check-eliding JIT),
+re-checks it independently, and embeds it in the JSON report.
 """
 
 import argparse
@@ -118,31 +126,6 @@ def certify_builtins():
     return findings, certificates
 
 
-#: Key the pipeline commutability certificate is exported under; not a
-#: builtin XDP program, so the per-builtin stat lines skip it.
-COMMUTE_CERT_KEY = "pipeline-commute"
-
-
-def certify_pipeline():
-    """Export + re-check the pipeline commutability certificate."""
-    from repro.analysis.hbcert import (
-        CommuteCertError,
-        check_commute_certificate,
-        export_commute_certificate,
-    )
-
-    findings = []
-    cert = None
-    try:
-        cert = export_commute_certificate()
-        check_commute_certificate(cert)
-    except CommuteCertError as exc:
-        findings.append(
-            Finding(PASS_ORDER, "repro/flextoe/stages.py", 0, "certify-fail", str(exc))
-        )
-    return findings, cert
-
-
 def run_all(root=None):
     """Run every pass; returns ``(findings, checked)``."""
     from repro.analysis import simlint, stagelint
@@ -194,8 +177,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Data-path safety analyzer: XDP verifier, stage race lint, "
-            "replicated-state atomicity lint, sim-process lint."
+            "Data-path safety analyzer: XDP verifier, XDP dead-code lint, "
+            "stage race lint, replicated-state atomicity lint, happens-before "
+            "race lint, ordering-device lint, sim-process lint."
         ),
     )
     parser.add_argument(
@@ -212,8 +196,9 @@ def main(argv=None):
         "--certify",
         action="store_true",
         help=(
-            "export + re-check a proof-carrying compilation certificate per "
-            "builtin XDP program; embedded in the JSON report"
+            "export + independently re-check the proof-carrying compilation "
+            "certificate of each builtin XDP program (what the JIT consumes); "
+            "prints per-program guard-elision counts, embedded in the JSON report"
         ),
     )
     parser.add_argument(
@@ -235,10 +220,6 @@ def main(argv=None):
     if args.certify:
         cert_findings, certificates = certify_builtins()
         findings.extend(cert_findings)
-        commute_findings, commute_cert = certify_pipeline()
-        findings.extend(commute_findings)
-        if commute_cert is not None:
-            certificates[COMMUTE_CERT_KEY] = commute_cert
     findings.sort(key=finding_sort_key)
     gating = findings
     if args.baseline is not None:
@@ -250,18 +231,6 @@ def main(argv=None):
         print(render_github(gating))
         if args.certify and certificates is not None:
             for name in sorted(certificates):
-                if name == COMMUTE_CERT_KEY:
-                    cert = certificates[name]
-                    print(
-                        "::notice title=hb-certify::pipeline: {}/{} stage pairs, "
-                        "{}/{} HC-op pairs proven commutable".format(
-                            sum(1 for p in cert["stage_pairs"] if p["commute"]),
-                            len(cert["stage_pairs"]),
-                            sum(1 for p in cert["hc_pairs"] if p["commute"]),
-                            len(cert["hc_pairs"]),
-                        )
-                    )
-                    continue
                 stats = certificates[name].get("stats", {})
                 print(
                     "::notice title=xdp-certify::{}: {} insns, {}/{} memory guards elided".format(
@@ -281,19 +250,6 @@ def main(argv=None):
             )
         if args.certify and certificates is not None:
             for name in sorted(certificates):
-                if name == COMMUTE_CERT_KEY:
-                    cert = certificates[name]
-                    print(
-                        "certified pipeline: {}/{} stage pairs and {}/{} HC-op "
-                        "pairs commutable, {} fields judged".format(
-                            sum(1 for p in cert["stage_pairs"] if p["commute"]),
-                            len(cert["stage_pairs"]),
-                            sum(1 for p in cert["hc_pairs"] if p["commute"]),
-                            len(cert["hc_pairs"]),
-                            len(cert["fields"]),
-                        )
-                    )
-                    continue
                 stats = certificates[name].get("stats", {})
                 total = stats.get("mem_elided", 0) + stats.get("mem_retained", 0)
                 print(

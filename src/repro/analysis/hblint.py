@@ -40,8 +40,7 @@ AST, as a happens-before model:
     and an offer of a ``piggyback_ack`` alias must follow the
     ``nic_deliver`` call that made the notification host-visible.
 
-The extracted :class:`HBModel` is also the basis of the commutability
-certificate (:mod:`repro.analysis.hbcert`) and of the runtime monitor
+The extracted :class:`HBModel` is also the basis of the runtime monitor
 (:mod:`repro.analysis.hbmonitor`), which validates observed
 interleavings against the same edges under ``REPRO_SANITIZE=1``.
 """
@@ -51,10 +50,6 @@ import os
 
 from repro.analysis import stagelint
 from repro.analysis.report import PASS_HB, PASS_ORDER, Finding
-
-#: Bump when the model extraction or the HB rules change meaning; bound
-#: into the commutability certificate digest.
-MODEL_VERSION = 1
 
 #: Topological index of each stage kind in the pipeline DAG. ``ctx`` and
 #: ``nbi`` share an index: both are leaves downstream of ``dma``.
@@ -96,21 +91,6 @@ class HBModel:
     def kind_of(self, class_name):
         stage = self.stages.get(class_name)
         return stage.kind if stage is not None else None
-
-    def to_jsonable(self):
-        return {
-            "version": MODEL_VERSION,
-            "stages": {
-                name: {
-                    "kind": s.kind,
-                    "replicated": bool(s.replicated),
-                    "serializes_per_conn": bool(s.serializes_per_conn),
-                }
-                for name, s in sorted(self.stages.items())
-            },
-            "seqr_domains": dict(sorted(self.seqr_domains.items())),
-            "ordered_rings": dict(sorted(self.ordered_rings.items())),
-        }
 
 
 def _read_sources(paths):

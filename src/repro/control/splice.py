@@ -8,6 +8,11 @@ both directions into the splice module's BPF map, and withdraws the
 connections from the host — from then on segments bounce between client
 and backend entirely on the NIC.
 
+The map is the only thing the two halves share. The module atomically
+deletes a direction's entry when it sees SYN/FIN/RST on it (Listing 1),
+so the manager learns of a closed splice by finding a key gone, not by
+a call out of the data path.
+
 Splicing requires both connections to be quiescent (no unacknowledged
 in-flight data), which a proxy achieves by draining before splicing.
 """
@@ -20,14 +25,12 @@ class SpliceError(Exception):
 
 
 class SpliceManager:
-    """Owns the splice module's table on one FlexTOE NIC."""
+    """Owns the splice module's BPF map on one FlexTOE NIC."""
 
-    def __init__(self, control_plane, splice_program):
+    def __init__(self, control_plane, table):
         self.control_plane = control_plane
-        self.program = splice_program
+        self.table = table
         self.active = {}  # frozenset of conn indices -> (key_ab, key_ba)
-        splice_program.control_plane_cb = self._on_closed
-        self._closed_keys = []
 
     def splice(self, index_a, index_b):
         """Splice connection ``index_a`` (client side) with ``index_b``
@@ -65,8 +68,8 @@ class SpliceManager:
         )
         key_ab = self._incoming_key(record_a)
         key_ba = self._incoming_key(record_b)
-        self.program.install(key_ab, entry_ab)
-        self.program.install(key_ba, entry_ba)
+        self.table.update(key_ab, entry_ab.pack())
+        self.table.update(key_ba, entry_ba.pack())
         # The host is out of the loop: withdraw data-path state and
         # control-plane tracking for both connections.
         for index in (index_a, index_b):
@@ -92,20 +95,18 @@ class SpliceManager:
         if keys is None:
             return False
         for key in keys:
-            self.program.remove(key)
+            self.table.delete(key)
         return True
-
-    def _on_closed(self, key, frame):
-        """The XDP module saw a control flag and removed one direction;
-        record it so the pair can be garbage collected."""
-        self._closed_keys.append(key)
-        for pair, keys in list(self.active.items()):
-            if key in keys:
-                for other in keys:
-                    if other != key:
-                        self.program.remove(other)
-                self.active.pop(pair, None)
 
     @property
     def spliced_pairs(self):
+        """Pairs still spliced in both directions. A pair the module
+        closed (one direction's key is gone from the map) is withdrawn
+        here: its other direction is deleted too."""
+        live = set(self.table.keys())
+        for pair, keys in list(self.active.items()):
+            if not live.issuperset(keys):
+                del self.active[pair]
+                for key in keys:
+                    self.table.delete(key)
         return len(self.active)

@@ -6,12 +6,14 @@ metadata. Modules are inserted at named hook points; replicated hooks
 are automatically re-sequenced afterwards (§3.2), which the datapath
 wiring handles.
 
-Two module flavors:
+Two module flavors, as in the paper:
 
 * Native modules — subclasses of :class:`DatapathModule`; ``handle``
-  returns an action and may charge FPC cycles via ``cost_cycles``.
-* XDP modules — eBPF-style programs (see :mod:`repro.xdp`) adapted with
-  :class:`XdpAdapter`, returning XDP_PASS/DROP/TX/REDIRECT.
+  returns an action and charges the class's fixed ``cost_cycles``.
+* XDP modules — eBPF programs (see :mod:`repro.xdp`) loaded through
+  :class:`repro.xdp.XdpAdapter`: verified, certified and JIT-compiled,
+  returning XDP_PASS/DROP/TX/REDIRECT and charged per instruction
+  executed.
 """
 
 ACTION_PASS = "pass"
@@ -44,7 +46,7 @@ class DatapathModule:
 
 class NullModule(DatapathModule):
     """Passes every frame; measures raw hook overhead (Table 2's
-    'XDP (null)' row is its eBPF twin)."""
+    'XDP (null)' row runs the eBPF program ``xdp.builtins.null``)."""
 
     name = "null"
     cost_cycles = 15
@@ -72,7 +74,8 @@ class CountingModule(DatapathModule):
 
 
 class VlanStripModule(DatapathModule):
-    """Strips 802.1Q tags on ingress (Table 2's 'XDP (vlan-strip)')."""
+    """Strips 802.1Q tags on ingress: the frame-shrinking strip the
+    in-place eBPF program ``xdp.builtins.vlan`` cannot do."""
 
     name = "vlan-strip"
     cost_cycles = 25

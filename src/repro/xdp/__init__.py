@@ -11,16 +11,18 @@ into FlexTOE; here they run on a faithful register VM:
 * :mod:`repro.analysis.verifier` — load-time checks (bounded programs,
   no back-edges, register initialization, valid helpers), re-exported
   here as ``verify`` / ``VerifierError``.
-* :mod:`repro.xdp.adapter` — runs native-Python or VM programs as
-  FlexTOE pipeline modules with per-instruction cycle accounting.
+* :mod:`repro.xdp.adapter` — runs a program as a FlexTOE pipeline
+  module, charging FPC cycles per instruction executed. It is the only
+  way an XDP program runs: verified, certified, then JIT-compiled.
 * :mod:`repro.xdp.jit` — proof-carrying check-eliding compiler: a
   certificate-validated program becomes one specialized Python closure
   where proven accesses skip their run-time guards.
 * :mod:`repro.xdp.builtins` — the paper's example modules: connection
-  splicing (Listing 1), firewall, VLAN strip, flow classifier, null.
+  splicing (Listing 1), firewall, VLAN priority clear, flow classifier,
+  attack detector, null — eBPF assembly plus their map helpers.
 """
 
-from repro.xdp.adapter import PyXdpProgram, XdpAdapter, jit_enabled_default
+from repro.xdp.adapter import XdpAdapter
 from repro.xdp.asm import assemble
 from repro.xdp.jit import JitProgram, compile_program
 from repro.xdp.maps import BpfArrayMap, BpfHashMap, BpfLruHashMap
@@ -34,7 +36,6 @@ __all__ = [
     "BpfLruHashMap",
     "BpfVm",
     "JitProgram",
-    "PyXdpProgram",
     "VerifierError",
     "VmFault",
     "XDP_DROP",
@@ -44,6 +45,5 @@ __all__ = [
     "XdpAdapter",
     "assemble",
     "compile_program",
-    "jit_enabled_default",
     "verify",
 ]

@@ -1,16 +1,17 @@
-"""Builtin XDP modules from the paper: splicing, firewall, VLAN strip,
-flow classification, and the null program (Table 2)."""
+"""Builtin XDP modules from the paper, as eBPF assembly: splicing,
+firewall, VLAN priority clear, flow classification, the attack detector
+and the null program (Table 2) — plus the control-plane helpers for
+their maps."""
 
 from repro.xdp.builtins.splice import (
     SpliceEntry,
-    SpliceProgram,
     splice_asm_program,
     splice_key,
 )
-from repro.xdp.builtins.firewall import FirewallProgram, firewall_asm_program
-from repro.xdp.builtins.vlan import VlanStripProgram, vlan_asm_program
-from repro.xdp.builtins.filter import FlowClassifierProgram, classifier_asm_program
-from repro.xdp.builtins.null import NullProgram, null_asm_program
+from repro.xdp.builtins.firewall import firewall_asm_program
+from repro.xdp.builtins.vlan import vlan_asm_program
+from repro.xdp.builtins.filter import classifier_asm_program
+from repro.xdp.builtins.null import null_asm_program
 from repro.xdp.builtins.detector import (
     decay_features,
     detector_asm_program,
@@ -31,12 +32,7 @@ ASM_BUILTINS = {
 
 __all__ = [
     "ASM_BUILTINS",
-    "FirewallProgram",
-    "FlowClassifierProgram",
-    "NullProgram",
     "SpliceEntry",
-    "SpliceProgram",
-    "VlanStripProgram",
     "classifier_asm_program",
     "decay_features",
     "detector_asm_program",

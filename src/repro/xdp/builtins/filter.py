@@ -1,45 +1,20 @@
 """Programmable flow classification (paper §2.1's feature list).
 
-Counts packets and bytes per destination port class in a BPF array map
-(the control plane reads the counters); optionally drops flows matching
-a deny port. Also provided as eBPF assembly for the VM."""
+Counts packets and L3 bytes per destination port class in a BPF array
+map the control plane reads."""
 
-import struct
-
-from repro.xdp.adapter import PyXdpProgram
 from repro.xdp.asm import assemble
 from repro.xdp.maps import BpfArrayMap
-from repro.xdp.program import XDP_DROP, XDP_PASS
 
 COUNTERS_FD = 2
 N_CLASSES = 16
 
 
-class FlowClassifierProgram(PyXdpProgram):
-    name = "flow-classifier"
-    cost_cycles = 40
-
-    def __init__(self, deny_port=None):
-        self.counters = BpfArrayMap(16, N_CLASSES, name="flow_counters")
-        self.deny_port = deny_port
-
-    def run(self, frame, meta):
-        if frame.tcp is None:
-            return XDP_PASS
-        if self.deny_port is not None and frame.tcp.dport == self.deny_port:
-            return XDP_DROP
-        class_id = frame.tcp.dport % N_CLASSES
-        slot = self.counters.lookup(struct.pack("<I", class_id))
-        packets, nbytes = struct.unpack("<QQ", bytes(slot))
-        struct.pack_into("<QQ", slot, 0, packets + 1, nbytes + frame.wire_len)
-        return XDP_PASS
-
-    def read_class(self, class_id):
-        slot = self.counters.lookup(struct.pack("<I", class_id))
-        return struct.unpack("<QQ", bytes(slot))
-
-
-#: Assembly version: increments the packet counter of dport % 16.
+#: Slot ``dport % 16`` holds ``struct { u64 packets; u64 bytes; }``
+#: (little-endian). Bytes are the IP total-length field (offset 16,
+#: big-endian), the detector's idiom, so the program stays within the
+#: verifier's packet-bounds proof; it is read into callee-saved r7
+#: because the helper call clobbers the packet pointer.
 CLASSIFIER_ASM = """
     ldxdw r2, [r1+0]
     ldxdw r3, [r1+8]
@@ -53,15 +28,21 @@ CLASSIFIER_ASM = """
     be16 r5
     and r5, 15
     stxw [r10-4], r5        ; array key (little-endian u32)
+    ldxh r7, [r2+16]        ; IP total length
+    be16 r7
     lddw r1, map:{fd}
     mov r2, r10
     sub r2, 4
     call 1
     jeq r0, 0, pass
-    ; increment value[0] (packet count, u64)
+    ; packets += 1
     ldxdw r6, [r0+0]
     add r6, 1
     stxdw [r0+0], r6
+    ; bytes += IP total length
+    ldxdw r4, [r0+8]
+    add r4, r7
+    stxdw [r0+8], r4
 pass:
     mov r0, 1
     exit
@@ -71,3 +52,4 @@ pass:
 def classifier_asm_program():
     counters = BpfArrayMap(16, N_CLASSES, name="flow_counters")
     return assemble(CLASSIFIER_ASM), {COUNTERS_FD: counters}
+

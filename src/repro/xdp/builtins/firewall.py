@@ -3,46 +3,18 @@
 The paper's running example for BPF maps (§3.3): "a firewall module may
 store blacklisted IPs in a hash map and the control plane may add or
 remove entries dynamically."
-
-Provided in both flavors: a native program and an eBPF-assembly program
-for the VM (demonstrating real dynamic loading)."""
+"""
 
 import struct
 
-from repro.xdp.adapter import PyXdpProgram
 from repro.xdp.asm import assemble
 from repro.xdp.maps import BpfHashMap
-from repro.xdp.program import XDP_DROP, XDP_PASS
 
 BLACKLIST_FD = 1
 
-
-class FirewallProgram(PyXdpProgram):
-    name = "firewall"
-    cost_cycles = 45
-
-    def __init__(self, max_entries=1024):
-        self.blacklist = BpfHashMap(4, 1, max_entries, name="blacklist")
-        self.dropped = 0
-
-    def block(self, ip):
-        self.blacklist.update(struct.pack("!I", ip), b"\x01")
-
-    def unblock(self, ip):
-        self.blacklist.delete(struct.pack("!I", ip))
-
-    def run(self, frame, meta):
-        if frame.ip is None:
-            return XDP_PASS
-        if self.blacklist.lookup(struct.pack("!I", frame.ip.src)) is not None:
-            self.dropped += 1
-            return XDP_DROP
-        return XDP_PASS
-
-
-#: The same firewall as eBPF assembly. Packet layout: Ethernet (14 B,
-#: no VLAN) then IPv4; source IP at offset 26. The key is stored on the
-#: stack in network byte order to match control-plane insertions.
+#: Packet layout: Ethernet (14 B, no VLAN) then IPv4; source IP at
+#: offset 26. The key is stored on the stack in network byte order to
+#: match control-plane insertions.
 FIREWALL_ASM = """
     ; r1 = ctx. Load packet bounds.
     ldxdw r2, [r1+0]        ; data
@@ -78,5 +50,5 @@ def firewall_asm_program():
 
 
 def block_ip(blacklist, ip):
-    """Control-plane helper for the assembly firewall's map."""
+    """Control-plane helper: blacklist ``ip`` (unblock with map ``delete``)."""
     blacklist.update(struct.pack("!I", ip), b"\x01")

@@ -1,17 +1,6 @@
 """The null XDP program: passes every packet (Table 2's overhead probe)."""
 
-from repro.xdp.adapter import PyXdpProgram
 from repro.xdp.asm import assemble
-from repro.xdp.program import XDP_PASS
-
-
-class NullProgram(PyXdpProgram):
-    name = "xdp-null"
-    cost_cycles = 10
-
-    def run(self, frame, meta):
-        return XDP_PASS
-
 
 NULL_ASM = """
     mov r0, 1

@@ -10,16 +10,11 @@ redirected to the control plane, exactly as in Listing 1."""
 
 import struct
 
-from repro.proto.tcp import FLAG_FIN, FLAG_RST, FLAG_SYN, seq_add
-from repro.xdp.adapter import PyXdpProgram
 from repro.xdp.asm import assemble
 from repro.xdp.maps import BpfHashMap
-from repro.xdp.program import XDP_PASS, XDP_REDIRECT, XDP_TX
 
 KEY_FORMAT = struct.Struct("!IIHH")  # src_ip, dst_ip, sport, dport
 VALUE_FORMAT = struct.Struct("!QIHHII")  # mac, ip, lport, rport, seqd, ackd
-
-CONTROL_FLAGS = FLAG_SYN | FLAG_FIN | FLAG_RST
 
 
 def splice_key(src_ip, dst_ip, sport, dport):
@@ -53,64 +48,6 @@ class SpliceEntry:
     def unpack(cls, data):
         mac, ip, lport, rport, seqd, ackd = VALUE_FORMAT.unpack(bytes(data))
         return cls(mac, ip, lport, rport, seqd, ackd)
-
-
-class SpliceProgram(PyXdpProgram):
-    """The Listing 1 module as a native XDP program."""
-
-    name = "tcp-splice"
-    cost_cycles = 120  # lookup + header patch + checksum update
-
-    def __init__(self, max_entries=4096, control_plane_cb=None):
-        self.table = BpfHashMap(
-            KEY_FORMAT.size, VALUE_FORMAT.size, max_entries, name="splice_tbl"
-        )
-        self.control_plane_cb = control_plane_cb
-        self.spliced = 0
-        self.closed = 0
-
-    # -- control-plane API ----------------------------------------------------
-
-    def install(self, four_tuple_key, entry):
-        self.table.update(four_tuple_key, entry.pack())
-
-    def remove(self, four_tuple_key):
-        return self.table.delete(four_tuple_key)
-
-    # -- data path ----------------------------------------------------------------
-
-    def run(self, frame, meta):
-        if frame.tcp is None or frame.ip is None:
-            return XDP_REDIRECT  # non-IPv4/TCP segments to control-plane
-        key = splice_key(frame.ip.src, frame.ip.dst, frame.tcp.sport, frame.tcp.dport)
-        if frame.tcp.flags & CONTROL_FLAGS:
-            # Atomically remove the map entry; forward to control-plane.
-            if self.table.delete(key):
-                self.closed += 1
-                if self.control_plane_cb is not None:
-                    self.control_plane_cb(key, frame)
-                return XDP_REDIRECT
-            return XDP_PASS
-        raw = self.table.lookup(key)
-        if raw is None:
-            return XDP_PASS  # not spliced: send to the data-plane
-        state = SpliceEntry.unpack(raw)
-        self._patch_headers(frame, state)
-        self.spliced += 1
-        return XDP_TX
-
-    @staticmethod
-    def _patch_headers(frame, state):
-        frame.eth.src = frame.eth.dst
-        frame.eth.dst = state.remote_mac
-        frame.ip.src = frame.ip.dst
-        frame.ip.dst = state.remote_ip
-        frame.tcp.sport = state.local_port
-        frame.tcp.dport = state.remote_port
-        frame.tcp.seq = seq_add(frame.tcp.seq, state.seq_delta)
-        frame.tcp.ack = seq_add(frame.tcp.ack, state.ack_delta)
-        # FlexTOE handles sequencing and the checksum update (paper §3.3);
-        # in the simulator checksums are recomputed at serialization.
 
 
 SPLICE_FD = 3

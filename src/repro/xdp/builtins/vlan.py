@@ -1,29 +1,13 @@
 """VLAN stripping on ingress (Table 2's 'XDP (vlan-strip)' row)."""
 
-from repro.xdp.adapter import PyXdpProgram
 from repro.xdp.asm import assemble
-from repro.xdp.program import XDP_PASS
 
-
-class VlanStripProgram(PyXdpProgram):
-    name = "vlan-strip"
-    cost_cycles = 28
-
-    def __init__(self):
-        self.stripped = 0
-
-    def run(self, frame, meta):
-        if frame.eth.vlan is not None:
-            frame.eth.vlan = None
-            frame.eth.vlan_pcp = 0
-            self.stripped += 1
-        return XDP_PASS
-
-
-#: Assembly flavor. The VM rewrites packets in place and cannot shrink
-#: them, so this performs the in-place half of the strip: tagged frames
-#: get their 802.1Q priority (PCP) cleared. TPID 0x8100 sits big-endian
-#: at offset 12; the TCI's first byte carries PCP in its top 3 bits.
+#: The VM rewrites packets in place and cannot shrink them, so this
+#: performs the in-place half of the strip: tagged frames get their
+#: 802.1Q priority (PCP) cleared; removing the tag itself is the native
+#: module :class:`repro.flextoe.module.VlanStripModule`. TPID 0x8100
+#: sits big-endian at offset 12; the TCI's first byte carries PCP in its
+#: top 3 bits.
 VLAN_ASM = """
     ldxdw r2, [r1+0]        ; data
     ldxdw r3, [r1+8]        ; data_end

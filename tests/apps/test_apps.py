@@ -18,6 +18,7 @@ from repro.apps.memcached import (
 )
 from repro.apps.rpc import ClosedLoopClient, OpenLoopClient
 from repro.baselines import add_tas_host
+from repro.faults.invariants import run_until
 from repro.harness import Testbed
 
 
@@ -93,7 +94,9 @@ def test_open_loop_client_pipelines():
     bed.sim.process(echo.run(), name="echo")
     rpc = OpenLoopClient(client.new_context(), server.ip, 7000, 128, 128, pipeline=8)
     bed.sim.process(rpc.run(), name="rpc")
-    bed.sim.run(until=20_000_000)
+    # The deadline is only the wedge bound: stop as soon as enough
+    # pipelined requests completed.
+    run_until(bed, lambda: rpc.completed > 20, 20_000_000, step_ns=100_000)
     rpc.stop = True
     assert rpc.completed > 20
 

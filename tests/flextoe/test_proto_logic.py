@@ -1,5 +1,8 @@
 """Unit tests for the atomic protocol stage logic (RX/TX/HC)."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.flextoe.descriptors import (
     HC_FIN,
     HC_RETRANSMIT,
@@ -371,6 +374,38 @@ def test_hc_rx_update_restores_space():
     state = make_state(rx_avail=0)
     process_hc(state, HostControlDescriptor(HC_RX_UPDATE, 0, value=1024))
     assert state.rx_avail == 1024
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 20),
+    st.booleans(),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+    st.booleans(),
+)
+def test_hc_window_updates_commute(
+    seq, ack, tx_avail, rx_avail, remote_win, tx_sent, fin_pending, tx_delta, rx_delta, fin
+):
+    """Batched window updates (§3.1.1) are pure descriptor-carried
+    deltas: a TX and an RX update leave the same state in either order."""
+    tx_update = HostControlDescriptor(HC_TX_UPDATE, 0, value=tx_delta, fin=fin)
+    rx_update = HostControlDescriptor(HC_RX_UPDATE, 0, value=rx_delta)
+
+    def final_state(order):
+        state = make_state(seq=seq, ack=ack, rx_avail=rx_avail, remote_win=remote_win)
+        state.tx_avail = tx_avail
+        state.tx_sent = tx_sent
+        state.fin_pending = fin_pending
+        for descriptor in order:
+            process_hc(state, descriptor)
+        return [getattr(state, field) for field in ProtocolState.SLAB_FIELDS]
+
+    assert final_state((tx_update, rx_update)) == final_state((rx_update, tx_update))
 
 
 def test_hc_fin_arms_and_wakes_scheduler():

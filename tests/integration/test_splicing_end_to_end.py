@@ -10,25 +10,28 @@ import pytest
 from repro.control.splice import SpliceError, SpliceManager
 from repro.flextoe.module import ModuleChain
 from repro.harness import Testbed
-from repro.xdp import XdpAdapter
-from repro.xdp.builtins import SpliceProgram
+from repro.xdp import XDP_REDIRECT, XDP_TX, XdpAdapter
+from repro.xdp.builtins import splice_asm_program
+from repro.xdp.builtins.splice import SPLICE_FD
 
 
 def build():
     bed = Testbed(seed=21)
     client = bed.add_flextoe_host("client")
-    # The proxy's NIC carries the splice module at ingress.
-    splice_program = SpliceProgram()
+    # The proxy's NIC carries the splice module at ingress; the manager
+    # holds only its map.
+    program, maps = splice_asm_program()
+    adapter = XdpAdapter(program, maps)
     proxy = bed.add_flextoe_host("proxy")
-    proxy.nic.datapath.ingress_modules = ModuleChain([XdpAdapter(py_program=splice_program)])
+    proxy.nic.datapath.ingress_modules = ModuleChain([adapter])
     backend = bed.add_flextoe_host("backend")
     bed.seed_all_arp()
-    manager = SpliceManager(proxy.control_plane, splice_program)
-    return bed, client, proxy, backend, manager, splice_program
+    manager = SpliceManager(proxy.control_plane, maps[SPLICE_FD])
+    return bed, client, proxy, backend, manager, adapter
 
 
 def test_spliced_rpcs_bypass_proxy_host():
-    bed, client, proxy, backend, manager, program = build()
+    bed, client, proxy, backend, manager, adapter = build()
     sim = bed.sim
     results = {}
 
@@ -73,7 +76,7 @@ def test_spliced_rpcs_bypass_proxy_host():
     assert results.get("done"), "spliced exchange did not complete"
     assert results["replies"] == [b"0-tseuqer", b"1-tseuqer", b"2-tseuqer"]
     # The NIC did the forwarding: segments were spliced...
-    assert program.spliced >= 6
+    assert adapter.results[XDP_TX] >= 6
     # ...and the proxy host saw no data-path traffic after the splice:
     # its connection table is empty and no contexts got notifications
     # after the splice instant.
@@ -88,7 +91,7 @@ def test_spliced_rpcs_bypass_proxy_host():
 
 
 def test_fin_through_splice_cleans_up():
-    bed, client, proxy, backend, manager, program = build()
+    bed, client, proxy, backend, manager, adapter = build()
     sim = bed.sim
     results = {}
     backend_ctx = backend.new_context()
@@ -127,11 +130,11 @@ def test_fin_through_splice_cleans_up():
     # The client's FIN carried a control flag: the module removed the
     # entry and redirected it to the proxy's control plane; the manager
     # garbage-collected the pair.
-    assert program.closed >= 1
+    assert adapter.results[XDP_REDIRECT] >= 1
     assert manager.spliced_pairs == 0
 
 
 def test_splice_requires_offloaded_connections():
-    bed, client, proxy, backend, manager, program = build()
+    bed, client, proxy, backend, manager, adapter = build()
     with pytest.raises(SpliceError):
         manager.splice(123, 456)

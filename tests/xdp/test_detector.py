@@ -11,7 +11,6 @@ from repro.xdp.builtins import (
     read_features,
     set_thresholds,
 )
-from repro.xdp.jit import compile_program
 
 ATTACKER = str_to_ip("10.0.200.1")
 BENIGN = str_to_ip("10.0.0.2")
@@ -102,9 +101,8 @@ def test_decay_unbans_a_stopped_source():
 def test_jit_matches_interpreter():
     program, maps = detector_asm_program(max_sources=64)
     set_thresholds(maps, syn_limit=3, rst_limit=3, pkt_floor=4, min_bpp=100)
-    jit = compile_program(program, maps)
-    interp, imaps = build(syn_limit=3, rst_limit=3, pkt_floor=4, min_bpp=100)
-    jitted = XdpAdapter(program=program, maps=maps, jit=jit)
+    interp, imaps = build(jit=False, syn_limit=3, rst_limit=3, pkt_floor=4, min_bpp=100)
+    jitted = XdpAdapter(program=program, maps=maps, jit=True)
     cases = (
         [frame(ATTACKER, FLAG_SYN) for _ in range(6)]
         + [frame(ATTACKER, FLAG_RST | FLAG_ACK) for _ in range(6)]

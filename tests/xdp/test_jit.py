@@ -1,5 +1,5 @@
 """The proof-carrying check-eliding JIT: builtin parity, elision
-statistics, fault semantics, and the adapter/env wire-through."""
+statistics, fault semantics, and the adapter wire-through."""
 
 import struct
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.flextoe.module import ACTION_DROP, ACTION_PASS, ACTION_TX
 from repro.proto import FLAG_ACK, FLAG_FIN, make_tcp_frame, str_to_ip
-from repro.xdp import BpfVm, VmFault, XdpAdapter, assemble, compile_program, jit_enabled_default
+from repro.xdp import BpfVm, VmFault, XdpAdapter, assemble, compile_program
 from repro.xdp.builtins import ASM_BUILTINS, SpliceEntry, splice_key
 from repro.xdp.builtins.firewall import BLACKLIST_FD, block_ip
 from repro.xdp.builtins.splice import SPLICE_FD
@@ -140,18 +140,6 @@ def test_division_by_zero_faults_identically():
         jit.run(bytearray(zero))
 
 
-def test_adapter_env_switch(monkeypatch):
-    program, maps = _fresh("null")
-    monkeypatch.delenv("REPRO_XDP_JIT", raising=False)
-    assert jit_enabled_default() is True
-    assert XdpAdapter(program=program, maps=maps).jit_enabled is True
-    monkeypatch.setenv("REPRO_XDP_JIT", "0")
-    assert jit_enabled_default() is False
-    assert XdpAdapter(program=program, maps=maps).jit_enabled is False
-    # Explicit argument beats the environment.
-    assert XdpAdapter(program=program, maps=maps, jit=True).jit_enabled is True
-
-
 def test_adapter_results_identical_across_backends():
     def run_all(jit):
         program, maps = _fresh("firewall")
@@ -162,9 +150,10 @@ def test_adapter_results_identical_across_backends():
             for ip in (BAD_IP, GOOD_IP, BAD_IP)
         ]
         actions = [adapter.handle(f, None) for f in frames]
+        assert isinstance(adapter.vm, BpfVm if jit is False else JitProgram)
         return actions, adapter.cost_cycles
 
-    jit_actions, jit_cost = run_all(True)
+    jit_actions, jit_cost = run_all(None)
     vm_actions, vm_cost = run_all(False)
     assert jit_actions == vm_actions == [ACTION_DROP, ACTION_PASS, ACTION_DROP]
     # Identical executed counts -> identical FPC cycle accounting.
