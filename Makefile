@@ -4,10 +4,16 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test durations loc lint lint-github baseline check-baseline certify perf perf-compare
+.PHONY: test sanitize durations loc lint lint-github baseline check-baseline certify perf perf-compare
 
 test:
 	$(PY) -m pytest -x -q
+
+# Tier-1 under the runtime ownership sanitizer and the HB monitor: CI's
+# sanitized step. One -q only (pyproject's), so the run closes with its
+# "N passed in T s" line — ROADMAP wants that T under 90.
+sanitize:
+	REPRO_SANITIZE=1 $(PY) -m pytest -x
 
 # Tier-1 wall time and its 20 slowest tests: the table CI uploads as the
 # tier1-durations artefact.

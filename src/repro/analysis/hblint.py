@@ -2,8 +2,8 @@
 
 FlexTOE replaces per-connection locks with *structural* ordering: work
 items flow through FIFO rings, sequencers hand out per-domain tickets,
-replicated stages serialize per-connection emissions behind chain
-fences, and the one atomic stage serializes per-connection protocol
+replicated stages serialize per-key emissions behind keyed fences
+(``KeyedFence``), and the one atomic stage serializes per-connection protocol
 updates. That discipline is invisible to a conventional race detector —
 nothing is ever locked — so this module checks it statically, from the
 AST, as a happens-before model:
@@ -25,9 +25,9 @@ AST, as a happens-before model:
 * **ordering pass** — protocol obligations of the ordering devices:
 
   - ``unfenced-ordered-emit`` — a replicated stage emitting into an
-    ordered ring (or calling ``nic_deliver``) outside a chain fence
-    (``prev = chain.get(k); done = sim.event(); chain[k] = done; ...;
-    yield prev; <emit>; done.succeed()``). This is exactly the
+    ordered ring (or calling ``nic_deliver``) outside a keyed fence
+    (``turn = fence.enter(k); ...; yield turn.prev; <emit>;
+    turn.leave()``). This is exactly the
     NOTIFY_RX reordering bug class: replicas finish out of order and
     libTOE stitches the stream wrong.
   - ``unsequenced-gro-offer`` — a stage offers into a reorder buffer
@@ -304,64 +304,40 @@ def _receiver_attr(node):
 
 
 def _collect_fences(function):
-    """Chain-fence spans ``(yield_line, succeed_line)`` in one function.
+    """Keyed-fence spans ``(yield_line, leave_line)`` in one function.
 
-    The fence idiom: ``prev = <chain>.get(key)``, ``done =
-    sim.event()``, ``<chain>[key] = done``, later ``yield prev`` and
-    finally ``done.succeed()``. Emissions strictly between the yield
-    and the succeed are ordered per key. An attribute is a chain when
-    its name contains ``chain`` (``post_chain``, ``dma_rx_chain``,
-    ``_arx_chain``) — the naming convention is part of the contract the
-    anchors establish.
+    The ``KeyedFence`` protocol: ``turn = <fence>.enter(key)`` at
+    dequeue, later ``yield turn.prev``, finally ``turn.leave()``.
+    Emissions strictly between the yield and the leave are ordered per
+    key; a turn that never waits on its predecessor fences nothing.
     """
-    prev_vars = {}
-    event_vars = set()
-    chain_stored = set()
-    yield_lines = {}
-    succeed_lines = {}
+    entered, yields, leaves = set(), {}, {}
     for node in ast.walk(function):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            value = node.value
-            if isinstance(target, ast.Name):
-                if (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Attribute)
-                    and value.func.attr == "get"
-                    and "chain" in (_receiver_attr(value.func.value) or "")
-                ):
-                    prev_vars[target.id] = True
-                elif (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Attribute)
-                    and value.func.attr == "event"
-                ):
-                    event_vars.add(target.id)
-            elif (
-                isinstance(target, ast.Subscript)
-                and "chain" in (_receiver_attr(target.value) or "")
-                and isinstance(value, ast.Name)
+            target, value = node.targets[0], node.value
+            if (
+                isinstance(target, ast.Name)
+                and isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "enter"
             ):
-                chain_stored.add(value.id)
+                entered.add(target.id)
         elif isinstance(node, ast.Yield):
-            if isinstance(node.value, ast.Name) and node.value.id in prev_vars:
-                yield_lines[node.value.id] = node.lineno
+            value = node.value
+            if isinstance(value, ast.Attribute) and value.attr == "prev" and isinstance(value.value, ast.Name):
+                yields[value.value.id] = node.lineno
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "succeed"
+            and node.func.attr == "leave"
             and isinstance(node.func.value, ast.Name)
         ):
-            succeed_lines[node.func.value.id] = node.lineno
-    fences = []
-    for done_var in event_vars & chain_stored:
-        succeed = succeed_lines.get(done_var)
-        if succeed is None:
-            continue
-        for _prev, line in yield_lines.items():
-            if line < succeed:
-                fences.append((line, succeed))
-    return fences
+            leaves[node.func.value.id] = node.lineno
+    return [
+        (yields[turn], leaves[turn])
+        for turn in sorted(entered & yields.keys() & leaves.keys())
+        if yields[turn] < leaves[turn]
+    ]
 
 
 def _iter_calls(node):
@@ -581,7 +557,7 @@ def lint_ordering(paths=None):
                 )
             )
 
-    # Per-function obligations: chain fences and the write-ahead rule.
+    # Per-function obligations: keyed fences and the write-ahead rule.
     for stage, function, filename in stage_functions:
         if stage.replicated:
             fences = _collect_fences(function)
@@ -594,7 +570,7 @@ def lint_ordering(paths=None):
                             lineno,
                             "unfenced-ordered-emit",
                             "replicated stage '{}' emits into {} outside a "
-                            "per-key chain fence: replicas finishing out of "
+                            "per-key fence: replicas finishing out of "
                             "order would break the ring's per-{} delivery "
                             "contract (§3.1.3)".format(
                                 stage.kind,

@@ -26,7 +26,7 @@ from repro.flextoe.descriptors import (
     Notification,
     SegWork,
 )
-from repro.flextoe.seqr import ReorderBuffer, Sequencer
+from repro.flextoe.seqr import KeyedFence, ReorderBuffer, Sequencer
 from repro.flextoe.scheduler import CarouselScheduler
 from repro.flextoe.nic import FlexToeNic
 
@@ -40,6 +40,7 @@ __all__ = [
     "HC_RX_UPDATE",
     "HC_TX_UPDATE",
     "HostControlDescriptor",
+    "KeyedFence",
     "NOTIFY_FIN",
     "NOTIFY_RX",
     "NOTIFY_TX_ACKED",

@@ -7,6 +7,10 @@ scheduler SCH, DMA managers, NBI drain, GRO/BLM sequencing). Reduced
 configurations (Table 3 ablation rows) claim proportionally fewer FPCs;
 the run-to-completion baseline executes every stage inline on a single
 FPC thread.
+
+It owns the ordering devices the stages share (two sequencer domains,
+the post and DMA stages' per-connection fences) and the one early exit,
+:meth:`FlexToeDatapath.retire`; teardown has no ordering state to forget.
 """
 
 from collections import deque
@@ -15,8 +19,8 @@ from repro.analysis import sanitizer
 from repro.flextoe.ctxq import ContextQueuePair
 from repro.flextoe.descriptors import SegWork, WORK_RX, WORK_TX
 from repro.flextoe.scheduler import CarouselScheduler
-from repro.flextoe.seqr import ReorderBuffer, Sequencer
-from repro.flextoe.stages import CtxStage, DmaStage, NbiStage, PostStage, PreStage, ProtocolStage
+from repro.flextoe.seqr import KeyedFence, ReorderBuffer, Sequencer
+from repro.flextoe.stages import CtxStage, DmaStage, LatencyLevel, NbiStage, PostStage, PreStage, ProtocolStage
 from repro.flextoe.statecache import EmemStateCache, StateCache
 from repro.flextoe.state import ConnectionTable, HeartbeatBoard
 from repro.flextoe.tracing import TracepointRegistry
@@ -31,15 +35,6 @@ from repro.nfp.queues import ClsRing, WorkQueue
 RING_CAPACITY = 128
 DESCRIPTOR_POOL = 256
 HEARTBEAT_INTERVAL_NS = 50_000
-
-
-class _ImemLevel:
-    __slots__ = ("latency_cycles", "reads", "writes")
-
-    def __init__(self):
-        self.latency_cycles = LAT_IMEM
-        self.reads = 0
-        self.writes = 0
 
 
 class _TxTriggerAdapter:
@@ -84,14 +79,14 @@ class FlexToeDatapath:
         self.contexts = {}
         self.stats = {}
         self.ecn_codepoint = ECN_ECT0 if config.use_ecn else ECN_NOT_ECT
-        self.imem_latency_level = _ImemLevel()
+        self.imem_latency_level = LatencyLevel(LAT_IMEM)
 
-        self.pre_in = WorkQueue(sim, capacity=None, name="pre-in", backing="imem")
+        self.pre_in = WorkQueue(sim, capacity=None, name="pre-in")
         self.proto_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="proto-in-%d" % g) for g in range(config.n_flow_groups)]
         self.post_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="post-in-%d" % g) for g in range(config.n_flow_groups)]
-        self.dma_ring = WorkQueue(sim, capacity=None, name="dma-in", backing="imem")
-        self.ctx_ring = WorkQueue(sim, capacity=None, name="ctx-in", backing="imem")
-        self.nbi_ring = WorkQueue(sim, capacity=None, name="nbi-in", backing="imem")
+        self.dma_ring = WorkQueue(sim, capacity=None, name="dma-in")
+        self.ctx_ring = WorkQueue(sim, capacity=None, name="ctx-in")
+        self.nbi_ring = WorkQueue(sim, capacity=None, name="nbi-in")
         # The control ring lives in host memory: a NIC facade that reboots
         # the datapath passes the same ring so the control plane's RX loop
         # survives the swap.
@@ -111,14 +106,11 @@ class FlexToeDatapath:
         self.descriptor_pool = Resource(sim, capacity=DESCRIPTOR_POOL, name="hc-descriptors")
         self._held_descriptors = deque()
 
-        # conn_index -> completion event of that connection's latest RX
-        # DMA work; chains notifications into pipeline order (§3.1.3)
-        # even when individual DMA ops complete out of order.
-        self.dma_rx_chain = {}
-        # conn_index -> completion event of the latest work a post
-        # thread popped for that connection; fences replicated post
-        # threads so dma_ring preserves per-connection protocol order.
-        self.post_chain = {}
+        # Per-connection fences (§3.1.3), keyed by the work's record:
+        # works enter dma_ring in protocol order, RX notifications enter
+        # ctx_ring in that order even when DMA ops complete out of order.
+        self.post_fence = KeyedFence(sim)
+        self.dma_rx_fence = KeyedFence(sim)
 
         # Flow scheduler (service island SCH FPC).
         self.scheduler = CarouselScheduler(
@@ -135,7 +127,6 @@ class FlexToeDatapath:
         self.ctx_stage = CtxStage(self)
 
         self.rx_frames_seen = 0
-        self.rx_frames_dropped_full = 0
 
         #: stage kind -> [Fpc, ...]; lets the fault layer (repro.faults)
         #: target "stall a protocol FPC" without groping the islands.
@@ -347,12 +338,7 @@ class FlexToeDatapath:
                     grant.release()
 
         def run_item(thread, work):
-            if work.kind == WORK_RX:
-                yield from pre._handle_rx(thread, work)
-            elif work.kind == WORK_TX:
-                yield from pre._handle_tx(thread, work)
-            else:
-                yield from pre._handle_hc(thread, work)
+            yield from pre.handle(thread, work)
             ok, work = self.proto_rings[0].store.try_get()
             if not ok:
                 return
@@ -360,11 +346,12 @@ class FlexToeDatapath:
             ok, work = self.post_rings[0].store.try_get()
             if not ok:
                 return
-            yield from post._process(thread, work)
-            ok, work = self.dma_ring.store.try_get()
-            if not ok:
-                return
-            yield from dma._process(thread, work)
+            # PostStage.program owns the dma_ring hop and its fence; one
+            # thread needs neither.
+            if (yield from post._process(thread, work)):
+                yield from dma._process(thread, work)
+            else:
+                self.retire(work)
 
         # The whole data-path runs on this one thread, so it legitimately
         # carries protocol ownership for the single flow group.
@@ -384,7 +371,6 @@ class FlexToeDatapath:
         work = SegWork(WORK_RX, frame=frame, born_at=self.sim.now)
         self.rx_seqr.assign(work)
         if not self.pre_in.try_put(work):
-            self.rx_frames_dropped_full += 1
             self.rx_gro.skip(work.pipeline_seq)
 
     def _route_to_protocol(self, work):
@@ -399,14 +385,36 @@ class FlexToeDatapath:
         """Bypass transmit for XDP_TX and control-plane frames."""
         self.mac.transmit(frame)
 
-    # -- descriptor pool -----------------------------------------------------
+    # -- what a work holds, and the one early exit --------------------------
 
     def hold_descriptor(self, grant):
         self._held_descriptors.append(grant)
 
-    def release_descriptor(self):
+    def release_descriptor(self, work):
+        """Return the buffer an HC work holds (``work.hc`` is the hold)."""
+        work.hc = None
         if self._held_descriptors:
             self._held_descriptors.popleft().release()
+
+    def release_ctm(self, frame):
+        """Return a TX frame's CTM segment buffer, if it has one."""
+        grant = frame.get_meta("ctm_grant")
+        if grant is not None:
+            grant.release()
+
+    def retire(self, work):
+        """The one early exit: a work that stops short of the pipeline's
+        end (connection removed mid-flight, stale TX trigger, nothing to
+        emit) frees what it still holds, here and nowhere else: HC
+        descriptor buffer, NBI ordering ticket (unreleased, it stalls
+        every later egress frame in the reorder buffer), CTM buffer."""
+        if work.hc is not None:
+            self.release_descriptor(work)
+        snapshot = work.snapshot
+        if snapshot is not None and snapshot.nbi_seq is not None:
+            self.nbi_gro.skip(snapshot.nbi_seq)
+        if work.frame is not None:
+            self.release_ctm(work.frame)
 
     # -- host/control interfaces ---------------------------------------------
 
@@ -442,10 +450,6 @@ class FlexToeDatapath:
 
     def remove_connection(self, index):
         record = self.conn_table.remove(index)
-        self.dma_rx_chain.pop(index, None)
-        self.post_chain.pop(index, None)
-        if self.hb_monitor is not None:
-            self.hb_monitor.forget_conn(index)
         if record is not None:
             self.lookup_engine.remove(record.four_tuple)
             self.scheduler.remove_flow(index)

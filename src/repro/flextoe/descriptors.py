@@ -26,7 +26,6 @@ NOTIFY_ERROR = "error"  # control plane -> app: connection died (timeout/RST)
 WORK_RX = "rx"
 WORK_TX = "tx"
 WORK_HC = "hc"
-WORK_ACK = "ack"
 
 _work_ids = itertools.count(1)
 
@@ -87,7 +86,10 @@ class SegWork:
 
     Fields are populated progressively by the stages; per the module API
     (§3.3) stages communicate only through these metadata fields, never
-    by reaching into each other's state partitions.
+    by reaching into each other's state partitions. ``record`` is the
+    work's identity, set once at admission: no stage looks ``conn_index``
+    up again, so a work never reads the state, buffers or fences of the
+    index's next tenant, and its slab slot cannot recycle under it.
     """
 
     __slots__ = (
@@ -95,6 +97,7 @@ class SegWork:
         "work_id",
         "pipeline_seq",
         "frame",
+        "record",
         "conn_index",
         "flow_group",
         "summary",
@@ -106,7 +109,6 @@ class SegWork:
         "rx_trimmed_payload",
         "notify",
         "ack_frame",
-        "drop",
         "born_at",
     )
 
@@ -115,6 +117,7 @@ class SegWork:
         self.work_id = next(_work_ids)
         self.pipeline_seq = None
         self.frame = frame
+        self.record = None
         self.conn_index = None
         self.flow_group = None
         self.summary = None
@@ -126,7 +129,6 @@ class SegWork:
         self.rx_trimmed_payload = None
         self.notify = None
         self.ack_frame = None
-        self.drop = False
         self.born_at = born_at
 
     def __repr__(self):
@@ -159,8 +161,6 @@ class ProtoSnapshot:
         "payload",
         "rtt_sample_ecr",
         "tx",
-        "free_descriptor",
-        "send_window_update",
         "nbi_seq",
     )
 
@@ -183,12 +183,8 @@ class ProtoSnapshot:
         self.payload = b""
         self.rtt_sample_ecr = None
         self.tx = None
-        self.free_descriptor = False
-        self.send_window_update = False
-        # NBI ordering ticket, when one was taken at the protocol stage.
-        # A later stage dropping this work (connection torn down while
-        # the segment was in flight) must nbi_gro.skip() it, or the
-        # reorder buffer stalls every subsequent egress frame.
+        # NBI ordering ticket, when one was taken at the protocol stage;
+        # dp.retire() releases it if the work stops short of the NBI.
         self.nbi_seq = None
 
 

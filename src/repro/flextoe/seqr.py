@@ -1,11 +1,14 @@
 """Segment sequencing and reordering (paper §3.2).
 
 Parallel pipeline stages may reorder segments; TCP cannot tolerate that.
-A :class:`Sequencer` tags work entering the pipeline; a
-:class:`ReorderBuffer` (the GRO FPCs) buffers and releases work in tag
-order before the protocol stage and before the NBI. A stage dropping a
-tagged segment must call :meth:`ReorderBuffer.skip` so the stream does
-not stall — exactly the BLM bookkeeping the paper assigns its own FPCs.
+The pipeline's three ordering devices live here. A :class:`Sequencer`
+tags work entering the pipeline; a :class:`ReorderBuffer` (the GRO FPCs)
+buffers and releases work in tag order before the protocol stage and
+before the NBI. A stage dropping a tagged segment must call
+:meth:`ReorderBuffer.skip` so the stream does not stall — exactly the
+BLM bookkeeping the paper assigns its own FPCs. A :class:`KeyedFence`
+orders a replicated stage's emissions per key (connection, context
+queue) with no ticket domain: turns are taken in dequeue order.
 
 Delivery has two modes. By default releases happen inline, in whichever
 process called :meth:`offer`/:meth:`skip` (required by the
@@ -17,6 +20,8 @@ owner token rather than the offering stage's.
 """
 
 from collections import deque
+
+from repro.sim import Event
 
 
 class Sequencer:
@@ -136,3 +141,49 @@ class ReorderBuffer:
     @property
     def expected(self):
         return self._expected
+
+
+class KeyedFence:
+    """Per-key order fence for a replicated stage (§3.1.3).
+
+    Replicas dequeue one key's works in ring order but finish them out
+    of order (variable compute, DMA retries). ``turn = fence.enter(key)``
+    at dequeue; ``if turn.blocked(): yield turn.prev`` before the ordered
+    emission; ``turn.leave()`` after it. Only the latest turn per key is
+    held and the last ``leave()`` drops it: a key whose works have all
+    left costs nothing, and nobody has to forget it.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._tail = {}
+
+    def enter(self, key):
+        turn = self._tail[key] = _Turn(self, key, self._tail.get(key))
+        return turn
+
+    def __len__(self):
+        """Keys with a turn still open."""
+        return len(self._tail)
+
+
+class _Turn(Event):
+    """One work's place in its key's order; fires when it has left."""
+
+    __slots__ = ("_fence", "_key", "prev")
+
+    def __init__(self, fence, key, prev):
+        Event.__init__(self, fence.sim)
+        self._fence = fence
+        self._key = key
+        self.prev = prev
+
+    def blocked(self):
+        return self.prev is not None and not self.prev.triggered
+
+    def leave(self):
+        tail = self._fence._tail
+        if tail.get(self._key) is self:
+            del tail[self._key]
+        self.prev = None  # or every past turn of the key stays reachable
+        self.succeed()

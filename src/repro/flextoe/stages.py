@@ -6,6 +6,12 @@ run on one FPC hardware thread. Replication = spawning the program on
 more FPCs/threads. Stage logic that is pure TCP lives in
 :mod:`repro.flextoe.proto_logic`; this module charges cycles, touches
 memories, and moves work between rings.
+
+Lifecycle contract (DESIGN.md §4): a work's identity is set once, at
+admission (:meth:`PreStage._identify`, the only connection-table look-up
+here); later stages use ``work.record`` and test ``record.active``. A
+work that stops short of the pipeline's end leaves through
+``dp.retire(work)`` and nowhere else.
 """
 
 from repro.flextoe import proto_logic
@@ -21,7 +27,8 @@ from repro.flextoe.descriptors import (
     WORK_RX,
     WORK_TX,
 )
-from repro.flextoe.module import ACTION_DROP, ACTION_REDIRECT, ACTION_TX
+from repro.flextoe.module import ACTION_DROP, ACTION_PASS, ACTION_REDIRECT, ACTION_TX
+from repro.flextoe.seqr import KeyedFence
 from repro.flextoe.state import atomic_add
 from repro.nfp.cam import Cam
 from repro.nfp.memory import LAT_LMEM
@@ -47,25 +54,52 @@ class PreStage:
         self.dp = dp
         self.replica_id = replica_id
         self.id_cache = Cam(capacity=128)  # direct-mapped lookup cache (§4.1)
-        self.validated = 0
-        self.to_control = 0
-        self.lookup_misses = 0
         self.csum_drops = 0
 
     def program(self, thread):
-        dp = self.dp
         while True:
-            work = yield dp.pre_in.get()
-            if work.kind == WORK_RX:
-                yield from self._handle_rx(thread, work)
-            elif work.kind == WORK_TX:
-                yield from self._handle_tx(thread, work)
-            else:
-                yield from self._handle_hc(thread, work)
+            work = yield self.dp.pre_in.get()
+            yield from self.handle(thread, work)
+
+    def handle(self, thread, work):
+        """One work through this stage, by kind."""
+        if work.kind == WORK_RX:
+            return self._handle_rx(thread, work)
+        if work.kind == WORK_TX:
+            return self._handle_tx(thread, work)
+        return self._handle_hc(thread, work)
+
+    def _identify(self, work, conn_index):
+        """Id: bind the work to its connection, once; the record rides it."""
+        record = self.dp.conn_table.get(conn_index)
+        if record is not None:
+            work.record = record
+            work.conn_index = conn_index
+            work.flow_group = record.pre.flow_group
+        return record
 
     # -- RX ----------------------------------------------------------------
 
     def _handle_rx(self, thread, work):
+        dp = self.dp
+        verdict = yield from self._admit_rx(thread, work)
+        if verdict == ACTION_PASS:
+            # Steer: in pipeline-sequence order through the GRO.
+            yield from thread.compute(dp.config.costs.pre_steer)
+            dp.rx_gro.offer(work)
+            return
+        # Not admitted: release the RX-GRO ticket (§3.2: a stage dropping
+        # a tagged segment must) before the frame goes where it is sent.
+        dp.rx_gro.skip(work.pipeline_seq)
+        if verdict == ACTION_TX:
+            dp.stats["xdp_tx"] = dp.stats.get("xdp_tx", 0) + 1
+            dp.nic_transmit_direct(work.frame)
+        elif verdict == ACTION_REDIRECT:
+            yield dp.control_ring.put(work.frame)
+
+    def _admit_rx(self, thread, work):
+        """Val / Id / Sum: ACTION_PASS for an admitted segment, else
+        where the frame goes (DROP, TX bounce, REDIRECT to control)."""
         dp = self.dp
         costs = dp.config.costs
         frame = work.frame
@@ -77,31 +111,17 @@ class PreStage:
         if dp.ingress_modules is not None and len(dp.ingress_modules):
             yield from thread.compute(dp.ingress_modules.total_cost)
             action = dp.ingress_modules.run(frame, work)
-            if action == ACTION_DROP:
-                dp.rx_gro.skip(work.pipeline_seq)
-                return
-            if action == ACTION_TX:
-                dp.rx_gro.skip(work.pipeline_seq)
-                dp.stats["xdp_tx"] = dp.stats.get("xdp_tx", 0) + 1
-                dp.nic_transmit_direct(frame)
-                return
-            if action == ACTION_REDIRECT:
-                dp.rx_gro.skip(work.pipeline_seq)
-                yield dp.control_ring.put(frame)
-                return
+            if action != ACTION_PASS:
+                return action
         # Val: the checksum verified by the pre-processor rejects frames
         # whose payload was corrupted in flight (repro.faults marks them
         # ``csum_bad`` instead of recomputing a wrong 16-bit sum).
         if frame.get_meta("csum_bad"):
             self.csum_drops += 1
-            dp.rx_gro.skip(work.pipeline_seq)
-            return
+            return ACTION_DROP
         # Val: only established-connection data-path segments continue.
         if frame.tcp is None or frame.ip is None or not frame.tcp.is_data_path:
-            self.to_control += 1
-            dp.rx_gro.skip(work.pipeline_seq)
-            yield dp.control_ring.put(frame)
-            return
+            return ACTION_REDIRECT
         # Id: connection lookup (local CAM, then the IMEM engine).
         four = (frame.ip.dst, frame.ip.src, frame.tcp.dport, frame.tcp.sport)
         hit, conn_index = self.id_cache.lookup(four)
@@ -110,18 +130,10 @@ class PreStage:
             found, conn_index, _probes = dp.lookup_engine.lookup(four)
             yield from thread.compute(costs.pre_identify)
             if not found:
-                self.to_control += 1
-                dp.rx_gro.skip(work.pipeline_seq)
-                yield dp.control_ring.put(frame)
-                return
+                return ACTION_REDIRECT
             self.id_cache.insert(four, conn_index)
-            self.lookup_misses += 1
-        record = dp.conn_table.get(conn_index)
-        if record is None or not record.active:
-            self.to_control += 1
-            dp.rx_gro.skip(work.pipeline_seq)
-            yield dp.control_ring.put(frame)
-            return
+        if self._identify(work, conn_index) is None:
+            return ACTION_REDIRECT
         # Sum: build the header summary; later stages never see headers.
         yield from thread.compute(costs.pre_summary)
         tcp = frame.tcp
@@ -135,21 +147,16 @@ class PreStage:
             ts_ecr=tcp.options.ts_ecr,
             ce_marked=frame.ip.ce_marked,
         )
-        work.conn_index = conn_index
-        work.flow_group = record.pre.flow_group
-        self.validated += 1
-        # Steer: in pipeline-sequence order through the GRO.
-        yield from thread.compute(costs.pre_steer)
-        dp.rx_gro.offer(work)
+        return ACTION_PASS
 
     # -- TX ----------------------------------------------------------------
 
     def _handle_tx(self, thread, work):
         dp = self.dp
         costs = dp.config.costs
-        record = dp.conn_table.get(work.conn_index)
-        if record is None or not record.active:
-            return
+        record = self._identify(work, work.conn_index)
+        if record is None:
+            return  # stale scheduler trigger: the work holds nothing yet
         # Alloc: a segment buffer from the island CTM pool (bounded).
         grant = yield dp.ctm_pool.request()
         yield from thread.compute(costs.tx_alloc)
@@ -162,7 +169,6 @@ class PreStage:
         frame = dp.make_frame(eth, ip, tcp)
         work.frame = frame
         work.frame.set_meta("ctm_grant", grant)
-        work.flow_group = pre.flow_group
         yield from thread.compute(costs.pre_steer)
         yield dp.proto_rings[work.flow_group].put(work)
 
@@ -170,13 +176,11 @@ class PreStage:
 
     def _handle_hc(self, thread, work):
         dp = self.dp
-        record = dp.conn_table.get(work.hc.conn_index)
+        record = self._identify(work, work.hc.conn_index)
         yield from thread.compute(dp.config.costs.pre_steer + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
         if record is None or not record.active:
-            dp.release_descriptor()
+            dp.retire(work)
             return
-        work.conn_index = work.hc.conn_index
-        work.flow_group = record.pre.flow_group
         yield dp.proto_rings[work.flow_group].put(work)
 
 
@@ -198,44 +202,42 @@ class ProtocolStage:
         self.state_cache = state_cache
         self._busy = {}
         self.processed = {WORK_RX: 0, WORK_TX: 0, WORK_HC: 0}
-        self.stale_tx_triggers = 0
 
     def program(self, thread):
         dp = self.dp
         ring = dp.proto_rings[self.flow_group]
         while True:
             work = yield ring.get()
-            conn = work.conn_index
-            if conn in self._busy:
-                self._busy[conn].append(work)
+            record = work.record  # the fences' key: a recycled index is another tenant
+            if record in self._busy:
+                self._busy[record].append(work)
                 continue
-            self._busy[conn] = []
-            yield from self._process_until_idle(thread, conn, work)
+            self._busy[record] = []
+            yield from self._process_until_idle(thread, record, work)
 
-    def _process_until_idle(self, thread, conn, work):
+    def _process_until_idle(self, thread, record, work):
         while True:
             yield from self._process_one(thread, work)
-            pending = self._busy[conn]
+            pending = self._busy[record]
             if pending:
                 work = pending.pop(0)
                 continue
-            del self._busy[conn]
+            del self._busy[record]
             return
 
     def _process_one(self, thread, work):
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
-        record = dp.conn_table.get(work.conn_index)
-        if record is None or not record.active:
-            self._abandon(work)
+        record = work.record
+        if not record.active:
+            dp.retire(work)
             return
         # Fetch connection state (LMEM/CLS/EMEM hierarchy, §4.1): the
         # wait latency hides behind other hardware threads, but the
         # record-movement instructions occupy this FPC's issue slot.
         latency, issue = self.state_cache.access(work.conn_index)
         if latency > LAT_LMEM:
-            yield from thread.mem_read(_LatencyLevel(latency), issue_cycles=2 + issue)
+            yield from thread.mem_read(LatencyLevel(latency), issue_cycles=2 + issue)
             extra = trace.hit(dp.sim.now, "proto", "proto.state_miss")
             if extra:
                 yield from thread.compute(extra)
@@ -255,15 +257,6 @@ class ProtocolStage:
         work.snapshot = snapshot
         self.processed[work.kind] += 1
         yield dp.post_rings[self.flow_group].put(work)
-
-    def _abandon(self, work):
-        """Connection disappeared mid-pipeline: free held resources."""
-        if work.frame is not None:
-            grant = work.frame.get_meta("ctm_grant")
-            if grant is not None:
-                grant.release()
-        if work.kind == WORK_HC:
-            self.dp.release_descriptor()
 
     def _process_rx(self, thread, work, record, state, snapshot):
         dp = self.dp
@@ -332,11 +325,10 @@ class ProtocolStage:
         result = proto_logic.process_tx(state, dp.config.mss)
         yield from thread.compute(costs.tx_seq)
         if result is None:
-            self.stale_tx_triggers += 1
             extra = trace.hit(dp.sim.now, "proto", "tx.stale_trigger")
             if extra:
                 yield from thread.compute(extra)
-            self._abandon(work)
+            dp.retire(work)
             # Refresh the scheduler so it stops triggering a dry flow.
             dp.scheduler.fs_update(work.conn_index, state.flight_limit())
             return False
@@ -363,8 +355,6 @@ class ProtocolStage:
         result = proto_logic.process_hc(state, work.hc)
         yield from thread.compute(costs.hc_window_update)
         snapshot.fs_sendable = result.fs_sendable
-        snapshot.free_descriptor = True
-        snapshot.send_window_update = result.send_window_update
         if result.send_window_update:
             snapshot.send_ack = True
             snapshot.ack_seq = state.seq
@@ -374,7 +364,7 @@ class ProtocolStage:
             snapshot.nbi_seq = dp.nbi_seqr.assign(work)
 
 
-class _LatencyLevel:
+class LatencyLevel:
     """Adapter presenting a raw latency as a memory level for FpcThread."""
 
     __slots__ = ("latency_cycles", "reads", "writes")
@@ -415,42 +405,42 @@ class PostStage:
         ring = dp.post_rings[self.flow_group]
         while True:
             work = yield ring.get()
-            # Per-connection order fence: replicated post threads may
-            # finish out of order (variable compute, stalls), but one
-            # connection's works must enter dma_ring in protocol order —
-            # notification order is delivery order for libTOE (§3.1.3).
-            # Register synchronously at pop time; pop order is protocol
-            # order because the proto stage serializes per connection.
-            prev_chain = dp.post_chain.get(work.conn_index)
-            done = dp.sim.event()
-            dp.post_chain[work.conn_index] = done
+            # Per-connection order fence: replicated post threads finish
+            # out of order (variable compute, stalls), but one connection's
+            # works must enter dma_ring in protocol order — notification
+            # order is delivery order for libTOE (§3.1.3). Pop order is
+            # protocol order: the proto stage serializes per connection.
+            turn = dp.post_fence.enter(work.record)
             emit = yield from self._process(thread, work)
-            if prev_chain is not None and not prev_chain.triggered:
-                yield prev_chain
+            if turn.blocked():
+                yield turn.prev
             if emit:
                 yield dp.dma_ring.put(work)
-            done.succeed()
+            else:
+                # Torn down (frees what it holds) or done here; the one exit
+                # is also how an attached HB monitor learns it will not arrive.
+                dp.retire(work)
+            turn.leave()
+
+    def _notify(self, work, kind, offset=0, length=0):
+        """Stamp a notification with its connection's identity, once."""
+        dp = self.dp
+        post = work.record.post
+        dp.tracepoints.hit(dp.sim.now, "post", "notify." + kind)
+        return Notification(
+            kind, post.opaque, work.conn_index, context_id=post.context_id,
+            offset=offset, length=length, created_at=dp.sim.now,
+        )
 
     def _process(self, thread, work):
         dp = self.dp
         costs = dp.config.costs
         trace = dp.tracepoints
-        record = dp.conn_table.get(work.conn_index)
+        record = work.record
         snapshot = work.snapshot
-        if record is None:
-            # The connection was torn down while this work was between
-            # the protocol and post stages (rapid connect/close churn
-            # makes this race real). Free everything the work still
-            # holds — most importantly its NBI ordering ticket, without
-            # which the reorder buffer stalls all later egress frames.
-            if snapshot.free_descriptor:
-                dp.release_descriptor()
-            if snapshot.nbi_seq is not None:
-                dp.nbi_gro.skip(snapshot.nbi_seq)
-            if work.frame is not None:
-                grant = work.frame.get_meta("ctm_grant")
-                if grant is not None:
-                    grant.release()
+        if not record.active:
+            # Torn down since the protocol stage (churn makes it real):
+            # nothing to emit, and the caller retires what is not emitted.
             return False
         post = record.post
         cycles = costs.post_stats
@@ -475,40 +465,14 @@ class PostStage:
         # FS: flow-scheduler refresh (NIC-internal memory write).
         if snapshot.fs_sendable is not None:
             dp.scheduler.fs_update(work.conn_index, snapshot.fs_sendable)
-        notifications = []
+        notifications = work.notify = []
         if snapshot.acked_bytes > 0:
-            notifications.append(
-                Notification(
-                    NOTIFY_TX_ACKED,
-                    post.opaque,
-                    work.conn_index,
-                    context_id=post.context_id,
-                    length=snapshot.acked_bytes,
-                    created_at=dp.sim.now,
-                )
-            )
-            trace.hit(dp.sim.now, "post", "notify.tx_acked")
+            notifications.append(self._notify(work, NOTIFY_TX_ACKED, length=snapshot.acked_bytes))
         if snapshot.notify_rx_len:
-            notifications.append(
-                Notification(
-                    NOTIFY_RX,
-                    post.opaque,
-                    work.conn_index,
-                    context_id=post.context_id,
-                    offset=snapshot.notify_rx_pos % post.rx_size,
-                    length=snapshot.notify_rx_len,
-                    created_at=dp.sim.now,
-                )
-            )
-            trace.hit(dp.sim.now, "post", "notify.rx")
+            offset = snapshot.notify_rx_pos % post.rx_size
+            notifications.append(self._notify(work, NOTIFY_RX, offset, snapshot.notify_rx_len))
         if snapshot.fin_notified:
-            notifications.append(
-                Notification(
-                    NOTIFY_FIN, post.opaque, work.conn_index, context_id=post.context_id, created_at=dp.sim.now
-                )
-            )
-            trace.hit(dp.sim.now, "post", "notify.fin")
-        work.notify = notifications
+            notifications.append(self._notify(work, NOTIFY_FIN))
         # Ack: build the acknowledgment segment (RX and window updates).
         if snapshot.send_ack:
             cycles += costs.post_ack_prepare
@@ -542,8 +506,8 @@ class PostStage:
             work.tx_offset = snapshot.tx.stream_pos % post.tx_size
             work.tx_len = snapshot.tx.length
         yield from thread.compute(cycles)
-        if snapshot.free_descriptor:
-            dp.release_descriptor()
+        if work.hc is not None:
+            dp.release_descriptor(work)
         return bool(
             work.kind == WORK_TX or work.rx_trimmed_payload or work.ack_frame is not None or notifications
         )
@@ -561,7 +525,6 @@ class DmaStage:
     def __init__(self, dp, replica_id=0):
         self.dp = dp
         self.replica_id = replica_id
-        self.payload_ops = 0
 
     def program(self, thread):
         dp = self.dp
@@ -582,29 +545,21 @@ class DmaStage:
     def _process(self, thread, work):
         dp = self.dp
         costs = dp.config.costs
-        record = dp.conn_table.get(work.conn_index)
-        if record is None:
-            # Torn down mid-pipeline: drop the segment, but release the
-            # NBI ordering ticket taken at the protocol stage or every
-            # later egress frame stalls in the reorder buffer.
-            if work.snapshot is not None and work.snapshot.nbi_seq is not None:
-                dp.nbi_gro.skip(work.snapshot.nbi_seq)
-            self._release_ctm(work)
+        record = work.record
+        if not record.active:
+            # Torn down mid-pipeline: nothing of the segment may reach
+            # host memory (the buffers may be another connection's now).
+            dp.retire(work)
             return
         post = record.post
         if work.kind == WORK_RX:
             payload = work.rx_trimmed_payload
-            # Per-connection completion chain: a segment's notification
+            # Per-connection completion fence: a segment's notification
             # (and ACK) may not overtake an earlier segment's still-
             # pending payload DMA — otherwise libTOE would see NOTIFY_RX
             # out of order and stitch the stream wrong (§3.1.3). DMA
             # retries (repro.faults DmaFlake) make this reordering real.
-            prev_chain = None
-            done = None
-            if payload or work.notify or work.ack_frame is not None:
-                prev_chain = dp.dma_rx_chain.get(work.conn_index)
-                done = dp.sim.event()
-                dp.dma_rx_chain[work.conn_index] = done
+            turn = dp.dma_rx_fence.enter(record)
             if payload:
                 yield from thread.compute(costs.dma_issue)
                 dp.tracepoints.hit(dp.sim.now, "dma", "dma.payload_issue")
@@ -617,18 +572,14 @@ class DmaStage:
                     events.append(dp.dma.issue(self.replica_id, length))
                 for event in events:
                     yield event
-                self.payload_ops += 1
-            if prev_chain is not None and not prev_chain.triggered:
-                yield prev_chain
-            # Payload is in host memory. Write-ahead rule: when the
-            # segment carries a notification, its ACK must not reach the
-            # wire before the notification is host-visible — otherwise a
-            # data-path crash in between leaves the peer believing bytes
-            # were delivered that the host-side recovery shadow never saw
-            # (and that the peer will therefore never retransmit). The
-            # ACK rides the last notification; ARX releases it after
-            # nic_deliver. Its NBI ordering ticket was taken at the
-            # protocol stage, so wire order is unchanged.
+            if turn.blocked():
+                yield turn.prev
+            # Payload is in host memory. Write-ahead rule (DESIGN §11):
+            # a segment's ACK must not reach the wire before its
+            # notification is host-visible, or a crash in between leaves
+            # the peer believing bytes delivered that recovery never saw.
+            # The ACK rides the last notification; ARX releases it after
+            # nic_deliver, on the NBI ticket taken at the protocol stage.
             ack_frame = work.ack_frame
             if ack_frame is not None:
                 ack_frame.pipeline_seq = work.pipeline_seq
@@ -640,8 +591,7 @@ class DmaStage:
                 yield dp.ctx_ring.put(notification)
             if ack_frame is not None:
                 dp.nbi_gro.offer(ack_frame)
-            if done is not None:
-                done.succeed()
+            turn.leave()
         elif work.kind == WORK_TX:
             yield from thread.compute(costs.dma_issue)
             parts = []
@@ -662,24 +612,16 @@ class DmaStage:
                     ts_val=now_us(dp.sim), ts_ecr=work.snapshot.echo_ts
                 )
             frame.pipeline_seq = work.pipeline_seq
-            self.payload_ops += 1
             dp.nbi_gro.offer(frame)
         else:
-            # HC work carries no payload and — because the protocol
-            # stage's HC path never produces acked_bytes/notify_rx/fin —
-            # no notifications either; the post stage only forwards it
-            # here when a window-update ACK must leave the NIC. Its NBI
-            # ordering ticket was taken at the protocol stage.
+            # HC work carries no payload and (its protocol path never
+            # acks, notifies or FINs) no notifications: it gets here only
+            # when a window-update ACK must leave the NIC, on the NBI
+            # ticket taken at the protocol stage.
             ack_frame = work.ack_frame
             if ack_frame is not None:
                 ack_frame.pipeline_seq = work.pipeline_seq
                 dp.nbi_gro.offer(ack_frame)
-
-    def _release_ctm(self, work):
-        if work.frame is not None:
-            grant = work.frame.get_meta("ctm_grant")
-            if grant is not None:
-                grant.release()
 
 
 class NbiStage:
@@ -699,27 +641,19 @@ class NbiStage:
             serial = None
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
+            action = None
             if dp.egress_modules is not None and len(dp.egress_modules):
                 yield from thread.compute(dp.egress_modules.total_cost)
                 action = dp.egress_modules.run(frame, None)
-                if action == ACTION_DROP:
-                    self._free(frame)
-                    if serial is not None:
-                        serial.release()
-                    continue
-            if dp.capture is not None:
-                yield from thread.compute(dp.capture.cost_cycles(frame))
-                dp.capture.capture(dp.sim.now, "tx", frame)
-            self.transmitted += 1
-            dp.mac.transmit(frame)
-            self._free(frame)
+            if action != ACTION_DROP:
+                if dp.capture is not None:
+                    yield from thread.compute(dp.capture.cost_cycles(frame))
+                    dp.capture.capture(dp.sim.now, "tx", frame)
+                self.transmitted += 1
+                dp.mac.transmit(frame)
+            dp.release_ctm(frame)
             if serial is not None:
                 serial.release()
-
-    def _free(self, frame):
-        grant = frame.get_meta("ctm_grant")
-        if grant is not None:
-            grant.release()
 
 
 class CtxStage:
@@ -731,14 +665,11 @@ class CtxStage:
 
     def __init__(self, dp):
         self.dp = dp
-        self.notifications_sent = 0
-        self.descriptors_fetched = 0
-        # context_id -> completion event of the latest ARX delivery:
-        # several ARX hardware threads drain ctx_ring concurrently, so
-        # without the chain a delayed descriptor DMA (repro.faults
-        # DmaFlake) would let a later notification overtake an earlier
+        # Per-context delivery fence: several ARX hardware threads drain
+        # ctx_ring, so a delayed descriptor DMA (repro.faults DmaFlake)
+        # would otherwise let a later notification overtake an earlier
         # one within the same context queue.
-        self._arx_chain = {}
+        self.arx_fence = KeyedFence(dp.sim)
 
     def arx_program(self, thread):
         """NIC -> host notification path."""
@@ -746,27 +677,24 @@ class CtxStage:
         costs = dp.config.costs
         while True:
             notification = yield dp.ctx_ring.get()
-            prev_chain = self._arx_chain.get(notification.context_id)
-            done = dp.sim.event()
-            self._arx_chain[notification.context_id] = done
+            turn = self.arx_fence.enter(notification.context_id)
             serial = None
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
             yield from thread.compute(costs.ctx_notify)
             pair = dp.contexts.get(notification.context_id)
             yield dp.dma.issue(1, 32)
-            if prev_chain is not None and not prev_chain.triggered:
-                yield prev_chain
+            if turn.blocked():
+                yield turn.prev
             piggyback = notification.piggyback_ack
             notification.piggyback_ack = None
             if pair is not None:
                 pair.nic_deliver(notification)
-                self.notifications_sent += 1
             if piggyback is not None:
                 # Notification is host-visible: the ACK may leave now
                 # (write-ahead rule; see the DMA stage).
                 dp.nbi_gro.offer(piggyback)
-            done.succeed()
+            turn.leave()
             if serial is not None:
                 serial.release()
 
@@ -803,7 +731,6 @@ class CtxStage:
                     if dp.serial_lock is not None:
                         serial = yield dp.serial_lock.request()
                     yield dp.dma.issue(1, 32 * len(batch))
-                    self.descriptors_fetched += len(batch)
                     for grant in grants[: len(batch)]:
                         dp.hold_descriptor(grant)
                     for descriptor in batch:

@@ -1,10 +1,10 @@
 """Regression fixture: the PR-2 NOTIFY_RX reordering bug, statically.
 
 A DMA stage that emits notifications into ``ctx_ring`` *without* the
-``dma_rx_chain`` fence. With replicas and variable DMA latency, a later
+``dma_rx_fence`` turn. With replicas and variable DMA latency, a later
 segment's notification overtakes an earlier one and libTOE stitches the
 receive stream wrong — the exact bug the per-connection completion
-chain was introduced to fix. The hb lint must report exactly one
+fence was introduced to fix. The hb lint must report exactly one
 ``unfenced-ordered-emit`` at the ``ctx_ring.put`` site.
 
 Not imported at runtime: parsed by repro.analysis.hblint in tests.
@@ -12,7 +12,7 @@ Not imported at runtime: parsed by repro.analysis.hblint in tests.
 
 
 class BrokenDmaStage:
-    """DmaStage with the per-connection completion chain deleted."""
+    """DmaStage with the per-connection completion fence deleted."""
 
     STAGE_KIND = "dma"
     REPLICATED = True
@@ -29,8 +29,9 @@ class BrokenDmaStage:
 
     def _process(self, thread, work):
         dp = self.dp
-        record = dp.conn_table.get(work.conn_index)
-        if record is None:
+        record = work.record
+        if not record.active:
+            dp.retire(work)
             return
         post = record.post
         if work.kind == "rx":
@@ -39,7 +40,7 @@ class BrokenDmaStage:
                 if post.rx_region is not None:
                     post.rx_region.write(work.rx_offset, payload)
                 yield dp.dma.issue(self.replica_id, len(payload))
-            # BUG: no dma_rx_chain fence — a replica that finished a
+            # BUG: no dma_rx_fence turn — a replica that finished a
             # later segment first delivers its notification first.
             ack_frame = work.ack_frame
             if ack_frame is not None:

@@ -27,8 +27,9 @@ class StaleEchoDmaStage:
         dp = self.dp
         while True:
             work = yield dp.dma_ring.get()
-            record = dp.conn_table.get(work.conn_index)
-            if record is None:
+            record = work.record
+            if not record.active:
+                dp.retire(work)
                 continue
             frame = work.frame
             # BUG: protocol-owned state read outside the atomic stage.

@@ -29,24 +29,20 @@ class EagerAckDmaStage:
 
     def _process(self, thread, work):
         dp = self.dp
-        record = dp.conn_table.get(work.conn_index)
-        if record is None:
+        record = work.record
+        if not record.active:
+            dp.retire(work)
             return
         post = record.post
         if work.kind == "rx":
             payload = work.rx_trimmed_payload
-            prev_chain = None
-            done = None
-            if payload or work.notify or work.ack_frame is not None:
-                prev_chain = dp.dma_rx_chain.get(work.conn_index)
-                done = dp.sim.event()
-                dp.dma_rx_chain[work.conn_index] = done
+            turn = dp.dma_rx_fence.enter(record)
             if payload:
                 if post.rx_region is not None:
                     post.rx_region.write(work.rx_offset, payload)
                 yield dp.dma.issue(self.replica_id, len(payload))
-            if prev_chain is not None and not prev_chain.triggered:
-                yield prev_chain
+            if turn.blocked():
+                yield turn.prev
             # BUG: the ACK must ride notifications[-1].piggyback_ack so
             # ARX releases it after nic_deliver; offering it here lets
             # it reach the wire first.
@@ -56,5 +52,4 @@ class EagerAckDmaStage:
             if ack_frame is not None:
                 ack_frame.pipeline_seq = work.pipeline_seq
                 dp.nbi_gro.offer(ack_frame)
-            if done is not None:
-                done.succeed()
+            turn.leave()

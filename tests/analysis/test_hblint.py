@@ -84,7 +84,7 @@ def test_cross_stage_proto_read_is_an_hb_race():
 
 
 def test_unfenced_ctx_emit_is_caught():
-    # The PR-2 NOTIFY_RX reordering bug, statically: dma_rx_chain fence
+    # The PR-2 NOTIFY_RX reordering bug, statically: dma_rx_fence turn
     # deleted, notifications can overtake each other per connection.
     findings = hblint.lint_ordering(_with_tree("hb_dma_reorder.py"))
     assert len(findings) == 1
@@ -111,19 +111,17 @@ def test_fence_spans_are_recognized():
         "    STAGE_KIND = 'dma'\n"
         "    REPLICATED = True\n"
         "    def program(self, thread):\n"
-        "        prev = dp.some_chain.get(key)\n"
-        "        done = dp.sim.event()\n"
-        "        dp.some_chain[key] = done\n"
-        "        if prev is not None:\n"
-        "            yield prev\n"
+        "        turn = dp.some_fence.enter(key)\n"
+        "        if turn.blocked():\n"
+        "            yield turn.prev\n"
         "        yield dp.dma_ring.put(work)\n"
-        "        done.succeed()\n"
+        "        turn.leave()\n"
     )
     function = ast.parse(source).body[0].body[2]
     fences = hblint._collect_fences(function)
     assert fences and all(start < end for start, end in fences)
     (start, end) = fences[0]
-    assert start == 9 and end == 11
+    assert start == 7 and end == 9
 
 
 def test_findings_are_deterministically_ordered():

@@ -2,18 +2,8 @@
 
 import pytest
 
-from repro.analysis import hbmonitor, sanitizer
 from repro.analysis.hbmonitor import HBViolationError, _OrderBook
 from repro.flextoe.descriptors import NOTIFY_RX, Notification, SegWork, WORK_RX
-
-
-@pytest.fixture
-def sanitized():
-    sanitizer.install()
-    try:
-        yield
-    finally:
-        sanitizer.uninstall()
 
 
 def _testbed_host(sanitized):
@@ -57,12 +47,18 @@ def test_order_book_stray_arrival_does_not_poison_the_queue():
     assert book.arrive(1, a)  # the real stream is intact
 
 
-def test_order_book_forget_drops_per_key_state():
+def test_order_book_discard_removes_one_entry_and_empties_the_key():
+    # An item that left the stream early is taken out by identity; the
+    # key's queue disappears with its last entry (nothing to forget).
     book = _OrderBook()
-    a = object()
+    a, b = object(), object()
     book.expect(7, a)
-    book.forget(7)
+    book.expect(7, b)
+    book.discard(7, a)
+    assert book.pending(7) == [b]
     assert not book.arrive(7, a)
+    assert book.arrive(7, b)
+    assert len(book) == 0
 
 
 # -- monitor wiring ---------------------------------------------------------
@@ -179,10 +175,44 @@ def test_taps_go_quiet_after_crash(sanitized):
     dp.crashed = False
 
 
-def test_forget_conn_clears_order_books(sanitized):
+def test_retire_clears_the_books(sanitized):
+    # The pipeline's one early exit is the monitor's one clean-up hook:
+    # whatever a retired work was expected to bring is discharged.
     _bed, server, _client = _testbed_host(sanitized)
-    monitor = server.nic.datapath.hb_monitor
-    work = _work(conn=5)
-    monitor._on_post_put(work)
-    monitor.forget_conn(5)
-    assert not monitor._proto_order.arrive(5, work)
+    dp = server.nic.datapath
+    monitor = dp.hb_monitor
+    in_post, in_dma = _work(conn=5), _work(conn=5)
+    in_dma.notify = [Notification(NOTIFY_RX, 1, 5, context_id=1, length=10)]
+    in_dma.ack_frame = object()
+    monitor._on_post_put(in_dma)
+    monitor._on_post_put(in_post)
+    monitor._on_dma_put(in_dma)
+    dp.retire(in_dma)  # connection gone when the DMA stage got to it
+    dp.retire(in_post)  # ... and when the post stage got to the next
+    assert monitor.outstanding() == {}
+
+
+def test_violation_message_explains_itself(sanitized):
+    # Identity of the key (index, opaque, whether the tenant is still
+    # installed) and what the book expected instead.
+    _bed, server, _client = _testbed_host(sanitized)
+    nic = server.nic
+    record = nic.offload_connection(
+        index=nic.allocate_connection_index(),
+        four_tuple=(server.ip, 0x0A000063, 7000, 6000),
+        peer_mac=0xBB, local_mac=server.mac, iss=1, irs=1,
+        context_id=1, opaque="sock-9", rx_buffer=(None, 0, 4096), tx_buffer=(None, 0, 4096),
+    )
+    monitor = nic.datapath.hb_monitor
+    first, second, third = _work(), _work(), _work()
+    for work in (first, second, third):
+        work.record = record
+        work.conn_index = record.index
+        monitor._on_post_put(work)
+    monitor._on_dma_put(second)
+    nic.remove_connection(record.index)
+    with pytest.raises(HBViolationError) as raised:
+        monitor._on_dma_put(first)
+    message = str(raised.value)
+    assert "conn {} opaque='sock-9' active=False".format(record.index) in message
+    assert "expected next: [{!r}]".format(third) in message

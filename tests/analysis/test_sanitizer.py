@@ -14,15 +14,6 @@ def _make_post():
     return PostprocState(opaque=1, context_id=0, rx_base=0, tx_base=0, rx_size=4096, tx_size=4096)
 
 
-@pytest.fixture
-def sanitized():
-    sanitizer.install()
-    try:
-        yield
-    finally:
-        sanitizer.uninstall()
-
-
 def _run_wrapped(factory, stage, flow_group=None):
     wrapped = sanitizer.guard_process(factory(), stage, flow_group)
     return next(wrapped)

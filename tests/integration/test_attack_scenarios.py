@@ -11,7 +11,10 @@ the headline numbers the CI attack-matrix job gates on:
 
 import pytest
 
+from repro.bench import attack
 from repro.bench.attack import run_attack_scenario
+from repro.harness import Testbed
+from tests.integration.driver import DRAIN_NS, assert_drained
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +45,25 @@ def test_synflood_slab_watermark_bounded(synflood):
     assert checks["slab_watermark_on"] <= checks["slab_watermark_off"] // 2
 
 
-def test_churn_scenario_gates_hold():
+def test_churn_scenario_gates_hold(monkeypatch):
+    beds = []
+
+    def recording_testbed(**kwargs):
+        beds.append(Testbed(**kwargs))
+        return beds[-1]
+
+    monkeypatch.setattr(attack, "Testbed", recording_testbed)
     checks, metrics = run_attack_scenario("churn", quick=True)
     assert checks["on_ratio"] >= 0.5
     assert checks["detector_drops"] > 0
     # Churn burns host buffer memory; the detector must stop the burn.
     assert metrics["mem_used_on_bytes"] < metrics["mem_used_off_bytes"]
+    # Teardown under load is where a work outlives its connection: once
+    # the traffic stops, all three sub-runs' pipelines must hold nothing.
+    assert len(beds) == 3
+    for bed in beds:
+        bed.sim.run(until=bed.sim.now + DRAIN_NS)
+        assert_drained(bed)
 
 
 def test_incast_scenario_stops_rst_reflection():

@@ -15,6 +15,7 @@ from repro.faults.cli import run_plan
 from repro.faults.invariants import LivenessViolation, counters_snapshot, run_until
 from repro.faults.plans import CANONICAL
 from repro.libtoe.errors import ConnectionTimeoutError
+from tests.integration.driver import DRAIN_NS, assert_drained
 
 STACKS = ["flextoe", "linux", "tas", "chelsio"]
 PLANS = sorted(CANONICAL)
@@ -135,7 +136,12 @@ def run_crash_workload(seed=7, pairs=16, n_bytes=20_000, server_config=None, dea
         bed.sim.process(client_app(i, client.new_context()), name="client-{}".format(i))
 
     run_until(bed, lambda: done["count"] == pairs, deadline_ns, label="nic-crash")
-    return results, counters_snapshot(bed), controller.log.digest(), messages
+    outcome = results, counters_snapshot(bed), controller.log.digest(), messages
+    # The rebooted data path re-offloaded every connection mid-transfer;
+    # once the transfer is over it must hold nothing, like any other.
+    bed.sim.run(until=bed.sim.now + DRAIN_NS)
+    assert_drained(bed)
+    return outcome
 
 
 def test_nic_crash_recovery_exact_delivery_16_pairs():

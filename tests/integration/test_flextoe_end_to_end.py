@@ -54,6 +54,29 @@ def test_connect_and_echo_small(bed):
     assert results["done_at"] < 1_000_000
 
 
+def test_run_to_completion_server_moves_data():
+    # Table 3's baseline row: every stage inline on one FPC thread. The
+    # post->DMA hop has no ring there, so it is easy to lose.
+    from repro.flextoe.config import PipelineConfig
+
+    bed = Testbed(seed=1)
+    bed.add_flextoe_host("server", pipeline_config=PipelineConfig.baseline_run_to_completion())
+    bed.add_flextoe_host("client")
+    bed.seed_all_arp()
+
+    def server(ctx, results):
+        sock = yield from ctx.accept(ctx.listen(7777))
+        data = yield from ctx.recv(sock, 4096)
+        yield from ctx.send(sock, data.upper())
+
+    def client(ctx, server_ip, results):
+        sock = yield from ctx.connect(server_ip, 7777)
+        yield from ctx.send(sock, b"one thread")
+        results["client_got"] = yield from ctx.recv(sock, 4096)
+
+    assert run_pair(bed, server, client)["client_got"] == b"ONE THREAD"
+
+
 def test_large_transfer_multiple_segments(bed):
     payload = bytes(i % 251 for i in range(50_000))
 

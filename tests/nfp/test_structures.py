@@ -1,4 +1,4 @@
-"""CAM, hash lookup engine, rings, work queues, ticket lock, memory."""
+"""CAM, hash lookup engine, rings, work queues, memory."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.nfp import Cam, ClsRing, HashLookupEngine, WorkQueue
 from repro.nfp.memory import MEM_CLS, MEM_EMEM, MemoryLevel
-from repro.nfp.queues import TicketLock
 from repro.sim import Simulator
 
 
@@ -118,7 +117,7 @@ def test_cls_ring_fifo():
 
 def test_work_queue_multiple_consumers_drain_everything():
     sim = Simulator()
-    queue = WorkQueue(sim, backing="emem")
+    queue = WorkQueue(sim)
     drained = []
 
     def consumer(sim, name):
@@ -143,31 +142,6 @@ def test_work_queue_multiple_consumers_drain_everything():
     # Work stealing: both consumers got something.
     names = {name for name, _ in drained}
     assert names == {"c0", "c1"}
-
-
-def test_work_queue_backing_latency():
-    sim = Simulator()
-    assert WorkQueue(sim, backing="imem").access_latency == 250
-    assert WorkQueue(sim, backing="emem").access_latency == 500
-
-
-def test_ticket_lock_fairness():
-    sim = Simulator()
-    lock = TicketLock(sim)
-    order = []
-
-    def worker(sim, name, delay):
-        yield sim.timeout(delay)
-        yield lock.acquire()
-        order.append(name)
-        yield sim.timeout(100)
-        lock.release()
-
-    sim.process(worker(sim, "a", 0))
-    sim.process(worker(sim, "b", 10))
-    sim.process(worker(sim, "c", 20))
-    sim.run()
-    assert order == ["a", "b", "c"]
 
 
 def test_memory_alloc_free():
