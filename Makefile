@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations loc lint lint-github baseline check-baseline certify perf perf-compare
+.PHONY: test sanitize durations loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact
 
 test:
 	$(PY) -m pytest -x -q
@@ -60,3 +60,20 @@ perf:
 
 perf-compare:
 	python3 perf/compare.py $(A) $(B)
+
+# The exactness gate (DESIGN §12 "What is never scheduled"): a change
+# that only stops scheduling what nobody observes must leave every
+# simulated number *identical* to BASE's, not merely within its bound.
+# Runs the five workloads, 2 s each, on a checkout of BASE and on this
+# tree; fails when compare.py does (a `worse` row) or when any simulated
+# latency, goodput or ops_ok_frac row says `(differs)`.
+#   make perf-exact BASE=origin/main
+perf-exact:
+	@test -n "$(BASE)" || { echo "usage: make perf-exact BASE=<git ref>" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
+	git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && python3 perf/run.py --seconds 2 --out "$$tmp/base.json" > /dev/null); \
+	python3 perf/run.py --seconds 2 --out "$$tmp/head.json" > /dev/null; \
+	status=0; python3 perf/compare.py "$$tmp/base.json" "$$tmp/head.json" > "$$tmp/table" || status=$$?; \
+	cat "$$tmp/table"; test $$status -eq 0; \
+	! grep -E '(sim_lat_p50_us|sim_lat_tail_us|sim_goodput_mbps|ops_ok_frac) .*\(differs\)' "$$tmp/table"

@@ -4,19 +4,20 @@ The control plane iterates over active flows roughly once per RTT,
 reads the data-path's per-flow statistics (acked bytes, ECN bytes,
 fast-retransmit count, RTT estimate), asks the algorithm for a new rate,
 and programs the flow scheduler. Algorithms subclass
-:class:`CongestionControl` and implement :meth:`update`.
+:class:`CongestionControl` and implement :meth:`update`; "active" is a
+flow the data path recorded feedback for since its last poll, or every
+flow if the algorithm does not declare ``idle_is_identity``.
 """
 
 
 class FlowCcState:
     """Per-flow algorithm state plus the currently programmed rate."""
 
-    __slots__ = ("rate_bps", "algo_state", "last_rtt_us")
+    __slots__ = ("rate_bps", "algo_state")
 
     def __init__(self, rate_bps):
         self.rate_bps = rate_bps
         self.algo_state = None
-        self.last_rtt_us = 0
 
 
 class CcStats:
@@ -37,6 +38,11 @@ class CongestionControl:
     #: Flows at or above this rate bypass the rate limiter entirely
     #: (work-conserving round-robin in the scheduler, §3.5).
     uncongested_bps = 39_000_000_000
+
+    #: True when :meth:`update` with no feedback (nothing acked, no fast
+    #: retransmit) on a flow it has seen before changes nothing: the control
+    #: plane then polls a flow only after the data path recorded feedback.
+    idle_is_identity = False
 
     def __init__(self, init_rate_bps=10_000_000_000, min_rate_bps=1_000_000, max_rate_bps=40_000_000_000):
         self.init_rate_bps = init_rate_bps

@@ -21,6 +21,8 @@ class DctcpState:
 class Dctcp(CongestionControl):
     """Rate-based DCTCP: alpha-EWMA over the ECN-marked byte fraction."""
 
+    idle_is_identity = True  # "no feedback this interval": clamp(rate) == rate
+
     def __init__(self, g=1.0 / 16.0, additive_bps=20_000_000, **kwargs):
         super().__init__(**kwargs)
         self.g = g

@@ -4,6 +4,10 @@ The data-path only ever sees established connections; everything before
 (SYN exchange) and after (state removal) lives here (paper §3.4).
 """
 
+from operator import attrgetter
+
+_ORDER = attrgetter("order")
+
 # Handshake states.
 SYN_SENT = "syn-sent"
 SYN_RCVD = "syn-rcvd"
@@ -106,10 +110,16 @@ class ConnectionDirectory:
     def __init__(self):
         self.entries = {}
         self.by_tuple = {}
+        self._added = 0
+        #: Entries whose next timer / congestion-control visit is not the
+        #: identity (DESIGN §12); :meth:`remove` drops an entry from both.
+        self.timer_armed = set()
+        self.cc_armed = set()
 
     class Entry:
         __slots__ = (
             "index",
+            "order",
             "record",
             "cc_flow",
             "snd_iss",
@@ -139,6 +149,7 @@ class ConnectionDirectory:
 
     def add(self, index, record, cc_flow, snd_iss):
         entry = self.Entry(index, record, cc_flow, snd_iss)
+        self._added = entry.order = self._added + 1  # indices recycle; this never does
         self.entries[index] = entry
         self.by_tuple[record.four_tuple] = entry
         return entry
@@ -147,6 +158,8 @@ class ConnectionDirectory:
         entry = self.entries.pop(index, None)
         if entry is not None:
             self.by_tuple.pop(entry.record.four_tuple, None)
+            self.timer_armed.discard(entry)
+            self.cc_armed.discard(entry)
         return entry
 
     def get(self, index):
@@ -156,8 +169,12 @@ class ConnectionDirectory:
         """Established-connection lookup by four-tuple (RST matching)."""
         return self.by_tuple.get(four_tuple)
 
+    def in_order(self, armed):
+        """The ``armed`` entries in directory order, as a snapshot."""
+        return sorted(armed, key=_ORDER)
+
     def __iter__(self):
-        return iter(list(self.entries.values()))
+        return iter(self.entries.values())
 
     def __len__(self):
         return len(self.entries)

@@ -4,7 +4,10 @@ One :class:`ControlPlane` serves one host's FlexTOE NIC. It drains the
 frames the data-path diverts (SYN/SYN-ACK/RST/ARP), runs the TCP
 connection state machine, installs/removes data-path state, retransmits
 on timeout (go-back-N via HC descriptors), sends zero-window probes, and
-runs the congestion-control rate loop.
+runs the congestion-control rate loop. Timers and congestion control are
+one :class:`GridPoll`: a 50 us grid that ticks only while a handshake or
+connection is armed — by the data path, the instant it leaves something
+for a visit to find — and visits only those (DESIGN §12).
 
 Simplification vs. a production stack (documented in DESIGN.md): the
 server side completes accept() when the SYN-ACK is sent rather than on
@@ -63,12 +66,39 @@ BROADCAST_MAC = (1 << 48) - 1
 #: Control-plane context-queue id (reserved; app contexts start at 1).
 CONTROL_CONTEXT = 0
 
-#: Timer-loop period; handshake retransmission timeout; congestion-control
-#: period; how long a closing connection may wait for the peer's FIN.
+#: Poll-grid period (timers, then congestion control, on one tick);
+#: handshake retransmission timeout; how long a closing connection may
+#: wait for the peer's FIN.
 TIMER_TICK_NS = 50_000
 SYN_RTO_NS = 1_000_000
-CC_INTERVAL_NS = 50_000
 LINGER_NS = 2_000_000
+
+
+class GridPoll:
+    """A poll that costs events only while something waits on it.
+
+    ``arm()`` schedules ``body`` for the next instant ``epoch + k *
+    interval_ns`` strictly after now, unless a tick is already pending;
+    the tick re-arms itself while ``body()`` returns true.
+    """
+
+    def __init__(self, sim, interval_ns, body):
+        self.sim = sim
+        self.interval_ns = interval_ns
+        self.epoch = sim.now
+        self.body = body
+        self.pending = False
+
+    def arm(self):
+        if not self.pending:
+            self.pending = True
+            delay = self.interval_ns - (self.sim.now - self.epoch) % self.interval_ns
+            self.sim.timeout(delay).callbacks.append(self._tick)
+
+    def _tick(self, _event):
+        self.pending = False
+        if self.body():
+            self.arm()
 
 
 class ControlPlaneConfig:
@@ -163,9 +193,9 @@ class ControlPlane:
         self._challenge_window_start = 0
         self._challenge_window_count = 0
         self.recovery = None
+        self._poll = GridPoll(sim, TIMER_TICK_NS, self._poll_armed)
+        nic.datapath.observer = self
         sim.process(self._rx_loop(), name="cp-rx")
-        sim.process(self._timer_loop(), name="cp-timer")
-        sim.process(self._cc_loop(), name="cp-cc")
 
     # -- failure recovery ----------------------------------------------------
 
@@ -273,6 +303,7 @@ class ControlPlane:
         pending = PendingConnection(SYN_SENT, four, iss, ctx=ctx, waiter=self.sim.event())
         pending.peer_mac = peer_mac
         self.pending[four] = pending
+        self._poll.arm()
         self._send_syn(pending)
         info = yield pending.waiter
         if info is None:
@@ -285,6 +316,7 @@ class ControlPlane:
         if entry is not None:
             entry.closing = True
             entry.close_requested_at = self.sim.now
+            self._arm_timer(entry)
 
     # -- frame handling -----------------------------------------------------
 
@@ -422,6 +454,7 @@ class ControlPlane:
         pending.remote_win = frame.tcp.window
         self.arp_table.setdefault(frame.ip.src, frame.eth.src)
         self.pending[four] = pending
+        self._poll.arm()
         if config.syn_defense_enabled:
             # Overload-safe path: park in the embryonic table and wait
             # for the final handshake ACK before installing any
@@ -488,10 +521,7 @@ class ControlPlane:
 
     def _teardown_entry(self, entry, reason):
         """Remove directory + NIC state and surface a typed error."""
-        self.directory.remove(entry.index)
-        self.nic.remove_connection(entry.index)
-        if self.recovery is not None:
-            self.recovery.forget(entry.index)
+        self._forget_entry(entry)
         post = entry.record.post
         pair = self.nic.context_pair(post.context_id)
         if pair is not None:
@@ -694,7 +724,9 @@ class ControlPlane:
         flow = self.cc.new_flow()
         if self.policy.rate_limit_bps is not None:
             flow.rate_bps = min(flow.rate_bps, self.policy.rate_limit_bps)
-        self.directory.add(index, record, flow, snd_iss)
+        # A new flow's first congestion-control poll creates its
+        # algorithm state; its timers are at rest until data moves.
+        self._arm_cc(self.directory.add(index, record, flow, snd_iss))
         self._program_rate(index, flow)
         if self.recovery is not None:
             self.recovery.track(index, record, snd_iss=snd_iss, rcv_irs=pending.irs)
@@ -717,133 +749,163 @@ class ControlPlane:
         base_rto = max(self.config.rto_ns, 4_000 * max(1, entry.record.post.rtt_est))
         return min(base_rto * entry.rto_multiplier, self.config.rto_max_ns)
 
-    def _timer_loop(self):
+    # -- the poll grid (DESIGN §12) -------------------------------------------
+
+    def proto_changed(self, index, proto):
+        """Data-path hook, the instant protocol logic ran on ``proto``:
+        unacknowledged or window-blocked data is what a timer visit acts on."""
+        if proto.tx_sent > 0 or (proto.remote_win == 0 and proto.tx_avail > 0):
+            entry = self.directory.get(index)
+            if entry is not None:  # adopted connections have no entry
+                self._arm_timer(entry)
+
+    def cc_feedback(self, index):
+        """Data-path hook: the post stage recorded ACK/ECN/loss/RTT feedback."""
+        entry = self.directory.get(index)
+        if entry is not None:
+            self._arm_cc(entry)
+
+    def arm_all(self):
+        """Recovery, entering degraded mode: the grid ticks through the
+        outage and the first tick after re-offload visits everyone."""
+        for entry in self.directory:
+            self._arm_timer(entry)
+            self._arm_cc(entry)
+
+    def _arm_timer(self, entry):
+        self.directory.timer_armed.add(entry)
+        self._poll.arm()
+
+    def _arm_cc(self, entry):
+        if self.cc_enabled:
+            self.directory.cc_armed.add(entry)
+            self._poll.arm()
+
+    def _poll_armed(self):
+        """One grid tick: timers, then congestion control, over the armed
+        entries in directory order. True while anything stays armed."""
+        if not (self.recovery is not None and self.recovery.degraded):
+            # (Degraded: nothing to retransmit into, and outage time must
+            # not count toward abort thresholds. The armed sets survive.)
+            self._poll_timers(self.sim.now)
+            self._poll_cc()
+        directory = self.directory
+        return bool(self.pending or directory.timer_armed or directory.cc_armed)
+
+    def _forget_entry(self, entry):
+        self.directory.remove(entry.index)
+        self.nic.remove_connection(entry.index)
+        if self.recovery is not None:
+            self.recovery.forget(entry.index)
+
+    def _poll_timers(self, now):
         config = self.config
-        while True:
-            yield self.sim.timeout(TIMER_TICK_NS)
-            if self.recovery is not None and self.recovery.degraded:
-                # The data path is down and being recovered: nothing to
-                # retransmit into, and outage time must not count toward
-                # abort thresholds.
+        armed = self.directory.timer_armed
+        # Handshake retransmissions (and the half-open reaper).
+        for pending in list(self.pending.values()):
+            if pending.embryonic and now - pending.created_at > config.half_open_timeout_ns:
+                # Half-open reaper: a peer that SYNs and goes silent only
+                # holds an embryonic slot for the timeout, not for
+                # max_syn_retries worth of SYN-ACK RTOs.
+                self.pending.pop(pending.four_tuple, None)
+                self._note_pending_gone(pending)
+                self.embryonic_reaped += 1
                 continue
-            now = self.sim.now
-            # Handshake retransmissions (and the half-open reaper).
-            for pending in list(self.pending.values()):
-                if (
-                    pending.embryonic
-                    and now - pending.created_at > config.half_open_timeout_ns
-                ):
-                    # Half-open reaper: a peer that SYNs and goes silent
-                    # only holds an embryonic slot for the timeout, not
-                    # for max_syn_retries worth of SYN-ACK RTOs.
-                    self.pending.pop(pending.four_tuple, None)
-                    self._note_pending_gone(pending)
-                    self.embryonic_reaped += 1
-                    continue
-                if now - pending.last_sent_at < SYN_RTO_NS:
-                    continue
-                if pending.attempts >= config.max_syn_retries:
-                    self.pending.pop(pending.four_tuple, None)
-                    self._note_pending_gone(pending)
-                    if pending.waiter is not None and not pending.waiter.triggered:
-                        remote_ip, remote_port = pending.four_tuple[1], pending.four_tuple[3]
-                        pending.waiter.fail(
-                            HandshakeTimeoutError(
-                                "handshake to {}:{} timed out after {} attempts".format(
-                                    remote_ip, remote_port, pending.attempts
-                                )
+            if now - pending.last_sent_at < SYN_RTO_NS:
+                continue
+            if pending.attempts >= config.max_syn_retries:
+                self.pending.pop(pending.four_tuple, None)
+                self._note_pending_gone(pending)
+                if pending.waiter is not None and not pending.waiter.triggered:
+                    remote_ip, remote_port = pending.four_tuple[1], pending.four_tuple[3]
+                    pending.waiter.fail(
+                        HandshakeTimeoutError(
+                            "handshake to {}:{} timed out after {} attempts".format(
+                                remote_ip, remote_port, pending.attempts
                             )
                         )
-                    continue
-                if pending.state == SYN_SENT:
-                    self.syn_retransmits += 1
-                    self._send_syn(pending)
-                else:
-                    self.syn_retransmits += 1
-                    self._send_syn_ack(pending)
-            # Data-path retransmission timeouts and zero-window probes.
-            for entry in self.directory:
-                proto = entry.record.proto
-                if proto.remote_win == 0 and (proto.tx_sent > 0 or proto.tx_avail > 0):
-                    # Persist state: the peer (or its slow-path shim)
-                    # closed the window. Classic TCP probes forever —
-                    # zero-window probing never aborts a connection.
-                    entry.retry_attempts = 0
-                    if entry.stalled_since is None:
-                        entry.stalled_since = now
-                    elif now - entry.stalled_since > self._rto_ns(entry):
-                        entry.stalled_since = now
-                        entry.rto_multiplier = min(entry.rto_multiplier * 2, 64)
-                        self.probes_posted += 1
-                        self.nic.post_hc(
-                            CONTROL_CONTEXT, HostControlDescriptor(HC_PROBE, entry.index)
-                        )
-                elif proto.tx_sent > 0:
-                    snd_una = (proto.seq - proto.tx_sent) & 0xFFFFFFFF
-                    if entry.last_snd_una != snd_una:
-                        # Forward progress: restart the timer, reset the
-                        # exponential backoff.
-                        entry.last_snd_una = snd_una
-                        entry.stalled_since = now
-                        entry.reset_backoff()
-                    elif (
-                        entry.stalled_since is not None
-                        and now - entry.stalled_since > self._rto_ns(entry)
-                    ):
-                        if entry.retry_attempts >= config.max_data_retries:
-                            self._abort_connection(entry)
-                            continue
-                        entry.stalled_since = now
-                        entry.retry_attempts += 1
-                        entry.rto_multiplier = min(entry.rto_multiplier * 2, 64)
-                        self.retransmits_posted += 1
-                        self.nic.post_hc(
-                            CONTROL_CONTEXT,
-                            HostControlDescriptor(HC_RETRANSMIT, entry.index),
-                        )
-                else:
-                    entry.stalled_since = None
-                    entry.reset_backoff()
-                # Teardown: remove once closed on both sides (or linger out).
-                if entry.closing:
-                    # fin_seq/fin_pending are clear once our FIN is ACKed
-                    # but also while a posted HC_FIN is still unconsumed.
-                    # The FIN's sequence unit tells the two apart: seq
-                    # runs one past snd_iss + tx_pos only after the FIN
-                    # was sent (go-back-N rewinds it), and tx_sent == 0
-                    # then means it was ACKed.
-                    done = (
-                        proto.fin_seq is None
-                        and proto.tx_sent == 0
-                        and proto.rx_fin_seq is not None
-                        and (proto.seq - proto.tx_pos - entry.snd_iss) & 0xFFFFFFFF == 1
                     )
-                    lingered = now - entry.close_requested_at > LINGER_NS
-                    if done or lingered:
-                        self.directory.remove(entry.index)
-                        self.nic.remove_connection(entry.index)
-                        if self.recovery is not None:
-                            self.recovery.forget(entry.index)
+                continue
+            self.syn_retransmits += 1
+            if pending.state == SYN_SENT:
+                self._send_syn(pending)
+            else:
+                self._send_syn_ack(pending)
+        # Data-path retransmission timeouts and zero-window probes.
+        for entry in self.directory.in_order(armed):
+            proto = entry.record.proto
+            if proto.remote_win == 0 and (proto.tx_sent > 0 or proto.tx_avail > 0):
+                # Persist state: the peer (or its slow-path shim) closed
+                # the window. Classic TCP probes forever — zero-window
+                # probing never aborts a connection.
+                entry.retry_attempts = 0
+                if entry.stalled_since is None:
+                    entry.stalled_since = now
+                elif now - entry.stalled_since > self._rto_ns(entry):
+                    entry.stalled_since = now
+                    entry.rto_multiplier = min(entry.rto_multiplier * 2, 64)
+                    self.probes_posted += 1
+                    self.nic.post_hc(CONTROL_CONTEXT, HostControlDescriptor(HC_PROBE, entry.index))
+            elif proto.tx_sent > 0:
+                snd_una = (proto.seq - proto.tx_sent) & 0xFFFFFFFF
+                if entry.last_snd_una != snd_una:
+                    # Forward progress: restart the timer, reset the backoff.
+                    entry.last_snd_una = snd_una
+                    entry.stalled_since = now
+                    entry.reset_backoff()
+                elif (
+                    entry.stalled_since is not None
+                    and now - entry.stalled_since > self._rto_ns(entry)
+                ):
+                    if entry.retry_attempts >= config.max_data_retries:
+                        self._abort_connection(entry)
+                        continue
+                    entry.stalled_since = now
+                    entry.retry_attempts += 1
+                    entry.rto_multiplier = min(entry.rto_multiplier * 2, 64)
+                    self.retransmits_posted += 1
+                    self.nic.post_hc(
+                        CONTROL_CONTEXT, HostControlDescriptor(HC_RETRANSMIT, entry.index)
+                    )
+            else:
+                entry.stalled_since = None
+                entry.reset_backoff()
+                if not entry.closing:
+                    # At rest: until the data path or close() arms it
+                    # again, every further visit would be the identity.
+                    armed.discard(entry)
+            # Teardown: remove once closed on both sides (or linger out).
+            if entry.closing:
+                # fin_seq/fin_pending are clear once our FIN is ACKed but
+                # also while a posted HC_FIN is still unconsumed. The FIN's
+                # sequence unit tells the two apart: seq runs one past
+                # snd_iss + tx_pos only after the FIN was sent (go-back-N
+                # rewinds it), and tx_sent == 0 then means it was ACKed.
+                done = (
+                    proto.fin_seq is None
+                    and proto.tx_sent == 0
+                    and proto.rx_fin_seq is not None
+                    and (proto.seq - proto.tx_pos - entry.snd_iss) & 0xFFFFFFFF == 1
+                )
+                lingered = now - entry.close_requested_at > LINGER_NS
+                if done or lingered:
+                    self._forget_entry(entry)
 
     # -- congestion control ---------------------------------------------------
 
-    def _cc_loop(self):
-        while True:
-            yield self.sim.timeout(CC_INTERVAL_NS)
-            if not self.cc_enabled:
+    def _poll_cc(self):
+        armed = self.directory.cc_armed
+        for entry in self.directory.in_order(armed):
+            raw = self.nic.read_cc_stats(entry.index)
+            if raw is None:
                 continue
-            if self.recovery is not None and self.recovery.degraded:
-                continue
-            for entry in self.directory:
-                raw = self.nic.read_cc_stats(entry.index)
-                if raw is None:
-                    continue
-                acked, ecnb, fretx, rtt = raw
-                stats = CcStats(acked, ecnb, fretx, rtt)
-                entry.cc_flow.last_rtt_us = rtt
-                new_rate = self.cc.update(entry.cc_flow, stats)
-                if self.policy.rate_limit_bps is not None:
-                    new_rate = min(new_rate, self.policy.rate_limit_bps)
-                if new_rate != entry.cc_flow.rate_bps:
-                    entry.cc_flow.rate_bps = new_rate
-                    self._program_rate(entry.index, entry.cc_flow)
+            new_rate = self.cc.update(entry.cc_flow, CcStats(*raw))
+            if self.policy.rate_limit_bps is not None:
+                new_rate = min(new_rate, self.policy.rate_limit_bps)
+            if new_rate != entry.cc_flow.rate_bps:
+                entry.cc_flow.rate_bps = new_rate
+                self._program_rate(entry.index, entry.cc_flow)
+        if self.cc.idle_is_identity:
+            # Polled once, and nothing more to say until the post stage
+            # records feedback again (``cc_feedback``).
+            armed.clear()

@@ -461,6 +461,7 @@ class RecoveryManager:
     def _recover(self):
         """Quiesce, reboot, re-offload. Runs inside the watchdog process."""
         self.degraded = True
+        self.plane.arm_all()
         self.last_detect_ns = self.sim.now
         if not self.nic.crashed:
             # Watchdog-declared failure (e.g. wedged firmware): force the

@@ -50,6 +50,16 @@ class _TxTriggerAdapter:
         return self.dp.pre_in.put(work)
 
 
+class _Unobserved:
+    """Default :attr:`FlexToeDatapath.observer`: nobody polls this NIC."""
+
+    def proto_changed(self, index, proto):
+        """Protocol logic just ran on connection ``index``'s ``proto``."""
+
+    def cc_feedback(self, index):
+        """The post stage just recorded congestion feedback for ``index``."""
+
+
 class FlexToeDatapath:
     """The wired pipeline on a given NFP chip."""
 
@@ -139,6 +149,10 @@ class FlexToeDatapath:
         #: Liveness is derived from the clock, not simulated: no process
         #: beats, so an idle data path schedules nothing.
         self.heartbeats = HeartbeatBoard(sim, HEARTBEAT_INTERVAL_NS, self.stage_fpcs)
+        #: Whoever polls connection state in NIC memory (the control plane
+        #: installs itself): told the instant a poll would find something
+        #: new, so that nothing has to be polled on a schedule.
+        self.observer = _Unobserved()
 
         sanitizer.maybe_install_from_env()
         self._assign_fpcs()
@@ -463,7 +477,7 @@ class FlexToeDatapath:
             stage.take_rtt_samples(index)
         return record
 
-    def drain_rtt(self, index):
+    def drain_rtt(self, record):
         """Aggregate per-replica RTT samples into the connection's EWMA.
 
         Replicated post instances accumulate (total, count) privately —
@@ -472,14 +486,11 @@ class FlexToeDatapath:
         (the paper's context stage is the serialization point toward the
         host), from a single site per poll.
         """
-        record = self.conn_table.get(index)
-        if record is None:
-            return
         total = 0
         count = 0
         for stage in self.post_stages:
             if stage.rtt_samples:
-                stage_total, stage_count = stage.take_rtt_samples(index)
+                stage_total, stage_count = stage.take_rtt_samples(record.index)
                 total += stage_total
                 count += stage_count
         if count:

@@ -72,10 +72,11 @@ class FlexToeNic:
         All NIC-internal connection state is gone — the control plane
         must re-offload every connection from its shadow."""
         self.crash()  # idempotent quiesce of whatever is still running
-        old_contexts = self.datapath.contexts
+        old = self.datapath
         self.chip = Nfp4000(self.sim, config=self.chip.config)
         self.datapath = self._build_datapath()
-        for pair in old_contexts.values():
+        self.datapath.observer = old.observer  # the host is still watching
+        for pair in old.contexts.values():
             self.datapath.adopt_context(pair)
         if self.port is not None:
             self.attach_port(self.port)
@@ -209,7 +210,7 @@ class FlexToeNic:
         record = self.datapath.conn_table.get(index)
         if record is None:
             return None
-        self.datapath.drain_rtt(index)
+        self.datapath.drain_rtt(record)
         return record.post.take_cc_stats()
 
     def set_flow_rate(self, index, bytes_per_sec):

@@ -151,7 +151,8 @@ class KeyedFence:
     at dequeue; ``if turn.blocked(): yield turn.prev`` before the ordered
     emission; ``turn.leave()`` after it. Only the latest turn per key is
     held and the last ``leave()`` drops it: a key whose works have all
-    left costs nothing, and nobody has to forget it.
+    left costs nothing, and nobody has to forget it. A ``leave()`` that
+    no successor is blocked on schedules no event either.
     """
 
     def __init__(self, sim):
@@ -186,4 +187,6 @@ class _Turn(Event):
         if tail.get(self._key) is self:
             del tail[self._key]
         self.prev = None  # or every past turn of the key stays reachable
-        self.succeed()
+        # blocked() tests ``triggered``: a turn that has left is never
+        # yielded later, so with no waiter now there is nothing to wake.
+        self.settle()

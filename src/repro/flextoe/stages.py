@@ -265,6 +265,7 @@ class ProtocolStage:
         summary = work.summary
         cycles = costs.proto_update
         result = proto_logic.process_rx(state, summary, work.frame.payload, now_us(dp.sim))
+        dp.observer.proto_changed(work.conn_index, state)
         if result.was_ooo:
             cycles += costs.proto_ooo_extra
             cycles += trace.hit(dp.sim.now, "proto", "rx.out_of_order")
@@ -323,6 +324,7 @@ class ProtocolStage:
         costs = dp.config.costs
         trace = dp.tracepoints
         result = proto_logic.process_tx(state, dp.config.mss)
+        dp.observer.proto_changed(work.conn_index, state)
         yield from thread.compute(costs.tx_seq)
         if result is None:
             extra = trace.hit(dp.sim.now, "proto", "tx.stale_trigger")
@@ -353,6 +355,7 @@ class ProtocolStage:
         dp = self.dp
         costs = dp.config.costs
         result = proto_logic.process_hc(state, work.hc)
+        dp.observer.proto_changed(work.conn_index, state)
         yield from thread.compute(costs.hc_window_update)
         snapshot.fs_sendable = result.fs_sendable
         if result.send_window_update:
@@ -448,6 +451,8 @@ class PostStage:
         # Counters are commutative and go through the atomic-add engine
         # (declared in state.atomic()); replicated post instances may
         # update them concurrently without losing increments.
+        if snapshot.acked_bytes > 0 or snapshot.fast_retransmit or snapshot.rtt_sample_ecr is not None:
+            dp.observer.cc_feedback(work.conn_index)  # the next poll has something to read
         if snapshot.acked_bytes > 0:
             cycles += atomic_add(post, "cnt_ackb", snapshot.acked_bytes)
             if snapshot.ece:

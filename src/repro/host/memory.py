@@ -3,9 +3,12 @@
 The control-plane maps a pool of physically contiguous 1 GB hugepages at
 startup (paper §4) and carves socket payload buffers and context queues
 out of it, so NIC DMA needs no page translation. Region contents are
-real bytearrays — DMA in the simulation actually moves the payload
-bytes, so end-to-end data integrity is checkable.
+real bytes — DMA in the simulation actually moves the payload, so
+end-to-end data integrity is checkable.
 """
+
+import mmap
+from bisect import bisect_right
 
 HUGEPAGE_SIZE = 1 << 30
 
@@ -15,10 +18,10 @@ class Region:
 
     __slots__ = ("addr", "length", "data")
 
-    def __init__(self, addr, length):
+    def __init__(self, addr, data):
         self.addr = addr
-        self.length = length
-        self.data = bytearray(length)
+        self.length = len(data)
+        self.data = data  # a window of its hugepage's mapping
 
     def write(self, offset, payload):
         end = offset + len(payload)
@@ -33,29 +36,45 @@ class Region:
 
 
 class HugepagePool:
-    """Bump allocator over a fixed number of mapped 1G hugepages."""
+    """Bump allocator over a fixed number of 1G hugepages.
+
+    A page is one anonymous mapping, made when the bump pointer first
+    enters it, so memory is demand-zero: a buffer costs the pages it
+    touched, not its length. (One mapping per hugepage, not per region:
+    the kernel caps mappings per process.) No region straddles a page.
+    """
 
     def __init__(self, n_pages=4, base_addr=0x1_0000_0000):
         self.capacity = n_pages * HUGEPAGE_SIZE
         self.base_addr = base_addr
         self.brk = 0
-        self.regions = {}
+        self._pages = []  # memoryview per mapped hugepage
+        self._regions = []  # in address order (the allocator only bumps)
+        self._starts = []  # their pool offsets, for region_at's bisect
 
     def alloc(self, length, align=64):
         """Allocate a region; returns :class:`Region`."""
-        start = -(-self.brk // align) * align
-        if start + length > self.capacity:
+        page, offset = divmod(-(-self.brk // align) * align, HUGEPAGE_SIZE)
+        if offset + length > HUGEPAGE_SIZE:
+            page, offset = page + 1, 0  # never straddle: start on the next page
+        start = page * HUGEPAGE_SIZE + offset
+        if length > HUGEPAGE_SIZE or start + max(length, 1) > self.capacity:
             raise MemoryError("hugepage pool exhausted")
+        while len(self._pages) <= page:
+            self._pages.append(memoryview(mmap.mmap(-1, HUGEPAGE_SIZE)))
         self.brk = start + length
-        region = Region(self.base_addr + start, length)
-        self.regions[region.addr] = region
+        region = Region(self.base_addr + start, self._pages[page][offset : offset + length])
+        self._regions.append(region)
+        self._starts.append(start)
         return region
 
     def region_at(self, addr):
         """Find the region containing physical address ``addr``."""
-        for base, region in self.regions.items():
-            if base <= addr < base + region.length:
-                return region, addr - base
+        slot = bisect_right(self._starts, addr - self.base_addr) - 1
+        if slot >= 0:
+            region = self._regions[slot]
+            if addr < region.addr + region.length:
+                return region, addr - region.addr
         raise KeyError("no region at address 0x{:x}".format(addr))
 
     @property

@@ -21,6 +21,9 @@ little plainness for speed where profiles said it matters:
   object identity is just reused after death.
 * :class:`Condition` results are built directly from the sub-event list
   instead of a tracking set; bound-method callbacks are created once.
+* A process that returns while nobody waits on it schedules no exit
+  event (:meth:`Event.settle`): the dispatch would run nothing, and
+  removing an event that runs nothing cannot reorder the rest.
 
 Everything observable — event ordering, timestamps, values, error
 propagation — is pinned by ``tests/sim`` (including hypothesis
@@ -124,6 +127,20 @@ class Event:
             heappush(sim._heap, (sim.now, NORMAL, sim._seq, self))
         return self
 
+    def settle(self, value=None):
+        """:meth:`succeed`, scheduling nothing when nobody is waiting.
+
+        Dispatching an empty callback list runs nothing, so the event is
+        marked dispatched on the spot and a later waiter takes the
+        already-fired path (at once, not in the dispatch's position —
+        which is why :meth:`succeed` itself must not do this).
+        """
+        if self.callbacks:
+            return self.succeed(value)
+        self._value = value
+        self.callbacks = None
+        return self
+
     def __repr__(self):
         state = "triggered" if self.triggered else "pending"
         return "<{} {}>".format(type(self).__name__, state)
@@ -205,9 +222,7 @@ class Process(Event):
             else:
                 result = self._generator.throw(event._value)
         except StopIteration as stop:
-            self._ok = True
-            self._value = stop.value
-            sim._post(self, NORMAL)
+            self.settle(stop.value)
             sim._active_process = None
             return
         except BaseException as exc:

@@ -8,12 +8,12 @@ from repro.libtoe.errors import ConnectRefusedError
 from repro.net import LossInjector
 
 
-def build(seed=9, server_kwargs=None, loss=None):
+def build(seed=9, server_kwargs=None, loss=None, client_kwargs=None):
     bed = Testbed(seed=seed)
     if loss is not None:
         bed.switch.loss = LossInjector(bed.rng.stream("loss"), probability=loss, protect_control=False)
     server = bed.add_flextoe_host("server", cp_kwargs=server_kwargs)
-    client = bed.add_flextoe_host("client")
+    client = bed.add_flextoe_host("client", cp_kwargs=client_kwargs)
     return bed, server, client
 
 
@@ -250,3 +250,331 @@ def test_passive_close_just_before_a_tick_keeps_its_fin(syn_offset_ns):
     assert (seen.get("second"), seen.get("second_fin")) == (b"hello", False)
     assert (seen.get("third"), seen.get("third_fin")) == (b"hello", False)
     assert seen["later_indices"][1] == seen["first_index"]  # the index is reused
+
+
+# -- poll exactness (DESIGN §12) ----------------------------------------------
+#
+# Timers and congestion control run on demand, on the 50 us grid the
+# fixed-period loops used to tick on. Every instant below was captured
+# with these same scenarios at the last commit that had the loops
+# (eade4b4); a poll that is skipped must have been the identity, so none
+# of them may move.
+
+
+def spy(obj, name, log, sim, pick=lambda *args: args):
+    """Log ``(now, *pick(*args))`` for every call of ``obj.name``."""
+    original = getattr(obj, name)
+
+    def wrapper(*args):
+        log.append((sim.now,) + tuple(pick(*args)))
+        return original(*args)
+
+    setattr(obj, name, wrapper)
+
+
+def pair(seed=9, server_config=None, client_cp=None):
+    server_kwargs = {"config": server_config} if server_config else None
+    bed, server, client = build(seed, server_kwargs, client_kwargs=client_cp)
+    bed.seed_all_arp()
+    return bed, server, client
+
+
+def echo_server(ctx, port=7000):
+    listener = ctx.listen(port)
+    sock = yield from ctx.accept(listener)
+    while True:
+        data = yield from ctx.recv(sock, 65536)
+        if not data:
+            return
+        yield from ctx.send(sock, data)
+
+
+def test_rto_fires_on_the_same_ticks_after_a_quiet_spell():
+    bed, server, client = pair()
+    sim = bed.sim
+    posted = []
+    spy(client.nic, "post_hc", posted, sim, pick=lambda _ctx, descriptor: (descriptor.kind,))
+    ctx = client.new_context()
+
+    def client_app():
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield from ctx.send(sock, b"ping")
+        yield from ctx.recv(sock, 1024)
+        yield sim.timeout(700_000 - sim.now)  # quiet for more than ten ticks
+        assert not client.control_plane._poll.pending
+        client.station.port.link.set_up(False)  # every (re)transmission is lost
+        yield from ctx.send(sock, b"x" * 1000)
+
+    sim.process(echo_server(server.new_context()), name="server")
+    sim.process(client_app(), name="client")
+    sim.run(until=3_000_000)
+    # First RTO, then the backed-off second one.
+    assert [t for t, kind in posted if kind == "retransmit"][:2] == [1_050_000, 1_600_000]
+
+
+def test_zero_window_probe_fires_on_the_same_ticks():
+    from repro.control.plane import ControlPlaneConfig
+
+    bed, server, client = pair(server_config=ControlPlaneConfig(rx_buffer_size=4096))
+    sim = bed.sim
+    posted = []
+    spy(client.nic, "post_hc", posted, sim, pick=lambda _ctx, descriptor: (descriptor.kind,))
+    server_ctx, ctx = server.new_context(), client.new_context()
+
+    def server_app():
+        yield from server_ctx.accept(server_ctx.listen(7000))  # and never recv
+
+    def client_app():
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield sim.timeout(600_000 - sim.now)
+        yield from ctx.send(sock, b"y" * 16384)
+
+    sim.process(server_app(), name="server")
+    sim.process(client_app(), name="client")
+    sim.run(until=3_000_000)
+    assert [t for t, kind in posted if kind == "probe"][:2] == [950_000, 1_500_000]
+
+
+@pytest.mark.parametrize("server_closes, removed_at", [(True, 650_000), (False, 2_650_000)])
+def test_closed_connection_is_removed_on_the_same_tick(server_closes, removed_at):
+    # `done` on the first tick after the FIN exchange; without the peer's
+    # FIN, on the first tick past LINGER_NS.
+    bed, server, client = pair()
+    sim = bed.sim
+    removed = []
+    spy(client.nic, "remove_connection", removed, sim)
+    server_ctx, ctx = server.new_context(), client.new_context()
+
+    def server_app():
+        sock = yield from server_ctx.accept(server_ctx.listen(7000))
+        while (yield from server_ctx.recv(sock, 1024)) != b"":
+            pass
+        if server_closes:
+            yield from server_ctx.close(sock)
+
+    def client_app():
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield from ctx.send(sock, b"bye")
+        yield sim.timeout(630_000 - sim.now)
+        yield from ctx.close(sock)
+
+    sim.process(server_app(), name="server")
+    sim.process(client_app(), name="client")
+    sim.run(until=5_000_000)
+    assert [t for t, _index in removed] == [removed_at]
+    directory = client.control_plane.directory
+    assert not directory.timer_armed and not directory.cc_armed
+    assert not client.control_plane._poll.pending
+
+
+def rate_trace(cc=None, until=1_100_000):
+    """set_flow_rate and read_cc_stats calls on the client of a bursty echo."""
+    bed, server, client = pair(client_cp={"cc": cc} if cc is not None else None)
+    sim = bed.sim
+    rates, polls = [], []
+    spy(client.nic, "set_flow_rate", rates, sim)
+    spy(client.nic, "read_cc_stats", polls, sim)
+    ctx = client.new_context()
+
+    def client_app():
+        sock = yield from ctx.connect(server.ip, 7000)
+        for size in (64, 3000, 64, 9000, 64):
+            yield from ctx.send(sock, b"r" * size)
+            got = 0
+            while got < size:
+                got += len((yield from ctx.recv(sock, 65536)))
+            yield sim.timeout(130_000)
+
+    sim.process(echo_server(server.new_context()), name="server")
+    sim.process(client_app(), name="client")
+    sim.run(until=until)
+    return rates, polls
+
+
+def test_a_new_flows_rate_is_programmed_on_the_same_ticks():
+    rates, polls = rate_trace()
+    # At establishment, then slow start doubling on the first poll that
+    # has feedback, then past `uncongested_bps` (0: unpaced).
+    assert rates == [(3_326, 0, 1_250_000_000), (50_000, 0, 2_500_000_000), (200_000, 0, 0)]
+    # DCTCP's no-feedback interval is the identity: only intervals with
+    # feedback were polled (the loop polled all 22).
+    assert len(polls) == 5
+
+
+def test_timely_polls_every_flow_every_interval():
+    from repro.control.cc import Timely
+
+    rates, polls = rate_trace(cc=Timely(), until=1_000_000)
+    # TIMELY adapts on the RTT estimate alone, so it does not declare
+    # `idle_is_identity`: 20 intervals, 20 polls, and the parent's rates.
+    assert [t for t, _index in polls] == list(range(50_000, 1_000_001, 50_000))
+    assert rates == [(3_326, 0, 1_250_000_000)] + [
+        (100_000 + 50_000 * k, 0, 1_255_000_000 + 5_000_000 * k) for k in range(19)
+    ]
+
+
+def test_cc_disabled_schedules_no_cc_tick():
+    bed, server, client = pair(client_cp={"cc_enabled": False})
+    sim = bed.sim
+    polls = []
+    spy(client.nic, "read_cc_stats", polls, sim)
+    ctx = client.new_context()
+    results = {}
+
+    def client_app():
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield sim.timeout(60_000 - sim.now)  # past the tick the handshake armed
+        results["armed_by_the_new_flow"] = client.control_plane._poll.pending
+        yield from ctx.send(sock, b"ping")
+        results["reply"] = yield from ctx.recv(sock, 1024)
+
+    sim.process(echo_server(server.new_context()), name="server")
+    sim.process(client_app(), name="client")
+    sim.run(until=1_000_000)
+    assert results == {"armed_by_the_new_flow": False, "reply": b"ping"}
+    assert polls == [] and not client.control_plane.directory.cc_armed
+
+
+def test_syn_retransmission_fires_on_the_same_ticks():
+    bed, server, client = pair()
+    sim = bed.sim
+    syns = []
+    spy(client.control_plane, "_send_syn", syns, sim, pick=lambda _pending: ())
+    server.station.port.link.set_up(False)
+    ctx = client.new_context()
+
+    def client_app():
+        yield sim.timeout(123_456)
+        yield from ctx.connect(server.ip, 7000)
+
+    sim.process(client_app(), name="client")
+    sim.run(until=3_400_000)
+    assert [t for (t,) in syns] == [124_456, 1_150_000, 2_150_000, 3_150_000]
+
+
+def test_half_open_reaper_fires_on_the_same_ticks():
+    from repro.apps.attackgen import Attacker
+    from repro.control.plane import ControlPlaneConfig
+    from repro.proto import str_to_ip, str_to_mac
+
+    config = ControlPlaneConfig(
+        syn_defense_enabled=True, embryonic_limit=8, half_open_timeout_ns=400_000
+    )
+    bed, server, _client = pair(seed=11, server_config=config)
+    sim = bed.sim
+    server.new_context().listen(7000, backlog=64)
+    station = bed.topology.attach(
+        "attacker", mac=str_to_mac("02:00:00:00:00:99"), ip=str_to_ip("10.0.200.9")
+    )
+    attacker = Attacker(sim, station, server.ip, server.mac, 7000, seed=5)
+    plane = server.control_plane
+    reaped = []
+
+    def watch():
+        seen = 0
+        while True:
+            yield sim.timeout(1_000)
+            if plane.embryonic_reaped != seen:
+                seen = plane.embryonic_reaped
+                reaped.append((sim.now, seen))
+
+    def flood():
+        yield sim.timeout(210_000)
+        yield from attacker.syn_flood(3, 40_000, src_pool=3)
+
+    sim.process(watch(), name="watch")
+    sim.process(flood(), name="flood")
+    sim.run(until=1_500_000)
+    assert reaped == [(650_000, 1), (700_000, 3)]
+    assert not plane.pending and not plane._poll.pending  # nothing left to wait for
+
+
+def test_grid_poll_serves_an_arm_on_a_grid_instant_at_the_next_one():
+    from repro.control.plane import GridPoll
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    sim.run(until=7)  # the epoch need not be zero
+    ticks = []
+    work = {"left": 0}
+
+    def body():
+        ticks.append(sim.now)
+        work["left"] -= 1
+        return work["left"] > 0
+
+    poll = GridPoll(sim, 50, body)
+    sim.run(until=1_000)
+    assert ticks == [] and sim.processed_events == 0  # unarmed: no events at all
+
+    def arm_at(when, visits):
+        def fire(_event):
+            work["left"] = visits
+            poll.arm()
+            poll.arm()  # a second arm rides the pending tick
+
+        sim.timeout(when - sim.now).callbacks.append(fire)
+
+    arm_at(1_020, 1)  # mid-interval: the next grid instant
+    arm_at(1_207, 3)  # exactly on a grid instant (7 + 24 * 50): the one after it
+    sim.run(until=2_000)
+    assert ticks == [1_057, 1_257, 1_307, 1_357]
+    assert not poll.pending and sim.peek() is None
+
+
+def test_nothing_is_visited_while_degraded_and_armed_entries_survive_the_outage():
+    bed, server, client = pair()
+    sim = bed.sim
+    plane = client.control_plane
+    visits = []
+    spy(plane, "_poll_timers", visits, sim, pick=lambda _now: ())
+    ctx = client.new_context()
+    seen = {}
+
+    def client_app():
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield from ctx.send(sock, b"ping")
+        yield from ctx.recv(sock, 1024)
+        yield sim.timeout(400_000 - sim.now)
+        server.station.port.link.set_up(False)  # keep the next send unacknowledged
+        yield from ctx.send(sock, b"x" * 1000)
+        yield sim.timeout(20_000)
+        seen["armed_before_crash"] = set(plane.directory.timer_armed)
+        client.nic.crash()
+
+    sim.process(echo_server(server.new_context()), name="server")
+    sim.process(client_app(), name="client")
+    sim.run(until=2_000_000)
+    recovery = plane.recovery
+    assert recovery.recoveries == 1
+    detect, recovered = recovery.last_detect_ns, recovery.last_recovery_ns
+    (entry,) = plane.directory
+    assert seen["armed_before_crash"] == {entry}
+    times = [t for (t,) in visits]
+    # Ticks up to the detection, none during the outage, and the first
+    # one after re-offload is the grid instant recovery completed on.
+    assert [t for t in times if detect <= t < recovered] == []
+    assert detect - 50_000 in times and recovered in times
+    # That tick visited the entry armed before the crash: its stall clock
+    # restarted there (re-offload had reset it).
+    assert entry in plane.directory.timer_armed
+    assert entry.record.proto.tx_sent > 0
+    assert entry.last_snd_una is not None
+
+
+def test_directory_order_survives_index_reuse_and_remove_disarms():
+    from types import SimpleNamespace
+
+    from repro.control.connection import ConnectionDirectory
+
+    directory = ConnectionDirectory()
+    record = lambda n: SimpleNamespace(four_tuple=("local", "peer", 7000, n))  # noqa: E731
+    first = directory.add(0, record(1), None, 0)
+    second = directory.add(1, record(2), None, 0)
+    directory.timer_armed.update((first, second))
+    directory.cc_armed.add(first)
+    assert directory.remove(0) is first  # whoever removes it (teardown, splice) disarms it
+    assert directory.timer_armed == {second} and not directory.cc_armed
+    reused = directory.add(0, record(3), None, 0)  # index 0 again, but added last
+    directory.timer_armed.add(reused)
+    assert directory.in_order(directory.timer_armed) == [second, reused] == list(directory)

@@ -89,6 +89,29 @@ def test_region_lookup_by_address():
         mem.region_at(0xDEAD)
 
 
+def test_hugepages_are_mapped_on_demand_and_regions_never_straddle_one():
+    pool = HugepagePool(n_pages=2)
+    assert pool._pages == []  # nothing is mapped until something is carved
+    head = pool.alloc(HUGEPAGE_SIZE - 4096)
+    assert len(pool._pages) == 1
+    assert head.read(HUGEPAGE_SIZE - 8192, 16) == bytes(16)  # demand-zero
+    empty = pool.alloc(0)  # zero-length regions still work
+    assert empty.length == 0 and empty.read(0, 0) == b""
+    with pytest.raises(IndexError):
+        empty.write(0, b"x")
+    # 8 KB no longer fits in page 0: the region starts on page 1, whole.
+    tail = pool.alloc(8192)
+    assert tail.addr == pool.base_addr + HUGEPAGE_SIZE and len(pool._pages) == 2
+    tail.write(8192 - 5, b"hello")
+    assert tail.read(8192 - 5, 5) == b"hello"
+    assert pool.region_at(tail.addr + 100) == (tail, 100)
+    assert pool.region_at(head.addr) == (head, 0)
+    with pytest.raises(KeyError):
+        pool.region_at(head.addr + head.length + 7)  # the skipped tail of page 0
+    with pytest.raises(MemoryError):
+        pool.alloc(HUGEPAGE_SIZE)  # what is left of page 1 cannot hold it
+
+
 def test_machine_aggregate_accounting():
     sim = Simulator()
     machine = Machine(sim, "srv", n_cores=2)

@@ -7,7 +7,10 @@ preserve three kernel invariants exactly:
 * events scheduled for the same instant fire in schedule order (FIFO
   tie-break via the global sequence counter);
 * the free lists only ever hold dead, drained events — a recycled
-  object can never alias an event something still waits on.
+  object can never alias an event something still waits on;
+* a process nobody waits on costs its own steps and nothing else: its
+  exit is not dispatched, and adding such processes to a schedule never
+  changes the order in which everything else runs.
 """
 
 from hypothesis import given, settings
@@ -101,6 +104,45 @@ def test_pools_hold_only_dead_events(data):
                 assert id(event) not in scheduled
     sim.run()
     assert len(done) == len(chains)
+
+
+_STEPS = st.lists(st.integers(min_value=0, max_value=6), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_STEPS, min_size=1, max_size=8), st.lists(_STEPS, max_size=8))
+def test_waiterless_processes_never_reorder_what_is_observed(chains, silent):
+    # The tiny delay range forces same-instant collisions between the
+    # observed steps and the silent processes' steps and exits.
+    def observe(background):
+        sim = Simulator()
+        order = []
+
+        def observed(index, steps):
+            for step, delay in enumerate(steps):
+                yield sim.timeout(delay)
+                order.append((index, step, sim.now))
+
+        def unobserved(steps):
+            for delay in steps:
+                yield sim.timeout(delay)
+            return "nobody asks"
+
+        for index, steps in enumerate(chains):
+            sim.process(observed(index, steps))
+            if index < len(background):  # interleave creation order too
+                sim.process(unobserved(background[index]))
+        for steps in background[len(chains) :]:
+            sim.process(unobserved(steps))
+        sim.run()
+        return order, sim.processed_events
+
+    alone, alone_events = observe([])
+    mixed, mixed_events = observe(silent)
+    assert mixed == alone
+    # Each silent process pays its Initialize and its timeouts; its exit
+    # is never dispatched.
+    assert mixed_events - alone_events == sum(1 + len(steps) for steps in silent)
 
 
 def test_referenced_event_is_never_recycled():
