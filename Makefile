@@ -20,11 +20,23 @@ sanitize:
 durations:
 	$(PY) -m pytest --durations=20 | sed -n '/slowest 20 durations/,$$p'
 
-# Lines under src/repro, total and per package: ROADMAP item 3's line
-# target, tracked in CI beside the durations table.
+# Lines under src/repro, total and per package: ROADMAP item 4's line
+# target, tracked in CI beside the durations table. With BASE=<git ref>
+# it prints lines at BASE (a `git archive` of it, as perf-exact does),
+# lines here and the difference, so a reviewer reads the delta instead
+# of computing it. No threshold: a perf_opt PR may legitimately grow.
+#   make loc BASE=origin/main
 loc:
-	@for d in src/repro src/repro/*/; do \
-		printf '%6d %s\n' $$(find $$d -name '*.py' | xargs wc -l | awk 'END {print $$1}') $$d; \
+	@set -e; base="$(BASE)"; \
+	count() { find "$$1" -name '*.py' 2>/dev/null | xargs cat 2>/dev/null | wc -l; }; \
+	if [ -n "$$base" ]; then \
+		tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; git archive "$$base" src/repro | tar -x -C "$$tmp"; \
+		printf '%6s %6s %6s  %s\n' base here delta "(base = $$base)"; \
+	fi; \
+	for d in src/repro src/repro/*/; do \
+		here=$$(count $$d); \
+		if [ -n "$$base" ]; then was=$$(count "$$tmp/$$d"); printf '%6d %6d %+6d  %s\n' $$was $$here $$((here - was)) $$d; \
+		else printf '%6d %s\n' $$here $$d; fi; \
 	done
 
 # Gate on findings not present in the committed baseline (all passes:

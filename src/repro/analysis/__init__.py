@@ -6,7 +6,7 @@ load, and only the atomic protocol stage mutates per-connection
 protocol state while replicated pre/post stages stay read-only. This
 package makes both checkable:
 
-* :mod:`repro.analysis.cfg` — control-flow graphs over XDP VM programs.
+* :mod:`repro.analysis.cfg` — instruction successors of XDP VM programs.
 * :mod:`repro.analysis.dataflow` — the abstract domain (register typing,
   stack initialization, verified packet bounds) and its meet operator.
 * :mod:`repro.analysis.verifier` — the CFG/worklist program verifier

@@ -1,13 +1,10 @@
-"""Control-flow graphs over XDP VM programs.
+"""Control flow over XDP VM programs.
 
-A program (list of :class:`repro.xdp.vm.Insn`) is partitioned into
-basic blocks at jump targets and after terminators; the verifier's
-worklist runs over per-instruction successors, while the block view
-supports unreachable-code reporting and tests.
-
-The CFG builder is purely structural: it does not judge whether targets
-are sane (the verifier's pre-pass does), it only refuses to build edges
-that leave the program, reporting them as ``None`` successors.
+A program is a list of :class:`repro.xdp.vm.Insn`; the verifier's
+worklist runs over per-instruction successors, and the dead-code lint
+classifies instructions by the same mnemonic families. The successor
+function is purely structural: it does not judge whether targets are
+sane (the verifier's pre-pass does).
 """
 
 JUMP_BASES = frozenset(
@@ -35,85 +32,3 @@ def insn_successors(program, index):
     if base in JUMP_BASES:
         return [index + 1, index + 1 + insn.off]
     return [index + 1]
-
-
-class BasicBlock:
-    """A maximal straight-line run of instructions."""
-
-    __slots__ = ("index", "start", "end", "successors")
-
-    def __init__(self, index, start, end):
-        self.index = index
-        self.start = start  # first instruction index
-        self.end = end  # one past the last instruction index
-        self.successors = []  # block indices; None marks an edge leaving the program
-
-    @property
-    def terminator(self):
-        return self.end - 1
-
-    def __repr__(self):
-        return "<block {} [{}:{}) -> {}>".format(self.index, self.start, self.end, self.successors)
-
-
-class Cfg:
-    """Basic blocks plus entry/reachability queries."""
-
-    def __init__(self, program, blocks, block_of):
-        self.program = program
-        self.blocks = blocks
-        self._block_of = block_of  # instruction index -> block index
-
-    def block_at(self, insn_index):
-        """The block containing instruction ``insn_index``."""
-        return self.blocks[self._block_of[insn_index]]
-
-    def reachable_blocks(self):
-        """Block indices reachable from the entry block."""
-        seen = set()
-        stack = [0] if self.blocks else []
-        while stack:
-            index = stack.pop()
-            if index in seen or index is None:
-                continue
-            seen.add(index)
-            for succ in self.blocks[index].successors:
-                if succ is not None and succ not in seen:
-                    stack.append(succ)
-        return seen
-
-    def unreachable_blocks(self):
-        reachable = self.reachable_blocks()
-        return [block for block in self.blocks if block.index not in reachable]
-
-
-def build_cfg(program):
-    """Partition ``program`` into basic blocks and wire successor edges."""
-    n = len(program)
-    if n == 0:
-        return Cfg(program, [], [])
-    leaders = {0}
-    for index in range(n):
-        succs = insn_successors(program, index)
-        base = insn_base(program[index])
-        if base == "exit" or base == "ja" or base in JUMP_BASES:
-            # Instruction ends a block: its in-range successors lead blocks.
-            for succ in succs:
-                if 0 <= succ < n:
-                    leaders.add(succ)
-            if index + 1 < n:
-                leaders.add(index + 1)
-    ordered = sorted(leaders)
-    block_of = [0] * n
-    blocks = []
-    for block_index, start in enumerate(ordered):
-        end = ordered[block_index + 1] if block_index + 1 < len(ordered) else n
-        block = BasicBlock(block_index, start, end)
-        blocks.append(block)
-        for insn_index in range(start, end):
-            block_of[insn_index] = block_index
-    leader_to_block = {block.start: block.index for block in blocks}
-    for block in blocks:
-        for succ in insn_successors(program, block.terminator):
-            block.successors.append(leader_to_block.get(succ) if 0 <= succ < n else None)
-    return Cfg(program, blocks, block_of)

@@ -128,7 +128,7 @@ def certify_builtins():
 
 def run_all(root=None):
     """Run every pass; returns ``(findings, checked)``."""
-    from repro.analysis import simlint, stagelint
+    from repro.analysis import hblint, simlint, stagelint
 
     findings, n_programs = _verify_builtins()
     checked = {PASS_XDP: n_programs}
@@ -137,21 +137,20 @@ def run_all(root=None):
     findings.extend(dead_findings)
     checked[PASS_DEADCODE] = n_dead
 
-    stage_paths = stagelint.default_paths()
-    findings.extend(stagelint.lint_stages(stage_paths))
-    checked["stage-race"] = len(stage_paths)
+    # One parsed program for the four pipeline passes.
+    program = stagelint.build_program()
+    findings.extend(stagelint.lint_stages(program))
+    checked["stage-race"] = len(program.filenames)
 
-    findings.extend(stagelint.lint_atomicity(stage_paths))
-    checked[PASS_ATOMIC] = len(stage_paths)
+    findings.extend(stagelint.lint_atomicity(program))
+    checked[PASS_ATOMIC] = len(program.filenames)
 
-    from repro.analysis import hblint
-
-    hb_model, hb_verdicts = hblint.field_verdicts(stage_paths)
-    findings.extend(hblint.lint_hb(verdicts=hb_verdicts))
+    hb_verdicts = hblint.field_verdicts(program)
+    findings.extend(hblint.lint_hb(hb_verdicts))
     checked[PASS_HB] = len(hb_verdicts)
 
-    findings.extend(hblint.lint_ordering(stage_paths))
-    checked[PASS_ORDER] = len(hb_model.stages)
+    findings.extend(hblint.lint_ordering(program))
+    checked[PASS_ORDER] = len(program.stage_classes())
 
     sim_findings = simlint.lint_tree(root)
     findings.extend(sim_findings)

@@ -445,10 +445,6 @@ class ScalarVal:
             return ScalarVal.const(-value)
         return ScalarVal.top()
 
-    def bswap(self, width):
-        # A byte swap of a width-bit quantity stays within width bits.
-        return ScalarVal.bounded((1 << width) - 1)
-
     def trunc32(self):
         interval = self.interval
         if interval.hi <= U32:

@@ -8,11 +8,14 @@ updates. That discipline is invisible to a conventional race detector —
 nothing is ever locked — so this module checks it statically, from the
 AST, as a happens-before model:
 
-* **stage graph** — every class carrying a ``STAGE_KIND`` anchor is a
-  pipeline stage; ``REPLICATED`` marks stages whose program runs on
-  several FPC threads concurrently. ``FlexToeDatapath.SEQR_DOMAINS``
-  and ``ORDERED_RINGS`` name the sequencer→GRO domains and the rings
-  whose per-key FIFO order is a delivery contract.
+* **stage graph** — declared, not inferred: every class carrying a
+  ``STAGE_KIND`` anchor is a pipeline stage and ``REPLICATED`` marks
+  those whose program runs on several FPC threads concurrently (read off
+  the shared :class:`~repro.analysis.stagelint.Program`);
+  ``FlexToeDatapath.SEQR_DOMAINS`` and ``RINGS`` — imported, the very
+  objects assembly wires by — name the sequencer→GRO domains, the ring
+  each kind drains (its pipeline position) and the rings whose per-key
+  FIFO order is a delivery contract.
 * **hb-race pass** — per connection-state field, the union of stage
   kinds that read or write it (through arbitrary helper call depth,
   reusing :mod:`repro.analysis.stagelint`'s interprocedural
@@ -40,9 +43,8 @@ AST, as a happens-before model:
     and an offer of a ``piggyback_ack`` alias must follow the
     ``nic_deliver`` call that made the notification host-visible.
 
-The extracted :class:`HBModel` is also the basis of the runtime monitor
-(:mod:`repro.analysis.hbmonitor`), which validates observed
-interleavings against the same edges under ``REPRO_SANITIZE=1``.
+The runtime monitor (:mod:`repro.analysis.hbmonitor`) validates observed
+interleavings against the same ``RINGS`` table under ``REPRO_SANITIZE=1``.
 """
 
 import ast
@@ -50,10 +52,13 @@ import os
 
 from repro.analysis import stagelint
 from repro.analysis.report import PASS_HB, PASS_ORDER, Finding
+from repro.flextoe.datapath import FlexToeDatapath
 
-#: Topological index of each stage kind in the pipeline DAG. ``ctx`` and
-#: ``nbi`` share an index: both are leaves downstream of ``dma``.
-STAGE_ORDER = {"pre": 0, "proto": 1, "post": 2, "dma": 3, "ctx": 4, "nbi": 4}
+SEQR_DOMAINS = FlexToeDatapath.SEQR_DOMAINS
+#: Rings whose enqueue order is a per-key delivery contract -> the key.
+ORDERED_RINGS = {ring: key for ring, (_kind, _producers, key) in FlexToeDatapath.RINGS.items() if key}
+#: Pipeline position of each stage kind: that of the ring it drains.
+STAGE_ORDER = {kind: index for index, (kind, _producers, _key) in enumerate(FlexToeDatapath.RINGS.values())}
 
 #: Datapath entry code (``_on_mac_rx``, doorbell handlers) runs before
 #: any stage: sequencer tickets assigned there precede the whole DAG.
@@ -63,104 +68,6 @@ VERDICT_IMMUTABLE = "immutable"
 VERDICT_ATOMIC = "atomic"
 VERDICT_OWNED = "owned"
 VERDICT_RACE = "hb-race"
-
-
-class StageModel:
-    """One pipeline stage class, as declared by its anchors."""
-
-    __slots__ = ("class_name", "kind", "replicated", "serializes_per_conn", "filename")
-
-    def __init__(self, class_name, kind, replicated, serializes_per_conn, filename):
-        self.class_name = class_name
-        self.kind = kind
-        self.replicated = replicated
-        self.serializes_per_conn = serializes_per_conn
-        self.filename = filename
-
-
-class HBModel:
-    """The static pipeline model: stages + ordering-device anchors."""
-
-    __slots__ = ("stages", "seqr_domains", "ordered_rings")
-
-    def __init__(self, stages, seqr_domains, ordered_rings):
-        self.stages = stages  # {class_name: StageModel}
-        self.seqr_domains = seqr_domains  # {seqr attr: gro attr}
-        self.ordered_rings = ordered_rings  # {ring attr: per-key kind}
-
-    def kind_of(self, class_name):
-        stage = self.stages.get(class_name)
-        return stage.kind if stage is not None else None
-
-
-def _read_sources(paths):
-    sources = []
-    for path in paths:
-        with open(path) as handle:
-            sources.append((handle.read(), path))
-    return sources
-
-
-def _const_dict(node):
-    """``{str: str}`` from a dict literal of string constants, else None."""
-    if not isinstance(node, ast.Dict):
-        return None
-    out = {}
-    for key, value in zip(node.keys, node.values):
-        if not (isinstance(key, ast.Constant) and isinstance(value, ast.Constant)):
-            return None
-        out[key.value] = value.value
-    return out
-
-
-def extract_model(sources, with_fallback=True):
-    """Parse stage/anchor declarations out of ``[(source, filename)]``.
-
-    When the provided sources carry no ``SEQR_DOMAINS``/``ORDERED_RINGS``
-    anchors (a caller linting a subset, e.g. one fixture file), the real
-    ``repro/flextoe/datapath.py`` is consulted for them, so fixtures
-    exercise the production ordering model.
-    """
-    stages = {}
-    seqr_domains = {}
-    ordered_rings = {}
-    for source, filename in sources:
-        tree = ast.parse(source, filename=filename)
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            attrs = {}
-            for statement in node.body:
-                if (
-                    isinstance(statement, ast.Assign)
-                    and len(statement.targets) == 1
-                    and isinstance(statement.targets[0], ast.Name)
-                ):
-                    attrs[statement.targets[0].id] = statement.value
-            kind = attrs.get("STAGE_KIND")
-            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
-
-                def _flag(name):
-                    value = attrs.get(name)
-                    return bool(value.value) if isinstance(value, ast.Constant) else False
-
-                stages[node.name] = StageModel(
-                    node.name, kind.value, _flag("REPLICATED"),
-                    _flag("SERIALIZES_PER_CONN"), filename,
-                )
-            for anchor, target in (("SEQR_DOMAINS", seqr_domains), ("ORDERED_RINGS", ordered_rings)):
-                parsed = _const_dict(attrs.get(anchor))
-                if parsed:
-                    target.update(parsed)
-    if with_fallback and not (seqr_domains and ordered_rings):
-        datapath = stagelint._flextoe_path("datapath.py")
-        with open(datapath) as handle:
-            fallback = extract_model([(handle.read(), datapath)], with_fallback=False)
-        if not seqr_domains:
-            seqr_domains = fallback.seqr_domains
-        if not ordered_rings:
-            ordered_rings = fallback.ordered_rings
-    return HBModel(stages, seqr_domains, ordered_rings)
 
 
 # -- hb-race: cross-stage field footprints ---------------------------------
@@ -175,7 +82,7 @@ def _better_site(current, candidate):
     return current
 
 
-def stage_field_footprints(program, model, ownership):
+def stage_field_footprints(program):
     """Per connection-state field, which stage kinds read/write it.
 
     Returns ``{(partition, attr): {"writes": {kind: site},
@@ -189,6 +96,7 @@ def stage_field_footprints(program, model, ownership):
     """
     write_summaries, _cycles = stagelint.summarize(program)
     read_summaries = stagelint.summarize_reads(program)
+    ownership = program.ownership
     fields = {}
 
     def _bucket(partition, attr, side):
@@ -196,7 +104,7 @@ def stage_field_footprints(program, model, ownership):
         return entry[side]
 
     for qualname, info in program.items():
-        kind = model.kind_of(info.class_name)
+        kind = info.kind
         if kind is None:
             continue
         for token, attr, line, filename, _rmw, chain in write_summaries[qualname]:
@@ -214,40 +122,29 @@ def stage_field_footprints(program, model, ownership):
     return fields
 
 
-def field_verdicts(paths=None, ownership=None, registry=None):
-    """Judge every stage-touched connection-state field.
-
-    Returns ``(model, {(partition, attr): (verdict, footprint)})``.
-    """
-    sources = _read_sources(paths or stagelint.default_paths())
-    model = extract_model(sources)
-    if ownership is None:
-        ownership = stagelint.partition_ownership()
-    if registry is None:
-        registry = stagelint.atomic_registry()
-    program = stagelint.build_program(sources, ownership)
-    fields = stage_field_footprints(program, model, ownership)
+def field_verdicts(program):
+    """Judge every stage-touched connection-state field: returns
+    ``{(partition, attr): (verdict, footprint)}``."""
     verdicts = {}
-    for key, footprint in fields.items():
+    for key, footprint in stage_field_footprints(program).items():
         partition, attr = key
         writer_kinds = set(footprint["writes"])
         all_kinds = writer_kinds | set(footprint["reads"])
         if not writer_kinds:
             verdict = VERDICT_IMMUTABLE
-        elif registry.get(attr) == partition:
+        elif program.registry.get(attr) == partition:
             verdict = VERDICT_ATOMIC
         elif len(all_kinds) == 1:
             verdict = VERDICT_OWNED
         else:
             verdict = VERDICT_RACE
         verdicts[key] = (verdict, footprint)
-    return model, verdicts
+    return verdicts
 
 
-def lint_hb(paths=None, ownership=None, registry=None, verdicts=None):
-    """The ``hb-race`` pass: unordered cross-stage shared-field access."""
-    if verdicts is None:
-        _model, verdicts = field_verdicts(paths, ownership, registry)
+def lint_hb(verdicts):
+    """The ``hb-race`` pass over :func:`field_verdicts`: unordered
+    cross-stage shared-field access."""
     findings = []
     for (partition, attr) in sorted(verdicts):
         verdict, footprint = verdicts[(partition, attr)]
@@ -346,14 +243,14 @@ def _iter_calls(node):
             yield call
 
 
-def _collect_ordered_emissions(function, ordered_rings):
+def _collect_ordered_emissions(function):
     """``(lineno, label)`` for emissions whose per-key order is contractual."""
     emissions = []
     for call in _iter_calls(function):
         method = call.func.attr
         if method in ("put", "force_put", "try_put"):
             ring = _receiver_attr(call.func.value)
-            if ring in ordered_rings:
+            if ring in ORDERED_RINGS:
                 emissions.append((call.lineno, ring))
         elif method == "nic_deliver":
             emissions.append((call.lineno, "nic_deliver"))
@@ -396,13 +293,11 @@ def _kind_regions(function):
     return [function.body]
 
 
-def _write_ahead_findings(function, filename, model):
+def _write_ahead_findings(function, filename):
     """``ack-before-notify``: the §3.1.3 write-ahead rule, both halves."""
     findings = []
-    notification_rings = {
-        ring for ring, key in model.ordered_rings.items() if key == "context"
-    }
-    gro_attrs = set(model.seqr_domains.values())
+    notification_rings = {ring for ring, key in ORDERED_RINGS.items() if key == "context"}
+    gro_attrs = set(SEQR_DOMAINS.values())
     # O1: a region emitting notifications and offering the segment's ACK
     # must piggyback the ACK on a notification instead.
     for region in _kind_regions(function):
@@ -493,54 +388,26 @@ def _write_ahead_findings(function, filename, model):
     return findings
 
 
-def lint_ordering(paths=None):
+def lint_ordering(program):
     """The ``ordering`` pass: fence, sequencer, and write-ahead checks."""
-    sources = _read_sources(paths or stagelint.default_paths())
-    model = extract_model(sources)
     findings = []
 
-    # Gather sequencer assign/offer sites across all sources first: the
-    # unsequenced-gro-offer check is whole-program (the ticket may be
+    # Gather sequencer assign/offer sites across the whole program first:
+    # the unsequenced-gro-offer check is whole-program (the ticket may be
     # taken in a different stage than the offer).
-    gro_to_seqr = {gro: seqr for seqr, gro in model.seqr_domains.items()}
-    assign_indices = {seqr: set() for seqr in model.seqr_domains}
-    offer_sites = []  # (seqr, stage index, kind, filename, lineno)
-    stage_functions = []  # (StageModel, FunctionDef, filename)
+    gro_to_seqr = {gro: seqr for seqr, gro in SEQR_DOMAINS.items()}
+    assign_indices = {seqr: set() for seqr in SEQR_DOMAINS}
+    offer_sites = []  # (seqr, stage index, gro, filename, lineno)
+    methods = [info for info in program.values() if info.class_name is not None]
 
-    for source, filename in sources:
-        tree = ast.parse(source, filename=filename)
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            stage = model.stages.get(node.name)
-            for function in node.body:
-                if not isinstance(function, ast.FunctionDef):
-                    continue
-                if stage is not None:
-                    stage_functions.append((stage, function, filename))
-                for call in _iter_calls(function):
-                    receiver = _receiver_attr(call.func.value)
-                    if call.func.attr == "assign" and receiver in assign_indices:
-                        index = (
-                            STAGE_ORDER.get(stage.kind, ENTRY_INDEX)
-                            if stage is not None
-                            else ENTRY_INDEX
-                        )
-                        assign_indices[receiver].add(index)
-                    elif (
-                        call.func.attr == "offer"
-                        and receiver in gro_to_seqr
-                        and stage is not None
-                    ):
-                        offer_sites.append(
-                            (
-                                gro_to_seqr[receiver],
-                                STAGE_ORDER.get(stage.kind, ENTRY_INDEX),
-                                receiver,
-                                filename,
-                                call.lineno,
-                            )
-                        )
+    for info in methods:
+        index = STAGE_ORDER.get(info.kind, ENTRY_INDEX)
+        for call in _iter_calls(info.node):
+            receiver = _receiver_attr(call.func.value)
+            if call.func.attr == "assign" and receiver in assign_indices:
+                assign_indices[receiver].add(index)
+            elif call.func.attr == "offer" and receiver in gro_to_seqr and info.kind is not None:
+                offer_sites.append((gro_to_seqr[receiver], index, receiver, info.filename, call.lineno))
 
     for seqr, index, gro, filename, lineno in offer_sites:
         indices = assign_indices.get(seqr, set())
@@ -558,28 +425,30 @@ def lint_ordering(paths=None):
             )
 
     # Per-function obligations: keyed fences and the write-ahead rule.
-    for stage, function, filename in stage_functions:
-        if stage.replicated:
-            fences = _collect_fences(function)
-            for lineno, label in _collect_ordered_emissions(function, model.ordered_rings):
+    for info in methods:
+        if info.kind is None:
+            continue
+        if info.replicated:
+            fences = _collect_fences(info.node)
+            for lineno, label in _collect_ordered_emissions(info.node):
                 if not any(start < lineno < end for start, end in fences):
                     findings.append(
                         Finding(
                             PASS_ORDER,
-                            filename,
+                            info.filename,
                             lineno,
                             "unfenced-ordered-emit",
                             "replicated stage '{}' emits into {} outside a "
                             "per-key fence: replicas finishing out of "
                             "order would break the ring's per-{} delivery "
                             "contract (§3.1.3)".format(
-                                stage.kind,
+                                info.kind,
                                 label,
-                                model.ordered_rings.get(label, "key"),
+                                ORDERED_RINGS.get(label, "key"),
                             ),
                         )
                     )
-        findings.extend(_write_ahead_findings(function, filename, model))
+        findings.extend(_write_ahead_findings(info.node, info.filename))
 
     findings.sort(key=lambda f: (f.path, f.line, f.code, f.message))
     return findings

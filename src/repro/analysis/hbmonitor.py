@@ -28,9 +28,11 @@ pipeline leaves every book empty and teardown has nothing to forget.
 Checks
 ------
 
-* **model edges** — every ring enqueue must come from a producer stage
-  the static stage graph names for that ring (owner tokens come from the
-  ownership sanitizer's process wrapping).
+* **model edges** — every ring enqueue must come from a producer the
+  data path's ``RINGS`` table declares for that ring (owner tokens come
+  from the ownership sanitizer's process wrapping). ``None`` owners
+  (control plane, the MAC's RX handler, test scaffolding) are never
+  checked — the invariant is about data-path stages.
 * **per-connection protocol order** — works enter ``dma_ring`` in the
   same per-connection order the protocol stage emitted them (the
   ``post_fence`` contract, §3.1.3).
@@ -48,19 +50,6 @@ from repro.analysis import sanitizer
 
 class HBViolationError(sanitizer.SanitizerError):
     """An observed interleaving contradicts the static HB model."""
-
-
-#: ring attribute -> owner tokens allowed to enqueue (stage kinds from
-#: the static stage graph; ``gro``/``seqr`` are the reorder-buffer
-#: delivery processes). ``None`` owners (control plane, test scaffolding)
-#: are never checked — the invariant is about data-path stages.
-EDGE_PRODUCERS = {
-    "proto": ("pre", "gro"),
-    "post": ("proto",),
-    "dma": ("post",),
-    "ctx": ("dma",),
-    "nbi": ("seqr",),
-}
 
 
 class _OrderBook:
@@ -139,13 +128,11 @@ class HbMonitor:
 
     def _install(self):
         dp = self.dp
-        for ring in dp.post_rings:
-            ring.tap = self._make_tap("post", self._on_post_put)
-        dp.dma_ring.tap = self._make_tap("dma", self._on_dma_put)
-        dp.ctx_ring.tap = self._make_tap("ctx", self._on_ctx_put)
-        dp.nbi_ring.tap = self._make_tap("nbi", None)
-        for ring in dp.proto_rings:
-            ring.tap = self._make_tap("proto", None)
+        handlers = {"post_rings": self._on_post_put, "dma_ring": self._on_dma_put, "ctx_ring": self._on_ctx_put}
+        for attr, (_consumer, producers, _key) in dp.RINGS.items():
+            tap = self._make_tap(attr, producers, handlers.get(attr))
+            for ring in dp.rings(attr):
+                ring.tap = tap
         for pair in dp.contexts.values():
             self.watch_context(pair)
         # The NBI sequencer's offer is the wire-commit point for ACKs
@@ -163,20 +150,16 @@ class HbMonitor:
 
         return observed
 
-    def _make_tap(self, edge, handler):
-        allowed = EDGE_PRODUCERS[edge]
-
+    def _make_tap(self, ring, producers, handler):
         def tap(item):
             if self.dp.crashed:
                 return
             self.checked_puts += 1
             owner = sanitizer.current_owner()
-            if owner is not None and owner[0] not in allowed:
+            if owner is not None and owner[0] not in producers:
                 raise HBViolationError(
-                    "hb-monitor: stage '{}' enqueued into the {} ring; the "
-                    "static stage graph allows only {}".format(
-                        owner[0], edge, "/".join(allowed)
-                    )
+                    "hb-monitor: stage '{}' enqueued into {}; the data path's "
+                    "RINGS table allows only {}".format(owner[0], ring, "/".join(producers))
                 )
             if handler is not None:
                 handler(item)

@@ -2,8 +2,10 @@
 
 The static race lint proves stage *code* respects the ownership
 contract; this sanitizer checks it dynamically for whatever actually
-executes, including extension modules and future refactors the lint's
-heuristics might miss. With ``REPRO_SANITIZE=1`` (or a programmatic
+executes, including extension modules and dynamic dispatch the lint's
+static view cannot follow. Both read the same declaration: a stage
+process carries its class's ``STAGE_KIND``, and the partition named like
+a kind is written by that kind only. With ``REPRO_SANITIZE=1`` (or a programmatic
 :func:`install`):
 
 * every partition of a connection installed in a connection table
@@ -34,12 +36,14 @@ production path pays one module-level boolean check at datapath
 construction and nothing per packet.
 """
 
+import functools
 import os
 
-#: Stage kind allowed to mutate protocol state.
+#: Kind of the atomic stage. The run-to-completion worker executes every
+#: stage's logic inline under this token.
 PROTO_STAGE = "proto"
-#: Stage kind owning the post-processor partition.
-POST_STAGE = "post"
+#: How the error names the one writer Table 5 gives a partition.
+_OWNER = {"proto": "the atomic protocol stage", "post": "the owning post stage"}
 
 _OWNER_STACK = []
 # (partition class, slab slot) -> flow_group. Keyed by storage identity,
@@ -79,45 +83,24 @@ def _check_pre(self, name, owning_group):
     )
 
 
-def _check_proto(self, name, owning_group):
+def _check_owned(partition, self, name, owning_group):
+    """Table 5: the partition named like a stage kind is written by that
+    kind only, and only by the owning flow group's instance."""
     if not _OWNER_STACK:
-        return  # control plane / construction
+        return  # control plane: construction, polls (take_cc_stats, fold_rtt_samples)
     stage, group = _OWNER_STACK[-1]
-    if stage != PROTO_STAGE:
+    # The run-to-completion worker runs the post logic inline under its
+    # 'proto' token — the same serialized execution, not a race;
+    # pipelined mode tags real post threads 'post'.
+    if stage not in (partition, PROTO_STAGE):
         raise SanitizerError(
-            "stage '{}' wrote ProtocolState.{} (flow group {}): only "
-            "the atomic protocol stage may mutate protocol state".format(
-                stage, name, owning_group
-            )
+            "stage '{}' wrote {}.{} (flow group {}): only {} may mutate the "
+            "{} partition".format(stage, type(self).__name__, name, owning_group, _OWNER[partition], partition)
         )
     if group is not None and group != owning_group:
         raise SanitizerError(
-            "protocol stage of flow group {} wrote ProtocolState.{} "
-            "owned by flow group {}: cross-flow-group write".format(
-                group, name, owning_group
-            )
-        )
-
-
-def _check_post(self, name, owning_group):
-    if not _OWNER_STACK:
-        return  # control-plane poll (take_cc_stats, fold_rtt_samples)
-    stage, group = _OWNER_STACK[-1]
-    # The run-to-completion worker executes the post logic inline under
-    # its 'proto' token; pipelined mode tags real post threads 'post'.
-    if stage not in (POST_STAGE, PROTO_STAGE):
-        raise SanitizerError(
-            "stage '{}' wrote PostprocState.{} (flow group {}): only the "
-            "owning post stage may mutate the app-interface partition".format(
-                stage, name, owning_group
-            )
-        )
-    if group is not None and group != owning_group:
-        raise SanitizerError(
-            "{} stage of flow group {} wrote PostprocState.{} owned by "
-            "flow group {}: cross-flow-group write".format(
-                stage, group, name, owning_group
-            )
+            "{} stage of flow group {} wrote {}.{} owned by flow group {}: "
+            "cross-flow-group write".format(stage, group, type(self).__name__, name, owning_group)
         )
 
 
@@ -130,8 +113,8 @@ def install():
 
     checks = (
         (PreprocState, _check_pre),
-        (ProtocolState, _check_proto),
-        (PostprocState, _check_post),
+        (ProtocolState, functools.partial(_check_owned, "proto")),
+        (PostprocState, functools.partial(_check_owned, "post")),
     )
     # Slot-keyed registrations must not outlive the slot: when a
     # connection record is garbage collected its slab slot recycles, and

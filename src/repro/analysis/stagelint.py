@@ -19,19 +19,20 @@ depends on who calls them.
 
 Ownership findings (``stage-race`` pass):
 
-* writes to protocol-owned attributes outside ``ProtocolStage`` /
-  :mod:`repro.flextoe.proto_logic` (``stage-writes-proto``);
+* writes to protocol-owned attributes outside the ``STAGE_KIND =
+  "proto"`` class / :mod:`repro.flextoe.proto_logic`
+  (``stage-writes-proto``);
 * writes to the pre-processor partition anywhere in the data-path —
   it is installed by the control plane and immutable after
   (``stage-writes-pre``);
-* writes to the post partition from stages other than the post stage
+* writes to the post partition from any kind but ``post``
   (``stage-writes-post``);
 * any connection-partition write from a ``DatapathModule.handle`` —
   modules get one-shot segment + metadata access only, never
   connection state (``module-writes-state``).
 
 Atomicity findings (``atomicity`` pass, :func:`lint_atomicity`):
-replicated stage instances of one flow group share their partition, so
+instances of a ``REPLICATED`` class of one flow group share their partition, so
 a read-modify-write (``x += ...`` or ``x = f(x)``) is lost-update-racy
 unless the field is declared in the ``atomic()`` registry of
 :mod:`repro.flextoe.state` — the declaration asserts the field is a
@@ -41,28 +42,27 @@ Undeclared replicated RMWs are ``replicated-unatomic-rmw``; an
 ``atomic_add`` call naming an undeclared field is
 ``atomic-undeclared-add``.
 
-Attribute ownership comes from the ``__slots__`` declarations in
-:mod:`repro.flextoe.state`, parsed statically, so the lint needs no
-imports of the code under analysis.
+Declarations are imported, code is parsed: field ownership is the
+partition classes' ``SLAB_FIELDS`` and the ``atomic()`` registry of
+:mod:`repro.flextoe.state`; what a class *is* comes from the anchors it
+carries (``STAGE_KIND`` / ``REPLICATED``, the ones the data path spawns
+by), never from its name. :func:`build_program` parses each module once
+into a :class:`Program` that all four pipeline passes (these two and
+:mod:`repro.analysis.hblint`'s) share, summaries included.
 """
 
 import ast
 import os
 
 from repro.analysis.report import PASS_ATOMIC, PASS_STAGE, Finding
+from repro.flextoe import state
 
 #: Partition accessor attributes on a ConnectionRecord.
 PARTITIONS = ("pre", "proto", "post")
 
-_STATE_CLASSES = {
-    "PreprocState": "pre",
-    "ProtocolState": "proto",
-    "PostprocState": "post",
-}
-
-ROLE_PROTOCOL = "protocol"  # the atomic stage: may write proto state
-ROLE_STAGE = "stage"  # replicated/read-only pipeline code
-ROLE_MODULE = "module"  # one-shot extension modules
+ROLE_PROTOCOL = "protocol"  # STAGE_KIND "proto", the atomic stage: may write proto state
+ROLE_STAGE = "stage"  # any other STAGE_KIND
+ROLE_MODULE = "module"  # one-shot extension modules (``handle``, no ``program``: §3.3)
 ROLE_PROTO_LOGIC = "proto-logic"  # pure functions called by the protocol stage
 ROLE_HELPER = "helper"  # no stage identity; judged at the call site
 
@@ -76,98 +76,59 @@ MAX_CHAIN_DEPTH = 8
 _PARAM_PREFIX = "param:"
 
 
-def _flextoe_path(name):
-    import repro.flextoe
-
-    return os.path.join(os.path.dirname(repro.flextoe.__file__), name)
-
-
 def default_paths():
-    """The data-path modules the race lint covers."""
-    return [
-        _flextoe_path("stages.py"),
-        _flextoe_path("proto_logic.py"),
-        _flextoe_path("module.py"),
-        _flextoe_path("seqr.py"),
-        _flextoe_path("statecache.py"),
-        _flextoe_path("datapath.py"),
-    ]
+    """The data-path modules the pipeline passes cover."""
+    root = os.path.dirname(state.__file__)
+    names = ("stages.py", "proto_logic.py", "module.py", "seqr.py", "statecache.py", "datapath.py")
+    return [os.path.join(root, name) for name in names]
 
 
-def partition_ownership(state_source=None):
-    """Parse ``repro/flextoe/state.py`` field declarations into ownership
-    sets.
-
-    Partition classes declare their fields as a class-level string tuple:
-    historically ``__slots__``, now ``SLAB_FIELDS`` (the slab-backed
-    flyweights keep real slots empty and declare columns instead). Both
-    spellings are parsed; underscore-prefixed names are implementation
-    slots, not state fields. Returns ``{attr_name: partition}`` for every
-    field of the three partition classes.
-    """
-    if state_source is None:
-        with open(_flextoe_path("state.py")) as handle:
-            state_source = handle.read()
-    ownership = {}
-    tree = ast.parse(state_source)
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef) or node.name not in _STATE_CLASSES:
-            continue
-        partition = _STATE_CLASSES[node.name]
-        for statement in node.body:
-            if not isinstance(statement, ast.Assign):
-                continue
-            targets = [t.id for t in statement.targets if isinstance(t, ast.Name)]
-            if "__slots__" not in targets and "SLAB_FIELDS" not in targets:
-                continue
-            if isinstance(statement.value, (ast.Tuple, ast.List)):
-                for element in statement.value.elts:
-                    if (
-                        isinstance(element, ast.Constant)
-                        and isinstance(element.value, str)
-                        and not element.value.startswith("_")
-                    ):
-                        ownership[element.value] = partition
-    return ownership
+def read_sources(paths):
+    """``[(source, filename), ...]`` for :func:`build_program`."""
+    sources = []
+    for path in paths:
+        with open(path) as handle:
+            sources.append((handle.read(), path))
+    return sources
 
 
-def atomic_registry(state_source=None):
-    """Parse the ``atomic(partition, field, ...)`` declarations in
-    ``repro/flextoe/state.py``.
-
-    Returns ``{field: partition}`` for every declared commutative
-    atomic-add counter.
-    """
-    if state_source is None:
-        with open(_flextoe_path("state.py")) as handle:
-            state_source = handle.read()
-    registry = {}
-    tree = ast.parse(state_source)
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            continue
-        if node.func.id != "atomic":
-            continue
-        literals = [
-            a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)
-        ]
-        if len(literals) >= 2:
-            partition = literals[0]
-            for field in literals[1:]:
-                registry[field] = partition
-    return registry
+def partition_ownership():
+    """``{field: partition}`` for every declared field of the three
+    partition classes (their ``SLAB_FIELDS``)."""
+    views = (("pre", state.PreprocState), ("proto", state.ProtocolState), ("post", state.PostprocState))
+    return {field: partition for partition, view in views for field in view.SLAB_FIELDS}
 
 
-def _role_of_class(node):
+def atomic_registry():
+    """``{field: partition}`` for every declared commutative atomic-add
+    counter (the ``atomic()`` declarations)."""
+    return state.atomic_fields()
+
+
+def _class_anchors(node):
+    """``(kind, replicated)`` from a class's ``STAGE_KIND`` / ``REPLICATED``
+    anchors; ``(None, False)`` for a class that declares no kind."""
+    anchors = {}
+    for statement in node.body:
+        if (
+            isinstance(statement, ast.Assign)
+            and len(statement.targets) == 1
+            and isinstance(statement.targets[0], ast.Name)
+            and isinstance(statement.value, ast.Constant)
+        ):
+            anchors[statement.targets[0].id] = statement.value.value
+    kind = anchors.get("STAGE_KIND")
+    if not isinstance(kind, str):
+        return None, False
+    return kind, bool(anchors.get("REPLICATED"))
+
+
+def _role_of_class(node, kind):
+    if kind is not None:
+        return ROLE_PROTOCOL if kind == "proto" else ROLE_STAGE
     method_names = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
-    if "Protocol" in node.name:
-        return ROLE_PROTOCOL
     if "handle" in method_names and "program" not in method_names:
         return ROLE_MODULE
-    if node.name.endswith("Stage") or any(
-        m == "program" or m.endswith("_program") for m in method_names
-    ):
-        return ROLE_STAGE
     return ROLE_HELPER
 
 
@@ -186,25 +147,32 @@ class FunctionInfo:
         "name",
         "class_name",
         "role",
+        "kind",
+        "replicated",
         "filename",
+        "node",
         "params",
-        "reads",
         "reads_at",
         "writes",
         "calls",
     )
 
-    def __init__(self, qualname, name, class_name, role, filename, params):
+    def __init__(self, qualname, class_name, role, kind, replicated, filename, node):
         self.qualname = qualname
-        self.name = name
+        self.name = node.name
         self.class_name = class_name
         self.role = role
+        self.kind = kind  # the class's STAGE_KIND anchor, or None
+        self.replicated = replicated  # its REPLICATED anchor
         self.filename = filename
-        self.params = params  # positional parameter names, 'self' excluded
-        self.reads = set()  # (token, attr)
-        self.reads_at = set()  # (token, attr, lineno) — hblint needs sites
-        self.writes = set()  # (token, attr, lineno, rmw)
-        self.calls = []  # (lineno, callee name, arg tokens, is_self_call)
+        self.node = node  # the FunctionDef, for the ordering pass
+        self.params = [a.arg for a in node.args.args if a.arg != "self"]
+        collector = _FunctionAccess(self.params)
+        for statement in node.body:
+            collector.visit(statement)
+        self.reads_at = collector.reads_at  # (token, attr, lineno)
+        self.writes = collector.writes  # (token, attr, lineno, rmw)
+        self.calls = collector.calls  # (lineno, callee name, arg tokens, is_self_call)
 
 
 class _FunctionAccess(ast.NodeVisitor):
@@ -216,22 +184,19 @@ class _FunctionAccess(ast.NodeVisitor):
     the caller's binding during summarization.
     """
 
-    def __init__(self, ownership, role, state_params=(), param_names=()):
-        self.ownership = ownership
-        self.role = role
-        self.reads = set()  # (token, attr)
+    def __init__(self, params):
         self.reads_at = set()  # (token, attr, lineno)
         self.writes = set()  # (token, attr, lineno, rmw)
         self.calls = []  # (lineno, name, args, is_self_call)
         # Local names currently aliasing a partition object or parameter.
         self.aliases = {}
-        for param in param_names:
+        for param in params:
             if param not in ("self", "thread"):
                 self.aliases[param] = _PARAM_PREFIX + param
         # Codebase convention: a parameter named ``state`` is the
         # connection's ProtocolState (see ProtocolStage._process_*).
-        for param in state_params:
-            self.aliases[param] = "proto"
+        if "state" in params:
+            self.aliases["state"] = "proto"
 
     def _token_of_value(self, node):
         """Token of the object an attribute access dereferences."""
@@ -248,7 +213,6 @@ class _FunctionAccess(ast.NodeVisitor):
         if store:
             self.writes.add((token, target.attr, target.lineno, rmw))
         else:
-            self.reads.add((token, target.attr))
             self.reads_at.add((token, target.attr, target.lineno))
 
     def _reads_back(self, value, token, attr):
@@ -315,49 +279,52 @@ class _FunctionAccess(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _iter_functions(class_node):
-    for node in class_node.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node
+class Program(dict):
+    """``{qualname: FunctionInfo}`` over the parsed data-path modules — the
+    one front end of the four pipeline passes — with the imported
+    declarations and the memoised call-graph summaries they share."""
+
+    def __init__(self):
+        super().__init__()
+        self.filenames = []
+        self.ownership = partition_ownership()
+        self.registry = atomic_registry()
+        self._summaries = {}
+
+    def stage_classes(self):
+        """Names of the classes bearing a ``STAGE_KIND`` anchor."""
+        return {info.class_name for info in self.values() if info.kind is not None}
+
+    def summaries(self, access_list):
+        """Memoised :func:`_summarize` over ``"writes"`` or ``"reads_at"``."""
+        if access_list not in self._summaries:
+            self._summaries[access_list] = _summarize(self, access_list)
+        return self._summaries[access_list]
 
 
-def _collect_function(function, role, ownership, qualname, class_name, filename):
-    positional = [a.arg for a in function.args.args if a.arg != "self"]
-    state_params = [p for p in positional if p == "state"]
-    collector = _FunctionAccess(
-        ownership, role, state_params=state_params, param_names=positional
-    )
-    for statement in function.body:
-        collector.visit(statement)
-    info = FunctionInfo(qualname, function.name, class_name, role, filename, positional)
-    info.reads = collector.reads
-    info.reads_at = collector.reads_at
-    info.writes = collector.writes
-    info.calls = collector.calls
-    return info
-
-
-def build_program(sources, ownership=None):
-    """Parse ``[(source, filename), ...]`` into ``{qualname: FunctionInfo}``."""
-    if ownership is None:
-        ownership = partition_ownership()
-    program = {}
+def build_program(sources=None):
+    """Parse ``[(source, filename), ...]`` — by default the data-path
+    modules — once each into a :class:`Program`."""
+    if sources is None:
+        sources = read_sources(default_paths())
+    program = Program()
     for source, filename in sources:
+        program.filenames.append(filename)
         tree = ast.parse(source, filename=filename)
         is_proto_logic = os.path.basename(filename) == "proto_logic.py"
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                role = _role_of_class(node)
-                for function in _iter_functions(node):
-                    qualname = "{}.{}".format(node.name, function.name)
-                    program[qualname] = _collect_function(
-                        function, role, ownership, qualname, node.name, filename
-                    )
+                kind, replicated = _class_anchors(node)
+                role = _role_of_class(node, kind)
+                for function in node.body:
+                    if isinstance(function, ast.FunctionDef):
+                        qualname = "{}.{}".format(node.name, function.name)
+                        program[qualname] = FunctionInfo(
+                            qualname, node.name, role, kind, replicated, filename, function
+                        )
             elif isinstance(node, ast.FunctionDef):
                 role = ROLE_PROTO_LOGIC if is_proto_logic else ROLE_HELPER
-                program[node.name] = _collect_function(
-                    node, role, ownership, node.name, None, filename
-                )
+                program[node.name] = FunctionInfo(node.name, None, role, None, False, filename, node)
     return program
 
 
@@ -442,7 +409,7 @@ def summarize(program):
     of callee qualnames the write was inlined through (empty for the
     function's own writes).
     """
-    return _summarize(program, "writes")
+    return program.summaries("writes")
 
 
 def summarize_reads(program):
@@ -451,19 +418,22 @@ def summarize_reads(program):
     The happens-before lint (:mod:`repro.analysis.hblint`) needs read
     footprints — a stale read through a helper is as racy as a write.
     """
-    return _summarize(program, "reads_at")[0]
+    return program.summaries("reads_at")[0]
 
 
-def _ownership_rule(qualname, role, class_name, partition, attr):
-    """(code, message) when a write violates partition ownership."""
-    if role == ROLE_MODULE:
+def _ownership_rule(info, partition, attr):
+    """(code, message) when a write by ``info`` violates Table 5: the
+    partition named like a stage kind is owned by that kind, and nobody
+    in the data path owns ``pre``."""
+    qualname = info.qualname
+    if info.role == ROLE_MODULE:
         # Modules never touch connection state, whichever partition.
         return (
             "module-writes-state",
             "{} writes connection state '{}': modules get one-shot "
             "segment+metadata access only (paper §3.3)".format(qualname, attr),
         )
-    if partition == "proto" and role not in (ROLE_PROTOCOL, ROLE_PROTO_LOGIC):
+    if partition == "proto" and info.role not in (ROLE_PROTOCOL, ROLE_PROTO_LOGIC):
         return (
             "stage-writes-proto",
             "{} writes protocol-owned state '{}': only the atomic "
@@ -475,9 +445,7 @@ def _ownership_rule(qualname, role, class_name, partition, attr):
             "{} writes pre-processor state '{}': the identification "
             "partition is control-plane-installed and immutable".format(qualname, attr),
         )
-    if partition == "post" and not (
-        role == ROLE_STAGE and class_name is not None and "Post" in class_name
-    ):
+    if partition == "post" and info.kind != "post":
         return (
             "stage-writes-post",
             "{} writes post-processor state '{}': only the post "
@@ -494,7 +462,7 @@ def _direct_violations(info, ownership):
         if not isinstance(token, str) or token.startswith(_PARAM_PREFIX):
             continue
         partition = token
-        if ownership and ownership.get(attr) != partition:
+        if ownership.get(attr) != partition:
             findings.append(
                 Finding(
                     PASS_STAGE,
@@ -509,7 +477,7 @@ def _direct_violations(info, ownership):
             continue
         if info.role not in _ENTRY_ROLES:
             continue  # helpers are judged at their call sites
-        rule = _ownership_rule(info.qualname, info.role, info.class_name, partition, attr)
+        rule = _ownership_rule(info, partition, attr)
         if rule is not None:
             code, message = rule
             findings.append(Finding(PASS_STAGE, info.filename, lineno, code, message))
@@ -517,13 +485,15 @@ def _direct_violations(info, ownership):
     return findings, flagged
 
 
-def _transitive_violations(program, summaries, ownership, flagged):
+def _transitive_violations(program, flagged):
     """Findings for writes reaching an entry-role function via calls.
 
     A write already judged illegal at the function that performs it
     (``flagged``) is not re-reported for every caller; what remains are
     stores that are only illegal because of *who* reached them.
     """
+    summaries, _cycles = summarize(program)
+    ownership = program.ownership
     findings = []
     for qualname, info in program.items():
         if info.role not in _ENTRY_ROLES:
@@ -537,9 +507,9 @@ def _transitive_violations(program, summaries, ownership, flagged):
                 continue
             if (wfile, wline, partition, attr) in flagged:
                 continue
-            if ownership and ownership.get(attr) != partition:
+            if ownership.get(attr) != partition:
                 continue  # unknown attrs are reported at the writer
-            rule = _ownership_rule(info.qualname, info.role, info.class_name, partition, attr)
+            rule = _ownership_rule(info, partition, attr)
             if rule is None:
                 continue
             key = (wfile, wline, partition, attr, rule[0])
@@ -562,82 +532,26 @@ def _transitive_violations(program, summaries, ownership, flagged):
     return findings
 
 
-def extract_access_sets(source, filename, ownership=None):
-    """Per-function partition read/write sets (compat view).
-
-    Returns ``{qualname: {"role": role, "reads": set, "writes": set}}``
-    where set members are ``"partition.attr"`` strings; parameter-token
-    accesses are excluded (they have no partition until a call site
-    binds them).
-    """
-    if ownership is None:
-        ownership = partition_ownership()
-    program = build_program([(source, filename)], ownership)
-    access = {}
-    for qualname, info in program.items():
-        access[qualname] = {
-            "role": info.role,
-            "reads": {
-                "{}.{}".format(t, a)
-                for t, a in info.reads
-                if isinstance(t, str) and t in PARTITIONS
-            },
-            "writes": {
-                "{}.{}".format(t, a)
-                for t, a, _l, _r in info.writes
-                if isinstance(t, str) and t in PARTITIONS
-            },
-            "_raw_writes": {
-                (t, a, l) for t, a, l, _r in info.writes if isinstance(t, str) and t in PARTITIONS
-            },
-        }
-    return access
-
-
-def lint_program(program, ownership):
-    """Ownership findings (direct + summary-attributed) for a program."""
-    summaries, _cycles = summarize(program)
+def lint_stages(program):
+    """The ``stage-race`` pass: ownership findings, direct and
+    summary-attributed, over a :class:`Program`."""
     findings = []
     flagged = set()
     for info in program.values():
-        direct, direct_flagged = _direct_violations(info, ownership)
+        direct, direct_flagged = _direct_violations(info, program.ownership)
         findings.extend(direct)
         flagged |= direct_flagged
-    findings.extend(_transitive_violations(program, summaries, ownership, flagged))
+    findings.extend(_transitive_violations(program, flagged))
     findings.sort(key=lambda f: (f.path, f.line, f.code))
     return findings
-
-
-def lint_source(source, filename, ownership=None):
-    """Lint one module's source; returns (access_sets, findings)."""
-    if ownership is None:
-        ownership = partition_ownership()
-    access = extract_access_sets(source, filename, ownership)
-    findings = lint_program(build_program([(source, filename)], ownership), ownership)
-    return access, findings
-
-
-def _read_sources(paths):
-    sources = []
-    for path in paths:
-        with open(path) as handle:
-            sources.append((handle.read(), path))
-    return sources
-
-
-def lint_stages(paths=None, ownership=None):
-    """Run the race lint over the data-path modules; returns findings."""
-    if ownership is None:
-        ownership = partition_ownership()
-    program = build_program(_read_sources(paths or default_paths()), ownership)
-    return lint_program(program, ownership)
 
 
 # -- atomicity of replicated-state writes ---------------------------------
 
 
-def lint_atomicity(paths=None, ownership=None, registry=None, state_source=None):
-    """Classify partition writes reachable from replicated stages.
+def lint_atomicity(program):
+    """The ``atomicity`` pass: classify partition writes reachable from
+    replicated stages.
 
     Replicated stage instances of a flow group share their partition
     concurrently, so any read-modify-write they perform — directly or
@@ -647,23 +561,15 @@ def lint_atomicity(paths=None, ownership=None, registry=None, state_source=None)
     ``atomic_add`` calls naming undeclared fields are flagged too
     (``atomic-undeclared-add``).
     """
-    if ownership is None:
-        ownership = partition_ownership(state_source)
-    if registry is None:
-        registry = atomic_registry(state_source)
-    program = build_program(_read_sources(paths or default_paths()), ownership)
-    return lint_atomicity_program(program, ownership, registry)
-
-
-def lint_atomicity_program(program, ownership, registry):
+    registry = program.registry
     summaries, _cycles = summarize(program)
     findings = []
     seen = set()
     for qualname, info in program.items():
-        # Only replicated stages race against their own instances; the
-        # protocol stage is serialized per flow group and modules are
-        # already barred from state entirely.
-        if info.role != ROLE_STAGE:
+        # Only classes declared REPLICATED race against their own
+        # instances; the protocol stage is serialized per flow group and
+        # modules are already barred from state entirely.
+        if not info.replicated:
             continue
         for token, attr, wline, wfile, rmw, chain in sorted(
             summaries[qualname], key=lambda e: (e[3], e[2], str(e[0]))

@@ -133,13 +133,6 @@ class TcpConn:
     def rcv_seq(self, pos):
         return seq_add(self.irs, 1 + pos)
 
-    def snd_pos(self, seq):
-        return seq_diff(seq, seq_add(self.iss, 1)) + self._snd_wrap_base(seq)
-
-    def _snd_wrap_base(self, seq):
-        # Streams in our experiments stay < 2^31; no wrap correction.
-        return 0
-
     # -- window bookkeeping ------------------------------------------------
 
     @property

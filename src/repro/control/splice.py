@@ -89,15 +89,6 @@ class SpliceManager:
             record.pre.local_port,
         )
 
-    def unsplice(self, index_a, index_b):
-        """Remove both map entries (connection handed back / torn down)."""
-        keys = self.active.pop(frozenset((index_a, index_b)), None)
-        if keys is None:
-            return False
-        for key in keys:
-            self.table.delete(key)
-        return True
-
     @property
     def spliced_pairs(self):
         """Pairs still spliced in both directions. A pair the module

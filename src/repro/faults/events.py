@@ -230,8 +230,10 @@ class FpcStall(NicFault):
 
     def tick(self, ctx, obj):
         name, host = obj
-        fpcs = host.nic.datapath.stage_fpcs.get(self.stage, [])
-        for fpc in fpcs:
+        stage_fpcs = host.nic.datapath.stage_fpcs
+        if self.stage not in stage_fpcs:
+            raise ValueError("unknown stage {!r}".format(self.stage))
+        for fpc in stage_fpcs[self.stage]:
             fpc.stall(self.stall_ns)
             ctx.log_event("stall", "{}:{}".format(name, fpc.name), "{}ns".format(self.stall_ns))
 
@@ -290,17 +292,11 @@ class QueueBackpressure(NicFault):
         self._saved = {}
 
     def _rings(self, host):
+        """The rings the ``ring`` stage kind drains (the data path's table)."""
         dp = host.nic.datapath
-        if self.ring == "proto":
-            return list(dp.proto_rings)
-        if self.ring == "post":
-            return list(dp.post_rings)
-        if self.ring == "dma":
-            return [dp.dma_ring]
-        if self.ring == "nbi":
-            return [dp.nbi_ring]
-        if self.ring == "ctx":
-            return [dp.ctx_ring]
+        for attr, (consumer, _producers, _key) in dp.RINGS.items():
+            if consumer == self.ring:
+                return dp.rings(attr)
         raise ValueError("unknown ring {!r}".format(self.ring))
 
     def activate(self, ctx, obj):

@@ -3,7 +3,8 @@
 The knobs correspond exactly to the rows of Table 3:
 
 * ``pipelined=False`` — run-to-completion baseline: one FPC thread
-  executes every stage (including DMA waits) for one segment at a time.
+  executes every stage (including DMA waits) for one segment at a time
+  (one worker, so it takes ``n_flow_groups=1``).
 * ``threads_per_fpc`` — intra-FPC hardware threading (1 vs 8).
 * ``pre_replicas``/``post_replicas`` — replicated pre/post stages with
   sequencing + reordering for correctness.
@@ -84,6 +85,10 @@ class PipelineConfig:
     ):
         if n_flow_groups < 1:
             raise ValueError("need at least one flow group")
+        if not pipelined and n_flow_groups != 1:
+            # The one run-to-completion worker drains one protocol ring;
+            # connections hashing to any other group would be black-holed.
+            raise ValueError("run-to-completion (pipelined=False) needs n_flow_groups=1")
         self.pipelined = pipelined
         self.threads_per_fpc = threads_per_fpc
         self.pre_replicas = pre_replicas

@@ -5,9 +5,12 @@ The full deployment uses four *protocol islands* (one flow-group each:
 modules) and one *service island* (context-queue FPCs ARX/ATX, the flow
 scheduler SCH, DMA managers, NBI drain, GRO/BLM sequencing). Reduced
 configurations (Table 3 ablation rows) claim proportionally fewer FPCs;
-the run-to-completion baseline executes every stage inline on a single
-FPC thread.
+the run-to-completion baseline is the same assembly with every stage's
+``process`` composed inline on a single FPC thread.
 
+The pipeline's shape is declared once — ``STAGE_KIND`` / ``REPLICATED`` on
+the stage classes, ``RINGS`` and ``SEQR_DOMAINS`` here (DESIGN §4) — and
+read by assembly, :mod:`repro.analysis` and :mod:`repro.faults` alike.
 It owns the ordering devices the stages share (two sequencer domains,
 the post and DMA stages' per-connection fences) and the one early exit,
 :meth:`FlexToeDatapath.retire`; teardown has no ordering state to forget.
@@ -63,15 +66,23 @@ class _Unobserved:
 class FlexToeDatapath:
     """The wired pipeline on a given NFP chip."""
 
-    #: Static pipeline-model anchors, parsed by repro.analysis.hblint.
     #: Sequencer domain -> the reorder buffer that restores its order.
     SEQR_DOMAINS = {"rx_seqr": "rx_gro", "nbi_seqr": "nbi_gro"}
-    #: Rings whose enqueue order is a delivery-order contract, and the
-    #: key the contract is per: per-connection for dma_ring (§3.1.3),
-    #: per-context for ctx_ring (notification order is libTOE's stream
-    #: order). nbi_ring is deliberately absent: wire-level reordering is
-    #: TCP-tolerated, and the NBI GRO already restores ticket order.
-    ORDERED_RINGS = {"dma_ring": "conn", "ctx_ring": "context"}
+    #: The ring graph, in pipeline order: ring attribute -> (stage kind
+    #: that drains it, owner tokens that may enqueue, key of its
+    #: delivery-order contract). ``gro``/``seqr`` are the reorder buffers'
+    #: delivery processes. Enqueue order is a contract per connection for
+    #: dma_ring (§3.1.3) and per context for ctx_ring (notification order
+    #: is libTOE's stream order); nbi_ring has none: wire-level reordering
+    #: is TCP-tolerated, and the NBI GRO already restores ticket order.
+    RINGS = {
+        "pre_in": ("pre", ("ctx", "sch"), None),
+        "proto_rings": ("proto", ("pre", "gro"), None),
+        "post_rings": ("post", ("proto",), None),
+        "dma_ring": ("dma", ("post",), "conn"),
+        "ctx_ring": ("ctx", ("dma",), "context"),
+        "nbi_ring": ("nbi", ("seqr",), None),
+    }
 
     def __init__(self, sim, chip, config, capture=None, ingress_modules=None, egress_modules=None, control_ring=None):
         self.sim = sim
@@ -178,17 +189,19 @@ class FlexToeDatapath:
         except Interrupt:
             return
 
-    def _spawn(self, fpc, program, name, stage_kind, flow_group=None):
-        """Spawn a stage process, tagging it with ownership context when
-        the runtime sanitizer is active (REPRO_SANITIZE=1)."""
+    def _spawn(self, fpc, stage, program, name, flow_group=None):
+        """Spawn ``program`` on ``fpc`` as ``stage``'s kind, tagging it
+        with ownership context when the runtime sanitizer is active
+        (REPRO_SANITIZE=1)."""
+        stage_kind = stage.STAGE_KIND
         fpcs = self.stage_fpcs.setdefault(stage_kind, [])
         if fpc not in fpcs:
             fpcs.append(fpc)
 
-        def factory(thread, _p=program, _k=stage_kind, _g=flow_group):
-            generator = _p(thread)
+        def factory(thread):
+            generator = program(thread)
             if sanitizer.enabled():
-                generator = sanitizer.guard_process(generator, _k, _g)
+                generator = sanitizer.guard_process(generator, stage_kind, flow_group)
             return self._killable(generator)
 
         thread = fpc.spawn(factory, name=name)
@@ -260,17 +273,35 @@ class FlexToeDatapath:
             if process.is_alive:
                 process.interrupt("nic-crash")
 
+    def rings(self, attr):
+        """The ring objects behind one ``RINGS`` entry (one per flow
+        group, or the one)."""
+        rings = getattr(self, attr)
+        return rings if isinstance(rings, list) else [rings]
+
     def _assign_fpcs(self):
+        """Build the stage objects and spawn the service programs — the
+        same in both execution structures. Pipelined, every stage object
+        additionally gets its own FPC and all of its hardware threads;
+        run-to-completion composes the first of each on one thread.
+        Spawn and FPC-claim order fix event sequence numbers: behaviour."""
         config = self.config
         chip = self.chip
-        if not config.pipelined:
-            # Run-to-completion polls the downstream rings synchronously
-            # right after offering, so GRO delivery must stay inline.
-            self._assign_run_to_completion()
-            return
-        self._spawn_gro_delivery(self.rx_gro, "rx-gro-deliver", "gro")
-        self._spawn_gro_delivery(self.nbi_gro, "nbi-gro-deliver", "seqr")
+        pipelined = config.pipelined
         threads = config.threads_per_fpc
+        if pipelined:
+            # Run-to-completion polls the downstream rings synchronously
+            # right after offering, so its GRO delivery stays inline.
+            self._spawn_gro_delivery(self.rx_gro, "rx-gro-deliver", "gro")
+            self._spawn_gro_delivery(self.nbi_gro, "nbi-gro-deliver", "seqr")
+
+        def place(island, stages, stage, name, flow_group=None):
+            stages.append(stage)
+            if pipelined:
+                fpc = island.claim_fpc()
+                for _ in range(threads):
+                    self._spawn(fpc, stage, stage.program, name, flow_group)
+
         # Protocol islands: flow-groups spread over the first N islands.
         for group in range(config.n_flow_groups):
             island = chip.islands[group % max(1, len(chip.islands) - 1)]
@@ -279,104 +310,61 @@ class FlexToeDatapath:
                 cls_entries=config.state_cache_cls_entries,
                 emem_cache=self.emem_state_cache,
             )
-            stage = ProtocolStage(self, group, cache)
-            self.protocol_stages.append(stage)
-            fpc = island.claim_fpc()
-            for _ in range(threads):
-                self._spawn(fpc, stage.program, "proto-g%d" % group, "proto", group)
+            place(island, self.protocol_stages, ProtocolStage(self, group, cache), "proto-g%d" % group, group)
             for replica in range(config.pre_replicas):
-                pre = PreStage(self, replica_id=replica)
-                self.pre_stages.append(pre)
-                pre_fpc = island.claim_fpc()
-                for _ in range(threads):
-                    self._spawn(pre_fpc, pre.program, "pre-g%d-r%d" % (group, replica), "pre")
+                place(island, self.pre_stages, PreStage(self, replica), "pre-g%d-r%d" % (group, replica))
             for replica in range(config.post_replicas):
-                post = PostStage(self, group, replica_id=replica)
-                self.post_stages.append(post)
-                post_fpc = island.claim_fpc()
-                for _ in range(threads):
-                    self._spawn(post_fpc, post.program, "post-g%d-r%d" % (group, replica), "post", group)
+                place(island, self.post_stages, PostStage(self, group, replica), "post-g%d-r%d" % (group, replica), group)
         # Service island: DMA managers, NBI, context queues, scheduler.
-        service = chip.islands[-1]
+        # The baseline fits its four FPCs into the first island.
+        service = chip.islands[-1 if pipelined else 0]
         for replica in range(config.dma_replicas):
-            dma = DmaStage(self, replica_id=replica)
-            self.dma_stages.append(dma)
-            fpc = service.claim_fpc()
-            for _ in range(threads):
-                self._spawn(fpc, dma.program, "dma-r%d" % replica, "dma")
+            place(service, self.dma_stages, DmaStage(self, replica), "dma-r%d" % replica)
+        if not pipelined:
+            # The whole data-path runs on this one thread, so it legitimately
+            # carries protocol ownership for the single flow group.
+            self._spawn(service.claim_fpc(), self.protocol_stages[0], self._run_to_completion, "run-to-completion", 0)
         nbi_fpc = service.claim_fpc()
         for _ in range(max(1, threads // 2)):
-            self._spawn(nbi_fpc, self.nbi_stage.program, "nbi", "nbi")
+            self._spawn(nbi_fpc, self.nbi_stage, self.nbi_stage.program, "nbi")
         ctx_fpc = service.claim_fpc()
-        self._spawn(ctx_fpc, self.ctx_stage.atx_program, "ctx-atx", "ctx")
+        self._spawn(ctx_fpc, self.ctx_stage, self.ctx_stage.atx_program, "ctx-atx")
         for _ in range(max(1, threads - 1)):
-            self._spawn(ctx_fpc, self.ctx_stage.arx_program, "ctx-arx", "ctx")
-        sched_fpc = service.claim_fpc()
-        self._spawn(sched_fpc, self.scheduler.program, "sch", "sch")
+            self._spawn(ctx_fpc, self.ctx_stage, self.ctx_stage.arx_program, "ctx-arx")
+        self._spawn(service.claim_fpc(), self.scheduler, self.scheduler.program, "sch")
 
-    def _assign_run_to_completion(self):
+    def _run_to_completion(self, thread):
         """Table 3 baseline: the whole TCP data-path on one FPC thread.
 
         Stage *logic* is reused; only the execution structure changes:
-        one worker thread pulls from a single merged queue and runs
+        one worker pulls from the pre-stage input and runs
         pre/protocol/post/DMA for each item to completion, waiting out
-        every memory and PCIe latency inline. Service-infrastructure
-        programs (scheduler, doorbell watcher, NBI drain) still run, on
-        the same island.
+        every memory and PCIe latency inline, one segment in the NIC at
+        a time (the service programs contend on the same lock).
         """
-        chip = self.chip
-        island = chip.islands[0]
-        cache = StateCache(
-            lmem_entries=self.config.state_cache_lmem_entries,
-            cls_entries=self.config.state_cache_cls_entries,
-            emem_cache=self.emem_state_cache,
-        )
-        pre = PreStage(self)
-        proto = ProtocolStage(self, 0, cache)
-        post = PostStage(self, 0)
-        dma = DmaStage(self)
-        self.pre_stages.append(pre)
-        self.protocol_stages.append(proto)
-        self.post_stages.append(post)
-        self.dma_stages.append(dma)
+        while True:
+            work = yield self.pre_in.get()
+            grant = yield self.serial_lock.request()
+            try:
+                yield from self._run_item(thread, work)
+            finally:
+                grant.release()
 
-        worker_fpc = island.claim_fpc()
-
-        def worker(thread):
-            while True:
-                work = yield self.pre_in.get()
-                grant = yield self.serial_lock.request()
-                try:
-                    yield from run_item(thread, work)
-                finally:
-                    grant.release()
-
-        def run_item(thread, work):
-            yield from pre.handle(thread, work)
-            ok, work = self.proto_rings[0].store.try_get()
-            if not ok:
-                return
-            yield from proto._process_one(thread, work)
-            ok, work = self.post_rings[0].store.try_get()
-            if not ok:
-                return
-            # PostStage.program owns the dma_ring hop and its fence; one
-            # thread needs neither.
-            if (yield from post._process(thread, work)):
-                yield from dma._process(thread, work)
-            else:
-                self.retire(work)
-
-        # The whole data-path runs on this one thread, so it legitimately
-        # carries protocol ownership for the single flow group.
-        self._spawn(worker_fpc, worker, "run-to-completion", "proto", 0)
-        nbi_fpc = island.claim_fpc()
-        self._spawn(nbi_fpc, self.nbi_stage.program, "nbi", "nbi")
-        ctx_fpc = island.claim_fpc()
-        self._spawn(ctx_fpc, self.ctx_stage.atx_program, "ctx-atx", "ctx")
-        self._spawn(ctx_fpc, self.ctx_stage.arx_program, "ctx-arx", "ctx")
-        sched_fpc = island.claim_fpc()
-        self._spawn(sched_fpc, self.scheduler.program, "sch", "sch")
+    def _run_item(self, thread, work):
+        yield from self.pre_stages[0].process(thread, work)
+        admitted, work = self.proto_rings[0].try_get()
+        if not admitted:
+            return
+        yield from self.protocol_stages[0].process(thread, work)
+        processed, work = self.post_rings[0].try_get()
+        if not processed:
+            return
+        # PostStage.program owns the dma_ring hop and its fence; one
+        # thread needs neither.
+        if (yield from self.post_stages[0].process(thread, work)):
+            yield from self.dma_stages[0].process(thread, work)
+        else:
+            self.retire(work)
 
     # -- runtime entry points ----------------------------------------------
 

@@ -39,6 +39,8 @@ class _FlowEntry:
 class CarouselScheduler:
     """Time wheel + round-robin bypass, emitting TX triggers."""
 
+    STAGE_KIND = "sch"  # the owner token its TX triggers enter pre_in under
+
     def __init__(self, sim, tx_trigger_ring, mss=1448, slot_ns=1000, n_slots=4096, costs=None):
         self.sim = sim
         self.tx_trigger_ring = tx_trigger_ring
@@ -174,7 +176,3 @@ class CarouselScheduler:
                         (burst * entry.interval_q8) >> INTERVAL_Q8_SHIFT
                     )
                 self._enqueue(entry)
-
-    @property
-    def backlog_flows(self):
-        return sum(1 for entry in self._flows.values() if entry.queued)

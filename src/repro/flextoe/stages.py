@@ -2,8 +2,9 @@
 
 Each stage class is constructed with the shared :class:`FlexToeDatapath`
 (rings, tables, engines) and exposes ``program(thread)`` — a generator
-run on one FPC hardware thread. Replication = spawning the program on
-more FPCs/threads. Stage logic that is pure TCP lives in
+run on one FPC hardware thread — around ``process(thread, work)``, one
+work through the stage (what the run-to-completion runner composes).
+Replication = spawning the program on more FPCs/threads. Stage logic that is pure TCP lives in
 :mod:`repro.flextoe.proto_logic`; this module charges cycles, touches
 memories, and moves work between rings.
 
@@ -46,7 +47,8 @@ class PreStage:
     """Pre-processing: Val / Id / Sum / Steer, plus TX Alloc/Head and HC
     steering. Replicated freely; RX order restored by the GRO."""
 
-    #: Static pipeline-model anchors, parsed by repro.analysis.hblint.
+    #: What stage this is — the anchors the data path spawns by, the
+    #: sanitizer guards by and repro.analysis.stagelint reads (DESIGN §4).
     STAGE_KIND = "pre"
     REPLICATED = True
 
@@ -59,9 +61,9 @@ class PreStage:
     def program(self, thread):
         while True:
             work = yield self.dp.pre_in.get()
-            yield from self.handle(thread, work)
+            yield from self.process(thread, work)
 
-    def handle(self, thread, work):
+    def process(self, thread, work):
         """One work through this stage, by kind."""
         if work.kind == WORK_RX:
             return self._handle_rx(thread, work)
@@ -194,7 +196,6 @@ class ProtocolStage:
 
     STAGE_KIND = "proto"
     REPLICATED = False  # one FPC per flow group
-    SERIALIZES_PER_CONN = True  # the _busy map: per-conn program order
 
     def __init__(self, dp, flow_group, state_cache):
         self.dp = dp
@@ -217,7 +218,7 @@ class ProtocolStage:
 
     def _process_until_idle(self, thread, record, work):
         while True:
-            yield from self._process_one(thread, work)
+            yield from self.process(thread, work)
             pending = self._busy[record]
             if pending:
                 work = pending.pop(0)
@@ -225,7 +226,8 @@ class ProtocolStage:
             del self._busy[record]
             return
 
-    def _process_one(self, thread, work):
+    def process(self, thread, work):
+        """One work through the atomic stage, handed on to its post ring."""
         dp = self.dp
         trace = dp.tracepoints
         record = work.record
@@ -414,7 +416,7 @@ class PostStage:
             # order is delivery order for libTOE (§3.1.3). Pop order is
             # protocol order: the proto stage serializes per connection.
             turn = dp.post_fence.enter(work.record)
-            emit = yield from self._process(thread, work)
+            emit = yield from self.process(thread, work)
             if turn.blocked():
                 yield turn.prev
             if emit:
@@ -435,7 +437,9 @@ class PostStage:
             offset=offset, length=length, created_at=dp.sim.now,
         )
 
-    def _process(self, thread, work):
+    def process(self, thread, work):
+        """One work through this stage; true when the DMA stage has
+        something of it to move (the caller emits it, or retires it)."""
         dp = self.dp
         costs = dp.config.costs
         trace = dp.tracepoints
@@ -535,7 +539,7 @@ class DmaStage:
         dp = self.dp
         while True:
             work = yield dp.dma_ring.get()
-            yield from self._process(thread, work)
+            yield from self.process(thread, work)
 
     def _split_wrap(self, offset, length, size):
         """Circular-buffer split: one or two (offset, length) chunks."""
@@ -547,7 +551,8 @@ class DmaStage:
             chunks.append((0, length - first))
         return chunks
 
-    def _process(self, thread, work):
+    def process(self, thread, work):
+        """One work's payload over PCIe, then its ACK and notifications."""
         dp = self.dp
         costs = dp.config.costs
         record = work.record

@@ -7,9 +7,8 @@ sizes reproduce the paper's 108 bytes per connection.
 Storage is a single array-of-struct slab (:mod:`repro.flextoe.slab`):
 every connection occupies one slot across all columns, and the partition
 classes below are flyweight views onto that slot. A class declares its
-fields in ``SLAB_FIELDS`` — the statically parseable equivalent of the
-old ``__slots__`` tuples, which ``repro.analysis.stagelint`` reads to
-build the write-set ownership map — and :func:`~repro.flextoe.slab.attach_fields`
+fields in ``SLAB_FIELDS`` — which ``repro.analysis.stagelint`` imports
+as the write-set ownership map — and :func:`~repro.flextoe.slab.attach_fields`
 generates one property per field. The attribute API is unchanged, so
 stage code, the race sanitizer and existing tests keep working; the
 per-connection footprint drops from kilobytes of heap objects to a few
@@ -29,7 +28,7 @@ from repro.proto.tcp import seq_add
 
 # field name -> partition, for every declared commutative atomic-add
 # counter. Populated by the module-level atomic() declarations below;
-# repro.analysis.stagelint parses the same declarations statically.
+# repro.analysis.stagelint reads it through atomic_fields().
 _ATOMIC_FIELDS = {}
 
 

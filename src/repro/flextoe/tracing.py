@@ -89,7 +89,3 @@ class TracepointRegistry:
 
     def count(self, name=None, source=None):
         return self.recorder.count(source=source, event=name)
-
-    @property
-    def n_tracepoints(self):
-        return len(TRACEPOINTS)

@@ -1,4 +1,4 @@
-"""A machine: cores + memory + the NICs plugged into it."""
+"""A machine: cores + memory."""
 
 from repro.host.cpu import CpuCore
 from repro.host.memory import HostMemory
@@ -16,14 +16,6 @@ class Machine:
             CpuCore(sim, "{}.core{}".format(name, i), clock=clock) for i in range(n_cores)
         ]
         self.memory = HostMemory(n_hugepages=n_hugepages)
-        self.nics = {}
-
-    def add_nic(self, label, nic):
-        self.nics[label] = nic
-        return nic
-
-    def nic(self, label):
-        return self.nics[label]
 
     def aggregate_accounting(self):
         """Merged cycle accounting across all cores."""

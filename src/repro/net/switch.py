@@ -122,9 +122,6 @@ class Switch:
             self._mac_table[mac] = index
         return port
 
-    def bind_mac(self, mac, port):
-        self._mac_table[mac] = self._ports.index(port)
-
     def set_port_config(self, port, config):
         """Replace the egress policy of ``port`` (e.g. shape to 10 Gbps)."""
         index = self._ports.index(port)

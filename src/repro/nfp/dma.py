@@ -81,7 +81,3 @@ class DmaEngine:
         self.bytes_moved += max(0, nbytes)
         grant.release()
         done.succeed()
-
-    @property
-    def in_flight(self):
-        return sum(q.in_use + q.queued for q in self._queues)

@@ -50,21 +50,11 @@ class FpcThread:
         level.reads += 1
         yield self.sim.timeout(self.fpc.cycles_to_ns(level.latency_cycles))
 
-    def mem_write(self, level, issue_cycles=ISSUE_CYCLES):
-        """Write (posted): brief issue, then latency wait off-slot."""
-        yield from self.compute(issue_cycles)
-        level.writes += 1
-        yield self.sim.timeout(self.fpc.cycles_to_ns(level.latency_cycles))
-
     def io_wait(self, event, issue_cycles=ISSUE_CYCLES):
         """Issue an IO command and sleep until ``event`` fires."""
         yield from self.compute(issue_cycles)
         result = yield event
         return result
-
-    def wait_cycles(self, cycles):
-        """Sleep without occupying the issue slot (e.g. signal wait)."""
-        yield self.sim.timeout(self.fpc.cycles_to_ns(cycles))
 
 
 class Fpc:
@@ -123,10 +113,6 @@ class Fpc:
         if self.code_used + nbytes > self.code_store:
             raise MemoryError("{}: code store exhausted".format(self.name))
         self.code_used += nbytes
-
-    @property
-    def threads_used(self):
-        return len(self._threads)
 
     def utilization(self, elapsed_ns):
         """Fraction of cycles spent issuing instructions."""

@@ -37,6 +37,10 @@ class _Ring:
     def get(self):
         return self.store.get()
 
+    def try_get(self):
+        """``(True, item)`` without waiting, or ``(False, None)`` if empty."""
+        return self.store.try_get()
+
     def try_put(self, item):
         accepted = self.store.try_put(item)
         if accepted and self.tap is not None:

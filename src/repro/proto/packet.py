@@ -48,10 +48,6 @@ class Frame:
             length += self.tcp.wire_len
         return length + len(self.payload)
 
-    @property
-    def is_tcp(self):
-        return self.tcp is not None
-
     def set_meta(self, key, value):
         """Attach pipeline metadata (FlexTOE module API, §3.3)."""
         if self.meta is None:

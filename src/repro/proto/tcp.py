@@ -78,10 +78,6 @@ class TcpOptions:
         self.sack_blocks = list(sack_blocks) if sack_blocks else []
         self.sack_permitted = sack_permitted
 
-    @property
-    def has_timestamps(self):
-        return self.ts_val is not None
-
     def pack(self):
         out = bytearray()
         if self.mss is not None:
@@ -200,13 +196,6 @@ class TcpHeader:
     @property
     def wire_len(self):
         return BASE_HEADER_LEN + self.options.wire_len
-
-    @property
-    def data_offset(self):
-        return self.wire_len // 4
-
-    def has_flags(self, mask):
-        return bool(self.flags & mask)
 
     @property
     def is_data_path(self):

@@ -76,11 +76,6 @@ class GoodputMeter:
         """Everything delivered, hostile included (for ratio reporting)."""
         return self.benign_bytes + self.attack_bytes
 
-    def goodput_fraction(self):
-        """Benign share of delivered bytes (1.0 when no attack bytes)."""
-        total = self.offered_bytes
-        return self.benign_bytes / total if total else 1.0
-
 
 class IntervalSeries:
     """Per-interval samples (e.g. per-connection goodput over a run)."""

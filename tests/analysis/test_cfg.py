@@ -1,52 +1,7 @@
-"""CFG construction over XDP VM programs."""
+"""Instruction successors over XDP VM programs."""
 
-from repro.analysis.cfg import build_cfg, insn_successors
-from repro.xdp import assemble
+from repro.analysis.cfg import insn_successors
 from repro.xdp.vm import Insn
-
-
-def test_straight_line_is_one_block():
-    program = assemble("mov r0, 1\nexit")
-    cfg = build_cfg(program)
-    assert len(cfg.blocks) == 1
-    block = cfg.blocks[0]
-    assert (block.start, block.end) == (0, 2)
-    assert block.successors == []  # exit terminator
-
-
-def test_branch_splits_blocks_and_wires_edges():
-    source = """
-        mov r0, 1
-        jeq r0, 0, other
-        mov r2, 7
-        ja done
-    other:
-        mov r2, 9
-    done:
-        add r0, r2
-        exit
-    """
-    program = assemble(source)
-    cfg = build_cfg(program)
-    # entry [0:2), then-arm [2:4), else-arm [4:5), join [5:7)
-    starts = [(b.start, b.end) for b in cfg.blocks]
-    assert starts == [(0, 2), (2, 4), (4, 5), (5, 7)]
-    entry, then_arm, else_arm, join = cfg.blocks
-    assert entry.successors == [then_arm.index, else_arm.index]
-    assert then_arm.successors == [join.index]
-    assert else_arm.successors == [join.index]
-    assert join.successors == []
-    assert cfg.block_at(3) is then_arm
-    assert cfg.reachable_blocks() == {0, 1, 2, 3}
-    assert cfg.unreachable_blocks() == []
-
-
-def test_unreachable_block_detected():
-    program = assemble("mov r0, 1\nja 1\nmov r0, 2\nexit")
-    cfg = build_cfg(program)
-    unreachable = cfg.unreachable_blocks()
-    assert len(unreachable) == 1
-    assert unreachable[0].start == 2  # the skipped mov
 
 
 def test_insn_successors_shapes():
@@ -60,15 +15,3 @@ def test_insn_successors_shapes():
     assert insn_successors(program, 1) == [2, 3]  # fallthrough first
     assert insn_successors(program, 2) == [3]
     assert insn_successors(program, 3) == []
-
-
-def test_out_of_range_target_becomes_none_edge():
-    program = [Insn("jeq.imm", dst=0, imm=0, off=5), Insn("exit")]
-    cfg = build_cfg(program)
-    assert None in cfg.blocks[0].successors
-
-
-def test_empty_program_builds_empty_cfg():
-    cfg = build_cfg([])
-    assert cfg.blocks == []
-    assert cfg.reachable_blocks() == set()

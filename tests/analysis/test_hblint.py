@@ -12,50 +12,66 @@ def _fixture(name):
     return os.path.join(FIXTURES, name)
 
 
-def _with_tree(name):
-    return stagelint.default_paths() + [_fixture(name)]
+def _with_tree(*names):
+    """The real data path plus recall fixtures, parsed as one program."""
+    paths = stagelint.default_paths() + [_fixture(name) for name in names]
+    return stagelint.build_program(stagelint.read_sources(paths))
 
 
-# -- model extraction -------------------------------------------------------
+# -- the model is the declaration -------------------------------------------
 
 
 def test_model_extracts_all_stage_anchors():
-    model = hblint.extract_model(hblint._read_sources(stagelint.default_paths()))
-    kinds = {s.kind for s in model.stages.values()}
-    assert kinds == {"pre", "proto", "post", "dma", "ctx", "nbi"}
-    by_kind = {s.kind: s for s in model.stages.values()}
-    assert by_kind["proto"].serializes_per_conn
-    assert not by_kind["proto"].replicated
-    assert by_kind["dma"].replicated and by_kind["post"].replicated
+    program = stagelint.build_program()
+    replicated = {info.kind: info.replicated for info in program.values() if info.kind is not None}
+    assert set(replicated) == {"pre", "proto", "post", "dma", "ctx", "nbi"}
+    assert len(program.stage_classes()) == 6
+    assert not replicated["proto"] and not replicated["nbi"]
+    assert replicated["dma"] and replicated["post"]
+    # What the parser read is what the classes declare.
+    from repro.flextoe import stages
+
+    for name in program.stage_classes():
+        stage = getattr(stages, name)
+        assert replicated[stage.STAGE_KIND] == stage.REPLICATED
 
 
 def test_model_extracts_ordering_anchors():
-    model = hblint.extract_model(hblint._read_sources(stagelint.default_paths()))
-    assert model.seqr_domains == {"rx_seqr": "rx_gro", "nbi_seqr": "nbi_gro"}
-    assert model.ordered_rings == {"dma_ring": "conn", "ctx_ring": "context"}
+    from repro.flextoe.datapath import FlexToeDatapath
+
+    assert hblint.SEQR_DOMAINS is FlexToeDatapath.SEQR_DOMAINS
+    assert hblint.SEQR_DOMAINS == {"rx_seqr": "rx_gro", "nbi_seqr": "nbi_gro"}
+    assert hblint.ORDERED_RINGS == {"dma_ring": "conn", "ctx_ring": "context"}
+    # A stage's pipeline position is that of the ring it drains.
+    order = hblint.STAGE_ORDER
+    assert order["pre"] < order["proto"] < order["post"] < order["dma"] < min(order["ctx"], order["nbi"])
+    assert hblint.ENTRY_INDEX < order["pre"]
 
 
 def test_model_anchor_fallback_for_subset_lints():
-    # A fixture linted without datapath.py still sees the production
-    # ordering anchors (pulled from the real datapath module).
-    model = hblint.extract_model(hblint._read_sources([_fixture("hb_dma_reorder.py")]))
-    assert model.ordered_rings.get("ctx_ring") == "context"
-    assert "nbi_seqr" in model.seqr_domains
+    # A fixture linted without datapath.py is still judged against the
+    # production ordering anchors: they are imported, not parsed. Alone,
+    # its nbi_gro offer also has no nbi_seqr ticket upstream of it.
+    alone = stagelint.build_program(stagelint.read_sources([_fixture("hb_dma_reorder.py")]))
+    codes = {f.code: f.message for f in hblint.lint_ordering(alone)}
+    assert sorted(codes) == ["unfenced-ordered-emit", "unsequenced-gro-offer"]
+    assert "ctx_ring" in codes["unfenced-ordered-emit"]
+    assert "nbi_seqr" in codes["unsequenced-gro-offer"]
 
 
 # -- hb-race ----------------------------------------------------------------
 
 
 def test_baseline_tree_has_no_hb_races():
-    assert hblint.lint_hb() == []
+    assert hblint.lint_hb(hblint.field_verdicts(_with_tree())) == []
 
 
 def test_baseline_tree_has_no_ordering_violations():
-    assert hblint.lint_ordering() == []
+    assert hblint.lint_ordering(_with_tree()) == []
 
 
 def test_field_verdicts_match_the_partition_design():
-    _model, verdicts = hblint.field_verdicts()
+    verdicts = hblint.field_verdicts(_with_tree())
     flat = {"{}.{}".format(p, a): v for (p, a), (v, _fp) in verdicts.items()}
     # The TCP machine is owned by the atomic stage...
     assert flat["proto.next_ts"] == hblint.VERDICT_OWNED
@@ -71,7 +87,7 @@ def test_field_verdicts_match_the_partition_design():
 def test_cross_stage_proto_read_is_an_hb_race():
     # The pre-PR-8 timestamp-echo bug: a DMA replica sampling
     # record.proto.next_ts races the protocol stage's next RX update.
-    findings = hblint.lint_hb(_with_tree("hb_proto_read.py"))
+    findings = hblint.lint_hb(hblint.field_verdicts(_with_tree("hb_proto_read.py")))
     assert len(findings) == 1
     finding = findings[0]
     assert finding.code == "hb-race"
@@ -125,8 +141,11 @@ def test_fence_spans_are_recognized():
 
 
 def test_findings_are_deterministically_ordered():
-    paths = _with_tree("hb_dma_reorder.py") + [_fixture("hb_write_ahead.py"), _fixture("hb_proto_read.py")]
-    first = hblint.lint_hb(paths) + hblint.lint_ordering(paths)
-    second = hblint.lint_hb(paths) + hblint.lint_ordering(paths)
+    def run():
+        program = _with_tree("hb_dma_reorder.py", "hb_write_ahead.py", "hb_proto_read.py")
+        return hblint.lint_hb(hblint.field_verdicts(program)) + hblint.lint_ordering(program)
+
+    first, second = run(), run()
+    assert len(first) == 3
     assert render_json(first) == render_json(second)
     assert [f.to_dict() for f in first] == [f.to_dict() for f in second]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import sanitizer
 from repro.analysis.hbmonitor import HBViolationError, _OrderBook
 from repro.flextoe.descriptors import NOTIFY_RX, Notification, SegWork, WORK_RX
 
@@ -95,6 +96,31 @@ def _work(conn=3):
     work = SegWork(WORK_RX)
     work.conn_index = conn
     return work
+
+
+def _put_as(owner, ring, item):
+    """Enqueue ``item`` from a process carrying ``owner``'s token."""
+
+    def producer():
+        yield ring.put(item)
+
+    next(sanitizer.guard_process(producer(), owner))
+
+
+def test_model_edge_violation_names_ring_and_declared_producers(sanitized):
+    # The edge table the monitor enforces is the data path's RINGS, the
+    # one assembly wires by — not a copy kept beside it.
+    _bed, server, _client = _testbed_host(sanitized)
+    dp = server.nic.datapath
+    notification = Notification(NOTIFY_RX, 1, 3, context_id=1, length=10)
+    with pytest.raises(HBViolationError, match="'post' enqueued into ctx_ring.*allows only dma"):
+        _put_as("post", dp.ctx_ring, notification)
+    before = dp.hb_monitor.checked_puts
+    for owner in dp.RINGS["pre_in"][1]:  # ctx (HC doorbells) and sch (TX triggers)
+        _put_as(owner, dp.pre_in, _work())
+    assert dp.hb_monitor.checked_puts == before + 2
+    with pytest.raises(HBViolationError, match="'dma' enqueued into pre_in.*allows only ctx/sch"):
+        _put_as("dma", dp.pre_in, _work())
 
 
 def test_protocol_order_violation_raises(sanitized):

@@ -46,6 +46,30 @@ def test_diff_against_empty_baseline_keeps_everything():
     assert diff_findings([finding], baseline) == [finding]
 
 
+def test_pipeline_passes_parse_each_data_path_module_once(monkeypatch, tmp_path):
+    # stage-race, atomicity, hb-race and ordering share one parsed
+    # program; declarations (state.py's fields, the ring table) are
+    # imported, never re-parsed. An empty --root keeps sim-process, which
+    # walks the whole tree separately, out of the count.
+    import ast
+
+    from repro.analysis import stagelint
+
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    findings, checked = cli.run_all(str(tmp_path))
+    assert findings == []
+    assert parsed == stagelint.default_paths() and len(parsed) == 6
+    assert (checked["stage-race"], checked["atomicity"], checked["ordering"]) == (6, 6, 6)
+    assert checked["hb-race"] > 0
+
+
 @pytest.fixture
 def fake_run_all(monkeypatch):
     state = {"findings": []}

@@ -3,21 +3,30 @@
 import textwrap
 
 from repro.analysis.stagelint import (
+    PARTITIONS,
     atomic_registry,
     build_program,
-    extract_access_sets,
     lint_atomicity,
-    lint_atomicity_program,
-    lint_program,
-    lint_source,
     lint_stages,
     partition_ownership,
     summarize,
 )
 
+
+def _program(source, filename):
+    return build_program([(source, filename)])
+
+
+def _stage_findings(source, filename):
+    return lint_stages(_program(source, filename))
+
+
 GOOD_STAGE = textwrap.dedent(
     """
     class PreStage:
+        STAGE_KIND = "pre"
+        REPLICATED = True
+
         def program(self, thread):
             while True:
                 work = yield self.dp.pre_in.get()
@@ -26,6 +35,8 @@ GOOD_STAGE = textwrap.dedent(
                 yield self.dp.proto_rings[group].put(work)
 
     class ProtocolStage:
+        STAGE_KIND = "proto"
+
         def program(self, thread):
             while True:
                 work = yield self.ring.get()
@@ -39,6 +50,9 @@ GOOD_STAGE = textwrap.dedent(
 RACY_STAGE = textwrap.dedent(
     """
     class PreStage:
+        STAGE_KIND = "pre"
+        REPLICATED = True
+
         def program(self, thread):
             while True:
                 work = yield self.dp.pre_in.get()
@@ -49,6 +63,9 @@ RACY_STAGE = textwrap.dedent(
                 record.pre.flow_group = 3      # pre partition is immutable
 
     class PostStage:
+        STAGE_KIND = "post"
+        REPLICATED = True
+
         def program(self, thread):
             while True:
                 work = yield self.ring.get()
@@ -77,22 +94,23 @@ def test_partition_ownership_parses_slots():
 
 
 def test_access_sets_track_aliases_and_partitions():
-    access = extract_access_sets(GOOD_STAGE, "good.py")
-    pre = access["PreStage.program"]
-    assert "pre.flow_group" in pre["reads"]
-    assert pre["writes"] == set()
-    proto = access["ProtocolStage.program"]
-    assert {"proto.seq", "proto.ack"} <= proto["writes"]
-    assert proto["role"] == "protocol"
+    program = _program(GOOD_STAGE, "good.py")
+    pre = program["PreStage.program"]
+    assert ("pre", "flow_group") in {(token, attr) for token, attr, _line in pre.reads_at}
+    assert not [w for w in pre.writes if w[0] in PARTITIONS]
+    assert (pre.role, pre.kind, pre.replicated) == ("stage", "pre", True)
+    proto = program["ProtocolStage.program"]
+    assert {("proto", "seq"), ("proto", "ack")} <= {(token, attr) for token, attr, _line, _rmw in proto.writes}
+    assert (proto.role, proto.kind, proto.replicated) == ("protocol", "proto", False)
+    assert proto.node.name == "program"
 
 
 def test_good_stage_is_clean():
-    _, findings = lint_source(GOOD_STAGE, "good.py")
-    assert findings == []
+    assert _stage_findings(GOOD_STAGE, "good.py") == []
 
 
 def test_racy_stage_flagged():
-    _, findings = lint_source(RACY_STAGE, "racy.py")
+    findings = _stage_findings(RACY_STAGE, "racy.py")
     codes = sorted(f.code for f in findings)
     assert codes == ["stage-writes-pre", "stage-writes-proto", "stage-writes-proto"]
     # PostStage writing its own partition is not flagged.
@@ -100,7 +118,7 @@ def test_racy_stage_flagged():
 
 
 def test_module_writes_flagged():
-    _, findings = lint_source(RACY_MODULE, "module.py")
+    findings = _stage_findings(RACY_MODULE, "module.py")
     assert [f.code for f in findings] == ["module-writes-state"]
     assert "one-shot" in findings[0].message
 
@@ -109,12 +127,14 @@ def test_unknown_attribute_flagged():
     source = textwrap.dedent(
         """
         class ProtocolStage:
+            STAGE_KIND = "proto"
+
             def program(self, thread):
                 record.proto.not_a_slot = 1
                 yield None
         """
     )
-    _, findings = lint_source(source, "typo.py")
+    findings = _stage_findings(source, "typo.py")
     assert [f.code for f in findings] == ["unknown-state-attr"]
 
 
@@ -124,17 +144,56 @@ def test_state_parameter_convention_is_protocol_owned():
     source = textwrap.dedent(
         """
         class DmaStage:
+            STAGE_KIND = "dma"
+            REPLICATED = True
+
             def _process(self, thread, work, state):
                 state.next_ts = 0
                 yield None
         """
     )
-    _, findings = lint_source(source, "dma.py")
+    findings = _stage_findings(source, "dma.py")
     assert [f.code for f in findings] == ["stage-writes-proto"]
 
 
+DECLARED_NOT_NAMED = textwrap.dedent(
+    """
+    class Steer:
+        STAGE_KIND = "pre"
+        REPLICATED = True
+
+        def program(self, thread):
+            record = self.dp.conn_table.get(0)
+            record.proto.seq = 0
+            record.post.rtt_est = (7 * record.post.rtt_est + 10) // 8
+            yield None
+
+    class FooStage:
+        def bump(self, record):
+            record.proto.seq = 0
+            record.post.rtt_est += 1
+    """
+)
+
+
+def test_identity_is_the_anchor_not_the_class_name():
+    # ``Steer`` is named like nothing but declares a replicated pre
+    # stage: both passes judge it. ``FooStage`` is named like a stage
+    # and declares nothing: a helper, judged only where a stage calls it.
+    program = _program(DECLARED_NOT_NAMED, "steer.py")
+    assert program["Steer.program"].role == "stage"
+    assert program["FooStage.bump"].role == "helper"
+    findings = lint_stages(program) + lint_atomicity(program)
+    assert [(f.code, f.line) for f in findings] == [
+        ("stage-writes-proto", 8),
+        ("stage-writes-post", 9),
+        ("replicated-unatomic-rmw", 9),
+    ]
+    assert all("Steer.program" in f.message for f in findings)
+
+
 def test_real_data_path_is_clean():
-    assert lint_stages() == []
+    assert lint_stages(build_program()) == []
 
 
 # -- interprocedural summaries ------------------------------------------------
@@ -152,6 +211,9 @@ HELPER_CHAIN = textwrap.dedent(
             seqr_deliver(record.proto, 0)
 
     class DmaStage:
+        STAGE_KIND = "dma"
+        REPLICATED = True
+
         def _process(self, thread, work):
             record = self.dp.conn_table.get(work.conn_index)
             self.cache.flush(record)
@@ -161,7 +223,7 @@ HELPER_CHAIN = textwrap.dedent(
 
 
 def test_helper_writeback_attributed_to_calling_stage():
-    _, findings = lint_source(HELPER_CHAIN, "chain.py")
+    findings = _stage_findings(HELPER_CHAIN, "chain.py")
     assert [f.code for f in findings] == ["stage-writes-proto"]
     finding = findings[0]
     # Anchored at the store inside the helper, attributed to the stage.
@@ -171,11 +233,10 @@ def test_helper_writeback_attributed_to_calling_stage():
 
 
 def test_same_helpers_called_by_protocol_stage_are_legal():
-    source = HELPER_CHAIN.replace(
-        "class DmaStage:", "class ProtocolStage:"
-    )
-    _, findings = lint_source(source, "chain.py")
-    assert findings == []
+    # Same class name, same helpers: the anchor is what makes it the owner.
+    source = HELPER_CHAIN.replace('STAGE_KIND = "dma"', 'STAGE_KIND = "proto"')
+    assert source != HELPER_CHAIN
+    assert _stage_findings(source, "chain.py") == []
 
 
 def test_recursive_helpers_do_not_diverge():
@@ -189,19 +250,22 @@ def test_recursive_helpers_do_not_diverge():
             record.proto.seq = 0
 
         class PreStage:
+            STAGE_KIND = "pre"
+            REPLICATED = True
+
             def program(self, thread):
                 record = self.dp.conn_table.get(0)
                 ping(record, 1)
                 yield None
         """
     )
-    _, findings = lint_source(source, "cycle.py")
+    findings = _stage_findings(source, "cycle.py")
     assert [f.code for f in findings] == ["stage-writes-proto"]
     assert findings[0].via[0] == "PreStage.program"
 
 
 def test_summaries_substitute_parameter_bindings():
-    program = build_program([(HELPER_CHAIN, "chain.py")], partition_ownership())
+    program = _program(HELPER_CHAIN, "chain.py")
     summaries, cycles = summarize(program)
     assert not cycles
     entries = summaries["DmaStage._process"]
@@ -226,7 +290,7 @@ def test_direct_violation_not_duplicated_through_callers():
                 record.post.cnt_ackb += 1
         """
     )
-    _, findings = lint_source(source, "module.py")
+    findings = _stage_findings(source, "module.py")
     # One finding: the direct one at _bump (itself module code); the
     # summary-attributed copy via handle is suppressed as a duplicate.
     assert [f.code for f in findings] == ["module-writes-state"]
@@ -249,6 +313,9 @@ def test_atomic_registry_parses_declarations():
 ATOMIC_MATRIX = textwrap.dedent(
     """
     class PostStage:
+        STAGE_KIND = "post"
+        REPLICATED = True
+
         def _process(self, thread, work):
             record = self.dp.conn_table.get(work.conn_index)
             post = record.post
@@ -267,9 +334,7 @@ ATOMIC_MATRIX = textwrap.dedent(
 
 
 def test_atomicity_accept_reject_matrix():
-    ownership = partition_ownership()
-    program = build_program([(ATOMIC_MATRIX, "post.py")], ownership)
-    findings = lint_atomicity_program(program, ownership, atomic_registry())
+    findings = lint_atomicity(_program(ATOMIC_MATRIX, "post.py"))
     assert [f.code for f in findings] == [
         "replicated-unatomic-rmw",
         "replicated-unatomic-rmw",
@@ -284,15 +349,16 @@ def test_atomic_add_on_undeclared_field_flagged():
     source = textwrap.dedent(
         """
         class PostStage:
+            STAGE_KIND = "post"
+            REPLICATED = True
+
             def _process(self, thread, work):
                 record = self.dp.conn_table.get(work.conn_index)
                 atomic_add(record.post, "rtt_est", 1)
                 yield None
         """
     )
-    ownership = partition_ownership()
-    program = build_program([(source, "post.py")], ownership)
-    findings = lint_atomicity_program(program, ownership, atomic_registry())
+    findings = lint_atomicity(_program(source, "post.py"))
     assert [f.code for f in findings] == ["atomic-undeclared-add"]
 
 
@@ -302,15 +368,16 @@ def test_serialized_protocol_stage_rmw_not_flagged():
     source = textwrap.dedent(
         """
         class ProtocolStage:
+            STAGE_KIND = "proto"
+            REPLICATED = False
+
             def _process(self, thread, work, state):
                 state.seq += 1
                 yield None
         """
     )
-    ownership = partition_ownership()
-    program = build_program([(source, "proto.py")], ownership)
-    assert lint_atomicity_program(program, ownership, atomic_registry()) == []
+    assert lint_atomicity(_program(source, "proto.py")) == []
 
 
 def test_real_data_path_atomicity_is_clean():
-    assert lint_atomicity() == []
+    assert lint_atomicity(build_program()) == []

@@ -1,5 +1,7 @@
 """NIC / host / link fault lifecycle units on a minimal live testbed."""
 
+import pytest
+
 from repro.faults import (
     CoreJitter,
     DmaFlake,
@@ -86,6 +88,18 @@ def test_fpc_stall_hits_stage_fpcs():
     assert fpcs
     assert all(fpc.stalls >= 2 for fpc in fpcs)
     assert all(fpc.stalled_ns >= 20_000 for fpc in fpcs)
+
+
+@pytest.mark.parametrize(
+    "fault", [FpcStall(stage="typo", period_ns=100_000), QueueBackpressure(ring="typo")], ids=["stage", "ring"]
+)
+def test_mistyped_stage_or_ring_is_an_error(fault):
+    # A fault naming a kind the data path never registered must not pass
+    # every invariant by silently injecting nothing.
+    bed, _host = one_host_bed()
+    bed.install_fault_plan(FaultPlan("p").add(fault))
+    with pytest.raises(ValueError, match="unknown (stage|ring) 'typo'"):
+        bed.sim.run(until=1_000_000)
 
 
 def test_core_jitter_steals_the_core():

@@ -47,6 +47,74 @@ def test_run_to_completion_layout():
     assert nic.chip.islands[0].free_fpcs == 12 - 4
 
 
+def test_run_to_completion_needs_one_flow_group():
+    # The form config.py's docstring advertises kept the default four
+    # flow groups, but the one worker drains only group 0's ring: three
+    # connections in four were silently black-holed.
+    with pytest.raises(ValueError, match="n_flow_groups=1"):
+        PipelineConfig(pipelined=False)
+    assert not PipelineConfig(pipelined=False, n_flow_groups=1).pipelined
+
+
+def _group(group, replicas, threads):
+    """One protocol island's spawn order: proto, pre replicas, post replicas."""
+    names = ["proto-g%d" % group]
+    names += ["pre-g%d-r%d" % (group, r) for r in range(replicas)]
+    names += ["post-g%d-r%d" % (group, r) for r in range(replicas)]
+    return [(name, threads) for name in names]
+
+
+GRO = [("rx-gro-deliver", 1), ("nbi-gro-deliver", 1)]
+#: Ladder row -> (spawned process names in spawn order, run-length
+#: encoded; FPCs per stage kind). Captured at the commit before assembly
+#: became one routine: spawn order fixes event sequence numbers, so it is
+#: behaviour.
+LADDER = {
+    "baseline_run_to_completion": (
+        [("run-to-completion", 1), ("nbi", 1), ("ctx-atx", 1), ("ctx-arx", 1), ("sch", 1)],
+        {"proto": 1, "nbi": 1, "ctx": 1, "sch": 1},
+    ),
+    "pipelined_single_thread": (
+        GRO + _group(0, 1, 1) + [("dma-r0", 1), ("nbi", 1), ("ctx-atx", 1), ("ctx-arx", 1), ("sch", 1)],
+        {"proto": 1, "pre": 1, "post": 1, "dma": 1, "nbi": 1, "ctx": 1, "sch": 1},
+    ),
+    "with_intra_fpc_parallelism": (
+        GRO + _group(0, 1, 8) + [("dma-r0", 8), ("nbi", 4), ("ctx-atx", 1), ("ctx-arx", 7), ("sch", 1)],
+        {"proto": 1, "pre": 1, "post": 1, "dma": 1, "nbi": 1, "ctx": 1, "sch": 1},
+    ),
+    "with_replicated_pre_post": (
+        GRO + _group(0, 4, 8) + [("dma-r0", 8), ("dma-r1", 8), ("nbi", 4), ("ctx-atx", 1), ("ctx-arx", 7), ("sch", 1)],
+        {"proto": 1, "pre": 4, "post": 4, "dma": 2, "nbi": 1, "ctx": 1, "sch": 1},
+    ),
+    "full": (
+        GRO
+        + [run for group in range(4) for run in _group(group, 4, 8)]
+        + [("dma-r%d" % r, 8) for r in range(4)]
+        + [("nbi", 4), ("ctx-atx", 1), ("ctx-arx", 7), ("sch", 1)],
+        {"proto": 4, "pre": 16, "post": 16, "dma": 4, "nbi": 1, "ctx": 1, "sch": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(LADDER))
+def test_assembly_follows_the_declaration(row):
+    from repro.analysis import hblint
+    from repro.flextoe.datapath import FlexToeDatapath
+
+    names, fpcs = LADDER[row]
+    dp = make_nic(getattr(PipelineConfig, row)()).datapath
+    assert [p.name for p in dp.processes] == [name for name, count in names for _ in range(count)]
+    assert {kind: len(claimed) for kind, claimed in dp.stage_fpcs.items()} == fpcs
+    # Every declared ring exists, and every stage kind that runs is one
+    # the ring table (or the scheduler's anchor) declares.
+    kinds = {consumer for consumer, _producers, _key in FlexToeDatapath.RINGS.values()}
+    for attr, (consumer, producers, _key) in FlexToeDatapath.RINGS.items():
+        assert dp.rings(attr) and all(hasattr(ring, "try_get") for ring in dp.rings(attr))
+        assert set(producers) <= kinds | {"sch", "gro", "seqr"}
+    assert set(dp.stage_fpcs) <= kinds | {"sch"}
+    assert hblint.ORDERED_RINGS == {"dma_ring": "conn", "ctx_ring": "context"}
+
+
 def test_agilio_lx_has_headroom():
     from repro.nfp import Nfp4000, NfpConfig
 

@@ -102,11 +102,11 @@ def assert_retired_once(dp):
 
 def test_post_stage_drop_releases_nbi_ticket():
     # Through PostStage.program, the way the work really travels:
-    # _process declines to emit, program's one exit retires it — once.
+    # process declines to emit, program's one exit retires it — once.
     nic = make_nic()
     dp = nic.datapath
     work = ticketed_work(nic)
-    assert drain(dp.post_stages[0]._process(None, work)) is False  # frees nothing itself
+    assert drain(dp.post_stages[0].process(None, work)) is False  # frees nothing itself
     assert dp.ctm_pool.in_use == 1
     assert dp.post_rings[0].try_put(work)
     dp.sim.run(until=dp.sim.now + 10_000)
@@ -116,7 +116,7 @@ def test_post_stage_drop_releases_nbi_ticket():
 def test_dma_stage_drop_releases_nbi_ticket():
     nic = make_nic()
     dp = nic.datapath
-    drain(dp.dma_stages[0]._process(None, ticketed_work(nic)))  # all of DmaStage.program
+    drain(dp.dma_stages[0].process(None, ticketed_work(nic)))  # all of DmaStage.program
     assert_retired_once(dp)
 
 
@@ -191,7 +191,7 @@ def notifications(nic):
 
 def test_removal_under_a_work_in_post_is_a_legal_race(sanitized):
     # ROADMAP item 1's red gate, minimal: the cp-timer removes a
-    # connection while one of its works is inside PostStage._process.
+    # connection while one of its works is inside PostStage.process.
     # The work still enters dma_ring — in its own tenant's order, so the
     # HB monitor must stay quiet — and the DMA stage retires it.
     nic = make_nic()
