@@ -127,6 +127,13 @@ class PreStage:
         # Id: connection lookup (local CAM, then the IMEM engine).
         four = (frame.ip.dst, frame.ip.src, frame.tcp.dport, frame.tcp.sport)
         hit, conn_index = self.id_cache.lookup(four)
+        if hit:
+            tenant = dp.conn_table.get(conn_index)
+            if tenant is None or tenant.four_tuple != four:
+                # Torn down since it was cached, and the index perhaps
+                # re-let: the cache says nothing about this tuple.
+                self.id_cache.invalidate(four)
+                hit = False
         if not hit:
             yield from thread.mem_read(dp.imem_latency_level)
             found, conn_index, _probes = dp.lookup_engine.lookup(four)

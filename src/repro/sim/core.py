@@ -4,26 +4,22 @@ The design follows simpy's coroutine model: a :class:`Process` wraps a
 generator that yields :class:`Event` objects; the process resumes when the
 yielded event fires. Time is an integer (nanoseconds by convention).
 
-Hot-path notes (ISSUE 5): millions of heap pushes, generator resumes and
-event allocations dominate every experiment, so this module trades a
-little plainness for speed where profiles said it matters:
+Hot-path notes: millions of heap pushes, generator resumes and event
+allocations dominate every experiment, so this module trades a little
+plainness for speed where measurement says it pays (DESIGN §12 keeps
+the ledger, one row per host-only mechanism with the number behind it):
 
 * :meth:`Simulator.run` inlines the :meth:`Simulator.step` body and
-  binds heap/pool lookups to locals — one Python frame per run, not one
-  per event.
-* Single-use events (:class:`Timeout`, and the store put/get events
-  registered by :mod:`repro.sim.resources`) are recycled through
-  per-simulator free lists. An event is only reclaimed when, after its
-  callbacks ran, the dispatch loop holds the *sole* remaining reference
-  (``sys.getrefcount == 2``) — so a pool can never hand out an object
-  some process, condition, or trace still sees. Recycling preserves
-  behaviour exactly: same schedule order, same ``_seq`` assignment, the
-  object identity is just reused after death.
+  binds the heap to a local — one Python frame per run, not one per
+  event.
 * :class:`Condition` results are built directly from the sub-event list
   instead of a tracking set; bound-method callbacks are created once.
 * A process that returns while nobody waits on it schedules no exit
   event (:meth:`Event.settle`): the dispatch would run nothing, and
   removing an event that runs nothing cannot reorder the rest.
+
+Event objects are never reused: one is created per occurrence, and what
+a caller still holds after the dispatch is what was dispatched.
 
 Everything observable — event ordering, timestamps, values, error
 propagation — is pinned by ``tests/sim`` (including hypothesis
@@ -31,14 +27,10 @@ properties) and the golden-digest suite in ``tests/integration``.
 """
 
 from heapq import heappop, heappush
-from sys import getrefcount
 
 #: Event priorities. Lower sorts earlier at equal timestamps.
 URGENT = 0
 NORMAL = 1
-
-#: Per-class cap on recycled events kept around per simulator.
-POOL_MAX = 1024
 
 
 class SimulationError(Exception):
@@ -54,17 +46,6 @@ class Interrupt(Exception):
 
 
 PENDING = object()
-
-#: Event classes eligible for free-list recycling. Only single-use leaf
-#: events belong here (their class must be exactly the registered one);
-#: :func:`register_poolable` is called by :mod:`repro.sim.resources`.
-_POOLABLE = set()
-
-
-def register_poolable(cls):
-    """Mark an Event subclass as recyclable through the simulator pools."""
-    _POOLABLE.add(cls)
-    return cls
 
 
 class Event:
@@ -146,7 +127,6 @@ class Event:
         return "<{} {}>".format(type(self).__name__, state)
 
 
-@register_poolable
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
@@ -327,8 +307,6 @@ class Simulator:
         self._seq = 0
         self._active_process = None
         self._event_count = 0
-        #: class -> free list of dead event objects (see module docstring).
-        self._pools = {cls: [] for cls in _POOLABLE}
 
     # -- scheduling ------------------------------------------------------
 
@@ -339,37 +317,13 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
-    def _recycle(self, event):
-        """Return a dispatched event to its free list if it is dead.
-
-        Called by the dispatch loops with the popped event after its
-        callbacks ran. ``getrefcount == 2`` (this frame's local + the
-        getrefcount argument) proves nothing else references the object,
-        so handing it out again can never alias a live event.
-        """
-        pool = self._pools.get(event.__class__)
-        if pool is not None and len(pool) < POOL_MAX and getrefcount(event) == 2:
-            pool.append(event)
-
     # -- factories -------------------------------------------------------
 
     def event(self):
         return Event(self)
 
     def timeout(self, delay, value=None):
-        delay = int(delay)
-        if delay < 0:
-            raise SimulationError("negative timeout delay: {!r}".format(delay))
-        pool = self._pools[Timeout]
-        if pool:
-            timeout = pool.pop()
-            timeout.callbacks = []
-            timeout._value = value
-            timeout._ok = True
-            self._seq += 1
-            heappush(self._heap, (self.now + delay, NORMAL, self._seq, timeout))
-            return timeout
-        return Timeout(self, delay, value)
+        return Timeout(self, int(delay), value)
 
     def process(self, generator, name=None):
         return Process(self, generator, name=name)
@@ -397,7 +351,6 @@ class Simulator:
         event.callbacks = None
         for callback in callbacks:
             callback(event)
-        self._recycle(event)
 
     def run(self, until=None):
         """Run until the heap drains or simulated time reaches ``until``.
@@ -406,11 +359,11 @@ class Simulator:
         that event fires (its value is returned).
 
         The loops below are :meth:`step` unrolled with locals bound
-        outside the loop; they must stay behaviourally identical to it.
+        outside the loop; they must stay behaviourally identical to it
+        (``tests/sim/test_core_property.py`` drives all three against
+        each other).
         """
         heap = self._heap
-        pools = self._pools
-        pool_get = pools.get
         count = 0
         try:
             if isinstance(until, Event):
@@ -427,9 +380,6 @@ class Simulator:
                     event.callbacks = None
                     for callback in callbacks:
                         callback(event)
-                    pool = pool_get(event.__class__)
-                    if pool is not None and len(pool) < POOL_MAX and getrefcount(event) == 2:
-                        pool.append(event)
                 if not stop._ok:
                     raise stop._value
                 return stop._value
@@ -448,9 +398,6 @@ class Simulator:
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-                pool = pool_get(event.__class__)
-                if pool is not None and len(pool) < POOL_MAX and getrefcount(event) == 2:
-                    pool.append(event)
             if deadline is not None:
                 self.now = deadline
             return None

@@ -8,10 +8,9 @@ issue slots are :class:`Resource` objects, and so on.
 import heapq
 from collections import deque
 
-from repro.sim.core import PENDING, Event, SimulationError, register_poolable
+from repro.sim.core import Event, SimulationError
 
 
-@register_poolable
 class StorePut(Event):
     __slots__ = ("item",)
 
@@ -19,32 +18,16 @@ class StorePut(Event):
         super().__init__(store.sim)
         self.item = item
         store._put_queue.append(self)
-        store._trigger()
+        store._settle()
 
 
-@register_poolable
 class StoreGet(Event):
     __slots__ = ()
 
     def __init__(self, store):
         super().__init__(store.sim)
         store._get_queue.append(self)
-        store._trigger()
-
-
-def _acquire(cls, sim):
-    """Pop a recycled event of ``cls`` from the simulator's free list and
-    re-arm it, or return None when the pool is empty. See the pooling
-    notes in :mod:`repro.sim.core`."""
-    pool = sim._pools[cls]
-    if pool:
-        event = pool.pop()
-        event.callbacks = []
-        event._value = PENDING
-        event._ok = True
-        event._scheduled = False
-        return event
-    return None
+        store._settle()
 
 
 class Store:
@@ -83,24 +66,13 @@ class Store:
         if capacity is not None and capacity <= 0:
             raise SimulationError("store capacity must be positive")
         self.capacity = capacity
-        self._trigger()
+        self._settle()
 
     def put(self, item):
-        put = _acquire(StorePut, self.sim)
-        if put is None:
-            return StorePut(self, item)
-        put.item = item
-        self._put_queue.append(put)
-        self._trigger()
-        return put
+        return StorePut(self, item)
 
     def get(self):
-        get = _acquire(StoreGet, self.sim)
-        if get is None:
-            return StoreGet(self)
-        self._get_queue.append(get)
-        self._trigger()
-        return get
+        return StoreGet(self)
 
     def try_put(self, item):
         """Non-blocking put. Returns True if the item was accepted."""
@@ -112,8 +84,8 @@ class Store:
     def try_get(self):
         """Non-blocking get. Returns (True, item) or (False, None)."""
         if self.items:
-            item = self.items.popleft()
-            self._drain_puts()
+            item = self._pop()
+            self._settle()
             return True, item
         return False, None
 
@@ -125,44 +97,37 @@ class Store:
         """
         self._accept(item)
 
-    def _accept(self, item):
-        self._insert(item)
-        if len(self.items) > self.max_occupancy:
-            self.max_occupancy = len(self.items)
-        self._serve_gets()
-
     def _insert(self, item):
         self.items.append(item)
 
     def _pop(self):
         return self.items.popleft()
 
-    def _serve_gets(self):
-        while self.items and self._get_queue:
-            get = self._get_queue.popleft()
-            get.succeed(self._pop())
+    def _accept(self, item):
+        """Take ``item`` in; a get parked on the empty store takes it out."""
+        self._insert(item)
+        if len(self.items) > self.max_occupancy:
+            self.max_occupancy = len(self.items)
+        gets = self._get_queue
+        while self.items and gets:
+            gets.popleft().succeed(self._pop())
 
-    def _drain_puts(self):
-        while self._put_queue and not self.is_full:
-            put = self._put_queue.popleft()
+    def _settle(self):
+        """Move everything that can move: items to parked gets, then
+        blocked puts into the room that leaves.
+
+        Every mutation ends here, so a store never rests holding both
+        an item and a parked get, or both room and a blocked put. The
+        order of the ``succeed`` calls is the order the waiters resume
+        in: a get served by a put fires before that put does.
+        """
+        gets, puts = self._get_queue, self._put_queue
+        while self.items and gets:
+            gets.popleft().succeed(self._pop())
+        while puts and not self.is_full:
+            put = puts.popleft()
             self._accept(put.item)
             put.succeed()
-
-    def _trigger(self):
-        # Serve pending puts first (space may exist), then gets.
-        while True:
-            moved = False
-            if self._put_queue and not self.is_full:
-                put = self._put_queue.popleft()
-                self._accept(put.item)
-                put.succeed()
-                moved = True
-            if self.items and self._get_queue:
-                get = self._get_queue.popleft()
-                get.succeed(self._pop())
-                moved = True
-            if not moved:
-                return
 
 
 class PriorityStore(Store):
@@ -183,13 +148,6 @@ class PriorityStore(Store):
 
     def _pop(self):
         return heapq.heappop(self.items)
-
-    def try_get(self):
-        if self.items:
-            item = heapq.heappop(self.items)
-            self._drain_puts()
-            return True, item
-        return False, None
 
 
 class ResourceRequest(Event):

@@ -45,8 +45,8 @@ class Wire:
         self.sent.append(frame)
 
 
-def make_nic():
-    nic = FlexToeNic(Simulator(), config=PipelineConfig.with_intra_fpc_parallelism())
+def make_nic(config=None):
+    nic = FlexToeNic(Simulator(), config=config or PipelineConfig.with_intra_fpc_parallelism())
     nic.register_context(1)
     nic.attach_port(Wire())
     return nic
@@ -234,3 +234,36 @@ def test_recycled_index_does_not_adopt_the_old_tenants_work():
     assert new_rx.region.read(0, 51) == b"\xbb" * 50 + b"\x00"
     assert [(n.kind, n.opaque, n.length) for n in notifications(nic)] == [("rx", "new", 50)]
     assert [frame.tcp.ack for frame in nic.port.sent] == [IRS + 50]  # only its own ACK
+
+
+def test_late_segment_of_removed_connection_never_reaches_the_next_tenant():
+    # Identity is decided at admission. One pre-stage replica, so its
+    # id-cache holds the old tenant's tuple -> index when the index is
+    # re-let; the old peer's late segment must then miss like any unknown
+    # tuple (and go to the control plane, which answers strays with RST),
+    # not be bound to whoever holds the index now.
+    nic = make_nic(PipelineConfig.pipelined_single_thread())
+    dp = nic.datapath
+    old, _old_rx = offload(nic, 5000, "old")
+    dp._on_mac_rx(segment(5000, b"\xaa" * 8))
+    dp.sim.run(until=dp.sim.now + 100_000)
+    cache = dp.pre_stages[0].id_cache
+    assert (LOCAL_IP, PEER_IP, 5000, PEER_PORT) in cache
+    nic.remove_connection(old.index)
+    new, new_rx = offload(nic, 5001, "new")
+    assert new.index == old.index
+    seen = len(notifications(nic))
+
+    dp._on_mac_rx(segment(5000, b"EVIL"))  # the old tenant's four-tuple, at IRS
+    dp.sim.run(until=dp.sim.now + 100_000)
+    assert new_rx.region.read(0, 4) == bytes(4)  # b"EVIL" at the parent
+    assert new.proto.ack == IRS  # IRS + 4 at the parent
+    assert len(notifications(nic)) == seen
+    assert len(dp.control_ring) == 1  # redirected, like any unknown tuple
+    assert (LOCAL_IP, PEER_IP, 5000, PEER_PORT) not in cache
+    # The index's tenant is served as ever, now from the cache.
+    dp._on_mac_rx(segment(5001, b"\xbb" * 50))
+    dp._on_mac_rx(segment(5001, b"\xbb" * 50))
+    dp.sim.run(until=dp.sim.now + 100_000)
+    assert new_rx.region.read(0, 51) == b"\xbb" * 50 + b"\x00"
+    assert cache.lookup((LOCAL_IP, PEER_IP, 5001, PEER_PORT)) == (True, new.index)

@@ -3,10 +3,11 @@
 FlexTOE parallelizes the data path by *flow group*: connections are
 partitioned, each partition is serviced independently, and nothing
 crosses a partition boundary except through explicit merge points. This
-module applies the same decomposition one level up, at testbed
-granularity: a scale-out run is split into N *shards*, each an
-independent :class:`~repro.harness.Testbed` in its own worker process,
-owning a deterministic subset of the workload's shard-level flow groups.
+scenario library (``test_shard_determinism.py`` holds its gates) applies
+the same decomposition one level up, at testbed granularity: a scale-out
+run is split into N *shards*, each an independent
+:class:`~repro.harness.Testbed` in its own worker process, owning a
+deterministic subset of the workload's shard-level flow groups.
 
 Determinism
 -----------
@@ -91,34 +92,6 @@ def _vm_rss_kb():
     return 0  # pragma: no cover
 
 
-class _WireTap:
-    """Passive switch hook hashing every admitted frame (golden-digest
-    style): forwards each frame once, undelayed."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self._sha = None
-        self.frames = 0
-
-    def admit(self, frame):
-        import hashlib
-
-        from repro.faults.log import describe_frame
-
-        if self._sha is None:
-            self._sha = hashlib.sha256()
-        self._sha.update(
-            "{} {}\n".format(self.sim.now, describe_frame(frame)).encode()
-        )
-        self.frames += 1
-        return [(frame, 0)]
-
-    def digest(self):
-        import hashlib
-
-        return (self._sha or hashlib.sha256()).hexdigest()
-
-
 def _run_shard(params):
     """One shard's whole life: build, bulk-install, drive actives, report.
 
@@ -131,6 +104,7 @@ def _run_shard(params):
     from repro.control.recovery import SHADOW_SLAB
     from repro.flextoe.state import CONN_SLAB
     from repro.harness import Testbed
+    from tests.integration.test_golden_digests import WireTap
 
     shard_index = params["shard_index"]
     n_shards = params["n_shards"]
@@ -138,7 +112,7 @@ def _run_shard(params):
     actives = params["actives"]
     n_requests = params["n_requests"]
 
-    start_wall = time.perf_counter()  # sim-lint: allow (bench measures wall time)
+    start_wall = time.perf_counter()
     config = ControlPlaneConfig(
         rx_buffer_size=_ACTIVE_BUFFER_BYTES,
         tx_buffer_size=_ACTIVE_BUFFER_BYTES,
@@ -148,7 +122,7 @@ def _run_shard(params):
     server = bed.add_flextoe_host("server", cp_kwargs={"config": config})
     client = bed.add_flextoe_host("client", cp_kwargs={"config": config})
     bed.seed_all_arp()
-    tap = _WireTap(bed.sim)
+    tap = WireTap(bed.sim)
     bed.switch.faults = tap
 
     # -- active connections: real handshakes, closed-loop echo RPCs ------
@@ -224,8 +198,8 @@ def _run_shard(params):
         "n_shards": n_shards,
         "events": bed.sim.processed_events,
         "sim_ns": bed.sim.now,
-        "wall_s": time.perf_counter() - start_wall,  # sim-lint: allow
-        "wire_frames": tap.frames,
+        "wall_s": time.perf_counter() - start_wall,
+        "wire_frames": len(tap.lines),
         "wire_digest": tap.digest(),
         "counters": counters,
         "bulk_conns": len(my_bulk),
@@ -241,10 +215,9 @@ def _run_shard(params):
 def _worker_main():  # pragma: no cover - exercised in worker processes
     """Subprocess entry: shard params as JSON on stdin, result on stdout.
 
-    A plain subprocess (not ``multiprocessing`` spawn) so the worker
-    never re-imports the parent's ``__main__`` module — connscale runs
-    identically under ``python -m repro``, pytest, and unguarded
-    scripts.
+    A plain subprocess running this file by path (not ``multiprocessing``
+    spawn), so the worker never re-imports the parent's ``__main__``
+    module — connscale runs identically under pytest and from scripts.
     """
     params = json.load(sys.stdin)
     try:
@@ -338,7 +311,7 @@ def run_connscale(
         return merge_results(results)
     for params in plans:
         proc = subprocess.run(
-            [sys.executable, "-c", "from repro.bench.shard import _worker_main; _worker_main()"],
+            [sys.executable, os.path.abspath(__file__)],
             input=json.dumps(params),
             capture_output=True,
             text=True,
@@ -362,15 +335,18 @@ def run_connscale(
 
 
 def _worker_env():
-    """The parent's environment plus a PYTHONPATH that resolves repro.
+    """The parent's environment plus a PYTHONPATH that resolves what the
+    worker imports: ``repro`` from wherever this process found it
+    (installed, or PYTHONPATH=src) and ``tests`` from this checkout."""
+    import repro
 
-    Covers source checkouts where ``repro`` was importable via the
-    parent's ``sys.path`` (pytest rootdir munging, PYTHONPATH=src) but
-    is not installed site-wide.
-    """
     env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    here = os.path.dirname(os.path.abspath(__file__))
+    roots = [os.path.dirname(os.path.dirname(here)), os.path.dirname(os.path.dirname(repro.__file__))]
     existing = env.get("PYTHONPATH")
-    if package_root not in (existing or "").split(os.pathsep):
-        env["PYTHONPATH"] = package_root + (os.pathsep + existing if existing else "")
+    env["PYTHONPATH"] = os.pathsep.join(roots + ([existing] if existing else []))
     return env
+
+
+if __name__ == "__main__":
+    _worker_main()

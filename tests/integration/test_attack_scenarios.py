@@ -11,9 +11,9 @@ the headline numbers the CI attack-matrix job gates on:
 
 import pytest
 
-from repro.bench import attack
-from repro.bench.attack import run_attack_scenario
 from repro.harness import Testbed
+from tests.integration import attack_scenarios
+from tests.integration.attack_scenarios import run_attack_scenario
 from tests.integration.driver import DRAIN_NS, assert_drained
 
 
@@ -52,7 +52,7 @@ def test_churn_scenario_gates_hold(monkeypatch):
         beds.append(Testbed(**kwargs))
         return beds[-1]
 
-    monkeypatch.setattr(attack, "Testbed", recording_testbed)
+    monkeypatch.setattr(attack_scenarios, "Testbed", recording_testbed)
     checks, metrics = run_attack_scenario("churn", quick=True)
     assert checks["on_ratio"] >= 0.5
     assert checks["detector_drops"] > 0

@@ -3,8 +3,12 @@ handshake, data transfer through the full NIC pipeline, teardown."""
 
 import pytest
 
+from repro.flextoe.config import PipelineConfig
 from repro.harness import Testbed
+from repro.proto import make_tcp_frame
+from repro.proto.tcp import FLAG_ACK, FLAG_PSH
 from tests.integration.driver import run_apps
+from tests.integration.test_golden_digests import WireTap
 
 
 @pytest.fixture
@@ -57,8 +61,6 @@ def test_connect_and_echo_small(bed):
 def test_run_to_completion_server_moves_data():
     # Table 3's baseline row: every stage inline on one FPC thread. The
     # post->DMA hop has no ring there, so it is easy to lose.
-    from repro.flextoe.config import PipelineConfig
-
     bed = Testbed(seed=1)
     bed.add_flextoe_host("server", pipeline_config=PipelineConfig.baseline_run_to_completion())
     bed.add_flextoe_host("client")
@@ -217,3 +219,73 @@ def test_stats_and_pipeline_counters(bed):
     assert sum(s.processed["rx"] for s in server_dp.protocol_stages) > 0
     assert server_dp.nbi_stage.transmitted > 0
     assert bed.hosts["server"].nic.chip.dma.ops > 0
+
+
+def test_late_segment_after_churn_is_reset_not_delivered(sanitized):
+    # tests/flextoe/test_stage_teardown_drop.py's isolation case on a
+    # whole testbed, sanitized: connection A closes, B is let A's index,
+    # then a late segment with A's four-tuple arrives off the wire at
+    # exactly the sequence number B's tenant expects. One pre-stage
+    # replica, so its id-cache still maps A's tuple to the shared index.
+    bed = Testbed(seed=1)
+    server = bed.add_flextoe_host("server", pipeline_config=PipelineConfig.pipelined_single_thread())
+    client = bed.add_flextoe_host("client")
+    bed.seed_all_arp()
+    accepted, a_tuple, results = [], [], {}
+    b_open, injected = bed.sim.event(), bed.sim.event()
+
+    def server_app(ctx):
+        listener = ctx.listen(7777)
+        for _ in range(2):
+            sock = yield from ctx.accept(listener)
+            accepted.append(sock)
+            while True:
+                data = yield from ctx.recv(sock, 4096)
+                if not data:
+                    break
+                yield from ctx.send(sock, data.upper())
+            yield from ctx.close(sock)
+
+    def client_app(ctx):
+        a = yield from ctx.connect(server.ip, 7777)
+        yield from ctx.send(a, b"first")
+        results["a"] = yield from ctx.recv(a, 4096)
+        a_tuple.extend(a.four_tuple)
+        yield from ctx.close(a)
+        yield ctx.sim.timeout(1_000_000)  # both FINs acknowledged: A is gone
+        b = yield from ctx.connect(server.ip, 7777)
+        yield from ctx.send(b, b"second")
+        results["b"] = yield from ctx.recv(b, 4096)
+        b_open.succeed()
+        yield injected
+        yield from ctx.send(b, b"third")
+        results["b_after"] = yield from ctx.recv(b, 4096)
+        yield from ctx.close(b)
+
+    apps = [
+        bed.sim.process(server_app(server.new_context()), name="server-app"),
+        bed.sim.process(client_app(client.new_context()), name="client-app"),
+    ]
+    bed.sim.run(until=b_open)
+    sock_a, sock_b = accepted
+    assert sock_b.conn_index == sock_a.conn_index  # the index was re-let
+    tenant = server.nic.datapath.conn_table.get(sock_b.conn_index)
+    expected = tenant.proto.ack
+    client_ip, server_ip, a_port, server_port = a_tuple
+    tap = bed.switch.faults = WireTap(bed.sim)
+    client.station.port.send(make_tcp_frame(
+        client.mac, server.mac, client_ip, server_ip, a_port, server_port,
+        seq=expected, ack=tenant.proto.seq, flags=FLAG_ACK | FLAG_PSH, payload=b"EVIL",
+    ))
+    bed.sim.run(until=bed.sim.now + 100_000)
+    assert tenant.proto.ack == expected  # + 4 at the parent
+    # The stray went to the control plane, which answered A's port with
+    # the RST any unknown tuple gets; B's stream saw none of it.
+    a_frames = [line.split()[2:] for line in tap.lines if str(a_port) in line.split()[2]]
+    assert [(ports, flags, length) for ports, _seq, _ack, flags, length in a_frames] == [
+        ("{}>{}".format(a_port, server_port), "flags=PA", "len=4"),
+        ("{}>{}".format(server_port, a_port), "flags=RA", "len=0"),
+    ]
+    injected.succeed()
+    run_apps(bed, apps, deadline_ns=2_000_000_000)
+    assert results == {"a": b"FIRST", "b": b"SECOND", "b_after": b"THIRD"}

@@ -1,6 +1,6 @@
 """Cross-process determinism of the sharded connscale runs.
 
-Two properties hold by construction (see ``repro.bench.shard``):
+Two properties hold by construction (see ``connscale.py`` beside this file):
 
 * merged *semantic* counters are a function of the global plan only —
   shards=1 and shards=4 produce identical merged counters;
@@ -9,7 +9,7 @@ Two properties hold by construction (see ``repro.bench.shard``):
   wire digest byte-for-byte.
 """
 
-from repro.bench.shard import (
+from tests.integration.connscale import (
     SHARD_GROUPS,
     group_of_ordinal,
     owner_of_group,

@@ -1,23 +1,23 @@
 """Property-based tests for the event-loop kernel.
 
-The hot-path rewrite (inlined run loops, free-list event recycling) must
-preserve three kernel invariants exactly:
+The kernel's invariants, whatever its dispatch loops look like:
 
 * dispatch times never decrease over a run;
 * events scheduled for the same instant fire in schedule order (FIFO
   tie-break via the global sequence counter);
-* the free lists only ever hold dead, drained events — a recycled
-  object can never alias an event something still waits on;
 * a process nobody waits on costs its own steps and nothing else: its
   exit is not dispatched, and adding such processes to a schedule never
-  changes the order in which everything else runs.
+  changes the order in which everything else runs;
+* ``step()``, ``run()``, ``run(until=t)`` and ``run(until=event)`` are
+  one dispatch: however a program is driven, it produces the same
+  transcript and the same event count (``run()`` unrolls ``step()``
+  twice, and its docstring promises they stay identical).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator, Store
-from repro.sim.core import POOL_MAX, Timeout
 
 
 @settings(max_examples=100, deadline=None)
@@ -41,8 +41,8 @@ def test_fire_times_nondecreasing(delays):
     )
 )
 def test_fire_times_nondecreasing_with_nested_scheduling(chains):
-    # Timeouts created *during* the run (by running processes) exercise
-    # the pool reuse path; time must still never move backwards.
+    # Timeouts created *during* the run (by running processes) land
+    # among those already scheduled; time must still never move backwards.
     sim = Simulator()
     fired = []
 
@@ -69,41 +69,6 @@ def test_same_instant_fifo_by_schedule_order(delays):
         sim.timeout(delay).callbacks.append(lambda _ev, i=index: fired.append(i))
     sim.run()
     assert fired == sorted(range(len(delays)), key=lambda i: (delays[i], i))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_pools_hold_only_dead_events(data):
-    # At every observation point, every pooled event must be dead
-    # (callbacks drained to None) and absent from the schedule heap, so
-    # a pool can never hand out an object something still waits on.
-    sim = Simulator()
-    done = []
-
-    def runner(seq):
-        for delay in seq:
-            yield sim.timeout(delay)
-        done.append(sim.now)
-
-    chains = data.draw(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=6),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    for seq in chains:
-        sim.process(runner(seq))
-    horizons = data.draw(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=4))
-    for horizon in sorted(horizons):
-        sim.run(until=horizon)
-        scheduled = {id(entry[3]) for entry in sim._heap}
-        for pool in sim._pools.values():
-            for event in pool:
-                assert event.callbacks is None
-                assert id(event) not in scheduled
-    sim.run()
-    assert len(done) == len(chains)
 
 
 _STEPS = st.lists(st.integers(min_value=0, max_value=6), max_size=6)
@@ -145,23 +110,22 @@ def test_waiterless_processes_never_reorder_what_is_observed(chains, silent):
     assert mixed_events - alone_events == sum(1 + len(steps) for steps in silent)
 
 
-def test_referenced_event_is_never_recycled():
-    # The refcount guard: an event the test still holds must not enter
-    # the free list, and fresh timeouts must never alias it.
+def test_held_timeout_keeps_its_value_while_later_timeouts_come_and_go():
+    # An event object is never reused: what a caller holds is what fired.
     sim = Simulator()
-    held = sim.timeout(5)
+    held = sim.timeout(5, value="kept")
     sim.run()
-    assert all(event is not held for event in sim._pools[Timeout])
-    fresh = [sim.timeout(0) for _ in range(POOL_MAX + 8)]
-    assert all(event is not held for event in fresh)
-    assert held.value is None  # still readable after the run
+    for later in range(2000):
+        sim.timeout(1, value=later)
+    sim.run()
+    assert held.value == "kept" and sim.processed_events == 2001
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=60))
-def test_store_fifo_order_under_event_recycling(gaps):
-    # StorePut/StoreGet are pooled too; a bounded store must still
-    # behave as an exact FIFO for any producer/consumer interleaving.
+def test_bounded_store_is_fifo_for_any_interleaving(gaps):
+    # A bounded store is an exact FIFO for any producer/consumer
+    # interleaving, blocked puts and parked gets included.
     sim = Simulator()
     store = Store(sim, capacity=4)
     received = []
@@ -182,3 +146,92 @@ def test_store_fifo_order_under_event_recycling(gaps):
     sim.process(consumer())
     sim.run()
     assert received == list(range(len(gaps)))
+
+
+# -- one dispatch, four ways to drive it -------------------------------------
+
+_N_STORES = _N_GATES = 2
+_OP = st.one_of(
+    st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=5)),
+    st.tuples(st.just("put"), st.integers(min_value=0, max_value=_N_STORES - 1)),
+    st.tuples(st.just("get"), st.integers(min_value=0, max_value=_N_STORES - 1)),
+    st.tuples(st.just("gate"), st.integers(min_value=0, max_value=_N_GATES - 1)),
+    st.tuples(st.just("join"), st.integers(min_value=0, max_value=7)),
+)
+_PROGRAM = st.lists(st.lists(_OP, max_size=6), min_size=1, max_size=8)
+
+
+def _play(program, sentinel_delays, drive):
+    """Run ``program`` under ``drive(sim, sentinel)``; returns the
+    ``(now, process, value)`` transcript and the event count."""
+    sim = Simulator()
+    stores = [Store(sim, capacity=2) for _ in range(_N_STORES)]
+    gates = [sim.event() for _ in range(_N_GATES)]  # several waiters, one event
+    transcript = []
+    processes = []
+
+    def body(pid, ops):
+        for step, (op, arg) in enumerate(ops):
+            if op == "timeout":
+                value = yield sim.timeout(arg, value=(pid, step))
+            elif op == "put":
+                value = yield stores[arg].put((pid, step))
+            elif op == "get":
+                value = yield stores[arg].get()
+            elif op == "gate":
+                value = yield gates[arg]
+            elif arg < pid:  # join an earlier process (it may never end)
+                value = yield processes[arg]
+            else:
+                continue
+            transcript.append((sim.now, pid, value))
+        return pid
+
+    def sentinel_body():
+        # Timeouts only, so it always ends: a legal run(until=event) target.
+        # On its way it opens the gates, if it gets that far.
+        for step, delay in enumerate(sentinel_delays):
+            yield sim.timeout(delay)
+            transcript.append((sim.now, "sentinel", None))
+            if step < _N_GATES:
+                gates[step].succeed(step)
+
+    for pid, ops in enumerate(program):
+        processes.append(sim.process(body(pid, ops)))
+    drive(sim, sim.process(sentinel_body()))
+    assert sim.peek() is None  # drained: a parked get or put holds no event
+    return transcript, sim.processed_events
+
+
+def _by_step(sim, _sentinel):
+    while sim.peek() is not None:
+        sim.step()
+
+
+def _by_run(sim, _sentinel):
+    sim.run()
+
+
+def _by_event(sim, sentinel):
+    sim.run(until=sentinel)
+    assert not sentinel.is_alive
+    sim.run()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _PROGRAM,
+    st.lists(st.integers(min_value=0, max_value=6), max_size=5),
+    st.lists(st.integers(min_value=0, max_value=12), max_size=6),
+)
+def test_every_way_of_driving_the_kernel_is_the_same_dispatch(program, sentinel_delays, slices):
+    def by_slices(sim, _sentinel):
+        for horizon in slices:  # any order; a horizon in the past is skipped
+            if horizon >= sim.now:
+                sim.run(until=horizon)
+                assert sim.now == horizon
+        sim.run()
+
+    reference = _play(program, sentinel_delays, _by_step)
+    for drive in (_by_run, by_slices, _by_event):
+        assert _play(program, sentinel_delays, drive) == reference
