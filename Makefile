@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact
+.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact
 
 test:
 	$(PY) -m pytest -x -q
@@ -19,6 +19,14 @@ sanitize:
 # tier1-durations artefact.
 durations:
 	$(PY) -m pytest --durations=20 | sed -n '/slowest 20 durations/,$$p'
+
+# The statements under src/repro that tier-1 never executes, per file,
+# with their line numbers (tests/tools/untested.py: sys.settrace + ast,
+# since coverage is not a dependency; ~2 min). A table to read when
+# asking what a proof, an arm or a feature is held up by — no threshold.
+# Extra pytest arguments narrow the run: make untested ARGS=tests/xdp
+untested:
+	PYTHONDONTWRITEBYTECODE=1 python tests/tools/untested.py $(ARGS)
 
 # Lines under src/repro, total and per package: ROADMAP item 4's line
 # target, tracked in CI beside the durations table. With BASE=<git ref>

@@ -9,7 +9,7 @@ package makes both checkable:
 * :mod:`repro.analysis.cfg` — instruction successors of XDP VM programs.
 * :mod:`repro.analysis.dataflow` — the abstract domain (register typing,
   stack initialization, verified packet bounds) and its meet operator.
-* :mod:`repro.analysis.verifier` — the CFG/worklist program verifier
+* :mod:`repro.analysis.verifier` — the one-pass CFG program verifier
   backing :func:`repro.xdp.verify`.
 * :mod:`repro.analysis.stagelint` — AST race lint extracting per-stage
   read/write sets of connection-state partitions and flagging writes

@@ -19,9 +19,9 @@ without re-running the verifier. Its trust argument:
   instruction 0, and for every instruction, one application of the
   abstract transfer to its certified state *entails* the certified
   state of each successor (:meth:`AbsState.entails`, a pointwise
-  weaker-or-equal test). No worklist, no widening, no merge policy is
-  trusted — those only influenced *which* fixpoint the verifier found,
-  not whether this one is valid;
+  weaker-or-equal test). Neither the verifier's pass order nor its
+  merge at joins is trusted — those only decide *which* invariant was
+  exported, not whether this one is valid;
 * **obligations** — every fact is recomputed here from the certified
   states with :func:`derive_facts`' own bounds arithmetic and compared
   for exact equality, so a tampered ``elide`` bit or bound never
@@ -57,7 +57,8 @@ from repro.analysis.verifier import (
     verify_states,
 )
 
-CERT_VERSION = 1
+#: Schema of the exported states; ``from_jsonable`` refuses any other.
+CERT_VERSION = 2
 
 _SIZES = {"b": 1, "h": 2, "w": 4, "dw": 8}
 

@@ -1,8 +1,8 @@
 """Control flow over XDP VM programs.
 
 A program is a list of :class:`repro.xdp.vm.Insn`; the verifier's
-worklist runs over per-instruction successors, and the dead-code lint
-classifies instructions by the same mnemonic families. The successor
+structural pass walks per-instruction successors, and the dead-code
+lint classifies instructions by the same mnemonic families. The successor
 function is purely structural: it does not judge whether targets are
 sane (the verifier's pre-pass does).
 """

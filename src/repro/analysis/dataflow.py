@@ -1,18 +1,9 @@
 """The abstract domain for the CFG verifier.
 
-Scalars are tracked with a reduced product of two abstractions, the same
-pair the kernel eBPF verifier uses:
-
-* an unsigned 64-bit **interval** ``[lo, hi]`` — value-range facts from
-  branches and size-bounded loads;
-* a **tnum** ("tracked number"): a ``(value, mask)`` pair where mask
-  bits are unknown and the rest are known equal to ``value`` — bit-level
-  facts from masking and shifting.
-
-The two refine each other after every operation (``ScalarVal.make``), so
+A scalar is one unsigned 64-bit **interval** ``[lo, hi]``: value-range
+facts from size-bounded loads, masks, shifts and branches, so
 ``ldxb r5, [r2+14]; and r5, 0x0f; lsh r5, 2`` yields a scalar proven in
-``[0, 60]`` with the low two bits known zero — enough to bound a
-variable-length IP header offset.
+``[0, 60]`` — enough to bound a variable-length IP header offset.
 
 Pointers carry a constant offset plus, for packet pointers, an optional
 bounded *variable* part tagged with an id (``vid``). A bounds comparison
@@ -22,8 +13,7 @@ is how ``pkt + hdr_len + k`` accesses are verified.
 
 ``meet`` combines states at control-flow joins and is sound by
 construction: a fact holds after the join only if it held on *every*
-incoming path. ``widen`` additionally jumps interval endpoints to a
-small threshold set so chains of joins converge quickly.
+incoming path.
 """
 
 STACK_SIZE = 512
@@ -35,10 +25,6 @@ U32 = (1 << 32) - 1
 #: its maximum is at most this, so base + variable can never wrap 64 bits
 #: (mirrors the kernel's bounded-packet-offset rule).
 PKT_VAR_BOUND = 1 << 16
-
-#: Widening thresholds: natural load/mask widths, so widened bounds stay
-#: meaningful for bounds checks instead of jumping straight to top.
-_WIDEN_HI = (0xFF, 0xFFFF, U32, U64)
 
 # Register kinds.
 UNINIT = "uninit"
@@ -63,7 +49,8 @@ def _ceil_mask(x):
 
 
 class Interval:
-    """An unsigned 64-bit value range ``[lo, hi]`` (inclusive)."""
+    """A scalar's abstract value: the unsigned 64-bit range ``[lo, hi]``
+    (inclusive). Immutable; every operation returns a new range."""
 
     __slots__ = ("lo", "hi")
 
@@ -82,9 +69,15 @@ class Interval:
     def top(cls):
         return cls(0, U64)
 
+    @classmethod
+    def bounded(cls, hi):
+        """Unknown value within ``[0, hi]`` (a size-bounded load)."""
+        return cls(0, hi)
+
     @property
-    def is_const(self):
-        return self.lo == self.hi
+    def const_value(self):
+        """The value, when the range is a singleton; else ``None``."""
+        return self.lo if self.lo == self.hi else None
 
     def contains(self, value):
         return self.lo <= value <= self.hi
@@ -93,15 +86,6 @@ class Interval:
 
     def join(self, other):
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def widen(self, other):
-        """Accelerated join: endpoints that moved jump to a threshold."""
-        lo = self.lo if other.lo >= self.lo else 0
-        if other.hi <= self.hi:
-            hi = self.hi
-        else:
-            hi = next(t for t in _WIDEN_HI if t >= other.hi)
-        return Interval(lo, hi)
 
     def intersect(self, other):
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -112,11 +96,11 @@ class Interval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def to_jsonable(self):
-        return [self.lo, self.hi]
+        return {"i": [self.lo, self.hi]}
 
     @classmethod
     def from_jsonable(cls, data):
-        lo, hi = data
+        lo, hi = data["i"]
         return cls(int(lo), int(hi))
 
     # -- wrapping unsigned 64-bit arithmetic -------------------------------
@@ -160,19 +144,6 @@ class Interval:
             return Interval(0, min(self.hi, other.hi - 1))
         return Interval(0, self.hi)  # divisor may be 0: x % 0 = x
 
-    def lsh(self, n):
-        if self.hi << n <= U64:
-            return Interval(self.lo << n, self.hi << n)
-        return Interval.top()
-
-    def rsh(self, n):
-        return Interval(self.lo >> n, self.hi >> n)
-
-    def arsh(self, n):
-        if self.hi < 1 << 63:  # signed-non-negative: same as logical shift
-            return self.rsh(n)
-        return Interval.top()
-
     def and_(self, other):
         # a & b <= a and <= b, so the max is bounded by both maxima.
         return Interval(0, min(self.hi, other.hi))
@@ -184,6 +155,33 @@ class Interval:
     def xor_(self, other):
         return Interval(0, _ceil_mask(self.hi | other.hi))
 
+    # Shifts take the amount as a scalar; the machine uses its low six
+    # bits. Only a known amount keeps the range.
+
+    def lsh(self, other):
+        shift = other.const_value
+        if shift is None or self.hi << (shift & 63) > U64:
+            return Interval.top()
+        return Interval(self.lo << (shift & 63), self.hi << (shift & 63))
+
+    def rsh(self, other):
+        shift = other.const_value
+        if shift is None:
+            return Interval(0, self.hi)  # shifting right never grows the value
+        return Interval(self.lo >> (shift & 63), self.hi >> (shift & 63))
+
+    def arsh(self, other):
+        if other.const_value is not None and self.hi < 1 << 63:
+            return self.rsh(other)  # signed-non-negative: same as logical shift
+        return Interval.top()
+
+    def trunc32(self):
+        if self.hi <= U32:
+            return self
+        if self.lo >> 32 == self.hi >> 32:
+            return Interval(self.lo & U32, self.hi & U32)
+        return Interval(0, U32)
+
     def __eq__(self, other):
         return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
 
@@ -191,297 +189,10 @@ class Interval:
         return "[{}, {}]".format(self.lo, self.hi)
 
 
-class Tnum:
-    """Known-bits abstraction: mask bits unknown, the rest equal value."""
-
-    __slots__ = ("value", "mask")
-
-    def __init__(self, value, mask):
-        if value & mask:
-            raise ValueError("tnum value overlaps mask")
-        self.value = value & U64
-        self.mask = mask & U64
-
-    @classmethod
-    def const(cls, value):
-        return cls(value & U64, 0)
-
-    @classmethod
-    def top(cls):
-        return cls(0, U64)
-
-    @classmethod
-    def unknown(cls, mask):
-        """Low bits under ``mask`` unknown, the rest known zero."""
-        return cls(0, mask)
-
-    @property
-    def is_const(self):
-        return self.mask == 0
-
-    @property
-    def min(self):
-        return self.value
-
-    @property
-    def max(self):
-        return self.value | self.mask
-
-    def contains(self, x):
-        return (x & ~self.mask) & U64 == self.value
-
-    # -- lattice -----------------------------------------------------------
-
-    def join(self, other):
-        mu = self.mask | other.mask | (self.value ^ other.value)
-        return Tnum(self.value & other.value & ~mu, mu)
-
-    def intersect(self, other):
-        """Combine known bits from both; None when they contradict."""
-        known = ~self.mask & ~other.mask & U64
-        if (self.value ^ other.value) & known:
-            return None
-        mask = self.mask & other.mask
-        return Tnum((self.value | other.value) & ~mask & U64, mask)
-
-    def entails(self, other):
-        """True when every value this tnum admits, ``other`` admits too:
-        each bit ``other`` knows, we know as well, with the same value."""
-        if ~other.mask & self.mask & U64:
-            return False  # other claims a bit we leave unknown
-        return (self.value ^ other.value) & ~other.mask & U64 == 0
-
-    def to_jsonable(self):
-        return [self.value, self.mask]
-
-    @classmethod
-    def from_jsonable(cls, data):
-        value, mask = data
-        return cls(int(value), int(mask))
-
-    # -- transfer (the kernel tnum_* algebra, masked to 64 bits) -----------
-
-    def add(self, other):
-        sm = self.mask + other.mask
-        sv = self.value + other.value
-        sigma = sm + sv
-        chi = sigma ^ sv
-        mu = (chi | self.mask | other.mask) & U64
-        return Tnum(sv & ~mu & U64, mu)
-
-    def sub(self, other):
-        dv = self.value - other.value
-        alpha = dv + self.mask
-        beta = dv - other.mask
-        chi = alpha ^ beta
-        mu = (chi | self.mask | other.mask) & U64
-        return Tnum(dv & ~mu & U64, mu)
-
-    def and_(self, other):
-        alpha = self.value | self.mask
-        beta = other.value | other.mask
-        v = self.value & other.value
-        return Tnum(v, alpha & beta & ~v & U64)
-
-    def or_(self, other):
-        v = self.value | other.value
-        mu = self.mask | other.mask
-        return Tnum(v, mu & ~v & U64)
-
-    def xor_(self, other):
-        v = self.value ^ other.value
-        mu = self.mask | other.mask
-        return Tnum(v & ~mu & U64, mu)
-
-    def mul(self, other):
-        if self.is_const and other.is_const:
-            return Tnum.const(self.value * other.value)
-        if (self.is_const and self.value == 0) or (other.is_const and other.value == 0):
-            return Tnum.const(0)
-        return Tnum.top()
-
-    def lsh(self, n):
-        return Tnum((self.value << n) & U64 & ~((self.mask << n) & U64), (self.mask << n) & U64)
-
-    def rsh(self, n):
-        return Tnum(self.value >> n, self.mask >> n)
-
-    def trunc(self, bits):
-        m = (1 << bits) - 1
-        return Tnum(self.value & m, self.mask & m)
-
-    def __eq__(self, other):
-        return isinstance(other, Tnum) and self.value == other.value and self.mask == other.mask
-
-    def __repr__(self):
-        if self.is_const:
-            return "tnum({:#x})".format(self.value)
-        return "tnum(v={:#x}, m={:#x})".format(self.value, self.mask)
-
-
-class ScalarVal:
-    """Reduced product of an interval and a tnum for one scalar."""
-
-    __slots__ = ("interval", "tnum")
-
-    def __init__(self, interval, tnum):
-        self.interval = interval
-        self.tnum = tnum
-
-    @classmethod
-    def make(cls, interval, tnum):
-        """Construct with mutual reduction of the two components."""
-        lo = max(interval.lo, tnum.min)
-        hi = min(interval.hi, tnum.max)
-        if lo > hi:
-            # The components contradict (an infeasible path the caller
-            # chose not to prune); trust the tnum.
-            lo, hi = tnum.min, tnum.max
-        if lo == hi:
-            tnum = Tnum.const(lo)
-        return cls(Interval(lo, hi), tnum)
-
-    @classmethod
-    def const(cls, value):
-        value &= U64
-        return cls(Interval.const(value), Tnum.const(value))
-
-    @classmethod
-    def top(cls):
-        return cls(Interval.top(), Tnum.top())
-
-    @classmethod
-    def bounded(cls, hi_mask):
-        """Unknown value within ``[0, hi_mask]`` with high bits known 0."""
-        return cls(Interval(0, hi_mask), Tnum.unknown(hi_mask))
-
-    @property
-    def const_value(self):
-        return self.interval.lo if self.interval.is_const else None
-
-    @property
-    def lo(self):
-        return self.interval.lo
-
-    @property
-    def hi(self):
-        return self.interval.hi
-
-    def contains(self, x):
-        return self.interval.contains(x) and self.tnum.contains(x)
-
-    # -- lattice -----------------------------------------------------------
-
-    def join(self, other):
-        return ScalarVal.make(self.interval.join(other.interval), self.tnum.join(other.tnum))
-
-    def widen(self, other):
-        return ScalarVal.make(self.interval.widen(other.interval), self.tnum.join(other.tnum))
-
-    def entails(self, other):
-        """self => other: every admitted value of self is admitted by other."""
-        return self.interval.entails(other.interval) and self.tnum.entails(other.tnum)
-
-    def to_jsonable(self):
-        return {"i": self.interval.to_jsonable(), "t": self.tnum.to_jsonable()}
-
-    @classmethod
-    def from_jsonable(cls, data):
-        # Deliberately not ``make``: the certificate must round-trip
-        # exactly; reduction happened when the value was first built.
-        return cls(Interval.from_jsonable(data["i"]), Tnum.from_jsonable(data["t"]))
-
-    # -- transfer ----------------------------------------------------------
-
-    def add(self, other):
-        return ScalarVal.make(self.interval.add(other.interval), self.tnum.add(other.tnum))
-
-    def sub(self, other):
-        return ScalarVal.make(self.interval.sub(other.interval), self.tnum.sub(other.tnum))
-
-    def mul(self, other):
-        return ScalarVal.make(self.interval.mul(other.interval), self.tnum.mul(other.tnum))
-
-    def udiv(self, other):
-        return ScalarVal.make(self.interval.udiv(other.interval), Tnum.top())
-
-    def umod(self, other):
-        return ScalarVal.make(self.interval.umod(other.interval), Tnum.top())
-
-    def and_(self, other):
-        return ScalarVal.make(self.interval.and_(other.interval), self.tnum.and_(other.tnum))
-
-    def or_(self, other):
-        return ScalarVal.make(self.interval.or_(other.interval), self.tnum.or_(other.tnum))
-
-    def xor_(self, other):
-        return ScalarVal.make(self.interval.xor_(other.interval), self.tnum.xor_(other.tnum))
-
-    def lsh(self, other):
-        shift = other.const_value
-        if shift is None:
-            return ScalarVal.top()
-        shift &= 63
-        return ScalarVal.make(self.interval.lsh(shift), self.tnum.lsh(shift))
-
-    def rsh(self, other):
-        shift = other.const_value
-        if shift is None:
-            # Shifting right never grows the value.
-            return ScalarVal.make(Interval(0, self.interval.hi), Tnum.top())
-        shift &= 63
-        return ScalarVal.make(self.interval.rsh(shift), self.tnum.rsh(shift))
-
-    def arsh(self, other):
-        shift = other.const_value
-        if shift is None:
-            return ScalarVal.top()
-        shift &= 63
-        return ScalarVal.make(self.interval.arsh(shift), Tnum.top())
-
-    def neg(self):
-        value = self.const_value
-        if value is not None:
-            return ScalarVal.const(-value)
-        return ScalarVal.top()
-
-    def trunc32(self):
-        interval = self.interval
-        if interval.hi <= U32:
-            truncated = interval
-        elif interval.lo >> 32 == interval.hi >> 32:
-            truncated = Interval(interval.lo & U32, interval.hi & U32)
-        else:
-            truncated = Interval(0, U32)
-        return ScalarVal.make(truncated, self.tnum.trunc(32))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarVal)
-            and self.interval == other.interval
-            and self.tnum == other.tnum
-        )
-
-    def __repr__(self):
-        if self.interval.is_const:
-            return "scalar({})".format(self.interval.lo)
-        return "scalar({}, {})".format(self.interval, self.tnum)
-
-
-_SCALAR_TOP = None
-
-
-def _scalar_top():
-    global _SCALAR_TOP
-    if _SCALAR_TOP is None:
-        _SCALAR_TOP = ScalarVal.top()
-    return _SCALAR_TOP
-
-
 class RegVal:
     """Abstract value of one register.
 
-    Scalars carry a :class:`ScalarVal`. Pointers carry a constant offset
+    Scalars carry an :class:`Interval`. Pointers carry a constant offset
     ``off`` from the region base (``None`` when unknown, e.g. after a
     join of differing offsets) plus — packet pointers only — an optional
     bounded variable part ``var`` tagged with an identity ``vid``; ``fd``
@@ -497,7 +208,7 @@ class RegVal:
         self.vid = vid
         self.var = var
         if kind == SCALAR and val is None:
-            val = ScalarVal.const(const) if const is not None else _scalar_top()
+            val = Interval.top() if const is None else Interval.const(const)
         self.val = val if kind == SCALAR else None
 
     # -- constructors ------------------------------------------------------
@@ -537,13 +248,14 @@ class RegVal:
 
     # -- lattice -----------------------------------------------------------
 
-    def _combine(self, other, scalar_op):
+    def meet(self, other):
+        """Greatest lower bound: keep only facts true on both paths."""
         if self == other:
             return self
         a, b = self.kind, other.kind
         if a == b:
             if a == SCALAR:
-                return RegVal.scalar_val(scalar_op(self.val, other.val))
+                return RegVal.scalar_val(self.val.join(other.val))
             fd = self.fd if self.fd == other.fd else None
             if (
                 self.off == other.off
@@ -552,7 +264,7 @@ class RegVal:
             ):
                 var = None
                 if self.var is not None:
-                    var = scalar_op(self.var, other.var)
+                    var = self.var.join(other.var)
                 return RegVal(a, off=self.off, fd=fd, vid=self.vid, var=var)
             return RegVal(a, off=None, fd=fd)
         # A checked and an unchecked map value meet to the unchecked form.
@@ -561,14 +273,6 @@ class RegVal:
             fd = self.fd if self.fd == other.fd else None
             return RegVal(MAP_VALUE_OR_NULL, off=off, fd=fd)
         return RegVal.uninit()
-
-    def meet(self, other):
-        """Greatest lower bound: keep only facts true on both paths."""
-        return self._combine(other, lambda a, b: a.join(b))
-
-    def widen(self, other):
-        """Join with interval endpoints jumped to thresholds."""
-        return self._combine(other, lambda a, b: a.widen(b))
 
     def entails(self, other):
         """self => other: ``other`` is a weaker-or-equal description.
@@ -620,7 +324,7 @@ class RegVal:
         if kind == UNINIT:
             return cls.uninit()
         if kind == SCALAR:
-            return cls.scalar_val(ScalarVal.from_jsonable(data["v"]))
+            return cls.scalar_val(Interval.from_jsonable(data["v"]))
         off = data.get("off")
         var = data.get("var")
         return cls(
@@ -628,7 +332,7 @@ class RegVal:
             off=None if off is None else int(off),
             fd=data.get("fd"),
             vid=data.get("vid"),
-            var=None if var is None else ScalarVal.from_jsonable(var),
+            var=None if var is None else Interval.from_jsonable(var),
         )
 
     def __eq__(self, other):
@@ -647,12 +351,12 @@ class RegVal:
         if self.kind == SCALAR:
             if self.const is not None:
                 extra = "={}".format(self.const)
-            elif self.val is not None and self.val != _scalar_top():
+            elif self.val != Interval.top():
                 extra = "={!r}".format(self.val)
         elif self.is_pointer or self.kind == MAP_VALUE_OR_NULL:
             extra = "+{}".format(self.off)
             if self.var is not None:
-                extra += "+v{}{}".format(self.vid, self.var.interval)
+                extra += "+v{}{}".format(self.vid, self.var)
             if self.fd is not None:
                 extra += " fd={}".format(self.fd)
         return "<{}{}>".format(self.kind, extra)
@@ -681,24 +385,18 @@ class AbsState:
     def copy(self):
         return AbsState(list(self.regs), self.stack_init, self.pkt_valid, dict(self.pkt_checked))
 
-    def _combine(self, other, combine_reg):
+    def meet(self, other):
+        """Join-point combination: the intersection of path facts."""
         checked = {
             vid: min(self.pkt_checked[vid], other.pkt_checked[vid])
             for vid in self.pkt_checked.keys() & other.pkt_checked.keys()
         }
         return AbsState(
-            [combine_reg(a, b) for a, b in zip(self.regs, other.regs)],
+            [a.meet(b) for a, b in zip(self.regs, other.regs)],
             self.stack_init & other.stack_init,
             min(self.pkt_valid, other.pkt_valid),
             checked,
         )
-
-    def meet(self, other):
-        """Join-point combination: the intersection of path facts."""
-        return self._combine(other, lambda a, b: a.meet(b))
-
-    def widen(self, other):
-        return self._combine(other, lambda a, b: a.widen(b))
 
     def entails(self, other):
         """self => other: every concrete state self admits, other admits.

@@ -17,11 +17,12 @@ just wasted FPC cycles on the data path.
 """
 
 from repro.analysis.cfg import JUMP_BASES, insn_base
-from repro.analysis.dataflow import SCALAR, STACK_PTR, STACK_SIZE, U64, AbsState
+from repro.analysis.dataflow import SCALAR, STACK_PTR, STACK_SIZE, U64
 from repro.analysis.verifier import (
     HELPER_ARG_COUNT,
     VerifierError,
     _Verifier,
+    refine_scalar,
 )
 from repro.xdp.vm import HELPER_MAP_UPDATE
 
@@ -33,72 +34,14 @@ _ALL_BYTES = (1 << STACK_SIZE) - 1
 def _edge_feasible(state, insn, base, mode, taken):
     """Can this branch edge be taken under the entry state's facts?
 
-    Only constant unsigned compares are judged; everything else is
-    conservatively feasible.
+    Only a scalar compared against an immediate is judged — by the
+    verifier's own refinement, which yields no range exactly when no
+    value goes this way; everything else is conservatively feasible.
     """
-    if mode == "reg":
-        return True
     reg = state.regs[insn.dst]
-    if reg.kind != SCALAR:
+    if mode == "reg" or reg.kind != SCALAR:
         return True
-    val = reg.val
-    const = insn.imm & U64
-    lo, hi = val.interval.lo, val.interval.hi
-    if base == "jne":
-        base, taken = "jeq", not taken
-    if base == "jeq":
-        if taken:
-            return val.contains(const)
-        return not (lo == hi == const)
-    if base == "jgt":
-        return hi > const if taken else lo <= const
-    if base == "jge":
-        return hi >= const if taken else lo < const
-    if base == "jlt":
-        return lo < const if taken else hi >= const
-    if base == "jle":
-        return lo <= const if taken else hi > const
-    if base == "jset":
-        if taken:  # some bit of const may be set
-            return (val.tnum.value | val.tnum.mask) & const != 0
-        return val.tnum.value & const == 0  # all known bits of const clear
-    return True  # signed compares: unjudged
-
-
-def _refined_reachability(program, maps):
-    """Per-instruction entry states with infeasible edges pruned.
-
-    Same worklist/meet as the verifier, but a branch edge whose entry
-    facts contradict the condition contributes no state — instructions
-    left with no state are dead.
-    """
-    checker = _Verifier(program, maps)
-    in_states = [None] * len(program)
-    in_states[0] = AbsState()
-    worklist = [0]
-    iterations = 0
-    budget = 64 * max(1, len(program)) ** 2
-    while worklist:
-        iterations += 1
-        if iterations > budget:  # convergence backstop; keep it sound
-            return None
-        index = worklist.pop()
-        insn = program[index]
-        base, _, mode = insn.op.partition(".")
-        outs = checker.transfer(index, in_states[index].copy())
-        if base in JUMP_BASES:
-            # transfer returns the fallthrough edge first, taken second.
-            outs = [
-                (succ, out)
-                for position, (succ, out) in enumerate(outs)
-                if _edge_feasible(in_states[index], insn, base, mode, taken=position == 1)
-            ]
-        for succ, out in outs:
-            merged = out if in_states[succ] is None else in_states[succ].meet(out)
-            if in_states[succ] is None or merged != in_states[succ]:
-                in_states[succ] = merged
-                worklist.append(succ)
-    return in_states
+    return refine_scalar(reg.val, base, insn.imm & U64, taken) is not None
 
 
 def _stack_bytes(pointer, extra_off, size):
@@ -157,12 +100,15 @@ def _uses_and_kill(insn, state, maps):
 def lint_program(name, program, maps=None):
     """Findings for one program: (code, insn index, message) tuples."""
     findings = []
+    # The verifier's own pass, with edges whose entry facts contradict
+    # the branch condition contributing no state: what is left with no
+    # state is dead.
+    checker = _Verifier(program, maps)
     try:
-        states = _refined_reachability(program, maps)
+        checker.structural_checks()
+        states = checker.dataflow(_edge_feasible)
     except VerifierError:
         return []  # unverifiable programs are the verifier pass's report
-    if states is None:
-        return []
     for index, state in enumerate(states):
         if state is None:
             findings.append(

@@ -139,6 +139,11 @@ def _partition_of_value(node):
     return None
 
 
+#: ``rmw`` tag of a write site that is an ``atomic_add`` call (truthy:
+#: it is a read-modify-write, performed by the atomic engine).
+RMW_ATOMIC = "atomic"
+
+
 class FunctionInfo:
     """One function's accesses, call sites, and identity."""
 
@@ -186,7 +191,7 @@ class _FunctionAccess(ast.NodeVisitor):
 
     def __init__(self, params):
         self.reads_at = set()  # (token, attr, lineno)
-        self.writes = set()  # (token, attr, lineno, rmw)
+        self.writes = set()  # (token, attr, lineno, rmw); rmw may be RMW_ATOMIC
         self.calls = []  # (lineno, name, args, is_self_call)
         # Local names currently aliasing a partition object or parameter.
         self.aliases = {}
@@ -276,6 +281,13 @@ class _FunctionAccess(ast.NodeVisitor):
                     token = ("lit", arg.value)
                 args.append(token)
             self.calls.append((node.lineno, name, tuple(args), is_self_call))
+            # atomic_add(<partition or formal>, "<field>", ...) lives in
+            # state.py, outside the parsed modules, and names its field
+            # by string: the call site is the read-modify-write.
+            if name == "atomic_add" and len(args) >= 2 and isinstance(args[0], str):
+                field = args[1]
+                if isinstance(field, tuple) and isinstance(field[1], str):
+                    self.writes.add((args[0], field[1], node.lineno, RMW_ATOMIC))
         self.generic_visit(node)
 
 
@@ -584,35 +596,19 @@ def lint_atomicity(program):
             seen.add(key)
             writer = chain[-1] if chain else qualname
             via = (qualname,) + chain if chain else ()
-            findings.append(
-                Finding(
-                    PASS_ATOMIC,
-                    wfile,
-                    wline,
-                    "replicated-unatomic-rmw",
+            if rmw == RMW_ATOMIC:
+                code = "atomic-undeclared-add"
+                message = (
+                    "{} calls atomic_add on '{}' which is not in the "
+                    "atomic() registry of repro.flextoe.state".format(writer, attr)
+                )
+            else:
+                code = "replicated-unatomic-rmw"
+                message = (
                     "{} read-modify-writes {}.{} from a replicated stage: "
                     "concurrent replicas lose updates; declare it atomic() "
-                    "or aggregate per-replica".format(writer, token, attr),
-                    via=via,
+                    "or aggregate per-replica".format(writer, token, attr)
                 )
-            )
-        # atomic_add(obj, "field", ...) must name a declared field.
-        for lineno, name, args, _self_call in info.calls:
-            if name != "atomic_add" or len(args) < 2:
-                continue
-            field = args[1]
-            if not (isinstance(field, tuple) and field[0] == "lit" and isinstance(field[1], str)):
-                continue
-            if field[1] not in registry:
-                findings.append(
-                    Finding(
-                        PASS_ATOMIC,
-                        info.filename,
-                        lineno,
-                        "atomic-undeclared-add",
-                        "{} calls atomic_add on '{}' which is not in the "
-                        "atomic() registry of repro.flextoe.state".format(qualname, field[1]),
-                    )
-                )
+            findings.append(Finding(PASS_ATOMIC, wfile, wline, code, message, via=via))
     findings.sort(key=lambda f: (f.path, f.line, f.code))
     return findings

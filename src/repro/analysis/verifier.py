@@ -1,4 +1,4 @@
-"""CFG/worklist verification of XDP VM programs.
+"""One-pass CFG verification of XDP VM programs.
 
 The load-time guarantees the NFP offload needs (paper §3.3), made
 path-sensitive:
@@ -13,7 +13,7 @@ path-sensitive:
   context, stack, packet, and map-value pointers are bounds-checked
   against their region, packet accesses additionally against the
   bounds comparisons performed on that path;
-* scalar values are tracked as interval × tnum ranges
+* scalar values are tracked as unsigned 64-bit intervals
   (:mod:`repro.analysis.dataflow`), refined by conditional branches, so
   a packet offset *computed from loaded data* (e.g. a masked and
   shifted IHL byte) can still be proven in bounds: the variable offset
@@ -38,23 +38,16 @@ from repro.analysis.dataflow import (
     SCALAR,
     STACK_PTR,
     STACK_SIZE,
+    U32,
     U64,
     AbsState,
     Interval,
     RegVal,
-    ScalarVal,
-    Tnum,
 )
 from repro.xdp.vm import HELPER_MAP_DELETE, HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE
 
 MAX_PROGRAM_LEN = 4096
 CTX_SIZE = 16
-
-#: In-state updates per instruction before the merge switches from meet
-#: to widen. The CFG is a DAG (back-edges are rejected structurally), so
-#: this is convergence acceleration for long join chains, not a
-#: termination requirement.
-WIDEN_AFTER = 16
 
 VALID_HELPERS = {HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE, HELPER_MAP_DELETE}
 
@@ -67,21 +60,27 @@ HELPER_ARG_COUNT = {
 
 _SIZES = {"b": 1, "h": 2, "w": 4, "dw": 8}
 
-_ALU_BASES = frozenset(
-    ("add", "sub", "mul", "div", "mod", "and", "or", "xor", "lsh", "rsh", "arsh", "neg")
-)
+#: Interval transfer of each binary scalar ALU op.
+_SCALAR_OPS = {
+    "add": Interval.add,
+    "sub": Interval.sub,
+    "mul": Interval.mul,
+    "div": Interval.udiv,
+    "mod": Interval.umod,
+    "and": Interval.and_,
+    "or": Interval.or_,
+    "xor": Interval.xor_,
+    "lsh": Interval.lsh,
+    "rsh": Interval.rsh,
+    "arsh": Interval.arsh,
+}
 
-# (jump base, branch taken?) pairs proving pkt + N <= data_end when the
-# packet pointer is the dst operand / the src operand respectively.
-_PKT_DST_PROOFS = {("jgt", False), ("jge", False), ("jle", True), ("jlt", True)}
-_PKT_SRC_PROOFS = {("jlt", False), ("jle", False), ("jge", True), ("jgt", True)}
+# (jump base, branch taken?) pairs proving pkt + N <= data_end, the
+# packet pointer being the dst operand and data_end the src.
+_PKT_PROOFS = {("jgt", False), ("jge", False), ("jle", True), ("jlt", True)}
 
-#: Unsigned compares refinable against a constant. Signed compares are
-#: left unrefined (sound: refinement only ever narrows).
-_REFINABLE = frozenset(("jeq", "jne", "jgt", "jge", "jlt", "jle", "jset"))
-
-#: dst-op equivalent when a constant appears on the *dst* side instead.
-_SWAPPED = {"jgt": "jlt", "jlt": "jgt", "jge": "jle", "jle": "jge", "jeq": "jeq", "jne": "jne"}
+#: A compare and the one it negates: ``jlt`` taken is ``jge`` not taken.
+_NEGATED = {"jne": "jeq", "jlt": "jge", "jle": "jgt"}
 
 
 def _to_signed(value):
@@ -107,18 +106,16 @@ def verify_states(program, maps=None):
     instruction ``i``. :mod:`repro.analysis.certificate` exports it as
     the proof-carrying compilation certificate.
     """
-    checker = _Verifier(program, maps)
-    checker.run()
-    return checker.in_states
+    return _Verifier(program, maps).run()
 
 
 def transfer_step(program, index, state, maps=None):
     """Apply one instruction's abstract transfer to ``state``.
 
-    The certificate checker's single-step interface: no worklist, no
-    widening, no merge policy — just ``program[index]`` against the
-    given state. Returns ``[(successor index, out state), ...]``;
-    raises :class:`VerifierError` when the state cannot justify the
+    The certificate checker's single-step interface: no pass order, no
+    merge policy — just ``program[index]`` against the given state.
+    Returns ``[(successor index, out state), ...]``; raises
+    :class:`VerifierError` when the state cannot justify the
     instruction (the claimed invariant is too weak for its accesses).
     Deterministic: variable-part ids are derived from the instruction
     index, so re-running a step always reproduces the same facts.
@@ -130,7 +127,6 @@ class _Verifier:
     def __init__(self, program, maps):
         self.program = program
         self.maps = maps
-        self.in_states = None
 
     def err(self, index, message):
         raise VerifierError("insn {}: {}".format(index, message))
@@ -138,16 +134,12 @@ class _Verifier:
     # -- driver ------------------------------------------------------------
 
     def run(self):
-        program = self.program
-        if not program:
-            raise VerifierError("empty program")
-        if len(program) > MAX_PROGRAM_LEN:
-            raise VerifierError("program too long ({} insns)".format(len(program)))
         self.structural_checks()
-        self.in_states = self.dataflow()
-        for index, state in enumerate(self.in_states):
+        states = self.dataflow()
+        for index, state in enumerate(states):
             if state is None:
                 self.err(index, "unreachable code")
+        return states
 
     def structural_checks(self):
         """Range/termination checks that need no dataflow.
@@ -159,6 +151,10 @@ class _Verifier:
         """
         program = self.program
         n = len(program)
+        if not program:
+            raise VerifierError("empty program")
+        if n > MAX_PROGRAM_LEN:
+            raise VerifierError("program too long ({} insns)".format(n))
         for index, insn in enumerate(program):
             base = insn_base(insn)
             if base == "exit":
@@ -183,27 +179,37 @@ class _Verifier:
                         "this path never reaches exit",
                     )
 
-    def dataflow(self):
-        """Worklist fixpoint over per-instruction entry states."""
+    def dataflow(self, edge_feasible=None):
+        """Per-instruction entry states, in one forward pass.
+
+        :meth:`structural_checks` rejected every transfer that does not
+        land strictly forward, so index order is a topological order:
+        when the loop reaches an instruction, every predecessor has
+        already met its out-state into it and the entry state is final.
+        Each reachable instruction is transferred exactly once and the
+        result is the exact fixpoint; an instruction no path reaches
+        keeps ``None``. ``edge_feasible(state, insn, base, mode, taken)``
+        may veto a branch edge (the dead-code lint's pruning).
+        """
         program = self.program
         in_states = [None] * len(program)
         in_states[0] = AbsState()
-        updates = [0] * len(program)
-        worklist = [0]
-        while worklist:
-            index = worklist.pop()
+        for index, insn in enumerate(program):
             state = in_states[index]
-            for succ, out in self.transfer(index, state.copy()):
-                if in_states[succ] is None:
-                    merged = out
-                elif updates[succ] >= WIDEN_AFTER:
-                    merged = in_states[succ].widen(out)
-                else:
-                    merged = in_states[succ].meet(out)
-                if in_states[succ] is None or merged != in_states[succ]:
-                    in_states[succ] = merged
-                    updates[succ] += 1
-                    worklist.append(succ)
+            if state is None:
+                continue
+            outs = self.transfer(index, state.copy())
+            base, _, mode = insn.op.partition(".")
+            if edge_feasible is not None and base in JUMP_BASES:
+                # transfer returns the fallthrough edge first, taken second.
+                outs = [
+                    edge
+                    for taken, edge in enumerate(outs)
+                    if edge_feasible(state, insn, base, mode, bool(taken))
+                ]
+            for succ, out in outs:
+                known = in_states[succ]
+                in_states[succ] = out if known is None else known.meet(out)
         return in_states
 
     # -- transfer ----------------------------------------------------------
@@ -259,10 +265,10 @@ class _Verifier:
                 if value.kind == SCALAR:
                     value = RegVal.scalar_val(value.val.trunc32())
                 else:
-                    value = RegVal.scalar_val(ScalarVal.bounded((1 << 32) - 1))
+                    value = RegVal.scalar_val(Interval.bounded(U32))
             state.regs[insn.dst] = value
         else:
-            imm = insn.imm & (0xFFFFFFFF if base == "mov32" else U64)
+            imm = insn.imm & (U32 if base == "mov32" else U64)
             state.regs[insn.dst] = RegVal.scalar(imm)
 
     def apply_alu(self, index, insn, state, base, mode):
@@ -276,30 +282,20 @@ class _Verifier:
         if unary:
             if base[:2] in ("be", "le") and base[2:].isdigit():
                 width = int(base[2:])
-                state.regs[insn.dst] = RegVal.scalar_val(ScalarVal.bounded((1 << width) - 1))
-            elif op == "neg" and dst.kind == SCALAR and not alu32:
-                state.regs[insn.dst] = RegVal.scalar_val(dst.val.neg())
-            else:
+                state.regs[insn.dst] = RegVal.scalar_val(Interval.bounded((1 << width) - 1))
+            else:  # neg: an unknown scalar
                 state.regs[insn.dst] = RegVal.scalar()
-            return
-        if op not in _ALU_BASES and base[:2] not in ("be", "le"):
-            # Unknown mnemonic: treat as an opaque scalar-producing ALU op
-            # (the VM will fault on it anyway).
-            state.regs[insn.dst] = RegVal.scalar()
             return
         src = state.regs[insn.src] if mode == "reg" else RegVal.scalar(insn.imm & U64)
         if not alu32 and op in ("add", "sub") and dst.is_pointer and src.kind == SCALAR:
             state.regs[insn.dst] = self.pointer_math(op, dst, src, index)
-            return
-        if not alu32 and op == "add" and src.is_pointer and dst.kind == SCALAR:
-            state.regs[insn.dst] = self.pointer_math(op, src, dst, index)
-            return
-        if dst.kind == SCALAR and src.kind == SCALAR:
+        elif op in _SCALAR_OPS and dst.kind == SCALAR and src.kind == SCALAR:
             state.regs[insn.dst] = RegVal.scalar_val(_scalar_alu(op, dst.val, src.val, alu32))
-            return
-        # 32-bit ops on pointers and pointer-pointer math degrade to an
-        # unknown scalar (provenance destroyed).
-        state.regs[insn.dst] = RegVal.scalar()
+        else:
+            # 32-bit ops on pointers, pointer-pointer and scalar-pointer
+            # math, and mnemonics the VM will fault on anyway, degrade to
+            # an unknown scalar (provenance destroyed).
+            state.regs[insn.dst] = RegVal.scalar()
 
     def pointer_math(self, op, pointer, scalar, index):
         """``pointer ± scalar``: constant deltas adjust the offset; a
@@ -313,9 +309,7 @@ class _Verifier:
         and land on the same ids the exported fixpoint used.
         """
         delta = scalar.const
-        if delta is not None:
-            if pointer.off is None:
-                return RegVal(pointer.kind, off=None, fd=pointer.fd)
+        if pointer.off is not None and delta is not None:
             delta = _to_signed(delta)
             off = pointer.off + delta if op == "add" else pointer.off - delta
             return RegVal(pointer.kind, off=off, fd=pointer.fd, vid=pointer.vid, var=pointer.var)
@@ -328,6 +322,8 @@ class _Verifier:
             var = scalar.val if pointer.var is None else pointer.var.add(scalar.val)
             if var.hi <= 4 * PKT_VAR_BOUND:
                 return RegVal(PKT_PTR, off=pointer.off, vid=index, var=var)
+        # Offset unknown from here on: the pointer keeps its region but
+        # region_check will refuse any access through it.
         return RegVal(pointer.kind, off=None, fd=pointer.fd)
 
     # -- memory ------------------------------------------------------------
@@ -396,7 +392,7 @@ class _Verifier:
                         "(variable offset in {}; {} bytes checked on this path)".format(
                             lo,
                             hi + size,
-                            var.interval,
+                            var,
                             state.pkt_valid if checked is None else checked,
                         ),
                     )
@@ -426,10 +422,10 @@ class _Verifier:
         pointer = state.regs[insn.src]
         self.region_check(index, state, pointer, insn.off, size, writing=False)
         if size < 8:
-            # A size-bounded load: the interval and the tnum both know
-            # the high bits are zero (this is what lets ldxb-derived
-            # header offsets stay bounded through masks and shifts).
-            result = RegVal.scalar_val(ScalarVal.bounded((1 << (8 * size)) - 1))
+            # A size-bounded load: the high bits are zero (this is what
+            # lets ldxb-derived header offsets stay bounded through masks
+            # and shifts).
+            result = RegVal.scalar_val(Interval.bounded((1 << (8 * size)) - 1))
         else:
             result = RegVal.scalar()
         if pointer.kind == CTX_PTR and size == 8:
@@ -485,34 +481,25 @@ class _Verifier:
     def refine_branch(self, state, insn, base, mode, taken):
         """Facts a conditional branch proves on one outgoing edge."""
         state = state.copy()
+        dst = state.regs[insn.dst]
         if mode == "reg":
-            dst, src = state.regs[insn.dst], state.regs[insn.src]
-            proven = None
+            src = state.regs[insn.src]
             if dst.kind == PKT_PTR and src.kind == PKT_END and dst.off is not None:
-                if (base, taken) in _PKT_DST_PROOFS:
-                    proven = dst
-            elif dst.kind == PKT_END and src.kind == PKT_PTR and src.off is not None:
-                if (base, taken) in _PKT_SRC_PROOFS:
-                    proven = src
-            if proven is not None:
-                self._record_pkt_proof(state, proven)
-            if dst.kind == SCALAR and src.kind == SCALAR:
-                if src.const is not None and base in _REFINABLE:
-                    state.regs[insn.dst] = _refine_scalar(dst, base, src.const, taken)
-                elif dst.const is not None and base in _SWAPPED:
-                    state.regs[insn.src] = _refine_scalar(
-                        src, _SWAPPED[base], dst.const, taken
-                    )
+                if (base, taken) in _PKT_PROOFS:
+                    self._record_pkt_proof(state, dst)
+            const = src.const  # None unless src is a known scalar
         else:
-            reg = state.regs[insn.dst]
-            if insn.imm == 0 and base in ("jeq", "jne") and reg.kind == MAP_VALUE_OR_NULL:
+            const = insn.imm & U64
+            if const == 0 and base in ("jeq", "jne") and dst.kind == MAP_VALUE_OR_NULL:
                 null_edge = (base == "jeq") == taken
                 if null_edge:
                     state.regs[insn.dst] = RegVal.scalar(0)
                 else:
-                    state.regs[insn.dst] = RegVal.pointer(MAP_VALUE, reg.off or 0, fd=reg.fd)
-            elif reg.kind == SCALAR and base in _REFINABLE:
-                state.regs[insn.dst] = _refine_scalar(reg, base, insn.imm & U64, taken)
+                    state.regs[insn.dst] = RegVal.pointer(MAP_VALUE, dst.off or 0, fd=dst.fd)
+        if dst.kind == SCALAR and const is not None:
+            refined = refine_scalar(dst.val, base, const, taken)
+            if refined is not None:  # None: an infeasible edge, left unrefined
+                state.regs[insn.dst] = RegVal.scalar_val(refined)
         return state
 
     def _record_pkt_proof(self, state, pointer):
@@ -533,88 +520,34 @@ class _Verifier:
 
 
 def _scalar_alu(op, a, b, alu32):
-    """Interval × tnum transfer for one scalar ALU op."""
+    """Interval transfer for one binary scalar ALU op."""
     if alu32:
-        a, b = a.trunc32(), b.trunc32()
-    if op == "add":
-        result = a.add(b)
-    elif op == "sub":
-        result = a.sub(b)
-    elif op == "mul":
-        result = a.mul(b)
-    elif op == "div":
-        result = a.udiv(b)
-    elif op == "mod":
-        result = a.umod(b)
-    elif op == "and":
-        result = a.and_(b)
-    elif op == "or":
-        result = a.or_(b)
-    elif op == "xor":
-        result = a.xor_(b)
-    elif op == "lsh":
-        result = a.lsh(b)
-    elif op == "rsh":
-        result = a.rsh(b)
-    elif op == "arsh" and not alu32:
-        result = a.arsh(b)
-    else:
-        result = ScalarVal.top()
-    if alu32:
-        result = result.trunc32()
-    return result
+        if op == "arsh":
+            return Interval.bounded(U32)  # the sign bit is bit 31 here
+        a = a.trunc32()
+        if op not in ("div", "mod"):  # the VM divides by the full register
+            b = b.trunc32()
+    result = _SCALAR_OPS[op](a, b)
+    return result.trunc32() if alu32 else result
 
 
-def _refine_scalar(reg, base, const, taken):
-    """Narrow ``reg`` by an unsigned compare against ``const`` on one edge.
-
-    Refinements that would empty the range (infeasible edges) leave the
-    register unchanged — sound, merely imprecise.
-    """
-    val = reg.val
-    interval = val.interval
-    tnum = val.tnum
-    lo, hi = interval.lo, interval.hi
-    const &= U64
-    # Normalize to the predicate that holds on this edge.
-    if base == "jne":
-        base, taken = "jeq", not taken
+def refine_scalar(val, base, const, taken):
+    """The part of ``val`` for which an unsigned compare against
+    ``const`` goes this way; ``None`` when no value does (an infeasible
+    edge). ``jset`` and the signed compares narrow nothing — sound,
+    since refinement only ever narrows."""
+    if base in _NEGATED:
+        base, taken = _NEGATED[base], not taken
     if base == "jeq":
         if taken:
-            if not val.contains(const):
-                return reg  # infeasible edge
-            return RegVal.scalar(const)
-        # != const: trim a matching endpoint.
-        if lo == const and lo < hi:
-            lo += 1
-        elif hi == const and lo < hi:
-            hi -= 1
-    elif base == "jset":
-        if not taken:
-            # (reg & const) == 0: every bit of const is known zero.
-            narrowed = tnum.intersect(Tnum(0, ~const & U64))
-            if narrowed is not None:
-                tnum = narrowed
-    elif base == "jgt":
-        if taken:
-            lo = max(lo, const + 1) if const < U64 else lo
-        else:
-            hi = min(hi, const)
-    elif base == "jge":
-        if taken:
-            lo = max(lo, const)
-        elif const > 0:
-            hi = min(hi, const - 1)
-    elif base == "jlt":
-        if taken:
-            hi = min(hi, const - 1) if const > 0 else hi
-        else:
-            lo = max(lo, const)
-    elif base == "jle":
-        if taken:
-            hi = min(hi, const)
-        else:
-            lo = max(lo, const + 1) if const < U64 else lo
-    if lo > hi:
-        return reg  # infeasible edge: no refinement
-    return RegVal.scalar_val(ScalarVal.make(Interval(lo, hi), tnum))
+            return val.intersect(Interval.const(const))
+        # != const: trim a matching lower endpoint.
+        if val.lo != const:
+            return val
+        return Interval(const + 1, val.hi) if const < val.hi else None
+    if base == "jgt":
+        const += 1  # x > const is x >= const + 1
+    elif base != "jge":
+        return val
+    lo, hi = (const, U64) if taken else (0, const - 1)
+    return val.intersect(Interval(lo, hi)) if lo <= hi else None

@@ -5,7 +5,10 @@ out-of-order segments, retransmissions), inter-module queue occupancies,
 and protocol-stage critical-section lengths. Enabling them costs FPC
 cycles per segment — Table 2 measures a 24 % throughput hit — so the
 registry exposes a per-event cycle cost that stage programs charge when
-tracing is on.
+tracing is on. The catalog below holds the 16 of them this data path
+hits, no more: a name listed here fires somewhere in
+``repro.flextoe`` (``tests/flextoe/test_tcpdump_tracing.py`` compares
+the two sets).
 """
 
 from repro.sim import TraceRecorder
@@ -16,36 +19,21 @@ TRACEPOINTS = {
     "rx.segment": 24,
     "rx.out_of_order": 32,
     "rx.ooo_drop": 32,
-    "rx.duplicate": 24,
-    "rx.window_trim": 24,
-    "rx.fin": 24,
-    "rx.ce_mark": 24,
     "tx.segment": 24,
-    "tx.fin": 24,
     "tx.stale_trigger": 24,
     "ack.sent": 20,
     "ack.dup_sent": 24,
     "retransmit.fast": 40,
-    "retransmit.timeout": 40,
     # host interface
     "hc.descriptor": 24,
     "hc.doorbell": 20,
     "notify.rx": 20,
     "notify.tx_acked": 20,
     "notify.fin": 20,
-    # queues and critical sections
-    "queue.pre_in": 28,
-    "queue.proto_in": 28,
-    "queue.post_in": 28,
-    "queue.dma_in": 28,
-    "queue.ctx_in": 28,
-    "queue.nbi_in": 28,
+    # critical sections and DMA
     "proto.critical_section": 36,
     "proto.state_miss": 28,
     "dma.payload_issue": 24,
-    "dma.fetch_issue": 24,
-    "sched.trigger": 20,
-    "sched.rate_limited": 24,
 }
 
 

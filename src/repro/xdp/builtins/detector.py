@@ -31,8 +31,9 @@ Verdicts, in program order:
 Counting uses the IP total-length field rather than pointer arithmetic
 so the program stays within the verifier's packet-bounds proof idiom.
 The division in the bytes/packet rule is guarded by an explicit
-zero-compare, which the range analysis picks up to elide the JIT's
-division guard.
+zero-compare: falling through ``jeq r6, 0`` trims the 0 off the lower
+end of the divisor's interval, and a range without 0 is the proof that
+lets the JIT drop its division guard.
 """
 
 import struct
@@ -148,7 +149,7 @@ not_rst:
 bpp_check:
     ldxdw r3, [r10-40]      ; min_bpp (0 = disabled)
     jeq r3, 0, pass
-    jeq r6, 0, pass         ; divisor-nonzero guard (elides JIT check)
+    jeq r6, 0, pass         ; below, r6 is in [1, hi]: elides the JIT's zero check
     mov r5, r4
     div r5, r6              ; avg L3 bytes per packet
     jlt r5, r3, drop

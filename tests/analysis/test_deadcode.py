@@ -1,5 +1,7 @@
 """Dead-code / dead-store lint for XDP programs."""
 
+import pytest
+
 from repro.analysis.deadcode import lint_program
 from repro.xdp.asm import assemble
 from repro.xdp.builtins import ASM_BUILTINS
@@ -29,6 +31,42 @@ def test_refinement_unreachable_branch_flagged():
     assert ("dead-insn", 4) in codes
     assert ("dead-insn", 5) in codes
     assert not any(code == "dead-store" for code, _, _ in findings)
+
+
+@pytest.mark.parametrize(
+    "branch, dead",
+    [
+        # r5 is proven [3, 3]: the edge that contradicts it is pruned and
+        # the code behind it is dead — taken edges first, then fallthroughs.
+        ("jgt r5, 3, far", {4, 5}),
+        ("jge r5, 4, far", {4, 5}),
+        ("jlt r5, 3, far", {4, 5}),
+        ("jle r5, 2, far", {4, 5}),
+        ("jne r5, 3, far", {4, 5}),
+        ("jgt r5, 2, far", {2, 3}),
+        ("jge r5, 3, far", {2, 3}),
+        ("jlt r5, 4, far", {2, 3}),
+        ("jle r5, 3, far", {2, 3}),
+        ("jeq r5, 3, far", {2, 3}),
+        # Bit tests and signed compares are not judged.
+        ("jset r5, 4, far", set()),
+        ("jsgt r5, 9, far", set()),
+    ],
+)
+def test_every_unsigned_compare_prunes_its_infeasible_edge(branch, dead):
+    program = assemble(
+        """
+        mov r5, 3
+        {}
+        mov r0, 1
+        exit
+    far:
+        mov r0, 0
+        exit
+    """.format(branch)
+    )
+    findings = lint_program("t", program, None)
+    assert {index for code, index, _ in findings if code == "dead-insn"} == dead
 
 
 def test_unread_stack_store_flagged():

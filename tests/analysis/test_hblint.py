@@ -84,6 +84,16 @@ def test_field_verdicts_match_the_partition_design():
     assert hblint.VERDICT_RACE not in flat.values()
 
 
+def test_declared_counters_are_seen_and_judged_atomic():
+    # Their only writes are atomic_add(post, "<field>", ...) calls: the
+    # field is a string and the helper lives outside the parsed modules.
+    verdicts = hblint.field_verdicts(stagelint.build_program())
+    for field in ("cnt_ackb", "cnt_ecnb", "cnt_fretx"):
+        verdict, footprint = verdicts[("post", field)]
+        assert verdict == hblint.VERDICT_ATOMIC
+        assert set(footprint["writes"]) == {"post"}
+
+
 def test_cross_stage_proto_read_is_an_hb_race():
     # The pre-PR-8 timestamp-echo bug: a DMA replica sampling
     # record.proto.next_ts races the protocol stage's next RX update.

@@ -362,6 +362,30 @@ def test_atomic_add_on_undeclared_field_flagged():
     assert [f.code for f in findings] == ["atomic-undeclared-add"]
 
 
+def test_atomic_add_through_a_helper_is_judged_at_the_replicated_caller():
+    source = textwrap.dedent(
+        """
+        class PostStage:
+            STAGE_KIND = "post"
+            REPLICATED = True
+
+            def _process(self, thread, work):
+                record = self.dp.conn_table.get(work.conn_index)
+                self._count(record.post)
+                yield None
+
+            def _count(self, post):
+                atomic_add(post, "cnt_ackb", 1)  # declared: accepted
+                atomic_add(post, "opaque", 1)    # undeclared: flagged
+        """
+    )
+    findings = lint_atomicity(_program(source, "post.py"))
+    assert [(f.code, f.via) for f in findings] == [
+        ("atomic-undeclared-add", ("PostStage._process", "PostStage._count"))
+    ]
+    assert "PostStage._count calls atomic_add on 'opaque'" in findings[0].message
+
+
 def test_serialized_protocol_stage_rmw_not_flagged():
     # The protocol stage is serialized per flow group; its RMWs on its
     # own partition are not replication races.

@@ -343,3 +343,190 @@ def test_mov32_truncation_destroys_pointer_provenance():
     """
     with pytest.raises(VerifierError, match="non-pointer"):
         verify(assemble(source))
+
+
+# -- refinement and pointer-arithmetic arms, one accept + one reject each -----
+
+# r2 = data, r3 = data_end, ``checked`` packet bytes proven; ``body``
+# runs on the in-bounds path and every escape lands on ``out``.
+def _with_prologue(checked, body):
+    return assemble(
+        """
+        ldxdw r2, [r1+0]
+        ldxdw r3, [r1+8]
+        mov r4, r2
+        add r4, {}
+        jgt r4, r3, out
+        {}
+        exit
+    out:
+        mov r0, 1
+        exit
+    """.format(checked, body)
+    )
+
+
+# Fold r5 into a packet pointer and read two bytes behind a data_end
+# check: accepted only when r5's range is known to be small.
+_FOLD_R5 = """
+        mov r6, r2
+        add r6, 14
+        add r6, r5
+        mov r7, r6
+        add r7, 2
+        jgt r7, r3, out
+        ldxh r0, [r6+0]
+"""
+
+
+@pytest.mark.parametrize("guard", ["jlt r5, 64, small", "jle r5, 63, small"])
+def test_less_than_refines_the_taken_edge(guard):
+    body = "ldxw r5, [r2+14]\n{}\nja out\nsmall:\n{}".format(guard, _FOLD_R5)
+    assert verify(_with_prologue(18, body))
+
+
+@pytest.mark.parametrize("guard", ["jlt r5, 64, out", "jle r5, 63, out"])
+def test_less_than_leaves_the_other_edge_unbounded_above(guard):
+    # Falling through a less-than proves r5 >= 64 and nothing from above.
+    body = "ldxw r5, [r2+14]\n{}\n{}".format(guard, _FOLD_R5)
+    with pytest.raises(VerifierError, match="pointer offset unknown"):
+        verify(_with_prologue(18, body))
+
+
+def test_less_than_fallthrough_proves_a_nonzero_divisor():
+    from repro.analysis.certificate import export_certificate
+
+    def nonzero(guard):
+        body = "ldxb r5, [r2+0]\n{}\nmov r0, 100\ndiv r0, r5".format(guard)
+        cert = export_certificate(_with_prologue(1, body), {})
+        return [fact["nonzero"] for fact in cert.facts if fact and fact["type"] == "div"]
+
+    assert nonzero("jlt r5, 1, out") == [True]
+    assert nonzero("jlt r5, 0, out") == [False]  # r5 >= 0 says nothing
+
+
+def test_mov32_keeps_the_range_of_a_small_scalar():
+    body = "ldxb r8, [r2+14]\nmov32 r5, r8\n" + _FOLD_R5
+    assert verify(_with_prologue(18, body))
+
+
+def test_mov32_of_a_wide_scalar_is_only_32_bit_bounded():
+    body = "ldxdw r8, [r2+8]\nmov32 r5, r8\n" + _FOLD_R5
+    with pytest.raises(VerifierError, match="pointer offset unknown"):
+        verify(_with_prologue(18, body))
+
+
+def test_unbounded_scalar_leaves_a_pointer_that_cannot_be_dereferenced():
+    # The packet-loaded counterpart of the test above: the fold refuses
+    # the variable and the pointer keeps only its region.
+    body = "ldxdw r5, [r2+8]\n" + _FOLD_R5
+    with pytest.raises(VerifierError, match="pointer offset unknown"):
+        verify(_with_prologue(18, body))
+
+
+# r6 is data+2 on one path and data+4 on the other: a packet pointer
+# whose offset the join forgot.
+_JOINED_POINTER = """
+        ldxb r5, [r2+0]
+        mov r6, r2
+        add r6, 2
+        jeq r5, 0, joined
+        add r6, 2
+    joined:
+        add r6, 1
+"""
+
+
+def test_unknown_offset_pointer_may_be_computed_with():
+    assert verify(_with_prologue(16, _JOINED_POINTER + "mov r0, 2"))
+
+
+def test_unknown_offset_pointer_may_not_be_dereferenced():
+    with pytest.raises(VerifierError, match="pointer offset unknown"):
+        verify(_with_prologue(16, _JOINED_POINTER + "ldxb r0, [r6+0]"))
+
+
+# A 4-bit index folded into data+14: its largest reach is data+14+15.
+_INDEXED = """
+        ldxb r5, [r2+14]
+        and r5, 15
+        mov r6, r2
+        add r6, 14
+        add r6, r5
+        ldxb r0, [r6+0]
+"""
+
+
+def test_variable_access_inside_the_constant_bound_needs_no_second_check():
+    assert verify(_with_prologue(30, _INDEXED))
+
+
+def test_variable_access_reaching_past_the_constant_bound_rejected():
+    with pytest.raises(VerifierError, match="outside verified bounds"):
+        verify(_with_prologue(29, _INDEXED))
+
+
+# Only data+15 is proven up front; the check through the variable
+# pointer (data+14+var+20 <= data_end, var >= 0) proves data+34.
+_VARIABLE_CHECK = """
+        ldxb r5, [r2+14]
+        and r5, 15
+        mov r6, r2
+        add r6, 14
+        add r6, r5
+        mov r7, r6
+        add r7, 20
+        jgt r7, r3, out
+"""
+
+
+def test_check_through_variable_pointer_extends_the_constant_bound():
+    assert verify(_with_prologue(15, _VARIABLE_CHECK + "ldxw r0, [r2+30]"))
+
+
+def test_check_through_variable_pointer_extends_it_no_further():
+    with pytest.raises(VerifierError, match="outside verified bounds"):
+        verify(_with_prologue(15, _VARIABLE_CHECK + "ldxw r0, [r2+31]"))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # data_end on the left of the bounds compare proves nothing.
+        ("mov r6, r2\nadd r6, 20\njlt r3, r6, out\nldxb r0, [r2+19]", "outside verified bounds"),
+        # A constant on the left of a compare refines nothing.
+        ("ldxw r5, [r2+14]\nmov r8, 64\njle r8, r5, out\n" + _FOLD_R5, "pointer offset unknown"),
+        # != trims a matching lower endpoint only.
+        (
+            "ldxb r5, [r2+0]\njeq r5, 255, out\nadd r5, 65282\n" + _FOLD_R5,
+            "pointer offset unknown",
+        ),
+        # scalar + pointer is an unknown scalar, not a pointer.
+        ("mov r6, 14\nadd r6, r2\nldxb r0, [r6+0]", "non-pointer"),
+        # neg folds no constant.
+        ("mov r5, 0\nneg r5\n" + _FOLD_R5, "pointer offset unknown"),
+    ],
+    ids=["data_end-on-the-left", "constant-on-the-left", "jne-upper-endpoint", "scalar+pointer", "neg"],
+)
+def test_shapes_the_verifier_does_not_credit(body, message):
+    """Sound weakenings: each is a safe program the verifier refuses
+    because no builtin needs the proof (DESIGN §9's precision ledger)."""
+    with pytest.raises(VerifierError, match=message):
+        verify(_with_prologue(18, body))
+
+
+def test_dataflow_transfers_each_reachable_instruction_once(monkeypatch):
+    from repro.analysis import verifier
+    from repro.xdp.builtins import ASM_BUILTINS
+
+    program, maps = ASM_BUILTINS["detector"]()
+    calls = []
+    transfer = verifier._Verifier.transfer
+    monkeypatch.setattr(
+        verifier._Verifier,
+        "transfer",
+        lambda self, index, state: calls.append(index) or transfer(self, index, state),
+    )
+    states = verifier.verify_states(program, maps)
+    assert len(program) == 92
+    assert calls == [index for index, state in enumerate(states) if state is not None]

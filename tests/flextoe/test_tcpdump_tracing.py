@@ -116,9 +116,10 @@ def test_tracepoint_selective_enable():
 
 
 def test_tracepoint_catalog_size():
-    # The paper implements up to 48 tracepoints; the catalog holds the
-    # documented set and is extensible.
-    assert 25 <= len(TRACEPOINTS) <= 48
+    # The paper implements 48 tracepoints; the catalog holds the ones
+    # this data path hits (which ones: the last test of this file), and
+    # its docstring says how many.
+    assert len(TRACEPOINTS) == 16
 
 
 def test_field_filters_reject_non_tcp_frames():
@@ -148,3 +149,44 @@ def test_pcap_timestamp_microsecond_rounding(tmp_path):
     capture.write_pcap(str(path))
     (ts_ns, _data, _orig), = read_pcap(str(path))
     assert ts_ns == 1_000_000_000
+
+
+def _hit_names():
+    """Every name ``src/repro/flextoe`` passes to ``tracepoints.hit``:
+    the third argument of each ``.hit(now, source, name)`` call, both
+    arms of a conditional, and ``"notify." + kind`` expanded over the
+    ``NOTIFY_*`` kinds ``_notify`` is called with."""
+    import ast
+    import glob
+    import os
+
+    import repro.flextoe
+    from repro.flextoe import descriptors
+
+    names, notify_kinds, prefixes = set(), set(), set()
+    for path in glob.glob(os.path.join(os.path.dirname(repro.flextoe.__file__), "*.py")):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "_notify" and len(node.args) >= 2:
+                notify_kinds.add(getattr(descriptors, node.args[1].id))
+            if node.func.attr != "hit" or len(node.args) < 3:
+                continue
+            name = node.args[2]
+            arms = [name.body, name.orelse] if isinstance(name, ast.IfExp) else [name]
+            for arm in arms:
+                if isinstance(arm, ast.BinOp):
+                    assert isinstance(arm.op, ast.Add) and isinstance(arm.right, ast.Name)
+                    prefixes.add(arm.left.value)
+                else:
+                    names.add(arm.value)
+    assert prefixes == {"notify."}
+    return names | {"notify." + kind for kind in notify_kinds}
+
+
+def test_catalogue_is_exactly_what_the_data_path_hits():
+    # enable_all() must not advertise telemetry that cannot fire, and a
+    # hit on an uncatalogued name would be charged a made-up 20 cycles.
+    assert _hit_names() == set(TRACEPOINTS)

@@ -14,8 +14,10 @@ from repro.control import ControlPlaneConfig
 from repro.faults.cli import run_plan
 from repro.faults.invariants import LivenessViolation, counters_snapshot, run_until
 from repro.faults.plans import CANONICAL
-from repro.libtoe.errors import ConnectionTimeoutError
-from tests.integration.driver import DRAIN_NS, assert_drained
+from repro.libtoe.errors import ConnectionTimeoutError, PeerResetError
+from repro.proto import make_tcp_frame
+from repro.proto.tcp import FLAG_ACK, FLAG_PSH, FLAG_RST
+from tests.integration.driver import DRAIN_NS, assert_drained, run_apps
 
 STACKS = ["flextoe", "linux", "tas", "chelsio"]
 PLANS = sorted(CANONICAL)
@@ -195,3 +197,120 @@ def test_degraded_mode_keeps_peers_alive_through_long_outage():
     assert counters["server"]["slowpath_acks"] > 0
     assert counters["client"]["aborts"] == 0
     assert counters["server"]["recoveries"] == 1
+
+
+def test_nic_crash_mid_close_with_arp_syn_and_rst_during_the_outage(sanitized):
+    """Three connections' worth of outage behaviour on one crashed
+    server. A: both FINs are in the shadow when the data path dies
+    (``peer_fin_seen``, and ``fin_posted`` with the reply still unsent)
+    — re-offload must deliver the reply and the FIN. B: the peer resets
+    it during the outage, through the slow-path shim. C: a host that has
+    never spoken to the server connects during the outage — its ARP
+    request is answered by the shim's control plane, its SYN is dropped,
+    and the retransmitted SYN lands after the reboot."""
+    from repro.harness import Testbed
+
+    bed = Testbed(seed=5)
+    # Outage = detection + 500 us: wide enough to aim frames into, and
+    # over before A's 2 ms linger would forget it with the reply unsent.
+    config = ControlPlaneConfig(reboot_delay_ns=500_000)
+    server = bed.add_flextoe_host("server", cp_kwargs={"config": config})
+    client = bed.add_flextoe_host("client")
+    late = bed.add_flextoe_host("late")  # no ARP seeded: it has to ask
+    server.control_plane.seed_arp(client.ip, client.mac)
+    client.control_plane.seed_arp(server.ip, server.mac)
+    sim = bed.sim
+    recovery = server.control_plane.recovery
+    request = bytes(i % 251 for i in range(20_000))
+    seen = {}
+
+    def outage():
+        while not recovery.shim.installed:
+            yield sim.timeout(10_000)
+
+    def closing_server(ctx):
+        sock = yield from ctx.accept(ctx.listen(7000))
+        got = b""
+        while True:
+            chunk = yield from ctx.recv(sock, 65536)
+            if not chunk:
+                break  # the client's FIN
+            got += chunk
+        seen["request"] = got
+        yield from ctx.send(sock, got[::-1])
+        yield from ctx.close(sock)
+        shadow = recovery.shadows[sock.conn_index]
+        seen["shadow_at_crash"] = (shadow.peer_fin_seen, shadow.fin_posted, shadow.tx_acked)
+        server.nic.crash()
+
+    def closing_client(ctx):
+        sock = yield from ctx.connect(server.ip, 7000)
+        yield from ctx.send(sock, request)
+        yield from ctx.close(sock)
+        got = b""
+        while True:
+            chunk = yield from ctx.recv(sock, 65536)
+            if not chunk:
+                break  # the server's re-armed FIN
+            got += chunk
+        seen["reply"] = got
+
+    def reset_server(ctx):
+        sock = yield from ctx.accept(ctx.listen(7001))
+        seen["victim"] = sock.conn_index
+        try:
+            yield from ctx.recv(sock, 1024)
+        except PeerResetError:
+            seen["reset_while_degraded"] = recovery.degraded
+
+    def reset_client(ctx):
+        yield from ctx.connect(server.ip, 7001)
+        yield from outage()
+        shadow = recovery.shadows[seen["victim"]]
+        server_ip, client_ip, server_port, client_port = shadow.four_tuple
+
+        def segment(sport, **kwargs):
+            return make_tcp_frame(
+                client.mac, server.mac, client_ip, server_ip, sport, server_port, **kwargs
+            )
+
+        # Nothing to answer: a segment of no known connection, a pure ACK.
+        client.station.port.send(segment(9, seq=1, flags=FLAG_ACK | FLAG_PSH, payload=b"stray"))
+        client.station.port.send(segment(client_port, seq=shadow.rcv_nxt, flags=FLAG_ACK))
+        # The reset a dying peer would send, at exactly rcv_nxt.
+        client.station.port.send(segment(client_port, seq=shadow.rcv_nxt, flags=FLAG_RST))
+
+    def late_server(ctx):
+        sock = yield from ctx.accept(ctx.listen(7002))
+        data = yield from ctx.recv(sock, 1024)
+        yield from ctx.send(sock, data.upper())
+
+    def late_client(ctx):
+        yield from outage()
+        sock = yield from ctx.connect(server.ip, 7002)
+        seen["connected_while_degraded"] = recovery.degraded
+        yield from ctx.send(sock, b"after the outage")
+        seen["late_reply"] = yield from ctx.recv(sock, 1024)
+
+    apps = [
+        sim.process(closing_server(server.new_context()), name="closing-server"),
+        sim.process(closing_client(client.new_context()), name="closing-client"),
+        sim.process(reset_server(server.new_context()), name="reset-server"),
+        sim.process(reset_client(client.new_context()), name="reset-client"),
+        sim.process(late_server(server.new_context()), name="late-server"),
+        sim.process(late_client(late.new_context()), name="late-client"),
+    ]
+    run_apps(bed, apps, deadline_ns=100_000_000)
+
+    assert seen["shadow_at_crash"] == (True, True, 0)
+    assert seen["request"] == request and seen["reply"] == request[::-1]
+    assert seen["reset_while_degraded"] is True
+    assert seen["connected_while_degraded"] is False and seen["late_reply"] == b"AFTER THE OUTAGE"
+    counters = counters_snapshot(bed)
+    assert counters["server"]["recoveries"] == 1 and counters["server"]["resets_received"] == 1
+    assert counters["late"]["syn_retransmits"] == 1
+    # ARP, stray, pure ACK, RST, SYN: two dropped, none acknowledged.
+    shim = recovery.shim
+    assert (shim.frames_seen, shim.frames_dropped, shim.acks_sent) == (5, 2, 0)
+    # B died in the outage, so only A was re-offloaded (C came after).
+    assert counters["server"]["reoffloaded"] == 1

@@ -289,3 +289,138 @@ def test_late_segment_after_churn_is_reset_not_delivered(sanitized):
     injected.succeed()
     run_apps(bed, apps, deadline_ns=2_000_000_000)
     assert results == {"a": b"FIRST", "b": b"SECOND", "b_after": b"THIRD"}
+
+
+# -- features in combination: ECN, window reopen, checksum drops ------------
+
+
+def one_way_transfer(bed, payload, reader_delay_ns=0, on_chunk=None):
+    """Client streams ``payload`` to a server that starts reading after
+    ``reader_delay_ns``; returns what the server read. ``on_chunk(total)``
+    runs after every read. Ends drained (``run_apps``)."""
+    server, client = bed.hosts["server"], bed.hosts["client"]
+    seen = {}
+
+    def server_app(ctx):
+        sock = yield from ctx.accept(ctx.listen(7777))
+        if reader_delay_ns:
+            yield ctx.sim.timeout(reader_delay_ns)
+        got = b""
+        while len(got) < len(payload):
+            chunk = yield from ctx.recv(sock, 65536)
+            if not chunk:
+                break
+            got += chunk
+            if on_chunk is not None:
+                on_chunk(len(got))
+        seen["got"] = got
+
+    def client_app(ctx):
+        sock = yield from ctx.connect(server.ip, 7777)
+        yield from ctx.send(sock, payload)
+
+    apps = [
+        bed.sim.process(server_app(server.new_context()), name="server-app"),
+        bed.sim.process(client_app(client.new_context()), name="client-app"),
+    ]
+    run_apps(bed, apps, deadline_ns=2_000_000_000)
+    return seen["got"]
+
+
+def test_ce_marks_reach_the_senders_rate_through_ece_and_cnt_ecnb(sanitized):
+    # switch CE mark -> receiver's ACK carries ECE -> sender's post stage
+    # adds cnt_ecnb -> the sender's DCTCP loop programs a lower rate.
+    from repro.net.switch import SwitchPortConfig
+
+    payload = bytes(i % 251 for i in range(400_000))
+
+    def run(ecn_threshold_bytes):
+        bed = Testbed(seed=1)
+        server = bed.add_flextoe_host("server")
+        client = bed.add_flextoe_host("client")
+        bed.seed_all_arp()
+        bed.switch.set_port_config(
+            server.station.switch_port,
+            SwitchPortConfig(rate_bps=2_000_000_000, ecn_threshold_bytes=ecn_threshold_bytes),
+        )
+        rates, ecn_bytes = [], []
+        set_rate, read_stats = client.nic.set_flow_rate, client.nic.read_cc_stats
+
+        def spy_rate(index, bytes_per_sec):
+            rates.append(bytes_per_sec or float("inf"))  # 0 programs "unpaced"
+            set_rate(index, bytes_per_sec)
+
+        def spy_stats(index):
+            raw = read_stats(index)
+            if raw is not None:
+                ecn_bytes.append(raw[1])
+            return raw
+
+        client.nic.set_flow_rate, client.nic.read_cc_stats = spy_rate, spy_stats
+        assert one_way_transfer(bed, payload) == payload
+        marked = bed.switch.egress_stats(server.station.switch_port).marked_ce
+        return marked, sum(ecn_bytes), rates
+
+    marked, ecn_acked, rates = run(ecn_threshold_bytes=3000)
+    clean_marked, clean_ecn_acked, clean_rates = run(ecn_threshold_bytes=None)
+    assert marked > 0 and ecn_acked > 0
+    assert (clean_marked, clean_ecn_acked) == (0, 0)
+    # Unmarked, slow start only ever raises the rate; marked, every
+    # programmed rate after the first feedback is below all of those.
+    assert clean_rates == sorted(clean_rates)
+    assert max(rates[1:]) < min(clean_rates)
+    assert min(rates) < clean_rates[0] / 2
+
+
+def test_closed_receive_window_reopens_on_the_window_update_not_a_probe(sanitized):
+    from repro.control.plane import ControlPlaneConfig
+
+    bed = Testbed(seed=1)
+    bed.add_flextoe_host("server", cp_kwargs={"config": ControlPlaneConfig(rx_buffer_size=4096)})
+    client = bed.add_flextoe_host("client")
+    bed.seed_all_arp()
+    tap = bed.switch.faults = WireTap(bed.sim)
+    payload = bytes(i % 251 for i in range(16_384))
+    resumed = {}
+
+    def on_chunk(total):
+        # More than the 4 KB buffer has arrived: the sender is moving again.
+        if total > 4096 and not resumed:
+            resumed["at"] = bed.sim.now
+            resumed["probes"] = client.control_plane.probes_posted
+
+    # The first zero-window probe is due ~350 us after the stall (see
+    # tests/control/test_plane.py); the reader drains at 200 us.
+    assert one_way_transfer(bed, payload, reader_delay_ns=200_000, on_chunk=on_chunk) == payload
+    assert resumed["probes"] == 0 and client.control_plane.probes_posted == 0
+    assert client.control_plane.retransmits_posted == 0
+    # On the wire: silence while the window is shut, then the reader's
+    # HC_RX_UPDATE produces one pure ACK and the sender's next segment
+    # follows it.
+    times = [(int(line.split()[0]), line) for line in tap.lines]
+    quiet = [line for t, line in times if 50_000 < t < 200_000]
+    after = [line for t, line in times if t >= 200_000][:2]
+    assert quiet == []
+    assert "7777>" in after[0] and "flags=A len=0" in after[0]
+    assert ">7777" in after[1] and "len=1448" in after[1]
+    assert int(after[1].split()[0]) < resumed["at"]
+
+
+def test_checksum_corruption_is_dropped_by_the_pre_stage_and_recovered(sanitized):
+    from repro.faults import FaultPlan
+    from repro.faults.events import Corruption
+    from repro.faults.invariants import counters_snapshot
+
+    bed = Testbed(seed=3)
+    bed.add_flextoe_host("server")
+    bed.add_flextoe_host("client")
+    bed.seed_all_arp()
+    # FCS-passing flips only: the MAC lets them through, Val must not.
+    corruption = Corruption(probability=0.05, fcs=False, start_ns=10_000)
+    bed.install_fault_plan(FaultPlan("csum").add(corruption))
+    payload = bytes(i % 251 for i in range(60_000))
+    assert one_way_transfer(bed, payload) == payload
+    counters = counters_snapshot(bed)
+    assert counters["server"]["csum_drops"] > 0
+    assert counters["server"]["csum_drops"] + counters["client"]["csum_drops"] == corruption.corrupted
+    assert counters["server"]["fcs_drops"] == 0
