@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact
+.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact perf-pairs
 
 test:
 	$(PY) -m pytest -x -q
@@ -102,3 +102,14 @@ perf-exact:
 	awk '$$2 ~ /^(events_per_op|sim_lat_p50_us|sim_lat_tail_us|sim_goodput_mbps|ops_ok_frac)$$/ \
 		{ rows++; if ($$6 == "worse" || ($$2 != "events_per_op" && /\(differs\)/)) { print "perf-exact: " $$0; bad = 1 } } \
 		END { if (bad || !rows) exit 1; print "perf-exact: " rows " exact rows hold" }' "$$tmp/table"
+
+# The judge for a host-time claim (tests/tools/pairs.py): N alternating
+# pairs of `perf/run.py --workload W --seconds S` on a `git archive` of
+# BASE and on this tree; each side's median and quartiles, wins of N, and
+# the verdict: a gain needs >= 9/10 of the pairs *and* medians apart by
+# more than BASE's own inter-quartile distance. M is an end-to-end metric
+# of BENCHMARK.json. ~25 s per pair at S=5 on sparse-idle.
+#   make perf-pairs BASE=origin/main W=sparse-idle M=setup_s
+perf-pairs:
+	@test -n "$(BASE)" -a -n "$(W)" -a -n "$(M)" || { echo "usage: make perf-pairs BASE=<git ref> W=<workload> M=<metric> [N=10] [S=5]" >&2; exit 2; }
+	python3 tests/tools/pairs.py --base $(BASE) --workload $(W) --metric $(M) --pairs $(or $(N),10) --seconds $(or $(S),5)

@@ -47,9 +47,9 @@ _OWNER = {"proto": "the atomic protocol stage", "post": "the owning post stage"}
 
 _OWNER_STACK = []
 # (partition class, slab slot) -> flow_group. Keyed by storage identity,
-# not view identity: partition views are flyweights a
-# ConnectionRecord.compact() can shed and lazily recreate, and the
-# recreated view must reattach to the same ownership token. Entries are
+# not view identity: partition views are flyweights, a connection
+# installed as a row has none until first touched, and any view of the
+# slot must carry the same ownership token. Entries are
 # dropped on unregister (connection removal) or uninstall. Objects
 # without a slab slot (plain duck-typed state in tests) fall back to
 # id() keys, pinned by a strong reference in _ID_PINS.
@@ -119,9 +119,12 @@ def install():
     # Slot-keyed registrations must not outlive the slot: when a
     # connection record is garbage collected its slab slot recycles, and
     # a stale entry would pin the old ownership onto the next tenant.
+    # And a slot handed out must be the all-zero row: an install writes
+    # only the fields that start elsewhere.
     from repro.flextoe.state import CONN_SLAB
 
     CONN_SLAB.on_free = _forget_slot
+    CONN_SLAB.on_alloc = functools.partial(_check_zeroed, CONN_SLAB)
 
     for cls, check in checks:
         original = cls.__setattr__
@@ -147,7 +150,7 @@ def uninstall():
         return
     from repro.flextoe.state import CONN_SLAB
 
-    CONN_SLAB.on_free = None
+    CONN_SLAB.on_free = CONN_SLAB.on_alloc = None
     for cls, original in _original_setattrs.items():
         cls.__setattr__ = original
     _original_setattrs.clear()
@@ -162,6 +165,14 @@ def _forget_slot(slot):
         _REGISTRY.pop((cls, slot), None)
 
 
+def _check_zeroed(slab, slot):
+    dirty = slab.dirty_fields(slot)
+    if dirty:
+        raise SanitizerError(
+            "{} slab: alloc() handed out slot {} with stale {}".format(slab.name, slot, ", ".join(dirty))
+        )
+
+
 def _registry_key(state):
     slot = getattr(state, "_i", None)
     if slot is None:
@@ -173,8 +184,8 @@ def register(state, flow_group):
     """Declare ``state`` owned by ``flow_group`` (at connection install).
 
     Ownership attaches to the slab slot, so every view of that slot —
-    including views recreated after :meth:`ConnectionRecord.compact`
-    sheds the cached ones — carries the same token.
+    whichever object first touches a row-installed connection — carries
+    the same token.
     """
     key = _registry_key(state)
     _REGISTRY[key] = flow_group

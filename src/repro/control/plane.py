@@ -708,7 +708,8 @@ class ControlPlane:
         self._conn_token += 1
         token = self._conn_token
         snd_iss = (pending.iss + 1) & 0xFFFFFFFF
-        record = self.nic.offload_connection(
+        # One set of values, two rows: the NIC's and its host shadow's.
+        offload = dict(
             index=index,
             four_tuple=pending.four_tuple,
             peer_mac=pending.peer_mac,
@@ -719,8 +720,8 @@ class ControlPlane:
             opaque=token,
             rx_buffer=rx_buffer.as_triple(),
             tx_buffer=tx_buffer.as_triple(),
-            remote_win=pending.remote_win << WINDOW_SCALE,
         )
+        record = self.nic.offload_connection(remote_win=pending.remote_win << WINDOW_SCALE, **offload)
         flow = self.cc.new_flow()
         if self.policy.rate_limit_bps is not None:
             flow.rate_bps = min(flow.rate_bps, self.policy.rate_limit_bps)
@@ -729,7 +730,7 @@ class ControlPlane:
         self._arm_cc(self.directory.add(index, record, flow, snd_iss))
         self._program_rate(index, flow)
         if self.recovery is not None:
-            self.recovery.track(index, record, snd_iss=snd_iss, rcv_irs=pending.irs)
+            self.recovery.track(**offload)
         info = EstablishedInfo(index, pending.four_tuple, rx_buffer, tx_buffer, token=token)
         if pending.waiter is not None:
             pending.waiter.succeed(info)

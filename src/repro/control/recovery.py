@@ -21,9 +21,9 @@ the data path when it dies. This module adds the three pieces:
   (``remote_win``, ``next_ts``) that improve convergence but are never
   load-bearing. On failure the manager quiesces, reboots the datapath
   (host shared memory — queue pairs, payload buffers, control ring —
-  survives), reconstructs each flow's
-  :class:`~repro.flextoe.state.ProtocolState` from its shadow, and
-  re-offloads every connection; the peer sees only a retransmission gap.
+  survives), reconstructs each flow's protocol fields from its shadow
+  (:func:`reconstruct_protocol_state`), and re-offloads every
+  connection; the peer sees only a retransmission gap.
 
   Soundness leans on the data path's *write-ahead rule* (see the DMA/ARX
   stages): a segment's ACK reaches the wire only after its notification
@@ -51,7 +51,7 @@ from repro.flextoe.descriptors import (
     HostControlDescriptor,
 )
 from repro.flextoe.slab import FLAG, INT, OBJ, Slab, SlabView, attach_fields
-from repro.flextoe.state import ProtocolState
+from repro.flextoe.state import ProtoInstall
 from repro.nfp.cam import pack_four_tuple
 from repro.proto import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, make_tcp_frame
 from repro.proto.tcp import seq_add
@@ -78,60 +78,42 @@ class ConnShadow(SlabView):
     """
 
     __slots__ = ()
-    SLAB_FIELDS = (
+    #: Written once, as one row, when tracking starts.
+    INSTALL_FIELDS = (
         "index",
         "local_ip",
         "remote_ip",
         "local_port",
         "remote_port",
         "context_id",
-        "snd_iss",
-        "rcv_irs",
-        "tx_posted",
-        "tx_acked",
-        "rx_delivered",
-        "rx_consumed",
-        "fin_posted",
-        "peer_fin_seen",
-        "rx_size",
-        "tx_size",
-        "rx_base",
-        "tx_base",
-        "rx_region",
-        "tx_region",
-        "opaque",
+        "snd_iss",  # first data byte's sequence number
+        "rcv_irs",  # first expected peer data byte
         "peer_mac",
         "local_mac",
+        "opaque",
+        "rx_region",
+        "rx_base",
+        "rx_size",
+        "tx_region",
+        "tx_base",
+        "tx_size",
+    )
+    #: Mirrored from queue traffic afterwards; all start at zero.
+    SLAB_FIELDS = INSTALL_FIELDS + (
+        "tx_posted",  # bytes the app posted via HC_TX_UPDATE
+        "tx_acked",  # bytes NOTIFY_TX_ACKED returned to the app
+        "rx_delivered",  # bytes NOTIFY_RX handed to the app
+        "rx_consumed",  # bytes the app returned via HC_RX_UPDATE
+        "fin_posted",
+        "peer_fin_seen",
         "nic_snapshot",
     )
 
-    def __init__(self, index, four_tuple, context_id, snd_iss, rcv_irs, rx_size, tx_size, peer_mac):
+    def __init__(self, index, four_tuple, peer_mac, local_mac, snd_iss, rcv_irs, context_id, opaque, rx_buffer, tx_buffer):
         self._bind()
-        self.index = index
-        local_ip, remote_ip, local_port, remote_port = four_tuple
-        self.local_ip = local_ip
-        self.remote_ip = remote_ip
-        self.local_port = local_port
-        self.remote_port = remote_port
-        self.context_id = context_id
-        self.snd_iss = snd_iss  # first data byte's sequence number
-        self.rcv_irs = rcv_irs  # first expected peer data byte
-        self.tx_posted = 0  # bytes the app posted via HC_TX_UPDATE
-        self.tx_acked = 0  # bytes NOTIFY_TX_ACKED returned to the app
-        self.rx_delivered = 0  # bytes NOTIFY_RX handed to the app
-        self.rx_consumed = 0  # bytes the app returned via HC_RX_UPDATE
-        self.fin_posted = False
-        self.peer_fin_seen = False
-        self.rx_size = rx_size
-        self.tx_size = tx_size
-        self.rx_base = 0
-        self.tx_base = 0
-        self.rx_region = None
-        self.tx_region = None
-        self.opaque = None
-        self.peer_mac = peer_mac
-        self.local_mac = None
-        self.nic_snapshot = None
+        _write_shadow(
+            self._i, index, *four_tuple, context_id, snd_iss, rcv_irs, peer_mac, local_mac, opaque, *rx_buffer, *tx_buffer
+        )
 
     @property
     def four_tuple(self):
@@ -170,22 +152,13 @@ SHADOW_SLAB = Slab(
     name="shadow",
 )
 
-attach_fields(
-    ConnShadow,
-    SHADOW_SLAB,
-    kinds={
-        "fin_posted": FLAG,
-        "peer_fin_seen": FLAG,
-        "rx_region": OBJ,
-        "tx_region": OBJ,
-        "opaque": OBJ,
-        "nic_snapshot": OBJ,
-    },
-)
+attach_fields(ConnShadow, SHADOW_SLAB)
+_write_shadow = SHADOW_SLAB.row_writer(ConnShadow.INSTALL_FIELDS)
 
 
 def reconstruct_protocol_state(shadow):
-    """Rebuild a flow's :class:`ProtocolState` from its host shadow.
+    """A flow's protocol fields, rebuilt from its host shadow, as the
+    :class:`~repro.flextoe.state.ProtoInstall` a re-offload writes.
 
     The reconstruction is deliberately conservative: transmission rewinds
     to ``snd_una`` (anything in flight at the crash is retransmitted —
@@ -195,26 +168,24 @@ def reconstruct_protocol_state(shadow):
     and a posted-but-unconfirmed FIN is re-armed (a duplicate FIN is
     acknowledged idempotently by the peer).
     """
-    proto = ProtocolState()
-    proto.seq = seq_add(shadow.snd_iss, shadow.tx_acked)
-    proto.tx_pos = shadow.tx_acked
-    proto.tx_avail = shadow.tx_posted - shadow.tx_acked
-    proto.tx_sent = 0
-    proto.ack = seq_add(shadow.rcv_irs, shadow.rx_delivered)
-    proto.rx_pos = shadow.rx_delivered
-    proto.rx_avail = shadow.rx_size - (shadow.rx_delivered - shadow.rx_consumed)
-    if shadow.peer_fin_seen:
-        proto.rx_fin_seq = proto.ack
-        proto.ack = seq_add(proto.ack, 1)
-    if shadow.fin_posted:
-        proto.fin_pending = True
-    snap = shadow.nic_snapshot
-    if snap is not None:
-        # Staleness-bounded hints: a wrong remote_win self-corrects on
-        # the first ACK, a missing next_ts just skips one RTT sample.
-        proto.remote_win = snap.get("remote_win", proto.remote_win)
-        proto.next_ts = snap.get("next_ts", 0)
-    return proto
+    tx_acked = shadow.tx_acked
+    rx_delivered = shadow.rx_delivered
+    ack = seq_add(shadow.rcv_irs, rx_delivered)
+    # Staleness-bounded hints: a wrong remote_win self-corrects on the
+    # first ACK, a missing next_ts just skips one RTT sample.
+    snap = shadow.nic_snapshot or {}
+    hints = {name: snap[name] for name in ("remote_win", "next_ts") if name in snap}
+    return ProtoInstall(
+        seq=seq_add(shadow.snd_iss, tx_acked),
+        ack=seq_add(ack, 1) if shadow.peer_fin_seen else ack,
+        rx_avail=shadow.rx_size - (rx_delivered - shadow.rx_consumed),
+        rx_fin_seq=ack if shadow.peer_fin_seen else None,
+        rx_pos=rx_delivered,
+        tx_pos=tx_acked,
+        tx_avail=shadow.tx_posted - tx_acked,
+        fin_pending=shadow.fin_posted,
+        **hints,
+    )
 
 
 class SlowPathShim:
@@ -328,33 +299,19 @@ class RecoveryManager:
 
     # -- shadow maintenance --------------------------------------------------
 
-    def track(self, index, record, snd_iss, rcv_irs):
-        """Start shadowing a freshly established connection."""
-        post = record.post
-        shadow = ConnShadow(
-            index,
-            record.four_tuple,
-            post.context_id,
-            snd_iss,
-            rcv_irs,
-            post.rx_size,
-            post.tx_size,
-            record.pre.peer_mac,
-        )
-        shadow.rx_base = post.rx_base
-        shadow.tx_base = post.tx_base
-        shadow.rx_region = post.rx_region
-        shadow.tx_region = post.tx_region
-        shadow.opaque = post.opaque
-        shadow.local_mac = record.local_mac
+    def track(self, index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer):
+        """Start shadowing a freshly established connection: one shadow
+        row, written from the values it was offloaded with (the leading
+        parameters of ``FlexToeNic.offload_connection``, in its order)."""
+        shadow = ConnShadow(index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
         self.shadows[index] = shadow
         if self._by_tuple is not None:
-            self._by_tuple[pack_four_tuple(record.four_tuple)] = shadow
-        if post.context_id not in self._tapped_contexts:
-            pair = self.nic.context_pair(post.context_id)
+            self._by_tuple[pack_four_tuple(four_tuple)] = shadow
+        if context_id not in self._tapped_contexts:
+            pair = self.nic.context_pair(context_id)
             if pair is not None:
                 pair.add_tap(self._on_pair_event)
-                self._tapped_contexts.add(post.context_id)
+                self._tapped_contexts.add(context_id)
         return shadow
 
     def adopt_offloaded(
@@ -376,23 +333,13 @@ class RecoveryManager:
         fully offloaded (lookup, scheduler admission, crash recovery via
         the shadow-only re-offload pass) but skip the per-tick timer and
         congestion scans, whose cost is proportional to directory size.
-        Returns ``(index, record)``.
+        Two row writes and no partition view. Returns ``(index, record)``.
         """
         index = self.nic.allocate_connection_index()
         record = self.nic.offload_connection(
-            index=index,
-            four_tuple=four_tuple,
-            peer_mac=peer_mac,
-            local_mac=local_mac,
-            iss=iss,
-            irs=irs,
-            context_id=context_id,
-            opaque=opaque,
-            rx_buffer=rx_buffer,
-            tx_buffer=tx_buffer,
+            index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer
         )
-        self.track(index, record, snd_iss=iss, rcv_irs=irs)
-        record.compact()  # quiescent: shed the cached partition views
+        self.track(index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
         return index, record
 
     def forget(self, index):
@@ -487,7 +434,6 @@ class RecoveryManager:
         event in between would double-count into the rebuilt state.
         """
         from repro.analysis import sanitizer
-        from repro.control.plane import CONTROL_CONTEXT
 
         # Stale outbound HC descriptors died with the chip: anything
         # still queued is already folded into the shadow (taps fire at
@@ -505,60 +451,51 @@ class RecoveryManager:
                 sanitizer.unregister(old.pre)
                 sanitizer.unregister(old.proto)
                 sanitizer.unregister(old.post)
-            proto = reconstruct_protocol_state(shadow)
-            record = self.nic.offload_connection(
-                index=entry.index,
-                four_tuple=shadow.four_tuple,
-                peer_mac=shadow.peer_mac,
-                local_mac=old.local_mac,
-                iss=proto.seq,
-                irs=proto.ack,
-                context_id=shadow.context_id,
-                opaque=old.post.opaque,
-                rx_buffer=(old.post.rx_region, old.post.rx_base, old.post.rx_size),
-                tx_buffer=(old.post.tx_region, old.post.tx_base, old.post.tx_size),
-                proto=proto,
-            )
+            record, proto = self._reoffload(shadow)
             entry.record = record
             entry.last_snd_una = None
             entry.stalled_since = None
             entry.reset_backoff()
             self.plane.reprogram_rate(entry)
-            self.reoffloaded_connections += 1
             reinstalled.add(entry.index)
-            # Kick the new doorbell so ATX re-drains the context, and
-            # re-announce our receive window so a peer parked against
+            self._kick(entry.index, proto)
+            # Re-announce our receive window so a peer parked against
             # the shim's zero window wakes up even if it has nothing
             # in flight to retransmit.
-            if proto.tx_avail > 0 or proto.fin_pending:
-                self.nic.post_hc(
-                    CONTROL_CONTEXT, HostControlDescriptor(HC_RETRANSMIT, entry.index)
-                )
             self.plane.announce_window(record)
         # Shadow-only connections (bulk adoptions with no directory
         # entry — the control plane's timers never service them, but
-        # their data-path state must survive a crash all the same). The
-        # shadow is self-sufficient, so reinstall straight from it.
+        # their data-path state must survive a crash all the same).
         for index in sorted(self.shadows):
-            if index in reinstalled:
-                continue
-            shadow = self.shadows[index]
-            proto = reconstruct_protocol_state(shadow)
-            self.nic.offload_connection(
-                index=shadow.index,
-                four_tuple=shadow.four_tuple,
-                peer_mac=shadow.peer_mac,
-                local_mac=shadow.local_mac,
-                iss=proto.seq,
-                irs=proto.ack,
-                context_id=shadow.context_id,
-                opaque=shadow.opaque,
-                rx_buffer=(shadow.rx_region, shadow.rx_base, shadow.rx_size),
-                tx_buffer=(shadow.tx_region, shadow.tx_base, shadow.tx_size),
-                proto=proto,
-            )
-            self.reoffloaded_connections += 1
-            if proto.tx_avail > 0 or proto.fin_pending:
-                self.nic.post_hc(
-                    CONTROL_CONTEXT, HostControlDescriptor(HC_RETRANSMIT, shadow.index)
-                )
+            if index not in reinstalled:
+                _record, proto = self._reoffload(self.shadows[index])
+                self._kick(index, proto)
+
+    def _reoffload(self, shadow):
+        """Reinstall one connection from its shadow alone — the shadow is
+        self-sufficient, the old record died with the chip. Returns the
+        new record and the protocol fields it was installed with."""
+        proto = reconstruct_protocol_state(shadow)
+        record = self.nic.offload_connection(
+            index=shadow.index,
+            four_tuple=shadow.four_tuple,
+            peer_mac=shadow.peer_mac,
+            local_mac=shadow.local_mac,
+            iss=proto.seq,
+            irs=proto.ack,
+            context_id=shadow.context_id,
+            opaque=shadow.opaque,
+            rx_buffer=(shadow.rx_region, shadow.rx_base, shadow.rx_size),
+            tx_buffer=(shadow.tx_region, shadow.tx_base, shadow.tx_size),
+            proto=proto,
+        )
+        self.reoffloaded_connections += 1
+        return record, proto
+
+    def _kick(self, index, proto):
+        """Ring the new doorbell so ATX re-drains a context that still
+        has data or a FIN to send."""
+        from repro.control.plane import CONTROL_CONTEXT
+
+        if proto.tx_avail > 0 or proto.fin_pending:
+            self.nic.post_hc(CONTROL_CONTEXT, HostControlDescriptor(HC_RETRANSMIT, index))

@@ -15,6 +15,8 @@ micro-C instruction counts, not measurements, and the benchmarks only
 rely on their relative magnitudes.
 """
 
+from repro.nfp.cam import crc32_tuple
+
 
 class StageCosts:
     """Per-operation FPC cycle costs for each pipeline stage."""
@@ -145,8 +147,9 @@ class PipelineConfig:
         """Table 3 row 5: + four flow-group islands (the default)."""
         return cls()
 
-    def flow_group_of(self, four_tuple):
-        """hash(4-tuple) % n_flow_groups (paper Table 5: flow_group)."""
-        from repro.nfp.cam import crc32_tuple
-
-        return crc32_tuple(*four_tuple) % self.n_flow_groups
+    def flow_group_of(self, four_tuple, crc=None):
+        """hash(4-tuple) % n_flow_groups (paper Table 5: flow_group);
+        ``crc`` is ``crc32_tuple(*four_tuple)`` when the caller has it."""
+        if crc is None:
+            crc = crc32_tuple(*four_tuple)
+        return crc % self.n_flow_groups

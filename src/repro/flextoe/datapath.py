@@ -441,9 +441,11 @@ class FlexToeDatapath:
         self.pcie.ring("hc")
         return True
 
-    def install_connection(self, record):
+    def install_connection(self, record, four_tuple, crc):
+        """Publish an installed row: ``crc`` is the four-tuple's CRC-32,
+        which the caller already computed to pick the flow group."""
         self.conn_table.install(record)
-        self.lookup_engine.insert(record.four_tuple, record.index)
+        self.lookup_engine.insert(four_tuple, record.index, crc)
         if sanitizer.enabled():
             group = record.pre.flow_group
             sanitizer.register(record.pre, group)

@@ -12,8 +12,9 @@
 from repro.flextoe.config import PipelineConfig
 from repro.flextoe.datapath import FlexToeDatapath
 from repro.flextoe.scheduler import rate_to_interval_q8
-from repro.flextoe.state import ConnectionRecord
+from repro.flextoe.state import ConnectionRecord, ProtoInstall
 from repro.nfp import Nfp4000
+from repro.nfp.cam import crc32_tuple
 from repro.sim import Store
 
 
@@ -133,49 +134,30 @@ class FlexToeNic:
         """Install data-path state for an established connection (§3.4).
 
         ``rx_buffer``/``tx_buffer`` are (region, base_addr, size) triples
-        from the host hugepage pool. ``proto`` may carry a pre-built
-        ProtocolState (crash recovery re-offloads a reconstructed one);
-        by default a fresh post-handshake state is created. Returns the
-        ConnectionRecord — one shared slab slot whose ``pre``/``proto``/
-        ``post`` views this method populates.
+        from the host hugepage pool. ``proto`` carries a recovered
+        connection's protocol fields (a ``ProtoInstall`` reconstructed
+        from its shadow) in place of the fresh post-handshake ones
+        ``iss``/``irs``/``remote_win`` describe. Returns the
+        ConnectionRecord, whose construction is the one row write.
         """
-        local_ip, remote_ip, local_port, remote_port = four_tuple
-        flow_group = self.config.flow_group_of(four_tuple)
+        crc = crc32_tuple(*four_tuple)
+        config = self.config
         record = ConnectionRecord(
-            index=index,
-            four_tuple=four_tuple,
-            local_mac=local_mac,
-            local_ip=local_ip,
-        )
-        record.pre.init(
+            index,
+            four_tuple,
+            local_mac,
+            local_ip=four_tuple[0],
             peer_mac=peer_mac,
-            peer_ip=remote_ip,
-            local_port=local_port,
-            remote_port=remote_port,
-            flow_group=flow_group,
-        )
-        rx_region, rx_base, rx_size = rx_buffer
-        tx_region, tx_base, tx_size = tx_buffer
-        if proto is None:
-            record.proto.init(seq=iss, ack=irs, rx_avail=rx_size, remote_win=remote_win)
-        else:
-            # Recovery hands in a loose reconstructed state; copy it into
-            # the record's slot so the data path sees one coherent row.
-            record.proto.copy_from(proto)
-        post = record.post
-        post.init(
-            opaque=opaque,
+            flow_group=config.flow_group_of(four_tuple, crc),
+            proto=proto or ProtoInstall(iss, irs, rx_buffer[2], remote_win),
             context_id=context_id,
-            rx_base=rx_base,
-            tx_base=tx_base,
-            rx_size=rx_size,
-            tx_size=tx_size,
-            rx_region=rx_region,
-            tx_region=tx_region,
+            opaque=opaque,
+            rx_buffer=rx_buffer,
+            tx_buffer=tx_buffer,
+            use_timestamps=config.use_timestamps,
+            use_ecn=config.use_ecn,
         )
-        post.use_timestamps = self.config.use_timestamps
-        post.use_ecn = self.config.use_ecn
-        self.datapath.install_connection(record)
+        self.datapath.install_connection(record, four_tuple, crc)
         return record
 
     def allocate_connection_index(self):

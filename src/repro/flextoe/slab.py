@@ -34,6 +34,17 @@ Scalar columns support zero-copy inspection via :meth:`Slab.column_view`
 (a ``memoryview``), which the property tests use to check that freed
 slots are fully zeroed before reuse.
 
+Row operations
+--------------
+
+How a value of each kind is stored is stated once, as source text
+(``_STORE``), and compiled wherever a store happens: one setter per
+generated property, one ``write(slot, *values)`` per
+:meth:`Slab.row_writer` — a connection is installed as one row write,
+not one descriptor call per field — and the row zeroer :meth:`Slab.free`
+runs. A slot handed out by :meth:`Slab.alloc` is all-zero, so an install
+writes only the fields that start elsewhere.
+
 Flyweights
 ----------
 
@@ -41,8 +52,8 @@ A :class:`SlabView` subclass declares its fields in a class-level
 ``SLAB_FIELDS`` tuple (statically parseable, like ``__slots__`` —
 ``repro.analysis.stagelint`` reads it for partition ownership) and gets
 one generated ``property`` per field via :func:`attach_fields`. The
-properties close over the column objects themselves (columns grow with
-``array.extend`` in place, so identity is stable), making an attribute
+accessors are bound to the column objects themselves (columns grow in
+place, so identity is stable), making an attribute
 access one bound-method call plus one array index.
 
 Because fields are plain data descriptors, attribute *writes* still
@@ -62,6 +73,8 @@ stays reproducible.
 """
 
 from array import array
+from itertools import count
+from textwrap import indent
 
 INT = "int"
 FLAG = "flag"
@@ -86,9 +99,62 @@ _INLINE_MAX = (1 << 63) - 1  # top of array('q') range
 
 #: Growth step (slots) once the initial preallocation is full. Linear,
 #: not geometric: doubling a million-connection pool would strand up to
-#: half the columns as dead capacity, and ``array.extend`` is amortized
-#: O(1) per slot either way. Worst-case slack is one chunk.
+#: half the columns as dead capacity, and appending to an ``array`` is
+#: amortized O(1) per slot either way. Worst-case slack is one chunk.
 _GROW_STEP = 4096
+
+#: The one statement of each kind's encoding, as source over four names:
+#: ``{c}`` the column, ``{o}`` its overflow dict (INT only), ``{i}`` the
+#: slot and ``{v}`` the value. Property accessors, row writers and the
+#: row zeroer are all compiled from these (``Slab._compile``).
+_STORE = {
+    INT: """\
+if {v} is None:
+    {c}[{i}] = _NONE
+    if {o}:
+        {o}.pop({i}, None)
+elif type({v}) is int and _SENT_FLOOR < {v} <= _INLINE_MAX:
+    {c}[{i}] = {v}
+    if {o}:
+        {o}.pop({i}, None)
+else:
+    # Rare: non-int identity values (MAC bytes, dotted-quad strings)
+    # or out-of-range ints spill out of the column.
+    {c}[{i}] = _SPILL
+    {o}[{i}] = {v}
+""",
+    FLAG: "{c}[{i}] = 1 if {v} else 0\n",
+    OBJ: "{c}[{i}] = {v}\n",
+}
+# The array enforces the declared range; surface the field name because
+# the OverflowError alone only mentions the typecode.
+_STORE[U8] = _STORE[U16] = """\
+try:
+    {c}[{i}] = {v}
+except (OverflowError, TypeError) as exc:
+    raise type(exc)("{name}: {{}}".format(exc)) from None
+"""
+_LOAD = {
+    INT: """\
+value = {c}[{i}]
+if value > _SENT_FLOOR:
+    return value
+return None if value == _NONE else {o}[{i}]
+""",
+    FLAG: "return {c}[{i}] != 0\n",
+    **dict.fromkeys((U8, U16, OBJ), "return {c}[{i}]\n"),
+}
+_ZERO = {
+    INT: "{c}[{i}] = 0\nif {o}:\n    {o}.pop({i}, None)\n",
+    OBJ: "{c}[{i}] = None\n",
+    **dict.fromkeys((FLAG, U8, U16), "{c}[{i}] = 0\n"),
+}
+_SENTINELS = {"_NONE": _NONE, "_SPILL": _SPILL, "_SENT_FLOOR": _SENT_FLOOR, "_INLINE_MAX": _INLINE_MAX}
+#: Generated code is compiled under this file's name, so profilers charge
+#: it to this module, at line numbers past the file's end, so a traceback
+#: or a line tracer cannot mistake it for the text above — each function
+#: at its own, because profilers key a function by (file, first line, name).
+_GENERATED_LINES = count(100_000, 1000)
 
 
 class Slab:
@@ -97,26 +163,30 @@ class Slab:
     __slots__ = (
         "name",
         "fields",
+        "kinds",
         "capacity",
         "live",
         "high_water",
         "columns",
         "overflow",
+        "on_alloc",
         "on_free",
         "_free",
         "_next",
+        "_names",
+        "_zero",
     )
 
     def __init__(self, fields, initial=1024, name="slab"):
         self.name = name
         self.fields = tuple(fields)  # (field_name, kind) pairs
-        seen = set()
+        self.kinds = {}
         for field_name, kind in self.fields:
-            if field_name in seen:
+            if field_name in self.kinds:
                 raise ValueError("duplicate slab field {!r}".format(field_name))
             if kind not in _KIND_BYTES:
                 raise ValueError("unknown slab kind {!r}".format(kind))
-            seen.add(field_name)
+            self.kinds[field_name] = kind
         self.capacity = 0
         self.live = 0
         self.high_water = 0
@@ -124,21 +194,54 @@ class Slab:
         self.overflow = {}  # INT columns only: slot -> spilled value
         self._free = []  # LIFO, so slot reuse is deterministic
         self._next = 0
-        # Optional observer called with the slot id on every free(); the
-        # race sanitizer uses it to drop ownership registrations before
-        # the slot can be recycled for an unrelated connection.
+        # Optional observers called with the slot id: on_free on every
+        # free() — the race sanitizer drops ownership registrations
+        # before the slot can be recycled for an unrelated connection —
+        # and on_alloc on every alloc(), where it asserts the slot is
+        # the all-zero row installs rely on.
+        self.on_alloc = None
         self.on_free = None
+        # Globals of every function compiled for this slab: the sentinels,
+        # each column as c_<field>, each overflow dict as o_<field>.
+        self._names = dict(_SENTINELS)
         for field_name, kind in self.fields:
-            self.columns[field_name] = [] if kind == OBJ else array(_TYPECODES[kind])
+            column = self.columns[field_name] = [] if kind == OBJ else array(_TYPECODES[kind])
+            self._names["c_" + field_name] = column
             if kind == INT:
-                self.overflow[field_name] = {}
+                self._names["o_" + field_name] = self.overflow[field_name] = {}
+        self._zero = self._compile("zero(slot)", "slot", _ZERO, [(name, None) for name in self.kinds])
         self._grow(max(1, initial))
 
+    def _compile(self, signature, slot, templates, stores):
+        """Compile ``def <signature>`` whose body is, per ``(field name,
+        value expression)`` in ``stores``, the field's kind's template
+        written over its column, its overflow dict and the slot
+        expression ``slot``."""
+        body = "".join(
+            templates[self.kinds[field_name]].format(
+                c="c_" + field_name, o="o_" + field_name, i=slot, v=value, name=field_name
+            )
+            for field_name, value in stores
+        )
+        exec(compile("def {}:\n{}".format(signature, indent(body or "pass\n", "    ")), __file__, "exec"), self._names)
+        function = self._names.pop(signature.partition("(")[0])
+        function.__code__ = function.__code__.replace(co_firstlineno=next(_GENERATED_LINES))
+        return function
+
+    def row_writer(self, names):
+        """Compile ``write(slot, *values)``, one value per name in
+        ``names``: each lands exactly where the field's property setter
+        would put it, in one call."""
+        values = ["v%d" % n for n in range(len(names))]
+        signature = "write({})".format(", ".join(["slot"] + values))
+        return self._compile(signature, "slot", _STORE, list(zip(names, values)))
+
     def _grow(self, count):
-        zeros = [0] * count
-        nones = [None] * count
-        for field_name, kind in self.fields:
-            self.columns[field_name].extend(nones if kind == OBJ else zeros)
+        for column in self.columns.values():
+            if isinstance(column, list):
+                column.extend([None] * count)
+            else:  # zero bytes are zero in every scalar typecode
+                column.frombytes(bytes(count * column.itemsize))
         self.capacity += count
 
     def alloc(self):
@@ -150,6 +253,8 @@ class Slab:
                 self._grow(_GROW_STEP)
             slot = self._next
             self._next += 1
+        if self.on_alloc is not None:
+            self.on_alloc(slot)
         self.live += 1
         if self.live > self.high_water:
             self.high_water = self.live
@@ -157,18 +262,20 @@ class Slab:
 
     def free(self, slot):
         """Release ``slot``, zeroing every column so reuse starts clean."""
-        for field_name, kind in self.fields:
-            if kind == OBJ:
-                self.columns[field_name][slot] = None
-            else:
-                self.columns[field_name][slot] = 0
-            ovf = self.overflow.get(field_name)
-            if ovf:
-                ovf.pop(slot, None)
+        self._zero(slot)
         self.live -= 1
         self._free.append(slot)
         if self.on_free is not None:
             self.on_free(slot)
+
+    def dirty_fields(self, slot):
+        """The columns in which ``slot`` is not the zero alloc() promises."""
+        return [
+            field_name
+            for field_name, kind in self.fields
+            if self.columns[field_name][slot] != (None if kind == OBJ else 0)
+            or slot in self.overflow.get(field_name, ())
+        ]
 
     def column_view(self, field_name):
         """Zero-copy ``memoryview`` of a scalar (INT/FLAG) column."""
@@ -190,68 +297,6 @@ class Slab:
             "bytes_per_slot": self.bytes_per_slot(),
             "overflow_entries": sum(len(ovf) for ovf in self.overflow.values()),
         }
-
-
-def _int_property(column, overflow):
-    def fget(self):
-        value = column[self._i]
-        if value > _SENT_FLOOR:
-            return value
-        if value == _NONE:
-            return None
-        return overflow[self._i]
-
-    def fset(self, value):
-        if value is None:
-            column[self._i] = _NONE
-            if overflow:
-                overflow.pop(self._i, None)
-        elif type(value) is int and _SENT_FLOOR < value <= _INLINE_MAX:
-            column[self._i] = value
-            if overflow:
-                overflow.pop(self._i, None)
-        else:
-            # Rare: non-int identity values (MAC bytes, dotted-quad
-            # strings) or out-of-range ints spill out of the column.
-            column[self._i] = _SPILL
-            overflow[self._i] = value
-
-    return property(fget, fset)
-
-
-def _flag_property(column):
-    def fget(self):
-        return column[self._i] != 0
-
-    def fset(self, value):
-        column[self._i] = 1 if value else 0
-
-    return property(fget, fset)
-
-
-def _narrow_property(column, field_name):
-    def fget(self):
-        return column[self._i]
-
-    def fset(self, value):
-        # The array enforces the declared range; surface the field name
-        # because the OverflowError alone only mentions the typecode.
-        try:
-            column[self._i] = value
-        except (OverflowError, TypeError) as exc:
-            raise type(exc)("{}: {}".format(field_name, exc)) from None
-
-    return property(fget, fset)
-
-
-def _obj_property(column):
-    def fget(self):
-        return column[self._i]
-
-    def fset(self, value):
-        column[self._i] = value
-
-    return property(fget, fset)
 
 
 class SlabView:
@@ -284,11 +329,6 @@ class SlabView:
     def slab_slot(self):
         return self._i
 
-    def copy_from(self, other):
-        """Field-wise copy from another view (or any duck-typed object)."""
-        for field_name in type(self).SLAB_FIELDS:
-            setattr(self, field_name, getattr(other, field_name))
-
     def __del__(self):
         try:
             if self._own:
@@ -297,25 +337,15 @@ class SlabView:
             pass
 
 
-def attach_fields(cls, slab, kinds=None):
+def attach_fields(cls, slab):
     """Install slab-backed properties for ``cls.SLAB_FIELDS`` on ``cls``.
 
-    ``kinds`` maps field name -> INT/FLAG/OBJ (INT is the default). The
-    generated properties close over the column objects, so they must be
-    attached against the slab instance the class will live on.
+    The generated accessors are bound to the column objects, so they must
+    be attached against the slab instance the class will live on.
     """
-    kinds = kinds or {}
     cls.SLAB = slab
     for field_name in cls.SLAB_FIELDS:
-        kind = kinds.get(field_name, INT)
-        column = slab.columns[field_name]
-        if kind == INT:
-            prop = _int_property(column, slab.overflow[field_name])
-        elif kind == FLAG:
-            prop = _flag_property(column)
-        elif kind in (U8, U16):
-            prop = _narrow_property(column, field_name)
-        else:
-            prop = _obj_property(column)
-        setattr(cls, field_name, prop)
+        fget = slab._compile("fget(self)", "self._i", _LOAD, [(field_name, None)])
+        fset = slab._compile("fset(self, value)", "self._i", _STORE, [(field_name, "value")])
+        setattr(cls, field_name, property(fget, fset))
     return cls

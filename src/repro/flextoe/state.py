@@ -22,6 +22,8 @@ which the static atomicity lint checks and which :func:`atomic_add` uses
 to charge the engine's issue latency in the simulator.
 """
 
+from collections import namedtuple
+
 from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, Slab, SlabView, attach_fields
 from repro.nfp.memory import LAT_ATOMIC_ADD
 from repro.proto.tcp import seq_add
@@ -77,14 +79,7 @@ class PreprocState(SlabView):
 
     def __init__(self, peer_mac, peer_ip, local_port, remote_port, flow_group):
         self._bind()
-        self.init(peer_mac, peer_ip, local_port, remote_port, flow_group)
-
-    def init(self, peer_mac, peer_ip, local_port, remote_port, flow_group):
-        self.peer_mac = peer_mac
-        self.peer_ip = peer_ip
-        self.local_port = local_port
-        self.remote_port = remote_port
-        self.flow_group = flow_group
+        _write_pre(self._i, peer_mac, peer_ip, local_port, remote_port, flow_group)
 
 
 class ProtocolState(SlabView):
@@ -118,25 +113,7 @@ class ProtocolState(SlabView):
 
     def __init__(self, seq=0, ack=0, rx_avail=0, remote_win=0xFFFF):
         self._bind()
-        self.init(seq=seq, ack=ack, rx_avail=rx_avail, remote_win=remote_win)
-
-    def init(self, seq=0, ack=0, rx_avail=0, remote_win=0xFFFF):
-        self.rx_pos = 0
-        self.tx_pos = 0
-        self.tx_avail = 0
-        self.rx_avail = rx_avail
-        self.remote_win = remote_win
-        self.tx_sent = 0
-        self.seq = seq
-        self.ack = ack
-        self.ooo_start = 0
-        self.ooo_len = 0
-        self.dupack_cnt = 0
-        self.next_ts = 0
-        self.fin_pending = False
-        self.fin_seq = None
-        self.rx_fin_seq = None
-        self.delack_cnt = 0
+        _write_proto(self._i, *ProtoInstall(seq, ack, rx_avail, remote_win))
 
     @property
     def has_ooo(self):
@@ -168,6 +145,18 @@ class ProtocolState(SlabView):
         return data_rewound
 
 
+#: The protocol fields an install writes, with their post-handshake
+#: values; ``tx_sent``, the out-of-order interval and the duplicate- and
+#: delayed-ACK counters always start at the zero ``alloc()`` hands out.
+#: Crash recovery fills the same tuple from a connection's host shadow
+#: (``repro.control.recovery.reconstruct_protocol_state``).
+ProtoInstall = namedtuple(
+    "ProtoInstall",
+    "seq ack rx_avail remote_win fin_seq rx_fin_seq rx_pos tx_pos tx_avail next_ts fin_pending",
+    defaults=(0, 0, 0, 0xFFFF, None, None, 0, 0, 0, 0, False),
+)
+
+
 class PostprocState(SlabView):
     """Post-processor partition: app interface + congestion stats (51 B)."""
 
@@ -193,24 +182,7 @@ class PostprocState(SlabView):
 
     def __init__(self, opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region=None, tx_region=None):
         self._bind()
-        self.init(opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region)
-
-    def init(self, opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region=None, tx_region=None):
-        self.opaque = opaque
-        self.context_id = context_id
-        self.rx_base = rx_base
-        self.tx_base = tx_base
-        self.rx_size = rx_size
-        self.tx_size = tx_size
-        self.rx_region = rx_region
-        self.tx_region = tx_region
-        self.cnt_ackb = 0
-        self.cnt_ecnb = 0
-        self.cnt_fretx = 0
-        self.rtt_est = 0
-        self.rate = 0
-        self.use_timestamps = True
-        self.use_ecn = True
+        _write_post(self._i, opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region, True, True)
 
     def take_cc_stats(self):
         """Read-and-reset congestion statistics (control-plane poll)."""
@@ -284,36 +256,49 @@ class ConnectionRecord(SlabView):
 
     The record owns one shared slab slot; ``pre``/``proto``/``post`` are
     borrowing views of the same slot, so the whole connection — identity
-    included — is a single row across the slab's columns.
+    included — is a single row across the slab's columns, and
+    constructing the record *is* its install: one row write of every
+    field that does not start at zero (``_write_install``), the same for
+    a fresh, an adopted and a recovered connection.
     """
 
     __slots__ = ("index", "_pre", "_proto", "_post")
     SLAB_FIELDS = ("local_mac", "local_ip", "active")
 
-    def __init__(self, index, four_tuple, local_mac, local_ip):
+    def __init__(
+        self,
+        index,
+        four_tuple,
+        local_mac,
+        local_ip,
+        peer_mac=None,
+        flow_group=0,
+        proto=ProtoInstall(),
+        context_id=0,
+        opaque=None,
+        rx_buffer=(None, 0, 0),
+        tx_buffer=(None, 0, 0),
+        use_timestamps=True,
+        use_ecn=True,
+    ):
         local_tuple_ip, remote_ip, local_port, remote_port = four_tuple
         if local_tuple_ip != local_ip:
             raise ValueError("four_tuple local ip does not match local_ip")
+        rx_region, rx_base, rx_size = rx_buffer
+        tx_region, tx_base, tx_size = tx_buffer
         self._bind()
         self.index = index
-        self.local_mac = local_mac
-        self.local_ip = local_ip
-        self.active = True
-        self._pre = None
-        self._proto = None
-        self._post = None
-        self.pre.init(
-            peer_mac=None,
-            peer_ip=remote_ip,
-            local_port=local_port,
-            remote_port=remote_port,
-            flow_group=0,
+        # The partition views are lazy and cached: a connection the data
+        # path processes materializes them once and keeps them; one that
+        # is installed quiescent never does, and costs slab bytes only.
+        self._pre = self._proto = self._post = None
+        _write_install(
+            self._i, local_mac, local_ip, True,
+            peer_mac, remote_ip, local_port, remote_port, flow_group,
+            *proto,
+            opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region,
+            use_timestamps, use_ecn,
         )
-
-    # The partition views are lazy and cached: actively-processed
-    # connections materialize them once and keep them; quiescent
-    # connections (bulk installs between bursts) can shed them via
-    # compact() so a parked connection costs slab bytes, not objects.
 
     @property
     def pre(self):
@@ -335,19 +320,6 @@ class ConnectionRecord(SlabView):
         if view is None:
             view = self._post = PostprocState.view(self.slab_slot)
         return view
-
-    def compact(self):
-        """Drop the cached partition views (recreated on next access).
-
-        For connections installed quiescent (no traffic in flight) this
-        trades three per-connection view objects for a recreate on first
-        touch. The race sanitizer keys its ownership registry by slab
-        slot, not view identity, so a view recreated after compact()
-        reattaches to the same ownership token the control plane
-        registered at install."""
-        self._pre = None
-        self._proto = None
-        self._post = None
 
     @property
     def four_tuple(self):
@@ -391,10 +363,24 @@ CONN_SLAB = Slab(
     name="conn",
 )
 
-attach_fields(PreprocState, CONN_SLAB, _CONN_KINDS)
-attach_fields(ProtocolState, CONN_SLAB, _CONN_KINDS)
-attach_fields(PostprocState, CONN_SLAB, _CONN_KINDS)
-attach_fields(ConnectionRecord, CONN_SLAB, _CONN_KINDS)
+attach_fields(PreprocState, CONN_SLAB)
+attach_fields(ProtocolState, CONN_SLAB)
+attach_fields(PostprocState, CONN_SLAB)
+attach_fields(ConnectionRecord, CONN_SLAB)
+
+# What an install writes, per partition and for the whole row. Every
+# other column starts at zero: free() zeroes a slot before it can be
+# handed out again (the sanitized run asserts it in alloc()).
+_POST_INSTALL = (
+    "opaque", "context_id", "rx_base", "tx_base", "rx_size", "tx_size", "rx_region", "tx_region",
+    "use_timestamps", "use_ecn",
+)
+_write_pre = CONN_SLAB.row_writer(PreprocState.SLAB_FIELDS)
+_write_proto = CONN_SLAB.row_writer(ProtoInstall._fields)
+_write_post = CONN_SLAB.row_writer(_POST_INSTALL)
+_write_install = CONN_SLAB.row_writer(
+    ConnectionRecord.SLAB_FIELDS + PreprocState.SLAB_FIELDS + ProtoInstall._fields + _POST_INSTALL
+)
 
 
 class ConnectionTable:

@@ -119,8 +119,11 @@ class HashLookupEngine:
         self.lookups = 0
         self.collisions = 0
 
-    def insert(self, four_tuple, connection_index):
-        bucket_id = crc32_tuple(*four_tuple) % self.n_buckets
+    def insert(self, four_tuple, connection_index, crc=None):
+        """``crc`` is ``crc32_tuple(*four_tuple)`` when the caller has it."""
+        if crc is None:
+            crc = crc32_tuple(*four_tuple)
+        bucket_id = crc % self.n_buckets
         key = pack_four_tuple(four_tuple)
         bucket = self._buckets[bucket_id]
         if bucket is None:

@@ -201,41 +201,40 @@ def _installed_record(index=0, flow_group=2):
     return record
 
 
-def test_guard_survives_compact(sanitized):
-    # compact() sheds the cached partition views; the views lazily
-    # recreated on next access are *different objects* on the *same
-    # slab slot* and must reattach to the registered ownership token.
+def test_guard_is_keyed_by_slot_not_by_view(sanitized):
+    # A connection installed as a row has no partition view until
+    # something touches it; whichever view that is — a *different
+    # object* on the *same slab slot* — carries the registered token.
     record = _installed_record(flow_group=2)
-    before = record.proto
-    record.compact()
-    after = record.proto
-    assert after is not before
+    slot = record.slab_slot
+    proto, pre = ProtocolState.view(slot), PreprocState.view(slot)
+    assert proto is not record.proto
 
     def rogue_stage():
-        record.proto.seq = 99
+        proto.seq = 99
         yield "unreached"
 
     with pytest.raises(sanitizer.SanitizerError, match="only the atomic protocol stage"):
         _run_wrapped(rogue_stage, "pre")
     with pytest.raises(sanitizer.SanitizerError, match="immutable"):
-        record.pre.local_port = 4242
+        pre.local_port = 4242
 
     def owner():
-        record.proto.seq = 7
+        proto.seq = 7
         yield "ok"
 
     assert _run_wrapped(owner, "proto", flow_group=2) == "ok"
     assert record.proto.seq == 7
 
 
-def test_unregister_after_compact_drops_the_guard(sanitized):
-    # Teardown unregisters through freshly recreated views (the cached
-    # ones are gone); the slot keying makes that equivalent.
+def test_unregister_through_a_fresh_view_drops_the_guard(sanitized):
+    # Teardown unregisters through whatever views it has, not the ones
+    # install registered; the slot keying makes that equivalent.
     record = _installed_record(index=1, flow_group=0)
-    record.compact()
-    sanitizer.unregister(record.pre)
-    sanitizer.unregister(record.proto)
-    sanitizer.unregister(record.post)
+    slot = record.slab_slot
+    sanitizer.unregister(PreprocState.view(slot))
+    sanitizer.unregister(ProtocolState.view(slot))
+    sanitizer.unregister(PostprocState.view(slot))
 
     def pre_stage():
         record.proto.seq = 1
@@ -249,7 +248,6 @@ def test_sibling_partitions_share_the_slot_without_sharing_tokens(sanitized):
     # per partition class, so guarding proto does not guard post.
     record = _installed_record(index=2, flow_group=1)
     sanitizer.unregister(record.post)
-    record.compact()
 
     def pre_stage():
         record.post.cnt_ackb = 1  # unregistered partition: scratch

@@ -14,6 +14,7 @@ model under randomized alloc/free/write/read interleavings:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flextoe import slab as slab_module
 from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, Slab, SlabView, attach_fields
 
 FIELDS = (
@@ -47,7 +48,7 @@ def make_slab_and_cls(initial=4):
         __slots__ = ()
         SLAB_FIELDS = FIELD_NAMES
 
-    attach_fields(View, slab, kinds=dict(FIELDS))
+    attach_fields(View, slab)
     return slab, View
 
 
@@ -238,3 +239,235 @@ def test_connection_state_uses_narrow_columns():
     # Table 5 stores as 4 B).
     assert CONN_SLAB.bytes_per_slot() == 252
     assert CONN_SLAB.bytes_per_slot() < 8 * len(CONN_SLAB.fields)
+
+
+# -- row operations: one statement of the encoding, two ways to run it ------
+
+EDGE_INTS = st.sampled_from(
+    [
+        slab_module._SENT_FLOOR,  # at the floor: spills
+        slab_module._SENT_FLOOR + 1,  # lowest inline value
+        slab_module._INLINE_MAX,  # highest inline value
+        slab_module._INLINE_MAX + 1,  # past array('q'): spills
+        slab_module._NONE,  # the sentinels themselves, as values
+        slab_module._SPILL,
+    ]
+)
+#: Everything a caller has been seen to store, legal for the column or not.
+ANY_VALUE = st.one_of(
+    INT_VALUES,
+    EDGE_INTS,
+    st.sampled_from(["10.0.0.1", b"\x02" * 6, 256, -1, 0x10000, 0, 1, 2, True, False, None, "x", "", (), 3.5]),
+)
+
+
+def column_bytes(slab):
+    """Every column's raw content plus the overflow dicts: what two
+    slabs must agree on to be the same storage."""
+    return (
+        {name: (list(col) if isinstance(col, list) else col.tobytes()) for name, col in slab.columns.items()},
+        {name: dict(ovf) for name, ovf in slab.overflow.items()},
+    )
+
+
+def outcome(store):
+    try:
+        store()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_writer_and_property_stores_leave_identical_storage(data):
+    names = data.draw(st.lists(st.sampled_from(FIELD_NAMES), unique=True, max_size=len(FIELD_NAMES)))
+    by_row, RowView = make_slab_and_cls()
+    by_field, FieldView = make_slab_and_cls()
+    write = by_row.row_writer(names)
+    row, fields = RowView(), FieldView()
+    row._bind()
+    fields._bind()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):  # overwrites too
+        values = [data.draw(ANY_VALUE) for _ in names]
+
+        def field_by_field():
+            for name, value in zip(names, values):
+                setattr(fields, name, value)
+
+        assert outcome(lambda: write(row.slab_slot, *values)) == outcome(field_by_field)
+        assert column_bytes(by_row) == column_bytes(by_field)
+    # A slot the row writer filled frees to zero like any other.
+    slot = row.slab_slot
+    del row
+    assert by_row.dirty_fields(slot) == []
+    assert all(by_row.column_view(name)[slot] == 0 for name, kind in FIELDS if kind != OBJ)
+    assert not any(by_row.overflow.values())
+
+
+def test_row_writer_names_the_field_it_could_not_store():
+    import pytest
+
+    slab, View = make_slab_and_cls()
+    view = View()
+    view._bind()
+    write = slab.row_writer(("alpha", "eps", "zeta"))
+    with pytest.raises(OverflowError, match="^eps: "):
+        write(view.slab_slot, 1, 256, 2)
+    with pytest.raises(TypeError, match="^zeta: "):
+        write(view.slab_slot, 1, 2, None)
+    with pytest.raises(KeyError):
+        slab.row_writer(("alpha", "nope"))
+    assert slab.row_writer(())(view.slab_slot) is None
+
+
+def test_a_record_is_complete_the_moment_it_exists():
+    """Construction is the install: no placeholder flow group or peer MAC
+    is ever visible, and untouched fields are the zero alloc() promises."""
+    from repro.flextoe.state import CONN_SLAB, ConnectionRecord, ProtoInstall, ProtocolState
+
+    record = ConnectionRecord(
+        7,
+        (0x0A000001, 0x0A000002, 5000, 6000),
+        0xAA,
+        0x0A000001,
+        peer_mac=b"\x02" * 6,
+        flow_group=3,
+        proto=ProtoInstall(seq=10, ack=20, rx_avail=4096, remote_win=1 << 20),
+        context_id=4,
+        opaque="tok",
+        rx_buffer=("rx", 64, 4096),
+        tx_buffer=("tx", 128, 8192),
+        use_timestamps=False,
+    )
+    assert record._pre is None and record._proto is None and record._post is None  # no view was needed
+    assert (record.pre.flow_group, record.pre.peer_mac) == (3, b"\x02" * 6)
+    assert record.four_tuple == (0x0A000001, 0x0A000002, 5000, 6000)
+    assert record.active and record.local_mac == 0xAA
+    fresh = ProtocolState(seq=10, ack=20, rx_avail=4096, remote_win=1 << 20)
+    for name in ProtocolState.SLAB_FIELDS:
+        assert getattr(record.proto, name) == getattr(fresh, name), name
+    assert record.proto.fin_seq is None and record.proto.rx_fin_seq is None
+    post = record.post
+    assert (post.opaque, post.context_id, post.rx_region, post.rx_base, post.rx_size) == ("tok", 4, "rx", 64, 4096)
+    assert (post.tx_region, post.tx_base, post.tx_size) == ("tx", 128, 8192)
+    assert (post.use_timestamps, post.use_ecn, post.cnt_ackb, post.rtt_est, post.rate) == (False, True, 0, 0, 0)
+    slot = record.slab_slot
+    del record, post
+    assert CONN_SLAB.dirty_fields(slot) == []
+
+
+def parent_reconstruction(shadow):
+    """What the parent commit installed for a recovered connection: a
+    loose ProtocolState filled field by field (then ``copy_from``-ed)."""
+    from repro.flextoe.state import ProtocolState
+    from repro.proto.tcp import seq_add
+
+    proto = ProtocolState()
+    proto.seq = seq_add(shadow.snd_iss, shadow.tx_acked)
+    proto.tx_pos = shadow.tx_acked
+    proto.tx_avail = shadow.tx_posted - shadow.tx_acked
+    proto.tx_sent = 0
+    proto.ack = seq_add(shadow.rcv_irs, shadow.rx_delivered)
+    proto.rx_pos = shadow.rx_delivered
+    proto.rx_avail = shadow.rx_size - (shadow.rx_delivered - shadow.rx_consumed)
+    if shadow.peer_fin_seen:
+        proto.rx_fin_seq = proto.ack
+        proto.ack = seq_add(proto.ack, 1)
+    if shadow.fin_posted:
+        proto.fin_pending = True
+    snap = shadow.nic_snapshot
+    if snap is not None:
+        proto.remote_win = snap.get("remote_win", proto.remote_win)
+        proto.next_ts = snap.get("next_ts", 0)
+    return {name: getattr(proto, name) for name in ProtocolState.SLAB_FIELDS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recovered_install_equals_the_field_by_field_one(data):
+    from repro.control.recovery import ConnShadow, reconstruct_protocol_state
+    from repro.flextoe import FlexToeNic
+    from repro.flextoe.state import ProtocolState
+    from repro.sim import Simulator
+
+    u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+    count = st.integers(min_value=0, max_value=1 << 40)
+    four = (0x0A000001, 0x0A000002, 5000, 6000)
+    buffers = (("rx", 0, 1 << 16), ("tx", 1 << 16, 1 << 16))
+    shadow = ConnShadow(0, four, 0xBB, 0xAA, data.draw(u32), data.draw(u32), 1, "tok", *buffers)
+    shadow.tx_acked = data.draw(count)
+    shadow.tx_posted = shadow.tx_acked + data.draw(st.integers(min_value=0, max_value=1 << 16))
+    shadow.rx_consumed = data.draw(count)
+    shadow.rx_delivered = shadow.rx_consumed + data.draw(st.integers(min_value=0, max_value=1 << 16))
+    shadow.peer_fin_seen = data.draw(st.booleans())
+    shadow.fin_posted = data.draw(st.booleans())
+    shadow.nic_snapshot = data.draw(
+        st.one_of(
+            st.none(),
+            st.fixed_dictionaries({}, optional={"remote_win": st.integers(0, 1 << 30), "next_ts": u32}),
+        )
+    )
+    proto = reconstruct_protocol_state(shadow)
+    nic = FlexToeNic(Simulator())
+    record = nic.offload_connection(0, four, 0xBB, 0xAA, proto.seq, proto.ack, 1, "tok", *buffers, proto=proto)
+    assert {name: getattr(record.proto, name) for name in ProtocolState.SLAB_FIELDS} == parent_reconstruction(shadow)
+    assert record.pre.flow_group == nic.config.flow_group_of(four)
+    assert nic.datapath.lookup_engine.lookup(four)[:2] == (True, 0)
+
+
+def test_sanitized_row_install_is_guarded_and_alloc_asserts_zero():
+    import pytest
+
+    from repro.analysis import sanitizer
+    from repro.flextoe import FlexToeNic
+    from repro.flextoe.state import CONN_SLAB
+    from repro.sim import Simulator
+
+    was_installed = sanitizer.enabled()
+    sanitizer.install()
+    try:
+        nic = FlexToeNic(Simulator())
+        record = nic.offload_connection(
+            0, (0x0A000001, 0x0A000002, 5000, 6000), 0xBB, 0xAA, 1, 1, 1, "tok", ("rx", 0, 4096), ("tx", 0, 4096)
+        )
+
+        def pre_stage():
+            record.proto.seq = 99  # not the protocol stage
+            yield
+
+        with pytest.raises(sanitizer.SanitizerError, match="only the atomic protocol stage"):
+            next(sanitizer.guard_process(pre_stage(), "pre"))
+        with pytest.raises(sanitizer.SanitizerError, match="immutable"):
+            record.pre.flow_group = 0
+        # A slot that comes back dirty (a free() that missed a column, a
+        # write through a stale view) is caught where it is handed out.
+        slot = CONN_SLAB.alloc()
+        CONN_SLAB.free(slot)
+        CONN_SLAB.columns["rtt_est"][slot] = 5
+        with pytest.raises(sanitizer.SanitizerError, match="slot {} with stale rtt_est".format(slot)):
+            CONN_SLAB.alloc()
+        CONN_SLAB.columns["rtt_est"][slot] = 0
+        CONN_SLAB._free.append(slot)  # the failed alloc() had popped it
+    finally:
+        if not was_installed:
+            sanitizer.uninstall()
+
+
+def test_generated_functions_are_told_apart_by_a_profiler():
+    """cProfile/pstats key a function by (file, first line, name) and keep
+    one entry per key: generated accessors that shared one would vanish
+    from ``perf/``'s layer ledger, which charges by file name."""
+    from repro.flextoe.state import CONN_SLAB, PostprocState, PreprocState, ProtocolState
+
+    codes = [
+        accessor.__code__
+        for cls in (PreprocState, ProtocolState, PostprocState)
+        for name in cls.SLAB_FIELDS
+        for accessor in (getattr(cls, name).fget, getattr(cls, name).fset)
+    ] + [CONN_SLAB.row_writer(("seq",)).__code__, CONN_SLAB._zero.__code__]
+    keys = {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes}
+    assert len(keys) == len(codes)
+    assert {code.co_filename for code in codes} == {slab_module.__file__}
+    with open(slab_module.__file__) as source:
+        assert min(code.co_firstlineno for code in codes) > len(source.readlines())
