@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact perf-pairs
+.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact perf-pairs opcodes
 
 test:
 	$(PY) -m pytest -x -q
@@ -113,3 +113,13 @@ perf-exact:
 perf-pairs:
 	@test -n "$(BASE)" -a -n "$(W)" -a -n "$(M)" || { echo "usage: make perf-pairs BASE=<git ref> W=<workload> M=<metric> [N=10] [S=5]" >&2; exit 2; }
 	python3 tests/tools/pairs.py --base $(BASE) --workload $(W) --metric $(M) --pairs $(or $(N),10) --seconds $(or $(S),5)
+
+# The judge for a host-cost change too small for perf-pairs to resolve
+# (tests/tools/opcodes.py): one repetition of workload W at its TINY size
+# under sys.settrace with f_trace_opcodes, on a `git archive` of BASE and
+# on this tree; bytecodes per op per perf/layers.py layer, and the
+# difference. Exact for a given CPython; a table to read, not a gate.
+#   make opcodes BASE=origin/main W=large-loss
+opcodes:
+	@test -n "$(BASE)" || { echo "usage: make opcodes BASE=<git ref> [W=echo-small]" >&2; exit 2; }
+	python3 tests/tools/opcodes.py --base $(BASE) --workload $(or $(W),echo-small)

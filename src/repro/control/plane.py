@@ -218,7 +218,8 @@ class ControlPlane:
 
         Used after re-offload: a peer parked against the slow-path
         shim's zero window may have nothing in flight to retransmit, so
-        nothing would ever reopen its window without this."""
+        nothing would ever reopen its window without this. It is also
+        the challenge ACK's wire form."""
         proto = record.proto
         frame = self._tcp_frame(
             record.pre.peer_mac,
@@ -304,7 +305,7 @@ class ControlPlane:
         pending.peer_mac = peer_mac
         self.pending[four] = pending
         self._poll.arm()
-        self._send_syn(pending)
+        self._send_handshake(pending)
         info = yield pending.waiter
         if info is None:
             raise ConnectRefusedError("connect to {}:{} failed".format(remote_ip, remote_port))
@@ -411,7 +412,7 @@ class ControlPlane:
         four = (self.local_ip, frame.ip.src, port, frame.tcp.sport)
         if four in self.pending:
             # SYN retransmission: resend our SYN-ACK.
-            self._send_syn_ack(self.pending[four])
+            self._send_handshake(self.pending[four])
             return
         if not self.policy.admit(len(self.directory)):
             self._send_rst(frame)
@@ -432,21 +433,7 @@ class ControlPlane:
             self.cookies_sent += 1
             irs = (frame.tcp.seq + 1) & 0xFFFFFFFF
             self.arp_table.setdefault(frame.ip.src, frame.eth.src)
-            syn_ack = make_tcp_frame(
-                self.local_mac,
-                frame.eth.src,
-                self.local_ip,
-                frame.ip.src,
-                port,
-                frame.tcp.sport,
-                seq=self._syn_cookie(four, irs),
-                ack=irs,
-                flags=FLAG_SYN | FLAG_ACK,
-                window=0xFFFF,
-                options=self._syn_options(),
-                born_at=self.sim.now,
-            )
-            self._control_tx(syn_ack)
+            self._handshake_tx(frame.eth.src, four, FLAG_SYN | FLAG_ACK, self._syn_cookie(four, irs), irs)
             return
         pending = PendingConnection(SYN_RCVD, four, self._next_iss(), listener=listener)
         pending.irs = (frame.tcp.seq + 1) & 0xFFFFFFFF
@@ -464,9 +451,9 @@ class ControlPlane:
             pending.embryonic = True
             self.embryonic += 1
             listener.embryonic += 1
-            self._send_syn_ack(pending)
+            self._send_handshake(pending)
             return
-        self._send_syn_ack(pending)
+        self._send_handshake(pending)
         # Install the data-path state now (see module docstring).
         self._establish(pending)
 
@@ -551,17 +538,12 @@ class ControlPlane:
         self._teardown_entry(entry, "timeout")
 
     def _send_rst(self, frame):
-        rst = make_tcp_frame(
-            self.local_mac,
+        rst = self._tcp_frame(
             frame.eth.src,
-            self.local_ip,
-            frame.ip.src,
-            frame.tcp.dport,
-            frame.tcp.sport,
+            (self.local_ip, frame.ip.src, frame.tcp.dport, frame.tcp.sport),
             seq=frame.tcp.ack,
             ack=(frame.tcp.seq + len(frame.payload)) & 0xFFFFFFFF,
             flags=FLAG_RST | FLAG_ACK,
-            born_at=self.sim.now,
         )
         self._control_tx(rst)
 
@@ -585,16 +567,7 @@ class ControlPlane:
         if not self._challenge_allowed():
             return
         self.challenge_acks += 1
-        proto = entry.record.proto
-        frame = self._tcp_frame(
-            entry.record.pre.peer_mac,
-            entry.record.four_tuple,
-            seq=proto.seq,
-            ack=proto.ack,
-            flags=FLAG_ACK,
-            window=advertised_window(proto),
-        )
-        self._control_tx(frame)
+        self.announce_window(entry.record)
 
     def _syn_cookie(self, four_tuple, irs):
         """Stateless SYN-cookie ISN for ``four_tuple``: everything the
@@ -667,32 +640,22 @@ class ControlPlane:
         self._establish(pending)
         return True
 
-    def _send_syn(self, pending):
-        syn = self._tcp_frame(
-            pending.peer_mac,
-            pending.four_tuple,
-            seq=pending.iss,
-            flags=FLAG_SYN,
-            window=0xFFFF,
-            options=self._syn_options(),
+    def _handshake_tx(self, peer_mac, four_tuple, flags, seq, ack=0):
+        """SYN, SYN-ACK and the stateless cookie SYN-ACK: one segment."""
+        frame = self._tcp_frame(
+            peer_mac, four_tuple, seq=seq, ack=ack, flags=flags, window=0xFFFF, options=self._syn_options()
         )
-        pending.last_sent_at = self.sim.now
-        pending.attempts += 1
-        self._control_tx(syn)
+        self._control_tx(frame)
 
-    def _send_syn_ack(self, pending):
-        syn_ack = self._tcp_frame(
-            pending.peer_mac,
-            pending.four_tuple,
-            seq=pending.iss,
-            ack=pending.irs,
-            flags=FLAG_SYN | FLAG_ACK,
-            window=0xFFFF,
-            options=self._syn_options(),
-        )
+    def _send_handshake(self, pending):
+        """(Re)send a pending connection's segment: the SYN of an active
+        open, the SYN-ACK of a passive one."""
         pending.last_sent_at = self.sim.now
         pending.attempts += 1
-        self._control_tx(syn_ack)
+        if pending.state == SYN_SENT:
+            self._handshake_tx(pending.peer_mac, pending.four_tuple, FLAG_SYN, pending.iss)
+        else:
+            self._handshake_tx(pending.peer_mac, pending.four_tuple, FLAG_SYN | FLAG_ACK, pending.iss, pending.irs)
 
     # -- establishment -----------------------------------------------------
 
@@ -828,10 +791,7 @@ class ControlPlane:
                     )
                 continue
             self.syn_retransmits += 1
-            if pending.state == SYN_SENT:
-                self._send_syn(pending)
-            else:
-                self._send_syn_ack(pending)
+            self._send_handshake(pending)
         # Data-path retransmission timeouts and zero-window probes.
         for entry in self.directory.in_order(armed):
             proto = entry.record.proto

@@ -41,7 +41,6 @@ class ContextQueuePair:
         batching (possibly several descriptors per doorbell)."""
         if len(self.outbound) >= self.capacity:
             return False
-        descriptor.posted_at = self.sim.now
         self.outbound.append(descriptor)
         self.hc_posted += 1
         for tap in self._taps:

@@ -23,13 +23,14 @@ from repro.flextoe.ctxq import ContextQueuePair
 from repro.flextoe.descriptors import SegWork, WORK_RX, WORK_TX
 from repro.flextoe.scheduler import CarouselScheduler
 from repro.flextoe.seqr import KeyedFence, ReorderBuffer, Sequencer
-from repro.flextoe.stages import CtxStage, DmaStage, LatencyLevel, NbiStage, PostStage, PreStage, ProtocolStage
+from repro.flextoe.stages import CtxStage, DmaStage, NbiStage, PostStage, PreStage, ProtocolStage
 from repro.flextoe.statecache import EmemStateCache, StateCache
 from repro.flextoe.state import ConnectionTable, HeartbeatBoard
 from repro.flextoe.tracing import TracepointRegistry
-from repro.nfp.memory import LAT_IMEM
-from repro.proto.ip import ECN_ECT0, ECN_NOT_ECT
+from repro.proto.ethernet import ETHERTYPE_IPV4, EthernetHeader
+from repro.proto.ip import ECN_ECT0, ECN_NOT_ECT, IPPROTO_TCP, Ipv4Header
 from repro.proto.packet import Frame
+from repro.proto.tcp import TcpHeader
 from repro.sim import Interrupt, Resource, Store
 from repro.nfp.queues import ClsRing, WorkQueue
 
@@ -38,19 +39,6 @@ from repro.nfp.queues import ClsRing, WorkQueue
 RING_CAPACITY = 128
 DESCRIPTOR_POOL = 256
 HEARTBEAT_INTERVAL_NS = 50_000
-
-
-class _TxTriggerAdapter:
-    """Presents the pre-stage input ring as the scheduler's TX ring,
-    wrapping connection indices into SegWork items."""
-
-    def __init__(self, dp):
-        self.dp = dp
-
-    def put(self, conn_index):
-        work = SegWork(WORK_TX, born_at=self.dp.sim.now)
-        work.conn_index = conn_index
-        return self.dp.pre_in.put(work)
 
 
 class _Unobserved:
@@ -100,7 +88,6 @@ class FlexToeDatapath:
         self.contexts = {}
         self.stats = {}
         self.ecn_codepoint = ECN_ECT0 if config.use_ecn else ECN_NOT_ECT
-        self.imem_latency_level = LatencyLevel(LAT_IMEM)
 
         self.pre_in = WorkQueue(sim, capacity=None, name="pre-in")
         self.proto_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="proto-in-%d" % g) for g in range(config.n_flow_groups)]
@@ -134,9 +121,7 @@ class FlexToeDatapath:
         self.dma_rx_fence = KeyedFence(sim)
 
         # Flow scheduler (service island SCH FPC).
-        self.scheduler = CarouselScheduler(
-            sim, _TxTriggerAdapter(self), mss=config.mss, costs=config.costs
-        )
+        self.scheduler = CarouselScheduler(sim, self.trigger_tx, mss=config.mss, costs=config.costs)
 
         # Stage objects.
         self.emem_state_cache = EmemStateCache(capacity_records=config.emem_cache_records)
@@ -240,17 +225,9 @@ class FlexToeDatapath:
                 if not records:
                     continue
                 yield self.dma.issue(0, 16 * len(records))
-                now = self.sim.now
                 for record in records:
                     proto = record.proto
-                    writer(
-                        record.index,
-                        {
-                            "remote_win": proto.remote_win,
-                            "next_ts": proto.next_ts,
-                            "sampled_at": now,
-                        },
-                    )
+                    writer(record.index, {"remote_win": proto.remote_win, "next_ts": proto.next_ts})
 
         process = self.sim.process(self._killable(snapshot_loop()), name="state-snapshot")
         self.processes.append(process)
@@ -380,7 +357,19 @@ class FlexToeDatapath:
         if not ring.try_put(work):
             ring.force_put(work)
 
-    def make_frame(self, eth, ip, tcp):
+    def trigger_tx(self, conn_index):
+        """The scheduler's TX trigger: a TX work enters the pre stage."""
+        work = SegWork(WORK_TX, born_at=self.sim.now)
+        work.conn_index = conn_index
+        return self.pre_in.put(work)
+
+    def make_segment(self, record, **tcp_fields):
+        """Head: a segment of ``record``'s connection, Ethernet and IP
+        headers from its pre-processor state, no payload yet."""
+        pre = record.pre
+        eth = EthernetHeader(dst=pre.peer_mac, src=record.local_mac, ethertype=ETHERTYPE_IPV4)
+        ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=self.ecn_codepoint)
+        tcp = TcpHeader(pre.local_port, pre.remote_port, **tcp_fields)
         return Frame(eth, ip=ip, tcp=tcp, born_at=self.sim.now)
 
     def nic_transmit_direct(self, frame):

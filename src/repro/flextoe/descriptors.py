@@ -7,8 +7,6 @@
   payload, acknowledged bytes, peer FIN).
 """
 
-import itertools
-
 # Host-control descriptor kinds (libTOE / control-plane -> NIC).
 HC_TX_UPDATE = "tx_update"
 HC_RX_UPDATE = "rx_update"
@@ -27,8 +25,6 @@ WORK_RX = "rx"
 WORK_TX = "tx"
 WORK_HC = "hc"
 
-_work_ids = itertools.count(1)
-
 
 class HostControlDescriptor:
     """A context-queue entry from host to NIC (paper §3.1.1).
@@ -37,14 +33,13 @@ class HostControlDescriptor:
     batched on a queue behind a single doorbell.
     """
 
-    __slots__ = ("kind", "conn_index", "value", "fin", "posted_at")
+    __slots__ = ("kind", "conn_index", "value", "fin")
 
-    def __init__(self, kind, conn_index, value=0, fin=False, posted_at=0):
+    def __init__(self, kind, conn_index, value=0, fin=False):
         self.kind = kind
         self.conn_index = conn_index
         self.value = value
         self.fin = fin
-        self.posted_at = posted_at
 
     def __repr__(self):
         return "<HC {} conn={} value={}{}>".format(
@@ -94,7 +89,6 @@ class SegWork:
 
     __slots__ = (
         "kind",
-        "work_id",
         "pipeline_seq",
         "frame",
         "record",
@@ -114,7 +108,6 @@ class SegWork:
 
     def __init__(self, kind, frame=None, hc=None, born_at=0):
         self.kind = kind
-        self.work_id = next(_work_ids)
         self.pipeline_seq = None
         self.frame = frame
         self.record = None
@@ -132,57 +125,68 @@ class SegWork:
         self.born_at = born_at
 
     def __repr__(self):
-        return "<SegWork#{} {} conn={} seq={}>".format(
-            self.work_id, self.kind, self.conn_index, self.pipeline_seq
-        )
+        return "<SegWork {} conn={} seq={}>".format(self.kind, self.conn_index, self.pipeline_seq)
 
 
 class ProtoSnapshot:
-    """The protocol stage's snapshot of relevant connection state,
-    forwarded to post-processing (§3.1.3: stages communicate explicitly,
-    never by sharing state)."""
+    """The protocol stage's verdict on one work (§3.1.3: stages
+    communicate explicitly, never by sharing state) — everything the
+    post stage reads, written once.
+
+    :mod:`repro.flextoe.proto_logic` builds and returns it for RX and HC
+    works (``process_rx`` / ``process_hc``); for a TX work the stage
+    wraps ``process_tx``'s emitted segment as ``tx``. The stage itself
+    adds only what needs the data path: ``nbi_seq``.
+    """
 
     __slots__ = (
-        "kind",
+        "send_ack",
+        "dup_ack",
         "ack_seq",
         "ack_ack",
         "window",
         "echo_ts",
         "ece",
-        "send_ack",
-        "dup_ack",
         "fs_sendable",
         "acked_bytes",
+        "fast_retransmit",
+        "rtt_sample_ecr",
+        "payload_dest_pos",
+        "payload",
         "notify_rx_pos",
         "notify_rx_len",
         "fin_notified",
-        "fast_retransmit",
-        "payload_dest_pos",
-        "payload",
-        "rtt_sample_ecr",
+        "was_ooo",
+        "dropped_ooo",
         "tx",
         "nbi_seq",
     )
 
-    def __init__(self, kind):
-        self.kind = kind
+    def __init__(self):
+        # The acknowledgment to build, when send_ack: sequence numbers,
+        # window field and timestamp echo as the state stood.
+        self.send_ack = False
+        self.dup_ack = False
         self.ack_seq = 0
         self.ack_ack = 0
         self.window = 0
         self.echo_ts = None
         self.ece = False
-        self.send_ack = False
-        self.dup_ack = False
+        # Sender side: flow-scheduler refresh and congestion feedback.
         self.fs_sendable = None
         self.acked_bytes = 0
+        self.fast_retransmit = False
+        self.rtt_sample_ecr = None
+        # Receiver side: where the kept payload goes in the receive
+        # stream (absolute position), and what became in-order.
+        self.payload_dest_pos = None
+        self.payload = b""
         self.notify_rx_pos = None
         self.notify_rx_len = 0
         self.fin_notified = False
-        self.fast_retransmit = False
-        self.payload_dest_pos = None
-        self.payload = b""
-        self.rtt_sample_ecr = None
-        self.tx = None
+        self.was_ooo = False
+        self.dropped_ooo = False
+        self.tx = None  # the TxResult of a TX work
         # NBI ordering ticket, when one was taken at the protocol stage;
         # dp.retire() releases it if the work stops short of the NBI.
         self.nbi_seq = None

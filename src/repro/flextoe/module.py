@@ -6,14 +6,10 @@ metadata. Modules are inserted at named hook points; replicated hooks
 are automatically re-sequenced afterwards (§3.2), which the datapath
 wiring handles.
 
-Two module flavors, as in the paper:
-
-* Native modules — subclasses of :class:`DatapathModule`; ``handle``
-  returns an action and charges the class's fixed ``cost_cycles``.
-* XDP modules — eBPF programs (see :mod:`repro.xdp`) loaded through
-  :class:`repro.xdp.XdpAdapter`: verified, certified and JIT-compiled,
-  returning XDP_PASS/DROP/TX/REDIRECT and charged per instruction
-  executed.
+One flavor ships: XDP modules — eBPF programs (see :mod:`repro.xdp`)
+loaded through :class:`repro.xdp.XdpAdapter`, the :class:`DatapathModule`
+that runs them: verified, certified and JIT-compiled, returning
+XDP_PASS/DROP/TX/REDIRECT and charged per instruction executed.
 """
 
 ACTION_PASS = "pass"
@@ -21,13 +17,9 @@ ACTION_DROP = "drop"
 ACTION_TX = "tx"
 ACTION_REDIRECT = "redirect"
 
-#: Hook points in the data-path.
-HOOK_INGRESS = "ingress"  # raw frames before pre-processing
-HOOK_EGRESS = "egress"  # frames on their way to the NBI
-
 
 class DatapathModule:
-    """Base class for native data-path modules.
+    """What a hook point runs.
 
     ``handle(frame, meta)`` returns one of the ACTION_* constants; the
     frame may be modified in place (one-shot access). ``cost_cycles`` is
@@ -39,56 +31,6 @@ class DatapathModule:
 
     def handle(self, frame, meta):
         raise NotImplementedError
-
-    def reset(self):
-        """Clear private state (module reload)."""
-
-
-class NullModule(DatapathModule):
-    """Passes every frame; measures raw hook overhead (Table 2's
-    'XDP (null)' row runs the eBPF program ``xdp.builtins.null``)."""
-
-    name = "null"
-    cost_cycles = 15
-
-    def handle(self, frame, meta):
-        return ACTION_PASS
-
-
-class CountingModule(DatapathModule):
-    """Counts frames per TCP flag pattern; a minimal stats example."""
-
-    name = "counter"
-    cost_cycles = 20
-
-    def __init__(self):
-        self.counts = {}
-
-    def handle(self, frame, meta):
-        key = frame.tcp.flags if frame.tcp is not None else -1
-        self.counts[key] = self.counts.get(key, 0) + 1
-        return ACTION_PASS
-
-    def reset(self):
-        self.counts.clear()
-
-
-class VlanStripModule(DatapathModule):
-    """Strips 802.1Q tags on ingress: the frame-shrinking strip the
-    in-place eBPF program ``xdp.builtins.vlan`` cannot do."""
-
-    name = "vlan-strip"
-    cost_cycles = 25
-
-    def __init__(self):
-        self.stripped = 0
-
-    def handle(self, frame, meta):
-        if frame.eth.vlan is not None:
-            frame.eth.vlan = None
-            frame.eth.vlan_pcp = 0
-            self.stripped += 1
-        return ACTION_PASS
 
 
 class ModuleChain:

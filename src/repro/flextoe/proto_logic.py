@@ -2,9 +2,11 @@
 code in the data-path.
 
 Functions here mutate a :class:`~repro.flextoe.state.ProtocolState` and
-return result objects describing what later stages must do. They contain
-no simulation constructs, so correctness is testable directly (including
-hypothesis property tests over loss/reorder/duplication).
+return the stage's verdict — the :class:`ProtoSnapshot` the post stage
+reads (``process_rx``, ``process_hc``) or the emitted segment
+(``process_tx``). They contain no simulation constructs, so correctness
+is testable directly (including hypothesis property tests over
+loss/reorder/duplication).
 
 Receive-window reassembly follows the paper exactly: one out-of-order
 interval, merged in place in the host receive buffer; segments that
@@ -12,7 +14,15 @@ cannot merge are dropped and re-ACKed with the expected sequence number.
 Loss recovery is go-back-N, with fast retransmit on three duplicate ACKs.
 """
 
-from repro.proto.tcp import FLAG_FIN, seq_add, seq_diff
+from repro.flextoe.descriptors import (
+    HC_FIN,
+    HC_PROBE,
+    HC_RETRANSMIT,
+    HC_RX_UPDATE,
+    HC_TX_UPDATE,
+    ProtoSnapshot,
+)
+from repro.proto.tcp import FLAG_ECE, FLAG_FIN, seq_add, seq_diff
 
 #: Fixed window-scale shift both FlexTOE endpoints negotiate (control
 #: plane sets it in the SYN; the data-path only shifts by it).
@@ -20,41 +30,6 @@ WINDOW_SCALE = 7
 
 #: Duplicate-ACK threshold for fast retransmit.
 DUPACK_THRESHOLD = 3
-
-
-class RxResult:
-    """What the post/DMA stages must do for one received segment."""
-
-    __slots__ = (
-        "payload_dest_pos",
-        "payload",
-        "send_ack",
-        "ack_is_dup",
-        "acked_bytes",
-        "notify_rx_pos",
-        "notify_rx_len",
-        "fin_notified",
-        "fast_retransmit",
-        "dropped_ooo",
-        "was_ooo",
-        "echo_ts",
-        "rtt_sample_ecr",
-    )
-
-    def __init__(self):
-        self.payload_dest_pos = None  # absolute stream position for DMA
-        self.payload = b""
-        self.send_ack = False
-        self.ack_is_dup = False
-        self.acked_bytes = 0
-        self.notify_rx_pos = None  # start of newly in-order data
-        self.notify_rx_len = 0
-        self.fin_notified = False
-        self.fast_retransmit = False
-        self.dropped_ooo = False
-        self.was_ooo = False
-        self.echo_ts = None
-        self.rtt_sample_ecr = None
 
 
 class TxResult:
@@ -71,24 +46,20 @@ class TxResult:
         self.window = window
 
 
-class HcResult:
-    """Effect of a host-control descriptor on the window state."""
-
-    __slots__ = ("fs_sendable", "fin_armed", "retransmitted", "send_window_update")
-
-    def __init__(self, fs_sendable, fin_armed=False, retransmitted=0):
-        self.fs_sendable = fs_sendable
-        self.fin_armed = fin_armed
-        self.retransmitted = retransmitted
-        self.send_window_update = False
-
-
 def advertised_window(state):
     """The on-wire (scaled-down) receive window field."""
     return min(0xFFFF, state.rx_avail >> WINDOW_SCALE)
 
 
-def _process_ack_side(state, summary, result):
+def _ack_now(state, snapshot):
+    """The verdict carries an acknowledgment of the state as it stands."""
+    snapshot.send_ack = True
+    snapshot.ack_seq = state.seq
+    snapshot.ack_ack = state.ack
+    snapshot.window = advertised_window(state)
+
+
+def _process_ack_side(state, summary, snapshot):
     """ACK/window bookkeeping for an incoming segment (sender side).
 
     ``tx_sent`` counts unacked sequence units including a sent FIN's
@@ -107,9 +78,9 @@ def _process_ack_side(state, summary, result):
             acked_data -= 1
             state.fin_seq = None
             state.fin_pending = False
-        result.acked_bytes = acked_data
+        snapshot.acked_bytes = acked_data
         if summary.ts_ecr:
-            result.rtt_sample_ecr = summary.ts_ecr
+            snapshot.rtt_sample_ecr = summary.ts_ecr
     elif (
         acked == 0
         and summary.payload_len == 0
@@ -120,57 +91,62 @@ def _process_ack_side(state, summary, result):
         state.dupack_cnt = min(15, state.dupack_cnt + 1)
         if state.dupack_cnt == DUPACK_THRESHOLD:
             state.reset_to_last_ack()
-            result.fast_retransmit = True
+            snapshot.fast_retransmit = True
     state.remote_win = new_remote_win
 
 
-def _merge_ooo(state, seg_start, payload):
-    """Try to merge [seg_start, seg_start+len) with the single tracked
-    out-of-order interval. Returns (accepted, dest_pos, payload).
+def _merge_ooo(state, seg_start, seg_len):
+    """Try to merge [seg_start, seg_start+seg_len) with the single
+    tracked out-of-order interval.
 
-    ``dest_pos`` is the absolute position in the receive byte stream
+    Returns the absolute position in the receive byte stream
     (rx_pos-relative coordinates) where the DMA stage must place the
-    payload. A failed merge returns (False, None, b"")."""
-    seg_len = len(payload)
-    seg_end = seq_add(seg_start, seg_len)
-    if not state.has_ooo:
+    payload, or None when the segment cannot merge."""
+    if state.has_ooo:
+        seg_end = seq_add(seg_start, seg_len)
+        ooo_end = seq_add(state.ooo_start, state.ooo_len)
+        # Reject segments not overlapping or adjacent to the interval.
+        if seq_diff(seg_start, ooo_end) > 0 or seq_diff(seg_end, state.ooo_start) < 0:
+            return None
+        # Extend the interval over the union.
+        new_start = state.ooo_start if seq_diff(seg_start, state.ooo_start) >= 0 else seg_start
+        new_end = ooo_end if seq_diff(seg_end, ooo_end) <= 0 else seg_end
+        state.ooo_start = new_start
+        state.ooo_len = seq_diff(new_end, new_start)
+    else:
         state.ooo_start = seg_start
         state.ooo_len = seg_len
-        dest = state.rx_pos + seq_diff(seg_start, state.ack)
-        return True, dest, payload
-    ooo_end = seq_add(state.ooo_start, state.ooo_len)
-    # Reject segments not overlapping or adjacent to the interval.
-    if seq_diff(seg_start, ooo_end) > 0 or seq_diff(seg_end, state.ooo_start) < 0:
-        return False, None, b""
-    # Extend the interval over the union.
-    new_start = state.ooo_start if seq_diff(seg_start, state.ooo_start) >= 0 else seg_start
-    new_end = ooo_end if seq_diff(seg_end, ooo_end) <= 0 else seg_end
-    state.ooo_start = new_start
-    state.ooo_len = seq_diff(new_end, new_start)
-    dest = state.rx_pos + seq_diff(seg_start, state.ack)
-    return True, dest, payload
+    return state.rx_pos + seq_diff(seg_start, state.ack)
 
 
-def process_rx(state, summary, payload, now_ts=0):
+def process_rx(state, summary, payload):
     """The protocol stage's Win step for a received data-path segment.
 
-    Mutates ``state`` and returns an :class:`RxResult`. ``payload`` is the
-    segment payload (bytes); ``summary`` is the header summary produced by
-    pre-processing. ``now_ts`` is the stage's timestamp counter for echo.
+    Mutates ``state`` and returns the :class:`ProtoSnapshot` for the post
+    stage. ``payload`` is the segment payload (bytes); ``summary`` is the
+    header summary produced by pre-processing.
     """
-    result = RxResult()
-    _process_ack_side(state, summary, result)
+    snapshot = ProtoSnapshot()
+    _process_ack_side(state, summary, snapshot)
     if summary.ts_val is not None:
         state.next_ts = summary.ts_val
+    # A pure ACK is never acknowledged back (no ACK-of-ACK).
+    if payload or summary.flags & FLAG_FIN:
+        _process_data_side(state, summary, payload, snapshot)
+        _ack_now(state, snapshot)
+    # ECN echo for our ACK; the peer's ECE feeds the sender's DCTCP stats.
+    snapshot.ece = summary.ce_marked or bool(summary.flags & FLAG_ECE)
+    snapshot.fs_sendable = state.flight_limit()
+    return snapshot
 
+
+def _process_data_side(state, summary, payload, snapshot):
+    """Reassembly for a segment carrying data or a FIN; whatever it
+    decides, the caller acknowledges the state it leaves."""
     expected = state.ack
     seg_seq = summary.seq
     seg_len = len(payload)
     fin = bool(summary.flags & FLAG_FIN)
-
-    if seg_len == 0 and not fin:
-        # Pure ACK: never acknowledged back (no ACK-of-ACK).
-        return result
 
     offset = seq_diff(seg_seq, expected)
     if offset < 0:
@@ -181,9 +157,8 @@ def process_rx(state, summary, payload, now_ts=0):
         seg_len -= trim
         offset = 0 if seg_len > 0 else offset + trim
         if seg_len == 0 and not fin:
-            result.send_ack = True
-            result.ack_is_dup = True
-            return result
+            snapshot.dup_ack = True
+            return
 
     # Trim to the receive window.
     in_window = state.rx_avail - max(0, seq_diff(seg_seq, expected))
@@ -193,15 +168,14 @@ def process_rx(state, summary, payload, now_ts=0):
         fin = False  # the FIN lies beyond what we accepted
 
     if seg_len == 0 and not fin:
-        result.send_ack = True
-        result.ack_is_dup = True
-        return result
+        snapshot.dup_ack = True
+        return
 
     if offset == 0:
         # In-order data: place at the head and advance the window.
         notify_start = state.rx_pos
-        result.payload_dest_pos = state.rx_pos
-        result.payload = payload
+        snapshot.payload_dest_pos = state.rx_pos
+        snapshot.payload = payload
         state.ack = seq_add(state.ack, seg_len)
         state.rx_pos += seg_len
         state.rx_avail -= seg_len
@@ -220,29 +194,27 @@ def process_rx(state, summary, payload, now_ts=0):
                 state.rx_avail -= state.ooo_len
                 state.ooo_len = 0
                 state.ooo_start = 0
-        result.notify_rx_pos = notify_start
-        result.notify_rx_len = state.rx_pos - notify_start
+        snapshot.notify_rx_pos = notify_start
+        snapshot.notify_rx_len = state.rx_pos - notify_start
     else:
         # Out of order: try to merge with the single tracked interval.
-        result.was_ooo = True
-        accepted, dest, kept = _merge_ooo(state, seg_seq, payload)
-        if accepted:
-            result.payload_dest_pos = dest
-            result.payload = kept
+        snapshot.was_ooo = True
+        dest = _merge_ooo(state, seg_seq, seg_len)
+        if dest is None:
+            snapshot.dropped_ooo = True
+        else:
             # rx_avail is NOT consumed for OOO bytes until they become
             # in-order; placement beyond rx_avail was already trimmed.
-        else:
-            result.dropped_ooo = True
+            snapshot.payload_dest_pos = dest
+            snapshot.payload = payload
         fin = False  # FIN processing waits until in-order delivery
 
     if fin:
         state.ack = seq_add(state.ack, 1)
         state.rx_fin_seq = seg_seq
-        result.fin_notified = True
+        snapshot.fin_notified = True
 
-    result.send_ack = True
-    result.echo_ts = state.next_ts
-    return result
+    snapshot.echo_ts = state.next_ts
 
 
 def process_tx(state, mss):
@@ -285,39 +257,36 @@ def process_tx(state, mss):
 
 
 def process_hc(state, descriptor):
-    """Apply a host-control descriptor (Win/Fin/Reset steps, §3.1.1)."""
-    from repro.flextoe.descriptors import HC_FIN, HC_PROBE, HC_RETRANSMIT, HC_RX_UPDATE, HC_TX_UPDATE
-
-    if descriptor.kind == HC_TX_UPDATE:
+    """Apply a host-control descriptor (Win/Fin/Reset steps, §3.1.1);
+    returns the :class:`ProtoSnapshot` for the post stage."""
+    snapshot = ProtoSnapshot()
+    kind = descriptor.kind
+    if kind == HC_TX_UPDATE:
         state.tx_avail += descriptor.value
         if descriptor.fin:
             state.fin_pending = True
-        return HcResult(fs_sendable=state.flight_limit(), fin_armed=descriptor.fin)
-    if descriptor.kind == HC_RX_UPDATE:
+    elif kind == HC_RX_UPDATE:
         was_tight = state.rx_avail < 2 * 1448
         state.rx_avail += descriptor.value
-        result = HcResult(fs_sendable=state.flight_limit())
-        # If the window was nearly closed, the peer may be stalled on it:
-        # emit a window-update ACK (classic TCP window update).
-        result.send_window_update = was_tight
-        return result
-    if descriptor.kind == HC_FIN:
+        if was_tight:
+            # The window was nearly closed and the peer may be stalled on
+            # it: emit a window-update ACK (classic TCP window update).
+            _ack_now(state, snapshot)
+            snapshot.echo_ts = state.next_ts
+    elif kind == HC_FIN:
         state.fin_pending = True
-        # A bare FIN on an idle connection must wake the scheduler.
-        sendable = state.flight_limit()
-        if sendable == 0 and state.fin_seq is None:
-            sendable = 1
-        return HcResult(fs_sendable=sendable, fin_armed=True)
-    if descriptor.kind == HC_PROBE:
+    elif kind == HC_PROBE:
         # Zero-window probe: permit one byte beyond the advertised window
         # so the peer re-announces its window (RFC 9293 §3.8.6.1).
         if state.tx_avail > 0 and state.remote_win - state.tx_sent <= 0:
             state.remote_win = state.tx_sent + 1
-        return HcResult(fs_sendable=state.flight_limit())
-    if descriptor.kind == HC_RETRANSMIT:
-        rewound = state.reset_to_last_ack()
-        sendable = state.flight_limit()
-        if sendable == 0 and state.fin_pending:
-            sendable = 1
-        return HcResult(fs_sendable=sendable, retransmitted=rewound)
-    raise ValueError("unknown HC descriptor kind {!r}".format(descriptor.kind))
+    elif kind == HC_RETRANSMIT:
+        state.reset_to_last_ack()
+    else:
+        raise ValueError("unknown HC descriptor kind {!r}".format(kind))
+    sendable = state.flight_limit()
+    if sendable == 0 and kind in (HC_FIN, HC_RETRANSMIT) and state.fin_pending and state.fin_seq is None:
+        # An owed bare FIN on an idle connection must wake the scheduler.
+        sendable = 1
+    snapshot.fs_sendable = sendable
+    return snapshot

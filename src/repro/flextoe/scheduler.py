@@ -41,9 +41,10 @@ class CarouselScheduler:
 
     STAGE_KIND = "sch"  # the owner token its TX triggers enter pre_in under
 
-    def __init__(self, sim, tx_trigger_ring, mss=1448, slot_ns=1000, n_slots=4096, costs=None):
+    def __init__(self, sim, trigger_tx, mss=1448, slot_ns=1000, n_slots=4096, costs=None):
         self.sim = sim
-        self.tx_trigger_ring = tx_trigger_ring
+        #: ``trigger_tx(conn_index)``: the event of the trigger being taken.
+        self.trigger_tx = trigger_tx
         self.mss = mss
         self.slot_ns = slot_ns
         self.n_slots = n_slots
@@ -169,7 +170,7 @@ class CarouselScheduler:
             burst = min(self.mss, entry.deficit)
             entry.deficit -= burst
             self.triggers_issued += 1
-            yield self.tx_trigger_ring.put(entry.conn_index)
+            yield self.trigger_tx(entry.conn_index)
             if entry.deficit > 0:
                 if entry.interval_q8 > 0:
                     entry.next_deadline = max(entry.next_deadline, sim.now) + (

@@ -32,10 +32,8 @@ from repro.flextoe.module import ACTION_DROP, ACTION_PASS, ACTION_REDIRECT, ACTI
 from repro.flextoe.seqr import KeyedFence
 from repro.flextoe.state import atomic_add
 from repro.nfp.cam import Cam
-from repro.nfp.memory import LAT_LMEM
-from repro.proto.ethernet import ETHERTYPE_IPV4, EthernetHeader
-from repro.proto.ip import IPPROTO_TCP, Ipv4Header
-from repro.proto.tcp import FLAG_ACK, FLAG_ECE, FLAG_FIN, FLAG_PSH, TcpHeader, TcpOptions
+from repro.nfp.memory import LAT_IMEM, LAT_LMEM
+from repro.proto.tcp import FLAG_ACK, FLAG_ECE, FLAG_FIN, FLAG_PSH, TcpOptions
 
 
 def now_us(sim):
@@ -135,7 +133,7 @@ class PreStage:
                 self.id_cache.invalidate(four)
                 hit = False
         if not hit:
-            yield from thread.mem_read(dp.imem_latency_level)
+            yield from thread.mem_read(LAT_IMEM)
             found, conn_index, _probes = dp.lookup_engine.lookup(four)
             yield from thread.compute(costs.pre_identify)
             if not found:
@@ -171,12 +169,7 @@ class PreStage:
         yield from thread.compute(costs.tx_alloc)
         # Head: Ethernet and IP headers from pre-processor state.
         yield from thread.compute(costs.tx_header)
-        pre = record.pre
-        eth = EthernetHeader(dst=pre.peer_mac, src=record.local_mac, ethertype=ETHERTYPE_IPV4)
-        ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=dp.ecn_codepoint)
-        tcp = TcpHeader(sport=pre.local_port, dport=pre.remote_port)
-        frame = dp.make_frame(eth, ip, tcp)
-        work.frame = frame
+        work.frame = dp.make_segment(record)
         work.frame.set_meta("ctm_grant", grant)
         yield from thread.compute(costs.pre_steer)
         yield dp.proto_rings[work.flow_group].put(work)
@@ -246,80 +239,56 @@ class ProtocolStage:
         # record-movement instructions occupy this FPC's issue slot.
         latency, issue = self.state_cache.access(work.conn_index)
         if latency > LAT_LMEM:
-            yield from thread.mem_read(LatencyLevel(latency), issue_cycles=2 + issue)
+            yield from thread.mem_read(latency, issue_cycles=2 + issue)
             extra = trace.hit(dp.sim.now, "proto", "proto.state_miss")
             if extra:
                 yield from thread.compute(extra)
         state = record.proto
-        snapshot = ProtoSnapshot(work.kind)
         if work.kind == WORK_RX:
-            yield from self._process_rx(thread, work, record, state, snapshot)
+            yield from self._process_rx(thread, work, state)
         elif work.kind == WORK_TX:
-            done = yield from self._process_tx(thread, work, record, state, snapshot)
+            done = yield from self._process_tx(thread, work, state)
             if not done:
                 return
         else:
-            yield from self._process_hc(thread, work, record, state, snapshot)
+            yield from self._process_hc(thread, work, state)
         extra = trace.hit(dp.sim.now, "proto", "proto.critical_section")
         if extra:
             yield from thread.compute(extra)
-        work.snapshot = snapshot
         self.processed[work.kind] += 1
         yield dp.post_rings[self.flow_group].put(work)
 
-    def _process_rx(self, thread, work, record, state, snapshot):
+    def _process_rx(self, thread, work, state):
         dp = self.dp
         costs = dp.config.costs
         trace = dp.tracepoints
-        summary = work.summary
         cycles = costs.proto_update
-        result = proto_logic.process_rx(state, summary, work.frame.payload, now_us(dp.sim))
+        snapshot = work.snapshot = proto_logic.process_rx(state, work.summary, work.frame.payload)
         dp.observer.proto_changed(work.conn_index, state)
-        if result.was_ooo:
+        if snapshot.was_ooo:
             cycles += costs.proto_ooo_extra
             cycles += trace.hit(dp.sim.now, "proto", "rx.out_of_order")
-        if result.dropped_ooo:
+        if snapshot.dropped_ooo:
             cycles += trace.hit(dp.sim.now, "proto", "rx.ooo_drop")
-        if result.fast_retransmit:
+        if snapshot.fast_retransmit:
             cycles += costs.proto_fast_retransmit
             cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
         yield from thread.compute(cycles)
-        send_ack = result.send_ack
         if (
-            send_ack
+            snapshot.send_ack
             and dp.config.delayed_ack_segments > 1
-            and not result.ack_is_dup
-            and not result.was_ooo
-            and not result.fin_notified
+            and not snapshot.dup_ack
+            and not snapshot.was_ooo
+            and not snapshot.fin_notified
         ):
             # Optional delayed-ACK variant (ablation only): FPCs lack
             # timers, so coalescing is purely count-based and the
             # default remains ACK-every-segment (paper §5.2).
             state.delack_cnt += 1
             if state.delack_cnt < dp.config.delayed_ack_segments:
-                send_ack = False
+                snapshot.send_ack = False
             else:
                 state.delack_cnt = 0
-        snapshot.send_ack = send_ack
-        snapshot.dup_ack = result.ack_is_dup
-        snapshot.ack_seq = state.seq
-        snapshot.ack_ack = state.ack
-        snapshot.window = proto_logic.advertised_window(state)
-        snapshot.echo_ts = result.echo_ts
-        snapshot.ece = summary.ce_marked
-        snapshot.acked_bytes = result.acked_bytes
-        snapshot.notify_rx_pos = result.notify_rx_pos
-        snapshot.notify_rx_len = result.notify_rx_len
-        snapshot.fin_notified = result.fin_notified
-        snapshot.fast_retransmit = result.fast_retransmit
-        snapshot.payload_dest_pos = result.payload_dest_pos
-        snapshot.payload = result.payload
-        snapshot.rtt_sample_ecr = result.rtt_sample_ecr
-        # The incoming segment's ECE flag feeds the sender's DCTCP stats.
-        if summary.flags & FLAG_ECE:
-            snapshot.ece = True
-        if result.acked_bytes > 0 or result.fast_retransmit or summary.window is not None:
-            snapshot.fs_sendable = state.flight_limit()
         if snapshot.send_ack:
             # The ACK will leave the NIC: take its NBI ordering ticket
             # here, in protocol-processing order (§3.2, example 3).
@@ -328,7 +297,7 @@ class ProtocolStage:
         # payload is not retained past the one-shot access.
         work.frame = None
 
-    def _process_tx(self, thread, work, record, state, snapshot):
+    def _process_tx(self, thread, work, state):
         dp = self.dp
         costs = dp.config.costs
         trace = dp.tracepoints
@@ -348,9 +317,9 @@ class ProtocolStage:
         tcp.ack = result.ack
         tcp.window = result.window
         tcp.flags = FLAG_ACK | (FLAG_PSH if result.length else 0) | (FLAG_FIN if result.fin else 0)
+        snapshot = work.snapshot = ProtoSnapshot()
         snapshot.tx = result
         snapshot.fs_sendable = state.flight_limit()
-        snapshot.window = result.window
         # Timestamp echo for the outgoing segment is sampled *here*, in
         # the atomic protocol stage — the DMA stage stamps headers but
         # must not read protocol state (Table 5 partitioning; a read at
@@ -360,31 +329,13 @@ class ProtocolStage:
         snapshot.nbi_seq = dp.nbi_seqr.assign(work)
         return True
 
-    def _process_hc(self, thread, work, record, state, snapshot):
+    def _process_hc(self, thread, work, state):
         dp = self.dp
-        costs = dp.config.costs
-        result = proto_logic.process_hc(state, work.hc)
+        snapshot = work.snapshot = proto_logic.process_hc(state, work.hc)
         dp.observer.proto_changed(work.conn_index, state)
-        yield from thread.compute(costs.hc_window_update)
-        snapshot.fs_sendable = result.fs_sendable
-        if result.send_window_update:
-            snapshot.send_ack = True
-            snapshot.ack_seq = state.seq
-            snapshot.ack_ack = state.ack
-            snapshot.window = proto_logic.advertised_window(state)
-            snapshot.echo_ts = state.next_ts
+        yield from thread.compute(dp.config.costs.hc_window_update)
+        if snapshot.send_ack:
             snapshot.nbi_seq = dp.nbi_seqr.assign(work)
-
-
-class LatencyLevel:
-    """Adapter presenting a raw latency as a memory level for FpcThread."""
-
-    __slots__ = ("latency_cycles", "reads", "writes")
-
-    def __init__(self, latency_cycles):
-        self.latency_cycles = latency_cycles
-        self.reads = 0
-        self.writes = 0
 
 
 class PostStage:
@@ -496,20 +447,14 @@ class PostStage:
             if post.use_timestamps:
                 cycles += costs.post_stamp
                 options = TcpOptions(ts_val=now_us(dp.sim), ts_ecr=snapshot.echo_ts or 0)
-            pre = record.pre
-            flags = FLAG_ACK | (FLAG_ECE if (snapshot.ece and post.use_ecn) else 0)
-            eth = EthernetHeader(dst=pre.peer_mac, src=record.local_mac, ethertype=ETHERTYPE_IPV4)
-            ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=dp.ecn_codepoint)
-            tcp = TcpHeader(
-                sport=pre.local_port,
-                dport=pre.remote_port,
+            work.ack_frame = dp.make_segment(
+                record,
                 seq=snapshot.ack_seq,
                 ack=snapshot.ack_ack,
-                flags=flags,
+                flags=FLAG_ACK | (FLAG_ECE if (snapshot.ece and post.use_ecn) else 0),
                 window=snapshot.window,
                 options=options,
             )
-            work.ack_frame = dp.make_frame(eth, ip, tcp)
             self.acks_built += 1
             trace.hit(dp.sim.now, "post", "ack.dup_sent" if snapshot.dup_ack else "ack.sent")
         # Pos: physical placement for the DMA stage.

@@ -142,7 +142,6 @@ class ProtocolState(SlabView):
         if fin_units:
             self.fin_seq = None
             self.fin_pending = True
-        return data_rewound
 
 
 #: The protocol fields an install writes, with their post-handshake

@@ -5,7 +5,7 @@ contexts. Exactly one thread occupies the issue pipeline at a time;
 threads voluntarily swap out on memory/IO waits, which is how the NFP
 hides its long memory latencies. The model enforces this with a
 capacity-1 issue slot held during :meth:`FpcThread.compute` and released
-during :meth:`FpcThread.mem_wait`.
+during :meth:`FpcThread.mem_read` and :meth:`FpcThread.io_wait`.
 """
 
 from repro.sim import Resource
@@ -43,12 +43,11 @@ class FpcThread:
         fpc.busy_cycles += cycles
         grant.release()
 
-    def mem_read(self, level, issue_cycles=ISSUE_CYCLES):
-        """Read from a :class:`MemoryLevel`: brief issue, then latency
-        wait with the issue slot released (another thread may run)."""
+    def mem_read(self, latency_cycles, issue_cycles=ISSUE_CYCLES):
+        """Read from a memory ``latency_cycles`` away: brief issue, then
+        the wait with the issue slot released (another thread may run)."""
         yield from self.compute(issue_cycles)
-        level.reads += 1
-        yield self.sim.timeout(self.fpc.cycles_to_ns(level.latency_cycles))
+        yield self.sim.timeout(self.fpc.cycles_to_ns(latency_cycles))
 
     def io_wait(self, event, issue_cycles=ISSUE_CYCLES):
         """Issue an IO command and sleep until ``event`` fires."""

@@ -25,15 +25,13 @@ LAT_ATOMIC_ADD = 20
 class MemoryLevel:
     """One memory level with byte-granularity allocation accounting."""
 
-    __slots__ = ("name", "size", "latency_cycles", "allocated", "reads", "writes")
+    __slots__ = ("name", "size", "latency_cycles", "allocated")
 
     def __init__(self, name, size, latency_cycles):
         self.name = name
         self.size = size
         self.latency_cycles = latency_cycles
         self.allocated = 0
-        self.reads = 0
-        self.writes = 0
 
     def alloc(self, nbytes):
         """Reserve ``nbytes``; raises MemoryError when the level is full."""

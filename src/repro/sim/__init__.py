@@ -15,7 +15,7 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.clock import Clock, CYCLES_2GHZ, CYCLES_800MHZ, ns_to_us, us_to_ns
 from repro.sim.rng import RngPool
 from repro.sim.trace import TraceRecorder
@@ -29,7 +29,6 @@ __all__ = [
     "RngPool",
     "Event",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "SimulationError",

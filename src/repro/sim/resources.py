@@ -1,11 +1,10 @@
-"""Shared-resource primitives: FIFO stores, priority stores, semaphores.
+"""Shared-resource primitives: FIFO stores and semaphores.
 
 These are the communication channels between simulated components: ring
 buffers between pipeline stages are bounded :class:`Store` objects, FPC
 issue slots are :class:`Resource` objects, and so on.
 """
 
-import heapq
 from collections import deque
 
 from repro.sim.core import Event, SimulationError
@@ -84,7 +83,7 @@ class Store:
     def try_get(self):
         """Non-blocking get. Returns (True, item) or (False, None)."""
         if self.items:
-            item = self._pop()
+            item = self.items.popleft()
             self._settle()
             return True, item
         return False, None
@@ -97,20 +96,15 @@ class Store:
         """
         self._accept(item)
 
-    def _insert(self, item):
-        self.items.append(item)
-
-    def _pop(self):
-        return self.items.popleft()
-
     def _accept(self, item):
         """Take ``item`` in; a get parked on the empty store takes it out."""
-        self._insert(item)
-        if len(self.items) > self.max_occupancy:
-            self.max_occupancy = len(self.items)
+        items = self.items
+        items.append(item)
+        if len(items) > self.max_occupancy:
+            self.max_occupancy = len(items)
         gets = self._get_queue
-        while self.items and gets:
-            gets.popleft().succeed(self._pop())
+        while items and gets:
+            gets.popleft().succeed(items.popleft())
 
     def _settle(self):
         """Move everything that can move: items to parked gets, then
@@ -121,33 +115,13 @@ class Store:
         order of the ``succeed`` calls is the order the waiters resume
         in: a get served by a put fires before that put does.
         """
-        gets, puts = self._get_queue, self._put_queue
-        while self.items and gets:
-            gets.popleft().succeed(self._pop())
+        items, gets, puts = self.items, self._get_queue, self._put_queue
+        while items and gets:
+            gets.popleft().succeed(items.popleft())
         while puts and not self.is_full:
             put = puts.popleft()
             self._accept(put.item)
             put.succeed()
-
-
-class PriorityStore(Store):
-    """A store that yields the smallest item first (heap order).
-
-    Items must be orderable; use ``(priority, seq, payload)`` tuples.
-    """
-
-    def __init__(self, sim, capacity=None, name=None):
-        super().__init__(sim, capacity, name)
-        self.items = []
-
-    def __len__(self):
-        return len(self.items)
-
-    def _insert(self, item):
-        heapq.heappush(self.items, item)
-
-    def _pop(self):
-        return heapq.heappop(self.items)
 
 
 class ResourceRequest(Event):

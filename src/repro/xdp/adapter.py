@@ -55,11 +55,11 @@ class XdpAdapter(DatapathModule):
 
     def handle(self, frame, meta):
         self.invocations += 1
-        wire = bytearray(frame.pack())
-        original = bytes(wire)
+        packed = frame.pack()
+        wire = bytearray(packed)
         result, executed = self.vm.run(wire)
         self.cost_cycles = CYCLES_SETUP + CYCLES_PER_INSN * executed
-        if bytes(wire) != original:
+        if wire != packed:
             # The program rewrote the packet: re-parse into the frame.
             reparsed = Frame.unpack(bytes(wire))
             frame.eth = reparsed.eth

@@ -4,8 +4,7 @@ from repro.xdp.asm import assemble
 
 #: The VM rewrites packets in place and cannot shrink them, so this
 #: performs the in-place half of the strip: tagged frames get their
-#: 802.1Q priority (PCP) cleared; removing the tag itself is the native
-#: module :class:`repro.flextoe.module.VlanStripModule`. TPID 0x8100
+#: 802.1Q priority (PCP) cleared; the tag itself stays. TPID 0x8100
 #: sits big-endian at offset 12; the TCI's first byte carries PCP in its
 #: top 3 bits.
 VLAN_ASM = """

@@ -439,7 +439,7 @@ def test_syn_retransmission_fires_on_the_same_ticks():
     bed, server, client = pair()
     sim = bed.sim
     syns = []
-    spy(client.control_plane, "_send_syn", syns, sim, pick=lambda _pending: ())
+    spy(client.control_plane, "_send_handshake", syns, sim, pick=lambda _pending: ())
     server.station.port.link.set_up(False)
     ctx = client.new_context()
 

@@ -4,67 +4,45 @@ import pytest
 
 from repro.flextoe.ctxq import ContextQueuePair
 from repro.flextoe.descriptors import HC_TX_UPDATE, HostControlDescriptor, Notification, NOTIFY_RX
-from repro.flextoe.module import (
-    ACTION_DROP,
-    ACTION_PASS,
-    CountingModule,
-    ModuleChain,
-    NullModule,
-    VlanStripModule,
-)
+from repro.flextoe.module import ACTION_DROP, ACTION_PASS, DatapathModule, ModuleChain
 from repro.proto import FLAG_ACK, make_tcp_frame
 from repro.sim import Simulator
 
 
-def frame(vlan=None):
-    f = make_tcp_frame(1, 2, 3, 4, 5, 6, flags=FLAG_ACK)
-    if vlan is not None:
-        f.eth.vlan = vlan
-    return f
+def frame():
+    return make_tcp_frame(1, 2, 3, 4, 5, 6, flags=FLAG_ACK)
 
 
-def test_null_module_passes():
-    assert NullModule().handle(frame(), None) == ACTION_PASS
+class Verdict(DatapathModule):
+    """A module that answers every frame with one action, and counts."""
 
+    def __init__(self, name, action, cost_cycles):
+        self.name, self.action, self.cost_cycles, self.seen = name, action, cost_cycles, 0
 
-def test_counting_module_counts_by_flags():
-    counter = CountingModule()
-    counter.handle(frame(), None)
-    counter.handle(frame(), None)
-    assert counter.counts[FLAG_ACK] == 2
-    counter.reset()
-    assert not counter.counts
-
-
-def test_vlan_strip_module():
-    strip = VlanStripModule()
-    f = frame(vlan=7)
-    strip.handle(f, None)
-    assert f.eth.vlan is None
-    assert strip.stripped == 1
+    def handle(self, frame, meta):
+        self.seen += 1
+        return self.action
 
 
 def test_chain_cost_and_management():
-    chain = ModuleChain([NullModule(), CountingModule()])
-    assert chain.total_cost == NullModule.cost_cycles + CountingModule.cost_cycles
+    chain = ModuleChain([Verdict("a", ACTION_PASS, 15), Verdict("b", ACTION_PASS, 20)])
+    assert chain.total_cost == 35
     assert len(chain) == 2
-    chain.remove("null")
+    chain.remove("a")
     assert len(chain) == 1
-    chain.add(VlanStripModule())
+    chain.add(Verdict("c", ACTION_PASS, 25))
     assert len(chain) == 2
+    assert chain.total_cost == 45
 
 
 def test_chain_short_circuits():
-    class Dropper(NullModule):
-        name = "drop"
-
-        def handle(self, frame, meta):
-            return ACTION_DROP
-
-    counter = CountingModule()
-    chain = ModuleChain([Dropper(), counter])
+    counter = Verdict("count", ACTION_PASS, 20)
+    chain = ModuleChain([Verdict("drop", ACTION_DROP, 15), counter])
     assert chain.run(frame(), None) == ACTION_DROP
-    assert not counter.counts
+    assert not counter.seen
+    chain.remove("drop")
+    assert chain.run(frame(), None) == ACTION_PASS
+    assert counter.seen == 1
 
 
 def test_ctxq_post_and_fetch():

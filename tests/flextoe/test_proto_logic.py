@@ -1,5 +1,6 @@
 """Unit tests for the atomic protocol stage logic (RX/TX/HC)."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from repro.flextoe.descriptors import (
     HC_TX_UPDATE,
     HeaderSummary,
     HostControlDescriptor,
+    ProtoSnapshot,
 )
 from repro.flextoe.proto_logic import (
     WINDOW_SCALE,
@@ -97,7 +99,7 @@ def test_duplicate_data_pure_dup_acked():
     # Same segment again: fully duplicate.
     dup_summary = rx_summary(state, payload, seq=5000)
     result = process_rx(state, dup_summary, payload)
-    assert result.ack_is_dup
+    assert result.dup_ack
     assert result.send_ack
     assert result.payload_dest_pos is None
     assert state.ack == 5050
@@ -201,7 +203,7 @@ def test_rx_zero_window_dup_ack():
     payload = b"q" * 10
     result = process_rx(state, rx_summary(state, payload), payload)
     assert result.send_ack
-    assert result.ack_is_dup
+    assert result.dup_ack
     assert state.ack == 5000
 
 
@@ -289,6 +291,74 @@ def test_rtt_sample_from_ts_ecr():
     summary = rx_summary(state, ack=1100, ts_ecr=777)
     result = process_rx(state, summary, b"")
     assert result.rtt_sample_ecr == 777
+
+
+# The verdict, whole: every field process_rx returns, per segment class,
+# against values written out here.
+
+#: A verdict that asks for nothing; each case lists what differs.
+QUIET = dict(
+    send_ack=False, dup_ack=False, ack_seq=0, ack_ack=0, window=0, echo_ts=None, ece=False,
+    fs_sendable=0, acked_bytes=0, fast_retransmit=False, rtt_sample_ecr=None,
+    payload_dest_pos=None, payload=b"", notify_rx_pos=None, notify_rx_len=0,
+    fin_notified=False, was_ooo=False, dropped_ooo=False, tx=None, nbi_seq=None,
+)
+
+
+def in_order(state):
+    return dict(payload=b"a" * 100, ts_val=77), dict(
+        send_ack=True, ack_seq=1000, ack_ack=5100, window=511, echo_ts=77,
+        payload_dest_pos=0, payload=b"a" * 100, notify_rx_pos=0, notify_rx_len=100,
+    )
+
+
+def trimmed_duplicate(state):
+    first = b"b" * 50
+    process_rx(state, rx_summary(state, first), first)
+    # The same 50 bytes again: trimmed to nothing, re-ACKed, no echo.
+    return dict(payload=first, seq=5000), dict(send_ack=True, dup_ack=True, ack_seq=1000, ack_ack=5050, window=511)
+
+
+def ooo_merge(state):
+    held = b"c" * 100
+    process_rx(state, rx_summary(state, held, seq=5200), held)
+    return dict(payload=b"d" * 100, seq=5300), dict(
+        send_ack=True, ack_seq=1000, ack_ack=5000, window=512, echo_ts=0,
+        was_ooo=True, payload_dest_pos=300, payload=b"d" * 100,
+    )
+
+
+def ooo_drop(state):
+    held = b"e" * 100
+    process_rx(state, rx_summary(state, held, seq=5200), held)
+    # A second hole: the one interval cannot take it.
+    return dict(payload=b"f" * 100, seq=5500), dict(
+        send_ack=True, ack_seq=1000, ack_ack=5000, window=512, echo_ts=0, was_ooo=True, dropped_ooo=True,
+    )
+
+
+def fin(state):
+    return dict(payload=b"g" * 10, flags=FLAG_ACK | FLAG_FIN), dict(
+        send_ack=True, ack_seq=1000, ack_ack=5011, window=511, echo_ts=0,
+        payload_dest_pos=0, payload=b"g" * 10, notify_rx_pos=0, notify_rx_len=10, fin_notified=True,
+    )
+
+
+def pure_ack(state):
+    state.tx_avail = 1000
+    process_tx(state, mss=500)
+    return dict(ack=1500, ts_ecr=777), dict(acked_bytes=500, rtt_sample_ecr=777, fs_sendable=500)
+
+
+@pytest.mark.parametrize("segment", [in_order, trimmed_duplicate, ooo_merge, ooo_drop, fin, pure_ack])
+def test_each_segment_class_returns_its_whole_verdict(segment):
+    state = make_state()
+    arrival, expected = segment(state)
+    summary = rx_summary(state, **arrival)
+    snapshot = process_rx(state, summary, arrival.get("payload", b""))
+    assert {name: getattr(snapshot, name) for name in ProtoSnapshot.__slots__} == {**QUIET, **expected}
+    again = process_rx(state, summary, arrival.get("payload", b""))
+    assert again is not snapshot  # a verdict is one work's, never a shared scratch object
 
 
 # ---------------------------------------------------------------- TX ----
@@ -420,8 +490,9 @@ def test_hc_retransmit_resets_go_back_n():
     process_hc(state, HostControlDescriptor(HC_TX_UPDATE, 0, value=3000))
     process_tx(state, mss=1000)
     process_tx(state, mss=1000)
+    assert state.tx_sent == 2000
     result = process_hc(state, HostControlDescriptor(HC_RETRANSMIT, 0))
-    assert result.retransmitted == 2000
+    assert state.tx_sent == 0
     assert state.seq == 1000
     assert state.tx_avail == 3000
     assert result.fs_sendable == 3000

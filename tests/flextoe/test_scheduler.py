@@ -9,7 +9,7 @@ from repro.sim import Simulator, Store
 def build(mss=1000, slot_ns=1000):
     sim = Simulator()
     ring = Store(sim)
-    sched = CarouselScheduler(sim, ring, mss=mss, slot_ns=slot_ns)
+    sched = CarouselScheduler(sim, ring.put, mss=mss, slot_ns=slot_ns)
     fpc = Fpc(sim, "sch")
     fpc.spawn(sched.program)
     return sim, ring, sched

@@ -84,7 +84,7 @@ def ticketed_work(nic):
     work.conn_index = record.index
     work.frame = Frame(EthernetHeader(dst=0xBB, src=0xAA, ethertype=ETHERTYPE_IPV4))
     work.frame.set_meta("ctm_grant", dp.ctm_pool.request())  # granted at once
-    snapshot = ProtoSnapshot(WORK_TX)
+    snapshot = ProtoSnapshot()
     snapshot.nbi_seq = dp.nbi_seqr.assign(work)
     work.snapshot = snapshot
     assert dp.ctm_pool.in_use == 1 and not record.active

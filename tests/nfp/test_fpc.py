@@ -45,7 +45,7 @@ def test_memory_wait_releases_issue_slot():
     finished = []
 
     def program(thread):
-        yield from thread.mem_read(slow_mem, issue_cycles=0)
+        yield from thread.mem_read(slow_mem.latency_cycles, issue_cycles=0)
         yield from thread.compute(80)
         finished.append(sim.now)
 
@@ -69,7 +69,7 @@ def test_eight_threads_hide_latency_better_than_one():
             while remaining["count"] > 0:
                 remaining["count"] -= 1
                 yield from thread.compute(100)
-                yield from thread.mem_read(mem)
+                yield from thread.mem_read(mem.latency_cycles)
             finish["t"] = sim.now
 
         for _ in range(n_threads):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 from repro.sim.core import SimulationError
 
 
@@ -116,27 +116,6 @@ def test_store_tracks_max_occupancy():
     for _ in range(3):
         store.try_get()
     assert store.max_occupancy == 7
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def producer(sim):
-        for priority in [5, 1, 3, 2, 4]:
-            yield store.put((priority, "item%d" % priority))
-
-    def consumer(sim):
-        yield sim.timeout(1)
-        for _ in range(5):
-            item = yield store.get()
-            got.append(item[0])
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert got == [1, 2, 3, 4, 5]
 
 
 def test_resource_mutual_exclusion():
