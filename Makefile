@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline certify perf perf-compare perf-exact perf-pairs opcodes
+.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact perf-pairs opcodes
 
 test:
 	$(PY) -m pytest -x -q
@@ -54,7 +54,7 @@ lint:
 	$(PY) -m repro lint --baseline lint-baseline.json
 
 lint-github:
-	$(PY) -m repro lint --format=github --certify
+	$(PY) -m repro lint --format=github
 
 # Regenerate the committed lint baseline. Findings are deterministically
 # sorted, so this is a no-op unless the tree actually changed
@@ -66,11 +66,6 @@ check-baseline:
 	$(PY) -m repro lint --json > lint-baseline.regen.json
 	cmp lint-baseline.json lint-baseline.regen.json
 	rm -f lint-baseline.regen.json
-
-# Export + independently re-check the proof-carrying XDP certificates
-# (the ones the JIT consumes).
-certify:
-	$(PY) -m repro lint --certify
 
 # The performance instrument (perf/README.md): all five workloads into
 # perf/out/results.json; compare two such files with

@@ -8,8 +8,8 @@ Paper (saturated small-RPC data-path, mOps):
 Same experiment here: a saturated 64 B echo server on FlexTOE with each
 extension loaded, relative throughput compared against the baseline. The
 two XDP rows load the eBPF programs through ``XdpAdapter`` (verified,
-certified, JIT-compiled), so their FPC charge is the instructions each
-packet executed.
+JIT-compiled), so their FPC charge is the instructions each packet
+executed.
 """
 
 from common import EchoBench

@@ -28,10 +28,7 @@ gate on it directly. ``--json`` (or ``--format=json``) emits the stable
 machine-readable report from :mod:`repro.analysis.report`;
 ``--format=github`` prints GitHub Actions ``::warning`` annotations;
 ``--baseline report.json`` compares against a stored report and fails
-only on *new* findings. ``--certify`` additionally exports each builtin
-XDP program's proof-carrying compilation certificate
-(:mod:`repro.analysis.certificate`, the input of the check-eliding JIT),
-re-checks it independently, and embeds it in the JSON report.
+only on *new* findings.
 """
 
 import argparse
@@ -96,34 +93,6 @@ def _deadcode_builtins():
                 Finding(PASS_DEADCODE, "repro/xdp/builtins/{}".format(name), index, code, message)
             )
     return findings, len(factories)
-
-
-def certify_builtins():
-    """Export + re-check a certificate per builtin; returns
-    ``(findings, {name: certificate jsonable})``."""
-    from repro.analysis.certificate import CertificateError, check_certificate, export_certificate
-    from repro.analysis.verifier import VerifierError
-
-    findings = []
-    certificates = {}
-    for name, factory in _builtin_factories():
-        program, maps = factory()
-        try:
-            cert = export_certificate(program, maps)
-            check_certificate(program, cert, maps)
-        except (VerifierError, CertificateError) as exc:
-            findings.append(
-                Finding(
-                    PASS_XDP,
-                    "repro/xdp/builtins/{}".format(name),
-                    0,
-                    "certify-fail",
-                    str(exc),
-                )
-            )
-            continue
-        certificates[name] = cert.to_jsonable()
-    return findings, certificates
 
 
 def run_all(root=None):
@@ -192,15 +161,6 @@ def main(argv=None):
         help="output format: text (default), json, or github workflow annotations",
     )
     parser.add_argument(
-        "--certify",
-        action="store_true",
-        help=(
-            "export + independently re-check the proof-carrying compilation "
-            "certificate of each builtin XDP program (what the JIT consumes); "
-            "prints per-program guard-elision counts, embedded in the JSON report"
-        ),
-    )
-    parser.add_argument(
         "--root",
         default=None,
         help="directory tree for the sim-process pass (default: the installed repro package)",
@@ -215,30 +175,15 @@ def main(argv=None):
     fmt = args.fmt or ("json" if args.json else "text")
 
     findings, checked = run_all(args.root)
-    certificates = None
-    if args.certify:
-        cert_findings, certificates = certify_builtins()
-        findings.extend(cert_findings)
     findings.sort(key=finding_sort_key)
     gating = findings
     if args.baseline is not None:
         gating = diff_findings(findings, load_report(args.baseline))
         gating.sort(key=finding_sort_key)
     if fmt == "json":
-        print(render_json(findings, checked, certificates=certificates))
+        print(render_json(findings, checked))
     elif fmt == "github":
         print(render_github(gating))
-        if args.certify and certificates is not None:
-            for name in sorted(certificates):
-                stats = certificates[name].get("stats", {})
-                print(
-                    "::notice title=xdp-certify::{}: {} insns, {}/{} memory guards elided".format(
-                        name,
-                        stats.get("insns", 0),
-                        stats.get("mem_elided", 0),
-                        stats.get("mem_elided", 0) + stats.get("mem_retained", 0),
-                    )
-                )
     else:
         print(render_text(gating))
         if args.baseline is not None and len(findings) != len(gating):
@@ -247,21 +192,6 @@ def main(argv=None):
                     len(findings) - len(gating), "" if len(findings) - len(gating) == 1 else "s"
                 )
             )
-        if args.certify and certificates is not None:
-            for name in sorted(certificates):
-                stats = certificates[name].get("stats", {})
-                total = stats.get("mem_elided", 0) + stats.get("mem_retained", 0)
-                print(
-                    "certified {}: {} insns, {}/{} memory guards elided, "
-                    "{}/{} division guards elided".format(
-                        name,
-                        stats.get("insns", 0),
-                        stats.get("mem_elided", 0),
-                        total,
-                        stats.get("div_elided", 0),
-                        stats.get("div_elided", 0) + stats.get("div_retained", 0),
-                    )
-                )
     return 1 if gating else 0
 
 

@@ -38,10 +38,6 @@ MAP_VALUE_OR_NULL = "map_value_or_null"  # lookup result before the null check
 
 _POINTER_KINDS = frozenset((CTX_PTR, PKT_PTR, STACK_PTR, MAP_VALUE))
 
-_ALL_KINDS = frozenset(
-    (UNINIT, SCALAR, CTX_PTR, PKT_PTR, PKT_END, STACK_PTR, MAP_VALUE, MAP_VALUE_OR_NULL)
-)
-
 
 def _ceil_mask(x):
     """Smallest all-ones value >= x (0 for 0)."""
@@ -90,18 +86,6 @@ class Interval:
     def intersect(self, other):
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
-
-    def entails(self, other):
-        """True when this range is contained in ``other`` (self => other)."""
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def to_jsonable(self):
-        return {"i": [self.lo, self.hi]}
-
-    @classmethod
-    def from_jsonable(cls, data):
-        lo, hi = data["i"]
-        return cls(int(lo), int(hi))
 
     # -- wrapping unsigned 64-bit arithmetic -------------------------------
     # Each op returns a sound over-approximation of the concrete result
@@ -274,67 +258,6 @@ class RegVal:
             return RegVal(MAP_VALUE_OR_NULL, off=off, fd=fd)
         return RegVal.uninit()
 
-    def entails(self, other):
-        """self => other: ``other`` is a weaker-or-equal description.
-
-        ``UNINIT`` is the weakest claim (no fact at all), so anything
-        entails it; conversely an uninit value entails only uninit.
-        Pointer claims are exact on kind/offset/vid (the facts bounds
-        checks consume) and interval-ordered on the variable part.
-        """
-        if other.kind == UNINIT:
-            return True
-        if self.kind != other.kind:
-            # A known-non-null map value is a strengthening of the
-            # maybe-null lookup result.
-            if not (self.kind == MAP_VALUE and other.kind == MAP_VALUE_OR_NULL):
-                return False
-        if self.kind == SCALAR:
-            return self.val.entails(other.val)
-        if other.fd is not None and self.fd != other.fd:
-            return False
-        if other.off is None:
-            return True  # "somewhere in the region": weakest pointer claim
-        if self.off != other.off:
-            return False
-        if other.var is None:
-            return self.var is None
-        if self.var is None or self.vid != other.vid:
-            return False
-        return self.var.entails(other.var)
-
-    def to_jsonable(self):
-        if self.kind == UNINIT:
-            return {"k": UNINIT}
-        if self.kind == SCALAR:
-            return {"k": SCALAR, "v": self.val.to_jsonable()}
-        data = {"k": self.kind, "off": self.off}
-        if self.fd is not None:
-            data["fd"] = self.fd
-        if self.var is not None:
-            data["vid"] = self.vid
-            data["var"] = self.var.to_jsonable()
-        return data
-
-    @classmethod
-    def from_jsonable(cls, data):
-        kind = data["k"]
-        if kind not in _ALL_KINDS:
-            raise ValueError("unknown register kind {!r}".format(kind))
-        if kind == UNINIT:
-            return cls.uninit()
-        if kind == SCALAR:
-            return cls.scalar_val(Interval.from_jsonable(data["v"]))
-        off = data.get("off")
-        var = data.get("var")
-        return cls(
-            kind,
-            off=None if off is None else int(off),
-            fd=data.get("fd"),
-            vid=data.get("vid"),
-            var=None if var is None else Interval.from_jsonable(var),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, RegVal)
@@ -396,49 +319,6 @@ class AbsState:
             self.stack_init & other.stack_init,
             min(self.pkt_valid, other.pkt_valid),
             checked,
-        )
-
-    def entails(self, other):
-        """self => other: every concrete state self admits, other admits.
-
-        The certificate checker's ordering test: a transfer output
-        entails the certified invariant at its successor exactly when
-        the invariant is a sound (weaker-or-equal) description of every
-        state flowing along that edge.
-        """
-        for mine, claimed in zip(self.regs, other.regs):
-            if not mine.entails(claimed):
-                return False
-        # Claimed-initialized stack bytes must be initialized here too.
-        if other.stack_init & ~self.stack_init:
-            return False
-        if other.pkt_valid > self.pkt_valid:
-            return False
-        for vid, claimed in other.pkt_checked.items():
-            mine = self.pkt_checked.get(vid)
-            if mine is None or mine < claimed:
-                return False
-        return True
-
-    def to_jsonable(self):
-        return {
-            "regs": [reg.to_jsonable() for reg in self.regs],
-            # stack_init is a 512-bit bitmap; hex keeps the JSON compact.
-            "stack_init": "{:x}".format(self.stack_init),
-            "pkt_valid": self.pkt_valid,
-            "pkt_checked": {str(vid): n for vid, n in self.pkt_checked.items()},
-        }
-
-    @classmethod
-    def from_jsonable(cls, data):
-        regs = [RegVal.from_jsonable(reg) for reg in data["regs"]]
-        if len(regs) != 11:
-            raise ValueError("state must describe 11 registers")
-        return cls(
-            regs,
-            stack_init=int(data.get("stack_init", "0"), 16),
-            pkt_valid=int(data.get("pkt_valid", 0)),
-            pkt_checked={int(vid): int(n) for vid, n in data.get("pkt_checked", {}).items()},
         )
 
     def __eq__(self, other):

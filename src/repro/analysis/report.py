@@ -86,12 +86,8 @@ def render_text(findings):
     return "\n".join(lines)
 
 
-def render_json(findings, checked=None, certificates=None):
-    """Machine-readable report. ``checked`` maps pass name -> unit count.
-
-    ``certificates`` (``--certify``) embeds each builtin program's
-    proof-carrying compilation certificate under its name.
-    """
+def render_json(findings, checked=None):
+    """Machine-readable report. ``checked`` maps pass name -> unit count."""
     by_pass = {}
     for finding in findings:
         by_pass[finding.pass_name] = by_pass.get(finding.pass_name, 0) + 1
@@ -100,8 +96,6 @@ def render_json(findings, checked=None, certificates=None):
         "findings": [finding.to_dict() for finding in findings],
         "summary": {"total": len(findings), "by_pass": by_pass, "checked": dict(checked or {})},
     }
-    if certificates is not None:
-        document["certificates"] = certificates
     return json.dumps(document, indent=2, sort_keys=True)
 
 

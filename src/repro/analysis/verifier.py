@@ -103,24 +103,10 @@ def verify_states(program, maps=None):
 
     The returned list is the verifier's invariant: ``states[i]`` is a
     sound description of every concrete machine state that can reach
-    instruction ``i``. :mod:`repro.analysis.certificate` exports it as
-    the proof-carrying compilation certificate.
+    instruction ``i`` (the soundness differential in
+    ``tests/xdp/test_jit_parity.py`` holds it against interpreter runs).
     """
     return _Verifier(program, maps).run()
-
-
-def transfer_step(program, index, state, maps=None):
-    """Apply one instruction's abstract transfer to ``state``.
-
-    The certificate checker's single-step interface: no pass order, no
-    merge policy — just ``program[index]`` against the given state.
-    Returns ``[(successor index, out state), ...]``; raises
-    :class:`VerifierError` when the state cannot justify the
-    instruction (the claimed invariant is too weak for its accesses).
-    Deterministic: variable-part ids are derived from the instruction
-    index, so re-running a step always reproduces the same facts.
-    """
-    return _Verifier(program, maps).transfer(index, state)
 
 
 class _Verifier:
@@ -304,9 +290,7 @@ class _Verifier:
 
         The fresh id is the folding instruction's index: programs are
         DAGs, so one instruction produces at most one variable part per
-        packet and the id is both unique and deterministic — which is
-        what lets the certificate checker re-run a single transfer step
-        and land on the same ids the exported fixpoint used.
+        packet and the id is both unique and deterministic.
         """
         delta = scalar.const
         if pointer.off is not None and delta is not None:

@@ -160,7 +160,7 @@ class BaselineContext:
             yield from self.wait_any()
         yield from self.core.run(costs.sockets_recv, CAT_SOCKETS)
         yield from self.core.run(costs.other_per_op, CAT_OTHER)
-        data = yield from host.tcp_recv(self, sock.conn, max_bytes)
+        data = host.tcp_recv(self, sock.conn, max_bytes)
         if data:
             copy = costs.per_kb_copy * (len(data) // 1024)
             if copy:
@@ -353,9 +353,7 @@ class BaselineHost:
         return self.engine.app_send(conn, data[:accepted], self.sim.now)
 
     def tcp_recv(self, ctx, conn, max_bytes):
-        data = self.engine.app_recv(conn, max_bytes, self.sim.now)
-        return data
-        yield  # pragma: no cover - keeps this a generator; sim-lint: allow
+        return self.engine.app_recv(conn, max_bytes, self.sim.now)
 
     def tcp_close(self, ctx, conn):
         costs = self.personality.costs

@@ -41,7 +41,6 @@ class Listener:
         self.backlog = backlog
         self.ready = []
         self.waiters = []
-        self.dropped_overflow = 0
         # SYNs refused because the backlog (ready + embryonic) was full.
         self.syn_dropped = 0
         # Server-side handshakes in SYN_RCVD charged against this
@@ -49,22 +48,17 @@ class Listener:
         self.embryonic = 0
 
     def backlog_full(self):
-        """True when a new SYN may not be admitted: no accept() waiter
-        is parked and the accept queue plus half-open handshakes already
-        fill the backlog."""
-        if self.waiters:
-            return False
-        return len(self.ready) + self.embryonic >= self.backlog
+        """True when a new SYN may not be admitted: the accept queue
+        plus half-open handshakes already fill the backlog and one more
+        per parked accept(). Admission here is what bounds ``ready``;
+        :meth:`deliver` never refuses."""
+        return len(self.ready) + self.embryonic >= self.backlog + len(self.waiters)
 
     def deliver(self, info):
         if self.waiters:
             self.waiters.pop(0).succeed(info)
-            return True
-        if len(self.ready) >= self.backlog:
-            self.dropped_overflow += 1
-            return False
-        self.ready.append(info)
-        return True
+        else:
+            self.ready.append(info)
 
 
 class PendingConnection:

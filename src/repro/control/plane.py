@@ -414,6 +414,21 @@ class ControlPlane:
             # SYN retransmission: resend our SYN-ACK.
             self._send_handshake(self.pending[four])
             return
+        entry = self.directory.lookup(four)
+        if entry is not None:
+            # Established on our SYN-ACK (module docstring). The SYN that
+            # established it, again, with nothing received since: that
+            # SYN-ACK was lost — resend it. Any other SYN on a live
+            # tuple is challenged (RFC 5961 §4).
+            proto = entry.record.proto
+            irs = (frame.tcp.seq + 1) & 0xFFFFFFFF
+            if proto.ack == irs and proto.rx_pos == 0:
+                self._handshake_tx(
+                    frame.eth.src, four, FLAG_SYN | FLAG_ACK, (entry.snd_iss - 1) & 0xFFFFFFFF, irs
+                )
+            else:
+                self._send_challenge_ack(entry)
+            return
         if not self.policy.admit(len(self.directory)):
             self._send_rst(frame)
             return

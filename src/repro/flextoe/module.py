@@ -8,7 +8,7 @@ wiring handles.
 
 One flavor ships: XDP modules — eBPF programs (see :mod:`repro.xdp`)
 loaded through :class:`repro.xdp.XdpAdapter`, the :class:`DatapathModule`
-that runs them: verified, certified and JIT-compiled, returning
+that runs them: verified and JIT-compiled, returning
 XDP_PASS/DROP/TX/REDIRECT and charged per instruction executed.
 """
 

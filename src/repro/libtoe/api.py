@@ -119,7 +119,7 @@ class LibToeContext:
             established.four_tuple,
             established.rx_buffer,
             established.tx_buffer,
-            token=getattr(established, "token", None),
+            token=established.token,
         )
         self.sockets[sock.conn_index] = sock
         for notification in self._parked.pop(sock.conn_index, ()):

@@ -13,10 +13,10 @@ into FlexTOE; here they run on a faithful register VM:
   here as ``verify`` / ``VerifierError``.
 * :mod:`repro.xdp.adapter` — runs a program as a FlexTOE pipeline
   module, charging FPC cycles per instruction executed. It is the only
-  way an XDP program runs: verified, certified, then JIT-compiled.
-* :mod:`repro.xdp.jit` — proof-carrying check-eliding compiler: a
-  certificate-validated program becomes one specialized Python closure
-  where proven accesses skip their run-time guards.
+  way an XDP program runs: verified, then JIT-compiled.
+* :mod:`repro.xdp.jit` — a verified program becomes one specialized
+  Python closure (no per-packet mnemonic dispatch; every access keeps
+  the interpreter's run-time guard).
 * :mod:`repro.xdp.builtins` — the paper's example modules: connection
   splicing (Listing 1), firewall, VLAN priority clear, flow classifier,
   attack detector, null — eBPF assembly plus their map helpers.

@@ -1,9 +1,8 @@
 """Runs XDP programs as FlexTOE pipeline modules.
 
-:class:`XdpAdapter` loads an eBPF program through the certificate
-pipeline (:func:`repro.xdp.jit.compile_program`: verify, export the
-certificate, re-check it independently, generate code) and runs it per
-frame: the frame is serialized to wire bytes, executed over, and
+:class:`XdpAdapter` loads an eBPF program
+(:func:`repro.xdp.jit.compile_program`: verify, generate code) and runs
+it per frame: the frame is serialized to wire bytes, executed over, and
 re-parsed if modified. The FPC cycle charge is ``CYCLES_SETUP`` plus the
 instructions the program executed (the NFP executes offloaded eBPF
 natively).

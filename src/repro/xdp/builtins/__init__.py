@@ -20,7 +20,7 @@ from repro.xdp.builtins.detector import (
 )
 
 #: name -> zero-argument factory returning (program, maps); the lint
-#: CLI's --certify mode and the JIT test-suite sweep iterate this.
+#: CLI's XDP passes and the JIT test-suite sweep iterate this.
 ASM_BUILTINS = {
     "null": null_asm_program,
     "filter": classifier_asm_program,

@@ -30,10 +30,8 @@ Verdicts, in program order:
 
 Counting uses the IP total-length field rather than pointer arithmetic
 so the program stays within the verifier's packet-bounds proof idiom.
-The division in the bytes/packet rule is guarded by an explicit
-zero-compare: falling through ``jeq r6, 0`` trims the 0 off the lower
-end of the divisor's interval, and a range without 0 is the proof that
-lets the JIT drop its division guard.
+The division in the bytes/packet rule sits behind an explicit
+zero-compare (``jeq r6, 0``): a zero divisor faults the program.
 """
 
 import struct
@@ -149,7 +147,7 @@ not_rst:
 bpp_check:
     ldxdw r3, [r10-40]      ; min_bpp (0 = disabled)
     jeq r3, 0, pass
-    jeq r6, 0, pass         ; below, r6 is in [1, hi]: elides the JIT's zero check
+    jeq r6, 0, pass         ; a zero divisor would fault
     mov r5, r4
     div r5, r6              ; avg L3 bytes per packet
     jlt r5, r3, drop

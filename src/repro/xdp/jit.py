@@ -1,37 +1,29 @@
-"""A check-eliding JIT for verified XDP programs.
+"""A JIT for verified XDP programs.
 
-:class:`BpfVm` re-validates every memory access per packet even though
-the verifier already proved them in bounds at load time. This module
-makes the static analysis pay for itself: a verified program is
-compiled — through a proof-carrying certificate — into one specialized
-Python closure where every *certified* access is a raw ``struct``
-pack/unpack with no bounds test, and only accesses the certificate
-could not discharge (map values of unknown size, possibly-zero
-divisors) keep their run-time guard.
+A program that passes :func:`repro.analysis.verifier.verify` is
+translated once into one specialized Python closure: registers are
+local variables, each instruction is a statement, and the per-packet
+mnemonic dispatch of :class:`BpfVm` is gone. Nothing else is: every
+load and store goes through the same :class:`_Memory` resolver, every
+register divisor keeps its zero test and the map helpers are the
+interpreter's (:func:`repro.xdp.vm.call_helper`).
 
-Trust base: :func:`repro.analysis.certificate.check_certificate`, not
-the verifier. :func:`compile_program` first re-validates the
-certificate with the deliberately small single-step checker and only
-then consumes its facts; a certificate that fails the checker never
-reaches code generation.
-
-Semantics are bit-identical to :class:`BpfVm` by construction:
+Semantics are bit-identical to :class:`BpfVm`:
 
 * same virtual address layout (ctx/packet/stack/map values), same
-  little-endian loads and stores, same masking discipline per ALU op;
-* retained guards go through the same :class:`_Memory` resolver and
-  raise the same :class:`VmFault` messages;
-* division by an unproven divisor checks the *unmasked 64-bit* value,
-  exactly like the interpreter (even for 32-bit division);
+  little-endian loads and stores, same masking discipline per ALU op,
+  same :class:`VmFault` messages;
+* division checks the *unmasked 64-bit* divisor, exactly like the
+  interpreter (even for 32-bit division);
 * ``run`` returns the same ``(r0, instructions executed)`` pair with
   the same count — the generated code charges each straight-line block
   at entry, so the adapter's cycle accounting is unchanged.
 
-The instruction-budget check is elided wholesale: the certificate's
-structural pass proves the program is a DAG, so one packet executes at
-most ``len(program)`` (≤ 4096) instructions, far under the budget.
+There is no instruction-budget check: the verifier's structural pass
+proves the program is a DAG, so one packet executes at most
+``len(program)`` (≤ 4096) instructions, far under the budget.
 
-Control flow: certified programs are forward-only DAGs, so the
+Control flow: verified programs are forward-only DAGs, so the
 generated source lays blocks out in address order behind a skip
 variable ``_s`` — a taken branch sets ``_s`` to the target index and
 intervening blocks fall through without executing.
@@ -39,39 +31,21 @@ intervening blocks fall through without executing.
 
 import struct
 
-from repro.analysis.certificate import check_certificate, export_certificate
-from repro.analysis.dataflow import CTX_PTR, MAP_VALUE, PKT_PTR, STACK_PTR
-from repro.xdp.maps import BpfMapError
+from repro.analysis.verifier import verify
 from repro.xdp.vm import (
     CTX_BASE,
-    HELPER_MAP_DELETE,
-    HELPER_MAP_LOOKUP,
-    HELPER_MAP_UPDATE,
-    MAP_VALUE_BASE,
-    MAP_VALUE_STRIDE,
     MASK32,
     MASK64,
     PACKET_BASE,
     STACK_SIZE,
     STACK_TOP,
     VmFault,
+    _SIZES,
     _Memory,
+    call_helper,
 )
 
-_SIZES = {"b": 1, "h": 2, "w": 4, "dw": 8}
-
-#: struct accessors per access size, shared by all generated closures.
-_STRUCTS = {1: struct.Struct("<B"), 2: struct.Struct("<H"), 4: struct.Struct("<I"), 8: struct.Struct("<Q")}
-
 _CTX_PACK = struct.Struct("<QQ").pack_into
-
-_REGION_BASE = {
-    CTX_PTR: CTX_BASE,
-    PKT_PTR: PACKET_BASE,
-    STACK_PTR: STACK_TOP - STACK_SIZE,
-}
-
-_REGION_BUF = {CTX_PTR: "_ctx", PKT_PTR: "_pkt", STACK_PTR: "_stk"}
 
 _UNSIGNED_JUMPS = {
     "jeq": "==",
@@ -101,116 +75,25 @@ def _bswap(value, nbytes):
     return int.from_bytes((value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little"), "big")
 
 
-def _call_helper(maps, helper_id, a1, a2, a3, memory, value_regions, value_buffers):
-    """The interpreter's helper dispatch, plus an address->buffer index
-    so certified map-value accesses can skip the region scan."""
-    if helper_id == HELPER_MAP_LOOKUP:
-        bpf_map = maps.get(a1)
-        if bpf_map is None:
-            raise VmFault("bad map fd {}".format(a1))
-        key = memory.read_bytes(a2, bpf_map.key_size)
-        value = bpf_map.lookup(key)
-        if value is None:
-            return 0
-        region_key = (a1, key)
-        address = value_regions.get(region_key)
-        if address is None:
-            address = MAP_VALUE_BASE + len(value_regions) * MAP_VALUE_STRIDE
-            memory.add_region(address, value)
-            value_regions[region_key] = address
-            value_buffers[address] = value
-        return address
-    if helper_id == HELPER_MAP_UPDATE:
-        bpf_map = maps.get(a1)
-        if bpf_map is None:
-            raise VmFault("bad map fd {}".format(a1))
-        key = memory.read_bytes(a2, bpf_map.key_size)
-        value = memory.read_bytes(a3, bpf_map.value_size)
-        try:
-            bpf_map.update(key, value)
-        except BpfMapError:
-            return (-1) & MASK64
-        return 0
-    if helper_id == HELPER_MAP_DELETE:
-        bpf_map = maps.get(a1)
-        if bpf_map is None:
-            raise VmFault("bad map fd {}".format(a1))
-        key = memory.read_bytes(a2, bpf_map.key_size)
-        return 0 if bpf_map.delete(key) else (-1) & MASK64
-    raise VmFault("unknown helper {}".format(helper_id))
-
-
-class JitError(Exception):
-    """The program cannot be compiled (certificate missing a fact)."""
-
-
 class _Codegen:
-    def __init__(self, program, facts, maps):
+    def __init__(self, program):
         self.program = program
-        self.facts = facts
-        self.maps = maps
-        # Map-value addresses alias across regions if a value outgrows
-        # its stride; the interpreter's linear region scan would still
-        # resolve them, the aligned-base index would not — retain the
-        # guard in that (never-seen) configuration.
-        self.mv_elide_ok = all(
-            m.value_size <= MAP_VALUE_STRIDE for m in (maps or {}).values()
-        )
-        self.stats = {
-            "mem_elided": 0,
-            "mem_retained": 0,
-            "div_elided": 0,
-            "div_retained": 0,
-            "insns": len(program),
-        }
-
-    # -- expression helpers ------------------------------------------------
 
     def _rhs(self, insn, mode, mask=MASK64):
         return "r{}".format(insn.src) if mode == "reg" else repr(insn.imm & mask)
 
-    def _mem_stmts(self, index, insn, fact, value_expr=None):
-        """Statements for one load/store. ``value_expr`` None => load."""
-        size = fact["size"]
-        ptr = "r{}".format(fact["ptr"])
-        elide = fact["elide"] and (fact["region"] != MAP_VALUE or self.mv_elide_ok)
-        self.stats["mem_elided" if elide else "mem_retained"] += 1
-        if not elide:
-            addr = "({} + {}) & {}".format(ptr, insn.off, MASK64)
-            if value_expr is None:
-                return ["r{} = _mem.load({}, {})".format(insn.dst, addr, size)]
-            return ["_mem.store({}, {}, {})".format(addr, size, value_expr)]
-        if fact["region"] == MAP_VALUE:
-            lines = ["_a = {} + {}".format(ptr, insn.off)]
-            buf = "_vbufs[_a & {}]".format(-MAP_VALUE_STRIDE)
-            idx = "_a & {}".format(MAP_VALUE_STRIDE - 1)
-        else:
-            lines = []
-            buf = _REGION_BUF[fact["region"]]
-            idx = "{} + {}".format(ptr, insn.off - _REGION_BASE[fact["region"]])
-        if value_expr is None:
-            lines.append("r{} = _u{}({}, {})[0]".format(insn.dst, size, buf, idx))
-        else:
-            mask = (1 << (8 * size)) - 1
-            if value_expr.isdigit():
-                value_expr = repr(int(value_expr) & mask)
-            else:
-                value_expr = "{} & {}".format(value_expr, mask)
-            lines.append("_p{}({}, {}, {})".format(size, buf, idx, value_expr))
-        return lines
+    def _addr(self, reg, insn):
+        return "(r{} + {}) & {}".format(reg, insn.off, MASK64)
 
     # -- per-instruction ---------------------------------------------------
 
     def emit(self, index, insn):
         """Python statements for ``program[index]`` (VM-dispatch order)."""
         op = insn.op
-        fact = self.facts[index]
         if op == "exit":
             return ["return r0, _n"]
         if op == "call":
-            return [
-                "r0 = _call(_maps, {}, r1, r2, r3, _mem, _vregs, _vbufs)".format(insn.imm)
-            ]
+            return ["r0 = _call(_maps, {}, r1, r2, r3, _mem, _vregs)".format(insn.imm)]
         if op == "ja":
             return ["_s = {}".format(index + 1 + insn.off)]
         base, _, mode = op.partition(".")
@@ -259,15 +142,12 @@ class _Codegen:
             return ["{} = ({} {} {}) & {}".format(dst, lhs, sym, shift, mask)]
         if alu_base in ("div", "mod"):
             rhs = self._rhs(insn, mode)  # unmasked 64-bit, like the VM
-            lines = []
-            if fact is not None and fact.get("nonzero"):
-                self.stats["div_elided"] += 1
-            else:
-                self.stats["div_retained"] += 1
-                lines.append("if {} == 0: raise VmFault('division by zero')".format(rhs))
+            fault = "raise VmFault('division by zero')"
             sym = "//" if alu_base == "div" else "%"
-            lines.append("{} = ({} {} {}) & {}".format(dst, lhs, sym, rhs, mask))
-            return lines
+            divide = "{} = ({} {} {}) & {}".format(dst, lhs, sym, rhs, mask)
+            if mode == "reg":
+                return ["if {} == 0: {}".format(rhs, fault), divide]
+            return [divide if insn.imm & MASK64 else fault]
         if alu_base == "neg":
             return ["{} = (-{}) & {}".format(dst, dst, mask)]
         if alu_base == "arsh":
@@ -285,11 +165,15 @@ class _Codegen:
                 return ["{} = {} & {}".format(dst, dst, (1 << width) - 1)]
             return ["{} = _bswap({}, {})".format(dst, dst, width // 8)]
         if base.startswith("ldx"):
-            return self._mem_stmts(index, insn, fact)
-        if base.startswith("stx"):
-            return self._mem_stmts(index, insn, fact, value_expr="r{}".format(insn.src))
+            addr = self._addr(insn.src, insn)
+            return ["{} = _mem.load({}, {})".format(dst, addr, _SIZES[base[3:]])]
         if base.startswith("st"):
-            return self._mem_stmts(index, insn, fact, value_expr=repr(insn.imm))
+            # stx stores a register, st an immediate; store() masks to size.
+            if base.startswith("stx"):
+                size, value = _SIZES[base[3:]], "r{}".format(insn.src)
+            else:
+                size, value = _SIZES[base[2:]], repr(insn.imm)
+            return ["_mem.store({}, {}, {})".format(self._addr(insn.dst, insn), size, value)]
         # The verifier admits unknown ALU mnemonics as opaque scalars;
         # the interpreter faults when one executes. So do we.
         return ["raise VmFault({!r})".format("unknown instruction {!r}".format(op))]
@@ -319,7 +203,6 @@ class _Codegen:
             "    _mem.add_region({}, _pkt)".format(PACKET_BASE),
             "    _mem.add_region({}, _stk)".format(STACK_TOP - STACK_SIZE),
             "    _vregs = {}",
-            "    _vbufs = {}",
             "    r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0",
             "    r1 = {}".format(CTX_BASE),
             "    r10 = {}".format(STACK_TOP),
@@ -335,7 +218,7 @@ class _Codegen:
             for index in range(start, end):
                 for stmt in self.emit(index, self.program[index]):
                     lines.append("        " + stmt)
-        # Unreachable for certified programs: every path returns at exit.
+        # Unreachable for verified programs: every path returns at exit.
         lines.append("    raise VmFault('program counter out of range: {}'.format(_s))")
         return "\n".join(lines) + "\n"
 
@@ -343,12 +226,10 @@ class _Codegen:
 class JitProgram:
     """A compiled XDP program with the :class:`BpfVm` run interface."""
 
-    def __init__(self, program, maps, cert, fn, source, stats):
+    def __init__(self, program, maps, fn, source):
         self.program = program
         self.maps = maps
-        self.cert = cert
         self.source = source
-        self.stats = stats
         self._fn = fn
         self.total_instructions = 0
         self.runs = 0
@@ -363,31 +244,21 @@ class JitProgram:
         return result, executed
 
 
-def compile_program(program, maps=None, cert=None):
-    """Compile a verified program into a specialized closure.
-
-    When ``cert`` is None the verifier runs and exports one; either
-    way the certificate is re-validated by the independent checker
-    before any fact reaches code generation.
-    """
-    if cert is None:
-        cert = export_certificate(program, maps)
-    check_certificate(program, cert, maps)
+def compile_program(program, maps=None):
+    """Verify ``program`` and translate it into a specialized closure;
+    raises :class:`VerifierError` for a program the verifier refuses."""
+    verify(program, maps)
     maps_dict = dict(maps or {})
-    codegen = _Codegen(program, cert.facts, maps_dict)
-    source = codegen.generate()
+    source = _Codegen(program).generate()
     namespace = {
         "_Memory": _Memory,
         "_ctxpack": _CTX_PACK,
-        "_call": _call_helper,
+        "_call": call_helper,
         "_maps": maps_dict,
         "_sgn32": _sgn32,
         "_sgn64": _sgn64,
         "_bswap": _bswap,
         "VmFault": VmFault,
     }
-    for size, accessor in _STRUCTS.items():
-        namespace["_u{}".format(size)] = accessor.unpack_from
-        namespace["_p{}".format(size)] = accessor.pack_into
     exec(compile(source, "<xdp-jit>", "exec"), namespace)
-    return JitProgram(program, maps_dict, cert, namespace["_jit_run"], source, codegen.stats)
+    return JitProgram(program, maps_dict, namespace["_jit_run"], source)

@@ -163,7 +163,9 @@ class BpfVm:
                 self.runs += 1
                 return regs[0], executed
             if op == "call":
-                regs[0] = self._helper(insn.imm, regs, memory, value_regions)
+                regs[0] = call_helper(
+                    self.maps, insn.imm, regs[1], regs[2], regs[3], memory, value_regions
+                )
                 continue
             if op == "ja":
                 pc += insn.off
@@ -231,42 +233,34 @@ class BpfVm:
                 continue
             raise VmFault("unknown instruction {!r}".format(op))
 
-    # -- helpers ----------------------------------------------------------
 
-    def _helper(self, helper_id, regs, memory, value_regions):
-        if helper_id == HELPER_MAP_LOOKUP:
-            bpf_map = self._map(regs[1])
-            key = memory.read_bytes(regs[2], bpf_map.key_size)
-            value = bpf_map.lookup(key)
-            if value is None:
-                return 0
-            return self._expose_value(regs[1], key, value, memory, value_regions)
-        if helper_id == HELPER_MAP_UPDATE:
-            bpf_map = self._map(regs[1])
-            key = memory.read_bytes(regs[2], bpf_map.key_size)
-            value = memory.read_bytes(regs[3], bpf_map.value_size)
-            try:
-                bpf_map.update(key, value)
-            except BpfMapError:
-                return (-1) & MASK64
-            return 0
-        if helper_id == HELPER_MAP_DELETE:
-            bpf_map = self._map(regs[1])
-            key = memory.read_bytes(regs[2], bpf_map.key_size)
-            return 0 if bpf_map.delete(key) else (-1) & MASK64
+def call_helper(maps, helper_id, r1, r2, r3, memory, value_regions):
+    """The three map helpers; both execution backends dispatch here.
+
+    ``r1`` is the map fd, ``r2``/``r3`` the key/value buffer addresses;
+    returns the new r0. A looked-up value's live storage is mapped at a
+    stable virtual address (``value_regions``: (fd, key) -> address)."""
+    if helper_id not in (HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE, HELPER_MAP_DELETE):
         raise VmFault("unknown helper {}".format(helper_id))
-
-    def _map(self, fd):
-        bpf_map = self.maps.get(fd)
-        if bpf_map is None:
-            raise VmFault("bad map fd {}".format(fd))
-        return bpf_map
-
-    def _expose_value(self, fd, key, value, memory, value_regions):
-        """Map the live value storage at a stable virtual address."""
-        region_key = (fd, key)
+    bpf_map = maps.get(r1)
+    if bpf_map is None:
+        raise VmFault("bad map fd {}".format(r1))
+    key = memory.read_bytes(r2, bpf_map.key_size)
+    if helper_id == HELPER_MAP_LOOKUP:
+        value = bpf_map.lookup(key)
+        if value is None:
+            return 0
+        region_key = (r1, key)
         if region_key not in value_regions:
             address = MAP_VALUE_BASE + len(value_regions) * MAP_VALUE_STRIDE
             memory.add_region(address, value)
             value_regions[region_key] = address
         return value_regions[region_key]
+    if helper_id == HELPER_MAP_UPDATE:
+        value = memory.read_bytes(r3, bpf_map.value_size)
+        try:
+            bpf_map.update(key, value)
+        except BpfMapError:
+            return (-1) & MASK64
+        return 0
+    return 0 if bpf_map.delete(key) else (-1) & MASK64

@@ -394,12 +394,17 @@ def test_less_than_leaves_the_other_edge_unbounded_above(guard):
 
 
 def test_less_than_fallthrough_proves_a_nonzero_divisor():
-    from repro.analysis.certificate import export_certificate
+    from repro.analysis.verifier import verify_states
 
     def nonzero(guard):
         body = "ldxb r5, [r2+0]\n{}\nmov r0, 100\ndiv r0, r5".format(guard)
-        cert = export_certificate(_with_prologue(1, body), {})
-        return [fact["nonzero"] for fact in cert.facts if fact and fact["type"] == "div"]
+        program = _with_prologue(1, body)
+        states = verify_states(program, {})
+        return [
+            not state.regs[5].val.contains(0)
+            for insn, state in zip(program, states)
+            if insn.op == "div.reg"
+        ]
 
     assert nonzero("jlt r5, 1, out") == [True]
     assert nonzero("jlt r5, 0, out") == [False]  # r5 >= 0 says nothing

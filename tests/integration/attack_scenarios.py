@@ -54,10 +54,10 @@ REQUEST = b"q" * 64
 #: pacing gap between benign rounds (one short echo RPC per round).
 BENIGN_GAP_NS = 20_000
 N_BENIGN_LOOPS = 4
-#: per-RPC reply deadline. Under attack a handshake can complete and
-#: the accept-queue overflow still black-hole the connection
-#: (``Listener.dropped_overflow``) — a benign client must give up on
-#: such a connection rather than block forever.
+#: per-RPC reply deadline. Under attack a handshake can complete at
+#: the client while the server's full backlog drops its cookie ACK
+#: (``Listener.syn_dropped``) — a benign client must give up on such a
+#: connection rather than block forever.
 RPC_DEADLINE_NS = 2_000_000
 RPC_POLL_NS = 5_000
 #: periodic halving of the detector's per-source counters.
