@@ -112,8 +112,9 @@ perf-pairs:
 # The judge for a host-cost change too small for perf-pairs to resolve
 # (tests/tools/opcodes.py): one repetition of workload W at its TINY size
 # under sys.settrace with f_trace_opcodes, on a `git archive` of BASE and
-# on this tree; bytecodes per op per perf/layers.py layer, and the
-# difference. Exact for a given CPython; a table to read, not a gate.
+# on this tree; bytecodes per op per perf/layers.py layer and events per
+# op, and the difference. Exact for a given CPython; a table to read, not
+# a gate.
 #   make opcodes BASE=origin/main W=large-loss
 opcodes:
 	@test -n "$(BASE)" || { echo "usage: make opcodes BASE=<git ref> [W=echo-small]" >&2; exit 2; }

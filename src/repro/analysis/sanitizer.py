@@ -25,6 +25,11 @@ a kind is written by that kind only. With ``REPRO_SANITIZE=1`` (or a programmati
   stage (or the run-to-completion worker, which executes the post logic
   inline under its ``proto`` token).
 
+It also checks the one precondition of the kernel's on-the-spot grants
+(DESIGN §12 rule 3): a process started while it is installed raises when
+it was handed a ``Resource.request()`` or ``Store.get()`` on the spot
+and yielded something else next.
+
 Writes to Protocol/Postproc state with no stage context (control-plane
 setup and polls, tests constructing state directly) are allowed: the
 invariant being enforced is data-path stage ownership, not
@@ -59,6 +64,8 @@ _MISSING = object()
 _installed = False
 # class -> original __setattr__, for uninstall.
 _original_setattrs = {}
+# Process._resume as the kernel defines it, for uninstall.
+_plain_resume = None
 
 
 class SanitizerError(AssertionError):
@@ -105,8 +112,9 @@ def _check_owned(partition, self, name, owning_group):
 
 
 def install():
-    """Instrument the three partition classes' ``__setattr__`` (idempotent)."""
-    global _installed
+    """Instrument the three partition classes' ``__setattr__`` and
+    ``Process._resume`` (idempotent)."""
+    global _installed, _plain_resume
     if _installed:
         return
     from repro.flextoe.state import PostprocState, PreprocState, ProtocolState
@@ -140,7 +148,25 @@ def install():
             _original(self, name, value)
 
         cls.__setattr__ = _guarded_setattr
+
+    # Processes bind their resume once, at creation (Process._resume_cb).
+    from repro.sim.core import Process
+
+    _plain_resume = Process._resume
+    Process._resume = _resume_checking_grants
     _installed = True
+
+
+def _resume_checking_grants(process, event):
+    _plain_resume(process, event)
+    sim = process.sim
+    spot = sim._spot
+    if spot is not None:
+        sim._spot = None
+        raise SanitizerError(
+            "process {!r} was granted {!r} on the spot but yielded something else "
+            "next: a request() or get() is yielded at once".format(process.name, spot)
+        )
 
 
 def uninstall():
@@ -149,7 +175,9 @@ def uninstall():
     if not _installed:
         return
     from repro.flextoe.state import CONN_SLAB
+    from repro.sim.core import Process
 
+    Process._resume = _plain_resume
     CONN_SLAB.on_free = CONN_SLAB.on_alloc = None
     for cls, original in _original_setattrs.items():
         cls.__setattr__ = original

@@ -93,11 +93,6 @@ class CpuCore:
 
         return self.sim.process(_steal(), name="{}.steal".format(self.name))
 
-    def block(self, event):
-        """Sleep off-core until ``event`` fires (e.g. epoll_wait)."""
-        result = yield event
-        return result
-
     def utilization(self, elapsed_ns):
         if elapsed_ns <= 0:
             return 0.0

@@ -5,7 +5,8 @@ contexts. Exactly one thread occupies the issue pipeline at a time;
 threads voluntarily swap out on memory/IO waits, which is how the NFP
 hides its long memory latencies. The model enforces this with a
 capacity-1 issue slot held during :meth:`FpcThread.compute` and released
-during :meth:`FpcThread.mem_read` and :meth:`FpcThread.io_wait`.
+during the wait of :meth:`FpcThread.mem_read`; a program waits on IO (a
+DMA, a ring) by yielding its event, holding no slot.
 """
 
 from repro.sim import Resource
@@ -48,12 +49,6 @@ class FpcThread:
         the wait with the issue slot released (another thread may run)."""
         yield from self.compute(issue_cycles)
         yield self.sim.timeout(self.fpc.cycles_to_ns(latency_cycles))
-
-    def io_wait(self, event, issue_cycles=ISSUE_CYCLES):
-        """Issue an IO command and sleep until ``event`` fires."""
-        yield from self.compute(issue_cycles)
-        result = yield event
-        return result
 
 
 class Fpc:

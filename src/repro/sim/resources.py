@@ -3,6 +3,11 @@
 These are the communication channels between simulated components: ring
 buffers between pipeline stages are bounded :class:`Store` objects, FPC
 issue slots are :class:`Resource` objects, and so on.
+
+A process yields the event of a ``request()`` or ``get()`` at once: one
+that is satisfied while the process is next in line is granted on the
+spot and never enters the heap (:meth:`Simulator._grant_on_the_spot
+<repro.sim.core.Simulator._grant_on_the_spot>`, DESIGN §12 rule 3).
 """
 
 from collections import deque
@@ -24,8 +29,14 @@ class StoreGet(Event):
     __slots__ = ()
 
     def __init__(self, store):
-        super().__init__(store.sim)
-        store._get_queue.append(self)
+        sim = store.sim
+        super().__init__(sim)
+        # An item present means no get is parked (see Store._settle).
+        items = store.items
+        if items and sim._grant_on_the_spot(self, items[0]):
+            items.popleft()
+        else:
+            store._get_queue.append(self)
         store._settle()
 
 
@@ -128,10 +139,15 @@ class ResourceRequest(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource):
-        super().__init__(resource.sim)
+        sim = resource.sim
+        super().__init__(sim)
         self.resource = resource
-        resource._queue.append(self)
-        resource._grant()
+        # A free slot means nobody is queued (see Resource._grant).
+        if len(resource._users) < resource.capacity and sim._grant_on_the_spot(self, self):
+            resource._users.add(self)
+        else:
+            resource._queue.append(self)
+            resource._grant()
 
     def release(self):
         self.resource.release(self)
@@ -183,6 +199,8 @@ class Resource:
         self._grant()
 
     def _grant(self):
+        """Grant queued requests in FIFO order while a slot is free, so a
+        resource never rests with both a free slot and a queued request."""
         while self._queue and len(self._users) < self.capacity:
             request = self._queue.popleft()
             self._users.add(request)

@@ -1,5 +1,7 @@
 """Runtime ownership sanitizer (REPRO_SANITIZE)."""
 
+import gc
+
 import pytest
 
 from repro.analysis import sanitizer
@@ -264,6 +266,10 @@ def test_slot_recycling_does_not_inherit_stale_ownership(sanitized):
     # start unguarded, not inherit the dead connection's registration.
     from repro.flextoe.state import ConnectionRecord
 
+    # An earlier test's record held in a reference cycle (a caught
+    # traceback's frames), collected between the del and the alloc below,
+    # would put its own slot on top of the free list.
+    gc.collect()
     record = _installed_record(index=3, flow_group=3)
     slot = record.slab_slot
     del record  # refcount drop frees the slot, no unregister call

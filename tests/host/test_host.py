@@ -123,17 +123,3 @@ def test_machine_aggregate_accounting():
     sim.process(work(sim, machine.cores[1]))
     sim.run()
     assert machine.aggregate_accounting().cycles[CAT_APP] == 200
-
-
-def test_core_block_returns_value():
-    sim = Simulator()
-    core = CpuCore(sim, "c0")
-    out = []
-
-    def work(sim):
-        value = yield from core.block(sim.timeout(500, value="io"))
-        out.append((sim.now, value))
-
-    sim.process(work(sim))
-    sim.run()
-    assert out == [(500, "io")]

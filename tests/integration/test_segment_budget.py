@@ -1,10 +1,12 @@
 """A segment carries two records through the pipeline — the pre stage's
 header summary and the protocol stage's snapshot (paper §3.1.3) — and a
 ring hop is a deque operation: the machine-independent unit cost of the
-per-segment path is the number of Python and C calls one echo RPC makes.
-With result objects copied field by field into the snapshot, an adapter
-object per state miss and a ``_insert``/``_pop`` hook pair under every
-store hop it read 7 030; it reads 6 910. Host-time noise cannot hide a
+per-segment path is the number of Python and C calls one echo RPC makes,
+and the number of events it dispatches. With result objects copied field
+by field into the snapshot, an adapter object per state miss and a
+``_insert``/``_pop`` hook pair under every store hop it read 7 030 calls;
+with every uncontended issue-slot, pool and ring grant going through the
+heap, 6 910 calls and 298.95 events. Host-time noise cannot hide a
 regression here the way it can in ``wall_s`` (DESIGN §4, §12)."""
 
 import gc
@@ -19,9 +21,13 @@ from repro.harness import Testbed
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 6 910.03; the bound is
+#: simulator runs in that time included: reads 6 649.66; the bound is
 #: that reading + 1 %.
-CALLS_PER_RPC = 6979
+CALLS_PER_RPC = 6716
+#: Events dispatched per warm echo RPC: reads 252.27. The count is exact,
+#: so the bound is that reading rounded up: one more event per RPC (a
+#: grant that goes back through the heap, DESIGN §12 rule 3) fails.
+EVENTS_PER_RPC = 253
 
 
 def echo_pair():
@@ -73,12 +79,15 @@ def test_an_echo_rpc_stays_within_its_call_budget():
 
     gc.collect()  # an earlier test's garbage, finalised in here, would be counted
     gc.disable()
+    events = bed.sim.processed_events
     sys.setprofile(profiler)
     try:
         bed.sim.run(until=client)
     finally:
         sys.setprofile(None)
         gc.enable()
+    events = bed.sim.processed_events - events
     hooks = {key: n for key, n in calls.items() if key[0].endswith("sim/resources.py") and key[1] in ("_insert", "_pop")}
     assert not hooks, "a store hop went back through an overridable hook"
     assert sum(calls.values()) <= CALLS_PER_RPC * RPCS, calls.most_common(20)
+    assert events <= EVENTS_PER_RPC * RPCS, events / RPCS

@@ -116,18 +116,3 @@ def test_utilization():
     elapsed = sim.now
     util = fpc.utilization(elapsed)
     assert 0.0 < util < 1.0
-
-
-def test_io_wait_returns_event_value():
-    sim = Simulator()
-    fpc = Fpc(sim, "fpc0")
-    out = []
-
-    def program(thread):
-        value = yield from thread.io_wait(sim.timeout(500, value="dma-done"))
-        out.append((sim.now, value))
-
-    fpc.spawn(program)
-    sim.run()
-    assert out[0][1] == "dma-done"
-    assert out[0][0] >= 500

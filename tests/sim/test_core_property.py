@@ -11,13 +11,15 @@ The kernel's invariants, whatever its dispatch loops look like:
 * ``step()``, ``run()``, ``run(until=t)`` and ``run(until=event)`` are
   one dispatch: however a program is driven, it produces the same
   transcript and the same event count (``run()`` unrolls ``step()``
-  twice, and its docstring promises they stay identical).
+  twice, and its docstring promises they stay identical) — grants taken
+  on the spot included, which read what each loop records of the
+  dispatch.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,10 +153,13 @@ def test_bounded_store_is_fifo_for_any_interleaving(gaps):
 # -- one dispatch, four ways to drive it -------------------------------------
 
 _N_STORES = _N_GATES = 2
+_CAPACITIES = (1, 2)  # one resource of each
 _OP = st.one_of(
     st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=5)),
     st.tuples(st.just("put"), st.integers(min_value=0, max_value=_N_STORES - 1)),
     st.tuples(st.just("get"), st.integers(min_value=0, max_value=_N_STORES - 1)),
+    st.tuples(st.just("relay"), st.integers(min_value=0, max_value=_N_STORES - 1)),
+    st.tuples(st.just("hold"), st.integers(min_value=0, max_value=len(_CAPACITIES) - 1)),
     st.tuples(st.just("gate"), st.integers(min_value=0, max_value=_N_GATES - 1)),
     st.tuples(st.just("join"), st.integers(min_value=0, max_value=7)),
 )
@@ -166,6 +171,7 @@ def _play(program, sentinel_delays, drive):
     ``(now, process, value)`` transcript and the event count."""
     sim = Simulator()
     stores = [Store(sim, capacity=2) for _ in range(_N_STORES)]
+    resources = [Resource(sim, capacity=k) for k in _CAPACITIES]
     gates = [sim.event() for _ in range(_N_GATES)]  # several waiters, one event
     transcript = []
     processes = []
@@ -178,6 +184,13 @@ def _play(program, sentinel_delays, drive):
                 value = yield stores[arg].put((pid, step))
             elif op == "get":
                 value = yield stores[arg].get()
+            elif op == "relay":  # a get on a store just put to: often taken on the spot
+                yield stores[arg].put((pid, step))
+                value = yield stores[arg].get()
+            elif op == "hold":
+                with (yield resources[arg].request()):
+                    yield sim.timeout(1)
+                value = ("held", arg)
             elif op == "gate":
                 value = yield gates[arg]
             elif arg < pid:  # join an earlier process (it may never end)

@@ -1,4 +1,5 @@
-"""``make opcodes``: bytecodes per op, per layer, here and at BASE.
+"""``make opcodes``: bytecodes per op per layer, and events per op, here
+and at BASE.
 
 Host time on a shared machine cannot resolve a 1 % change in what the
 simulator executes per op; the number of bytecodes it executes can,
@@ -9,7 +10,9 @@ a ``perf/`` workload — set-up, then the measured phase, at
 the ``perf/layers.py`` layer of the code it belongs to; once on a
 ``git archive`` of BASE and once on this tree (each side imports its own
 ``perf`` and ``repro``). It prints the measured phase per completed op
-and layer for both trees with the difference, and set-up as one total.
+and layer for both trees with the difference, set-up as one total, and
+the events the measured phase dispatched per op — so a change that
+removes events shows whether it also removed host work.
 
 Standard library only; nothing under ``perf/`` is edited. A table to
 read, not a gate: exit status 2 only when a run fails.
@@ -29,7 +32,7 @@ SETUP, MEASURED = 0, 1
 
 def count(tree, workload):
     """Trace one repetition of ``workload`` from ``tree``; returns
-    ``{"ops", "setup": {layer: bytecodes}, "measured": {...}}``."""
+    ``{"ops", "events", "setup": {layer: bytecodes}, "measured": {...}}``."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [tree, os.path.join(tree, "src")]
     from perf import layers, spec, workloads
@@ -70,6 +73,7 @@ def count(tree, workload):
         raise SystemExit("{}: {} of {} ops completed".format(workload, ops, sum(cell.planned for cell in cells)))
     return {
         "ops": ops,
+        "events": sum(cell.events for cell in cells),
         "setup": {layer: row[SETUP] for layer, row in rows.items()},
         "measured": {layer: row[MEASURED] for layer, row in rows.items()},
     }
@@ -108,7 +112,7 @@ def main(argv=None):
     if base["ops"] != here["ops"]:
         raise SystemExit("the two trees completed {} and {} ops".format(base["ops"], here["ops"]))
     ops = here["ops"]
-    print("bytecodes per op on {} ({} ops, CPython {}), base = {}".format(
+    print("bytecodes (and events) per op on {} ({} ops, CPython {}), base = {}".format(
         args.workload, ops, sys.version.split()[0], args.base))
     line = "{:<22} {:>12} {:>12} {:>10}"
     print(line.format("layer", "base", "here", "delta"))
@@ -122,6 +126,7 @@ def main(argv=None):
             row(layer, was, now)
     row("measured, total", sum(base["measured"].values()), sum(here["measured"].values()))
     row("set-up, total", sum(base["setup"].values()), sum(here["setup"].values()))
+    row("events, measured", base["events"], here["events"])
     return 0
 
 
