@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact perf-pairs opcodes
+.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact perf-pairs opcodes footprint
 
 test:
 	$(PY) -m pytest -x -q
@@ -119,3 +119,14 @@ perf-pairs:
 opcodes:
 	@test -n "$(BASE)" || { echo "usage: make opcodes BASE=<git ref> [W=echo-small]" >&2; exit 2; }
 	python3 tests/tools/opcodes.py --base $(BASE) --workload $(or $(W),echo-small)
+
+# The memory counterpart of opcodes (tests/tools/footprint.py): one
+# repetition of workload W at its benchmark size on a `git archive` of BASE
+# and on this tree; VmRSS after import, set-up and the measured phase, then
+# ru_maxrss, and the tracemalloc bytes each perf/layers.py layer holds after
+# set-up and after the measured phase (sparse-idle: also per connection).
+# A table to read, not a gate. ~20 s.
+#   make footprint BASE=origin/main W=sparse-idle
+footprint:
+	@test -n "$(BASE)" || { echo "usage: make footprint BASE=<git ref> [W=echo-small]" >&2; exit 2; }
+	python3 tests/tools/footprint.py --base $(BASE) --workload $(or $(W),echo-small)

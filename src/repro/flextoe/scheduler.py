@@ -9,7 +9,9 @@ scheduler only multiplies.
 
 Uncongested flows (interval 0) bypass the time wheel and are served
 round-robin — the work-conserving fast path. Rate-limited flows are
-enqueued into time-wheel slots (EMEM hardware queues) by deadline.
+enqueued into time-wheel slots (EMEM hardware queues) by deadline. The
+wheel holds only its populated slots: a slot's queue exists from its
+first enqueue until it empties, so an idle wheel costs nothing.
 """
 
 from collections import deque
@@ -51,12 +53,9 @@ class CarouselScheduler:
         self.costs = costs
         self._flows = {}
         self._rr = deque()
-        self._wheel = [deque() for _ in range(n_slots)]
+        #: Populated slots only: slot index -> FIFO of (deadline, entry).
+        self._wheel = {}
         self._wheel_population = 0
-        #: Indices of populated wheel slots. The wheel has 4096 slots but
-        #: rarely more than a handful of queued flows; scanning the full
-        #: wheel on every idle transition dominated the profile.
-        self._wheel_nonempty = set()
         self._wake = None
         self.triggers_issued = 0
         self.rate_limited_enqueues = 0
@@ -99,8 +98,10 @@ class CarouselScheduler:
             return
         deadline = max(entry.next_deadline, self.sim.now)
         slot = (deadline // self.slot_ns) % self.n_slots
-        self._wheel[slot].append((deadline, entry))
-        self._wheel_nonempty.add(slot)
+        bucket = self._wheel.get(slot)
+        if bucket is None:
+            bucket = self._wheel[slot] = deque()
+        bucket.append((deadline, entry))
         self._wheel_population += 1
         self.rate_limited_enqueues += 1
 
@@ -119,33 +120,25 @@ class CarouselScheduler:
         n_slots = self.n_slots
         # Scan from the current slot backwards over the horizon for due
         # entries. Real hardware pops the slot queue whose deadline
-        # passed; a scan is equivalent and keeps the model simple. Only
-        # populated slots are visited, in the same backwards order the
-        # full sweep would reach them.
-        for index in sorted(self._wheel_nonempty, key=lambda s: (slot - s) % n_slots):
-            bucket = self._wheel[index]
-            if bucket:
-                deadline, entry = bucket[0]
-                if deadline <= now:
-                    bucket.popleft()
-                    self._wheel_population -= 1
-                    if not bucket:
-                        self._wheel_nonempty.discard(index)
-                    return entry
+        # passed; a scan is equivalent and keeps the model simple. The
+        # wheel holds populated slots only, visited in the same backwards
+        # order a sweep over every slot would reach them.
+        wheel = self._wheel
+        for index in sorted(wheel, key=lambda s: (slot - s) % n_slots):
+            bucket = wheel[index]
+            deadline, entry = bucket[0]
+            if deadline <= now:
+                bucket.popleft()
+                self._wheel_population -= 1
+                if not bucket:
+                    del wheel[index]
+                return entry
         return None
 
     def _next_wheel_deadline(self):
         if self._wheel_population == 0:
             return None
-        wheel = self._wheel
-        soonest = None
-        for index in self._wheel_nonempty:
-            bucket = wheel[index]
-            if bucket:
-                deadline = bucket[0][0]
-                if soonest is None or deadline < soonest:
-                    soonest = deadline
-        return soonest
+        return min(bucket[0][0] for bucket in self._wheel.values())
 
     def program(self, thread):
         """The SCH FPC program."""
