@@ -131,7 +131,7 @@ def install():
     # only the fields that start elsewhere.
     from repro.flextoe.state import CONN_SLAB
 
-    CONN_SLAB.on_free = _forget_slot
+    CONN_SLAB.on_free = unregister_row
     CONN_SLAB.on_alloc = functools.partial(_check_zeroed, CONN_SLAB)
 
     for cls, check in checks:
@@ -188,8 +188,17 @@ def uninstall():
     del _OWNER_STACK[:]
 
 
-def _forget_slot(slot):
-    for cls in list(_original_setattrs):
+def register_row(slot, flow_group):
+    """Declare the connection row at ``slot`` owned by ``flow_group``
+    (at install): its three partitions, whichever views touch them."""
+    for cls in _original_setattrs:
+        _REGISTRY[(cls, slot)] = flow_group
+
+
+def unregister_row(slot):
+    """Drop the row's registrations (at teardown, and when its slot is
+    freed: the next tenant must not inherit the old ownership)."""
+    for cls in _original_setattrs:
         _REGISTRY.pop((cls, slot), None)
 
 

@@ -523,7 +523,7 @@ class ControlPlane:
 
     def _teardown_entry(self, entry, reason):
         """Remove directory + NIC state and surface a typed error."""
-        self._forget_entry(entry)
+        self.withdraw(entry.index)
         post = entry.record.post
         pair = self.nic.context_pair(post.context_id)
         if pair is not None:
@@ -699,13 +699,13 @@ class ControlPlane:
             rx_buffer=rx_buffer.as_triple(),
             tx_buffer=tx_buffer.as_triple(),
         )
-        record = self.nic.offload_connection(remote_win=pending.remote_win << WINDOW_SCALE, **offload)
+        self.nic.offload_connection(remote_win=pending.remote_win << WINDOW_SCALE, **offload)
         flow = self.cc.new_flow()
         if self.policy.rate_limit_bps is not None:
             flow.rate_bps = min(flow.rate_bps, self.policy.rate_limit_bps)
         # A new flow's first congestion-control poll creates its
         # algorithm state; its timers are at rest until data moves.
-        self._arm_cc(self.directory.add(index, record, flow, snd_iss))
+        self._arm_cc(self.directory.add(index, self.nic.connection(index), flow, snd_iss))
         self._program_rate(index, flow)
         if self.recovery is not None:
             self.recovery.track(**offload)
@@ -771,11 +771,13 @@ class ControlPlane:
         directory = self.directory
         return bool(self.pending or directory.timer_armed or directory.cc_armed)
 
-    def _forget_entry(self, entry):
-        self.directory.remove(entry.index)
-        self.nic.remove_connection(entry.index)
+    def withdraw(self, index):
+        """The one teardown of an offloaded connection: its directory
+        entry (if any), its data-path row and its recovery shadow."""
+        self.directory.remove(index)
+        self.nic.remove_connection(index)
         if self.recovery is not None:
-            self.recovery.forget(entry.index)
+            self.recovery.forget(index)
 
     def _poll_timers(self, now):
         config = self.config
@@ -865,7 +867,7 @@ class ControlPlane:
                 )
                 lingered = now - entry.close_requested_at > LINGER_NS
                 if done or lingered:
-                    self._forget_entry(entry)
+                    self.withdraw(entry.index)
 
     # -- congestion control ---------------------------------------------------
 

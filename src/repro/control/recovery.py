@@ -50,7 +50,7 @@ from repro.flextoe.descriptors import (
     NOTIFY_TX_ACKED,
     HostControlDescriptor,
 )
-from repro.flextoe.slab import FLAG, INT, OBJ, Slab, SlabView, attach_fields
+from repro.flextoe.slab import FLAG, INT, OBJ, Slab, SlabView, SlotTable, attach_fields
 from repro.flextoe.state import ProtoInstall
 from repro.nfp.cam import pack_four_tuple
 from repro.proto import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, make_tcp_frame
@@ -69,12 +69,14 @@ class ConnShadow(SlabView):
     crash-consistent); ``nic_snapshot`` holds the latest periodic NIC
     state DMA (hints only, staleness bounded by the snapshot interval).
 
-    Shadows live in their own host-memory slab (one slot per tracked
+    Shadows live in their own host-memory slab (one row per tracked
     connection — this is exactly the memory a crash must not take down),
     and carry everything re-offload needs: identity, initial sequence
     numbers, queue-derived counters, and the host buffer geometry. A
     shadow is therefore self-sufficient — the manager can reinstall a
     connection from its shadow alone, without the (dead) old record.
+    Tracking writes the row; this view exists only once the connection's
+    queue traffic (or a test) touches it.
     """
 
     __slots__ = ()
@@ -108,12 +110,6 @@ class ConnShadow(SlabView):
         "peer_fin_seen",
         "nic_snapshot",
     )
-
-    def __init__(self, index, four_tuple, peer_mac, local_mac, snd_iss, rcv_irs, context_id, opaque, rx_buffer, tx_buffer):
-        self._bind()
-        _write_shadow(
-            self._i, index, *four_tuple, context_id, snd_iss, rcv_irs, peer_mac, local_mac, opaque, *rx_buffer, *tx_buffer
-        )
 
     @property
     def four_tuple(self):
@@ -154,6 +150,14 @@ SHADOW_SLAB = Slab(
 
 attach_fields(ConnShadow, SHADOW_SLAB)
 _write_shadow = SHADOW_SLAB.row_writer(ConnShadow.INSTALL_FIELDS)
+_write_nic_snapshot = SHADOW_SLAB.row_writer(("nic_snapshot",))
+
+
+def write_shadow(index, four_tuple, peer_mac, local_mac, snd_iss, rcv_irs, context_id, opaque, rx_buffer, tx_buffer):
+    """A tracked connection's shadow, as one row write; returns the slot."""
+    slot = SHADOW_SLAB.alloc()
+    _write_shadow(slot, index, *four_tuple, context_id, snd_iss, rcv_irs, peer_mac, local_mac, opaque, *rx_buffer, *tx_buffer)
+    return slot
 
 
 def reconstruct_protocol_state(shadow):
@@ -277,8 +281,8 @@ class RecoveryManager:
         self.sim = plane.sim
         self.nic = plane.nic
         self.config = plane.config
-        self.shadows = {}  # conn_index -> ConnShadow
-        # pack_four_tuple(four_tuple) -> ConnShadow, built lazily on the
+        self.shadows = SlotTable(ConnShadow)  # conn_index -> shadow row
+        # pack_four_tuple(four_tuple) -> conn_index, built lazily on the
         # first tuple lookup (the slow-path shim during an outage) and
         # maintained incrementally afterwards. Steady-state tracking —
         # including million-connection adopts — pays nothing for it.
@@ -303,16 +307,16 @@ class RecoveryManager:
         """Start shadowing a freshly established connection: one shadow
         row, written from the values it was offloaded with (the leading
         parameters of ``FlexToeNic.offload_connection``, in its order)."""
-        shadow = ConnShadow(index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
-        self.shadows[index] = shadow
+        self.shadows.put(
+            index, write_shadow(index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
+        )
         if self._by_tuple is not None:
-            self._by_tuple[pack_four_tuple(four_tuple)] = shadow
+            self._by_tuple[pack_four_tuple(four_tuple)] = index
         if context_id not in self._tapped_contexts:
             pair = self.nic.context_pair(context_id)
             if pair is not None:
                 pair.add_tap(self._on_pair_event)
                 self._tapped_contexts.add(context_id)
-        return shadow
 
     def adopt_offloaded(
         self,
@@ -333,27 +337,30 @@ class RecoveryManager:
         fully offloaded (lookup, scheduler admission, crash recovery via
         the shadow-only re-offload pass) but skip the per-tick timer and
         congestion scans, whose cost is proportional to directory size.
-        Two row writes and no partition view. Returns ``(index, record)``.
+        Two row writes, two table puts and no object. Returns the index.
         """
-        index = self.nic.allocate_connection_index()
-        record = self.nic.offload_connection(
-            index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer
+        index = self.nic.offload_connection(
+            self.nic.allocate_connection_index(),
+            four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer,
         )
         self.track(index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
-        return index, record
+        return index
 
     def forget(self, index):
-        shadow = self.shadows.pop(index, None)
-        if shadow is not None and self._by_tuple is not None:
-            self._by_tuple.pop(pack_four_tuple(shadow.four_tuple), None)
+        if self._by_tuple is not None:
+            shadow = self.shadows.get(index)
+            if shadow is not None:
+                self._by_tuple.pop(pack_four_tuple(shadow.four_tuple), None)
+        self.shadows.remove(index)
 
     def shadow_for_tuple(self, four_tuple):
         if self._by_tuple is None:
             self._by_tuple = {
-                pack_four_tuple(shadow.four_tuple): shadow
-                for shadow in self.shadows.values()
+                pack_four_tuple(ConnShadow.view(slot).four_tuple): index
+                for index, slot in self.shadows.items()
             }
-        return self._by_tuple.get(pack_four_tuple(four_tuple))
+        index = self._by_tuple.get(pack_four_tuple(four_tuple))
+        return None if index is None else self.shadows.get(index)
 
     def _on_pair_event(self, kind, item):
         shadow = self.shadows.get(item.conn_index)
@@ -377,9 +384,9 @@ class RecoveryManager:
                 shadow.peer_fin_seen = True
 
     def _write_snapshot(self, index, snapshot):
-        shadow = self.shadows.get(index)
-        if shadow is not None:
-            shadow.nic_snapshot = snapshot
+        slot = self.shadows.slot(index)
+        if slot >= 0:
+            _write_nic_snapshot(slot, snapshot)
 
     # -- watchdog ------------------------------------------------------------
 
@@ -433,8 +440,6 @@ class RecoveryManager:
         read, and the re-offload nothing may yield — a context-queue
         event in between would double-count into the rebuilt state.
         """
-        from repro.analysis import sanitizer
-
         # Stale outbound HC descriptors died with the chip: anything
         # still queued is already folded into the shadow (taps fire at
         # post time), so the new datapath must never fetch it.
@@ -446,13 +451,8 @@ class RecoveryManager:
             shadow = self.shadows.get(entry.index)
             if shadow is None:
                 continue
-            old = entry.record
-            if sanitizer.enabled():
-                sanitizer.unregister(old.pre)
-                sanitizer.unregister(old.proto)
-                sanitizer.unregister(old.post)
-            record, proto = self._reoffload(shadow)
-            entry.record = record
+            proto = self._reoffload(shadow)
+            entry.record = record = self.nic.connection(entry.index)
             entry.last_snd_una = None
             entry.stalled_since = None
             entry.reset_backoff()
@@ -465,18 +465,18 @@ class RecoveryManager:
             self.plane.announce_window(record)
         # Shadow-only connections (bulk adoptions with no directory
         # entry — the control plane's timers never service them, but
-        # their data-path state must survive a crash all the same).
-        for index in sorted(self.shadows):
+        # their data-path state must survive a crash all the same),
+        # read through a passing view: recovery makes no object of them.
+        for index, slot in self.shadows.items():
             if index not in reinstalled:
-                _record, proto = self._reoffload(self.shadows[index])
-                self._kick(index, proto)
+                self._kick(index, self._reoffload(ConnShadow.view(slot)))
 
     def _reoffload(self, shadow):
         """Reinstall one connection from its shadow alone — the shadow is
         self-sufficient, the old record died with the chip. Returns the
-        new record and the protocol fields it was installed with."""
+        protocol fields it was installed with."""
         proto = reconstruct_protocol_state(shadow)
-        record = self.nic.offload_connection(
+        self.nic.offload_connection(
             index=shadow.index,
             four_tuple=shadow.four_tuple,
             peer_mac=shadow.peer_mac,
@@ -490,7 +490,7 @@ class RecoveryManager:
             proto=proto,
         )
         self.reoffloaded_connections += 1
-        return record, proto
+        return proto
 
     def _kick(self, index, proto):
         """Ring the new doorbell so ATX re-drains a context that still

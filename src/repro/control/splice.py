@@ -70,11 +70,9 @@ class SpliceManager:
         key_ba = self._incoming_key(record_b)
         self.table.update(key_ab, entry_ab.pack())
         self.table.update(key_ba, entry_ba.pack())
-        # The host is out of the loop: withdraw data-path state and
-        # control-plane tracking for both connections.
+        # The host is out of the loop: withdraw both connections.
         for index in (index_a, index_b):
-            self.control_plane.directory.remove(index)
-            nic.remove_connection(index)
+            self.control_plane.withdraw(index)
         self.active[frozenset((index_a, index_b))] = (key_ab, key_ba)
         return key_ab, key_ba
 

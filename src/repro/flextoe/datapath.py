@@ -25,7 +25,7 @@ from repro.flextoe.scheduler import CarouselScheduler
 from repro.flextoe.seqr import KeyedFence, ReorderBuffer, Sequencer
 from repro.flextoe.stages import CtxStage, DmaStage, NbiStage, PostStage, PreStage, ProtocolStage
 from repro.flextoe.statecache import EmemStateCache, StateCache
-from repro.flextoe.state import ConnectionTable, HeartbeatBoard
+from repro.flextoe.state import ConnectionTable, HeartbeatBoard, proto_hints
 from repro.flextoe.tracing import TracepointRegistry
 from repro.proto.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.proto.ip import ECN_ECT0, ECN_NOT_ECT, IPPROTO_TCP, Ipv4Header
@@ -219,15 +219,17 @@ class FlexToeDatapath:
         (``remote_win``, timestamp echo state)."""
 
         def snapshot_loop():
+            table = self.conn_table
             while True:
                 yield self.sim.timeout(interval_ns)
-                records = self.conn_table.records()
-                if not records:
+                installed = len(table)
+                if not installed:
                     continue
-                yield self.dma.issue(0, 16 * len(records))
-                for record in records:
-                    proto = record.proto
-                    writer(record.index, {"remote_win": proto.remote_win, "next_ts": proto.next_ts})
+                rows = table.items()
+                yield self.dma.issue(0, 16 * installed)
+                for index, slot in rows:
+                    if table.slot(index) == slot:  # not torn down during the DMA
+                        writer(index, proto_hints(slot))
 
         process = self.sim.process(self._killable(snapshot_loop()), name="state-snapshot")
         self.processes.append(process)
@@ -430,26 +432,23 @@ class FlexToeDatapath:
         self.pcie.ring("hc")
         return True
 
-    def install_connection(self, record, four_tuple, crc):
-        """Publish an installed row: ``crc`` is the four-tuple's CRC-32,
-        which the caller already computed to pick the flow group."""
-        self.conn_table.install(record)
-        self.lookup_engine.insert(four_tuple, record.index, crc)
+    def install_connection(self, index, slot, four_tuple, crc, flow_group):
+        """Publish the row written at ``slot`` as connection ``index``:
+        ``crc`` is the four-tuple's CRC-32, which the caller already
+        computed to pick ``flow_group``."""
+        self.conn_table.put(index, slot)
+        self.lookup_engine.insert(four_tuple, index, crc)
         if sanitizer.enabled():
-            group = record.pre.flow_group
-            sanitizer.register(record.pre, group)
-            sanitizer.register(record.proto, group)
-            sanitizer.register(record.post, group)
+            sanitizer.register_row(slot, flow_group)
 
     def remove_connection(self, index):
-        record = self.conn_table.remove(index)
+        record = self.conn_table.get(index)
         if record is not None:
+            self.conn_table.remove(index)
             self.lookup_engine.remove(record.four_tuple)
             self.scheduler.remove_flow(index)
             if sanitizer.enabled():
-                sanitizer.unregister(record.pre)
-                sanitizer.unregister(record.proto)
-                sanitizer.unregister(record.post)
+                sanitizer.unregister_row(record.slab_slot)
         for stage in self.protocol_stages:
             stage.state_cache.invalidate(index)
         for stage in self.post_stages:

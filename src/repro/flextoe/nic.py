@@ -12,7 +12,7 @@
 from repro.flextoe.config import PipelineConfig
 from repro.flextoe.datapath import FlexToeDatapath
 from repro.flextoe.scheduler import rate_to_interval_q8
-from repro.flextoe.state import ConnectionRecord, ProtoInstall
+from repro.flextoe.state import ProtoInstall, install_row
 from repro.nfp import Nfp4000
 from repro.nfp.cam import crc32_tuple
 from repro.sim import Store
@@ -137,28 +137,28 @@ class FlexToeNic:
         from the host hugepage pool. ``proto`` carries a recovered
         connection's protocol fields (a ``ProtoInstall`` reconstructed
         from its shadow) in place of the fresh post-handshake ones
-        ``iss``/``irs``/``remote_win`` describe. Returns the
-        ConnectionRecord, whose construction is the one row write.
+        ``iss``/``irs``/``remote_win`` describe. The install is one row
+        write and no object; returns ``index`` (``connection(index)`` is
+        the record, made when first asked for).
         """
         crc = crc32_tuple(*four_tuple)
         config = self.config
-        record = ConnectionRecord(
-            index,
+        flow_group = config.flow_group_of(four_tuple, crc)
+        slot = install_row(
             four_tuple,
             local_mac,
-            local_ip=four_tuple[0],
-            peer_mac=peer_mac,
-            flow_group=config.flow_group_of(four_tuple, crc),
-            proto=proto or ProtoInstall(iss, irs, rx_buffer[2], remote_win),
-            context_id=context_id,
-            opaque=opaque,
-            rx_buffer=rx_buffer,
-            tx_buffer=tx_buffer,
-            use_timestamps=config.use_timestamps,
-            use_ecn=config.use_ecn,
+            peer_mac,
+            flow_group,
+            proto or ProtoInstall(iss, irs, rx_buffer[2], remote_win),
+            context_id,
+            opaque,
+            rx_buffer,
+            tx_buffer,
+            config.use_timestamps,
+            config.use_ecn,
         )
-        self.datapath.install_connection(record, four_tuple, crc)
-        return record
+        self.datapath.install_connection(index, slot, four_tuple, crc, flow_group)
+        return index
 
     def allocate_connection_index(self):
         return self.datapath.conn_table.allocate_index()

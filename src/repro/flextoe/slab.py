@@ -63,13 +63,23 @@ instrumentation keeps working unchanged, and
 ``cls.__setattr__ is object.__setattr__`` stays true when it is not
 installed.
 
-Ownership: a view constructed normally allocates its own slot and frees
-it when garbage collected; :meth:`SlabView.view` binds a borrowing view
-onto an existing slot (the three partitions of one
-:class:`~repro.flextoe.state.ConnectionRecord` share the record's
-slot). Slot reclamation rides CPython's deterministic refcounting, so
-slab allocation order — and therefore every simulation that touches it —
-stays reproducible.
+Ownership
+---------
+
+A row is written by a row writer into a slot :meth:`Slab.alloc` handed
+out, and entered into a :class:`SlotTable` (the data path's connection
+table, the recovery manager's shadow map). The table owns the slot; a
+quiescent entry is its slab row plus eight bytes of table, and no object.
+The first :meth:`SlotTable.get` of an index makes its view
+(:meth:`SlabView.claim`), and from then on the *view* owns the slot: the
+table drops it at :meth:`SlotTable.remove`, and an in-flight work still
+holding it keeps the slot from being re-let until the view is collected.
+A row nobody touched is freed by ``remove``, or by the table's finalizer
+when a whole table is dropped (a crashed chip, a discarded testbed).
+:meth:`SlabView.view` binds a borrowing view that owns nothing (the three
+partitions of one :class:`~repro.flextoe.state.ConnectionRecord` share
+the record's slot). Reclamation rides CPython's deterministic
+refcounting; no simulated quantity reads a slot number.
 """
 
 from array import array
@@ -236,6 +246,11 @@ class Slab:
         signature = "write({})".format(", ".join(["slot"] + values))
         return self._compile(signature, "slot", _STORE, list(zip(names, values)))
 
+    def reader(self, field_name):
+        """Compile ``read(slot)``: the field's property getter, without a
+        view to call it on."""
+        return self._compile("read(slot)", "slot", _LOAD, [(field_name, None)])
+
     def _grow(self, count):
         for column in self.columns.values():
             if isinstance(column, list):
@@ -325,6 +340,15 @@ class SlabView:
         self._own = False
         return self
 
+    @classmethod
+    def claim(cls, index, slot):
+        """The view a :class:`SlotTable` makes of ``index``'s row on its
+        first touch: it owns ``slot`` and frees it when collected."""
+        self = cls.__new__(cls)
+        self._i = slot
+        self._own = True
+        return self
+
     @property
     def slab_slot(self):
         return self._i
@@ -333,6 +357,86 @@ class SlabView:
         try:
             if self._own:
                 type(self).SLAB.free(self._i)
+        except Exception:  # pragma: no cover - interpreter shutdown
+            pass
+
+
+#: One free table entry, as the bytes of ``array('q')``.
+_NO_ROW = array("q", [-1]).tobytes()
+
+
+class SlotTable:
+    """Dense index -> slab slot; a view object only for an index something
+    has touched (the module docstring's "Ownership").
+
+    ``view_class`` is the :class:`SlabView` subclass whose
+    :meth:`~SlabView.claim` makes an index's view, over its ``SLAB``.
+    """
+
+    __slots__ = ("view_class", "_rows", "_views")
+
+    def __init__(self, view_class):
+        self.view_class = view_class
+        self._rows = array("q")  # index -> slot, -1 = no row
+        self._views = {}  # index -> the view that owns its slot
+
+    def put(self, index, slot):
+        """Enter the row written at ``slot`` as ``index``'s. The table
+        owns the slot from here, and frees it if ``index`` is taken."""
+        rows = self._rows
+        length = len(rows)
+        if index < length:
+            if rows[index] >= 0:
+                self.view_class.SLAB.free(slot)
+                raise ValueError("index {} already holds a row".format(index))
+            rows[index] = slot
+            return
+        if index > length:
+            rows.frombytes(_NO_ROW * (index - length))
+        rows.append(slot)
+
+    def slot(self, index):
+        """``index``'s slab slot, or -1."""
+        rows = self._rows
+        return rows[index] if 0 <= index < len(rows) else -1
+
+    def get(self, index):
+        """``index``'s view, made on its first touch, or None."""
+        view = self._views.get(index)
+        if view is None:
+            slot = self.slot(index)
+            if slot >= 0:
+                view = self._views[index] = self.view_class.claim(index, slot)
+        return view
+
+    def remove(self, index):
+        """Drop ``index``'s row: its slot is freed now if nothing touched
+        it, else with its view. Returns that view, or None."""
+        slot = self.slot(index)
+        if slot < 0:
+            return None
+        self._rows[index] = -1
+        view = self._views.pop(index, None)
+        if view is None:
+            self.view_class.SLAB.free(slot)
+        return view
+
+    def items(self):
+        """``(index, slot)`` of every row, in ascending index order, as
+        the table stands now: the iterator reads a copy (eight bytes an
+        index), not what a later put or remove makes of it."""
+        return ((index, slot) for index, slot in enumerate(self._rows[:]) if slot >= 0)
+
+    def __len__(self):
+        return len(self._rows) - self._rows.count(-1)
+
+    def __del__(self):
+        # Rows nobody touched go with the table; the rest with their views.
+        try:
+            free, views = self.view_class.SLAB.free, self._views
+            for index, slot in self.items():
+                if index not in views:
+                    free(slot)
         except Exception:  # pragma: no cover - interpreter shutdown
             pass
 

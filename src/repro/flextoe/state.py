@@ -24,7 +24,7 @@ to charge the engine's issue latency in the simulator.
 
 from collections import namedtuple
 
-from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, Slab, SlabView, attach_fields
+from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, Slab, SlabView, SlotTable, attach_fields
 from repro.nfp.memory import LAT_ATOMIC_ADD
 from repro.proto.tcp import seq_add
 
@@ -253,51 +253,25 @@ TOTAL_STATE_BYTES = PreprocState.SIZE_BYTES + ProtocolState.SIZE_BYTES + Postpro
 class ConnectionRecord(SlabView):
     """One offloaded connection: the three partitions plus identity.
 
-    The record owns one shared slab slot; ``pre``/``proto``/``post`` are
-    borrowing views of the same slot, so the whole connection — identity
-    included — is a single row across the slab's columns, and
-    constructing the record *is* its install: one row write of every
-    field that does not start at zero (``_write_install``), the same for
-    a fresh, an adopted and a recovered connection.
+    A connection is one row across the slab's columns, written by
+    :func:`install_row`; the record is the view the connection table
+    makes of it the first time something touches the connection
+    (:meth:`ConnectionTable.get`), and owns the row from then on.
+    ``pre``/``proto``/``post`` are borrowing views of the same slot.
     """
 
     __slots__ = ("index", "_pre", "_proto", "_post")
     SLAB_FIELDS = ("local_mac", "local_ip", "active")
 
-    def __init__(
-        self,
-        index,
-        four_tuple,
-        local_mac,
-        local_ip,
-        peer_mac=None,
-        flow_group=0,
-        proto=ProtoInstall(),
-        context_id=0,
-        opaque=None,
-        rx_buffer=(None, 0, 0),
-        tx_buffer=(None, 0, 0),
-        use_timestamps=True,
-        use_ecn=True,
-    ):
-        local_tuple_ip, remote_ip, local_port, remote_port = four_tuple
-        if local_tuple_ip != local_ip:
-            raise ValueError("four_tuple local ip does not match local_ip")
-        rx_region, rx_base, rx_size = rx_buffer
-        tx_region, tx_base, tx_size = tx_buffer
-        self._bind()
+    @classmethod
+    def claim(cls, index, slot):
+        self = super().claim(index, slot)
         self.index = index
-        # The partition views are lazy and cached: a connection the data
-        # path processes materializes them once and keeps them; one that
-        # is installed quiescent never does, and costs slab bytes only.
+        # Lazy and cached: a record the data path processes makes each
+        # partition view once; one touched only by the control plane
+        # makes only what it reads.
         self._pre = self._proto = self._post = None
-        _write_install(
-            self._i, local_mac, local_ip, True,
-            peer_mac, remote_ip, local_port, remote_port, flow_group,
-            *proto,
-            opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region,
-            use_timestamps, use_ecn,
-        )
+        return self
 
     @property
     def pre(self):
@@ -382,68 +356,85 @@ _write_install = CONN_SLAB.row_writer(
 )
 
 
-class ConnectionTable:
+def install_row(
+    four_tuple,
+    local_mac,
+    peer_mac=None,
+    flow_group=0,
+    proto=ProtoInstall(),
+    context_id=0,
+    opaque=None,
+    rx_buffer=(None, 0, 0),
+    tx_buffer=(None, 0, 0),
+    use_timestamps=True,
+    use_ecn=True,
+):
+    """A connection's install: one row write of every field that does not
+    start at zero, the same for a fresh, an adopted and a recovered
+    connection. Returns the slot, for :meth:`ConnectionTable.put`."""
+    local_ip, remote_ip, local_port, remote_port = four_tuple
+    rx_region, rx_base, rx_size = rx_buffer
+    tx_region, tx_base, tx_size = tx_buffer
+    slot = CONN_SLAB.alloc()
+    _write_install(
+        slot, local_mac, local_ip, True,
+        peer_mac, remote_ip, local_port, remote_port, flow_group,
+        *proto,
+        opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region,
+        use_timestamps, use_ecn,
+    )
+    return slot
+
+
+_read_remote_win = CONN_SLAB.reader("remote_win")
+_read_next_ts = CONN_SLAB.reader("next_ts")
+
+
+def proto_hints(slot):
+    """What the periodic NIC->host state DMA copies of the row at ``slot``."""
+    return {"remote_win": _read_remote_win(slot), "next_ts": _read_next_ts(slot)}
+
+
+class ConnectionTable(SlotTable):
     """The data-path connection table, indexed by connection id.
 
-    The control plane installs records at connection setup (paper §3.4)
-    and removes them at teardown. Indices are allocated to minimize
+    The control plane installs rows at connection setup (paper §3.4) and
+    removes them at teardown. Indices are allocated to minimize
     collisions in the direct-mapped CLS cache (paper §4.1) — a simple
-    ascending allocator achieves that layout — so the table is a dense
-    list: one machine word per installed connection.
+    ascending allocator achieves that layout — so the table is dense:
+    eight bytes per index, and a :class:`ConnectionRecord` only for a
+    connection something has touched.
     """
 
+    __slots__ = ("capacity", "_free_indices", "_next_index")
+
     def __init__(self, capacity=1 << 20):
+        super().__init__(ConnectionRecord)
         self.capacity = capacity
-        self._records = []  # index -> record (None = free slot)
         self._free_indices = []
         self._next_index = 0
-        self._live = 0
-
-    def install(self, record):
-        index = record.index
-        if index < len(self._records) and self._records[index] is not None:
-            raise ValueError("connection index {} already installed".format(index))
-        if index >= len(self._records):
-            self._records.extend([None] * (index + 1 - len(self._records)))
-        self._records[index] = record
-        self._live += 1
-        # Keep the allocator ahead of externally chosen indices so a
-        # table rebuilt during crash recovery (records re-installed with
-        # their pre-crash indices) never re-allocates a live index.
-        if index >= self._next_index:
-            self._next_index = index + 1
-
-    def records(self):
-        """Installed records in index order (deterministic iteration)."""
-        return [record for record in self._records if record is not None]
 
     def allocate_index(self):
         if self._free_indices:
             return self._free_indices.pop()
-        if self._next_index >= self.capacity:
-            raise MemoryError("connection table full")
+        # Past every index ever put, too: a table rebuilt during crash
+        # recovery (rows re-installed at their pre-crash indices) never
+        # re-allocates a live index.
         index = self._next_index
-        self._next_index += 1
+        if index < len(self._rows):
+            index = len(self._rows)
+        if index >= self.capacity:
+            raise MemoryError("connection table full")
+        self._next_index = index + 1
         return index
 
     def remove(self, index):
-        record = None
-        if 0 <= index < len(self._records):
-            record = self._records[index]
-            self._records[index] = None
+        """Drop ``index``'s row and recycle the index. A record something
+        still holds reads ``active == False`` and keeps its slot."""
+        if self.slot(index) < 0:
+            return None
+        record = super().remove(index)
         if record is not None:
             record.active = False
-            self._live -= 1
-            self._free_indices.append(index)
+        self._free_indices.append(index)
         return record
-
-    def get(self, index):
-        if 0 <= index < len(self._records):
-            return self._records[index]
-        return None
-
-    def __len__(self):
-        return self._live
-
-    def __iter__(self):
-        return iter(self.records())

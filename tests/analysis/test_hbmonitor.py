@@ -223,12 +223,12 @@ def test_violation_message_explains_itself(sanitized):
     # installed) and what the book expected instead.
     _bed, server, _client = _testbed_host(sanitized)
     nic = server.nic
-    record = nic.offload_connection(
+    record = nic.connection(nic.offload_connection(
         index=nic.allocate_connection_index(),
         four_tuple=(server.ip, 0x0A000063, 7000, 6000),
         peer_mac=0xBB, local_mac=server.mac, iss=1, irs=1,
         context_id=1, opaque="sock-9", rx_buffer=(None, 0, 4096), tx_buffer=(None, 0, 4096),
-    )
+    ))
     monitor = nic.datapath.hb_monitor
     first, second, third = _work(), _work(), _work()
     for work in (first, second, third):

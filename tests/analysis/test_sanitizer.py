@@ -192,15 +192,12 @@ def test_uninstall_restores_all_partition_classes(sanitized):
 
 
 def _installed_record(index=0, flow_group=2):
-    from repro.flextoe.state import ConnectionRecord
+    """A row installed as the data path installs one, and its record."""
+    from repro.flextoe.state import ConnectionRecord, install_row
 
-    record = ConnectionRecord(
-        index, ("10.0.0.1", "10.0.0.2", 1000, 2000), b"\x01" * 6, "10.0.0.1"
-    )
-    sanitizer.register(record.pre, flow_group)
-    sanitizer.register(record.proto, flow_group)
-    sanitizer.register(record.post, flow_group)
-    return record
+    slot = install_row(("10.0.0.1", "10.0.0.2", 1000, 2000), b"\x01" * 6)
+    sanitizer.register_row(slot, flow_group)
+    return ConnectionRecord.claim(index, slot)
 
 
 def test_guard_is_keyed_by_slot_not_by_view(sanitized):
@@ -264,7 +261,7 @@ def test_slot_recycling_does_not_inherit_stale_ownership(sanitized):
     # A record abandoned without explicit unregister (a dropped testbed)
     # frees its slab slot; the next connection recycling that slot must
     # start unguarded, not inherit the dead connection's registration.
-    from repro.flextoe.state import ConnectionRecord
+    from repro.flextoe.state import ConnectionRecord, install_row
 
     # An earlier test's record held in a reference cycle (a caught
     # traceback's frames), collected between the del and the alloc below,
@@ -273,9 +270,7 @@ def test_slot_recycling_does_not_inherit_stale_ownership(sanitized):
     record = _installed_record(index=3, flow_group=3)
     slot = record.slab_slot
     del record  # refcount drop frees the slot, no unregister call
-    fresh = ConnectionRecord(
-        4, ("10.0.0.1", "10.0.0.9", 1, 2), b"\x01" * 6, "10.0.0.1"
-    )
+    fresh = ConnectionRecord.claim(4, install_row(("10.0.0.1", "10.0.0.9", 1, 2), b"\x01" * 6))
     assert fresh.slab_slot == slot  # LIFO free list recycles
     fresh.pre.peer_mac = b"\x09" * 6  # would raise "immutable" if stale
 

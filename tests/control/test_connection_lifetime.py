@@ -39,7 +39,7 @@ def _owned_equals_installed(server, owned):
     """Accepted sockets == directory entries == conn_table rows."""
     plane = server.control_plane
     assert len(plane.directory) == len(plane.directory.by_tuple) == owned
-    assert len(server.nic.datapath.conn_table.records()) == owned
+    assert len(server.nic.datapath.conn_table) == owned
 
 
 def test_lost_syn_ack_establishes_the_connection_once():

@@ -234,7 +234,7 @@ def test_recovery_at_scale_reoffloads_every_shadow():
     adopted = {}
     for i in range(n_bulk):
         four = (server.ip, (11 << 24) + i, 9, 40000)
-        index, record = recovery.adopt_offloaded(
+        index = recovery.adopt_offloaded(
             four_tuple=four,
             peer_mac=0x020000000099,
             local_mac=server.mac,
@@ -245,36 +245,23 @@ def test_recovery_at_scale_reoffloads_every_shadow():
             rx_buffer=(region, 0, 2048),
             tx_buffer=(region, 2048, 2048),
         )
-        assert record.four_tuple == four
+        assert server.nic.datapath.lookup_engine.lookup(four)[:2] == (True, index)
         adopted[index] = four
     gc.collect()
     assert SHADOW_SLAB.stats()["live"] - shadow_live_before == n_bulk
     assert len(recovery.shadows) == n_bulk + 1  # bulk + the active pair
 
     sample = sorted(adopted)[:: n_bulk // 4][:4]
-    expected = {
-        index: (
-            recovery.shadows[index].four_tuple,
-            recovery.shadows[index].snd_iss,
-            recovery.shadows[index].rcv_irs,
-            recovery.shadows[index].context_id,
-            recovery.shadows[index].peer_mac,
-        )
-        for index in sample
-    }
+    def identity(shadow):
+        return (shadow.four_tuple, shadow.snd_iss, shadow.rcv_irs, shadow.context_id, shadow.peer_mac)
+
+    expected = {index: identity(recovery.shadows.get(index)) for index in sample}
 
     server.nic.crash()
     # The shadow slab is host memory: a dead data path cannot touch it.
     assert len(recovery.shadows) == n_bulk + 1
     for index in sample:
-        shadow = recovery.shadows[index]
-        assert (
-            shadow.four_tuple,
-            shadow.snd_iss,
-            shadow.rcv_irs,
-            shadow.context_id,
-            shadow.peer_mac,
-        ) == expected[index]
+        assert identity(recovery.shadows.get(index)) == expected[index]
 
     bed.sim.run(until=bed.sim.now + 50_000_000)
 
@@ -290,10 +277,47 @@ def test_recovery_at_scale_reoffloads_every_shadow():
         assert found and looked_up == index
         # Quiescent connections re-offload at their shadow's sequence
         # state: nothing sent, nothing received beyond the handshake.
-        assert record.proto.seq == recovery.shadows[index].snd_una
-        assert record.proto.ack == recovery.shadows[index].rcv_nxt
+        assert record.proto.seq == recovery.shadows.get(index).snd_una
+        assert record.proto.ack == recovery.shadows.get(index).rcv_nxt
     # The NIC-side table was rebuilt, not leaked: one record per shadow.
     assert len(server.nic.datapath.conn_table) == n_bulk + 1
+
+
+def test_state_snapshots_make_no_object_of_a_quiescent_connection():
+    """The periodic NIC->host state DMA reads the connection rows and
+    writes the shadow rows: 1 000 adopted connections stay slab rows
+    through two snapshots, and every shadow still gets its hints."""
+    import gc
+
+    from repro.control.recovery import ConnShadow
+    from repro.flextoe.state import ConnectionRecord
+
+    bed, server, client = build()
+    interval = server.control_plane.config.snapshot_interval_ns
+    assert interval  # the default config snapshots
+    recovery = server.control_plane.recovery
+    server.nic.register_context(500, capacity=4)
+    region = server.machine.memory.alloc(4096)
+    adopted = [
+        recovery.adopt_offloaded(
+            (server.ip, (11 << 24) + i, 9, 40000), client.mac, server.mac, 1, 1, 500, None,
+            (region, 0, 2048), (region, 2048, 2048),
+        )
+        for i in range(1000)
+    ]
+    bed.sim.run(until=bed.sim.now + 2 * interval + 1)
+    records = {server.nic.datapath.conn_table.slot(index) for index in adopted}
+    shadows = {recovery.shadows.slot(index) for index in adopted}
+    gc.collect()
+    # A record or shadow made of one of these rows owns its slot.
+    made = [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, (ConnectionRecord, ConnShadow)) and obj._own
+        and obj.slab_slot in (records if isinstance(obj, ConnectionRecord) else shadows)
+    ]
+    assert made == []
+    hints = [ConnShadow.view(recovery.shadows.slot(index)).nic_snapshot for index in adopted]
+    assert hints == [{"remote_win": 0xFFFF, "next_ts": 0}] * 1000
 
 
 #: Crash offset past a watchdog sample -> ``last_detect_ns - crash_ns``.

@@ -133,7 +133,7 @@ def _buffers():
 def offload(nic, index=None, port=5000):
     index = index if index is not None else nic.allocate_connection_index()
     rx, tx = _buffers()
-    return nic.offload_connection(
+    nic.offload_connection(
         index=index,
         four_tuple=(0x0A000001, 0x0A000002, port, 6000),
         peer_mac=0xBB,
@@ -145,6 +145,7 @@ def offload(nic, index=None, port=5000):
         rx_buffer=rx,
         tx_buffer=tx,
     )
+    return nic.connection(index)
 
 
 def test_offload_installs_lookup_and_state():

@@ -57,7 +57,7 @@ def offload(nic, port, opaque):
     pool = HugepagePool(n_pages=1)
     rx = CircularBuffer(pool.alloc(4096))
     tx = CircularBuffer(pool.alloc(4096))
-    record = nic.offload_connection(
+    index = nic.offload_connection(
         index=nic.allocate_connection_index(),
         four_tuple=(LOCAL_IP, PEER_IP, port, PEER_PORT),
         peer_mac=0xBB,
@@ -69,7 +69,7 @@ def offload(nic, port, opaque):
         rx_buffer=rx.as_triple(),
         tx_buffer=tx.as_triple(),
     )
-    return record, rx
+    return nic.connection(index), rx
 
 
 def ticketed_work(nic):

@@ -322,15 +322,15 @@ def test_row_writer_names_the_field_it_could_not_store():
 
 
 def test_a_record_is_complete_the_moment_it_exists():
-    """Construction is the install: no placeholder flow group or peer MAC
-    is ever visible, and untouched fields are the zero alloc() promises."""
-    from repro.flextoe.state import CONN_SLAB, ConnectionRecord, ProtoInstall, ProtocolState
+    """The row write is the install: the record its first touch makes shows
+    no placeholder flow group or peer MAC, and untouched fields are the
+    zero alloc() promises."""
+    from repro.flextoe.state import CONN_SLAB, ConnectionTable, ProtoInstall, ProtocolState, install_row
 
-    record = ConnectionRecord(
-        7,
+    table = ConnectionTable()
+    table.put(7, install_row(
         (0x0A000001, 0x0A000002, 5000, 6000),
         0xAA,
-        0x0A000001,
         peer_mac=b"\x02" * 6,
         flow_group=3,
         proto=ProtoInstall(seq=10, ack=20, rx_avail=4096, remote_win=1 << 20),
@@ -339,7 +339,9 @@ def test_a_record_is_complete_the_moment_it_exists():
         rx_buffer=("rx", 64, 4096),
         tx_buffer=("tx", 128, 8192),
         use_timestamps=False,
-    )
+    ))
+    record = table.get(7)
+    assert table.get(7) is record and record.index == 7
     assert record._pre is None and record._proto is None and record._post is None  # no view was needed
     assert (record.pre.flow_group, record.pre.peer_mac) == (3, b"\x02" * 6)
     assert record.four_tuple == (0x0A000001, 0x0A000002, 5000, 6000)
@@ -353,7 +355,7 @@ def test_a_record_is_complete_the_moment_it_exists():
     assert (post.tx_region, post.tx_base, post.tx_size) == ("tx", 128, 8192)
     assert (post.use_timestamps, post.use_ecn, post.cnt_ackb, post.rtt_est, post.rate) == (False, True, 0, 0, 0)
     slot = record.slab_slot
-    del record, post
+    del table, record, post
     assert CONN_SLAB.dirty_fields(slot) == []
 
 
@@ -386,7 +388,7 @@ def parent_reconstruction(shadow):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_recovered_install_equals_the_field_by_field_one(data):
-    from repro.control.recovery import ConnShadow, reconstruct_protocol_state
+    from repro.control.recovery import ConnShadow, reconstruct_protocol_state, write_shadow
     from repro.flextoe import FlexToeNic
     from repro.flextoe.state import ProtocolState
     from repro.sim import Simulator
@@ -395,7 +397,7 @@ def test_recovered_install_equals_the_field_by_field_one(data):
     count = st.integers(min_value=0, max_value=1 << 40)
     four = (0x0A000001, 0x0A000002, 5000, 6000)
     buffers = (("rx", 0, 1 << 16), ("tx", 1 << 16, 1 << 16))
-    shadow = ConnShadow(0, four, 0xBB, 0xAA, data.draw(u32), data.draw(u32), 1, "tok", *buffers)
+    shadow = ConnShadow.claim(0, write_shadow(0, four, 0xBB, 0xAA, data.draw(u32), data.draw(u32), 1, "tok", *buffers))
     shadow.tx_acked = data.draw(count)
     shadow.tx_posted = shadow.tx_acked + data.draw(st.integers(min_value=0, max_value=1 << 16))
     shadow.rx_consumed = data.draw(count)
@@ -410,7 +412,7 @@ def test_recovered_install_equals_the_field_by_field_one(data):
     )
     proto = reconstruct_protocol_state(shadow)
     nic = FlexToeNic(Simulator())
-    record = nic.offload_connection(0, four, 0xBB, 0xAA, proto.seq, proto.ack, 1, "tok", *buffers, proto=proto)
+    record = nic.connection(nic.offload_connection(0, four, 0xBB, 0xAA, proto.seq, proto.ack, 1, "tok", *buffers, proto=proto))
     assert {name: getattr(record.proto, name) for name in ProtocolState.SLAB_FIELDS} == parent_reconstruction(shadow)
     assert record.pre.flow_group == nic.config.flow_group_of(four)
     assert nic.datapath.lookup_engine.lookup(four)[:2] == (True, 0)
@@ -428,9 +430,9 @@ def test_sanitized_row_install_is_guarded_and_alloc_asserts_zero():
     sanitizer.install()
     try:
         nic = FlexToeNic(Simulator())
-        record = nic.offload_connection(
+        record = nic.connection(nic.offload_connection(
             0, (0x0A000001, 0x0A000002, 5000, 6000), 0xBB, 0xAA, 1, 1, 1, "tok", ("rx", 0, 4096), ("tx", 0, 4096)
-        )
+        ))
 
         def pre_stage():
             record.proto.seq = 99  # not the protocol stage
@@ -471,3 +473,78 @@ def test_generated_functions_are_told_apart_by_a_profiler():
     assert {code.co_filename for code in codes} == {slab_module.__file__}
     with open(slab_module.__file__) as source:
         assert min(code.co_firstlineno for code in codes) > len(source.readlines())
+
+
+# -- who frees a row: the table, or the view something touched --------------
+
+
+def _conn_rows():
+    from repro.flextoe.state import CONN_SLAB, ConnectionTable, install_row
+
+    return CONN_SLAB, ConnectionTable, lambda index: install_row((1, 2, 3, index), 0xAA)
+
+
+def _shadow_rows():
+    from repro.control.recovery import SHADOW_SLAB, ConnShadow, write_shadow
+    from repro.flextoe.slab import SlotTable
+
+    buffer = (None, 0, 0)
+    return (
+        SHADOW_SLAB,
+        lambda: SlotTable(ConnShadow),
+        lambda index: write_shadow(index, (1, 2, 3, index), 0xBB, 0xAA, 1, 1, 1, None, buffer, buffer),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([_conn_rows, _shadow_rows]))
+def test_a_row_is_freed_once_by_whoever_lets_go_last(data, rows):
+    """Install, touch, hold, remove, re-install on the freed index, drop
+    the table: a slot a held view owns is never handed to another row, a
+    held removed record reads inactive, and once the tables and the held
+    views are gone the slab is back where it started — rows nobody
+    touched included."""
+    import gc
+
+    from repro.flextoe.state import ConnectionTable
+
+    slab, make_table, install = rows()
+    gc.collect()
+    start = slab.live
+    table, free, next_index = make_table(), [], 0
+    held = []  # {"view", "index", "attached", "removed"}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+        installed = [index for index, _slot in table.items()]
+        op = data.draw(st.sampled_from(["install", "drop"] + (["touch", "hold", "remove"] if installed else [])))
+        if op == "install":  # freed indices first, last freed first
+            index = free.pop() if free else next_index
+            next_index = max(next_index, index + 1)
+            if isinstance(table, ConnectionTable):
+                assert table.allocate_index() == index
+            table.put(index, install(index))
+        elif op == "drop":
+            table, free, next_index = make_table(), [], 0
+            for entry in held:
+                entry["attached"] = False
+        else:
+            index = data.draw(st.sampled_from(installed))
+            if op == "touch":
+                assert table.get(index) is table.get(index)
+            elif op == "hold":
+                held.append({"view": table.get(index), "index": index, "attached": True, "removed": False})
+            else:
+                table.remove(index)
+                free.append(index)
+                for entry in held:
+                    if entry["attached"] and entry["index"] == index:
+                        entry.update(attached=False, removed=True)
+        detached = {id(entry["view"]): entry["view"].slab_slot for entry in held if not entry["attached"]}
+        owned = [slot for _index, slot in table.items()] + list(detached.values())
+        assert len(set(owned)) == len(owned), "a slot was re-let under a held view"
+        assert slab.live == start + len(owned)
+        for entry in held:
+            if entry["removed"] and hasattr(entry["view"], "active"):  # a record
+                assert entry["view"].active is False
+    table = held = entry = None
+    gc.collect()
+    assert slab.live == start

@@ -239,7 +239,7 @@ def test_nic_crash_mid_close_with_arp_syn_and_rst_during_the_outage(sanitized):
         seen["request"] = got
         yield from ctx.send(sock, got[::-1])
         yield from ctx.close(sock)
-        shadow = recovery.shadows[sock.conn_index]
+        shadow = recovery.shadows.get(sock.conn_index)
         seen["shadow_at_crash"] = (shadow.peer_fin_seen, shadow.fin_posted, shadow.tx_acked)
         server.nic.crash()
 
@@ -266,7 +266,7 @@ def test_nic_crash_mid_close_with_arp_syn_and_rst_during_the_outage(sanitized):
     def reset_client(ctx):
         yield from ctx.connect(server.ip, 7001)
         yield from outage()
-        shadow = recovery.shadows[seen["victim"]]
+        shadow = recovery.shadows.get(seen["victim"])
         server_ip, client_ip, server_port, client_port = shadow.four_tuple
 
         def segment(sport, **kwargs):

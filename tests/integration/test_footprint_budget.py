@@ -5,9 +5,16 @@ holds once it returns, so a structure that is pre-built again fails here
 and not only in ``perf/``'s ``peak_rss_mb``."""
 
 import gc
+import inspect
 import tracemalloc
 
-from repro.flextoe import CarouselScheduler
+import pytest
+
+from repro.analysis import sanitizer
+from repro.control.plane import ControlPlaneConfig
+from repro.control.recovery import SHADOW_SLAB
+from repro.flextoe import CarouselScheduler, slab
+from repro.flextoe.state import CONN_SLAB
 from repro.harness import Testbed
 from repro.sim import Simulator
 
@@ -18,6 +25,12 @@ TESTBED_BUDGET = 3 << 20
 #: One idle flow scheduler: reads 1.4 KB; 3 074 KB with every slot's
 #: queue built up front.
 SCHEDULER_BUDGET = 16 << 10
+#: One adopted, quiescent connection, its two slab rows charged at their
+#: declared width (252 + 178 B): reads 495 — the rows, its lookup-engine
+#: entry (48) and its two table slots (16). With a record and a shadow
+#: object per connection, and the dict holding the shadows, it read 679.
+ADOPT_BUDGET = 640
+ADOPTED = 2000
 
 
 def held_by(build):
@@ -49,3 +62,44 @@ def test_idle_flow_scheduler_holds_no_empty_slots():
     sim = Simulator()
     held = held_by(lambda: CarouselScheduler(sim, trigger_tx=None))
     assert held <= SCHEDULER_BUDGET, "%.1f KiB" % (held / 1024)
+
+
+def held_beside_slab_growth(action):
+    """Bytes still allocated after ``action()``, less what a ``Slab``
+    allocated to grow: which 4 096-row step a test crosses depends on the
+    tests before it, so rows are charged their declared width instead."""
+    lines, first = inspect.getsourcelines(slab.Slab)
+    grown = range(first, first + len(lines))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        action()
+        gc.collect()
+        traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    return sum(
+        trace.size
+        for trace in traces
+        if not (trace.traceback[0].filename == slab.__file__ and trace.traceback[0].lineno in grown)
+    )
+
+
+def test_a_quiescent_connection_is_its_rows():
+    bed = Testbed(seed=1)
+    server = bed.add_flextoe_host("server", cp_kwargs={"config": ControlPlaneConfig(snapshot_interval_ns=0)})
+    client = bed.add_flextoe_host("client")
+    if sanitizer.enabled():
+        pytest.skip("a sanitized install also registers its row's owner")
+    recovery = server.control_plane.recovery
+    server.nic.register_context(500, capacity=4)
+    region = server.machine.memory.alloc(4096)
+    shared = (region, region.addr, 4096)
+
+    def adopt():
+        for i in range(ADOPTED):
+            recovery.adopt_offloaded((server.ip, (11 << 24) + i, 9, 40000), client.mac, server.mac, 1, 1, 500, None, shared, shared)
+
+    rows = CONN_SLAB.bytes_per_slot() + SHADOW_SLAB.bytes_per_slot()
+    per_connection = held_beside_slab_growth(adopt) / ADOPTED + rows
+    assert per_connection <= ADOPT_BUDGET, "%.1f B per connection" % per_connection

@@ -5,8 +5,10 @@ per-field slab property. Before installs were compiled row writes an
 adopt made 157 calls, 76 of them property setters and 19 getters, and
 ``sparse-idle``'s set-up paid 22.7 µs per connection for them (DESIGN
 §12's ledger, "compiled row ops"); it reads 32. Host-time noise cannot
-hide a regression here the way it can in ``setup_s``."""
+hide a regression here the way it can in ``setup_s``. Nor may an install
+make an object: a quiescent connection is its two slab rows (DESIGN §13)."""
 
+import gc
 import sys
 from collections import Counter
 
@@ -16,10 +18,11 @@ from repro.analysis import sanitizer
 from repro.control.plane import ControlPlaneConfig
 from repro.control.recovery import RecoveryManager
 from repro.flextoe.nic import FlexToeNic
+from repro.flextoe.slab import SlabView
 from repro.harness import Testbed
 
 #: Calls per install: reads 32 per adopt, 29 per handshake install.
-INSTALL_CALLS = 40
+INSTALL_CALLS = 35
 
 
 def calls_under(roots, action):
@@ -57,6 +60,13 @@ def production_only():
         pytest.skip("the budget is the unsanitized install's")
 
 
+def views_owning(rows):
+    """The objects owning one of ``rows``, ``(slab, slot)`` pairs: a view
+    made of a row owns its slot."""
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, SlabView) and obj._own and (obj.SLAB, obj.slab_slot) in rows]
+
+
 def assert_row_install(calls, installs):
     assert not (calls["fset"] or calls["fget"]), "an install went back to per-field property access"
     assert calls["write"] == 2 * installs  # one connection row, one shadow row
@@ -81,9 +91,14 @@ def test_an_adopt_is_two_row_writes_and_a_bounded_number_of_calls():
     calls = calls_under([RecoveryManager.adopt_offloaded], lambda: adopt(1000, 8))
     assert calls["adopt_offloaded"] == 1000
     assert_row_install(calls, 1000)
-    index, record = recovery.adopt_offloaded((server.ip, 12 << 24, 9, 40000), client.mac, server.mac, 1, 1, 500, None, shared, shared)
-    assert record._pre is None and record._proto is None and record._post is None  # parked: slab bytes only
-    assert server.nic.connection(index) is record and recovery.shadows[index].four_tuple == record.four_tuple
+    table, shadows = server.nic.datapath.conn_table, recovery.shadows
+    rows = {(table.view_class.SLAB, slot) for _index, slot in table.items()}
+    rows |= {(shadows.view_class.SLAB, slot) for _index, slot in shadows.items()}
+    assert len(rows) == 2 * 1008 and views_owning(rows) == []  # parked: slab bytes only
+    index = recovery.adopt_offloaded((server.ip, 12 << 24, 9, 40000), client.mac, server.mac, 1, 1, 500, None, shared, shared)
+    record = server.nic.connection(index)  # the first touch makes the record, and nothing more
+    assert record._pre is None and record._proto is None and record._post is None
+    assert server.nic.connection(index) is record and recovery.shadows.get(index).four_tuple == record.four_tuple
 
 
 def test_a_handshake_installs_the_same_way():

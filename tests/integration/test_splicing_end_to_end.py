@@ -134,6 +134,52 @@ def test_fin_through_splice_cleans_up():
     assert manager.spliced_pairs == 0
 
 
+def test_a_spliced_pair_stays_withdrawn_across_a_nic_crash():
+    # Splicing withdraws both connections through the control plane's one
+    # teardown, shadow included: a crash must not re-offload them, and the
+    # connection that re-lets one of their indices recovers as itself.
+    bed, client, proxy, backend, manager, adapter = build()
+    sim = bed.sim
+    seen = {}
+    backend_ctx = backend.new_context()
+    proxy_ctx = proxy.new_context()
+    client_ctx = client.new_context()
+
+    def backend_app():
+        yield from backend_ctx.accept(backend_ctx.listen(9000))
+
+    def proxy_app():
+        listener = proxy_ctx.listen(8080)
+        sock_a = yield from proxy_ctx.accept(listener)
+        sock_b = yield from proxy_ctx.connect(backend.ip, 9000)
+        manager.splice(sock_a.conn_index, sock_b.conn_index)
+        seen["spliced"] = {sock_a.conn_index, sock_b.conn_index}
+        sock_c = yield from proxy_ctx.accept(listener)
+        seen["later"] = sock_c.conn_index, sock_c.four_tuple
+
+    def client_app():
+        yield from client_ctx.connect(proxy.ip, 8080)
+        while "spliced" not in seen:
+            yield sim.timeout(10_000)
+        yield from client_ctx.connect(proxy.ip, 8080)
+
+    sim.process(backend_app(), name="backend")
+    sim.process(proxy_app(), name="proxy")
+    sim.process(client_app(), name="client")
+    sim.run(until=50_000_000)
+    later, later_tuple = seen["later"]
+    assert later in seen["spliced"]  # the index was re-let
+    recovery = proxy.control_plane.recovery
+    proxy.nic.crash()
+    sim.run(until=sim.now + 5_000_000)
+    assert recovery.recoveries == 1 and recovery.reoffloaded_connections == 1
+    assert proxy.nic.connection(later).four_tuple == later_tuple
+    assert [index for index, _slot in recovery.shadows.items()] == [later]
+    for index in seen["spliced"] - {later}:
+        assert proxy.nic.connection(index) is None and recovery.shadows.get(index) is None
+    assert len(proxy.nic.datapath.conn_table) == 1
+
+
 def test_splice_requires_offloaded_connections():
     bed, client, proxy, backend, manager, adapter = build()
     with pytest.raises(SpliceError):

@@ -16,7 +16,10 @@ tree, each side in processes of its own (each imports its own ``perf`` and
   after set-up and after the measured phase, charged to the
   ``perf/layers.py`` layer of the code that allocated them. On
   ``sparse-idle`` a third run sets up with no quiescent connections, and
-  the difference per installed connection is printed per layer too.
+  the difference per installed connection is printed per layer too, in
+  bytes and in blocks: a block is one allocation (an object, a dict's
+  table, an array's buffer growth), so blocks per connection count what
+  a connection costs in a unit no allocator or word size changes.
 
 It prints both trees with the difference. Standard library only; nothing
 under ``perf/`` is edited. A table to read, not a gate: exit status 2
@@ -48,14 +51,16 @@ def vm_rss_bytes():
 
 
 def held_per_layer(layers):
-    """``{layer: bytes}`` still allocated since ``tracemalloc.start()``."""
+    """``{"bytes": {layer: n}, "blocks": {layer: n}}`` still allocated
+    since ``tracemalloc.start()``."""
     gc.collect()
     snapshot = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)])
-    held = {}
+    held = {"bytes": {}, "blocks": {}}
     for stat in snapshot.statistics("filename"):
         layer = layers.layer_of_file(stat.traceback[0].filename)
-        held[layer] = held.get(layer, 0) + stat.size
+        held["bytes"][layer] = held["bytes"].get(layer, 0) + stat.size
+        held["blocks"][layer] = held["blocks"].get(layer, 0) + stat.count
     return held
 
 
@@ -138,7 +143,7 @@ def main(argv=None):
             base["resident"]["ops"], here["resident"]["ops"]))
     print("footprint of one {} repetition ({} ops, CPython {}), base = {}".format(
         args.workload, here["resident"]["ops"], sys.version.split()[0], args.base))
-    line = "{:<26} {:>12} {:>12} {:>12}"
+    line = "{:<30} {:>12} {:>12} {:>12}"
 
     def table(title, rows, unit, scale):
         print(line.format(title, "base", "here", "delta"))
@@ -150,23 +155,26 @@ def main(argv=None):
         ("peak (ru_maxrss)", "peak"))]
     table("resident (MiB)", rss, "%.2f", MIB)
     for phase in PHASES:
-        was, now = base["traced"]["held"][phase], here["traced"]["held"][phase]
+        was, now = base["traced"]["held"][phase]["bytes"], here["traced"]["held"][phase]["bytes"]
         rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))]
         rows.append(("total", sum(was.values()), sum(now.values())))
         table("held after {} (KiB)".format(phase), rows, "%.1f", 1024.0)
     if args.workload == "sparse-idle":
         installed = here["traced"]["extras"]["installed"]
-        per_conn = []
-        for side in (base, here):
-            full, empty = side["traced"]["held"]["set-up"], side["empty"]["held"]["set-up"]
-            per_conn.append({layer: full.get(layer, 0) - empty.get(layer, 0) for layer in set(full) | set(empty)})
-        was, now = per_conn
-        rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))
-                if max(abs(was.get(layer, 0)), abs(now.get(layer, 0))) >= installed]  # >= 1 B each
-        rows.append(("total", sum(was.values()), sum(now.values())))
-        rows.append(("resident (install VmRSS)", base["resident"]["extras"]["install_rss_bytes"],
-                     here["resident"]["extras"]["install_rss_bytes"]))
-        table("B per connection ({})".format(installed), rows, "%.1f", float(installed))
+        for unit, title, floor in (("bytes", "B", installed), ("blocks", "blocks", installed / 100)):
+            per_conn = []
+            for side in (base, here):
+                full, empty = side["traced"]["held"]["set-up"][unit], side["empty"]["held"]["set-up"][unit]
+                per_conn.append({layer: full.get(layer, 0) - empty.get(layer, 0) for layer in set(full) | set(empty)})
+            was, now = per_conn
+            rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))
+                    if max(abs(was.get(layer, 0)), abs(now.get(layer, 0))) >= floor]  # >= 1 B, 0.01 block each
+            rows.append(("total", sum(was.values()), sum(now.values())))
+            if unit == "bytes":
+                rows.append(("resident (install VmRSS)", base["resident"]["extras"]["install_rss_bytes"],
+                             here["resident"]["extras"]["install_rss_bytes"]))
+            table("{} per connection ({})".format(title, installed), rows, "%.2f" if unit == "blocks" else "%.1f",
+                  float(installed))
     return 0
 
 
