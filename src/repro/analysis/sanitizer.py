@@ -25,10 +25,11 @@ a kind is written by that kind only. With ``REPRO_SANITIZE=1`` (or a programmati
   stage (or the run-to-completion worker, which executes the post logic
   inline under its ``proto`` token).
 
-It also checks the one precondition of the kernel's on-the-spot grants
+It also checks the one precondition of what the kernel takes on the spot
 (DESIGN §12 rule 3): a process started while it is installed raises when
-it was handed a ``Resource.request()`` or ``Store.get()`` on the spot
-and yielded something else next.
+it took a ``Resource.request()``, ``Store.get()`` or ``sim.timeout()`` on
+the spot and yielded something else next, and any process raises when it
+makes another such event before yielding the one it took.
 
 Writes to Protocol/Postproc state with no stage context (control-plane
 setup and polls, tests constructing state directly) are allowed: the
@@ -64,8 +65,10 @@ _MISSING = object()
 _installed = False
 # class -> original __setattr__, for uninstall.
 _original_setattrs = {}
-# Process._resume as the kernel defines it, for uninstall.
+# Process._resume and Simulator._grant_on_the_spot as the kernel defines
+# them, for uninstall.
 _plain_resume = None
+_plain_grant = None
 
 
 class SanitizerError(AssertionError):
@@ -112,9 +115,9 @@ def _check_owned(partition, self, name, owning_group):
 
 
 def install():
-    """Instrument the three partition classes' ``__setattr__`` and
-    ``Process._resume`` (idempotent)."""
-    global _installed, _plain_resume
+    """Instrument the three partition classes' ``__setattr__``,
+    ``Process._resume`` and ``Simulator._grant_on_the_spot`` (idempotent)."""
+    global _installed, _plain_resume, _plain_grant
     if _installed:
         return
     from repro.flextoe.state import PostprocState, PreprocState, ProtocolState
@@ -150,11 +153,16 @@ def install():
         cls.__setattr__ = _guarded_setattr
 
     # Processes bind their resume once, at creation (Process._resume_cb).
-    from repro.sim.core import Process
+    from repro.sim.core import Process, Simulator
 
     _plain_resume = Process._resume
     Process._resume = _resume_checking_grants
+    _plain_grant = Simulator._grant_on_the_spot
+    Simulator._grant_on_the_spot = _grant_checking_spot
     _installed = True
+
+
+_AT_ONCE = "a request(), get() or timeout() is yielded at once"
 
 
 def _resume_checking_grants(process, event):
@@ -164,9 +172,22 @@ def _resume_checking_grants(process, event):
     if spot is not None:
         sim._spot = None
         raise SanitizerError(
-            "process {!r} was granted {!r} on the spot but yielded something else "
-            "next: a request() or get() is yielded at once".format(process.name, spot)
+            "process {!r} took {!r} on the spot but yielded something else "
+            "next: {}".format(process.name, spot, _AT_ONCE)
         )
+
+
+def _grant_checking_spot(sim, event, value, when):
+    # A second event taken before the first is yielded would overwrite it
+    # and hide it from the check above.
+    spot = sim._spot
+    if spot is not None:
+        sim._spot = None
+        raise SanitizerError(
+            "process {!r} took {!r} on the spot but made another event before "
+            "yielding it: {}".format(getattr(sim._active_process, "name", None), spot, _AT_ONCE)
+        )
+    return _plain_grant(sim, event, value, when)
 
 
 def uninstall():
@@ -175,9 +196,10 @@ def uninstall():
     if not _installed:
         return
     from repro.flextoe.state import CONN_SLAB
-    from repro.sim.core import Process
+    from repro.sim.core import Process, Simulator
 
     Process._resume = _plain_resume
+    Simulator._grant_on_the_spot = _plain_grant
     CONN_SLAB.on_free = CONN_SLAB.on_alloc = None
     for cls, original in _original_setattrs.items():
         cls.__setattr__ = original

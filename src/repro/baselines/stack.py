@@ -15,7 +15,7 @@ from repro.host import Machine
 from repro.host.cpu import CAT_DRIVER, CAT_OTHER, CAT_SOCKETS, CAT_TCP
 from repro.libtoe.errors import ConnectRefusedError, ToeError
 from repro.proto import ARP_REPLY, ARP_REQUEST, ArpHeader, ETHERTYPE_ARP, EthernetHeader, Frame
-from repro.sim import Resource, Store
+from repro.sim import Resource, Store, Timeout
 
 BROADCAST_MAC = (1 << 48) - 1
 
@@ -411,7 +411,7 @@ class BaselineHost:
         if delay:
             # Interrupt + softirq scheduling latency: delays delivery
             # without occupying a core (coalescing pipelines it).
-            self.sim.timeout(delay).callbacks.append(
+            Timeout(self.sim, int(delay)).callbacks.append(
                 lambda _ev, f=frame: self._rx_queue.try_put(f)
             )
         else:
@@ -491,7 +491,7 @@ class BaselineHost:
         request = ArpHeader.request(self.mac, self.ip, ip)
         eth = EthernetHeader(dst=BROADCAST_MAC, src=self.mac, ethertype=ETHERTYPE_ARP)
         self.transmit(Frame(eth, arp=request, born_at=self.sim.now))
-        yield self.sim.any_of([waiter, self.sim.timeout(5_000_000)])
+        yield self.sim.any_of([waiter, Timeout(self.sim, 5_000_000)])
         if ip not in self.arp_table:
             raise ConnectRefusedError("ARP resolution failed for {}".format(ip))
         return self.arp_table[ip]

@@ -60,6 +60,7 @@ from repro.proto import (
     make_tcp_frame,
 )
 from repro.proto.tcp import FLAG_ACK, FLAG_RST, FLAG_SYN, TcpOptions
+from repro.sim import Timeout
 
 BROADCAST_MAC = (1 << 48) - 1
 
@@ -93,7 +94,7 @@ class GridPoll:
         if not self.pending:
             self.pending = True
             delay = self.interval_ns - (self.sim.now - self.epoch) % self.interval_ns
-            self.sim.timeout(delay).callbacks.append(self._tick)
+            Timeout(self.sim, int(delay)).callbacks.append(self._tick)
 
     def _tick(self, _event):
         self.pending = False
@@ -393,7 +394,7 @@ class ControlPlane:
         request = ArpHeader.request(self.local_mac, self.local_ip, ip)
         eth = EthernetHeader(dst=BROADCAST_MAC, src=self.local_mac, ethertype=ETHERTYPE_ARP)
         self._control_tx(Frame(eth, arp=request, born_at=self.sim.now))
-        result = yield self.sim.any_of([waiter, self.sim.timeout(5_000_000)])
+        result = yield self.sim.any_of([waiter, Timeout(self.sim, 5_000_000)])
         if ip in self.arp_table:
             return self.arp_table[ip]
         # Retry once, then fail.

@@ -17,6 +17,7 @@ One :class:`FaultController` per installed plan. For each spec it:
 
 from repro.faults.log import InjectionLog
 from repro.faults.wire import WireFaultInjector
+from repro.sim import Timeout
 
 
 class FaultContext:
@@ -37,7 +38,7 @@ class FaultContext:
 
     def after(self, delay_ns, fn):
         """Run ``fn()`` after ``delay_ns`` of simulated time."""
-        self.sim.timeout(delay_ns).callbacks.append(lambda _ev: fn())
+        Timeout(self.sim, int(delay_ns)).callbacks.append(lambda _ev: fn())
 
 
 class FaultController:

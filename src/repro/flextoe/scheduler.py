@@ -16,6 +16,8 @@ first enqueue until it empties, so an idle wheel costs nothing.
 
 from collections import deque
 
+from repro.sim import Timeout
+
 INTERVAL_Q8_SHIFT = 8
 
 
@@ -153,7 +155,7 @@ class CarouselScheduler:
                 if deadline is None:
                     yield self._wake
                 else:
-                    yield sim.any_of([self._wake, sim.timeout(max(0, deadline - sim.now))])
+                    yield sim.any_of([self._wake, Timeout(sim, int(max(0, deadline - sim.now)))])
                 self._wake = None
                 continue
             entry.queued = False

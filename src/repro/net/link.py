@@ -6,6 +6,8 @@ sets ``receiver`` to a callable invoked for each arriving frame. A
 serializer modeling the transmit rate, plus a propagation delay.
 """
 
+from repro.sim import Timeout
+
 ETH_OVERHEAD = 24  # preamble(8) + FCS(4) + IFG(12) bytes per frame on the wire
 MIN_FRAME = 64
 
@@ -90,7 +92,7 @@ class _Direction:
             done = start + wire_time_ns(self.rate_bps, frame.wire_len)
         self.busy_until = done
         arrival = done + self.prop_delay_ns
-        event = self.sim.timeout(arrival - self.sim.now)
+        event = Timeout(self.sim, int(arrival - self.sim.now))
         dst = self.dst
         event.callbacks.append(lambda _ev, f=frame, d=dst: d.deliver(f))
 

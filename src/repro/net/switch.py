@@ -16,6 +16,7 @@ has a bounded byte queue drained at the port's (possibly shaped) rate:
 from collections import deque
 
 from repro.net.link import Port, wire_time_ns
+from repro.sim import Timeout
 
 BROADCAST_MAC = (1 << 48) - 1
 
@@ -138,7 +139,7 @@ class Switch:
         if self.faults is not None:
             for out_frame, delay_ns in self.faults.admit(frame):
                 if delay_ns > 0:
-                    event = self.sim.timeout(delay_ns)
+                    event = Timeout(self.sim, int(delay_ns))
                     event.callbacks.append(
                         lambda _ev, f=out_frame, i=in_index: self._forward(i, f)
                     )

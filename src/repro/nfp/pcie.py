@@ -6,6 +6,7 @@ moves through :class:`~repro.nfp.dma.DmaEngine`.
 """
 
 from repro.nfp.dma import DmaEngine
+from repro.sim import Timeout
 
 MMIO_WRITE_NS = 300
 
@@ -66,7 +67,7 @@ class PcieBlock:
             else:
                 bell.pending += 1
 
-        self.sim.timeout(delay_ns).callbacks.append(fire)
+        Timeout(self.sim, delay_ns).callbacks.append(fire)
 
     def wait_doorbell(self, key):
         """NIC-side: event that fires when a ring is available; each fired
@@ -94,4 +95,4 @@ class PcieBlock:
         def fire(_event):
             handler(vector)
 
-        self.sim.timeout(MMIO_WRITE_NS).callbacks.append(fire)
+        Timeout(self.sim, MMIO_WRITE_NS).callbacks.append(fire)

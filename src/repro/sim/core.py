@@ -17,15 +17,18 @@ the ledger, one row per host-only mechanism with the number behind it):
 * A process that returns while nobody waits on it schedules no exit
   event (:meth:`Event.settle`): the dispatch would run nothing, and
   removing an event that runs nothing cannot reorder the rest.
-* A grant the running process would be handed next is handed over on
+* An event the running process would be resumed by next is taken on
   the spot (:meth:`Simulator._grant_on_the_spot`): when its resume is the
-  last callback of the dispatch and nothing else is due now, the grant's
-  event would be the heap minimum and resume only that process, so
-  :meth:`Process._resume` continues in place instead of pushing it.
-  It is taken only by a ``Resource.request()`` or ``Store.get()`` the
-  process yields at once (``REPRO_SANITIZE=1`` checks that). DESIGN §12
-  rule 3: a third of the ``baseline-stacks`` events (60.0 → 41.2 per op).
-  Every dispatch loop records the callback list it runs for this.
+  last callback of the dispatch and nothing else is due before the event
+  would fire, the event would be the heap minimum and resume only that
+  process, so :meth:`Process._resume` continues in place — at the
+  event's time — instead of pushing it. It is taken only by a
+  ``Resource.request()``, ``Store.get()`` or ``sim.timeout()`` the
+  process yields at once (``REPRO_SANITIZE=1`` checks that; a
+  :class:`Condition` refuses one). DESIGN §12 rule 3: a third of the
+  ``baseline-stacks`` events, a fifth of ``sparse-idle``'s. Every
+  dispatch loop records the callback list it runs, and :meth:`run` its
+  deadline and target, for this.
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -136,8 +139,20 @@ class Event:
         return "<{} {}>".format(type(self).__name__, state)
 
 
+#: What a run without a deadline or a target is bounded by.
+_FOREVER = float("inf")
+_NEVER = Event(None)
+#: An instance without ``__init__``: :meth:`Simulator.timeout` fills it in.
+_new = object.__new__
+
+
 class Timeout(Event):
-    """An event that fires after a fixed delay."""
+    """An event that fires after a fixed delay.
+
+    Constructed directly it is always pushed: that is how code that does
+    not yield a timeout at once (a callback, an :class:`AnyOf` member)
+    makes one. :meth:`Simulator.timeout` may sleep it on the spot.
+    """
 
     __slots__ = ()
 
@@ -204,40 +219,42 @@ class Process(Event):
 
     def _resume(self, event):
         sim = self.sim
-        while True:
-            sim._active_process = self
-            try:
-                if event._ok:
-                    result = self._generator.send(event._value)
-                else:
-                    result = self._generator.throw(event._value)
-            except StopIteration as stop:
-                self.settle(stop.value)
-                return
-            except BaseException as exc:
-                if not self.callbacks:
-                    raise
-                self._ok = False
-                self._value = exc
-                sim._post(self, NORMAL)
-                return
-            finally:
-                sim._active_process = None
-            if not isinstance(result, Event):
-                raise SimulationError(
-                    "process {!r} yielded {!r}; processes must yield events".format(self.name, result)
-                )
-            callbacks = result.callbacks
-            if callbacks is not None:
-                callbacks.append(self._resume_cb)
-                self._target = result
-                return
-            if result is not sim._spot:
-                break
-            # Granted on the spot: its dispatch would have been the very
-            # next one and would have resumed this process alone.
-            sim._spot = None
-            event = result
+        sim._active_process = self
+        try:
+            while True:
+                try:
+                    if event._ok:
+                        result = self._generator.send(event._value)
+                    else:
+                        result = self._generator.throw(event._value)
+                except StopIteration as stop:
+                    self.settle(stop.value)
+                    return
+                except BaseException as exc:
+                    if not self.callbacks:
+                        raise
+                    self._ok = False
+                    self._value = exc
+                    sim._post(self, NORMAL)
+                    return
+                if not isinstance(result, Event):
+                    raise SimulationError(
+                        "process {!r} yielded {!r}; processes must yield events".format(self.name, result)
+                    )
+                callbacks = result.callbacks
+                if callbacks is not None:
+                    callbacks.append(self._resume_cb)
+                    self._target = result
+                    return
+                if result is not sim._spot:
+                    break
+                # Taken on the spot: its dispatch would have been the very
+                # next one and would have resumed this process alone.
+                sim._spot = None
+                sim.now = sim._spot_at
+                event = result
+        finally:
+            sim._active_process = None
         # Already-fired, already-drained event: resume immediately.
         event2 = Event(sim)
         event2._ok = result._ok
@@ -264,6 +281,12 @@ class Condition(Event):
         check = self._check  # one bound method shared by all sub-events
         for event in self._events:
             if event.callbacks is None:
+                if event is sim._spot:
+                    raise SimulationError(
+                        "{!r} was taken on the spot: a request(), get() or timeout() is "
+                        "yielded at once, not combined (a condition takes Timeout(sim, "
+                        "delay))".format(event)
+                    )
                 # Already fired and drained.
                 check(event)
             else:
@@ -323,9 +346,13 @@ class Simulator:
         self._event_count = 0
         #: Callback list of the event being dispatched.
         self._dispatching = ()
-        #: A grant handed over on the spot that its process has not
-        #: yielded yet (at most one: it is yielded at once).
+        #: An event taken on the spot that its process has not yielded
+        #: yet (at most one: it is yielded at once), and when it fires.
         self._spot = None
+        self._spot_at = 0
+        #: What ends the running :meth:`run`: its deadline, its target.
+        self._deadline = _FOREVER
+        self._until = _NEVER
 
     # -- scheduling ------------------------------------------------------
 
@@ -336,27 +363,31 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
-    def _grant_on_the_spot(self, event, value):
-        """Trigger ``event`` — a ``Resource.request()`` or ``Store.get()``
-        satisfied at once — without pushing it, if the running process is
-        next in line; returns whether it did (DESIGN §12 rule 3).
+    def _grant_on_the_spot(self, event, value, when):
+        """Fire ``event`` with ``value`` at ``when`` without pushing it, if
+        the running process is next in line; returns whether it did
+        (DESIGN §12 rule 3). ``event`` is a ``Resource.request()`` or
+        ``Store.get()`` satisfied now, or a ``sim.timeout()`` waking at
+        ``when``.
 
         Next in line: the process's resume is the last callback of this
-        dispatch and nothing else is due at this instant, so the pushed
-        event would be dispatched next and resume only that process. The
-        grant is marked dispatched (``callbacks = None``) and recorded in
-        ``_spot``, and :meth:`Process._resume` continues in place when
-        the process yields it.
+        dispatch, no heap entry is due at or before ``when``, and this
+        run would go on to ``when`` (within its deadline, its target not
+        fired) — so the pushed event would be dispatched next and resume
+        only that process. The event is marked dispatched (``callbacks =
+        None``) and recorded in ``_spot``, and :meth:`Process._resume`
+        continues in place at ``when`` when the process yields it.
         """
         process = self._active_process
         if process is None or self._dispatching[-1] is not process._resume_cb:
             return False
         heap = self._heap
-        if heap and heap[0][0] <= self.now:
+        if heap and heap[0][0] <= when or when > self._deadline or self._until._value is not PENDING:
             return False
         event._value = value
         event.callbacks = None
         self._spot = event
+        self._spot_at = when
         return True
 
     # -- factories -------------------------------------------------------
@@ -365,7 +396,29 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay, value=None):
-        return Timeout(self, int(delay), value)
+        """A :class:`Timeout`; one a running process makes is yielded at
+        once, so it may be slept on the spot (rule 3)."""
+        delay = int(delay)
+        if delay <= 0:  # an instant is never slept; a negative one raises
+            return Timeout(self, delay, value)
+        heap = self._heap
+        when = self.now + delay
+        # Timeout.__init__ inlined, so that the push reuses the check's
+        # operands; something due by then is the common answer. Bytecodes
+        # per op over a kernel that never sleeps on the spot (`make
+        # opcodes`, echo-small): +1.4 % as written, +2.0 % with only the
+        # heap check inline, +3.4 % through `_grant_on_the_spot` and
+        # `Timeout.__init__` alone.
+        event = _new(Timeout)
+        event.sim = self
+        event._ok = event._scheduled = True
+        if (not heap or heap[0][0] > when) and self._grant_on_the_spot(event, value, when):
+            return event
+        event._value = value
+        event.callbacks = []
+        self._seq += 1
+        heappush(heap, (when, NORMAL, self._seq, event))
+        return event
 
     def process(self, generator, name=None):
         return Process(self, generator, name=name)
@@ -383,7 +436,9 @@ class Simulator:
         return self._heap[0][0] if self._heap else None
 
     def step(self):
-        """Process one event. Raises IndexError when the heap is empty."""
+        """Process one event, and what its processes take on the spot as
+        in an unbounded :meth:`run`. Raises IndexError when the heap is
+        empty."""
         when, _priority, _seq, event = heappop(self._heap)
         if when < self.now:
             raise SimulationError("time went backwards")
@@ -404,13 +459,15 @@ class Simulator:
         The loops below are :meth:`step` unrolled with locals bound
         outside the loop; they must stay behaviourally identical to it
         (``tests/sim/test_core_property.py`` drives all three against
-        each other).
+        each other). Both record what ends them, so that nothing is
+        taken on the spot that this run would not reach.
         """
         heap = self._heap
         count = 0
+        outer = self._deadline, self._until
         try:
             if isinstance(until, Event):
-                stop = until
+                stop = self._until = until
                 while stop._value is PENDING:
                     if not heap:
                         raise SimulationError("simulation ran out of events before condition")
@@ -428,6 +485,8 @@ class Simulator:
                     raise stop._value
                 return stop._value
             deadline = None if until is None else int(until)
+            if deadline is not None:
+                self._deadline = deadline
             while heap:
                 when = heap[0][0]
                 if deadline is not None and when > deadline:
@@ -448,6 +507,7 @@ class Simulator:
             return None
         finally:
             self._event_count += count
+            self._deadline, self._until = outer
 
     @property
     def processed_events(self):

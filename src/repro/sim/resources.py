@@ -4,9 +4,10 @@ These are the communication channels between simulated components: ring
 buffers between pipeline stages are bounded :class:`Store` objects, FPC
 issue slots are :class:`Resource` objects, and so on.
 
-A process yields the event of a ``request()`` or ``get()`` at once: one
-that is satisfied while the process is next in line is granted on the
-spot and never enters the heap (:meth:`Simulator._grant_on_the_spot
+A process yields the event of a ``request()`` or ``get()`` at once, as
+it does a ``sim.timeout()``: one that is satisfied while the process is
+next in line is granted on the spot and never enters the heap
+(:meth:`Simulator._grant_on_the_spot
 <repro.sim.core.Simulator._grant_on_the_spot>`, DESIGN §12 rule 3).
 """
 
@@ -33,7 +34,7 @@ class StoreGet(Event):
         super().__init__(sim)
         # An item present means no get is parked (see Store._settle).
         items = store.items
-        if items and sim._grant_on_the_spot(self, items[0]):
+        if items and sim._grant_on_the_spot(self, items[0], sim.now):
             items.popleft()
         else:
             store._get_queue.append(self)
@@ -143,7 +144,7 @@ class ResourceRequest(Event):
         super().__init__(sim)
         self.resource = resource
         # A free slot means nobody is queued (see Resource._grant).
-        if len(resource._users) < resource.capacity and sim._grant_on_the_spot(self, self):
+        if len(resource._users) < resource.capacity and sim._grant_on_the_spot(self, self, sim.now):
             resource._users.add(self)
         else:
             resource._queue.append(self)

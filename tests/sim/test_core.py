@@ -9,6 +9,7 @@ from repro.sim import (
     Interrupt,
     SimulationError,
     Simulator,
+    Timeout,
 )
 
 
@@ -230,8 +231,10 @@ def test_all_of_collects_values():
     results = []
 
     def proc(sim):
-        t1 = sim.timeout(5, value="a")
-        t2 = sim.timeout(10, value="b")
+        # A condition's members are built with Timeout: sim.timeout() made
+        # by a running process is yielded at once (DESIGN §12 rule 3).
+        t1 = Timeout(sim, 5, value="a")
+        t2 = Timeout(sim, 10, value="b")
         values = yield AllOf(sim, [t1, t2])
         results.append((sim.now, sorted(values.values())))
 
@@ -245,8 +248,8 @@ def test_any_of_fires_on_first():
     results = []
 
     def proc(sim):
-        t1 = sim.timeout(5, value="fast")
-        t2 = sim.timeout(50, value="slow")
+        t1 = Timeout(sim, 5, value="fast")
+        t2 = Timeout(sim, 50, value="slow")
         values = yield AnyOf(sim, [t1, t2])
         results.append((sim.now, list(values.values())))
 

@@ -10,16 +10,17 @@ The kernel's invariants, whatever its dispatch loops look like:
   changes the order in which everything else runs;
 * ``step()``, ``run()``, ``run(until=t)`` and ``run(until=event)`` are
   one dispatch: however a program is driven, it produces the same
-  transcript and the same event count (``run()`` unrolls ``step()``
-  twice, and its docstring promises they stay identical) — grants taken
-  on the spot included, which read what each loop records of the
-  dispatch.
+  transcript (``run()`` unrolls ``step()`` twice, and its docstring
+  promises they stay identical) and, but for slicing, the same event
+  count — grants and sleeps taken on the spot included, which read what
+  each loop records of the dispatch; a sleep never outlasts a slice.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Resource, Simulator, Store
+from tests.sim.test_spot_grants import CountingSpots
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,7 +83,7 @@ def test_waiterless_processes_never_reorder_what_is_observed(chains, silent):
     # The tiny delay range forces same-instant collisions between the
     # observed steps and the silent processes' steps and exits.
     def observe(background):
-        sim = Simulator()
+        sim = CountingSpots()
         order = []
 
         def observed(index, steps):
@@ -102,13 +103,14 @@ def test_waiterless_processes_never_reorder_what_is_observed(chains, silent):
         for steps in background[len(chains) :]:
             sim.process(unobserved(steps))
         sim.run()
-        return order, sim.processed_events
+        return order, sim.processed_events + sim.spots
 
     alone, alone_events = observe([])
     mixed, mixed_events = observe(silent)
     assert mixed == alone
     # Each silent process pays its Initialize and its timeouts; its exit
-    # is never dispatched.
+    # is never dispatched. A sleep taken on the spot counts as the event it
+    # would have been: whose sleeps are taken moves with the mix.
     assert mixed_events - alone_events == sum(1 + len(steps) for steps in silent)
 
 
@@ -245,6 +247,9 @@ def test_every_way_of_driving_the_kernel_is_the_same_dispatch(program, sentinel_
                 assert sim.now == horizon
         sim.run()
 
-    reference = _play(program, sentinel_delays, _by_step)
-    for drive in (_by_run, by_slices, _by_event):
-        assert _play(program, sentinel_delays, drive) == reference
+    reference, events = _play(program, sentinel_delays, _by_step)
+    for drive in (_by_run, _by_event):
+        assert _play(program, sentinel_delays, drive) == (reference, events)
+    # A sleep that would end past a slice's horizon is pushed, not taken.
+    sliced, sliced_events = _play(program, sentinel_delays, by_slices)
+    assert sliced == reference and sliced_events >= events

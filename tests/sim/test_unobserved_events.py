@@ -7,7 +7,7 @@ path."""
 import pytest
 
 from repro.flextoe.seqr import KeyedFence
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 
 def returns_after(sim, delay, value):
@@ -19,8 +19,9 @@ def test_unobserved_process_exit_is_not_dispatched():
     sim = Simulator()
     proc = sim.process(returns_after(sim, 5, "done"))
     sim.run()
-    # Initialize + the timeout; at the parent a third event carried the exit.
-    assert sim.processed_events == 2
+    # Initialize only: the sleep is taken on the spot (rule 3) and the exit
+    # is not dispatched (rule 1).
+    assert sim.processed_events == 1
     assert not proc.is_alive and proc.value == "done"
     assert sim.peek() is None
 
@@ -31,7 +32,8 @@ def test_observed_process_exit_is_still_dispatched():
     proc = sim.process(returns_after(sim, 5, "done"))
     proc.callbacks.append(lambda event: seen.append((sim.now, event.value)))
     sim.run()
-    assert sim.processed_events == 3
+    # Initialize and the exit; the sleep is taken on the spot (rule 3).
+    assert sim.processed_events == 2
     assert seen == [(5, "done")]
 
 
@@ -60,7 +62,7 @@ def test_later_waiters_take_the_already_fired_path():
     def late_conditions():
         yield sim.timeout(9)
         got["all_of"] = yield sim.all_of([proc])
-        got["any_of"] = yield sim.any_of([proc, sim.timeout(50)])
+        got["any_of"] = yield sim.any_of([proc, Timeout(sim, 50)])
         got["conditions_at"] = sim.now
 
     sim.process(late_yield())
