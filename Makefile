@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact perf-pairs opcodes footprint
+.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact faults-exact perf-pairs opcodes footprint
 
 test:
 	$(PY) -m pytest -x -q
@@ -97,6 +97,25 @@ perf-exact:
 	awk '$$2 ~ /^(events_per_op|sim_lat_p50_us|sim_lat_tail_us|sim_goodput_mbps|ops_ok_frac)$$/ \
 		{ rows++; if ($$6 == "worse" || ($$2 != "events_per_op" && /\(differs\)/)) { print "perf-exact: " $$0; bad = 1 } } \
 		END { if (bad || !rows) exit 1; print "perf-exact: " rows " exact rows hold" }' "$$tmp/table"
+
+# The fault plans' exactness gate: the two `repro faults` artefacts CI's
+# faults job writes (every plan at seed 7, then the NIC crash and its
+# recovery), both under REPRO_SANITIZE=1, on a `git archive` of BASE and on
+# this tree, compared byte for byte with cmp. A change that means to move
+# no simulated number must leave every injection and its instant as it was.
+#   make faults-exact BASE=origin/main
+faults-exact:
+	@test -n "$(BASE)" || { echo "usage: make faults-exact BASE=<git ref>" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
+	git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	for tree in "$$tmp/base" "$$PWD"; do \
+		out="$$tmp/$$(test "$$tree" = "$$PWD" && echo head || echo base)"; \
+		(cd "$$tree" && REPRO_SANITIZE=1 PYTHONPATH=src python -m repro faults --plan all --seed 7 --bytes 60000 --json "$$out-plans.json" > /dev/null \
+			&& REPRO_SANITIZE=1 PYTHONPATH=src python -m repro faults --plan nic-crash --seed 7 --bytes 120000 --json "$$out-nic-crash.json" > /dev/null); \
+	done; \
+	cmp "$$tmp/base-plans.json" "$$tmp/head-plans.json"; \
+	cmp "$$tmp/base-nic-crash.json" "$$tmp/head-nic-crash.json"; \
+	echo "faults-exact: both artefacts match $(BASE) byte for byte"
 
 # The judge for a host-time claim (tests/tools/pairs.py): N alternating
 # pairs of `perf/run.py --workload W --seconds S` on a `git archive` of

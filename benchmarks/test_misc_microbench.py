@@ -29,7 +29,7 @@ def measure_ecn_gradient_ns():
     finished = {}
 
     def program(thread):
-        yield from thread.compute(ECN_GRADIENT_CYCLES)
+        yield thread.compute(ECN_GRADIENT_CYCLES)
         finished["at"] = sim.now
 
     fpc.spawn(program)
@@ -56,7 +56,7 @@ def measure_splice_rate():
             done["count"] += 1
             frame = make_tcp_frame(0xA, 0xB, src, dst, 1000, 2000, payload=b"")
             adapter.handle(frame, None)
-            yield from thread.compute(adapter.cost_cycles)
+            yield thread.compute(adapter.cost_cycles)
 
     for fpc in fpcs:
         for _ in range(8):

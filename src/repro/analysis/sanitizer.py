@@ -27,9 +27,10 @@ a kind is written by that kind only. With ``REPRO_SANITIZE=1`` (or a programmati
 
 It also checks the one precondition of what the kernel takes on the spot
 (DESIGN §12 rule 3): a process started while it is installed raises when
-it took a ``Resource.request()``, ``Store.get()`` or ``sim.timeout()`` on
-the spot and yielded something else next, and any process raises when it
-makes another such event before yielding the one it took.
+it took a ``Resource.request()``, ``Store.get()``, ``sim.timeout()`` or
+engine hold (``thread.compute``, ``core.run``) on the spot and yielded
+something else next, and any process raises when it makes another such
+event before yielding the one it took.
 
 Writes to Protocol/Postproc state with no stage context (control-plane
 setup and polls, tests constructing state directly) are allowed: the

@@ -58,7 +58,7 @@ class EchoServer:
             request = buffered[: self.request_size]
             buffered = buffered[self.request_size :]
             if self.app_delay_cycles:
-                yield from ctx.core.run(self.app_delay_cycles, CAT_APP)
+                yield ctx.core.run(self.app_delay_cycles, CAT_APP)
             if self.response_size is None:
                 response = request
             else:

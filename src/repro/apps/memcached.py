@@ -110,14 +110,14 @@ class MemcachedServer:
             self.requests += 1
             if op == OP_SET:
                 self.sets += 1
-                yield from ctx.core.run(
+                yield ctx.core.run(
                     CYCLES_SET + CYCLES_PER_KB * (len(value) // 1024), CAT_APP
                 )
                 self.store[key] = value
                 responses.append(encode_response(STATUS_OK))
             else:
                 self.gets += 1
-                yield from ctx.core.run(CYCLES_GET, CAT_APP)
+                yield ctx.core.run(CYCLES_GET, CAT_APP)
                 stored = self.store.get(key)
                 if stored is None:
                     responses.append(encode_response(STATUS_MISS))

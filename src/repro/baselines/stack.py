@@ -44,11 +44,11 @@ class Personality:
     def charge_rx(self, host, core, frame):
         """Generator: host cycles for receiving one segment."""
         costs = self.costs
-        yield from core.run(costs.driver_rx, CAT_DRIVER)
-        yield from core.run(costs.tcp_rx, CAT_TCP)
+        yield core.run(costs.driver_rx, CAT_DRIVER)
+        yield core.run(costs.tcp_rx, CAT_TCP)
         extra = costs.per_kb_copy * (len(frame.payload) // 1024)
         if extra:
-            yield from core.run(extra, CAT_TCP)
+            yield core.run(extra, CAT_TCP)
 
 
 class Listener:
@@ -105,7 +105,7 @@ class BaselineContext:
         return self.host.listen(self, port, backlog)
 
     def accept(self, listener):
-        yield from self.core.run(self.host.personality.costs.sockets_recv, CAT_SOCKETS)
+        yield self.core.run(self.host.personality.costs.sockets_recv, CAT_SOCKETS)
         while not listener.ready:
             waiter = self.sim.event()
             listener.waiters.append(waiter)
@@ -117,8 +117,8 @@ class BaselineContext:
 
     def connect(self, remote_ip, remote_port):
         costs = self.host.personality.costs
-        yield from self.core.run(costs.sockets_send, CAT_SOCKETS)
-        yield from self.core.run(costs.other_per_op, CAT_OTHER)
+        yield self.core.run(costs.sockets_send, CAT_SOCKETS)
+        yield self.core.run(costs.other_per_op, CAT_OTHER)
         conn = yield from self.host.connect(self, remote_ip, remote_port)
         sock = BaselineSocket(self, conn)
         self.host.bind_socket(conn, sock)
@@ -138,10 +138,10 @@ class BaselineContext:
                     return total
                 yield from self.wait_any()
                 continue
-            yield from self.core.run(
+            yield self.core.run(
                 costs.sockets_send + costs.per_kb_copy * (accepted // 1024), CAT_SOCKETS
             )
-            yield from self.core.run(costs.other_per_op, CAT_OTHER)
+            yield self.core.run(costs.other_per_op, CAT_OTHER)
             sock.bytes_sent += accepted
             total += accepted
             view = view[accepted:]
@@ -158,18 +158,18 @@ class BaselineContext:
             if not blocking:
                 return None
             yield from self.wait_any()
-        yield from self.core.run(costs.sockets_recv, CAT_SOCKETS)
-        yield from self.core.run(costs.other_per_op, CAT_OTHER)
+        yield self.core.run(costs.sockets_recv, CAT_SOCKETS)
+        yield self.core.run(costs.other_per_op, CAT_OTHER)
         data = host.tcp_recv(self, sock.conn, max_bytes)
         if data:
             copy = costs.per_kb_copy * (len(data) // 1024)
             if copy:
-                yield from self.core.run(copy, CAT_SOCKETS)
+                yield self.core.run(copy, CAT_SOCKETS)
         sock.bytes_received += len(data)
         return data
 
     def close(self, sock):
-        yield from self.core.run(self.host.personality.costs.sockets_send, CAT_SOCKETS)
+        yield self.core.run(self.host.personality.costs.sockets_send, CAT_SOCKETS)
         yield from self.host.tcp_close(self, sock.conn)
 
     # -- events ------------------------------------------------------------------
@@ -384,19 +384,19 @@ class BaselineHost:
             # which runs under the kernel lock like any driver.
             if self._kernel_lock is not None:
                 lock = yield self._kernel_lock.request()
-                yield from core.run(self.personality.costs.driver_tx, CAT_DRIVER)
+                yield core.run(self.personality.costs.driver_tx, CAT_DRIVER)
                 lock.release()
             else:
-                yield from core.run(self.personality.costs.driver_tx, CAT_DRIVER)
+                yield core.run(self.personality.costs.driver_tx, CAT_DRIVER)
             segments = -(-max(1, len_hint) // self.engine.config.mss)
             yield from self._toe_process(conn.four_tuple, n_segments=segments)
             return
         if self._kernel_lock is not None:
             grant = yield self._kernel_lock.request()
-            yield from core.run(cycles, CAT_TCP)
+            yield core.run(cycles, CAT_TCP)
             grant.release()
         else:
-            yield from core.run(cycles, CAT_TCP)
+            yield core.run(cycles, CAT_TCP)
 
     # -- receive path ---------------------------------------------------------
 
@@ -438,10 +438,10 @@ class BaselineHost:
             core = self.machine.cores[self._rx_rr % len(self.machine.cores)]
             if self._kernel_lock is not None:
                 lock = yield self._kernel_lock.request()
-                yield from core.run(personality.costs.driver_rx, CAT_DRIVER)
+                yield core.run(personality.costs.driver_rx, CAT_DRIVER)
                 lock.release()
             else:
-                yield from core.run(personality.costs.driver_rx, CAT_DRIVER)
+                yield core.run(personality.costs.driver_rx, CAT_DRIVER)
         else:
             if self._fastpath_cores is not None:
                 core = self._fastpath_cores[index % len(self._fastpath_cores)]
@@ -455,10 +455,10 @@ class BaselineHost:
                 # halves the per-segment TCP cost for full segments.
                 costs = personality.costs
                 gro = 2 if len(frame.payload) >= 1024 else 1
-                yield from core.run(costs.driver_rx // gro, CAT_DRIVER)
+                yield core.run(costs.driver_rx // gro, CAT_DRIVER)
                 grant = yield self._kernel_lock.request()
                 cycles = costs.tcp_rx // gro + costs.per_kb_copy * (len(frame.payload) // 1024)
-                yield from core.run(cycles, CAT_TCP)
+                yield core.run(cycles, CAT_TCP)
                 grant.release()
             else:
                 yield from personality.charge_rx(self, core, frame)

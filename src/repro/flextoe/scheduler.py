@@ -161,7 +161,7 @@ class CarouselScheduler:
             entry.queued = False
             if entry.deficit <= 0:
                 continue
-            yield from thread.compute(dequeue_cost)
+            yield thread.compute(dequeue_cost)
             burst = min(self.mss, entry.deficit)
             entry.deficit -= burst
             self.triggers_issued += 1

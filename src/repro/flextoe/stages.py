@@ -85,7 +85,7 @@ class PreStage:
         verdict = yield from self._admit_rx(thread, work)
         if verdict == ACTION_PASS:
             # Steer: in pipeline-sequence order through the GRO.
-            yield from thread.compute(dp.config.costs.pre_steer)
+            yield thread.compute(dp.config.costs.pre_steer)
             dp.rx_gro.offer(work)
             return
         # Not admitted: release the RX-GRO ticket (§3.2: a stage dropping
@@ -104,12 +104,12 @@ class PreStage:
         costs = dp.config.costs
         frame = work.frame
         trace = dp.tracepoints
-        yield from thread.compute(costs.pre_validate + trace.hit(dp.sim.now, "pre", "rx.segment"))
+        yield thread.compute(costs.pre_validate + trace.hit(dp.sim.now, "pre", "rx.segment"))
         if dp.capture is not None:
-            yield from thread.compute(dp.capture.cost_cycles(frame))
+            yield thread.compute(dp.capture.cost_cycles(frame))
             dp.capture.capture(dp.sim.now, "rx", frame)
         if dp.ingress_modules is not None and len(dp.ingress_modules):
-            yield from thread.compute(dp.ingress_modules.total_cost)
+            yield thread.compute(dp.ingress_modules.total_cost)
             action = dp.ingress_modules.run(frame, work)
             if action != ACTION_PASS:
                 return action
@@ -135,14 +135,14 @@ class PreStage:
         if not hit:
             yield from thread.mem_read(LAT_IMEM)
             found, conn_index, _probes = dp.lookup_engine.lookup(four)
-            yield from thread.compute(costs.pre_identify)
+            yield thread.compute(costs.pre_identify)
             if not found:
                 return ACTION_REDIRECT
             self.id_cache.insert(four, conn_index)
         if self._identify(work, conn_index) is None:
             return ACTION_REDIRECT
         # Sum: build the header summary; later stages never see headers.
-        yield from thread.compute(costs.pre_summary)
+        yield thread.compute(costs.pre_summary)
         tcp = frame.tcp
         work.summary = HeaderSummary(
             seq=tcp.seq,
@@ -166,12 +166,12 @@ class PreStage:
             return  # stale scheduler trigger: the work holds nothing yet
         # Alloc: a segment buffer from the island CTM pool (bounded).
         grant = yield dp.ctm_pool.request()
-        yield from thread.compute(costs.tx_alloc)
+        yield thread.compute(costs.tx_alloc)
         # Head: Ethernet and IP headers from pre-processor state.
-        yield from thread.compute(costs.tx_header)
+        yield thread.compute(costs.tx_header)
         work.frame = dp.make_segment(record)
         work.frame.set_meta("ctm_grant", grant)
-        yield from thread.compute(costs.pre_steer)
+        yield thread.compute(costs.pre_steer)
         yield dp.proto_rings[work.flow_group].put(work)
 
     # -- HC ----------------------------------------------------------------
@@ -179,7 +179,7 @@ class PreStage:
     def _handle_hc(self, thread, work):
         dp = self.dp
         record = self._identify(work, work.hc.conn_index)
-        yield from thread.compute(dp.config.costs.pre_steer + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
+        yield thread.compute(dp.config.costs.pre_steer + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
         if record is None or not record.active:
             dp.retire(work)
             return
@@ -242,7 +242,7 @@ class ProtocolStage:
             yield from thread.mem_read(latency, issue_cycles=2 + issue)
             extra = trace.hit(dp.sim.now, "proto", "proto.state_miss")
             if extra:
-                yield from thread.compute(extra)
+                yield thread.compute(extra)
         state = record.proto
         if work.kind == WORK_RX:
             yield from self._process_rx(thread, work, state)
@@ -254,7 +254,7 @@ class ProtocolStage:
             yield from self._process_hc(thread, work, state)
         extra = trace.hit(dp.sim.now, "proto", "proto.critical_section")
         if extra:
-            yield from thread.compute(extra)
+            yield thread.compute(extra)
         self.processed[work.kind] += 1
         yield dp.post_rings[self.flow_group].put(work)
 
@@ -273,7 +273,7 @@ class ProtocolStage:
         if snapshot.fast_retransmit:
             cycles += costs.proto_fast_retransmit
             cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
-        yield from thread.compute(cycles)
+        yield thread.compute(cycles)
         if (
             snapshot.send_ack
             and dp.config.delayed_ack_segments > 1
@@ -303,11 +303,11 @@ class ProtocolStage:
         trace = dp.tracepoints
         result = proto_logic.process_tx(state, dp.config.mss)
         dp.observer.proto_changed(work.conn_index, state)
-        yield from thread.compute(costs.tx_seq)
+        yield thread.compute(costs.tx_seq)
         if result is None:
             extra = trace.hit(dp.sim.now, "proto", "tx.stale_trigger")
             if extra:
-                yield from thread.compute(extra)
+                yield thread.compute(extra)
             dp.retire(work)
             # Refresh the scheduler so it stops triggering a dry flow.
             dp.scheduler.fs_update(work.conn_index, state.flight_limit())
@@ -333,7 +333,7 @@ class ProtocolStage:
         dp = self.dp
         snapshot = work.snapshot = proto_logic.process_hc(state, work.hc)
         dp.observer.proto_changed(work.conn_index, state)
-        yield from thread.compute(dp.config.costs.hc_window_update)
+        yield thread.compute(dp.config.costs.hc_window_update)
         if snapshot.send_ack:
             snapshot.nbi_seq = dp.nbi_seqr.assign(work)
 
@@ -466,7 +466,7 @@ class PostStage:
             cycles += costs.post_position
             work.tx_offset = snapshot.tx.stream_pos % post.tx_size
             work.tx_len = snapshot.tx.length
-        yield from thread.compute(cycles)
+        yield thread.compute(cycles)
         if work.hc is not None:
             dp.release_descriptor(work)
         return bool(
@@ -523,7 +523,7 @@ class DmaStage:
             # retries (repro.faults DmaFlake) make this reordering real.
             turn = dp.dma_rx_fence.enter(record)
             if payload:
-                yield from thread.compute(costs.dma_issue)
+                yield thread.compute(costs.dma_issue)
                 dp.tracepoints.hit(dp.sim.now, "dma", "dma.payload_issue")
                 events = []
                 written = 0
@@ -555,7 +555,7 @@ class DmaStage:
                 dp.nbi_gro.offer(ack_frame)
             turn.leave()
         elif work.kind == WORK_TX:
-            yield from thread.compute(costs.dma_issue)
+            yield thread.compute(costs.dma_issue)
             parts = []
             events = []
             for offset, length in self._split_wrap(work.tx_offset, work.tx_len, post.tx_size):
@@ -605,11 +605,11 @@ class NbiStage:
                 serial = yield dp.serial_lock.request()
             action = None
             if dp.egress_modules is not None and len(dp.egress_modules):
-                yield from thread.compute(dp.egress_modules.total_cost)
+                yield thread.compute(dp.egress_modules.total_cost)
                 action = dp.egress_modules.run(frame, None)
             if action != ACTION_DROP:
                 if dp.capture is not None:
-                    yield from thread.compute(dp.capture.cost_cycles(frame))
+                    yield thread.compute(dp.capture.cost_cycles(frame))
                     dp.capture.capture(dp.sim.now, "tx", frame)
                 self.transmitted += 1
                 dp.mac.transmit(frame)
@@ -643,7 +643,7 @@ class CtxStage:
             serial = None
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
-            yield from thread.compute(costs.ctx_notify)
+            yield thread.compute(costs.ctx_notify)
             pair = dp.contexts.get(notification.context_id)
             yield dp.dma.issue(1, 32)
             if turn.blocked():
@@ -666,7 +666,7 @@ class CtxStage:
         costs = dp.config.costs
         while True:
             yield dp.pcie.wait_doorbell("hc")
-            yield from thread.compute(costs.ctx_doorbell_poll)
+            yield thread.compute(costs.ctx_doorbell_poll)
             dp.tracepoints.hit(dp.sim.now, "ctx", "hc.doorbell")
             # Scan all contexts for outbound descriptors. Multiple
             # updates ride one doorbell, so fetch DMAs are batched

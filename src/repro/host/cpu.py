@@ -4,8 +4,8 @@ Costs are charged in cycles at the core clock (default 2 GHz, the
 testbed's Xeon Gold 6138). Categories mirror Table 1's row labels.
 """
 
-from repro.sim import Resource
 from repro.sim.clock import CYCLES_2GHZ
+from repro.sim.resources import Hold, Occupancy, Slots
 
 CAT_DRIVER = "driver"
 CAT_TCP = "tcp"
@@ -49,10 +49,10 @@ class CycleAccounting:
 class CpuCore:
     """One host hardware thread.
 
-    ``yield from core.run(cycles, category)`` charges cycles and blocks
-    the core for their duration. The core is a capacity-1 resource, so
-    two software threads pinned to it serialize (used by the Linux
-    baseline's lock-contention model).
+    ``yield core.run(cycles, category)`` charges cycles and blocks the
+    core for their duration. The core is one FIFO slot, so two software
+    threads pinned to it serialize (used by the Linux baseline's
+    lock-contention model).
     """
 
     def __init__(self, sim, name, clock=CYCLES_2GHZ):
@@ -60,38 +60,36 @@ class CpuCore:
         self.name = name
         self.clock = clock
         self.accounting = CycleAccounting()
-        self._slot = Resource(sim, capacity=1, name="{}.slot".format(name))
-        self.busy_cycles = 0
+        self.slot = Slots(sim, capacity=1, name="{}.slot".format(name), accounting=self.accounting)
         self.steals = 0
         self.stolen_ns = 0
 
     def run(self, cycles, category=CAT_OTHER):
-        """Execute ``cycles`` of work attributed to ``category``."""
+        """The event of executing ``cycles`` of work attributed to
+        ``category``; the caller yields it at once. No cycles wait for
+        nothing."""
         if cycles <= 0:
-            return
-        grant = yield self._slot.request()
-        yield self.sim.timeout(self.clock.cycles_to_ns(cycles))
-        self.accounting.charge(category, cycles)
-        self.busy_cycles += cycles
-        grant.release()
+            return self.sim._passed()
+        return Hold(self.slot, self.clock.cycles_to_ns(cycles), cycles, category)
+
+    @property
+    def busy_cycles(self):
+        """Cycles of work run (charged as each run ends)."""
+        return self.slot.busy_cycles
 
     def steal(self, duration_ns):
         """Occupy the core for ``duration_ns`` (fault injection: jitter).
 
         Models a noisy neighbor, SMI, or kernel housekeeping burst that
         preempts whatever software thread is pinned here. The stolen
-        time is not charged to any accounting category. Returns the
-        stealing process.
+        time is not charged to any accounting category; the steal queues
+        for the core like a thread and is counted when it gets it.
         """
+        Occupancy(self.slot, duration_ns, self._stolen)
 
-        def _steal():
-            grant = yield self._slot.request()
-            self.steals += 1
-            self.stolen_ns += duration_ns
-            yield self.sim.timeout(duration_ns)
-            grant.release()
-
-        return self.sim.process(_steal(), name="{}.steal".format(self.name))
+    def _stolen(self, duration_ns):
+        self.steals += 1
+        self.stolen_ns += duration_ns
 
     def utilization(self, elapsed_ns):
         if elapsed_ns <= 0:

@@ -133,13 +133,13 @@ class LibToeContext:
 
     def accept(self, listener):
         """Wait for and adopt an incoming connection."""
-        yield from self.core.run(COST_SETUP, CAT_SOCKETS)
+        yield self.core.run(COST_SETUP, CAT_SOCKETS)
         established = yield from self.control_plane.accept_wait(listener)
         return self._adopt(established)
 
     def connect(self, remote_ip, remote_port):
         """Open a connection; blocks through the control-plane handshake."""
-        yield from self.core.run(COST_SETUP, CAT_SOCKETS)
+        yield self.core.run(COST_SETUP, CAT_SOCKETS)
         established = yield from self.control_plane.connect(self, remote_ip, remote_port)
         return self._adopt(established)
 
@@ -168,7 +168,7 @@ class LibToeContext:
                 if sock.error is not None:
                     raise sock.error
             chunk = view[: sock.tx_free]
-            yield from self.core.run(
+            yield self.core.run(
                 COST_SEND + COST_PER_KB_COPY * (len(chunk) // 1024), CAT_SOCKETS
             )
             sock.tx_buffer.write(sock.tx_head, bytes(chunk))
@@ -196,7 +196,7 @@ class LibToeContext:
             yield from self._wait_and_dispatch()
             if sock.error is not None:
                 raise sock.error
-        yield from self.core.run(
+        yield self.core.run(
             COST_RECV + COST_PER_KB_COPY * (min(max_bytes, sock.rx_bytes_ready) // 1024),
             CAT_SOCKETS,
         )
@@ -219,7 +219,7 @@ class LibToeContext:
 
     def close(self, sock):
         """Half-close: send FIN after pending data; free on completion."""
-        yield from self.core.run(COST_SEND, CAT_SOCKETS)
+        yield self.core.run(COST_SEND, CAT_SOCKETS)
         if not sock.fin_sent:
             sock.fin_sent = True
             self._post_hc(HostControlDescriptor(HC_FIN, sock.conn_index))
@@ -277,7 +277,7 @@ class LibToeContext:
 
         Models the poll-then-eventfd-sleep behavior of §4: the context
         manager raises an MSI-X interrupt for sleeping contexts."""
-        yield from self.core.run(COST_POLL, CAT_SOCKETS)
+        yield self.core.run(COST_POLL, CAT_SOCKETS)
         if not self.pair.inbound:
             yield self.pair.wait()
         self.dispatch()

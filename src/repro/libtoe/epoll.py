@@ -46,7 +46,7 @@ class EventPoll:
         ctx = self.ctx
         cost_fn = getattr(ctx, "epoll_cost_cycles", None)
         cost = cost_fn(len(self.watched)) if cost_fn else COST_EPOLL_WAIT
-        yield from ctx.core.run(cost, CAT_SOCKETS)
+        yield ctx.core.run(cost, CAT_SOCKETS)
         ctx.dispatch()
         while not self._ready:
             yield from ctx.wait_any()

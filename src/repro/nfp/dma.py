@@ -5,9 +5,15 @@ up to 128 asynchronous operations in flight on each. An operation costs
 a fixed round-trip latency (PCIe + host memory) plus transfer time on the
 shared PCIe bandwidth. Hiding this latency is why DMA is its own
 pipeline stage in FlexTOE.
+
+An operation is a continuation, not a process: its steps
+(:class:`~repro.sim.core.Step`) start it, grant its queue slot, retry and
+complete it at the dispatches where a process running it would have been
+resumed.
 """
 
-from repro.sim import Resource
+from repro.sim.core import URGENT
+from repro.sim.resources import Slots
 
 PCIE_GEN3_X8_BPS = 63_000_000_000  # ~7.9 GB/s usable
 
@@ -26,9 +32,7 @@ class DmaEngine:
         self.sim = sim
         self.latency_ns = latency_ns
         self.bandwidth_bps = bandwidth_bps
-        self._queues = [
-            Resource(sim, capacity=queue_depth, name="dma-q{}".format(i)) for i in range(n_queues)
-        ]
+        self._queues = [Slots(sim, capacity=queue_depth, name="dma-q{}".format(i)) for i in range(n_queues)]
         self._busy_until = 0
         self._transfer_ns_cache = {}
         self.ops = 0
@@ -58,26 +62,51 @@ class DmaEngine:
         """
         queue = self._queues[queue_id % len(self._queues)]
         done = self.sim.event()
-        self.sim.process(self._run(queue, nbytes, done), name="dma-op")
+        _DmaOp(self, queue, nbytes, done)
         return done
 
-    def _run(self, queue, nbytes, done):
-        grant = yield queue.request()
-        retry_ns = 0
-        if self.fault_hook is not None:
+
+class _DmaOp:
+    """One operation: its queue slot, an optional fault-hook retry, the
+    transfer plus latency, then the slot handed on and ``done`` fired."""
+
+    __slots__ = ("engine", "queue", "nbytes", "done")
+
+    def __init__(self, engine, queue, nbytes, done):
+        self.engine = engine
+        self.queue = queue
+        self.nbytes = nbytes
+        self.done = done
+        engine.sim._schedule(engine.sim.now, self._start, URGENT)
+
+    def _start(self, _step):
+        self.queue.request(self._granted)
+
+    def _granted(self, _step):
+        engine = self.engine
+        if engine.fault_hook is not None:
             # Transient DMA failure: the engine retries the descriptor
             # after ``retry_ns``; the operation still completes (PCIe
             # replay), it just arrives late and holds its queue slot.
-            retry_ns = int(self.fault_hook(nbytes) or 0)
+            retry_ns = int(engine.fault_hook(self.nbytes) or 0)
             if retry_ns > 0:
-                self.transient_failures += 1
-                self.retry_ns_total += retry_ns
-                yield self.sim.timeout(retry_ns)
-        start = max(self.sim.now, self._busy_until)
-        finish = start + self.transfer_time_ns(nbytes)
-        self._busy_until = finish
-        yield self.sim.timeout(finish - self.sim.now + self.latency_ns)
-        self.ops += 1
-        self.bytes_moved += max(0, nbytes)
-        grant.release()
-        done.succeed()
+                engine.transient_failures += 1
+                engine.retry_ns_total += retry_ns
+                engine.sim._after(retry_ns, self._transfer)
+                return
+        self._transfer(None)
+
+    def _transfer(self, _step):
+        engine = self.engine
+        sim = engine.sim
+        now = sim.now
+        finish = max(now, engine._busy_until) + engine.transfer_time_ns(self.nbytes)
+        engine._busy_until = finish
+        sim._after(finish - now + engine.latency_ns, self._complete)
+
+    def _complete(self, _step):
+        engine = self.engine
+        engine.ops += 1
+        engine.bytes_moved += max(0, self.nbytes)
+        self.queue.hand_on()
+        self.done.succeed()

@@ -4,23 +4,22 @@ An FPC is a single-issue 32-bit core at 800 MHz with 8 hardware thread
 contexts. Exactly one thread occupies the issue pipeline at a time;
 threads voluntarily swap out on memory/IO waits, which is how the NFP
 hides its long memory latencies. The model enforces this with a
-capacity-1 issue slot held during :meth:`FpcThread.compute` and released
-during the wait of :meth:`FpcThread.mem_read`; a program waits on IO (a
-DMA, a ring) by yielding its event, holding no slot.
+capacity-1 issue slot (:class:`~repro.sim.resources.Slots`) held for the
+one event :meth:`FpcThread.compute` returns, and released during the wait
+of :meth:`FpcThread.mem_read`; a program waits on IO (a DMA, a ring) by
+yielding its event, holding no slot.
 """
 
-from repro.sim import Resource
 from repro.sim.clock import CYCLES_800MHZ
+from repro.sim.resources import Hold, Occupancy, Slots
 
 #: Cycles to issue a memory/IO command before swapping out.
 ISSUE_CYCLES = 2
 
 
 class FpcThread:
-    """One hardware thread context; programs call its waiting helpers.
-
-    All helpers are generator functions used with ``yield from`` inside
-    the program generator.
+    """One hardware thread context; programs call its waiting helpers:
+    ``yield thread.compute(cycles)``, ``yield from thread.mem_read(...)``.
     """
 
     __slots__ = ("fpc", "thread_id", "process")
@@ -35,19 +34,17 @@ class FpcThread:
         return self.fpc.sim
 
     def compute(self, cycles):
-        """Execute ``cycles`` instructions; holds the issue slot."""
+        """The event of executing ``cycles`` instructions, holding the issue
+        slot; the program yields it at once. No cycles wait for nothing."""
         if cycles <= 0:
-            return
+            return self.fpc.sim._passed()
         fpc = self.fpc
-        grant = yield fpc._issue.request()
-        yield fpc.sim.timeout(fpc.cycles_to_ns(cycles))
-        fpc.busy_cycles += cycles
-        grant.release()
+        return Hold(fpc.issue_slot, fpc.cycles_to_ns(cycles), cycles)
 
     def mem_read(self, latency_cycles, issue_cycles=ISSUE_CYCLES):
         """Read from a memory ``latency_cycles`` away: brief issue, then
         the wait with the issue slot released (another thread may run)."""
-        yield from self.compute(issue_cycles)
+        yield self.compute(issue_cycles)
         yield self.sim.timeout(self.fpc.cycles_to_ns(latency_cycles))
 
 
@@ -64,9 +61,8 @@ class Fpc:
         self.n_threads = n_threads
         self.code_store = code_store
         self.code_used = 0
-        self._issue = Resource(sim, capacity=1, name="{}.issue".format(name))
+        self.issue_slot = Slots(sim, capacity=1, name="{}.issue".format(name))
         self._threads = []
-        self.busy_cycles = 0
         self.stalls = 0
         self.stalled_ns = 0
 
@@ -84,23 +80,25 @@ class Fpc:
         thread.process = self.sim.process(program_factory(thread), name=label)
         return thread
 
+    @property
+    def busy_cycles(self):
+        """Cycles spent issuing instructions (charged as each compute ends)."""
+        return self.issue_slot.busy_cycles
+
     def stall(self, duration_ns):
         """Occupy the issue pipeline for ``duration_ns`` (fault injection).
 
         Models a thread wedged in the issue stage — e.g. an ECC scrub,
         a firmware assist, or a microcode loop — during which no hardware
         thread on this FPC can issue instructions. Memory waits already
-        in flight still complete. Returns the stall process.
+        in flight still complete. The stall queues for the slot like a
+        thread and is counted when it gets it.
         """
+        Occupancy(self.issue_slot, duration_ns, self._stalled)
 
-        def _stall():
-            grant = yield self._issue.request()
-            self.stalls += 1
-            self.stalled_ns += duration_ns
-            yield self.sim.timeout(duration_ns)
-            grant.release()
-
-        return self.sim.process(_stall(), name="{}.stall".format(self.name))
+    def _stalled(self, duration_ns):
+        self.stalls += 1
+        self.stalled_ns += duration_ns
 
     def load_code(self, nbytes):
         """Account code-store usage; FPC code stores are only 32 KB."""

@@ -23,12 +23,17 @@ the ledger, one row per host-only mechanism with the number behind it):
   would fire, the event would be the heap minimum and resume only that
   process, so :meth:`Process._resume` continues in place — at the
   event's time — instead of pushing it. It is taken only by a
-  ``Resource.request()``, ``Store.get()`` or ``sim.timeout()`` the
-  process yields at once (``REPRO_SANITIZE=1`` checks that; a
+  ``Resource.request()``, ``Store.get()``, ``sim.timeout()`` or engine
+  hold the process yields at once (``REPRO_SANITIZE=1`` checks that; a
   :class:`Condition` refuses one). DESIGN §12 rule 3: a third of the
   ``baseline-stacks`` events, a fifth of ``sparse-idle``'s. Every
   dispatch loop records the callback list it runs, and :meth:`run` its
   deadline and target, for this.
+* Hardware engines are continuations, not processes: an FPC compute or
+  a host-core run is one :class:`~repro.sim.resources.Hold` event, a DMA
+  operation a chain of :class:`Step` entries, each pushed where the
+  process it replaces pushed an event and run in place under the same
+  test (:meth:`Simulator._next_in_line`).
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -183,6 +188,21 @@ class Initialize(Event):
         self.callbacks = [process._resume_cb]
         sim._seq += 1
         heappush(sim._heap, (sim.now, URGENT, sim._seq, self))
+
+
+class Step:
+    """A heap entry that runs one step of a hardware engine's operation
+    (FPC issue slots, host cores, the DMA engine): the operation is a
+    continuation, not a process. Each step is pushed where the process the
+    operation used to be would have pushed an event, and runs what that
+    process's resume would have run — with no generator behind it; where
+    the process would have been granted or slept on the spot (DESIGN §12
+    rule 3), the next step runs in place instead
+    (:meth:`Simulator._schedule`, :meth:`Simulator._after`). Its one
+    callback is the step; nobody else waits on it.
+    """
+
+    __slots__ = ("callbacks",)
 
 
 class Process(Event):
@@ -363,32 +383,72 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
+    def _next_in_line(self, when, callback=None):
+        """Rule 3's test (DESIGN §12): whether what ``callback`` would push
+        for ``when`` is the very next dispatch, so that it may run in place
+        instead. ``callback`` is the last callback of this dispatch (an
+        engine step passes None: its event has no other), no heap entry is
+        due at or before ``when``, and this run would go on to ``when``
+        (within its deadline, its target not fired)."""
+        heap = self._heap
+        if heap and heap[0][0] <= when:  # the common answer: first, then
+            return False
+        return (
+            (callback is None or self._dispatching[-1] is callback)
+            and when <= self._deadline
+            and self._until._value is PENDING
+        )
+
     def _grant_on_the_spot(self, event, value, when):
         """Fire ``event`` with ``value`` at ``when`` without pushing it, if
-        the running process is next in line; returns whether it did
+        the running process is next in line for ``when``
+        (:meth:`_next_in_line`, with its resume); returns whether it did
         (DESIGN §12 rule 3). ``event`` is a ``Resource.request()`` or
-        ``Store.get()`` satisfied now, or a ``sim.timeout()`` waking at
-        ``when``.
-
-        Next in line: the process's resume is the last callback of this
-        dispatch, no heap entry is due at or before ``when``, and this
-        run would go on to ``when`` (within its deadline, its target not
-        fired) — so the pushed event would be dispatched next and resume
-        only that process. The event is marked dispatched (``callbacks =
-        None``) and recorded in ``_spot``, and :meth:`Process._resume`
-        continues in place at ``when`` when the process yields it.
+        ``Store.get()`` satisfied now, a ``sim.timeout()`` waking at
+        ``when``, or an engine hold that would end then
+        (:class:`~repro.sim.resources.Hold`). Pushed, it would be
+        dispatched next and resume only that process; instead it is marked
+        dispatched (``callbacks = None``) and recorded in ``_spot``, and
+        :meth:`Process._resume` continues in place at ``when`` when the
+        process yields it.
         """
         process = self._active_process
-        if process is None or self._dispatching[-1] is not process._resume_cb:
-            return False
-        heap = self._heap
-        if heap and heap[0][0] <= when or when > self._deadline or self._until._value is not PENDING:
+        if process is None or not self._next_in_line(when, process._resume_cb):
             return False
         event._value = value
         event.callbacks = None
         self._spot = event
         self._spot_at = when
         return True
+
+    def _schedule(self, when, step, priority=NORMAL):
+        """Push a :class:`Step` running ``step`` at ``when``."""
+        entry = _new(Step)
+        entry.callbacks = [step]
+        self._seq += 1
+        heappush(self._heap, (when, priority, self._seq, entry))
+
+    def _after(self, delay, step):
+        """Run the engine step ``step`` ``delay`` ns from now, where a
+        ``sim.timeout(delay)`` would have resumed the process it stands
+        for: in place when next in line (the caller is its event's only
+        callback), else pushed."""
+        when = self.now + delay
+        if delay > 0 and self._next_in_line(when):
+            self.now = when
+            step(None)
+        else:
+            self._schedule(when, step)
+
+    def _passed(self):
+        """An event the running process continues past in place, whatever
+        is due: what it yields for work that takes no time and waits for
+        nothing (a hold of no cycles), where it used to yield nothing."""
+        event = Event(self)
+        event._value = event.callbacks = None
+        self._spot = event
+        self._spot_at = self.now
+        return event
 
     # -- factories -------------------------------------------------------
 
@@ -486,6 +546,8 @@ class Simulator:
                 return stop._value
             deadline = None if until is None else int(until)
             if deadline is not None:
+                if deadline < self.now:
+                    raise SimulationError("run(until={}) is before now ({})".format(deadline, self.now))
                 self._deadline = deadline
             while heap:
                 when = heap[0][0]

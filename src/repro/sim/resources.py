@@ -1,8 +1,10 @@
-"""Shared-resource primitives: FIFO stores and semaphores.
+"""Shared-resource primitives: FIFO stores, semaphores and engine slots.
 
 These are the communication channels between simulated components: ring
-buffers between pipeline stages are bounded :class:`Store` objects, FPC
-issue slots are :class:`Resource` objects, and so on.
+buffers between pipeline stages are bounded :class:`Store` objects, pools
+and locks are :class:`Resource` objects, and the slots hardware engines
+hold — an FPC's issue slot, a host core, a DMA queue — are :class:`Slots`,
+held by a :class:`Hold` a process yields or by an engine's steps.
 
 A process yields the event of a ``request()`` or ``get()`` at once, as
 it does a ``sim.timeout()``: one that is satisfied while the process is
@@ -12,8 +14,9 @@ next in line is granted on the spot and never enters the heap
 """
 
 from collections import deque
+from heapq import heappush
 
-from repro.sim.core import Event, SimulationError
+from repro.sim.core import NORMAL, URGENT, Event, SimulationError
 
 
 class StorePut(Event):
@@ -206,3 +209,162 @@ class Resource:
             request = self._queue.popleft()
             self._users.add(request)
             request.succeed(request)
+
+
+class Slots:
+    """``capacity`` slots granted in FIFO order to engine operations: an
+    FPC's issue slot and a host core (capacity 1), a DMA queue (128).
+
+    A :class:`Resource` in all but the process: a slot reaching a waiting
+    operation pushes its turn (a :class:`~repro.sim.core.Step`) where the
+    resource pushed its grant. Each :class:`Hold` adds its cycles to
+    ``busy_cycles`` at its end, and those of a category to
+    ``accounting.charge(category, cycles)``.
+    """
+
+    __slots__ = ("sim", "capacity", "name", "accounting", "busy_cycles", "in_use", "_waiting")
+
+    def __init__(self, sim, capacity=1, name=None, accounting=None):
+        if capacity <= 0:
+            raise SimulationError("slot capacity must be positive")
+        self.sim = sim
+        self.capacity = capacity
+        self.name = name
+        self.accounting = accounting
+        self.busy_cycles = 0
+        self.in_use = 0
+        self._waiting = deque()  # what each waiter runs when a slot reaches it
+
+    def request(self, then):
+        """Run the engine step ``then`` once it holds a slot: in place when
+        one is free and the step is next in line, else at its turn."""
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            sim = self.sim
+            if sim._next_in_line(sim.now):
+                then(None)
+            else:
+                sim._schedule(sim.now, then)
+        else:
+            self._waiting.append(then)
+
+    def hand_on(self):
+        """Release a slot: the longest waiter's turn is pushed now, or the
+        slot is free."""
+        if self._waiting:
+            self.sim._schedule(self.sim.now, self._waiting.popleft())
+        else:
+            self.in_use -= 1
+
+
+class Hold(Event):
+    """One of ``slots`` held for ``ns`` by the running process, as the one
+    event it yields (``yield thread.compute(cycles)``): no request, no
+    timeout, no generator. It fires when the hold ends; its first callback
+    charges ``cycles`` (of ``category``, if any) to ``slots`` and hands the
+    slot on, then the holder resumes — the order of a process that
+    requested, slept and released. Each step is taken where that process
+    took it (DESIGN §12 rule 3):
+
+    * slot free, and the holder next in line now: granted on the spot —
+      and if the hold would also end before anything else is due, taken on
+      the spot (``Simulator._grant_on_the_spot``), charged and handed back
+      at once; else the hold is pushed where the timeout was;
+    * else a turn (a :class:`~repro.sim.core.Step`) is pushed where the
+      grant was — now, or when the slot reaches the hold — and it starts
+      the sleep: in place when next in line, else the hold is pushed.
+
+    A holder interrupted while it waits for or holds the slot never hands
+    it on, as its generator died at the ``yield``.
+    """
+
+    __slots__ = ("slots", "ns", "cycles", "category")
+    # Born fired and never failed nor posted, like a Timeout: one store
+    # fewer each per hold.
+    _ok = True
+    _scheduled = True
+
+    def __init__(self, slots, ns, cycles, category=None):
+        sim = self.sim = slots.sim
+        if slots.in_use < slots.capacity:
+            now = sim.now
+            heap = sim._heap
+            if heap and heap[0][0] <= now:
+                # Something due now, the common answer under load: the
+                # holder is not next in line (the test below says no too).
+                sim._schedule(now, self._turn)
+            elif ns > 0 and sim._grant_on_the_spot(self, None, now + ns):
+                # Granted, slept and released: charged as _end does.
+                slots.busy_cycles += cycles
+                if category is not None:
+                    slots.accounting.charge(category, cycles)
+                return
+            else:
+                process = sim._active_process
+                if process is not None and sim._next_in_line(now, process._resume_cb):
+                    sim._seq += 1  # granted on the spot; the sleep is pushed
+                    heappush(heap, (now + ns, NORMAL, sim._seq, self))
+                else:
+                    sim._schedule(now, self._turn)
+            slots.in_use += 1
+        else:
+            slots._waiting.append(self._turn)
+        self.callbacks = [self._end]
+        self._value = None
+        self.slots = slots
+        self.ns = ns
+        self.cycles = cycles
+        self.category = category
+
+    def _turn(self, _step):
+        """The slot reached the hold: sleep, where the holder's timeout did."""
+        callbacks = self.callbacks
+        if len(callbacks) < 2:
+            return  # the holder was interrupted in the queue: it keeps the slot
+        sim = self.sim
+        ns = self.ns
+        when = sim.now + ns
+        if ns > 0 and sim._next_in_line(when):
+            sim.now = when  # dispatched in place, the holder last as ever
+            self.callbacks = None
+            sim._dispatching = callbacks
+            for callback in callbacks:
+                callback(self)
+        else:
+            sim._seq += 1
+            heappush(sim._heap, (when, NORMAL, sim._seq, self))
+
+    def _end(self, _hold):
+        # A holder interrupted mid-hold is no longer among the callbacks:
+        # it never releases.
+        if len(self.sim._dispatching) > 1:
+            slots = self.slots
+            slots.busy_cycles += self.cycles
+            if self.category is not None:
+                slots.accounting.charge(self.category, self.cycles)
+            slots.hand_on()
+
+
+class Occupancy:
+    """A slot of ``slots`` taken ``ns`` by no process (fault injection: an
+    FPC stall, a stolen host core): started, granted and slept where the
+    process it stands for was, calling ``on_grant(ns)`` once it holds the
+    slot."""
+
+    __slots__ = ("slots", "ns", "on_grant")
+
+    def __init__(self, slots, ns, on_grant):
+        self.slots = slots
+        self.ns = ns
+        self.on_grant = on_grant
+        slots.sim._schedule(slots.sim.now, self._start, URGENT)
+
+    def _start(self, _step):
+        self.slots.request(self._granted)
+
+    def _granted(self, _step):
+        self.on_grant(self.ns)
+        self.slots.sim._after(int(self.ns), self._end)
+
+    def _end(self, _step):
+        self.slots.hand_on()

@@ -12,8 +12,8 @@ def test_core_charges_categories():
     core = CpuCore(sim, "c0")
 
     def work(sim):
-        yield from core.run(2000, CAT_APP)  # 1 us at 2 GHz
-        yield from core.run(1000, CAT_TCP)
+        yield core.run(2000, CAT_APP)  # 1 us at 2 GHz
+        yield core.run(1000, CAT_TCP)
 
     sim.process(work(sim))
     sim.run()
@@ -29,7 +29,7 @@ def test_core_serializes_two_threads():
     finish = []
 
     def work(sim):
-        yield from core.run(2000, CAT_APP)
+        yield core.run(2000, CAT_APP)
         finish.append(sim.now)
 
     sim.process(work(sim))
@@ -117,7 +117,7 @@ def test_machine_aggregate_accounting():
     machine = Machine(sim, "srv", n_cores=2)
 
     def work(sim, core):
-        yield from core.run(100, CAT_APP)
+        yield core.run(100, CAT_APP)
 
     sim.process(work(sim, machine.cores[0]))
     sim.process(work(sim, machine.cores[1]))

@@ -7,8 +7,10 @@ by field into the snapshot, an adapter object per state miss and a
 ``_insert``/``_pop`` hook pair under every store hop it read 7 030 calls;
 with every uncontended issue-slot, pool and ring grant going through the
 heap, 6 910 calls and 298.95 events; with every sleep going through it,
-6 658 calls and 252.27 events. Host-time noise cannot hide a
-regression here the way it can in ``wall_s`` (DESIGN §4, §12)."""
+6 658 calls and 252.27 events; with FPC computes, host-core runs and DMA
+operations as processes and resource requests, 6 530 calls and the same
+213.69 events. Host-time noise cannot hide a regression here the way it
+can in ``wall_s`` (DESIGN §4, §12)."""
 
 import gc
 import sys
@@ -18,13 +20,18 @@ import pytest
 
 from repro.analysis import sanitizer
 from repro.harness import Testbed
+from repro.host import CpuCore
+from repro.nfp import DmaEngine
+from repro.nfp.fpc import FpcThread
+from repro.sim import Process, Simulator, Timeout
+from repro.sim.resources import ResourceRequest
 
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 6 530.08 (6 658.31 with
-#: every sleep pushed); the bound is that reading + 0.5 %, rounded down.
-CALLS_PER_RPC = 6560
+#: simulator runs in that time included: reads 5 352.13 (6 530.08 with the
+#: engines as processes); the bound is that reading + 0.5 %, rounded down.
+CALLS_PER_RPC = 5378
 #: Events dispatched per warm echo RPC: reads 213.69 (252.27 with every
 #: sleep pushed). The count is exact; the bound is that reading + 1 %,
 #: rounded up, so a sleep or grant per RPC going back through the heap
@@ -93,3 +100,49 @@ def test_an_echo_rpc_stays_within_its_call_budget():
     assert not hooks, "a store hop went back through an overridable hook"
     assert sum(calls.values()) <= CALLS_PER_RPC * RPCS, calls.most_common(20)
     assert events <= EVENTS_PER_RPC * RPCS, events / RPCS
+
+
+def _where(code):
+    return code.co_filename.replace("\\", "/").rsplit("/repro/", 1)[-1], code.co_name
+
+
+def test_an_engine_use_makes_no_request_timeout_or_process():
+    """An FPC compute, a host-core run and a DMA operation are continuations
+    (DESIGN §12 rule 3): during echo RPCs none of them constructs a
+    ``ResourceRequest``, a ``Timeout`` or a ``Process`` — only a memory
+    read still sleeps on a timeout, its wait with the issue slot free."""
+    bed, measured = echo_pair()
+    client = bed.sim.process(measured(), name="client")
+    kernel = {
+        ResourceRequest.__init__.__code__: "ResourceRequest",
+        Simulator.timeout.__code__: "Timeout",
+        Timeout.__init__.__code__: "Timeout",
+        Process.__init__.__code__: "Process",
+    }
+    engines = {FpcThread.compute.__code__, CpuCore.run.__code__, DmaEngine.issue.__code__}
+    uses = Counter()
+    made = Counter()
+
+    def profiler(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in engines:
+            uses[code.co_name] += 1
+        elif code in kernel:
+            caller = frame.f_back
+            while _where(caller.f_code)[0].startswith("sim/"):  # Resource.request, Simulator.process
+                caller = caller.f_back
+            made[(kernel[code],) + _where(caller.f_code)] += 1
+
+    sys.setprofile(profiler)
+    try:
+        bed.sim.run(until=client)
+    finally:
+        sys.setprofile(None)
+    assert uses["compute"] and uses["run"] and uses["issue"], uses
+    by_engines = {
+        key: n for key, n in made.items()
+        if key[1] in ("nfp/fpc.py", "host/cpu.py", "nfp/dma.py") and key[2] != "mem_read"
+    }
+    assert not by_engines, by_engines

@@ -13,7 +13,7 @@ def test_compute_charges_cycles():
     done = []
 
     def program(thread):
-        yield from thread.compute(800)  # 800 cycles @ 800 MHz = 1 us
+        yield thread.compute(800)  # 800 cycles @ 800 MHz = 1 us
         done.append(sim.now)
 
     fpc.spawn(program)
@@ -28,7 +28,7 @@ def test_two_threads_serialize_compute():
     finished = []
 
     def program(thread):
-        yield from thread.compute(800)
+        yield thread.compute(800)
         finished.append(sim.now)
 
     fpc.spawn(program)
@@ -46,7 +46,7 @@ def test_memory_wait_releases_issue_slot():
 
     def program(thread):
         yield from thread.mem_read(slow_mem.latency_cycles, issue_cycles=0)
-        yield from thread.compute(80)
+        yield thread.compute(80)
         finished.append(sim.now)
 
     fpc.spawn(program)
@@ -68,7 +68,7 @@ def test_eight_threads_hide_latency_better_than_one():
         def worker(thread):
             while remaining["count"] > 0:
                 remaining["count"] -= 1
-                yield from thread.compute(100)
+                yield thread.compute(100)
                 yield from thread.mem_read(mem.latency_cycles)
             finish["t"] = sim.now
 
@@ -108,7 +108,7 @@ def test_utilization():
     fpc = Fpc(sim, "fpc0")
 
     def program(thread):
-        yield from thread.compute(400)
+        yield thread.compute(400)
         yield thread.sim.timeout(1_000)
 
     fpc.spawn(program)

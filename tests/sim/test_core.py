@@ -273,6 +273,28 @@ def test_run_until_time_stops_clock():
     assert log == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 
 
+def test_run_until_a_past_time_raises_and_leaves_the_clock():
+    # Rewinding to 5 would let a timeout made afterwards fire at 6, after
+    # the events at 10 and 20 were dispatched.
+    sim = Simulator()
+    log = []
+
+    def sleeper(sim):
+        yield sim.timeout(10)
+        log.append(sim.now)
+        yield sim.timeout(100)
+        log.append(sim.now)
+
+    sim.process(sleeper(sim))
+    sim.run(until=20)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=5)
+    assert sim.now == 20
+    sim.run(until=20)  # now itself: nothing to do
+    sim.run()
+    assert log == [10, 110] and sim.now == 110
+
+
 def test_run_until_event():
     sim = Simulator()
     gate = sim.event()

@@ -176,8 +176,8 @@ def test_an_uncontended_issue_slot_costs_no_event():
     fpc = Fpc(sim, "fpc0")
 
     def program(thread):
-        yield from thread.compute(8)
-        yield from thread.compute(8)
+        yield thread.compute(8)
+        yield thread.compute(8)
 
     fpc.spawn(program)
     sim.run()
@@ -302,4 +302,17 @@ def test_a_sleep_not_yielded_next_raises_under_the_sanitizer(sanitized):
 
     sim.process(dawdler(), name="dawdler")
     with pytest.raises(SanitizerError, match="'dawdler' took .* timeout\\(\\) is yielded at once"):
+        sim.run()
+
+
+def test_a_hold_not_yielded_next_raises_under_the_sanitizer(sanitized):
+    sim = Simulator()
+    fpc = Fpc(sim, "fpc0")
+
+    def idler(thread):
+        thread.compute(8)  # held, slept and released on the spot, then left unyielded
+        yield Timeout(sim, 1)
+
+    fpc.spawn(idler, name="idler")
+    with pytest.raises(SanitizerError, match="'idler' took .* on the spot but yielded something else"):
         sim.run()

@@ -15,8 +15,9 @@ the events the measured phase dispatched per op — so a change that
 removes events shows whether it also removed host work. Then those
 events per op by what they are and whom they wake: the event class and
 the innermost yield site of the process it resumes (``file function+k``,
-``k`` lines into the function, so the key survives edits above it), or
-the callback it runs — the table that shows an event diet what is left.
+``k`` lines into the function, so the key survives edits above it; the
+last process a dispatch resumes, after its event's own steps), or the
+callback it runs — the table that shows an event diet what is left.
 
 Standard library only; nothing under ``perf/`` is edited. A table to
 read, not a gate: exit status 2 only when a run fails.
@@ -52,6 +53,20 @@ def code_name(code):
     return getattr(code, "co_qualname", code.co_name)
 
 
+def _resumes_process(callback):
+    return getattr(getattr(callback, "__self__", None), "_generator", None) is not None
+
+
+def _waker(callbacks):
+    """The callback a dispatch is keyed by: the last one that resumes a
+    process (an event's own steps — a hold's charge, a condition's check —
+    run before the waiters they serve), else the first."""
+    for callback in reversed(callbacks):
+        if _resumes_process(callback):
+            return callback
+    return callbacks[0]
+
+
 def _callback_site(callback, tree):
     owner = getattr(callback, "__self__", None)
     generator = getattr(owner, "_generator", None)
@@ -60,8 +75,9 @@ def _callback_site(callback, tree):
             generator = generator.gi_yieldfrom
         frame = generator.gi_frame
         return _where(frame.f_code, frame.f_lineno, tree) if frame else "(finished process)"
-    if owner is not None and getattr(owner, "callbacks", None):  # a condition: whom it wakes
-        return "{} <- {}".format(type(owner).__name__, _callback_site(owner.callbacks[0], tree))
+    waiters = getattr(owner, "callbacks", None)
+    if waiters and callback not in waiters:  # a condition's or a hold's step: whom its event wakes
+        return "{} <- {}".format(type(owner).__name__, _callback_site(_waker(waiters), tree))
     code = getattr(getattr(callback, "__func__", callback), "__code__", None)
     if code is None:
         return getattr(callback, "__qualname__", type(callback).__name__)
@@ -70,10 +86,11 @@ def _callback_site(callback, tree):
 
 def dispatch_key(event, tree):
     """``"Class site"`` of an event about to be dispatched: its class and
-    the innermost yield site of the process its first callback resumes,
-    or that callback (a condition's, through to its own first waiter)."""
+    the innermost yield site of the process it resumes — through the last
+    callback that resumes one — or else of its first callback (a
+    condition's or a hold's, through to the waiter it wakes)."""
     callbacks = event.callbacks
-    site = _callback_site(callbacks[0], tree) if callbacks else "(no callback)"
+    site = _callback_site(_waker(callbacks), tree) if callbacks else "(no callback)"
     return "{} {}".format(type(event).__name__, site)
 
 

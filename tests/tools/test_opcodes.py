@@ -1,5 +1,7 @@
 """How ``make opcodes`` names a dispatched event (measurement code is code)."""
 
+from repro.nfp import Fpc
+from repro.nfp.fpc import FpcThread
 from repro.sim import Simulator, Timeout
 from tests.tools.opcodes import ROOT, code_name, dispatch_key
 
@@ -31,6 +33,23 @@ def test_an_event_is_named_by_its_class_and_the_innermost_yield_site_it_resumes(
     (member,) = _parked_events(sim)
     # A condition's member wakes the condition, which wakes the process.
     assert dispatch_key(member, ROOT) == "Timeout AnyOf <- {} {}+2".format(HERE, code_name(program.__code__))
+
+
+def test_an_event_is_named_by_the_last_process_it_resumes():
+    # A hold's end charges and hands on its slot before the holder
+    # resumes: it is named by where the holder waits, not by that step.
+    sim = Simulator()
+    thread = FpcThread(Fpc(sim, "fpc0"), 0)
+    Timeout(sim, 5)  # due before the hold would end: the end is pushed
+
+    def program():
+        yield thread.compute(8)
+
+    sim.process(program())
+    sim.step()
+    _timer, end = _parked_events(sim)
+    assert end.callbacks[0].__self__ is end
+    assert dispatch_key(end, ROOT) == "Hold {} {}+1".format(HERE, code_name(program.__code__))
 
 
 def test_an_event_without_a_process_is_named_by_its_callback():
