@@ -280,6 +280,7 @@ class BaselineHost:
         self._arp_waiters = {}
         self._ephemeral = 42_000
         self._rx_queue = Store(sim, name="{}-rxq".format(name))
+        self._irq_frames = deque()  # received, interrupt not yet taken
         # crc32, not hash(): str hash is salted per process, and the
         # golden-digest/bench suites need cross-process determinism.
         self.jitter_rng = random.Random(0xC0FFEE ^ zlib.crc32(name.encode()))
@@ -410,12 +411,14 @@ class BaselineHost:
         delay = self.personality.costs.interrupt_delay_ns
         if delay:
             # Interrupt + softirq scheduling latency: delays delivery
-            # without occupying a core (coalescing pipelines it).
-            Timeout(self.sim, int(delay)).callbacks.append(
-                lambda _ev, f=frame: self._rx_queue.try_put(f)
-            )
+            # without occupying a core (coalescing pipelines it); constant.
+            self._irq_frames.append(frame)
+            self.sim._schedule(self.sim.now + int(delay), self._irq)
         else:
             self._rx_queue.try_put(frame)
+
+    def _irq(self, _step):
+        self._rx_queue.try_put(self._irq_frames.popleft())
 
     def _rx_loop(self, index):
         while True:

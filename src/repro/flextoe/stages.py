@@ -568,7 +568,6 @@ class DmaStage:
                 yield event
             frame = work.frame
             frame.payload = b"".join(parts)
-            frame.ip.total_len = frame.ip.wire_len + frame.tcp.wire_len + len(frame.payload)
             if dp.config.use_timestamps:
                 frame.tcp.options = TcpOptions(
                     ts_val=now_us(dp.sim), ts_ecr=work.snapshot.echo_ts

@@ -3,10 +3,11 @@
 A :class:`Port` is owned by a device (NIC MAC block or switch). Its owner
 sets ``receiver`` to a callable invoked for each arriving frame. A
 :class:`Link` joins two ports; each direction has an independent
-serializer modeling the transmit rate, plus a propagation delay.
+serializer modeling the transmit rate, plus a propagation delay. A frame
+is measured once per hop, and a hop is one ``Step`` at its arrival.
 """
 
-from repro.sim import Timeout
+from collections import deque
 
 ETH_OVERHEAD = 24  # preamble(8) + FCS(4) + IFG(12) bytes per frame on the wire
 MIN_FRAME = 64
@@ -26,7 +27,7 @@ def wire_time_ns(rate_bps, length):
     ns = per_rate.get(length)
     if ns is None:
         on_wire = max(length, MIN_FRAME) + ETH_OVERHEAD
-        ns = -(-on_wire * 8 * 1_000_000_000 // rate_bps)
+        ns = int(-(-on_wire * 8 * 1_000_000_000 // rate_bps))
         if len(per_rate) < _WIRE_TIME_CACHE_MAX:
             per_rate[length] = ns
     return ns
@@ -44,6 +45,7 @@ class Port:
         self.sim = sim
         self.name = name
         self.link = None
+        self.out = None  # the link direction leaving this port
         self.receiver = None
         self.tx_frames = 0
         self.tx_bytes = 0
@@ -53,18 +55,22 @@ class Port:
 
     def send(self, frame):
         """Transmit a frame onto the attached link."""
-        if self.link is None:
+        self._send(frame, frame.wire_len)
+
+    def _send(self, frame, size):
+        """:meth:`send` a frame already measured at ``size`` bytes."""
+        if self.out is None:
             raise RuntimeError("port {!r} is not connected".format(self.name))
         self.tx_frames += 1
-        self.tx_bytes += frame.wire_len
-        self.link.transmit(self, frame)
+        self.tx_bytes += size
+        self.out.transmit(frame, size)
 
-    def deliver(self, frame):
+    def deliver(self, frame, size):
         if frame.get_meta("fcs_bad"):
             self.rx_fcs_drops += 1
             return
         self.rx_frames += 1
-        self.rx_bytes += frame.wire_len
+        self.rx_bytes += size
         if self.receiver is not None:
             self.receiver(frame)
 
@@ -73,35 +79,43 @@ class Port:
 
 
 class _Direction:
-    """One direction of a link: a serializer plus propagation delay."""
+    """One direction of a link: a serializer, a propagation delay and the
+    frames in flight, oldest first (arrivals never decrease)."""
 
-    __slots__ = ("sim", "rate_bps", "prop_delay_ns", "dst", "busy_until")
+    __slots__ = ("link", "sim", "rate_bps", "prop_delay_ns", "dst", "busy_until", "in_flight")
 
-    def __init__(self, sim, rate_bps, prop_delay_ns, dst):
-        self.sim = sim
+    def __init__(self, link, rate_bps, prop_delay_ns, dst):
+        self.link = link
+        self.sim = link.sim
         self.rate_bps = rate_bps
-        self.prop_delay_ns = prop_delay_ns
+        self.prop_delay_ns = int(prop_delay_ns)
         self.dst = dst
         self.busy_until = 0
+        self.in_flight = deque()
 
-    def transmit(self, frame):
+    def transmit(self, frame, size):
+        link = self.link
+        if not link.up:
+            link.drops_link_down += 1
+            return
         start = max(self.sim.now, self.busy_until)
         if self.rate_bps is None:
             done = start
         else:
-            done = start + wire_time_ns(self.rate_bps, frame.wire_len)
+            done = start + wire_time_ns(self.rate_bps, size)
         self.busy_until = done
-        arrival = done + self.prop_delay_ns
-        event = Timeout(self.sim, int(arrival - self.sim.now))
-        dst = self.dst
-        event.callbacks.append(lambda _ev, f=frame, d=dst: d.deliver(f))
+        self.in_flight.append((frame, size))
+        self.sim._schedule(done + self.prop_delay_ns, self._arrive)
+
+    def _arrive(self, _step):
+        self.dst.deliver(*self.in_flight.popleft())
 
 
 class Link:
     """A full-duplex link between two ports.
 
-    ``rate_bps=None`` disables serialization modeling (used between a
-    switch egress queue — which already paces frames — and the next port).
+    ``rate_bps=None`` disables serialization modeling (a hop whose sender
+    already paces its frames).
 
     A link can be administratively flapped (``set_up``) by the fault
     layer; frames offered while the link is down are silently lost, as
@@ -110,26 +124,12 @@ class Link:
 
     def __init__(self, sim, port_a, port_b, rate_bps=40_000_000_000, prop_delay_ns=500):
         self.sim = sim
-        self.port_a = port_a
-        self.port_b = port_b
         self.up = True
         self.drops_link_down = 0
-        self._a_to_b = _Direction(sim, rate_bps, prop_delay_ns, port_b)
-        self._b_to_a = _Direction(sim, rate_bps, prop_delay_ns, port_a)
-        port_a.link = self
-        port_b.link = self
+        port_a.link = port_b.link = self
+        port_a.out = _Direction(self, rate_bps, prop_delay_ns, port_b)
+        port_b.out = _Direction(self, rate_bps, prop_delay_ns, port_a)
 
     def set_up(self, up):
         """Administrative link state (fault injection: link flap)."""
         self.up = bool(up)
-
-    def transmit(self, src_port, frame):
-        if not self.up:
-            self.drops_link_down += 1
-            return
-        if src_port is self.port_a:
-            self._a_to_b.transmit(frame)
-        elif src_port is self.port_b:
-            self._b_to_a.transmit(frame)
-        else:
-            raise RuntimeError("port is not attached to this link")

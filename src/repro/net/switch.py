@@ -16,7 +16,7 @@ has a bounded byte queue drained at the port's (possibly shaped) rate:
 from collections import deque
 
 from repro.net.link import Port, wire_time_ns
-from repro.sim import Timeout
+from repro.sim.core import URGENT
 
 BROADCAST_MAC = (1 << 48) - 1
 
@@ -42,7 +42,7 @@ class SwitchPortConfig:
 
 
 class _EgressQueue:
-    """A bounded byte queue drained at the egress rate."""
+    """A bounded byte queue of ``(frame, size)`` drained at the egress rate."""
 
     def __init__(self, sim, port, config, rng):
         self.sim = sim
@@ -52,6 +52,7 @@ class _EgressQueue:
         self.queue = deque()
         self.bytes_queued = 0
         self.draining = False
+        self._on_wire = None  # (frame, size) whose wire time a pushed step ends
         self.enqueued = 0
         self.dropped_tail = 0
         self.dropped_red = 0
@@ -74,22 +75,33 @@ class _EgressQueue:
         if config.ecn_threshold_bytes is not None and self.bytes_queued > config.ecn_threshold_bytes:
             if frame.ip is not None and frame.ip.mark_ce():
                 self.marked_ce += 1
-        self.queue.append(frame)
+        self.queue.append((frame, size))
         self.bytes_queued += size
         if self.bytes_queued > self.peak_bytes:
             self.peak_bytes = self.bytes_queued
         self.enqueued += 1
         if not self.draining:
             self.draining = True
-            self.sim.process(self._drain(), name="switch-egress")
+            self.sim._schedule(self.sim.now, self._drain, URGENT)
 
-    def _drain(self):
-        while self.queue:
-            frame = self.queue.popleft()
-            self.bytes_queued -= frame.wire_len
-            yield self.sim.timeout(wire_time_ns(self.config.rate_bps, frame.wire_len))
-            self.port.send(frame)
-        self.draining = False
+    def _drain(self, _step):
+        """Send the frame whose wire time ended (none at the start), then
+        sleep the next one's: ``Simulator._after`` as a loop, not a call."""
+        sim, queue = self.sim, self.queue
+        while True:
+            if self._on_wire is not None:
+                self.port._send(*self._on_wire)
+                self._on_wire = None
+            if not queue:
+                self.draining = False
+                return
+            self._on_wire = frame, size = queue.popleft()
+            self.bytes_queued -= size
+            delay = wire_time_ns(self.config.rate_bps, size)
+            if delay <= 0 or not sim._next_in_line(sim.now + delay):
+                sim._schedule(sim.now + delay, self._drain)
+                return
+            sim.now += delay
 
 
 class Switch:
@@ -139,10 +151,8 @@ class Switch:
         if self.faults is not None:
             for out_frame, delay_ns in self.faults.admit(frame):
                 if delay_ns > 0:
-                    event = Timeout(self.sim, int(delay_ns))
-                    event.callbacks.append(
-                        lambda _ev, f=out_frame, i=in_index: self._forward(i, f)
-                    )
+                    when = self.sim.now + int(delay_ns)
+                    self.sim._schedule(when, lambda _step, f=out_frame, i=in_index: self._forward(i, f))
                 else:
                     self._forward(in_index, out_frame)
             return

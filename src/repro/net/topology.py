@@ -50,6 +50,3 @@ class Topology:
         station = Station(name, mac, ip, host_port, switch_port)
         self.stations[name] = station
         return station
-
-    def station(self, name):
-        return self.stations[name]

@@ -35,7 +35,8 @@ def ip_to_str(value):
 
 
 class Ipv4Header:
-    """An IPv4 header. ``total_len`` covers header + L4 header + payload."""
+    """An IPv4 header. ``total_len`` covers header + L4 header + payload;
+    ``Frame.pack`` is its one writer, and nothing reads it before."""
 
     __slots__ = ("src", "dst", "proto", "total_len", "ttl", "ident", "dscp", "ecn", "flags_df")
 
@@ -60,10 +61,6 @@ class Ipv4Header:
         self.dscp = dscp
         self.ecn = ecn
         self.flags_df = flags_df
-
-    @property
-    def wire_len(self):
-        return HEADER_LEN
 
     @property
     def ce_marked(self):

@@ -9,7 +9,9 @@ import itertools
 
 from repro.proto.arp import ArpHeader
 from repro.proto.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetHeader
+from repro.proto.ip import HEADER_LEN as IP_HEADER_LEN
 from repro.proto.ip import IPPROTO_TCP, Ipv4Header
+from repro.proto.tcp import BASE_HEADER_LEN as TCP_HEADER_LEN
 from repro.proto.tcp import TcpHeader
 
 _frame_ids = itertools.count(1)
@@ -38,14 +40,16 @@ class Frame:
 
     @property
     def wire_len(self):
-        """On-wire length in bytes (without FCS/preamble)."""
+        """On-wire length in bytes (without FCS/preamble). The IPv4 and TCP
+        base headers are constants; the Ethernet header is not (a VLAN tag)."""
         length = self.eth.wire_len
         if self.arp is not None:
             return length + self.arp.wire_len
         if self.ip is not None:
-            length += self.ip.wire_len
-        if self.tcp is not None:
-            length += self.tcp.wire_len
+            length += IP_HEADER_LEN
+        tcp = self.tcp
+        if tcp is not None:
+            length += TCP_HEADER_LEN + tcp.options.wire_len
         return length + len(self.payload)
 
     def set_meta(self, key, value):
@@ -60,7 +64,8 @@ class Frame:
         return self.meta.get(key, default)
 
     def pack(self):
-        """Serialize to wire bytes, computing IP and TCP checksums."""
+        """Serialize to wire bytes, computing IP and TCP checksums and the
+        IP ``total_len`` (the one place that field is written)."""
         out = bytearray(self.eth.pack())
         if self.arp is not None:
             out += self.arp.pack()
@@ -68,7 +73,7 @@ class Frame:
         if self.ip is not None:
             l4 = b""
             if self.tcp is not None:
-                self.ip.total_len = self.ip.wire_len + self.tcp.wire_len + len(self.payload)
+                self.ip.total_len = IP_HEADER_LEN + self.tcp.wire_len + len(self.payload)
                 pseudo = self.ip.pseudo_header(self.tcp.wire_len + len(self.payload))
                 l4 = self.tcp.pack(pseudo_header=pseudo, payload=self.payload)
             out += self.ip.pack()
@@ -137,7 +142,6 @@ def make_tcp_frame(
     eth = EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4)
     tcp = TcpHeader(sport=sport, dport=dport, seq=seq, ack=ack, flags=flags, window=window, options=options)
     ip = Ipv4Header(src=src_ip, dst=dst_ip, proto=IPPROTO_TCP, ecn=ecn)
-    ip.total_len = ip.wire_len + tcp.wire_len + len(payload)
     return Frame(eth, ip=ip, tcp=tcp, payload=payload, born_at=born_at)
 
 

@@ -86,6 +86,42 @@ def test_pcap_write_read_roundtrip(tmp_path):
     assert parsed.tcp.sport == 1000
 
 
+def test_captured_segments_carry_the_ip_length_they_have_on_the_wire():
+    # Frame.pack() is the one writer of ip.total_len: a data segment whose
+    # options the DMA stage replaced, and an ACK, both say what they carry.
+    from repro.harness import Testbed
+    from repro.proto import Frame
+
+    bed = Testbed(seed=1)
+    server, client = bed.add_flextoe_host("server"), bed.add_flextoe_host("client")
+    bed.seed_all_arp()
+    captures = []
+    for host in (server, client):
+        host.nic.datapath.capture = PacketCapture(snaplen=2048)
+        captures.append(host.nic.datapath.capture)
+    server_ctx, client_ctx = server.new_context(), client.new_context()
+
+    def server_app():
+        sock = yield from server_ctx.accept(server_ctx.listen(7000))
+        yield from server_ctx.send(sock, (yield from server_ctx.recv(sock, 64)))
+
+    def client_app():
+        sock = yield from client_ctx.connect(server.ip, 7000)
+        yield from client_ctx.send(sock, b"x" * 100)
+        return (yield from client_ctx.recv(sock, 100))
+
+    bed.sim.process(server_app())
+    bed.sim.run(until=bed.sim.process(client_app()))
+    bed.sim.run(until=bed.sim.now + 1_000_000)
+    kinds = set()
+    for capture in captures:
+        for _now, _direction, orig_len, wire in capture.records:
+            parsed = Frame.unpack(wire)
+            assert parsed.ip.total_len == orig_len - parsed.eth.wire_len
+            kinds.add("data" if parsed.payload else "ack")
+    assert kinds == {"data", "ack"}
+
+
 def test_read_pcap_rejects_garbage(tmp_path):
     import pytest
 

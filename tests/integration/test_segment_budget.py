@@ -9,8 +9,9 @@ with every uncontended issue-slot, pool and ring grant going through the
 heap, 6 910 calls and 298.95 events; with every sleep going through it,
 6 658 calls and 252.27 events; with FPC computes, host-core runs and DMA
 operations as processes and resource requests, 6 530 calls and the same
-213.69 events. Host-time noise cannot hide a regression here the way it
-can in ``wall_s`` (DESIGN §4, §12)."""
+213.69 events; with a ``Timeout`` per link hop and a process per switch
+egress burst, 5 352 calls. Host-time noise cannot hide a regression here
+the way it can in ``wall_s`` (DESIGN §4, §12)."""
 
 import gc
 import sys
@@ -19,19 +20,23 @@ from collections import Counter
 import pytest
 
 from repro.analysis import sanitizer
+from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
 from repro.harness import Testbed
 from repro.host import CpuCore
+from repro.net import Topology
 from repro.nfp import DmaEngine
 from repro.nfp.fpc import FpcThread
+from repro.proto import Frame, make_tcp_frame
 from repro.sim import Process, Simulator, Timeout
 from repro.sim.resources import ResourceRequest
 
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 5 352.13 (6 530.08 with the
-#: engines as processes); the bound is that reading + 0.5 %, rounded down.
-CALLS_PER_RPC = 5378
+#: simulator runs in that time included: reads 5 124.13 (5 352.13 with the
+#: wire as timeouts and processes, 6 530.08 with the engines as processes
+#: too); the bound is that reading + 0.5 %, rounded down.
+CALLS_PER_RPC = 5149
 #: Events dispatched per warm echo RPC: reads 213.69 (252.27 with every
 #: sleep pushed). The count is exact; the bound is that reading + 1 %,
 #: rounded up, so a sleep or grant per RPC going back through the heap
@@ -39,11 +44,28 @@ CALLS_PER_RPC = 5378
 EVENTS_PER_RPC = 216
 
 
-def echo_pair():
-    """Two FlexTOE hosts, one established connection, eight RPCs done."""
+#: The same two budgets per baseline stack, whose frames cross the same
+#: wire: calls per RPC read 735.50 / 965.31 / 887.44 for Linux / TAS /
+#: Chelsio (849.50 / 1 201.31 / 1 001.44 with the wire as timeouts and
+#: processes), bounded at + 0.5 %, rounded down; events read 17.89 / 24.03
+#: / 16.69, bounded at + 1 %, rounded up to a tenth.
+BASELINE_BUDGETS = {
+    "linux": (add_linux_host, 739, 18.1),
+    "tas": (add_tas_host, 970, 24.3),
+    "chelsio": (add_chelsio_host, 891, 16.9),
+}
+
+
+def echo_pair(add_host=None):
+    """Two hosts (FlexTOE unless ``add_host(bed, name)`` builds another
+    stack), one established connection, eight RPCs done."""
     bed = Testbed(seed=1)
-    server = bed.add_flextoe_host("server")
-    client = bed.add_flextoe_host("client")
+    if add_host is None:
+        server = bed.add_flextoe_host("server")
+        client = bed.add_flextoe_host("client")
+    else:
+        server = add_host(bed, "server")
+        client = add_host(bed, "client")
     bed.seed_all_arp()
     server_ctx, client_ctx = server.new_context(), client.new_context()
     opened = []
@@ -73,10 +95,9 @@ def echo_pair():
     return bed, lambda: rpcs(opened[0], RPCS)
 
 
-def test_an_echo_rpc_stays_within_its_call_budget():
-    if sanitizer.enabled():
-        pytest.skip("the budget is the unsanitized data path's")
-    bed, measured = echo_pair()
+def calls_and_events(add_host=None):
+    """Python + C calls and events per warm echo RPC."""
+    bed, measured = echo_pair(add_host)
     client = bed.sim.process(measured(), name="client")
     calls = Counter()
 
@@ -95,11 +116,27 @@ def test_an_echo_rpc_stays_within_its_call_budget():
     finally:
         sys.setprofile(None)
         gc.enable()
-    events = bed.sim.processed_events - events
+    return calls, (bed.sim.processed_events - events) / RPCS
+
+
+def test_an_echo_rpc_stays_within_its_call_budget():
+    if sanitizer.enabled():
+        pytest.skip("the budget is the unsanitized data path's")
+    calls, events = calls_and_events()
     hooks = {key: n for key, n in calls.items() if key[0].endswith("sim/resources.py") and key[1] in ("_insert", "_pop")}
     assert not hooks, "a store hop went back through an overridable hook"
     assert sum(calls.values()) <= CALLS_PER_RPC * RPCS, calls.most_common(20)
-    assert events <= EVENTS_PER_RPC * RPCS, events / RPCS
+    assert events <= EVENTS_PER_RPC, events
+
+
+@pytest.mark.parametrize("stack", sorted(BASELINE_BUDGETS))
+def test_a_baseline_echo_rpc_stays_within_its_budgets(stack):
+    if sanitizer.enabled():
+        pytest.skip("the budget is the unsanitized data path's")
+    add_host, calls_per_rpc, events_per_rpc = BASELINE_BUDGETS[stack]
+    calls, events = calls_and_events(add_host)
+    assert sum(calls.values()) <= calls_per_rpc * RPCS, calls.most_common(20)
+    assert events <= events_per_rpc, events
 
 
 def _where(code):
@@ -146,3 +183,37 @@ def test_an_engine_use_makes_no_request_timeout_or_process():
         if key[1] in ("nfp/fpc.py", "host/cpu.py", "nfp/dma.py") and key[2] != "mem_read"
     }
     assert not by_engines, by_engines
+
+
+def test_a_frame_crosses_the_switch_as_continuations_measured_twice():
+    """A link hop is a ``Step`` and a switch egress drain is no process
+    (DESIGN §12 rule 3): a frame crossing the switch constructs no
+    ``Process`` and no ``Timeout``, and its length is computed once at the
+    sending port and once at the egress queue."""
+    sim = Simulator()
+    topo = Topology(sim)
+    a = topo.attach("a", mac=0xA, ip=1)
+    b = topo.attach("b", mac=0xB, ip=2)
+    got = []
+    b.port.receiver = got.append
+    frame = make_tcp_frame(0xA, 0xB, 1, 2, 3, 4, payload=b"x" * 64)
+    watched = {
+        Process.__init__.__code__: "Process",
+        Simulator.timeout.__code__: "Timeout",
+        Timeout.__init__.__code__: "Timeout",
+        Frame.wire_len.fget.__code__: "wire_len",
+    }
+    made = Counter()
+
+    def profiler(code_frame, event, _arg):
+        if event == "call" and code_frame.f_code in watched:
+            made[watched[code_frame.f_code]] += 1
+
+    sys.setprofile(profiler)
+    try:
+        a.port.send(frame)
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    assert got == [frame] and sim.processed_events == 3  # two hops and a drain start
+    assert made == Counter(wire_len=2), made

@@ -54,6 +54,24 @@ def test_roundtrip_any_payload(payload, seq):
     assert parsed.wire_len == frame.wire_len
 
 
+def test_pack_is_the_one_writer_of_ip_total_len():
+    # A write anywhere else goes stale once a later stage replaces the TCP
+    # options or the payload; pack() measures what it serializes.
+    import ast
+    import pathlib
+
+    import repro
+
+    writers = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "total_len" and isinstance(sub.ctx, ast.Store):
+                        writers.add((path.name, node.name))
+    assert writers == {("packet.py", "pack"), ("ip.py", "__init__")}
+
+
 def test_frame_ids_unique():
     a = make()
     b = make()
