@@ -5,11 +5,11 @@ data path owns the common case — only pays off if the host can *recover*
 the data path when it dies. This module adds the three pieces:
 
 * **Watchdog** — every FPC stage group's heartbeat sequence number
-  advances with the clock until the chip dies
-  (:class:`repro.flextoe.state.HeartbeatBoard` derives it on read); the
-  :class:`RecoveryManager` samples the board over MMIO on its own tick
-  and declares the data path failed after ``WATCHDOG_MISS_THRESHOLD``
-  consecutive samples with no advancing beat.
+  advances with the clock until ``crash()`` freezes it (derived on read
+  by :class:`repro.flextoe.state.HeartbeatBoard`); the
+  :class:`RecoveryManager` samples it over MMIO on a fixed grid from the
+  freeze on (a live sample is the identity) and declares the data path
+  failed after ``WATCHDOG_MISS_THRESHOLD`` consecutive beatless samples.
 
 * **Connection-state shadow + re-offload** — the control plane cannot
   read a dead chip, so every connection's recoverable state must be
@@ -50,6 +50,7 @@ from repro.flextoe.descriptors import (
     NOTIFY_TX_ACKED,
     HostControlDescriptor,
 )
+from repro.flextoe.datapath import HEARTBEAT_INTERVAL_NS
 from repro.flextoe.slab import FLAG, INT, OBJ, Slab, SlabView, SlotTable, attach_fields
 from repro.flextoe.state import ProtoInstall
 from repro.nfp.cam import pack_four_tuple
@@ -60,6 +61,8 @@ from repro.proto.tcp import seq_add
 #: data path dead after this many consecutive samples without a beat.
 WATCHDOG_INTERVAL_NS = 100_000
 WATCHDOG_MISS_THRESHOLD = 3
+# A live board then advances between any two samples (only crash() stops it).
+assert WATCHDOG_INTERVAL_NS >= HEARTBEAT_INTERVAL_NS
 
 
 class ConnShadow(SlabView):
@@ -299,7 +302,7 @@ class RecoveryManager:
         self.shim = SlowPathShim(plane, self, station.port) if station is not None else None
         if self.config.snapshot_interval_ns:
             self.nic.enable_state_snapshots(self._write_snapshot, self.config.snapshot_interval_ns)
-        self.sim.process(self._watchdog_loop(), name="cp-watchdog")
+        self.sim.process(self._watchdog_loop(self._watch_board()), name="cp-watchdog")
 
     # -- shadow maintenance --------------------------------------------------
 
@@ -390,25 +393,37 @@ class RecoveryManager:
 
     # -- watchdog ------------------------------------------------------------
 
-    def _watchdog_loop(self):
-        last_total = None
-        misses = 0
+    def _watch_board(self):
+        """An event the data path's ``crash()`` succeeds with its frozen board."""
+        self.nic.datapath.heartbeats.watcher = freeze = self.sim.event()
+        return freeze
+
+    def _watchdog_loop(self, freeze):
+        """Samples fall on ``chain + k * WATCHDOG_INTERVAL_NS``, k >= 1, but
+        a live one is the identity: sleep until the board freezes, compute
+        the last one before, take the rest (DESIGN §12 rule 2)."""
+        chain = self.sim.now
         while True:
-            yield self.sim.timeout(WATCHDOG_INTERVAL_NS)
-            if self.degraded:
-                continue
-            total = sum(self.nic.read_heartbeats().values())
-            if last_total is not None and total == last_total:
-                misses += 1
-                if misses >= WATCHDOG_MISS_THRESHOLD:
+            board = yield freeze
+            # A sample on the freeze instant reads the same before or after it.
+            taken = (self.sim.now - chain) // WATCHDOG_INTERVAL_NS
+            last_total = sum(board.snapshot(chain + taken * WATCHDOG_INTERVAL_NS).values()) if taken else None
+            misses = 0
+            yield self.sim.timeout(chain + (taken + 1) * WATCHDOG_INTERVAL_NS - self.sim.now)
+            while True:
+                total = sum(self.nic.read_heartbeats().values())
+                if last_total is not None and total == last_total:
+                    misses += 1
+                    if misses >= WATCHDOG_MISS_THRESHOLD:
+                        break
+                else:
                     misses = 0
-                    last_total = None
-                    self.watchdog_fired += 1
-                    yield from self._recover()
-                    continue
-            else:
-                misses = 0
-            last_total = total
+                last_total = total
+                yield self.sim.timeout(WATCHDOG_INTERVAL_NS)
+            self.watchdog_fired += 1
+            yield from self._recover()
+            chain = self.sim.now
+            freeze = self._watch_board()
 
     # -- recovery ------------------------------------------------------------
 
@@ -417,10 +432,6 @@ class RecoveryManager:
         self.degraded = True
         self.plane.arm_all()
         self.last_detect_ns = self.sim.now
-        if not self.nic.crashed:
-            # Watchdog-declared failure (e.g. wedged firmware): force the
-            # quiesce so no half-alive stage races the reconstruction.
-            self.nic.crash()
         if self.shim is not None:
             self.shim.install()
         yield self.sim.timeout(self.config.reboot_delay_ns)

@@ -246,7 +246,10 @@ class FlexToeDatapath:
         if self.crashed:
             return
         self.crashed = True
-        self.heartbeats.frozen_at = self.sim.now
+        board = self.heartbeats
+        board.frozen_at = self.sim.now
+        if board.watcher is not None:  # wakes the recovery watchdog
+            board.watcher.succeed(board)
         self.mac.rx_handler = None
         for process in self.processes:
             if process.is_alive:

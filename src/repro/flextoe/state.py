@@ -224,10 +224,10 @@ class HeartbeatBoard:
     and is derived on read, not simulated: one beat per whole interval
     strictly before ``frozen_at`` (the crash instant) or, while alive,
     before now — a beat landing on the very instant of a read is not
-    yet visible to it.
+    yet visible to it. ``crash()`` succeeds ``watcher``, if set, with the board.
     """
 
-    __slots__ = ("sim", "interval_ns", "stage_fpcs", "epoch", "frozen_at")
+    __slots__ = ("sim", "interval_ns", "stage_fpcs", "epoch", "frozen_at", "watcher")
 
     def __init__(self, sim, interval_ns, stage_fpcs):
         self.sim = sim
@@ -235,10 +235,13 @@ class HeartbeatBoard:
         self.stage_fpcs = stage_fpcs  # stage kind -> [Fpc, ...] (live view)
         self.epoch = sim.now
         self.frozen_at = None
+        self.watcher = None
 
-    def snapshot(self):
-        """Host-side MMIO read of every group's current sequence."""
-        at = self.sim.now if self.frozen_at is None else self.frozen_at
+    def snapshot(self, at=None):
+        """Host-side MMIO read of every group's sequence: now, or as a read
+        at ``at`` (an instant up to any freeze) saw it."""
+        if at is None:
+            at = self.sim.now if self.frozen_at is None else self.frozen_at
         seq = max(0, at - self.epoch - 1) // self.interval_ns
         return {
             (stage_kind, slot): seq

@@ -5,18 +5,21 @@ splicing rewrites addresses/ports/sequence numbers and fixes the checksum
 without touching the payload, exactly as the NFP hardware does.
 """
 
-import struct
+import sys
+from array import array
+
+_SWAP = sys.byteorder == "little"
 
 
 def ones_complement_sum(data, initial=0):
     """16-bit one's-complement sum of ``data`` (bytes), folded."""
-    total = initial
-    length = len(data)
-    # Sum 16-bit big-endian words.
-    if length % 2:
+    if len(data) % 2:
         data = bytes(data) + b"\x00"
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
+    words = array("H")
+    words.frombytes(data)
+    if _SWAP:  # array("H") reads native-order words; the sum is of big-endian ones
+        words.byteswap()
+    total = initial + sum(words)
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return total

@@ -1,19 +1,19 @@
 """Idle costs (almost) nothing: the data path is work-driven (paper §3.1)
-and the control plane visits *active* flows (§3.4), so a quiet testbed
-pays only for the two periodic processes whose bodies are never the
-identity — the recovery watchdog and the state-snapshot DMA (DESIGN
-§11, §12) — however many connections are established on it."""
+and the control plane visits *active* flows (§3.4) and samples a chip's
+heartbeats only once it froze, so a quiet testbed pays only for the one
+periodic process whose body is never the identity — the state-snapshot
+DMA (DESIGN §11, §12) — however many connections are established on it."""
 
 from repro.control.plane import ControlPlaneConfig
 from repro.harness import Testbed
 
 IDLE_SIM_MS = 10
-#: Events per idle simulated millisecond for two FlexTOE hosts: reads 28
-#: (watchdog 20 + snapshot 8). With a publisher process per stage group
+#: Events per idle simulated millisecond for two FlexTOE hosts: reads 8,
+#: all of it the snapshot DMA. With a publisher process per stage group
 #: it read about 1 800, with fixed-period timer and congestion-control
-#: loops 108; the guard keeps the next periodic process from quietly
-#: bringing either back.
-IDLE_EVENTS_PER_SIM_MS = 40
+#: loops 108, with a watchdog sampling a live chip 28; the guard keeps the
+#: next periodic process from quietly bringing any of them back.
+IDLE_EVENTS_PER_SIM_MS = 10
 
 
 def idle_events(bed, sim_ms=IDLE_SIM_MS):
@@ -33,6 +33,20 @@ def test_idle_testbed_stays_within_its_event_budget():
         names = [process.name for process in host.nic.datapath.processes]
         assert names and not any(name.startswith("hb-") for name in names)
         assert not host.control_plane._poll.pending  # no cp-timer, no cp-cc: nothing armed
+
+
+def test_a_live_chip_costs_nothing_without_snapshots():
+    config = {"config": ControlPlaneConfig(snapshot_interval_ns=0)}
+    bed = Testbed(seed=1)
+    hosts = [bed.add_flextoe_host(name, cp_kwargs=dict(config)) for name in ("server", "client")]
+    bed.seed_all_arp()
+    bed.sim.run(until=1_000_000)
+    assert idle_events(bed) == 0
+    assert bed.sim.peek() is None  # the watchdog sleeps on the board's freeze, no timer
+    for host in hosts:
+        board = host.nic.datapath.heartbeats
+        assert board.frozen_at is None and not board.watcher.triggered
+        assert host.control_plane.recovery.watchdog_fired == 0
 
 
 def quiet_pair(n_connections):

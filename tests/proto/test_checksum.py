@@ -2,7 +2,7 @@
 
 import struct
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.proto import checksum16, ones_complement_sum
@@ -66,3 +66,30 @@ def test_incremental_update32_matches_recompute(old_value, new_value):
     patched = struct.pack("!IHH", new_value, 0x1234, 0xBEEF)
     expected = checksum16(patched)
     assert _same_ones_complement(checksum_update32(old_checksum, old_value, new_value), expected)
+
+
+def _word_loop_sum(data, initial=0):
+    """The per-word Python loop :func:`ones_complement_sum` replaced: the oracle."""
+    total = initial
+    if len(data) % 2:
+        data = bytes(data) + b"\x00"
+    for (word,) in struct.iter_unpack("!H", data):
+        total += word
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=1600),
+        st.integers(min_value=0, max_value=1601).map(lambda n: b"\xff" * n),
+    ),
+    st.integers(min_value=0, max_value=1 << 20),
+    st.sampled_from([bytes, bytearray, memoryview]),
+)
+@example(b"", 1 << 20, bytes)
+@example(b"\x01", 0xFFFF, memoryview)
+@example(b"\xff" * 4097, 1 << 20, bytearray)
+def test_word_sum_matches_the_word_loop(data, initial, kind):
+    assert ones_complement_sum(kind(data), initial) == _word_loop_sum(data, initial)

@@ -17,7 +17,9 @@ events per op by what they are and whom they wake: the event class and
 the innermost yield site of the process it resumes (``file function+k``,
 ``k`` lines into the function, so the key survives edits above it; the
 last process a dispatch resumes, after its event's own steps), or the
-callback it runs — the table that shows an event diet what is left.
+callback it runs — the table that shows an event diet what is left;
+``(dead)`` marks a dispatch whose callbacks are all the check of a
+condition that has already fired, and their total closes the table.
 
 Standard library only; nothing under ``perf/`` is edited. A table to
 read, not a gate: exit status 2 only when a run fails.
@@ -35,6 +37,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 SETUP, MEASURED = 0, 1
 #: Rows of the per-site table; the rest are summed into one.
 SITES_SHOWN = 25
+#: Marks a dispatch that can change nothing (:func:`dispatch_key`).
+DEAD = " (dead)"
 
 
 def _where(code, lineno, tree):
@@ -84,14 +88,23 @@ def _callback_site(callback, tree):
     return _where(code, code.co_firstlineno, tree)
 
 
+def _fired_check(callback):
+    """Whether ``callback`` is a condition's member check whose condition
+    has already fired: it runs and changes nothing."""
+    owner = getattr(callback, "__self__", None)
+    return getattr(callback, "__name__", None) == "_check" and getattr(owner, "triggered", False)
+
+
 def dispatch_key(event, tree):
     """``"Class site"`` of an event about to be dispatched: its class and
     the innermost yield site of the process it resumes — through the last
     callback that resumes one — or else of its first callback (a
-    condition's or a hold's, through to the waiter it wakes)."""
+    condition's or a hold's, through to the waiter it wakes); ``(dead)``
+    appended when every callback is a fired condition's check."""
     callbacks = event.callbacks
     site = _callback_site(_waker(callbacks), tree) if callbacks else "(no callback)"
-    return "{} {}".format(type(event).__name__, site)
+    key = "{} {}".format(type(event).__name__, site)
+    return key + DEAD if callbacks and all(map(_fired_check, callbacks)) else key
 
 
 def count(tree, workload):
@@ -234,6 +247,8 @@ def main(argv=None):
     if rest:
         site_row("({} more)".format(len(rest)),
                  sum(was.get(key, 0) for key in rest), sum(now.get(key, 0) for key in rest))
+    dead = [key for key in keys if key.endswith(DEAD)]
+    site_row("dead dispatches, total", sum(was.get(key, 0) for key in dead), sum(now.get(key, 0) for key in dead))
     return 0
 
 

@@ -63,3 +63,19 @@ def test_an_event_without_a_process_is_named_by_its_callback():
     callback, nothing = _parked_events(sim)
     assert dispatch_key(callback, ROOT) == "Timeout {} {}+0".format(HERE, code_name(deliver.__code__))
     assert dispatch_key(nothing, ROOT) == "Timeout (no callback)"
+
+
+def test_a_dispatch_into_a_fired_condition_is_dead():
+    sim = Simulator()
+
+    def program():
+        yield sim.any_of([Timeout(sim, 1), Timeout(sim, 5)])
+
+    sim.process(program())
+    sim.step()
+    first, _late = _parked_events(sim)
+    assert not dispatch_key(first, ROOT).endswith(" (dead)")
+    sim.step()  # the first member fires the AnyOf ...
+    sim.step()  # ... which resumes the process
+    (late,) = _parked_events(sim)
+    assert dispatch_key(late, ROOT).endswith(" (dead)")
