@@ -51,7 +51,7 @@ from repro.flextoe.descriptors import (
     HostControlDescriptor,
 )
 from repro.flextoe.datapath import HEARTBEAT_INTERVAL_NS
-from repro.flextoe.slab import FLAG, INT, OBJ, Slab, SlabView, SlotTable, attach_fields
+from repro.flextoe.slab import FLAG, INT, OBJ, U16, U32, Slab, SlabView, SlotTable, attach_fields
 from repro.flextoe.state import ProtoInstall
 from repro.nfp.cam import pack_four_tuple
 from repro.proto import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, make_tcp_frame
@@ -135,18 +135,16 @@ class ConnShadow(SlabView):
 #: The host-side shadow slab: one slot per tracked connection. This is
 #: the memory recovery reads after a crash, so it lives outside the NIC
 #: object graph entirely — ``crash()``/``reboot()`` never touch it.
+#: Identity, sequence numbers and buffer sizes are stored at their
+#: width; addresses, IPs, MACs and the four mirrored byte counts are INT.
+_SHADOW_KINDS = {
+    **dict.fromkeys(("fin_posted", "peer_fin_seen"), FLAG),
+    **dict.fromkeys(("rx_region", "tx_region", "opaque", "nic_snapshot"), OBJ),
+    **dict.fromkeys(("local_port", "remote_port"), U16),
+    **dict.fromkeys(("index", "context_id", "snd_iss", "rcv_irs", "rx_size", "tx_size"), U32),
+}
 SHADOW_SLAB = Slab(
-    fields=[
-        (
-            name,
-            FLAG
-            if name in ("fin_posted", "peer_fin_seen")
-            else OBJ
-            if name in ("rx_region", "tx_region", "opaque", "nic_snapshot")
-            else INT,
-        )
-        for name in ConnShadow.SLAB_FIELDS
-    ],
+    fields=[(name, _SHADOW_KINDS.get(name, INT)) for name in ConnShadow.SLAB_FIELDS],
     initial=1024,
     name="shadow",
 )

@@ -22,11 +22,13 @@ one column:
   IP strings) spill into a per-column overflow dict keyed by slot.
   Inline integers must sit above ``_SENT_FLOOR``; anything else spills.
 * ``FLAG`` — an ``array('b')`` column read back as real ``bool``.
-* ``U8`` / ``U16`` — ``array('B')`` / ``array('H')`` narrow unsigned
-  columns for ports, flow groups and small saturating counters. No
+* ``U8`` / ``U16`` / ``U32`` — ``array('B')`` / ``array('H')`` /
+  ``array('I')`` unsigned columns for ports, flow groups, small
+  saturating counters, sequence space, windows and buffer sizes. No
   sentinels and no overflow: the declared range *is* the invariant
-  (Table 5 stores these as 1–2 hardware bytes), so an out-of-range
-  write raises immediately instead of silently widening.
+  (Table 5 stores these as 1, 2 or 4 hardware bytes), so an
+  out-of-range write raises, naming the field, instead of widening or
+  wrapping.
 * ``OBJ`` — a plain list column for reference fields (host memory
   regions, opaque app handles, snapshot dicts).
 
@@ -69,7 +71,7 @@ Ownership
 A row is written by a row writer into a slot :meth:`Slab.alloc` handed
 out, and entered into a :class:`SlotTable` (the data path's connection
 table, the recovery manager's shadow map). The table owns the slot; a
-quiescent entry is its slab row plus eight bytes of table, and no object.
+quiescent entry is its slab row plus four bytes of table, and no object.
 The first :meth:`SlotTable.get` of an index makes its view
 (:meth:`SlabView.claim`), and from then on the *view* owns the slot: the
 table drops it at :meth:`SlotTable.remove`, and an in-flight work still
@@ -90,15 +92,17 @@ INT = "int"
 FLAG = "flag"
 U8 = "u8"
 U16 = "u16"
+U32 = "u32"
 OBJ = "obj"
 
 #: array typecode per scalar kind (OBJ columns are plain lists).
-_TYPECODES = {INT: "q", FLAG: "b", U8: "B", U16: "H"}
+_TYPECODES = {INT: "q", FLAG: "b", U8: "B", U16: "H", U32: "I"}
 
 #: storage bytes per slot for one column of each kind. OBJ is charged
 #: one machine word (the CPython list cell), matching what a hardware
 #: layout would spend on a handle.
-_KIND_BYTES = {INT: 8, FLAG: 1, U8: 1, U16: 2, OBJ: 8}
+_KIND_BYTES = {INT: 8, FLAG: 1, U8: 1, U16: 2, U32: 4, OBJ: 8}
+assert array(_TYPECODES[U32]).itemsize == _KIND_BYTES[U32]
 
 #: Inline int values must be strictly above this floor; the space below
 #: is reserved for sentinels. (No protocol field comes near -2**60.)
@@ -138,7 +142,7 @@ else:
 }
 # The array enforces the declared range; surface the field name because
 # the OverflowError alone only mentions the typecode.
-_STORE[U8] = _STORE[U16] = """\
+_STORE[U8] = _STORE[U16] = _STORE[U32] = """\
 try:
     {c}[{i}] = {v}
 except (OverflowError, TypeError) as exc:
@@ -152,12 +156,12 @@ if value > _SENT_FLOOR:
 return None if value == _NONE else {o}[{i}]
 """,
     FLAG: "return {c}[{i}] != 0\n",
-    **dict.fromkeys((U8, U16, OBJ), "return {c}[{i}]\n"),
+    **dict.fromkeys((U8, U16, U32, OBJ), "return {c}[{i}]\n"),
 }
 _ZERO = {
     INT: "{c}[{i}] = 0\nif {o}:\n    {o}.pop({i}, None)\n",
     OBJ: "{c}[{i}] = None\n",
-    **dict.fromkeys((FLAG, U8, U16), "{c}[{i}] = 0\n"),
+    **dict.fromkeys((FLAG, U8, U16, U32), "{c}[{i}] = 0\n"),
 }
 _SENTINELS = {"_NONE": _NONE, "_SPILL": _SPILL, "_SENT_FLOOR": _SENT_FLOOR, "_INLINE_MAX": _INLINE_MAX}
 #: Generated code is compiled under this file's name, so profilers charge
@@ -361,8 +365,8 @@ class SlabView:
             pass
 
 
-#: One free table entry, as the bytes of ``array('q')``.
-_NO_ROW = array("q", [-1]).tobytes()
+#: One free table entry, as the bytes of ``array('i')``.
+_NO_ROW = array("i", [-1]).tobytes()
 
 
 class SlotTable:
@@ -377,7 +381,7 @@ class SlotTable:
 
     def __init__(self, view_class):
         self.view_class = view_class
-        self._rows = array("q")  # index -> slot, -1 = no row
+        self._rows = array("i")  # index -> slot, -1 = no row
         self._views = {}  # index -> the view that owns its slot
 
     def put(self, index, slot):
@@ -423,7 +427,7 @@ class SlotTable:
 
     def items(self):
         """``(index, slot)`` of every row, in ascending index order, as
-        the table stands now: the iterator reads a copy (eight bytes an
+        the table stands now: the iterator reads a copy (four bytes an
         index), not what a later put or remove makes of it."""
         return ((index, slot) for index, slot in enumerate(self._rows[:]) if slot >= 0)
 

@@ -24,7 +24,7 @@ to charge the engine's issue latency in the simulator.
 
 from collections import namedtuple
 
-from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, Slab, SlabView, SlotTable, attach_fields
+from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, U32, Slab, SlabView, SlotTable, attach_fields
 from repro.nfp.memory import LAT_ATOMIC_ADD
 from repro.proto.tcp import seq_add
 
@@ -314,15 +314,19 @@ _CONN_KINDS = {
     "opaque": OBJ,
     "rx_region": OBJ,
     "tx_region": OBJ,
-    # Narrow columns (Table 5 stores these as 1-2 hardware bytes):
-    # ports are 16-bit by definition, flow groups index a small config
-    # table, dupack_cnt is clamped to 15 by the protocol logic and
-    # cnt_fretx saturates at 255 via atomic_add(maximum=255).
-    "local_port": U16,
-    "remote_port": U16,
-    "flow_group": U16,
-    "dupack_cnt": U8,
-    "cnt_fretx": U8,
+    # Narrow columns, at Table 5's widths: ports are 16-bit by
+    # definition, flow groups index a small config table, dupack_cnt is
+    # clamped to 15, delack_cnt resets at delayed_ack_segments, cnt_fretx
+    # saturates at 255 via atomic_add(maximum=255), and sequence space,
+    # windows, buffer sizes, the timestamp echo, context ids and the RTT
+    # in us are 32-bit. INT stays for the 64-bit buffer heads, addresses
+    # past 2**32, rate in bytes/s, FIN sequences that may be None, IPs and
+    # MACs tests pass as strings and bytes, and cnt_ackb/cnt_ecnb, which
+    # nothing drains while congestion control is off.
+    **dict.fromkeys(("local_port", "remote_port", "flow_group"), U16),
+    **dict.fromkeys(("dupack_cnt", "delack_cnt", "cnt_fretx"), U8),
+    **dict.fromkeys(("tx_avail", "rx_avail", "remote_win", "tx_sent", "seq", "ack", "ooo_start", "ooo_len"), U32),
+    **dict.fromkeys(("next_ts", "context_id", "rx_size", "tx_size", "rtt_est"), U32),
 }
 
 CONN_SLAB = Slab(
@@ -405,7 +409,7 @@ class ConnectionTable(SlotTable):
     removes them at teardown. Indices are allocated to minimize
     collisions in the direct-mapped CLS cache (paper §4.1) — a simple
     ascending allocator achieves that layout — so the table is dense:
-    eight bytes per index, and a :class:`ConnectionRecord` only for a
+    four bytes per index, and a :class:`ConnectionRecord` only for a
     connection something has touched.
     """
 

@@ -8,6 +8,7 @@
 """
 
 import zlib
+from array import array
 from collections import OrderedDict
 
 
@@ -78,10 +79,9 @@ def crc32_tuple(local_ip, remote_ip, local_port, remote_port):
 def pack_four_tuple(four_tuple):
     """Pack a (ip, ip, port, port) 4-tuple into one 96-bit int key.
 
-    Equality of packed keys is equivalent to equality of tuples, so the
-    lookup engine (and anything keying connections by 4-tuple) can store
-    a single int instead of a 5-object tuple — ~200 bytes saved per
-    connection at million-connection scale.
+    Equality of packed keys is equivalent to equality of tuples, so
+    anything keying connections by 4-tuple can store a single int
+    instead of a 5-object tuple.
     """
     local_ip, remote_ip, local_port, remote_port = four_tuple
     return (
@@ -89,9 +89,10 @@ def pack_four_tuple(four_tuple):
     ) | remote_port
 
 
-#: Singleton-bucket encoding span: the low 32 bits of the encoded int
-#: hold the connection index, the rest the packed key.
-_INDEX_SPAN = 1 << 32
+#: Node columns grow by this many nodes (20 B each) when full.
+_NODE_CHUNK = 1024
+#: "No node": an empty bucket's head, a chain's end, an empty free list.
+_NIL = -1
 
 
 class HashLookupEngine:
@@ -101,90 +102,110 @@ class HashLookupEngine:
     chained collision resolution (hardware uses a CAM per bucket). The
     occupancy statistics feed the Figure 14 analysis.
 
-    Storage is deliberately compact — the hardware table is an IMEM
-    array, so the model keeps per-connection cost near O(bytes) too.
-    The bucket table is a preallocated list (the fixed IMEM array, 8 B
-    per bucket of pointer), keys are packed 96-bit ints, and the
-    (overwhelmingly common) single-entry bucket is stored as one int
-    ``key << 32 | index`` rather than a list of tuples. Buckets
-    escalate to ``[(key, index)]`` chains only on a genuine hash
-    collision, preserving the exact chain order, probe counts and
-    collision accounting of the chained design.
+    Storage is flat columns, as the hardware's IMEM arrays are: the
+    bucket table is an ``array('i')`` of chain heads (4 B a bucket, -1
+    empty), and a chain node is one row across four node columns — the
+    96-bit key as its IPs (``Q``) and ports (``I``), the connection index
+    (``I``) and the next node (``i``). A chain appends at its tail, so
+    chain order, probe counts and collision accounting are those of a
+    list of ``(key, index)`` pairs per bucket. Free nodes are chained
+    through ``next``, and a freed node is the next one taken; the columns
+    grow by ``_NODE_CHUNK`` nodes when none is free. A key or index
+    outside its column's range raises ``OverflowError``.
     """
 
     def __init__(self, n_buckets=65536):
         self.n_buckets = n_buckets
-        self._buckets = [None] * n_buckets
+        self._heads = array("i", [_NIL]) * n_buckets
+        self._ips = array("Q")  # node -> local_ip << 32 | remote_ip
+        self._ports = array("I")  # node -> local_port << 16 | remote_port
+        self._values = array("I")  # node -> connection index
+        self._next = array("i")  # node -> next node of its chain, or of the free list
+        self._free = _NIL  # first free node; the free list is chained through next
         self.entries = 0
         self.lookups = 0
         self.collisions = 0
+
+    def _grow(self):
+        """Add ``_NODE_CHUNK`` nodes as the (empty) free list, in order."""
+        first = len(self._next)
+        for column in (self._ips, self._ports, self._values):
+            column.frombytes(bytes(_NODE_CHUNK * column.itemsize))
+        self._next.extend(range(first + 1, first + _NODE_CHUNK))
+        self._next.append(_NIL)
+        self._free = first
 
     def insert(self, four_tuple, connection_index, crc=None):
         """``crc`` is ``crc32_tuple(*four_tuple)`` when the caller has it."""
         if crc is None:
             crc = crc32_tuple(*four_tuple)
         bucket_id = crc % self.n_buckets
-        key = pack_four_tuple(four_tuple)
-        bucket = self._buckets[bucket_id]
-        if bucket is None:
-            if isinstance(connection_index, int) and 0 <= connection_index < _INDEX_SPAN:
-                self._buckets[bucket_id] = key * _INDEX_SPAN + connection_index
-            else:  # exotic index value: fall back to a chain of pairs
-                self._buckets[bucket_id] = [(key, connection_index)]
-            self.entries += 1
-            return
-        if isinstance(bucket, int):
-            existing_key, existing_index = divmod(bucket, _INDEX_SPAN)
-            if existing_key == key:
-                self._buckets[bucket_id] = key * _INDEX_SPAN + connection_index
+        local_ip, remote_ip, local_port, remote_port = four_tuple
+        ips = local_ip << 32 | remote_ip
+        ports = local_port << 16 | remote_port
+        tail = node = self._heads[bucket_id]
+        while node >= 0:
+            if self._ips[node] == ips and self._ports[node] == ports:
+                self._values[node] = connection_index
                 return
-            bucket = [(existing_key, existing_index)]
-            self._buckets[bucket_id] = bucket
-        for i, (entry_key, _) in enumerate(bucket):
-            if entry_key == key:
-                bucket[i] = (key, connection_index)
-                return
-        bucket.append((key, connection_index))
+            tail = node
+            node = self._next[node]
+        if self._free < 0:
+            self._grow()
+        node = self._free
+        # Written before the node is taken: a value out of its column's
+        # range raises with the engine unchanged.
+        self._ips[node] = ips
+        self._ports[node] = ports
+        self._values[node] = connection_index
+        self._free = self._next[node]
+        self._next[node] = _NIL
+        if tail < 0:
+            self._heads[bucket_id] = node
+        else:
+            self._next[tail] = node
         self.entries += 1
 
     def lookup(self, four_tuple):
         """Return (found, connection_index, probe_count)."""
         self.lookups += 1
-        bucket_id = crc32_tuple(*four_tuple) % self.n_buckets
-        bucket = self._buckets[bucket_id]
-        if bucket is None:
+        node = self._heads[crc32_tuple(*four_tuple) % self.n_buckets]
+        if node < 0:
             return False, None, 1
-        key = pack_four_tuple(four_tuple)
-        if isinstance(bucket, int):
-            existing_key, existing_index = divmod(bucket, _INDEX_SPAN)
-            if existing_key == key:
-                return True, existing_index, 1
-            return False, None, 1
-        for probes, (entry_key, index) in enumerate(bucket, start=1):
-            if entry_key == key:
+        local_ip, remote_ip, local_port, remote_port = four_tuple
+        ips = local_ip << 32 | remote_ip
+        ports = local_port << 16 | remote_port
+        probes = 1
+        while True:
+            if self._ips[node] == ips and self._ports[node] == ports:
                 if probes > 1:
                     self.collisions += 1
-                return True, index, probes
-        return False, None, len(bucket)
+                return True, self._values[node], probes
+            node = self._next[node]
+            if node < 0:
+                return False, None, probes
+            probes += 1
 
     def remove(self, four_tuple):
         bucket_id = crc32_tuple(*four_tuple) % self.n_buckets
-        bucket = self._buckets[bucket_id]
-        if bucket is None:
+        node = self._heads[bucket_id]
+        if node < 0:
             return False
-        key = pack_four_tuple(four_tuple)
-        if isinstance(bucket, int):
-            existing_key, _ = divmod(bucket, _INDEX_SPAN)
-            if existing_key != key:
-                return False
-            self._buckets[bucket_id] = None
-            self.entries -= 1
-            return True
-        for i, (entry_key, _) in enumerate(bucket):
-            if entry_key == key:
-                del bucket[i]
-                if not bucket:
-                    self._buckets[bucket_id] = None
+        local_ip, remote_ip, local_port, remote_port = four_tuple
+        ips = local_ip << 32 | remote_ip
+        ports = local_port << 16 | remote_port
+        nxt = self._next
+        prev = _NIL
+        while node >= 0:
+            if self._ips[node] == ips and self._ports[node] == ports:
+                if prev < 0:
+                    self._heads[bucket_id] = nxt[node]
+                else:
+                    nxt[prev] = nxt[node]
+                nxt[node] = self._free
+                self._free = node
                 self.entries -= 1
                 return True
+            prev = node
+            node = nxt[node]
         return False

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flextoe import slab as slab_module
-from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, Slab, SlabView, attach_fields
+from repro.flextoe.slab import FLAG, INT, OBJ, U8, U16, U32, Slab, SlabView, attach_fields
 
 FIELDS = (
     ("alpha", INT),
@@ -24,6 +24,7 @@ FIELDS = (
     ("delta", OBJ),
     ("eps", U8),
     ("zeta", U16),
+    ("theta", U32),
 )
 FIELD_NAMES = tuple(name for name, _ in FIELDS)
 
@@ -39,6 +40,7 @@ FLAG_VALUES = st.booleans()
 OBJ_VALUES = st.one_of(st.none(), st.text(max_size=4), st.tuples(st.integers()))
 U8_VALUES = st.integers(min_value=0, max_value=255)
 U16_VALUES = st.integers(min_value=0, max_value=0xFFFF)
+U32_VALUES = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
 def make_slab_and_cls(initial=4):
@@ -61,6 +63,8 @@ def value_for(field, data):
         return data.draw(U8_VALUES)
     if field == "zeta":
         return data.draw(U16_VALUES)
+    if field == "theta":
+        return data.draw(U32_VALUES)
     return data.draw(INT_VALUES)
 
 
@@ -202,8 +206,8 @@ def test_linear_growth_and_stats():
     stats = slab.stats()
     assert stats["live"] == 5
     assert stats["high_water"] == 5
-    # INT + INT + FLAG + OBJ + U8 + U16 = 8 + 8 + 1 + 8 + 1 + 2.
-    assert stats["bytes_per_slot"] == 28
+    # INT + INT + FLAG + OBJ + U8 + U16 + U32 = 8 + 8 + 1 + 8 + 1 + 2 + 4.
+    assert stats["bytes_per_slot"] == 32
     assert slab.capacity >= 5
 
 
@@ -215,30 +219,45 @@ def test_narrow_columns_enforce_their_range():
     view._bind()
     view.eps = 255
     view.zeta = 0xFFFF
-    assert view.eps == 255 and view.zeta == 0xFFFF
+    view.theta = 0xFFFFFFFF
+    assert view.eps == 255 and view.zeta == 0xFFFF and view.theta == 0xFFFFFFFF
     with pytest.raises(OverflowError, match="eps"):
         view.eps = 256
     with pytest.raises(OverflowError, match="zeta"):
         view.zeta = -1
     with pytest.raises(TypeError, match="eps"):
         view.eps = None
+    # A U32 never wraps: out of range or not an int raises, by property
+    # or by row writer.
+    write = slab.row_writer(("theta",))
+    for bad, error in ((-1, OverflowError), (1 << 32, OverflowError), (1.5, TypeError), ("7", TypeError)):
+        for store in (lambda: setattr(view, "theta", bad), lambda: write(view.slab_slot, bad)):
+            with pytest.raises(error, match="^theta: "):
+                store()
     # Failed writes leave the cell unchanged.
-    assert view.eps == 255 and view.zeta == 0xFFFF
+    assert view.eps == 255 and view.zeta == 0xFFFF and view.theta == 0xFFFFFFFF
 
 
 def test_connection_state_uses_narrow_columns():
+    from repro.control.recovery import SHADOW_SLAB
     from repro.flextoe.state import CONN_SLAB
 
     kinds = dict(CONN_SLAB.fields)
     assert kinds["local_port"] == U16 and kinds["remote_port"] == U16
-    assert kinds["dupack_cnt"] == U8 and kinds["cnt_fretx"] == U8
+    assert kinds["dupack_cnt"] == U8 and kinds["cnt_fretx"] == U8 and kinds["delack_cnt"] == U8
+    assert kinds["seq"] == U32 and kinds["ack"] == U32 and kinds["rtt_est"] == U32
     assert kinds["fin_pending"] == FLAG
-    # 27 INT + 4 FLAG + 3 U16 + 2 U8 + 3 OBJ columns. The narrow
-    # columns shave 60 B off the uniform-8B row (312 -> 252) toward the
-    # paper's 108 B/conn (remaining gap: 64-bit INT columns for fields
-    # Table 5 stores as 4 B).
-    assert CONN_SLAB.bytes_per_slot() == 252
+    # 13 INT + 13 U32 + 4 FLAG + 3 U16 + 3 U8 + 3 OBJ columns: 312 B at
+    # a uniform 8 B, 193 at Table 5's widths. The gap to the paper's
+    # 108 B/conn is the INT columns — 64-bit buffer heads and addresses,
+    # IPs and MACs a test may pass as strings, fields that may be None —
+    # and the three 8 B OBJ handles.
+    assert CONN_SLAB.bytes_per_slot() == 193
     assert CONN_SLAB.bytes_per_slot() < 8 * len(CONN_SLAB.fields)
+    shadow = dict(SHADOW_SLAB.fields)
+    assert shadow["snd_iss"] == U32 and shadow["index"] == U32 and shadow["local_port"] == U16
+    # 10 INT + 6 U32 + 2 U16 + 2 FLAG + 4 OBJ: 178 B with every scalar INT.
+    assert SHADOW_SLAB.bytes_per_slot() == 142
 
 
 # -- row operations: one statement of the encoding, two ways to run it ------

@@ -18,18 +18,22 @@ from repro.flextoe.state import CONN_SLAB
 from repro.harness import Testbed
 from repro.sim import Simulator
 
-#: Two FlexTOE hosts, nothing connected: reads 2.06 MiB (2.3 MiB under
-#: REPRO_SANITIZE=1), 1 MiB of it the two chips' lookup-engine bucket
-#: lists. With a 4 096-slot wheel built up front per host it read 8.06 MiB.
-TESTBED_BUDGET = 3 << 20
+#: Two FlexTOE hosts, nothing connected: reads 1.52 MiB (1.75 MiB under
+#: REPRO_SANITIZE=1), 512 KiB of it the two chips' lookup-engine bucket
+#: heads (4 B each). With the heads a list of 8 B pointers it read
+#: 2.02 MiB; with a 4 096-slot wheel built up front per host as well,
+#: 8.06 MiB.
+TESTBED_BUDGET = 2 << 20
 #: One idle flow scheduler: reads 1.4 KB; 3 074 KB with every slot's
 #: queue built up front.
 SCHEDULER_BUDGET = 16 << 10
 #: One adopted, quiescent connection, its two slab rows charged at their
-#: declared width (252 + 178 B): reads 495 — the rows, its lookup-engine
-#: entry (48) and its two table slots (16). With a record and a shadow
-#: object per connection, and the dict holding the shadows, it read 679.
-ADOPT_BUDGET = 640
+#: declared width (193 + 142 B): reads 365 — the rows, its lookup-engine
+#: node (20 B, plus chunk slack) and its two table slots (8). With every
+#: 32-bit field in an 8 B column (252 + 178 B), a 48 B packed-int bucket
+#: entry and 8 B table slots it read 495; with a record and a shadow
+#: object per connection as well, and the dict holding the shadows, 679.
+ADOPT_BUDGET = 420
 ADOPTED = 2000
 
 

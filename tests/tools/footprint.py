@@ -19,7 +19,10 @@ tree, each side in processes of its own (each imports its own ``perf`` and
   the difference per installed connection is printed per layer too, in
   bytes and in blocks: a block is one allocation (an object, a dict's
   table, an array's buffer growth), so blocks per connection count what
-  a connection costs in a unit no allocator or word size changes.
+  a connection costs in a unit no allocator or word size changes. Both
+  are printed again per source file under ``src/repro``, which names the
+  structure a layer lumps together (the lookup engine is ``nfp/cam.py``
+  inside ``nfp.other``).
 
 It prints both trees with the difference. Standard library only; nothing
 under ``perf/`` is edited. A table to read, not a gate: exit status 2
@@ -50,17 +53,23 @@ def vm_rss_bytes():
     return 0
 
 
-def held_per_layer(layers):
+def held_per_layer(layers, tree):
     """``{"bytes": {layer: n}, "blocks": {layer: n}}`` still allocated
-    since ``tracemalloc.start()``."""
+    since ``tracemalloc.start()``, and the same per source file under
+    ``src/repro`` (``"file bytes"``, ``"file blocks"``; a file elsewhere is
+    charged to its layer, in parentheses)."""
     gc.collect()
     snapshot = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)])
-    held = {"bytes": {}, "blocks": {}}
+    package = os.path.join(os.path.abspath(tree), "src", "repro") + os.sep
+    held = {"bytes": {}, "blocks": {}, "file bytes": {}, "file blocks": {}}
     for stat in snapshot.statistics("filename"):
-        layer = layers.layer_of_file(stat.traceback[0].filename)
-        held["bytes"][layer] = held["bytes"].get(layer, 0) + stat.size
-        held["blocks"][layer] = held["blocks"].get(layer, 0) + stat.count
+        filename = stat.traceback[0].filename
+        layer = layers.layer_of_file(filename)
+        source = filename[len(package):] if filename.startswith(package) else "({})".format(layer)
+        for key, name, amount in (("bytes", layer, stat.size), ("blocks", layer, stat.count),
+                                  ("file bytes", source, stat.size), ("file blocks", source, stat.count)):
+            held[key][name] = held[key].get(name, 0) + amount
     return held
 
 
@@ -81,7 +90,7 @@ def measure(tree, workload, traced, empty):
     cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **({"idle_conns": 0} if empty else {}))
     rss["set-up"] = vm_rss_bytes()
     if traced:
-        held["set-up"] = held_per_layer(layers)
+        held["set-up"] = held_per_layer(layers, tree)
     if empty:
         return {"held": held}
     for cell in cells:
@@ -89,7 +98,7 @@ def measure(tree, workload, traced, empty):
     rss["measured"] = vm_rss_bytes()
     rss["peak"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     if traced:
-        held["measured"] = held_per_layer(layers)
+        held["measured"] = held_per_layer(layers, tree)
     ops = sum(cell.ok for cell in cells)
     if not ops or ops != sum(cell.planned for cell in cells):
         raise SystemExit("{}: {} of {} ops completed".format(workload, ops, sum(cell.planned for cell in cells)))
@@ -143,7 +152,7 @@ def main(argv=None):
             base["resident"]["ops"], here["resident"]["ops"]))
     print("footprint of one {} repetition ({} ops, CPython {}), base = {}".format(
         args.workload, here["resident"]["ops"], sys.version.split()[0], args.base))
-    line = "{:<30} {:>12} {:>12} {:>12}"
+    line = "{:<38} {:>12} {:>12} {:>12}"
 
     def table(title, rows, unit, scale):
         print(line.format(title, "base", "here", "delta"))
@@ -161,20 +170,22 @@ def main(argv=None):
         table("held after {} (KiB)".format(phase), rows, "%.1f", 1024.0)
     if args.workload == "sparse-idle":
         installed = here["traced"]["extras"]["installed"]
-        for unit, title, floor in (("bytes", "B", installed), ("blocks", "blocks", installed / 100)):
+        for unit, title, floor in (("bytes", "B", installed), ("blocks", "blocks", installed / 100),
+                                   ("file bytes", "B by file", installed),
+                                   ("file blocks", "blocks by file", installed / 100)):
             per_conn = []
             for side in (base, here):
                 full, empty = side["traced"]["held"]["set-up"][unit], side["empty"]["held"]["set-up"][unit]
-                per_conn.append({layer: full.get(layer, 0) - empty.get(layer, 0) for layer in set(full) | set(empty)})
+                per_conn.append({name: full.get(name, 0) - empty.get(name, 0) for name in set(full) | set(empty)})
             was, now = per_conn
-            rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))
-                    if max(abs(was.get(layer, 0)), abs(now.get(layer, 0))) >= floor]  # >= 1 B, 0.01 block each
+            rows = [(name, was.get(name, 0), now.get(name, 0)) for name in sorted(set(was) | set(now))
+                    if max(abs(was.get(name, 0)), abs(now.get(name, 0))) >= floor]  # >= 1 B, 0.01 block each
             rows.append(("total", sum(was.values()), sum(now.values())))
             if unit == "bytes":
                 rows.append(("resident (install VmRSS)", base["resident"]["extras"]["install_rss_bytes"],
                              here["resident"]["extras"]["install_rss_bytes"]))
-            table("{} per connection ({})".format(title, installed), rows, "%.2f" if unit == "blocks" else "%.1f",
-                  float(installed))
+            table("{} per connection ({})".format(title, installed), rows,
+                  "%.2f" if unit.endswith("blocks") else "%.1f", float(installed))
     return 0
 
 
