@@ -47,9 +47,8 @@ loc:
 		else printf '%6d %s\n' $$here $$d; fi; \
 	done
 
-# Gate on findings not present in the committed baseline (all passes:
-# xdp-verifier, xdp-deadcode, stage-race, atomicity, hb-race, ordering,
-# sim-process).
+# Gate on findings not present in the committed baseline (all four
+# passes: xdp-verifier, xdp-deadcode, hb-race, sim-process).
 lint:
 	$(PY) -m repro lint --baseline lint-baseline.json
 

@@ -60,10 +60,7 @@ def demo():
 
 
 COMMANDS = {
-    "lint": (
-        "static analysis: xdp-verifier, xdp-deadcode, stage-race, atomicity, "
-        "hb-race, ordering, sim-process"
-    ),
+    "lint": "static analysis: xdp-verifier, xdp-deadcode, hb-race, sim-process",
     "faults": "run a deterministic fault plan as an asserted test",
 }
 

@@ -11,14 +11,16 @@ package makes both checkable:
   stack initialization, verified packet bounds) and its meet operator.
 * :mod:`repro.analysis.verifier` — the one-pass CFG program verifier
   backing :func:`repro.xdp.verify`.
-* :mod:`repro.analysis.stagelint` — AST race lint extracting per-stage
-  read/write sets of connection-state partitions and flagging writes
-  that violate stage ownership (Table 5).
+* :mod:`repro.analysis.stagelint` — the ``hb-race`` lint: per-stage
+  read/write sets of connection-state partitions, through helper calls,
+  and one verdict per field (immutable, atomic, or owned per Table 5).
 * :mod:`repro.analysis.simlint` — lint for simulation processes
   (wall-clock and global-RNG use that bypasses :mod:`repro.sim`,
   yielding non-events).
 * :mod:`repro.analysis.sanitizer` — opt-in runtime ownership sanitizer
-  (``REPRO_SANITIZE=1``) instrumenting protocol-state writes.
+  (``REPRO_SANITIZE=1``) instrumenting partition writes.
+* :mod:`repro.analysis.hbmonitor` — under the same switch, the run-time
+  check of the ordering devices (fences, sequencers, write-ahead rule).
 * :mod:`repro.analysis.report`/:mod:`repro.analysis.cli` — findings,
   machine-readable reports, and ``python -m repro lint``.
 

@@ -1,26 +1,17 @@
 """``python -m repro lint`` / ``repro-lint``: run all analysis passes.
 
-Seven passes over the tree, one exit code:
+Four passes over the tree, one exit code:
 
 1. **xdp-verifier** — every builtin XDP assembly program must pass the
    CFG dataflow verifier (:mod:`repro.analysis.verifier`);
 2. **xdp-deadcode** — no refinement-unreachable instructions or
    never-observed stack stores in the builtins
    (:mod:`repro.analysis.deadcode`);
-3. **stage-race** — the data-path stage modules must respect the
-   connection-state ownership partition, including writes reached
-   through helper calls (:mod:`repro.analysis.stagelint`);
-4. **atomicity** — read-modify-writes by replicated stage instances
-   must be declared commutative atomic-add counters
-   (:func:`repro.analysis.stagelint.lint_atomicity`);
-5. **hb-race** — a connection-state field shared across stage kinds
-   must be immutable, single-owner or declared atomic
-   (:func:`repro.analysis.hblint.lint_hb`);
-6. **ordering** — replicated stages emit into ordered rings only behind
-   a chain fence, reorder-buffer offers carry an upstream sequencer
-   ticket, and ACKs leave after their notification
-   (:func:`repro.analysis.hblint.lint_ordering`);
-7. **sim-process** — no wall-clock time, global RNG, or non-event
+3. **hb-race** — every connection-state field a pipeline stage touches,
+   through any helper call depth, is immutable, atomic, or owned by the
+   one non-replicated stage kind its partition is named after
+   (:func:`repro.analysis.stagelint.lint_hb`);
+4. **sim-process** — no wall-clock time, global RNG, or non-event
    yields in simulation code (:mod:`repro.analysis.simlint`).
 
 Exit status 0 when clean, 1 when any pass reports findings, so CI can
@@ -35,10 +26,9 @@ import argparse
 import sys
 
 from repro.analysis.report import (
-    PASS_ATOMIC,
     PASS_DEADCODE,
     PASS_HB,
-    PASS_ORDER,
+    PASS_SIM,
     PASS_XDP,
     Finding,
     diff_findings,
@@ -97,7 +87,7 @@ def _deadcode_builtins():
 
 def run_all(root=None):
     """Run every pass; returns ``(findings, checked)``."""
-    from repro.analysis import hblint, simlint, stagelint
+    from repro.analysis import simlint, stagelint
 
     findings, n_programs = _verify_builtins()
     checked = {PASS_XDP: n_programs}
@@ -106,24 +96,13 @@ def run_all(root=None):
     findings.extend(dead_findings)
     checked[PASS_DEADCODE] = n_dead
 
-    # One parsed program for the four pipeline passes.
     program = stagelint.build_program()
-    findings.extend(stagelint.lint_stages(program))
-    checked["stage-race"] = len(program.filenames)
-
-    findings.extend(stagelint.lint_atomicity(program))
-    checked[PASS_ATOMIC] = len(program.filenames)
-
-    hb_verdicts = hblint.field_verdicts(program)
-    findings.extend(hblint.lint_hb(hb_verdicts))
-    checked[PASS_HB] = len(hb_verdicts)
-
-    findings.extend(hblint.lint_ordering(program))
-    checked[PASS_ORDER] = len(program.stage_classes())
+    findings.extend(stagelint.lint_hb(program))
+    checked[PASS_HB] = len(stagelint.field_verdicts(program))
 
     sim_findings = simlint.lint_tree(root)
     findings.extend(sim_findings)
-    checked["sim-process"] = _count_py_files(root)
+    checked[PASS_SIM] = _count_py_files(root)
     return findings, checked
 
 
@@ -146,8 +125,7 @@ def main(argv=None):
         prog="repro-lint",
         description=(
             "Data-path safety analyzer: XDP verifier, XDP dead-code lint, "
-            "stage race lint, replicated-state atomicity lint, happens-before "
-            "race lint, ordering-device lint, sim-process lint."
+            "happens-before race lint, sim-process lint."
         ),
     )
     parser.add_argument(

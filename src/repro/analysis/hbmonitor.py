@@ -1,15 +1,14 @@
-"""Runtime validation of the static happens-before model (REPRO_SANITIZE).
+"""Run-time check of the pipeline's ordering devices (REPRO_SANITIZE).
 
-:mod:`repro.analysis.hblint` proves, from the AST, that the pipeline's
-per-connection ordering devices (queue FIFO order, sequencer tickets,
-keyed fences, the notification-before-ACK write-ahead rule) order every
-cross-stage access. This monitor closes the loop at runtime: under
-``REPRO_SANITIZE=1`` the pipelined datapath attaches passive taps to the
-inter-stage rings and context queues and checks every *observed*
-interleaving against the same model, so the analysis and the simulator
-differentially test each other — a fence deleted from the code fails the
-lint, and a fence that exists in the code but not in fact (a logic bug
-the AST extraction believed) fails here.
+FlexTOE orders parallel stages without locks: queue FIFO order,
+sequencer tickets, keyed fences and the notification-before-ACK
+write-ahead rule (§3.1.3). This monitor is the check that they do:
+under ``REPRO_SANITIZE=1`` the pipelined datapath attaches passive taps
+to the inter-stage rings and context queues and holds every *observed*
+interleaving to the data path's ``RINGS`` table and the per-key books
+below. No static pass models ordering; the hazard matrix
+(``tests/analysis/test_hazard_matrix.py``) lists the seeded ordering
+hazards this monitor catches.
 
 The monitor is strictly passive: taps fire synchronously inside existing
 puts/deliveries, create no simulation events and charge no cycles, so
@@ -49,7 +48,7 @@ from repro.analysis import sanitizer
 
 
 class HBViolationError(sanitizer.SanitizerError):
-    """An observed interleaving contradicts the static HB model."""
+    """An observed interleaving breaks an ordering contract."""
 
 
 class _OrderBook:
@@ -129,7 +128,7 @@ class HbMonitor:
     def _install(self):
         dp = self.dp
         handlers = {"post_rings": self._on_post_put, "dma_ring": self._on_dma_put, "ctx_ring": self._on_ctx_put}
-        for attr, (_consumer, producers, _key) in dp.RINGS.items():
+        for attr, (_consumer, producers) in dp.RINGS.items():
             tap = self._make_tap(attr, producers, handlers.get(attr))
             for ring in dp.rings(attr):
                 ring.tap = tap

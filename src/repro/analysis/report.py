@@ -16,15 +16,12 @@ unrelated changes.
 import json
 
 PASS_XDP = "xdp-verifier"
-PASS_STAGE = "stage-race"
-PASS_SIM = "sim-process"
-PASS_ATOMIC = "atomicity"
 PASS_DEADCODE = "xdp-deadcode"
 PASS_HB = "hb-race"
-PASS_ORDER = "ordering"
+PASS_SIM = "sim-process"
 
-# v3: adds the hb-race and ordering passes and the deterministic
-# finding sort (pass, path, line, code, message) within the document.
+# v3: the deterministic finding sort (pass, path, line, code, message)
+# within the document. Which passes run does not change the format.
 REPORT_VERSION = 3
 
 

@@ -1,12 +1,12 @@
 """Opt-in runtime ownership sanitizer for partitioned connection state.
 
-The static race lint proves stage *code* respects the ownership
-contract; this sanitizer checks it dynamically for whatever actually
-executes, including extension modules and dynamic dispatch the lint's
-static view cannot follow. Both read the same declaration: a stage
-process carries its class's ``STAGE_KIND``, and the partition named like
-a kind is written by that kind only. With ``REPRO_SANITIZE=1`` (or a programmatic
-:func:`install`):
+This is the check of Table 5 ownership for whatever actually executes,
+extension modules and dynamic dispatch included: a stage process carries
+its class's ``STAGE_KIND``, and the partition named like a kind is
+written by that kind only. (The ``hb-race`` lint judges the same
+declaration statically, for the hazards a run does not reach; the hazard
+matrix in ``tests/analysis/test_hazard_matrix.py`` says which.) With
+``REPRO_SANITIZE=1`` (or a programmatic :func:`install`):
 
 * every partition of a connection installed in a connection table
   (:class:`~repro.flextoe.state.PreprocState`,
@@ -57,11 +57,8 @@ _OWNER_STACK = []
 # not view identity: partition views are flyweights, a connection
 # installed as a row has none until first touched, and any view of the
 # slot must carry the same ownership token. Entries are
-# dropped on unregister (connection removal) or uninstall. Objects
-# without a slab slot (plain duck-typed state in tests) fall back to
-# id() keys, pinned by a strong reference in _ID_PINS.
+# dropped on unregister (connection removal) or uninstall.
 _REGISTRY = {}
-_ID_PINS = {}
 _MISSING = object()
 _installed = False
 # class -> original __setattr__, for uninstall.
@@ -207,7 +204,6 @@ def uninstall():
     _original_setattrs.clear()
     _installed = False
     _REGISTRY.clear()
-    _ID_PINS.clear()
     del _OWNER_STACK[:]
 
 
@@ -234,10 +230,7 @@ def _check_zeroed(slab, slot):
 
 
 def _registry_key(state):
-    slot = getattr(state, "_i", None)
-    if slot is None:
-        return (type(state), "id", id(state))
-    return (type(state), slot)
+    return (type(state), state._i)
 
 
 def register(state, flow_group):
@@ -247,16 +240,11 @@ def register(state, flow_group):
     whichever object first touches a row-installed connection — carries
     the same token.
     """
-    key = _registry_key(state)
-    _REGISTRY[key] = flow_group
-    if key[1] == "id":
-        _ID_PINS[key] = state  # keep the id from being recycled
+    _REGISTRY[_registry_key(state)] = flow_group
 
 
 def unregister(state):
-    key = _registry_key(state)
-    _REGISTRY.pop(key, None)
-    _ID_PINS.pop(key, None)
+    _REGISTRY.pop(_registry_key(state), None)
 
 
 def current_owner():

@@ -1,83 +1,65 @@
-"""Static race lint for the fine-grained pipeline (paper §3.1, Table 5).
+"""The ``hb-race`` lint: Table 5 ownership of connection state (§3.1).
 
-Connection state is partitioned across stages — the pre-processor owns
-identification state, the protocol stage owns the TCP machine, the
-post-processor owns the app interface — and only the *atomic* protocol
-stage may mutate protocol state. Replicated stages (pre, post, GRO,
-DMA) and one-shot extension modules must treat it as read-only; a write
-from any of them is a data race the moment stages run on separate FPCs.
+Connection state is partitioned across stages — the pre-processor's
+identification state, the protocol stage's TCP machine, the post
+processor's app interface — and FlexTOE orders stages only structurally:
+FIFO rings, sequencer tickets and keyed fences order *adjacent work
+items*, never all instances of two stages (stage T on segment k runs
+concurrently with stage W on segment k+1). So a connection-state field a
+stage touches is safe only as one of:
+
+* **immutable** — no stage kind writes it;
+* **atomic** — declared a commutative counter in ``state.atomic()`` for
+  its partition (updated through the NFP atomic engine,
+  :func:`repro.flextoe.state.atomic_add`);
+* **owned** — exactly one kind touches it, that kind is the one the
+  partition is named after, and it is not ``REPLICATED`` (replicas of a
+  kind share the partition).
+
+Anything else is an ``hb-race``: cross-stage dataflow must ride the work
+item. This is DESIGN §4's "a partition is written only by the kind it is
+named after, and no stage writes ``pre``" (the ``pre`` kind is
+replicated), judged once per field.
 
 The lint is **interprocedural**: it builds a call graph over every
 data-path module it covers and computes bottom-up read/write-set
 summaries per function (memoized, with cycle detection), substituting
-argument bindings at call sites. A store buried in a helper —
-``statecache`` writeback, ``seqr`` delivery — is therefore attributed
-to the *calling* stage through arbitrary call depth, and the resulting
-finding carries the ``via`` call chain. Helpers themselves have no
-stage identity (``ROLE_HELPER``): whether their writes are legal
-depends on who calls them.
-
-Ownership findings (``stage-race`` pass):
-
-* writes to protocol-owned attributes outside the ``STAGE_KIND =
-  "proto"`` class / :mod:`repro.flextoe.proto_logic`
-  (``stage-writes-proto``);
-* writes to the pre-processor partition anywhere in the data-path —
-  it is installed by the control plane and immutable after
-  (``stage-writes-pre``);
-* writes to the post partition from any kind but ``post``
-  (``stage-writes-post``);
-* any connection-partition write from a ``DatapathModule.handle`` —
-  modules get one-shot segment + metadata access only, never
-  connection state (``module-writes-state``).
-
-Atomicity findings (``atomicity`` pass, :func:`lint_atomicity`):
-instances of a ``REPLICATED`` class of one flow group share their partition, so
-a read-modify-write (``x += ...`` or ``x = f(x)``) is lost-update-racy
-unless the field is declared in the ``atomic()`` registry of
-:mod:`repro.flextoe.state` — the declaration asserts the field is a
-commutative counter implemented with the NFP atomic-add engine (whose
-latency :func:`repro.flextoe.state.atomic_add` charges in the sim).
-Undeclared replicated RMWs are ``replicated-unatomic-rmw``; an
-``atomic_add`` call naming an undeclared field is
-``atomic-undeclared-add``.
+argument bindings at call sites. An access buried in a helper —
+``statecache`` writeback, ``seqr`` delivery, an extension module's
+``handle`` — is therefore attributed to the *calling* stage through
+arbitrary call depth, and the finding carries the ``via`` call chain.
 
 Declarations are imported, code is parsed: field ownership is the
 partition classes' ``SLAB_FIELDS`` and the ``atomic()`` registry of
 :mod:`repro.flextoe.state`; what a class *is* comes from the anchors it
 carries (``STAGE_KIND`` / ``REPLICATED``, the ones the data path spawns
-by), never from its name. :func:`build_program` parses each module once
-into a :class:`Program` that all four pipeline passes (these two and
-:mod:`repro.analysis.hblint`'s) share, summaries included.
+by), never from its name. Ordering (fences, sequencers, the write-ahead
+rule) is not judged here: the run-time HB monitor
+(:mod:`repro.analysis.hbmonitor`) and the data path's own checks see it.
 """
 
 import ast
 import os
 
-from repro.analysis.report import PASS_ATOMIC, PASS_STAGE, Finding
+from repro.analysis.report import PASS_HB, Finding
 from repro.flextoe import state
 
 #: Partition accessor attributes on a ConnectionRecord.
 PARTITIONS = ("pre", "proto", "post")
-
-ROLE_PROTOCOL = "protocol"  # STAGE_KIND "proto", the atomic stage: may write proto state
-ROLE_STAGE = "stage"  # any other STAGE_KIND
-ROLE_MODULE = "module"  # one-shot extension modules (``handle``, no ``program``: §3.3)
-ROLE_PROTO_LOGIC = "proto-logic"  # pure functions called by the protocol stage
-ROLE_HELPER = "helper"  # no stage identity; judged at the call site
-
-#: Roles that are data-path entry points: their (direct + transitive)
-#: writes are judged against the ownership rules.
-_ENTRY_ROLES = frozenset((ROLE_PROTOCOL, ROLE_STAGE, ROLE_MODULE, ROLE_PROTO_LOGIC))
 
 #: Longest call chain a summary entry is propagated through.
 MAX_CHAIN_DEPTH = 8
 
 _PARAM_PREFIX = "param:"
 
+VERDICT_IMMUTABLE = "immutable"
+VERDICT_ATOMIC = "atomic"
+VERDICT_OWNED = "owned"
+VERDICT_RACE = "hb-race"
+
 
 def default_paths():
-    """The data-path modules the pipeline passes cover."""
+    """The data-path modules the lint covers."""
     root = os.path.dirname(state.__file__)
     names = ("stages.py", "proto_logic.py", "module.py", "seqr.py", "statecache.py", "datapath.py")
     return [os.path.join(root, name) for name in names]
@@ -123,25 +105,11 @@ def _class_anchors(node):
     return kind, bool(anchors.get("REPLICATED"))
 
 
-def _role_of_class(node, kind):
-    if kind is not None:
-        return ROLE_PROTOCOL if kind == "proto" else ROLE_STAGE
-    method_names = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
-    if "handle" in method_names and "program" not in method_names:
-        return ROLE_MODULE
-    return ROLE_HELPER
-
-
 def _partition_of_value(node):
     """Partition tag if ``node`` is an expression ending in ``.pre/.proto/.post``."""
     if isinstance(node, ast.Attribute) and node.attr in PARTITIONS:
         return node.attr
     return None
-
-
-#: ``rmw`` tag of a write site that is an ``atomic_add`` call (truthy:
-#: it is a read-modify-write, performed by the atomic engine).
-RMW_ATOMIC = "atomic"
 
 
 class FunctionInfo:
@@ -151,32 +119,28 @@ class FunctionInfo:
         "qualname",
         "name",
         "class_name",
-        "role",
         "kind",
         "replicated",
         "filename",
-        "node",
         "params",
         "reads_at",
         "writes",
         "calls",
     )
 
-    def __init__(self, qualname, class_name, role, kind, replicated, filename, node):
+    def __init__(self, qualname, class_name, kind, replicated, filename, node):
         self.qualname = qualname
         self.name = node.name
         self.class_name = class_name
-        self.role = role
         self.kind = kind  # the class's STAGE_KIND anchor, or None
         self.replicated = replicated  # its REPLICATED anchor
         self.filename = filename
-        self.node = node  # the FunctionDef, for the ordering pass
         self.params = [a.arg for a in node.args.args if a.arg != "self"]
         collector = _FunctionAccess(self.params)
         for statement in node.body:
             collector.visit(statement)
         self.reads_at = collector.reads_at  # (token, attr, lineno)
-        self.writes = collector.writes  # (token, attr, lineno, rmw)
+        self.writes = collector.writes  # (token, attr, lineno)
         self.calls = collector.calls  # (lineno, callee name, arg tokens, is_self_call)
 
 
@@ -185,13 +149,13 @@ class _FunctionAccess(ast.NodeVisitor):
     one function body.
 
     Tokens are either a partition name (``pre``/``proto``/``post``) or
-    ``param:<name>`` for stores through a formal parameter, resolved to
+    ``param:<name>`` for accesses through a formal parameter, resolved to
     the caller's binding during summarization.
     """
 
     def __init__(self, params):
         self.reads_at = set()  # (token, attr, lineno)
-        self.writes = set()  # (token, attr, lineno, rmw); rmw may be RMW_ATOMIC
+        self.writes = set()  # (token, attr, lineno)
         self.calls = []  # (lineno, name, args, is_self_call)
         # Local names currently aliasing a partition object or parameter.
         self.aliases = {}
@@ -209,28 +173,12 @@ class _FunctionAccess(ast.NodeVisitor):
             return self.aliases.get(node.id)
         return _partition_of_value(node)
 
-    def _record(self, target, store, rmw=False):
+    def _record(self, target, store):
         if not isinstance(target, ast.Attribute):
             return
         token = self._token_of_value(target.value)
-        if token is None:
-            return
-        if store:
-            self.writes.add((token, target.attr, target.lineno, rmw))
-        else:
-            self.reads_at.add((token, target.attr, target.lineno))
-
-    def _reads_back(self, value, token, attr):
-        """Does ``value`` read ``token.attr`` (an in-place update)?"""
-        for node in ast.walk(value):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and node.attr == attr
-                and self._token_of_value(node.value) == token
-            ):
-                return True
-        return False
+        if token is not None:
+            (self.writes if store else self.reads_at).add((token, target.attr, target.lineno))
 
     def visit_Assign(self, node):
         # visit (not generic_visit): the value may itself be a partition
@@ -243,17 +191,14 @@ class _FunctionAccess(ast.NodeVisitor):
                 token = self._token_of_value(node.value)
                 if token is not None:
                     self.aliases[target.id] = token
-            elif isinstance(target, ast.Attribute):
-                token = self._token_of_value(target.value)
-                rmw = token is not None and self._reads_back(node.value, token, target.attr)
-                self._record(target, store=True, rmw=rmw)
-                self.generic_visit(target.value)
             else:
                 self._record(target, store=True)
+                if isinstance(target, ast.Attribute):
+                    self.generic_visit(target.value)
 
     def visit_AugAssign(self, node):
         self.visit(node.value)
-        self._record(node.target, store=True, rmw=True)
+        self._record(node.target, store=True)
         if isinstance(node.target, ast.Attribute):
             self.generic_visit(node.target.value)
 
@@ -283,29 +228,33 @@ class _FunctionAccess(ast.NodeVisitor):
             self.calls.append((node.lineno, name, tuple(args), is_self_call))
             # atomic_add(<partition or formal>, "<field>", ...) lives in
             # state.py, outside the parsed modules, and names its field
-            # by string: the call site is the read-modify-write.
+            # by string: the call site is a write of that field.
             if name == "atomic_add" and len(args) >= 2 and isinstance(args[0], str):
                 field = args[1]
                 if isinstance(field, tuple) and isinstance(field[1], str):
-                    self.writes.add((args[0], field[1], node.lineno, RMW_ATOMIC))
+                    self.writes.add((args[0], field[1], node.lineno))
         self.generic_visit(node)
 
 
 class Program(dict):
-    """``{qualname: FunctionInfo}`` over the parsed data-path modules — the
-    one front end of the four pipeline passes — with the imported
-    declarations and the memoised call-graph summaries they share."""
+    """``{qualname: FunctionInfo}`` over the parsed data-path modules,
+    with the imported declarations and the memoised call-graph summaries
+    the lint reads."""
 
     def __init__(self):
         super().__init__()
-        self.filenames = []
         self.ownership = partition_ownership()
         self.registry = atomic_registry()
         self._summaries = {}
 
-    def stage_classes(self):
-        """Names of the classes bearing a ``STAGE_KIND`` anchor."""
-        return {info.class_name for info in self.values() if info.kind is not None}
+    def kinds(self):
+        """``{stage kind: replicated}`` from the classes' anchors; a kind
+        is replicated when any class declaring it is."""
+        kinds = {}
+        for info in self.values():
+            if info.kind is not None:
+                kinds[info.kind] = kinds.get(info.kind, False) or info.replicated
+        return kinds
 
     def summaries(self, access_list):
         """Memoised :func:`_summarize` over ``"writes"`` or ``"reads_at"``."""
@@ -321,22 +270,16 @@ def build_program(sources=None):
         sources = read_sources(default_paths())
     program = Program()
     for source, filename in sources:
-        program.filenames.append(filename)
         tree = ast.parse(source, filename=filename)
-        is_proto_logic = os.path.basename(filename) == "proto_logic.py"
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 kind, replicated = _class_anchors(node)
-                role = _role_of_class(node, kind)
                 for function in node.body:
                     if isinstance(function, ast.FunctionDef):
                         qualname = "{}.{}".format(node.name, function.name)
-                        program[qualname] = FunctionInfo(
-                            qualname, node.name, role, kind, replicated, filename, function
-                        )
+                        program[qualname] = FunctionInfo(qualname, node.name, kind, replicated, filename, function)
             elif isinstance(node, ast.FunctionDef):
-                role = ROLE_PROTO_LOGIC if is_proto_logic else ROLE_HELPER
-                program[node.name] = FunctionInfo(node.name, None, role, None, False, filename, node)
+                program[node.name] = FunctionInfo(node.name, None, None, False, filename, node)
     return program
 
 
@@ -351,17 +294,17 @@ def _resolve_call(program, caller, name, is_self_call):
         own = program.get("{}.{}".format(caller.class_name, name))
         if own is not None:
             return [own]
-    matches = [info for info in program.values() if info.name == name]
-    return matches
+    return [info for info in program.values() if info.name == name]
 
 
 def _summarize(program, access_list):
     """One bottom-up traversal of the call graph over ``access_list``
     (``"writes"`` or ``"reads_at"``, the :class:`FunctionInfo` attribute
     holding a function's own access sites). Returns
-    ``({qualname: frozenset(entry)}, cycle_qualnames)``; an entry is the
-    site with ``filename`` spliced in after ``lineno`` and the inlining
-    ``chain`` appended. Summaries are memoized per callee; recursion is
+    ``({qualname: frozenset(entry)}, cycle_qualnames)``; an entry is
+    ``(token, attr, lineno, filename, chain)``, ``chain`` the tuple of
+    callee qualnames the access was inlined through (empty for the
+    function's own). Summaries are memoized per callee; recursion is
     cut at the back edge (cycle members still contribute every access
     reachable without re-entering the cycle).
     """
@@ -379,17 +322,13 @@ def _summarize(program, access_list):
         info = program[qualname]
         on_stack.append(qualname)
         try:
-            entries = {
-                site[:3] + (info.filename,) + site[3:] + ((),)
-                for site in getattr(info, access_list)
-            }
+            entries = {site + (info.filename, ()) for site in getattr(info, access_list)}
             for _lineno, name, args, is_self_call in info.calls:
                 for callee in _resolve_call(program, info, name, is_self_call):
                     if callee.qualname == qualname:
                         cycles.add(qualname)
                         continue
-                    for entry in summary(callee.qualname):
-                        token, chain = entry[0], entry[-1]
+                    for token, attr, line, filename, chain in summary(callee.qualname):
                         if len(chain) >= MAX_CHAIN_DEPTH:
                             continue
                         if isinstance(token, str) and token.startswith(_PARAM_PREFIX):
@@ -402,7 +341,7 @@ def _summarize(program, access_list):
                             token = args[position] if position < len(args) else None
                         if not isinstance(token, str):
                             continue  # literal or untracked binding
-                        entries.add((token,) + entry[1:-1] + ((callee.qualname,) + chain,))
+                        entries.add((token, attr, line, filename, (callee.qualname,) + chain))
         finally:
             on_stack.pop()
         result = frozenset(entries)
@@ -414,201 +353,98 @@ def _summarize(program, access_list):
     return memo, cycles
 
 
-def summarize(program):
-    """Transitive write summaries per function:
-    ``({qualname: frozenset(entry)}, cycle_qualnames)`` where an entry is
-    ``(token, attr, lineno, filename, rmw, chain)`` — ``chain`` the tuple
-    of callee qualnames the write was inlined through (empty for the
-    function's own writes).
+# -- hb-race: one verdict per stage-touched field ----------------------------
+
+
+def _better_site(current, candidate):
+    """Prefer the shortest call chain, then the lowest line."""
+    if current is None:
+        return candidate
+    if (len(candidate[3]), candidate[2]) < (len(current[3]), current[2]):
+        return candidate
+    return current
+
+
+def stage_field_footprints(program):
+    """Per connection-state field, which stage kinds read/write it.
+
+    Returns ``{(partition, attr): {"writes": {kind: site},
+    "reads": {kind: site}}}`` where a site is
+    ``(qualname, filename, lineno, via)`` — the representative access
+    (shortest helper chain) for findings. Only methods of classes
+    bearing a ``STAGE_KIND`` anchor contribute: everything else
+    (datapath control plane, partition classes) is not a concurrent
+    pipeline stage, and what a stage calls is attributed to the stage.
     """
-    return program.summaries("writes")
+    fields = {}
+    for side, access_list in (("writes", "writes"), ("reads", "reads_at")):
+        summaries = program.summaries(access_list)[0]
+        for qualname, info in program.items():
+            if info.kind is None:
+                continue
+            for token, attr, line, filename, chain in summaries[qualname]:
+                if token not in PARTITIONS or program.ownership.get(attr) != token:
+                    continue
+                via = (qualname,) + chain if chain else ()
+                bucket = fields.setdefault((token, attr), {"writes": {}, "reads": {}})[side]
+                bucket[info.kind] = _better_site(bucket.get(info.kind), (qualname, filename, line, via))
+    return fields
 
 
-def summarize_reads(program):
-    """Transitive *read* summaries per function:
-    ``{qualname: frozenset((token, attr, lineno, filename, chain))}``.
-    The happens-before lint (:mod:`repro.analysis.hblint`) needs read
-    footprints — a stale read through a helper is as racy as a write.
-    """
-    return program.summaries("reads_at")[0]
+def _may_write(kind, partition, kinds):
+    """Table 5: only the non-replicated kind a partition is named after."""
+    return kind == partition and not kinds[kind]
 
 
-def _ownership_rule(info, partition, attr):
-    """(code, message) when a write by ``info`` violates Table 5: the
-    partition named like a stage kind is owned by that kind, and nobody
-    in the data path owns ``pre``."""
-    qualname = info.qualname
-    if info.role == ROLE_MODULE:
-        # Modules never touch connection state, whichever partition.
-        return (
-            "module-writes-state",
-            "{} writes connection state '{}': modules get one-shot "
-            "segment+metadata access only (paper §3.3)".format(qualname, attr),
-        )
-    if partition == "proto" and info.role not in (ROLE_PROTOCOL, ROLE_PROTO_LOGIC):
-        return (
-            "stage-writes-proto",
-            "{} writes protocol-owned state '{}': only the atomic "
-            "ProtocolStage may mutate the TCP machine".format(qualname, attr),
-        )
-    if partition == "pre":
-        return (
-            "stage-writes-pre",
-            "{} writes pre-processor state '{}': the identification "
-            "partition is control-plane-installed and immutable".format(qualname, attr),
-        )
-    if partition == "post" and info.kind != "post":
-        return (
-            "stage-writes-post",
-            "{} writes post-processor state '{}': only the post "
-            "stage owns the app-interface partition".format(qualname, attr),
-        )
-    return None
+def field_verdicts(program):
+    """Judge every stage-touched connection-state field: returns
+    ``{(partition, attr): (verdict, footprint)}``."""
+    kinds = program.kinds()
+    verdicts = {}
+    for key, footprint in stage_field_footprints(program).items():
+        partition, attr = key
+        touching = set(footprint["writes"]) | set(footprint["reads"])
+        if not footprint["writes"]:
+            verdict = VERDICT_IMMUTABLE
+        elif program.registry.get(attr) == partition:
+            verdict = VERDICT_ATOMIC
+        elif touching == {partition} and not kinds[partition]:
+            verdict = VERDICT_OWNED
+        else:
+            verdict = VERDICT_RACE
+        verdicts[key] = (verdict, footprint)
+    return verdicts
 
 
-def _direct_violations(info, ownership):
-    """Findings for one function's own partition writes."""
+def lint_hb(program):
+    """The ``hb-race`` pass over :func:`field_verdicts`. A racy field is
+    reported at each write by a kind that may not write it and, where
+    its owner writes it, at each other kind's read."""
+    kinds = program.kinds()
     findings = []
-    flagged = set()  # (filename, lineno, partition, attr) judged illegal here
-    for token, attr, lineno, _rmw in sorted(info.writes, key=lambda w: (w[2], w[1])):
-        if not isinstance(token, str) or token.startswith(_PARAM_PREFIX):
+    for (partition, attr), (verdict, footprint) in sorted(field_verdicts(program).items()):
+        if verdict != VERDICT_RACE:
             continue
-        partition = token
-        if ownership.get(attr) != partition:
-            findings.append(
-                Finding(
-                    PASS_STAGE,
-                    info.filename,
-                    lineno,
-                    "unknown-state-attr",
-                    "{} writes '{}' which is not a declared slot of the "
-                    "{} partition".format(info.qualname, attr, partition),
-                )
-            )
-            flagged.add((info.filename, lineno, partition, attr))
-            continue
-        if info.role not in _ENTRY_ROLES:
-            continue  # helpers are judged at their call sites
-        rule = _ownership_rule(info, partition, attr)
-        if rule is not None:
-            code, message = rule
-            findings.append(Finding(PASS_STAGE, info.filename, lineno, code, message))
-            flagged.add((info.filename, lineno, partition, attr))
-    return findings, flagged
-
-
-def _transitive_violations(program, flagged):
-    """Findings for writes reaching an entry-role function via calls.
-
-    A write already judged illegal at the function that performs it
-    (``flagged``) is not re-reported for every caller; what remains are
-    stores that are only illegal because of *who* reached them.
-    """
-    summaries, _cycles = summarize(program)
-    ownership = program.ownership
-    findings = []
-    for qualname, info in program.items():
-        if info.role not in _ENTRY_ROLES:
-            continue
-        best = {}  # (filename, lineno, partition, attr, code) -> shortest chain entry
-        for token, attr, wline, wfile, _rmw, chain in summaries[qualname]:
-            if not chain or not isinstance(token, str) or token.startswith(_PARAM_PREFIX):
-                continue
-            partition = token
-            if partition not in PARTITIONS:
-                continue
-            if (wfile, wline, partition, attr) in flagged:
-                continue
-            if ownership.get(attr) != partition:
-                continue  # unknown attrs are reported at the writer
-            rule = _ownership_rule(info, partition, attr)
-            if rule is None:
-                continue
-            key = (wfile, wline, partition, attr, rule[0])
-            if key not in best or len(chain) < len(best[key][1]):
-                best[key] = (rule, chain)
-        for (wfile, wline, _partition, _attr, _code), (rule, chain) in sorted(
-            best.items(), key=lambda item: (item[0][0], item[0][1], item[0][4])
-        ):
-            code, message = rule
-            findings.append(
-                Finding(
-                    PASS_STAGE,
-                    wfile,
-                    wline,
-                    code,
-                    "{} via {}".format(message, " -> ".join(chain)),
-                    via=(qualname,) + chain,
-                )
-            )
-    return findings
-
-
-def lint_stages(program):
-    """The ``stage-race`` pass: ownership findings, direct and
-    summary-attributed, over a :class:`Program`."""
-    findings = []
-    flagged = set()
-    for info in program.values():
-        direct, direct_flagged = _direct_violations(info, program.ownership)
-        findings.extend(direct)
-        flagged |= direct_flagged
-    findings.extend(_transitive_violations(program, flagged))
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
-    return findings
-
-
-# -- atomicity of replicated-state writes ---------------------------------
-
-
-def lint_atomicity(program):
-    """The ``atomicity`` pass: classify partition writes reachable from
-    replicated stages.
-
-    Replicated stage instances of a flow group share their partition
-    concurrently, so any read-modify-write they perform — directly or
-    through helpers — must be a declared commutative atomic-add counter
-    (the ``atomic()`` registry in :mod:`repro.flextoe.state`); anything
-    else is a lost-update race on hardware (``replicated-unatomic-rmw``).
-    ``atomic_add`` calls naming undeclared fields are flagged too
-    (``atomic-undeclared-add``).
-    """
-    registry = program.registry
-    summaries, _cycles = summarize(program)
-    findings = []
-    seen = set()
-    for qualname, info in program.items():
-        # Only classes declared REPLICATED race against their own
-        # instances; the protocol stage is serialized per flow group and
-        # modules are already barred from state entirely.
-        if not info.replicated:
-            continue
-        for token, attr, wline, wfile, rmw, chain in sorted(
-            summaries[qualname], key=lambda e: (e[3], e[2], str(e[0]))
-        ):
-            if not rmw or token not in PARTITIONS:
-                continue
-            if registry.get(attr) == token:
-                continue  # declared commutative atomic-add counter
-            key = (wfile, wline, token, attr)
-            if key in seen:
-                continue
-            seen.add(key)
-            writer = chain[-1] if chain else qualname
-            via = (qualname,) + chain if chain else ()
-            if rmw == RMW_ATOMIC:
-                code = "atomic-undeclared-add"
+        for writer, (qualname, filename, line, via) in sorted(footprint["writes"].items()):
+            if not _may_write(writer, partition, kinds):
                 message = (
-                    "{} calls atomic_add on '{}' which is not in the "
-                    "atomic() registry of repro.flextoe.state".format(writer, attr)
+                    "{} writes {}.{} for stage '{}': a partition is written only "
+                    "by the non-replicated stage kind it is named after (Table 5; "
+                    "replicas of a kind share it), so the field must be owned, "
+                    "immutable, or atomic()".format(via[-1] if via else qualname, partition, attr, writer)
                 )
-            else:
-                code = "replicated-unatomic-rmw"
+                findings.append(Finding(PASS_HB, filename, line, "hb-race", message, via=via))
+                continue
+            example = "{}:{}".format(os.path.basename(filename), line)
+            for reader, (_qualname, read_file, read_line, read_via) in sorted(footprint["reads"].items()):
+                if reader == writer:
+                    continue
                 message = (
-                    "{} read-modify-writes {}.{} from a replicated stage: "
-                    "concurrent replicas lose updates; declare it atomic() "
-                    "or aggregate per-replica".format(writer, token, attr)
+                    "stage '{}' reads {}.{} which stage '{}' writes (e.g. {}): "
+                    "no happens-before edge orders the access — queue FIFOs and "
+                    "seqr tickets order only adjacent work items, so cross-stage "
+                    "data must ride the work item".format(reader, partition, attr, writer, example)
                 )
-            findings.append(Finding(PASS_ATOMIC, wfile, wline, code, message, via=via))
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
+                findings.append(Finding(PASS_HB, read_file, read_line, "hb-race", message, via=read_via))
+    findings.sort(key=lambda f: (f.path, f.line, f.code, f.message))
     return findings

@@ -294,7 +294,7 @@ class QueueBackpressure(NicFault):
     def _rings(self, host):
         """The rings the ``ring`` stage kind drains (the data path's table)."""
         dp = host.nic.datapath
-        for attr, (consumer, _producers, _key) in dp.RINGS.items():
+        for attr, (consumer, _producers) in dp.RINGS.items():
             if consumer == self.ring:
                 return dp.rings(attr)
         raise ValueError("unknown ring {!r}".format(self.ring))

@@ -9,8 +9,8 @@ the run-to-completion baseline is the same assembly with every stage's
 ``process`` composed inline on a single FPC thread.
 
 The pipeline's shape is declared once — ``STAGE_KIND`` / ``REPLICATED`` on
-the stage classes, ``RINGS`` and ``SEQR_DOMAINS`` here (DESIGN §4) — and
-read by assembly, :mod:`repro.analysis` and :mod:`repro.faults` alike.
+the stage classes, ``RINGS`` here (DESIGN §4) — and read by assembly,
+:mod:`repro.analysis` and :mod:`repro.faults` alike.
 It owns the ordering devices the stages share (two sequencer domains,
 the post and DMA stages' per-connection fences) and the one early exit,
 :meth:`FlexToeDatapath.retire`; teardown has no ordering state to forget.
@@ -54,22 +54,21 @@ class _Unobserved:
 class FlexToeDatapath:
     """The wired pipeline on a given NFP chip."""
 
-    #: Sequencer domain -> the reorder buffer that restores its order.
-    SEQR_DOMAINS = {"rx_seqr": "rx_gro", "nbi_seqr": "nbi_gro"}
     #: The ring graph, in pipeline order: ring attribute -> (stage kind
-    #: that drains it, owner tokens that may enqueue, key of its
-    #: delivery-order contract). ``gro``/``seqr`` are the reorder buffers'
-    #: delivery processes. Enqueue order is a contract per connection for
-    #: dma_ring (§3.1.3) and per context for ctx_ring (notification order
-    #: is libTOE's stream order); nbi_ring has none: wire-level reordering
-    #: is TCP-tolerated, and the NBI GRO already restores ticket order.
+    #: that drains it, owner tokens that may enqueue). ``gro``/``seqr``
+    #: are the reorder buffers' delivery processes. The HB monitor holds
+    #: every enqueue to its ring's producers, and keeps two delivery-order
+    #: contracts: per connection into dma_ring (§3.1.3) and per context
+    #: into ctx_ring (notification order is libTOE's stream order).
+    #: nbi_ring has none: wire-level reordering is TCP-tolerated, and the
+    #: NBI GRO already restores ticket order.
     RINGS = {
-        "pre_in": ("pre", ("ctx", "sch"), None),
-        "proto_rings": ("proto", ("pre", "gro"), None),
-        "post_rings": ("post", ("proto",), None),
-        "dma_ring": ("dma", ("post",), "conn"),
-        "ctx_ring": ("ctx", ("dma",), "context"),
-        "nbi_ring": ("nbi", ("seqr",), None),
+        "pre_in": ("pre", ("ctx", "sch")),
+        "proto_rings": ("proto", ("pre", "gro")),
+        "post_rings": ("post", ("proto",)),
+        "dma_ring": ("dma", ("post",)),
+        "ctx_ring": ("ctx", ("dma",)),
+        "nbi_ring": ("nbi", ("seqr",)),
     }
 
     def __init__(self, sim, chip, config, capture=None, ingress_modules=None, egress_modules=None, control_ring=None):

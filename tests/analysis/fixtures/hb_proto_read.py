@@ -1,14 +1,14 @@
 """Regression fixture: cross-stage protocol-state read (hb-race).
 
 A DMA stage that samples ``record.proto.next_ts`` while stamping the
-outgoing header — the pre-PR-8 timestamp-echo bug. The protocol stage
+outgoing header — the timestamp-echo bug. The protocol stage
 updates ``next_ts`` on every received segment, and no happens-before
 edge orders a DMA replica processing segment k against the protocol
 stage processing segment k+1 of the same connection, so the read races.
 The fix snapshots the value in the atomic stage (``snapshot.echo_ts``).
 The hb lint must report exactly one ``hb-race``.
 
-Not imported at runtime: parsed by repro.analysis.hblint in tests
+Not imported at runtime: parsed by repro.analysis.stagelint in tests
 alongside the real data-path sources (which provide the proto writer).
 """
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import cli
 from repro.analysis.report import (
-    PASS_STAGE,
+    PASS_HB,
     Finding,
     diff_findings,
     load_report,
@@ -15,12 +15,12 @@ from repro.analysis.report import (
 )
 
 
-def _finding(code="stage-writes-proto", path="/a/src/repro/flextoe/stages.py", line=10, message="m"):
-    return Finding(PASS_STAGE, path, line, code, message)
+def _finding(code="hb-race", path="/a/src/repro/flextoe/stages.py", line=10, message="m"):
+    return Finding(PASS_HB, path, line, code, message)
 
 
 def test_json_report_carries_via_chain():
-    finding = Finding(PASS_STAGE, "f.py", 3, "stage-writes-proto", "msg", via=("A.p", "helper"))
+    finding = Finding(PASS_HB, "f.py", 3, "hb-race", "msg", via=("A.p", "helper"))
     document = json.loads(render_json([finding]))
     assert document["findings"][0]["via"] == ["A.p", "helper"]
     assert "via A.p -> helper" in render_text([finding])
@@ -36,7 +36,7 @@ def test_diff_ignores_line_drift_and_checkout_prefix():
 def test_diff_reports_only_new_findings():
     baseline = json.loads(render_json([_finding(message="old")]))
     old = _finding(message="old")
-    new = _finding(message="new", code="stage-writes-pre")
+    new = _finding(message="new", path="/a/src/repro/flextoe/datapath.py")
     assert diff_findings([old, new], baseline) == [new]
 
 
@@ -47,10 +47,10 @@ def test_diff_against_empty_baseline_keeps_everything():
 
 
 def test_pipeline_passes_parse_each_data_path_module_once(monkeypatch, tmp_path):
-    # stage-race, atomicity, hb-race and ordering share one parsed
-    # program; declarations (state.py's fields, the ring table) are
-    # imported, never re-parsed. An empty --root keeps sim-process, which
-    # walks the whole tree separately, out of the count.
+    # hb-race parses each data-path module once; declarations (state.py's
+    # fields and atomic() registry) are imported, never re-parsed. An
+    # empty --root keeps sim-process, which walks the whole tree
+    # separately, out of the count.
     import ast
 
     from repro.analysis import stagelint
@@ -66,8 +66,8 @@ def test_pipeline_passes_parse_each_data_path_module_once(monkeypatch, tmp_path)
     findings, checked = cli.run_all(str(tmp_path))
     assert findings == []
     assert parsed == stagelint.default_paths() and len(parsed) == 6
-    assert (checked["stage-race"], checked["atomicity"], checked["ordering"]) == (6, 6, 6)
-    assert checked["hb-race"] > 0
+    assert sorted(checked) == ["hb-race", "sim-process", "xdp-deadcode", "xdp-verifier"]
+    assert checked["hb-race"] == 32
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def fake_run_all(monkeypatch):
     state = {"findings": []}
 
     def run_all(root=None):
-        return list(state["findings"]), {"stage-race": 1}
+        return list(state["findings"]), {"hb-race": 1}
 
     monkeypatch.setattr(cli, "run_all", run_all)
     return state
@@ -107,7 +107,7 @@ def test_cli_without_baseline_fails_on_any_finding(fake_run_all):
 
 def test_load_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
-    path.write_text(render_json([_finding()], {"stage-race": 6}))
+    path.write_text(render_json([_finding()], {"hb-race": 32}))
     document = load_report(str(path))
     assert document["version"] == 3
-    assert document["summary"]["checked"]["stage-race"] == 6
+    assert document["summary"]["checked"]["hb-race"] == 32

@@ -1,4 +1,4 @@
-"""Stage read/write-set extraction and the ownership race lint."""
+"""Stage read/write-set extraction and the hb-race ownership rule."""
 
 import textwrap
 
@@ -6,10 +6,8 @@ from repro.analysis.stagelint import (
     PARTITIONS,
     atomic_registry,
     build_program,
-    lint_atomicity,
-    lint_stages,
+    lint_hb,
     partition_ownership,
-    summarize,
 )
 
 
@@ -18,7 +16,12 @@ def _program(source, filename):
 
 
 def _stage_findings(source, filename):
-    return lint_stages(_program(source, filename))
+    return lint_hb(_program(source, filename))
+
+
+def _fields(findings):
+    """The ``partition.field`` each finding names, in report order."""
+    return [f.message.split(" writes ")[-1].split(" reads ")[-1].split()[0] for f in findings]
 
 
 GOOD_STAGE = textwrap.dedent(
@@ -70,7 +73,7 @@ RACY_STAGE = textwrap.dedent(
             while True:
                 work = yield self.ring.get()
                 record = self.dp.conn_table.get(work.conn_index)
-                record.post.cnt_ackb += 1      # legitimate: post owns post
+                record.post.cnt_ackb += 1      # legitimate: a declared atomic() counter
     """
 )
 
@@ -78,8 +81,16 @@ RACY_MODULE = textwrap.dedent(
     """
     class CountingModule:
         def handle(self, frame, metadata, record):
-            record.post.cnt_ackb += 1          # modules never touch state
+            record.post.rtt_est += 1           # modules never touch state
             return frame
+
+    class PreStage:
+        STAGE_KIND = "pre"
+        REPLICATED = True
+
+        def _admit(self, thread, work):
+            action = self.dp.ingress_modules.handle(work.frame, work, work.record)
+            yield None
     """
 )
 
@@ -98,11 +109,11 @@ def test_access_sets_track_aliases_and_partitions():
     pre = program["PreStage.program"]
     assert ("pre", "flow_group") in {(token, attr) for token, attr, _line in pre.reads_at}
     assert not [w for w in pre.writes if w[0] in PARTITIONS]
-    assert (pre.role, pre.kind, pre.replicated) == ("stage", "pre", True)
+    assert (pre.kind, pre.replicated) == ("pre", True)
     proto = program["ProtocolStage.program"]
-    assert {("proto", "seq"), ("proto", "ack")} <= {(token, attr) for token, attr, _line, _rmw in proto.writes}
-    assert (proto.role, proto.kind, proto.replicated) == ("protocol", "proto", False)
-    assert proto.node.name == "program"
+    assert {("proto", "seq"), ("proto", "ack")} <= {(token, attr) for token, attr, _line in proto.writes}
+    assert (proto.kind, proto.replicated) == ("proto", False)
+    assert program.kinds() == {"pre": True, "proto": False}
 
 
 def test_good_stage_is_clean():
@@ -111,31 +122,20 @@ def test_good_stage_is_clean():
 
 def test_racy_stage_flagged():
     findings = _stage_findings(RACY_STAGE, "racy.py")
-    codes = sorted(f.code for f in findings)
-    assert codes == ["stage-writes-pre", "stage-writes-proto", "stage-writes-proto"]
-    # PostStage writing its own partition is not flagged.
+    assert {f.code for f in findings} == {"hb-race"}
+    # The replicated pre kind writes its own partition (no stage writes
+    # pre) and the protocol stage's, directly and through an alias.
+    assert _fields(findings) == ["proto.seq", "proto.ack", "pre.flow_group"]
+    # PostStage updating a declared atomic() counter is not flagged.
     assert not any("PostStage" in f.message for f in findings)
 
 
 def test_module_writes_flagged():
+    # A module is no stage: its write is judged at the stage that runs it.
     findings = _stage_findings(RACY_MODULE, "module.py")
-    assert [f.code for f in findings] == ["module-writes-state"]
-    assert "one-shot" in findings[0].message
-
-
-def test_unknown_attribute_flagged():
-    source = textwrap.dedent(
-        """
-        class ProtocolStage:
-            STAGE_KIND = "proto"
-
-            def program(self, thread):
-                record.proto.not_a_slot = 1
-                yield None
-        """
-    )
-    findings = _stage_findings(source, "typo.py")
-    assert [f.code for f in findings] == ["unknown-state-attr"]
+    assert _fields(findings) == ["post.rtt_est"]
+    assert findings[0].via == ("PreStage._admit", "CountingModule.handle")
+    assert "for stage 'pre'" in findings[0].message
 
 
 def test_state_parameter_convention_is_protocol_owned():
@@ -153,7 +153,7 @@ def test_state_parameter_convention_is_protocol_owned():
         """
     )
     findings = _stage_findings(source, "dma.py")
-    assert [f.code for f in findings] == ["stage-writes-proto"]
+    assert _fields(findings) == ["proto.next_ts"]
 
 
 DECLARED_NOT_NAMED = textwrap.dedent(
@@ -178,22 +178,21 @@ DECLARED_NOT_NAMED = textwrap.dedent(
 
 def test_identity_is_the_anchor_not_the_class_name():
     # ``Steer`` is named like nothing but declares a replicated pre
-    # stage: both passes judge it. ``FooStage`` is named like a stage
-    # and declares nothing: a helper, judged only where a stage calls it.
+    # stage: the lint judges it. ``FooStage`` is named like a stage and
+    # declares nothing: a helper, judged only where a stage calls it.
     program = _program(DECLARED_NOT_NAMED, "steer.py")
-    assert program["Steer.program"].role == "stage"
-    assert program["FooStage.bump"].role == "helper"
-    findings = lint_stages(program) + lint_atomicity(program)
-    assert [(f.code, f.line) for f in findings] == [
-        ("stage-writes-proto", 8),
-        ("stage-writes-post", 9),
-        ("replicated-unatomic-rmw", 9),
+    assert program["Steer.program"].kind == "pre"
+    assert program["FooStage.bump"].kind is None
+    findings = lint_hb(program)
+    assert [(f.line, field) for f, field in zip(findings, _fields(findings))] == [
+        (8, "proto.seq"),
+        (9, "post.rtt_est"),
     ]
     assert all("Steer.program" in f.message for f in findings)
 
 
 def test_real_data_path_is_clean():
-    assert lint_stages(build_program()) == []
+    assert lint_hb(build_program()) == []
 
 
 # -- interprocedural summaries ------------------------------------------------
@@ -224,17 +223,18 @@ HELPER_CHAIN = textwrap.dedent(
 
 def test_helper_writeback_attributed_to_calling_stage():
     findings = _stage_findings(HELPER_CHAIN, "chain.py")
-    assert [f.code for f in findings] == ["stage-writes-proto"]
+    assert _fields(findings) == ["proto.rx_pos"]
     finding = findings[0]
     # Anchored at the store inside the helper, attributed to the stage.
-    assert "DmaStage._process" in finding.message
+    assert "for stage 'dma'" in finding.message
     assert finding.via == ("DmaStage._process", "StateCache.flush", "seqr_deliver")
     assert finding.line == 3  # the proto.rx_pos store
 
 
 def test_same_helpers_called_by_protocol_stage_are_legal():
-    # Same class name, same helpers: the anchor is what makes it the owner.
+    # Same class name, same helpers: the anchors make it the owner.
     source = HELPER_CHAIN.replace('STAGE_KIND = "dma"', 'STAGE_KIND = "proto"')
+    source = source.replace("REPLICATED = True", "REPLICATED = False")
     assert source != HELPER_CHAIN
     assert _stage_findings(source, "chain.py") == []
 
@@ -260,45 +260,51 @@ def test_recursive_helpers_do_not_diverge():
         """
     )
     findings = _stage_findings(source, "cycle.py")
-    assert [f.code for f in findings] == ["stage-writes-proto"]
+    assert _fields(findings) == ["proto.seq"]
     assert findings[0].via[0] == "PreStage.program"
 
 
 def test_summaries_substitute_parameter_bindings():
     program = _program(HELPER_CHAIN, "chain.py")
-    summaries, cycles = summarize(program)
+    summaries, cycles = program.summaries("writes")
     assert not cycles
     entries = summaries["DmaStage._process"]
     assert any(
         token == "proto" and attr == "rx_pos" and chain[-1] == "seqr_deliver"
-        for token, attr, _line, _file, _rmw, chain in entries
+        for token, attr, _line, _file, chain in entries
     )
 
 
 def test_direct_violation_not_duplicated_through_callers():
-    # The helper's store is illegal for *every* data-path caller only
-    # when the helper itself is a stage; here the write is flagged once
-    # at the module (direct) and not re-reported via the caller.
+    # A field is judged once: a stage that writes it directly and through
+    # a helper is reported at its direct write (the shortest chain), not
+    # again for every caller that reaches the helper.
     source = textwrap.dedent(
         """
-        class CountingModule:
-            def handle(self, frame, metadata, record):
+        class DmaStage:
+            STAGE_KIND = "dma"
+            REPLICATED = True
+
+            def program(self, thread):
+                record = self.dp.conn_table.get(0)
                 self._bump(record)
-                return frame
+                self._stamp(record)
+                yield None
+
+            def _stamp(self, record):
+                self._bump(record)
 
             def _bump(self, record):
-                record.post.cnt_ackb += 1
+                record.proto.next_ts = 0
         """
     )
-    findings = _stage_findings(source, "module.py")
-    # One finding: the direct one at _bump (itself module code); the
-    # summary-attributed copy via handle is suppressed as a duplicate.
-    assert [f.code for f in findings] == ["module-writes-state"]
+    findings = _stage_findings(source, "dma.py")
+    assert _fields(findings) == ["proto.next_ts"]
     assert findings[0].via == ()
-    assert "CountingModule._bump" in findings[0].message
+    assert "DmaStage._bump writes" in findings[0].message
 
 
-# -- atomicity of replicated-state writes -------------------------------------
+# -- replicas share a partition: writes by a REPLICATED kind -------------------
 
 
 def test_atomic_registry_parses_declarations():
@@ -321,7 +327,7 @@ ATOMIC_MATRIX = textwrap.dedent(
             post = record.post
             post.cnt_ackb += 128            # declared counter: accepted
             post.cnt_ecnb = post.cnt_ecnb + 64  # declared, RMW spelled out: accepted
-            post.rate = 5                   # plain store, not an RMW: accepted
+            post.rate = 5                   # plain store by replicas: flagged
             post.rtt_est = (7 * post.rtt_est + 10) // 8  # undeclared RMW: flagged
             self._bump(post)
             yield None
@@ -334,13 +340,9 @@ ATOMIC_MATRIX = textwrap.dedent(
 
 
 def test_atomicity_accept_reject_matrix():
-    findings = lint_atomicity(_program(ATOMIC_MATRIX, "post.py"))
-    assert [f.code for f in findings] == [
-        "replicated-unatomic-rmw",
-        "replicated-unatomic-rmw",
-    ]
-    attrs = {f.message.split("post.")[1].split(" ")[0] for f in findings}
-    assert attrs == {"rtt_est", "opaque"}
+    findings = lint_hb(_program(ATOMIC_MATRIX, "post.py"))
+    assert {f.code for f in findings} == {"hb-race"}
+    assert set(_fields(findings)) == {"post.rate", "post.rtt_est", "post.opaque"}
     helper_finding = next(f for f in findings if "opaque" in f.message)
     assert helper_finding.via == ("PostStage._process", "PostStage._bump")
 
@@ -358,8 +360,8 @@ def test_atomic_add_on_undeclared_field_flagged():
                 yield None
         """
     )
-    findings = lint_atomicity(_program(source, "post.py"))
-    assert [f.code for f in findings] == ["atomic-undeclared-add"]
+    findings = lint_hb(_program(source, "post.py"))
+    assert _fields(findings) == ["post.rtt_est"]
 
 
 def test_atomic_add_through_a_helper_is_judged_at_the_replicated_caller():
@@ -379,16 +381,16 @@ def test_atomic_add_through_a_helper_is_judged_at_the_replicated_caller():
                 atomic_add(post, "opaque", 1)    # undeclared: flagged
         """
     )
-    findings = lint_atomicity(_program(source, "post.py"))
-    assert [(f.code, f.via) for f in findings] == [
-        ("atomic-undeclared-add", ("PostStage._process", "PostStage._count"))
+    findings = lint_hb(_program(source, "post.py"))
+    assert [(field, f.via) for f, field in zip(findings, _fields(findings))] == [
+        ("post.opaque", ("PostStage._process", "PostStage._count"))
     ]
-    assert "PostStage._count calls atomic_add on 'opaque'" in findings[0].message
+    assert "PostStage._count writes post.opaque" in findings[0].message
 
 
 def test_serialized_protocol_stage_rmw_not_flagged():
     # The protocol stage is serialized per flow group; its RMWs on its
-    # own partition are not replication races.
+    # own partition are owned, not replication races.
     source = textwrap.dedent(
         """
         class ProtocolStage:
@@ -400,8 +402,20 @@ def test_serialized_protocol_stage_rmw_not_flagged():
                 yield None
         """
     )
-    assert lint_atomicity(_program(source, "proto.py")) == []
+    assert lint_hb(_program(source, "proto.py")) == []
 
 
 def test_real_data_path_atomicity_is_clean():
-    assert lint_atomicity(build_program()) == []
+    # Every field a replicated kind writes in the real data path is a
+    # declared atomic() counter of that kind's partition.
+    program = build_program()
+    kinds = program.kinds()
+    summaries, _cycles = program.summaries("writes")
+    written = {
+        (token, attr)
+        for qualname, info in program.items()
+        if info.kind is not None and kinds[info.kind]
+        for token, attr, _line, _file, _chain in summaries[qualname]
+        if token in PARTITIONS
+    }
+    assert written == {("post", field) for field in atomic_registry()}

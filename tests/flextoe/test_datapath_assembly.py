@@ -98,7 +98,6 @@ LADDER = {
 
 @pytest.mark.parametrize("row", sorted(LADDER))
 def test_assembly_follows_the_declaration(row):
-    from repro.analysis import hblint
     from repro.flextoe.datapath import FlexToeDatapath
 
     names, fpcs = LADDER[row]
@@ -107,12 +106,11 @@ def test_assembly_follows_the_declaration(row):
     assert {kind: len(claimed) for kind, claimed in dp.stage_fpcs.items()} == fpcs
     # Every declared ring exists, and every stage kind that runs is one
     # the ring table (or the scheduler's anchor) declares.
-    kinds = {consumer for consumer, _producers, _key in FlexToeDatapath.RINGS.values()}
-    for attr, (consumer, producers, _key) in FlexToeDatapath.RINGS.items():
+    kinds = {consumer for consumer, _producers in FlexToeDatapath.RINGS.values()}
+    for attr, (consumer, producers) in FlexToeDatapath.RINGS.items():
         assert dp.rings(attr) and all(hasattr(ring, "try_get") for ring in dp.rings(attr))
         assert set(producers) <= kinds | {"sch", "gro", "seqr"}
     assert set(dp.stage_fpcs) <= kinds | {"sch"}
-    assert hblint.ORDERED_RINGS == {"dma_ring": "conn", "ctx_ring": "context"}
 
 
 def test_agilio_lx_has_headroom():
