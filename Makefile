@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact faults-exact perf-pairs opcodes footprint
+.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact faults-exact perf-pairs opcodes footprint ties
 
 test:
 	$(PY) -m pytest -x -q
@@ -148,3 +148,16 @@ opcodes:
 footprint:
 	@test -n "$(BASE)" || { echo "usage: make footprint BASE=<git ref> [W=echo-small]" >&2; exit 2; }
 	python3 tests/tools/footprint.py --base $(BASE) --workload $(or $(W),echo-small)
+
+# Item 12's envelope (tests/tools/ties.py): one repetition of each perf/
+# workload (or W) at its benchmark size per tie seed — seed 0 is today's
+# FIFO order among same-instant events, seeds 1..K a seeded permutation
+# of it — on a `git archive` of BASE and on this tree. Prints each
+# simulated metric's seed-0 value and min..max over seeds 1..K on both,
+# and flags this tree's values outside BASE's envelope. No kernel knob:
+# the tool rebinds the kernel's heappush in its own process. A table to
+# read, not a gate. ~3 min for all five at K=8.
+#   make ties BASE=origin/main W=echo-small K=8
+ties:
+	@test -n "$(BASE)" || { echo "usage: make ties BASE=<git ref> [W=<workload>] [K=8]" >&2; exit 2; }
+	python3 tests/tools/ties.py --base $(BASE) $(if $(W),--workload $(W)) --seeds $(or $(K),8)

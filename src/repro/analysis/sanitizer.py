@@ -25,12 +25,11 @@ matrix in ``tests/analysis/test_hazard_matrix.py`` says which.) With
   stage (or the run-to-completion worker, which executes the post logic
   inline under its ``proto`` token).
 
-It also checks the one precondition of what the kernel takes on the spot
-(DESIGN §12 rule 3): a process started while it is installed raises when
-it took a ``Resource.request()``, ``Store.get()``, ``sim.timeout()`` or
-engine hold (``thread.compute``, ``core.run``) on the spot and yielded
-something else next, and any process raises when it makes another such
-event before yielding the one it took.
+It also checks what the kernel takes or runs on the spot (DESIGN §12 rule
+3): a process raises when it took a ``request()``, ``get()``, ``timeout()``
+or engine hold (``thread.compute``, ``core.run``) on the spot and yielded
+something else next or made another first; an engine step raises when it
+would run in place (``Simulator._next_in_line``) inside a process's resume.
 
 Writes to Protocol/Postproc state with no stage context (control-plane
 setup and polls, tests constructing state directly) are allowed: the
@@ -63,10 +62,9 @@ _MISSING = object()
 _installed = False
 # class -> original __setattr__, for uninstall.
 _original_setattrs = {}
-# Process._resume and Simulator._grant_on_the_spot as the kernel defines
-# them, for uninstall.
-_plain_resume = None
-_plain_grant = None
+# The kernel's Process._resume, Simulator._grant_on_the_spot and
+# Simulator._next_in_line, for uninstall.
+_plain_resume = _plain_grant = _plain_next_in_line = None
 
 
 class SanitizerError(AssertionError):
@@ -85,10 +83,8 @@ def maybe_install_from_env():
 
 
 def _check_pre(self, name, owning_group):
-    raise SanitizerError(
-        "write to PreprocState.{} (flow group {}): the identification "
-        "partition is installed by the control plane and immutable".format(name, owning_group)
-    )
+    raise SanitizerError("write to PreprocState.{} (flow group {}): the identification partition is "
+                         "installed by the control plane and immutable".format(name, owning_group))
 
 
 def _check_owned(partition, self, name, owning_group):
@@ -113,9 +109,9 @@ def _check_owned(partition, self, name, owning_group):
 
 
 def install():
-    """Instrument the three partition classes' ``__setattr__``,
-    ``Process._resume`` and ``Simulator._grant_on_the_spot`` (idempotent)."""
-    global _installed, _plain_resume, _plain_grant
+    """Instrument the three partition classes' ``__setattr__`` and the
+    kernel's three on-the-spot methods (idempotent)."""
+    global _installed, _plain_resume, _plain_grant, _plain_next_in_line
     if _installed:
         return
     from repro.flextoe.state import PostprocState, PreprocState, ProtocolState
@@ -153,10 +149,10 @@ def install():
     # Processes bind their resume once, at creation (Process._resume_cb).
     from repro.sim.core import Process, Simulator
 
-    _plain_resume = Process._resume
-    Process._resume = _resume_checking_grants
-    _plain_grant = Simulator._grant_on_the_spot
-    Simulator._grant_on_the_spot = _grant_checking_spot
+    _plain_resume, _plain_grant, _plain_next_in_line = (
+        Process._resume, Simulator._grant_on_the_spot, Simulator._next_in_line)
+    Process._resume, Simulator._grant_on_the_spot, Simulator._next_in_line = (
+        _resume_checking_grants, _grant_checking_spot, _next_in_line_checking_dispatch)
     _installed = True
 
 
@@ -169,10 +165,8 @@ def _resume_checking_grants(process, event):
     spot = sim._spot
     if spot is not None:
         sim._spot = None
-        raise SanitizerError(
-            "process {!r} took {!r} on the spot but yielded something else "
-            "next: {}".format(process.name, spot, _AT_ONCE)
-        )
+        raise SanitizerError("process {!r} took {!r} on the spot but yielded something else "
+                             "next: {}".format(process.name, spot, _AT_ONCE))
 
 
 def _grant_checking_spot(sim, event, value, when):
@@ -181,11 +175,17 @@ def _grant_checking_spot(sim, event, value, when):
     spot = sim._spot
     if spot is not None:
         sim._spot = None
-        raise SanitizerError(
-            "process {!r} took {!r} on the spot but made another event before "
-            "yielding it: {}".format(getattr(sim._active_process, "name", None), spot, _AT_ONCE)
-        )
+        raise SanitizerError("process {!r} took {!r} on the spot but made another event before yielding "
+                             "it: {}".format(getattr(sim._active_process, "name", None), spot, _AT_ONCE))
     return _plain_grant(sim, event, value, when)
+
+
+def _next_in_line_checking_dispatch(sim, when, callback=None):
+    # An engine step (no callback) runs in place only in its own dispatch.
+    if callback is None and sim._active_process is not None:
+        raise SanitizerError("an engine step asked to run in place at {} from inside process {!r}'s resume: "
+                             "push an operation's first step where it is issued".format(when, sim._active_process.name))
+    return _plain_next_in_line(sim, when, callback)
 
 
 def uninstall():
@@ -196,8 +196,8 @@ def uninstall():
     from repro.flextoe.state import CONN_SLAB
     from repro.sim.core import Process, Simulator
 
-    Process._resume = _plain_resume
-    Simulator._grant_on_the_spot = _plain_grant
+    Process._resume, Simulator._grant_on_the_spot, Simulator._next_in_line = (
+        _plain_resume, _plain_grant, _plain_next_in_line)
     CONN_SLAB.on_free = CONN_SLAB.on_alloc = None
     for cls, original in _original_setattrs.items():
         cls.__setattr__ = original
@@ -224,9 +224,8 @@ def unregister_row(slot):
 def _check_zeroed(slab, slot):
     dirty = slab.dirty_fields(slot)
     if dirty:
-        raise SanitizerError(
-            "{} slab: alloc() handed out slot {} with stale {}".format(slab.name, slot, ", ".join(dirty))
-        )
+        raise SanitizerError("{} slab: alloc() handed out slot {} with stale {}".format(
+            slab.name, slot, ", ".join(dirty)))
 
 
 def _registry_key(state):

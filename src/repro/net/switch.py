@@ -16,7 +16,6 @@ has a bounded byte queue drained at the port's (possibly shaped) rate:
 from collections import deque
 
 from repro.net.link import Port, wire_time_ns
-from repro.sim.core import URGENT
 
 BROADCAST_MAC = (1 << 48) - 1
 
@@ -52,7 +51,7 @@ class _EgressQueue:
         self.queue = deque()
         self.bytes_queued = 0
         self.draining = False
-        self._on_wire = None  # (frame, size) whose wire time a pushed step ends
+        self._on_wire = None  # (frame, size) whose wire time the pushed drain step ends
         self.enqueued = 0
         self.dropped_tail = 0
         self.dropped_red = 0
@@ -75,24 +74,29 @@ class _EgressQueue:
         if config.ecn_threshold_bytes is not None and self.bytes_queued > config.ecn_threshold_bytes:
             if frame.ip is not None and frame.ip.mark_ce():
                 self.marked_ce += 1
-        self.queue.append((frame, size))
-        self.bytes_queued += size
-        if self.bytes_queued > self.peak_bytes:
-            self.peak_bytes = self.bytes_queued
+        bytes_queued = self.bytes_queued + size
+        if bytes_queued > self.peak_bytes:
+            self.peak_bytes = bytes_queued
         self.enqueued += 1
-        if not self.draining:
+        if self.draining:
+            self.queue.append((frame, size))
+            self.bytes_queued = bytes_queued
+        else:
+            # An idle port puts the frame on the wire where it is offered,
+            # and pushes the end of its wire time: never in place, as the
+            # offer may come from anywhere in a dispatch.
             self.draining = True
-            self.sim._schedule(self.sim.now, self._drain, URGENT)
+            self._on_wire = frame, size
+            self.sim._schedule(self.sim.now + wire_time_ns(config.rate_bps, size), self._drain)
 
     def _drain(self, _step):
-        """Send the frame whose wire time ended (none at the start), then
-        sleep the next one's: ``Simulator._after`` as a loop, not a call."""
+        """Send the frame whose wire time ended, then sleep the next one's:
+        ``Simulator._after`` as a loop, not a call."""
         sim, queue = self.sim, self.queue
         while True:
-            if self._on_wire is not None:
-                self.port._send(*self._on_wire)
-                self._on_wire = None
+            self.port._send(*self._on_wire)
             if not queue:
+                self._on_wire = None
                 self.draining = False
                 return
             self._on_wire = frame, size = queue.popleft()

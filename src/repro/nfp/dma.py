@@ -6,13 +6,11 @@ a fixed round-trip latency (PCIe + host memory) plus transfer time on the
 shared PCIe bandwidth. Hiding this latency is why DMA is its own
 pipeline stage in FlexTOE.
 
-An operation is a continuation, not a process: its steps
-(:class:`~repro.sim.core.Step`) start it, grant its queue slot, retry and
-complete it at the dispatches where a process running it would have been
-resumed.
+An operation is a continuation, not a process: it starts in the dispatch
+that issues it, and its steps (:class:`~repro.sim.core.Step`) grant a
+queued operation its slot, retry and complete it.
 """
 
-from repro.sim.core import URGENT
 from repro.sim.resources import Slots
 
 PCIE_GEN3_X8_BPS = 63_000_000_000  # ~7.9 GB/s usable
@@ -68,7 +66,12 @@ class DmaEngine:
 
 class _DmaOp:
     """One operation: its queue slot, an optional fault-hook retry, the
-    transfer plus latency, then the slot handed on and ``done`` fired."""
+    transfer plus latency, then the slot handed on and ``done`` fired.
+
+    A free slot is taken where the operation is issued, and its first
+    timed step pushed from there: the issuing thread is mid-resume, so
+    nothing runs in place. A busy queue takes the operation's turn, whose
+    steps run under rule 3's test (``Simulator._after``)."""
 
     __slots__ = ("engine", "queue", "nbytes", "done")
 
@@ -77,12 +80,17 @@ class _DmaOp:
         self.queue = queue
         self.nbytes = nbytes
         self.done = done
-        engine.sim._schedule(engine.sim.now, self._start, URGENT)
-
-    def _start(self, _step):
-        self.queue.request(self._granted)
+        if queue.take(self._granted):
+            sim = engine.sim
+            delay, step = self._taken()
+            sim._schedule(sim.now + delay, step)
 
     def _granted(self, _step):
+        self.engine.sim._after(*self._taken())
+
+    def _taken(self):
+        """The slot is held: the delay and step that follow, a retry if the
+        fault hook draws one, else the transfer and its completion."""
         engine = self.engine
         if engine.fault_hook is not None:
             # Transient DMA failure: the engine retries the descriptor
@@ -92,17 +100,19 @@ class _DmaOp:
             if retry_ns > 0:
                 engine.transient_failures += 1
                 engine.retry_ns_total += retry_ns
-                engine.sim._after(retry_ns, self._transfer)
-                return
-        self._transfer(None)
+                return retry_ns, self._transfer
+        return self._transferred(), self._complete
 
     def _transfer(self, _step):
+        self.engine.sim._after(self._transferred(), self._complete)
+
+    def _transferred(self):
+        """Start the transfer on the shared bandwidth; the ns to completion."""
         engine = self.engine
-        sim = engine.sim
-        now = sim.now
+        now = engine.sim.now
         finish = max(now, engine._busy_until) + engine.transfer_time_ns(self.nbytes)
         engine._busy_until = finish
-        sim._after(finish - now + engine.latency_ns, self._complete)
+        return finish - now + engine.latency_ns
 
     def _complete(self, _step):
         engine = self.engine

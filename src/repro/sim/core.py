@@ -31,9 +31,9 @@ the ledger, one row per host-only mechanism with the number behind it):
   deadline and target, for this.
 * Hardware engines are continuations, not processes: an FPC compute or
   a host-core run is one :class:`~repro.sim.resources.Hold` event, a DMA
-  operation a chain of :class:`Step` entries, each pushed where the
-  process it replaces pushed an event and run in place under the same
-  test (:meth:`Simulator._next_in_line`).
+  operation a chain of :class:`Step` entries. An operation starts in the
+  dispatch that issues it; each later step is pushed or run in place
+  under the same test (:meth:`Simulator._next_in_line`).
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -84,12 +84,6 @@ class Event:
     @property
     def triggered(self):
         return self._value is not PENDING
-
-    @property
-    def ok(self):
-        if self._value is PENDING:
-            raise SimulationError("event has not been triggered")
-        return self._ok
 
     @property
     def value(self):
@@ -192,14 +186,12 @@ class Initialize(Event):
 
 class Step:
     """A heap entry that runs one step of a hardware engine's operation
-    (FPC issue slots, host cores, the DMA engine): the operation is a
-    continuation, not a process. Each step is pushed where the process the
-    operation used to be would have pushed an event, and runs what that
-    process's resume would have run — with no generator behind it; where
-    the process would have been granted or slept on the spot (DESIGN §12
-    rule 3), the next step runs in place instead
-    (:meth:`Simulator._schedule`, :meth:`Simulator._after`). Its one
-    callback is the step; nobody else waits on it.
+    (FPC issue slots, host cores, the DMA engine, a switch egress): the
+    operation is a continuation, not a process. Its first timed step is
+    pushed where it is issued; a later one runs in place where it is next
+    in line (DESIGN §12 rule 3; :meth:`Simulator._schedule`,
+    :meth:`Simulator._after`). Its one callback is the step; nobody else
+    waits on it.
     """
 
     __slots__ = ("callbacks",)
@@ -387,9 +379,10 @@ class Simulator:
         """Rule 3's test (DESIGN §12): whether what ``callback`` would push
         for ``when`` is the very next dispatch, so that it may run in place
         instead. ``callback`` is the last callback of this dispatch (an
-        engine step passes None: its event has no other), no heap entry is
-        due at or before ``when``, and this run would go on to ``when``
-        (within its deadline, its target not fired)."""
+        engine step passes None: its event has no other, so it must be
+        running in its own dispatch, not in a process's resume), no heap
+        entry is due at or before ``when``, and this run would go on to
+        ``when`` (within its deadline, its target not fired)."""
         heap = self._heap
         if heap and heap[0][0] <= when:  # the common answer: first, then
             return False
@@ -429,10 +422,10 @@ class Simulator:
         heappush(self._heap, (when, priority, self._seq, entry))
 
     def _after(self, delay, step):
-        """Run the engine step ``step`` ``delay`` ns from now, where a
-        ``sim.timeout(delay)`` would have resumed the process it stands
-        for: in place when next in line (the caller is its event's only
-        callback), else pushed."""
+        """Run the engine step ``step`` ``delay`` ns from now: in place when
+        next in line, else pushed. Only a step in its own dispatch calls
+        this; where an operation is issued, its first step is pushed
+        (:meth:`_schedule`)."""
         when = self.now + delay
         if delay > 0 and self._next_in_line(when):
             self.now = when

@@ -16,7 +16,7 @@ next in line is granted on the spot and never enters the heap
 from collections import deque
 from heapq import heappush
 
-from repro.sim.core import NORMAL, URGENT, Event, SimulationError
+from repro.sim.core import NORMAL, Event, SimulationError
 
 
 class StorePut(Event):
@@ -186,10 +186,6 @@ class Resource:
     def in_use(self):
         return len(self._users)
 
-    @property
-    def queued(self):
-        return len(self._queue)
-
     def request(self):
         return ResourceRequest(self)
 
@@ -235,18 +231,15 @@ class Slots:
         self.in_use = 0
         self._waiting = deque()  # what each waiter runs when a slot reaches it
 
-    def request(self, then):
-        """Run the engine step ``then`` once it holds a slot: in place when
-        one is free and the step is next in line, else at its turn."""
+    def take(self, turn):
+        """Take a free slot (True), or queue the engine step ``turn`` to run
+        when one reaches the caller (False). Nothing runs here: where an
+        operation is issued, its caller pushes its first step."""
         if self.in_use < self.capacity:
             self.in_use += 1
-            sim = self.sim
-            if sim._next_in_line(sim.now):
-                then(None)
-            else:
-                sim._schedule(sim.now, then)
-        else:
-            self._waiting.append(then)
+            return True
+        self._waiting.append(turn)
+        return False
 
     def hand_on(self):
         """Release a slot: the longest waiter's turn is pushed now, or the
@@ -347,9 +340,9 @@ class Hold(Event):
 
 class Occupancy:
     """A slot of ``slots`` taken ``ns`` by no process (fault injection: an
-    FPC stall, a stolen host core): started, granted and slept where the
-    process it stands for was, calling ``on_grant(ns)`` once it holds the
-    slot."""
+    FPC stall, a stolen host core), calling ``on_grant(ns)`` once it holds
+    the slot. A free slot is taken where the occupancy is made, and its end
+    pushed; a busy one queues a turn, which sleeps under rule 3's test."""
 
     __slots__ = ("slots", "ns", "on_grant")
 
@@ -357,10 +350,9 @@ class Occupancy:
         self.slots = slots
         self.ns = ns
         self.on_grant = on_grant
-        slots.sim._schedule(slots.sim.now, self._start, URGENT)
-
-    def _start(self, _step):
-        self.slots.request(self._granted)
+        if slots.take(self._granted):
+            on_grant(ns)
+            slots.sim._schedule(slots.sim.now + int(ns), self._end)
 
     def _granted(self, _step):
         self.on_grant(self.ns)

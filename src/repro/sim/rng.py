@@ -22,6 +22,3 @@ class RngPool:
             derived = self.seed ^ zlib.crc32(name.encode("utf-8"))
             self._streams[name] = random.Random(derived)
         return self._streams[name]
-
-    def reset(self):
-        self._streams.clear()

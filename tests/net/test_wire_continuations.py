@@ -1,11 +1,12 @@
 """The wire as continuations: a link hop is one ``Step`` delivering the
 oldest frame in flight on its direction, and a switch egress drain has no
-process — it starts with a ``Step`` at ``(now, URGENT)`` and sleeps each
-frame's wire time under the kernel's rule 3 test (DESIGN §12). Both push
-the same heap entries, at the same times and in the same order, as the
-``Timeout``-per-hop link and the process-per-burst drain they replaced,
-kept below as the reference — so a run is the same run with the same
-number of events. Random traffic (sizes, send instants, shaped rates,
+process — an idle port puts an offered frame on the wire at once, pushes
+the end of its wire time, and sleeps each later frame's under the
+kernel's rule 3 test (DESIGN §12). Both push the same heap entries, at
+the same times and in the same order, as a ``Timeout``-per-hop link and a
+process-per-burst drain started in the dispatch that offers its first
+frame, kept below as the reference — so a run is the same run with the
+same number of events. Random traffic (sizes, send instants, shaped rates,
 ECN and RED thresholds, broadcast floods, unknown destinations, a wire
 fault that delays and duplicates, a link flap) is driven the four ways a
 caller can drive the kernel."""
@@ -21,6 +22,7 @@ from repro.net.link import wire_time_ns
 from repro.proto import make_tcp_frame
 from repro.proto.ip import ECN_ECT0, ECN_NOT_ECT
 from repro.sim import Simulator, Timeout
+from tests.sim.test_engine_continuations import Started
 
 BROADCAST = (1 << 48) - 1
 UNKNOWN_MAC = 0xDEAD
@@ -58,7 +60,8 @@ class RefDirection:
 
 class RefEgressQueue:
     """A bounded byte queue of bare frames, drained by a process started
-    per burst that measures each frame again as it leaves."""
+    per burst, where its first frame is offered, that measures each frame
+    again as it leaves."""
 
     def __init__(self, sim, port, config, rng):
         self.sim = sim
@@ -97,7 +100,7 @@ class RefEgressQueue:
         self.enqueued += 1
         if not self.draining:
             self.draining = True
-            self.sim.process(self._drain(), name="switch-egress")
+            Started(self.sim, self._drain(), name="switch-egress")
 
     def _drain(self):
         while self.queue:

@@ -341,3 +341,131 @@ def test_many_processes_scale():
         sim.process(worker(sim, i))
     sim.run()
     assert len(done) == 500
+
+
+# -- what the kernel refuses, and the edges it keeps -------------------------
+
+
+def test_an_untriggered_event_has_no_value():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="not been triggered"):
+        sim.event().value
+
+
+def test_an_event_fails_once_and_only_with_an_exception():
+    sim = Simulator()
+    event = sim.event()
+    with pytest.raises(SimulationError, match="requires an exception instance"):
+        event.fail("boom")
+    assert not event.triggered  # a refused fail() triggers nothing
+    event.succeed()
+    with pytest.raises(SimulationError, match="already triggered"):
+        event.fail(ValueError("late"))
+
+
+def test_a_process_needs_a_generator():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="requires a generator"):
+        sim.process(lambda: None)
+
+
+def test_a_condition_over_nothing_fires_at_once_with_no_values():
+    sim = Simulator()
+    seen = []
+
+    def waiter():
+        seen.append((yield sim.all_of([])))
+        seen.append((yield sim.any_of([])))
+
+    sim.process(waiter())
+    sim.run()
+    assert seen == [{}, {}] and sim.now == 0
+
+
+def test_a_condition_fails_with_its_first_failing_member():
+    sim = Simulator()
+    gate = sim.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield sim.all_of([Timeout(sim, 5), gate])
+        except ValueError as exc:
+            caught.append((sim.now, str(exc)))
+
+    def failer():
+        yield sim.timeout(2)
+        gate.fail(ValueError("member failed"))
+
+    sim.process(waiter())
+    sim.process(failer())
+    sim.run()
+    assert caught == [(2, "member failed")]  # not held until the 5 ns member
+
+
+def test_an_event_is_dispatched_once_even_when_its_process_ends_twice():
+    # A process event triggered from outside, whose generator then raises
+    # before that dispatch, is not pushed again: its one dispatch carries
+    # the exception.
+    sim = Simulator()
+    gate = sim.event()
+    caught = []
+
+    def doomed():
+        yield gate
+        raise ValueError("ended")
+
+    proc = sim.process(doomed())
+
+    def watcher():
+        try:
+            yield proc
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    sim.process(watcher())
+    sim.run()  # both parked
+    gate.succeed()
+    proc.succeed("early")
+    sim.run()
+    assert caught == ["ended"] and sim.processed_events == 4
+
+
+def test_run_until_an_event_that_never_fires_raises_when_the_heap_runs_dry():
+    sim = Simulator()
+    Timeout(sim, 5)
+    with pytest.raises(SimulationError, match="ran out of events"):
+        sim.run(until=sim.event())
+    assert sim.now == 5
+
+
+def test_run_until_a_failed_event_raises_its_exception():
+    sim = Simulator()
+    gate = sim.event()
+
+    def failer():
+        yield sim.timeout(3)
+        gate.fail(KeyError("target failed"))
+
+    sim.process(failer())
+    with pytest.raises(KeyError, match="target failed"):
+        sim.run(until=gate)
+    assert sim.now == 3
+
+
+@pytest.mark.parametrize("drive", ["step", "run", "run-until-time", "run-until-event"])
+def test_the_clock_never_runs_backwards(drive):
+    # Only a push below now (which no public call makes) can get here.
+    sim = Simulator()
+    sim.run(until=10)
+    sim._schedule(4, lambda _step: None)
+    with pytest.raises(SimulationError, match="time went backwards"):
+        if drive == "step":
+            sim.step()
+        elif drive == "run":
+            sim.run()
+        elif drive == "run-until-time":
+            sim.run(until=20)
+        else:
+            sim.run(until=sim.event())
+    assert sim.now == 10

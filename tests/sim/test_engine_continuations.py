@@ -1,13 +1,14 @@
 """Hardware engines as continuations (DESIGN §12 rule 3): an FPC compute,
 a host-core run, a DMA operation, an FPC stall and a core steal push the
 same heap entries, at the same times and in the same order, as the
-processes they used to be — so a run is the same run with the same
-number of events. The reference below is those processes as they were
-(a ``Resource`` per slot, a ``sim.timeout`` per sleep, a ``Process`` per
-DMA operation, stall and steal); random programs share FPCs, cores and
-shallow DMA queues, retry through a fault hook, stall, steal and
-interrupt each other mid-hold and in the queue, and are driven the four
-ways a caller can drive the kernel."""
+processes they stand for — so a run is the same run with the same number
+of events. The reference below is those processes (a ``Resource`` per
+slot, a ``sim.timeout`` per sleep, a process per DMA operation, stall and
+steal), each DMA operation, stall and steal started in the dispatch that
+issues it: it takes a free slot there and pushes its first sleep. Random
+programs share FPCs, cores and shallow DMA queues, retry through a fault
+hook, stall, steal and interrupt each other mid-hold and in the queue,
+and are driven the four ways a caller can drive the kernel."""
 
 import random
 
@@ -18,10 +19,44 @@ from repro.host import CpuCore
 from repro.host.cpu import CAT_OTHER, CATEGORIES, CycleAccounting
 from repro.nfp import DmaEngine, Fpc
 from repro.nfp.fpc import FpcThread
-from repro.sim import Interrupt, Resource, Simulator
+from repro.sim import Event, Interrupt, Process, Resource, Simulator
 from repro.sim.clock import CYCLES_2GHZ, CYCLES_800MHZ
+from repro.sim.resources import ResourceRequest
 
 # -- the reference: the engines as processes ---------------------------------
+
+
+class Started(Process):
+    """A process started in the dispatch that creates it, not by a pushed
+    start event: its body runs at once, up to the first event it yields, as
+    no process, so that nothing it makes is taken on the spot — a sleep
+    there is pushed."""
+
+    __slots__ = ()
+
+    def __init__(self, sim, generator, name):
+        Event.__init__(self, sim)
+        self._generator = generator
+        self._resume_cb = self._resume
+        self.name = name
+        caller, sim._active_process = sim._active_process, None
+        try:
+            self._target = next(generator)
+        finally:
+            sim._active_process = caller
+        self._target.callbacks.append(self._resume_cb)
+
+
+def take(resource):
+    """A free slot of ``resource`` held from now on, granted in place with
+    no event, or None when none is free."""
+    if len(resource._users) >= resource.capacity:
+        return None
+    grant = ResourceRequest.__new__(ResourceRequest)
+    Event.__init__(grant, resource.sim)
+    grant.resource = resource
+    resource._users.add(grant)
+    return grant
 
 
 class RefFpc:
@@ -36,13 +71,13 @@ class RefFpc:
 
     def stall(self, duration_ns):
         def _stall():
-            grant = yield self._issue.request()
+            grant = take(self._issue) or (yield self._issue.request())
             self.stalls += 1
             self.stalled_ns += duration_ns
             yield self.sim.timeout(duration_ns)
             grant.release()
 
-        return self.sim.process(_stall(), name="{}.stall".format(self.name))
+        return Started(self.sim, _stall(), name="{}.stall".format(self.name))
 
 
 class RefThread:
@@ -86,13 +121,13 @@ class RefCore:
 
     def steal(self, duration_ns):
         def _steal():
-            grant = yield self._slot.request()
+            grant = take(self._slot) or (yield self._slot.request())
             self.steals += 1
             self.stolen_ns += duration_ns
             yield self.sim.timeout(duration_ns)
             grant.release()
 
-        return self.sim.process(_steal(), name="{}.steal".format(self.name))
+        return Started(self.sim, _steal(), name="{}.steal".format(self.name))
 
 
 class RefDma(DmaEngine):
@@ -105,11 +140,11 @@ class RefDma(DmaEngine):
     def issue(self, queue_id, nbytes):
         queue = self._queues[queue_id % len(self._queues)]
         done = self.sim.event()
-        self.sim.process(self._run(queue, nbytes, done), name="dma-op")
+        Started(self.sim, self._run(queue, nbytes, done), name="dma-op")
         return done
 
     def _run(self, queue, nbytes, done):
-        grant = yield queue.request()
+        grant = take(queue) or (yield queue.request())
         retry_ns = 0
         if self.fault_hook is not None:
             retry_ns = int(self.fault_hook(nbytes) or 0)

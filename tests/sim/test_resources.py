@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store, Timeout
 from repro.sim.core import SimulationError
+from repro.sim.resources import Slots
 
 
 def test_store_fifo_order():
@@ -106,6 +107,18 @@ def test_store_capacity_validation():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Store(sim, capacity=0)
+    store = Store(sim, capacity=2)
+    with pytest.raises(SimulationError, match="must be positive"):
+        store.set_capacity(0)
+    assert store.capacity == 2  # a refused bound leaves the old one
+
+
+def test_every_slot_kind_needs_a_slot():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="resource capacity must be positive"):
+        Resource(sim, capacity=0)
+    with pytest.raises(SimulationError, match="slot capacity must be positive"):
+        Slots(sim, capacity=0)
 
 
 def test_store_tracks_max_occupancy():
@@ -185,3 +198,34 @@ def test_resource_double_release_rejected():
 
     sim.process(worker(sim))
     sim.run()
+
+
+def test_a_request_released_before_its_grant_leaves_the_queue_and_never_holds():
+    # A waiter that gives up (a timeout raced against the grant) releases
+    # its request: the next in line gets the slot, and the withdrawn one
+    # never does.
+    sim = Simulator()
+    resource = Resource(sim)
+    log = []
+
+    def holder():
+        grant = yield resource.request()
+        yield sim.timeout(10)
+        grant.release()
+
+    def impatient():
+        request = resource.request()
+        yield sim.any_of([request, Timeout(sim, 3)])
+        request.release()
+        log.append(("gave up", sim.now, request.triggered))
+
+    def patient():
+        with (yield resource.request()):
+            log.append(("granted", sim.now))
+
+    sim.process(holder())
+    sim.process(impatient())
+    sim.process(patient())
+    sim.run()
+    assert log == [("gave up", 3, False), ("granted", 10)]
+    assert resource.in_use == 0

@@ -316,3 +316,31 @@ def test_a_hold_not_yielded_next_raises_under_the_sanitizer(sanitized):
     fpc.spawn(idler, name="idler")
     with pytest.raises(SanitizerError, match="'idler' took .* on the spot but yielded something else"):
         sim.run()
+
+
+def test_an_engine_step_run_in_place_from_a_process_raises_under_the_sanitizer(sanitized):
+    # Unchecked, the step would run mid-resume, ten ns ahead of the process
+    # still running: where an operation is issued, its first step is pushed.
+    sim = Simulator()
+    ran = []
+
+    def issuer():
+        sim._after(10, lambda _step: ran.append(sim.now))
+        yield Timeout(sim, 1)
+
+    sim.process(issuer(), name="issuer")
+    with pytest.raises(SanitizerError, match="in place at 10 from inside process 'issuer'"):
+        sim.run()
+    assert ran == []
+
+
+def test_an_engine_step_runs_its_successor_in_place_in_its_own_dispatch_under_the_sanitizer(sanitized):
+    sim = Simulator()
+    ran = []
+
+    def second(_step):
+        ran.append(sim.now)
+
+    sim._schedule(5, lambda _step: sim._after(10, second))
+    sim.run()
+    assert ran == [15] and sim.processed_events == 1  # the second step never entered the heap
