@@ -69,18 +69,7 @@ def finding_sort_key(finding):
 
 def render_text(findings):
     """Human-readable report, one line per finding."""
-    if not findings:
-        return "repro lint: clean (0 findings)"
-    lines = []
-    for finding in findings:
-        via = " [via {}]".format(" -> ".join(finding.via)) if finding.via else ""
-        lines.append(
-            "{}:{}: [{}] {}{} ({})".format(
-                finding.path, finding.line, finding.pass_name, finding.message, via, finding.code
-            )
-        )
-    lines.append("repro lint: {} finding{}".format(len(findings), "" if len(findings) == 1 else "s"))
-    return "\n".join(lines)
+    return _render(findings, "{path}:{line}: [{pass_name}] {message}{via} ({code})")
 
 
 def render_json(findings, checked=None):
@@ -98,22 +87,20 @@ def render_json(findings, checked=None):
 
 def render_github(findings):
     """GitHub Actions workflow commands: one ``::warning`` per finding,
-    so lint results surface inline on pull requests."""
-    lines = []
-    for finding in findings:
-        via = " [via {}]".format(" -> ".join(finding.via)) if finding.via else ""
-        # The message segment must keep newlines/percent escaped per the
-        # workflow-command syntax; our messages are single-line already.
-        lines.append(
-            "::warning file={},line={},title={}::{}{} ({})".format(
-                finding.path, finding.line, finding.pass_name, finding.message, via, finding.code
-            )
-        )
-    lines.append(
-        "repro lint: {} finding{}".format(len(findings), "" if len(findings) == 1 else "s")
-        if findings
-        else "repro lint: clean (0 findings)"
-    )
+    so lint results surface inline on pull requests. (The syntax needs
+    single-line messages; ours are.)"""
+    return _render(findings, "::warning file={path},line={line},title={pass_name}::{message}{via} ({code})")
+
+
+def _render(findings, template):
+    lines = [
+        template.format(path=f.path, line=f.line, pass_name=f.pass_name, message=f.message, code=f.code,
+                        via=" [via {}]".format(" -> ".join(f.via)) if f.via else "")
+        for f in findings
+    ]
+    count = len(findings)
+    lines.append("repro lint: {} finding{}".format(count, "" if count == 1 else "s") if findings
+                 else "repro lint: clean (0 findings)")
     return "\n".join(lines)
 
 

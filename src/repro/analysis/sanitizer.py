@@ -9,41 +9,31 @@ matrix in ``tests/analysis/test_hazard_matrix.py`` says which.) With
 ``REPRO_SANITIZE=1`` (or a programmatic :func:`install`):
 
 * every partition of a connection installed in a connection table
-  (:class:`~repro.flextoe.state.PreprocState`,
-  :class:`~repro.flextoe.state.ProtocolState`,
-  :class:`~repro.flextoe.state.PostprocState`) is registered with its
-  owning flow group;
-* every data-path stage process runs wrapped so the sanitizer knows
-  which stage kind (and flow group) is executing between yields —
-  the simulator is single-threaded, so the currently-resumed process
-  is exactly the code performing a write;
-* instrumented ``__setattr__`` enforces Table 5 ownership:
-  ``PreprocState`` is immutable once registered (the identification
-  partition is control-plane-installed); ``ProtocolState`` accepts
-  writes only from the atomic protocol stage of the owning flow group;
-  ``PostprocState`` accepts writes only from the owning group's post
-  stage (or the run-to-completion worker, which executes the post logic
-  inline under its ``proto`` token).
+  (``PreprocState``, ``ProtocolState``, ``PostprocState``) is registered
+  with its owning flow group;
+* every data-path stage process runs wrapped, so the sanitizer knows
+  which stage kind (and flow group) is executing between yields: the
+  simulator is single-threaded;
+* instrumented ``__setattr__`` enforces Table 5 ownership: pre state is
+  immutable once registered, even with no stage running; proto state
+  is written only by the owning group's protocol stage, post state only
+  by its post stage (or the run-to-completion worker, under its
+  ``proto`` token). With no stage running (control-plane setup and
+  polls, tests) proto and post writes pass: construction is not a race.
 
 It also checks what the kernel takes or runs on the spot (DESIGN §12 rule
 3): a process raises when it took a ``request()``, ``get()``, ``timeout()``
 or engine hold (``thread.compute``, ``core.run``) on the spot and yielded
 something else next or made another first; an engine step raises when it
-would run in place (``Simulator._next_in_line``) inside a process's resume.
-
-Writes to Protocol/Postproc state with no stage context (control-plane
-setup and polls, tests constructing state directly) are allowed: the
-invariant being enforced is data-path stage ownership, not
-construction. Pre-processor state is stricter — after registration any
-write raises, stage context or not.
-
-The hooks are deliberately cheap no-ops when not installed, so the
-production path pays one module-level boolean check at datapath
-construction and nothing per packet.
+would run in place (``Simulator._next_in_line``; a wake, ``_wake``) inside
+a process's resume, or pushes anything after a wake it ran in place.
+Uninstalled, the data path pays one boolean check at construction.
 """
 
 import functools
 import os
+
+from repro.sim import core, resources
 
 #: Kind of the atomic stage. The run-to-completion worker executes every
 #: stage's logic inline under this token.
@@ -52,19 +42,18 @@ PROTO_STAGE = "proto"
 _OWNER = {"proto": "the atomic protocol stage", "post": "the owning post stage"}
 
 _OWNER_STACK = []
-# (partition class, slab slot) -> flow_group. Keyed by storage identity,
-# not view identity: partition views are flyweights, a connection
-# installed as a row has none until first touched, and any view of the
-# slot must carry the same ownership token. Entries are
-# dropped on unregister (connection removal) or uninstall.
+# (partition class, slab slot) -> flow_group, until unregister or
+# uninstall. Keyed by the slot: views are flyweights, a row-installed
+# connection has none until first touched, and any view carries its token.
 _REGISTRY = {}
 _MISSING = object()
 _installed = False
 # class -> original __setattr__, for uninstall.
 _original_setattrs = {}
-# The kernel's Process._resume, Simulator._grant_on_the_spot and
-# Simulator._next_in_line, for uninstall.
-_plain_resume = _plain_grant = _plain_next_in_line = None
+# Name -> the kernel's own method or heap function that a check wraps.
+_PLAIN = {}
+# The simulator whose dispatch ran a wake in place, until its next pop.
+_woken = None
 
 
 class SanitizerError(AssertionError):
@@ -109,9 +98,9 @@ def _check_owned(partition, self, name, owning_group):
 
 
 def install():
-    """Instrument the three partition classes' ``__setattr__`` and the
-    kernel's three on-the-spot methods (idempotent)."""
-    global _installed, _plain_resume, _plain_grant, _plain_next_in_line
+    """Instrument the three partition classes' ``__setattr__``, and the
+    kernel's in-place methods and heap functions (idempotent)."""
+    global _installed
     if _installed:
         return
     from repro.flextoe.state import PostprocState, PreprocState, ProtocolState
@@ -121,11 +110,9 @@ def install():
         (ProtocolState, functools.partial(_check_owned, "proto")),
         (PostprocState, functools.partial(_check_owned, "post")),
     )
-    # Slot-keyed registrations must not outlive the slot: when a
-    # connection record is garbage collected its slab slot recycles, and
-    # a stale entry would pin the old ownership onto the next tenant.
-    # And a slot handed out must be the all-zero row: an install writes
-    # only the fields that start elsewhere.
+    # A registration must not outlive its slot (the next tenant would
+    # inherit it), and a slot handed out must be the all-zero row: an
+    # install writes only the fields that start elsewhere.
     from repro.flextoe.state import CONN_SLAB
 
     CONN_SLAB.on_free = unregister_row
@@ -147,12 +134,9 @@ def install():
         cls.__setattr__ = _guarded_setattr
 
     # Processes bind their resume once, at creation (Process._resume_cb).
-    from repro.sim.core import Process, Simulator
-
-    _plain_resume, _plain_grant, _plain_next_in_line = (
-        Process._resume, Simulator._grant_on_the_spot, Simulator._next_in_line)
-    Process._resume, Simulator._grant_on_the_spot, Simulator._next_in_line = (
-        _resume_checking_grants, _grant_checking_spot, _next_in_line_checking_dispatch)
+    for owner, name, check in _KERNEL_CHECKS:
+        _PLAIN.setdefault(name, getattr(owner, name))
+        setattr(owner, name, check)
     _installed = True
 
 
@@ -160,7 +144,7 @@ _AT_ONCE = "a request(), get() or timeout() is yielded at once"
 
 
 def _resume_checking_grants(process, event):
-    _plain_resume(process, event)
+    _PLAIN["_resume"](process, event)
     sim = process.sim
     spot = sim._spot
     if spot is not None:
@@ -177,7 +161,7 @@ def _grant_checking_spot(sim, event, value, when):
         sim._spot = None
         raise SanitizerError("process {!r} took {!r} on the spot but made another event before yielding "
                              "it: {}".format(getattr(sim._active_process, "name", None), spot, _AT_ONCE))
-    return _plain_grant(sim, event, value, when)
+    return _PLAIN["_grant_on_the_spot"](sim, event, value, when)
 
 
 def _next_in_line_checking_dispatch(sim, when, callback=None):
@@ -185,7 +169,43 @@ def _next_in_line_checking_dispatch(sim, when, callback=None):
     if callback is None and sim._active_process is not None:
         raise SanitizerError("an engine step asked to run in place at {} from inside process {!r}'s resume: "
                              "push an operation's first step where it is issued".format(when, sim._active_process.name))
-    return _plain_next_in_line(sim, when, callback)
+    return _PLAIN["_next_in_line"](sim, when, callback)
+
+
+def _wake_checking_last_act(sim, event, value=None):
+    global _woken
+    _PLAIN["_wake"](sim, event, value)
+    if event.callbacks is None:  # run in place: the engine step ends here
+        _woken = sim
+
+
+def _push_checking_last_act(heap, entry):
+    # Pushed after an in-place wake in its dispatch (none is running
+    # between runs and steps), the entry was made after what the waiters
+    # made, and may have been due before the woken event.
+    if _woken is not None and _woken._heap is heap and _woken._dispatching != ():
+        raise SanitizerError("an engine step pushed {!r} at {} after a wake it ran in place returned: a wake "
+                             "is the step's last act".format(entry[3], entry[0]))
+    _PLAIN["heappush"](heap, entry)
+
+
+def _pop_ending_the_dispatch(heap):
+    global _woken
+    _woken = None
+    return _PLAIN["heappop"](heap)
+
+
+#: (owner, name, check): the kernel's methods and the heap functions it
+#: calls, rebound where it calls them as ``make ties`` does (no flag).
+_KERNEL_CHECKS = (
+    (core.Process, "_resume", _resume_checking_grants),
+    (core.Simulator, "_grant_on_the_spot", _grant_checking_spot),
+    (core.Simulator, "_next_in_line", _next_in_line_checking_dispatch),
+    (core.Simulator, "_wake", _wake_checking_last_act),
+    (core, "heappush", _push_checking_last_act),
+    (resources, "heappush", _push_checking_last_act),
+    (core, "heappop", _pop_ending_the_dispatch),
+)
 
 
 def uninstall():
@@ -194,10 +214,10 @@ def uninstall():
     if not _installed:
         return
     from repro.flextoe.state import CONN_SLAB
-    from repro.sim.core import Process, Simulator
 
-    Process._resume, Simulator._grant_on_the_spot, Simulator._next_in_line = (
-        _plain_resume, _plain_grant, _plain_next_in_line)
+    for owner, name, _check in _KERNEL_CHECKS:
+        setattr(owner, name, _PLAIN[name])
+    _PLAIN.clear()
     CONN_SLAB.on_free = CONN_SLAB.on_alloc = None
     for cls, original in _original_setattrs.items():
         cls.__setattr__ = original
@@ -233,12 +253,8 @@ def _registry_key(state):
 
 
 def register(state, flow_group):
-    """Declare ``state`` owned by ``flow_group`` (at connection install).
-
-    Ownership attaches to the slab slot, so every view of that slot —
-    whichever object first touches a row-installed connection — carries
-    the same token.
-    """
+    """Declare ``state``'s slab slot owned by ``flow_group`` (at connection
+    install): every view of that slot carries the token."""
     _REGISTRY[_registry_key(state)] = flow_group
 
 
@@ -252,14 +268,10 @@ def current_owner():
 
 
 def guard_process(generator, stage, flow_group=None):
-    """Wrap a stage process so its execution carries ownership context.
-
-    The wrapper sets the owner token whenever the inner generator's code
-    runs and clears it while the process is suspended on an event, so
-    concurrent (interleaved) stage processes never see each other's
-    token. Exceptions thrown into the wrapper (e.g. simulator
-    interrupts) are forwarded into the inner generator under the token.
-    """
+    """Wrap a stage process so its execution carries ownership context:
+    the owner token is set while the inner generator runs and cleared
+    while it waits, so interleaved stage processes never see each other's;
+    exceptions thrown in (interrupts) are forwarded under the token."""
     token = (stage, flow_group)
     send_value = None
     thrown = None

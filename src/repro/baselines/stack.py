@@ -415,10 +415,11 @@ class BaselineHost:
             self._irq_frames.append(frame)
             self.sim._schedule(self.sim.now + int(delay), self._irq)
         else:
-            self._rx_queue.try_put(frame)
+            # The arrival step's last act: deliver() may run the taker here.
+            self._rx_queue.deliver(frame)
 
     def _irq(self, _step):
-        self._rx_queue.try_put(self._irq_frames.popleft())
+        self._rx_queue.deliver(self._irq_frames.popleft())
 
     def _rx_loop(self, index):
         while True:

@@ -353,8 +353,11 @@ class FlexToeDatapath:
         self.rx_frames_seen += 1
         work = SegWork(WORK_RX, frame=frame, born_at=self.sim.now)
         self.rx_seqr.assign(work)
-        if not self.pre_in.try_put(work):
+        # The arrival step's last act: deliver() may run the taker here.
+        if self.pre_in.store.is_full:
             self.rx_gro.skip(work.pipeline_seq)
+        else:
+            self.pre_in.deliver(work)
 
     def _route_to_protocol(self, work):
         ring = self.proto_rings[work.flow_group]

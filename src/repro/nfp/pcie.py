@@ -2,11 +2,12 @@
 
 The host rings doorbells via MMIO (posted writes, a few hundred ns); the
 NIC raises MSI-X interrupts toward host eventfds. Context-queue payload
-moves through :class:`~repro.nfp.dma.DmaEngine`.
+moves through :class:`~repro.nfp.dma.DmaEngine`. A posted write landing
+is an engine step (:class:`~repro.sim.core.Step`); a doorbell's landing
+wakes the oldest waiter as its last act (``Simulator._wake``).
 """
 
 from repro.nfp.dma import DmaEngine
-from repro.sim import Timeout
 
 MMIO_WRITE_NS = 300
 
@@ -58,16 +59,17 @@ class PcieBlock:
                 self.mmio_delayed += 1
                 delay_ns += int(extra)
         bell = self.doorbell(key)
+        sim = self.sim
 
-        def fire(_event):
+        def fire(_step):
             bell.rings += 1
             if bell.waiters:
                 # The oldest waiter consumes this ring directly.
-                bell.waiters.pop(0).succeed()
+                sim._wake(bell.waiters.pop(0))
             else:
                 bell.pending += 1
 
-        Timeout(self.sim, delay_ns).callbacks.append(fire)
+        sim._schedule(sim.now + delay_ns, fire)
 
     def wait_doorbell(self, key):
         """NIC-side: event that fires when a ring is available; each fired
@@ -91,8 +93,4 @@ class PcieBlock:
         self.msix_raised += 1
         if handler is None:
             return
-
-        def fire(_event):
-            handler(vector)
-
-        Timeout(self.sim, MMIO_WRITE_NS).callbacks.append(fire)
+        self.sim._schedule(self.sim.now + MMIO_WRITE_NS, lambda _step: handler(vector))

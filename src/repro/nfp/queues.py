@@ -47,6 +47,13 @@ class _Ring:
             self.tap(item)
         return accepted
 
+    def deliver(self, item):
+        """``Store.deliver``: the last act of an engine step, into a ring
+        with room; the tap sees the item before its taker runs."""
+        if self.tap is not None:
+            self.tap(item)
+        self.store.deliver(item)
+
     def force_put(self, item):
         """Unconditional enqueue past the capacity bound (overflow path)."""
         if self.tap is not None:

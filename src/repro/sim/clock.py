@@ -6,9 +6,7 @@ the two domains (always rounding cycle durations up, so that a modeled cost
 is never optimistic).
 """
 
-SCALE_NS = 1
 SCALE_US = 1_000
-SCALE_MS = 1_000_000
 SCALE_S = 1_000_000_000
 
 

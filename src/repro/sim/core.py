@@ -11,29 +11,18 @@ the ledger, one row per host-only mechanism with the number behind it):
 
 * :meth:`Simulator.run` inlines the :meth:`Simulator.step` body and
   binds the heap to a local — one Python frame per run, not one per
-  event.
-* :class:`Condition` results are built directly from the sub-event list
-  instead of a tracking set; bound-method callbacks are created once.
+  event. :class:`Condition` results are built from the sub-event list.
 * A process that returns while nobody waits on it schedules no exit
-  event (:meth:`Event.settle`): the dispatch would run nothing, and
-  removing an event that runs nothing cannot reorder the rest.
-* An event the running process would be resumed by next is taken on
-  the spot (:meth:`Simulator._grant_on_the_spot`): when its resume is the
-  last callback of the dispatch and nothing else is due before the event
-  would fire, the event would be the heap minimum and resume only that
-  process, so :meth:`Process._resume` continues in place — at the
-  event's time — instead of pushing it. It is taken only by a
-  ``Resource.request()``, ``Store.get()``, ``sim.timeout()`` or engine
-  hold the process yields at once (``REPRO_SANITIZE=1`` checks that; a
-  :class:`Condition` refuses one). DESIGN §12 rule 3: a third of the
-  ``baseline-stacks`` events, a fifth of ``sparse-idle``'s. Every
-  dispatch loop records the callback list it runs, and :meth:`run` its
-  deadline and target, for this.
-* Hardware engines are continuations, not processes: an FPC compute or
-  a host-core run is one :class:`~repro.sim.resources.Hold` event, a DMA
-  operation a chain of :class:`Step` entries. An operation starts in the
-  dispatch that issues it; each later step is pushed or run in place
-  under the same test (:meth:`Simulator._next_in_line`).
+  event (:meth:`Event.settle`): the dispatch would run nothing.
+* What would be the very next dispatch is run in place instead of
+  pushed (DESIGN §12 rule 3, :meth:`Simulator._next_in_line`): an event
+  the running process yields at once and would be resumed by alone
+  (:meth:`Simulator._grant_on_the_spot`), the next step of a hardware
+  engine's operation (an FPC compute, a DMA operation: continuations,
+  not processes; :meth:`Simulator._after`), and the waiters an engine
+  step wakes as its last act (:meth:`Simulator._wake`). Every dispatch
+  loop records the callback list it runs, and :meth:`run` its deadline
+  and target, for this.
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -106,17 +95,9 @@ class Event:
 
     def fail(self, exception):
         """Trigger the event with an exception to throw into waiters."""
-        if self._value is not PENDING:
-            raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        if not self._scheduled:
-            self._scheduled = True
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap, (sim.now, NORMAL, sim._seq, self))
+        self.succeed(exception)._ok = False  # pushed, not yet dispatched
         return self
 
     def settle(self, value=None):
@@ -158,8 +139,7 @@ class Timeout(Event):
     def __init__(self, sim, delay, value=None):
         if delay < 0:
             raise SimulationError("negative timeout delay: {!r}".format(delay))
-        # Inlined Event.__init__ + scheduling: a Timeout is born
-        # triggered-and-scheduled, there is no pending intermediate.
+        # Event.__init__ inlined: born triggered and scheduled, never pending.
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -186,13 +166,12 @@ class Initialize(Event):
 
 class Step:
     """A heap entry that runs one step of a hardware engine's operation
-    (FPC issue slots, host cores, the DMA engine, a switch egress): the
-    operation is a continuation, not a process. Its first timed step is
-    pushed where it is issued; a later one runs in place where it is next
-    in line (DESIGN §12 rule 3; :meth:`Simulator._schedule`,
-    :meth:`Simulator._after`). Its one callback is the step; nobody else
-    waits on it.
-    """
+    (FPC issue slots, host cores, the DMA engine, the wire, a doorbell):
+    the operation is a continuation, not a process. Its first timed step
+    is pushed where it is issued; a later one runs in place where it is
+    next in line (DESIGN §12 rule 3; :meth:`Simulator._schedule`,
+    :meth:`Simulator._after`), and so do the waiters its last act wakes
+    (:meth:`Simulator._wake`). Its one callback is the step."""
 
     __slots__ = ("callbacks",)
 
@@ -394,17 +373,13 @@ class Simulator:
 
     def _grant_on_the_spot(self, event, value, when):
         """Fire ``event`` with ``value`` at ``when`` without pushing it, if
-        the running process is next in line for ``when``
-        (:meth:`_next_in_line`, with its resume); returns whether it did
-        (DESIGN §12 rule 3). ``event`` is a ``Resource.request()`` or
-        ``Store.get()`` satisfied now, a ``sim.timeout()`` waking at
-        ``when``, or an engine hold that would end then
-        (:class:`~repro.sim.resources.Hold`). Pushed, it would be
-        dispatched next and resume only that process; instead it is marked
-        dispatched (``callbacks = None``) and recorded in ``_spot``, and
-        :meth:`Process._resume` continues in place at ``when`` when the
-        process yields it.
-        """
+        the running process is next in line for ``when`` (with its resume);
+        returns whether it did (DESIGN §12 rule 3). ``event`` is a
+        ``request()`` or ``get()`` satisfied now, or a ``sim.timeout()`` or
+        engine :class:`~repro.sim.resources.Hold` ending at ``when``: it is
+        marked dispatched (``callbacks = None``) and recorded in ``_spot``,
+        and :meth:`Process._resume` continues in place at ``when`` when the
+        process yields it."""
         process = self._active_process
         if process is None or not self._next_in_line(when, process._resume_cb):
             return False
@@ -433,6 +408,25 @@ class Simulator:
         else:
             self._schedule(when, step)
 
+    def _wake(self, event, value=None):
+        """:meth:`Event.succeed` as the last act of an engine step (a DMA
+        done, a doorbell, ``Store.deliver``'s parked get). If its push at
+        ``now`` would be the next dispatch (:meth:`_next_in_line`, which
+        sees the value set: the run's target is pushed), its callbacks run
+        here instead, uncounted (DESIGN §12 rule 3). Between dispatches
+        (``_dispatching`` empty) it is pushed."""
+        if event._value is not PENDING:
+            raise SimulationError("event already triggered")
+        event._value = value
+        if self._dispatching and self._next_in_line(self.now):
+            callbacks = event.callbacks
+            event.callbacks = None
+            self._dispatching = callbacks
+            for callback in callbacks:
+                callback(event)
+        else:
+            self._post(event, NORMAL)
+
     def _passed(self):
         """An event the running process continues past in place, whatever
         is due: what it yields for work that takes no time and waits for
@@ -457,11 +451,7 @@ class Simulator:
         heap = self._heap
         when = self.now + delay
         # Timeout.__init__ inlined, so that the push reuses the check's
-        # operands; something due by then is the common answer. Bytecodes
-        # per op over a kernel that never sleeps on the spot (`make
-        # opcodes`, echo-small): +1.4 % as written, +2.0 % with only the
-        # heap check inline, +3.4 % through `_grant_on_the_spot` and
-        # `Timeout.__init__` alone.
+        # operands; something due by then is the common answer.
         event = _new(Timeout)
         event.sim = self
         event._ok = event._scheduled = True
@@ -502,6 +492,7 @@ class Simulator:
         self._dispatching = callbacks
         for callback in callbacks:
             callback(event)
+        self._dispatching = ()
 
     def run(self, until=None):
         """Run until the heap drains or simulated time reaches ``until``.
@@ -517,7 +508,7 @@ class Simulator:
         """
         heap = self._heap
         count = 0
-        outer = self._deadline, self._until
+        outer = self._deadline, self._until, self._dispatching
         try:
             if isinstance(until, Event):
                 stop = self._until = until
@@ -562,7 +553,7 @@ class Simulator:
             return None
         finally:
             self._event_count += count
-            self._deadline, self._until = outer
+            self._deadline, self._until, self._dispatching = outer
 
     @property
     def processed_events(self):

@@ -8,9 +8,9 @@ held by a :class:`Hold` a process yields or by an engine's steps.
 
 A process yields the event of a ``request()`` or ``get()`` at once, as
 it does a ``sim.timeout()``: one that is satisfied while the process is
-next in line is granted on the spot and never enters the heap
-(:meth:`Simulator._grant_on_the_spot
-<repro.sim.core.Simulator._grant_on_the_spot>`, DESIGN §12 rule 3).
+next in line is granted on the spot and never enters the heap (DESIGN
+§12 rule 3); so is a parked get that an engine step's ``deliver()``
+wakes while next in line.
 """
 
 from collections import deque
@@ -102,6 +102,18 @@ class Store:
             self._settle()
             return True, item
         return False, None
+
+    def deliver(self, item):
+        """:meth:`try_put` as the last act of an engine step, into a store
+        with room: a parked get is woken by ``Simulator._wake``."""
+        gets = self._get_queue
+        if gets:  # the store is empty: the item passes straight through
+            self.max_occupancy = self.max_occupancy or 1
+            self.sim._wake(gets.popleft(), item)
+        elif self.is_full:
+            raise SimulationError("deliver() into a full store: ask is_full first")
+        else:
+            self._accept(item)
 
     def force_put(self, item):
         """Insert even when full (capacity overshoot); wakes waiting gets.
@@ -268,12 +280,10 @@ class Hold(Event):
       the sleep: in place when next in line, else the hold is pushed.
 
     A holder interrupted while it waits for or holds the slot never hands
-    it on, as its generator died at the ``yield``.
-    """
+    it on, as its generator died at the ``yield``."""
 
     __slots__ = ("slots", "ns", "cycles", "category")
-    # Born fired and never failed nor posted, like a Timeout: one store
-    # fewer each per hold.
+    # Born fired, never failed nor posted: one store fewer each per hold.
     _ok = True
     _scheduled = True
 

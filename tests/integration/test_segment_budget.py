@@ -33,29 +33,31 @@ from repro.sim.resources import ResourceRequest
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 5 030.00 (5 117.34 with a
-#: start step per DMA op, 5 352.13 with the wire as timeouts and processes,
-#: 6 530.08 with the engines as processes too); the bound is that reading
-#: + 0.5 %, rounded down.
-CALLS_PER_RPC = 5055
-#: Events dispatched per warm echo RPC: reads 207.22 (213.44 with a start
-#: step per DMA op, 252.27 with every sleep pushed). The count is exact;
-#: the bound is that reading + 1 %, rounded up, so a sleep, grant or start
-#: step per RPC going back through the heap (DESIGN §12 rule 3) fails.
-EVENTS_PER_RPC = 210
+#: simulator runs in that time included: reads 5 008.28 (5 040.09 with
+#: every wake pushed, 5 117.34 with a start step per DMA op too, 5 352.13
+#: with the wire as timeouts and processes, 6 530.08 with the engines as
+#: processes too); the bound is that reading + 0.5 %, rounded down.
+CALLS_PER_RPC = 5033
+#: Events dispatched per warm echo RPC: reads 191.22 (207.22 with every
+#: wake pushed, 213.44 with a start step per DMA op too, 252.27 with every
+#: sleep pushed). The count is exact; the bound is that reading + 1 %,
+#: rounded up, so a sleep, grant, start step or wake per RPC going back
+#: through the heap (DESIGN §12 rule 3) fails.
+EVENTS_PER_RPC = 194
 
 
 #: The same two budgets per baseline stack, whose frames cross the same
-#: wire: calls per RPC read 729.50 / 953.31 / 881.44 for Linux / TAS /
-#: Chelsio (735.50 / 965.31 / 887.44 with a start step per switch egress
-#: burst, 849.50 / 1 201.31 / 1 001.44 with the wire as timeouts and
-#: processes), bounded at + 0.5 %, rounded down; events read 17.89 / 24.03
-#: / 16.69 (the same with the start step: an uncontended burst slept its
-#: wire time in place), bounded at + 1 %, rounded up to a tenth.
+#: wire: calls per RPC read 717.50 / 929.31 / 869.44 for Linux / TAS /
+#: Chelsio (729.50 / 953.31 / 881.44 with every frame's wake of the receive
+#: loop pushed, 735.50 / 965.31 / 887.44 with a start step per switch
+#: egress burst too, 849.50 / 1 201.31 / 1 001.44 with the wire as timeouts
+#: and processes), bounded at + 0.5 %, rounded down; events read 15.89 /
+#: 20.03 / 14.69 (17.89 / 24.03 / 16.69 with the wakes pushed), bounded at
+#: + 1 %, rounded up to a tenth.
 BASELINE_BUDGETS = {
-    "linux": (add_linux_host, 733, 18.1),
-    "tas": (add_tas_host, 958, 24.3),
-    "chelsio": (add_chelsio_host, 885, 16.9),
+    "linux": (add_linux_host, 721, 16.1),
+    "tas": (add_tas_host, 933, 20.3),
+    "chelsio": (add_chelsio_host, 873, 14.9),
 }
 
 

@@ -5,7 +5,9 @@ processes they stand for — so a run is the same run with the same number
 of events. The reference below is those processes (a ``Resource`` per
 slot, a ``sim.timeout`` per sleep, a process per DMA operation, stall and
 steal), each DMA operation, stall and steal started in the dispatch that
-issues it: it takes a free slot there and pushes its first sleep. Random
+issues it: it takes a free slot there and pushes its first sleep; a DMA
+operation's last act wakes its waiter through ``Simulator._wake``, which
+``tests/sim/test_in_place_wakes.py`` judges against ``succeed``. Random
 programs share FPCs, cores and shallow DMA queues, retry through a fault
 hook, stall, steal and interrupt each other mid-hold and in the queue,
 and are driven the four ways a caller can drive the kernel."""
@@ -45,6 +47,17 @@ class Started(Process):
         finally:
             sim._active_process = caller
         self._target.callbacks.append(self._resume_cb)
+
+
+def wake_last(sim, event):
+    """``sim._wake(event)`` as the last act of the running process, whose
+    resume is the last callback of its dispatch: made as the engine step
+    the process stands for makes it, outside any process."""
+    caller, sim._active_process = sim._active_process, None
+    try:
+        sim._wake(event)
+    finally:
+        sim._active_process = caller
 
 
 def take(resource):
@@ -159,7 +172,7 @@ class RefDma(DmaEngine):
         self.ops += 1
         self.bytes_moved += max(0, nbytes)
         grant.release()
-        done.succeed()
+        wake_last(self.sim, done)
 
 
 # -- the engines as they are, behind the same calls --------------------------
