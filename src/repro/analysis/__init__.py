@@ -6,23 +6,18 @@ load, and only the atomic protocol stage mutates per-connection
 protocol state while replicated pre/post stages stay read-only. This
 package makes both checkable:
 
-* :mod:`repro.analysis.cfg` — instruction successors of XDP VM programs.
-* :mod:`repro.analysis.dataflow` — the abstract domain (register typing,
-  stack initialization, verified packet bounds) and its meet operator.
-* :mod:`repro.analysis.verifier` — the one-pass CFG program verifier
-  backing :func:`repro.xdp.verify`.
-* :mod:`repro.analysis.stagelint` — the ``hb-race`` lint: per-stage
-  read/write sets of connection-state partitions, through helper calls,
-  and one verdict per field (immutable, atomic, or owned per Table 5).
-* :mod:`repro.analysis.simlint` — lint for simulation processes
-  (wall-clock and global-RNG use that bypasses :mod:`repro.sim`,
-  yielding non-events).
-* :mod:`repro.analysis.sanitizer` — opt-in runtime ownership sanitizer
-  (``REPRO_SANITIZE=1``) instrumenting partition writes.
-* :mod:`repro.analysis.hbmonitor` — under the same switch, the run-time
-  check of the ordering devices (fences, sequencers, write-ahead rule).
-* :mod:`repro.analysis.report`/:mod:`repro.analysis.cli` — findings,
-  machine-readable reports, and ``python -m repro lint``.
+* XDP programs: :mod:`~repro.analysis.cfg` (instruction successors),
+  :mod:`~repro.analysis.dataflow` (the abstract domain) and
+  :mod:`~repro.analysis.verifier` (the one-pass verifier behind
+  :func:`repro.xdp.verify`);
+* lints: :mod:`~repro.analysis.stagelint` (``hb-race``: one Table 5
+  verdict per stage-touched field) and :mod:`~repro.analysis.simlint`
+  (simulation processes);
+* ``REPRO_SANITIZE=1``: :mod:`~repro.analysis.sanitizer` (ownership,
+  the kernel's in-place rules) and :mod:`~repro.analysis.hbmonitor`
+  (the ordering devices);
+* :mod:`~repro.analysis.report`/:mod:`~repro.analysis.cli`: findings,
+  reports and ``python -m repro lint``.
 
 This module deliberately imports only the dependency-light submodules;
 :mod:`repro.analysis.verifier` pulls in :mod:`repro.xdp` and is imported

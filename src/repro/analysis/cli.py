@@ -48,8 +48,7 @@ def _builtin_factories():
 
 def _verify_builtins():
     """Run the CFG verifier over the builtin assembly programs."""
-    from repro.analysis.verifier import VerifierError
-    from repro.analysis.verifier import verify
+    from repro.analysis.verifier import VerifierError, verify
 
     factories = _builtin_factories()
     findings = []
@@ -58,15 +57,7 @@ def _verify_builtins():
         try:
             verify(program, maps)
         except VerifierError as exc:
-            findings.append(
-                Finding(
-                    PASS_XDP,
-                    "repro/xdp/builtins/{}".format(name),
-                    0,
-                    "verifier-reject",
-                    str(exc),
-                )
-            )
+            findings.append(Finding(PASS_XDP, "repro/xdp/builtins/{}".format(name), 0, "verifier-reject", str(exc)))
     return findings, len(factories)
 
 

@@ -26,8 +26,9 @@ It also checks what the kernel takes or runs on the spot (DESIGN §12 rule
 or engine hold (``thread.compute``, ``core.run``) on the spot and yielded
 something else next or made another first; an engine step raises when it
 would run in place (``Simulator._next_in_line``; a wake, ``_wake``) inside
-a process's resume, or pushes anything after a wake it ran in place.
-Uninstalled, the data path pays one boolean check at construction.
+a process's resume, or pushes anything after a wake it ran in place; a
+put's ride raises unless it is its get's last callback. Uninstalled, the
+data path pays one boolean check at construction.
 """
 
 import functools
@@ -103,7 +104,7 @@ def install():
     global _installed
     if _installed:
         return
-    from repro.flextoe.state import PostprocState, PreprocState, ProtocolState
+    from repro.flextoe.state import CONN_SLAB, PostprocState, PreprocState, ProtocolState
 
     checks = (
         (PreprocState, _check_pre),
@@ -113,8 +114,6 @@ def install():
     # A registration must not outlive its slot (the next tenant would
     # inherit it), and a slot handed out must be the all-zero row: an
     # install writes only the fields that start elsewhere.
-    from repro.flextoe.state import CONN_SLAB
-
     CONN_SLAB.on_free = unregister_row
     CONN_SLAB.on_alloc = functools.partial(_check_zeroed, CONN_SLAB)
 
@@ -179,6 +178,14 @@ def _wake_checking_last_act(sim, event, value=None):
         _woken = sim
 
 
+def _ride_checking_last(put, get):
+    # A waiter added after the ride would run after the put it precedes.
+    if getattr(put.sim._dispatching[-1], "__self__", None) is not put:
+        raise SanitizerError("a put rode on {!r}, but a waiter was added after it: the ride is the "
+                             "get's last callback".format(get))
+    _PLAIN["_ride"](put, get)
+
+
 def _push_checking_last_act(heap, entry):
     # Pushed after an in-place wake in its dispatch (none is running
     # between runs and steps), the entry was made after what the waiters
@@ -202,6 +209,7 @@ _KERNEL_CHECKS = (
     (core.Simulator, "_grant_on_the_spot", _grant_checking_spot),
     (core.Simulator, "_next_in_line", _next_in_line_checking_dispatch),
     (core.Simulator, "_wake", _wake_checking_last_act),
+    (resources.StorePut, "_ride", _ride_checking_last),
     (core, "heappush", _push_checking_last_act),
     (resources, "heappush", _push_checking_last_act),
     (core, "heappop", _pop_ending_the_dispatch),

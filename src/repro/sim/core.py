@@ -4,25 +4,15 @@ The design follows simpy's coroutine model: a :class:`Process` wraps a
 generator that yields :class:`Event` objects; the process resumes when the
 yielded event fires. Time is an integer (nanoseconds by convention).
 
-Hot-path notes: millions of heap pushes, generator resumes and event
-allocations dominate every experiment, so this module trades a little
-plainness for speed where measurement says it pays (DESIGN §12 keeps
-the ledger, one row per host-only mechanism with the number behind it):
-
-* :meth:`Simulator.run` inlines the :meth:`Simulator.step` body and
-  binds the heap to a local — one Python frame per run, not one per
-  event. :class:`Condition` results are built from the sub-event list.
-* A process that returns while nobody waits on it schedules no exit
-  event (:meth:`Event.settle`): the dispatch would run nothing.
-* What would be the very next dispatch is run in place instead of
-  pushed (DESIGN §12 rule 3, :meth:`Simulator._next_in_line`): an event
-  the running process yields at once and would be resumed by alone
-  (:meth:`Simulator._grant_on_the_spot`), the next step of a hardware
-  engine's operation (an FPC compute, a DMA operation: continuations,
-  not processes; :meth:`Simulator._after`), and the waiters an engine
-  step wakes as its last act (:meth:`Simulator._wake`). Every dispatch
-  loop records the callback list it runs, and :meth:`run` its deadline
-  and target, for this.
+Hot-path notes (DESIGN §12 keeps the ledger, one row per host-only
+mechanism with the number behind it): :meth:`Simulator.run` inlines
+:meth:`Simulator.step`; a process returning unwatched schedules no exit
+event (:meth:`Event.settle`); and what would be the very next dispatch
+runs in place instead of pushed (rule 3, :meth:`Simulator._next_in_line`):
+an event the running process yields at once (:meth:`Simulator._grant_on_the_spot`),
+an engine operation's next step (:meth:`Simulator._after`), the waiters an
+engine step wakes as its last act (:meth:`Simulator._wake`) and a put
+handed to a parked get (``StorePut._ride``).
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -426,6 +416,15 @@ class Simulator:
                 callback(event)
         else:
             self._post(event, NORMAL)
+
+    def _run_here(self, event):
+        """Dispatch ``event``, fired, where its push would have been the
+        next dispatch: here, uncounted (rule 3)."""
+        callbacks = event.callbacks
+        event.callbacks = None
+        self._dispatching = callbacks
+        for callback in callbacks:
+            callback(event)
 
     def _passed(self):
         """An event the running process continues past in place, whatever

@@ -6,27 +6,55 @@ and locks are :class:`Resource` objects, and the slots hardware engines
 hold — an FPC's issue slot, a host core, a DMA queue — are :class:`Slots`,
 held by a :class:`Hold` a process yields or by an engine's steps.
 
-A process yields the event of a ``request()`` or ``get()`` at once, as
-it does a ``sim.timeout()``: one that is satisfied while the process is
-next in line is granted on the spot and never enters the heap (DESIGN
-§12 rule 3); so is a parked get that an engine step's ``deliver()``
-wakes while next in line.
+A process yields a ``request()``, ``get()`` or ``put()`` at once; what
+would be the next dispatch runs in place (DESIGN §12 rule 3).
 """
 
 from collections import deque
 from heapq import heappush
 
-from repro.sim.core import NORMAL, Event, SimulationError
+from repro.sim.core import NORMAL, PENDING, Event, SimulationError
 
 
 class StorePut(Event):
-    __slots__ = ("item",)
+    """A put. One into a store with a parked get hands that get the item
+    and rides on it (DESIGN §12 rule 3): fired at once, under the key its
+    push would have had, it is dispatched by :meth:`_ride`, the get's last
+    callback."""
+
+    __slots__ = ("item", "_key")
 
     def __init__(self, store, item):
-        super().__init__(store.sim)
+        sim = self.sim = store.sim
+        self.callbacks = []
+        self._ok = True
         self.item = item
-        store._put_queue.append(self)
-        store._settle()
+        gets = store._get_queue
+        if gets:  # so the store is empty: the item passes straight through
+            store.max_occupancy = store.max_occupancy or 1
+            gets.popleft().succeed(item).callbacks.append(self._ride)
+            sim._seq += 1
+            self._key = sim._seq
+            self._value = None
+            self._scheduled = True
+        else:
+            self._value = PENDING
+            self._scheduled = False
+            store._put_queue.append(self)
+            store._settle()
+
+    def _ride(self, _get):
+        """Dispatch the put after its get's other callbacks: here, uncounted,
+        unless an entry made meanwhile sorts before its key (one made
+        URGENT at ``now``) or the run's target has fired; then pushed, as
+        ``succeed`` would have pushed it."""
+        sim = self.sim
+        heap = sim._heap
+        now = sim.now
+        if (heap and heap[0] < (now, NORMAL, self._key)) or sim._until._value is not PENDING:
+            heappush(heap, (now, NORMAL, self._key, self))
+        else:
+            sim._run_here(self)
 
 
 class StoreGet(Event):
@@ -329,10 +357,7 @@ class Hold(Event):
         when = sim.now + ns
         if ns > 0 and sim._next_in_line(when):
             sim.now = when  # dispatched in place, the holder last as ever
-            self.callbacks = None
-            sim._dispatching = callbacks
-            for callback in callbacks:
-                callback(self)
+            sim._run_here(self)
         else:
             sim._seq += 1
             heappush(sim._heap, (when, NORMAL, sim._seq, self))

@@ -1,23 +1,31 @@
 """Where a wake may run in place: ``Simulator._wake`` and ``deliver()``
 run the woken waiters there and then (DESIGN §12 rule 3), which is the
 order of a pushed wake only when nothing follows them in the dispatch.
-Every such call under ``src/repro`` — and each link of the chain that
-carries an arriving frame from the wire to its ``deliver()`` — must be a
-tail call of its function, and at a site listed here, so that a new one
-is reviewed against that rule. (``REPRO_SANITIZE=1`` catches a push
-after an in-place wake in a run; this covers what no run reaches.)"""
+So does ``Simulator._run_here``, which dispatches a fired event in place:
+an engine hold's sleep (``Hold._turn``) and a put's ride
+(``StorePut._ride``, a put handed to a parked get dispatched as that
+get's last callback). Every such call under ``src/repro`` — and each
+link of the chain that carries an arriving frame from the wire to its
+``deliver()`` — must be a tail call of its function, and at a site
+listed here, so that a new one is reviewed against that rule.
+(``REPRO_SANITIZE=1`` catches a push after an in-place wake, and a ride
+that is not its get's last callback, in a run; this covers what no run
+reaches.)"""
 
 import ast
 import pathlib
 
 REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-#: The callee names checked: the wakes, and the frame arrival chain's links.
-CALLEES = {"_wake", "deliver", "receiver", "rx_handler"}
+#: The callee names checked: the wakes, the in-place dispatch, and the
+#: frame arrival chain's links.
+CALLEES = {"_wake", "_run_here", "deliver", "receiver", "rx_handler"}
 #: (file, function, callee) of every call of one of them.
 SITES = {
     ("nfp/dma.py", "_DmaOp._complete", "_wake"),  # a DMA completion
     ("nfp/pcie.py", "PcieBlock.ring.fire", "_wake"),  # a doorbell landing
     ("sim/resources.py", "Store.deliver", "_wake"),  # a parked get
+    ("sim/resources.py", "Hold._turn", "_run_here"),  # an engine hold's sleep
+    ("sim/resources.py", "StorePut._ride", "_run_here"),  # a put after the get it served
     ("nfp/queues.py", "_Ring.deliver", "deliver"),
     # A frame arriving: link -> port -> MAC -> data path / baseline stack.
     ("net/link.py", "_Direction._arrive", "deliver"),
