@@ -73,6 +73,9 @@ CONTROL_CONTEXT = 0
 TIMER_TICK_NS = 50_000
 SYN_RTO_NS = 1_000_000
 LINGER_NS = 2_000_000
+#: A connection's RTO until its first RTT sample (RFC 6298 §2.1's
+#: conservative start, at the baselines' engine's scale).
+INITIAL_RTO_NS = 1_000_000
 
 
 class GridPoll:
@@ -725,8 +728,10 @@ class ControlPlane:
     # -- timers ------------------------------------------------------------
 
     def _rto_ns(self, entry):
-        """Current retransmission timeout: RTT-scaled, backed off, capped."""
-        base_rto = max(self.config.rto_ns, 4_000 * max(1, entry.record.post.rtt_est))
+        """Current retransmission timeout: RTT-scaled (the initial RTO
+        before any sample), backed off, capped."""
+        rtt_us = entry.record.post.rtt_est
+        base_rto = max(self.config.rto_ns, 4_000 * rtt_us) if rtt_us else INITIAL_RTO_NS
         return min(base_rto * entry.rto_multiplier, self.config.rto_max_ns)
 
     # -- the poll grid (DESIGN §12) -------------------------------------------
@@ -832,20 +837,18 @@ class ControlPlane:
                     entry.last_snd_una = snd_una
                     entry.stalled_since = now
                     entry.reset_backoff()
-                elif (
-                    entry.stalled_since is not None
-                    and now - entry.stalled_since > self._rto_ns(entry)
-                ):
-                    if entry.retry_attempts >= config.max_data_retries:
-                        self._abort_connection(entry)
-                        continue
-                    entry.stalled_since = now
-                    entry.retry_attempts += 1
-                    entry.rto_multiplier = min(entry.rto_multiplier * 2, 64)
-                    self.retransmits_posted += 1
-                    self.nic.post_hc(
-                        CONTROL_CONTEXT, HostControlDescriptor(HC_RETRANSMIT, entry.index)
-                    )
+                elif entry.stalled_since is not None:
+                    if not self.cc_enabled:  # else the CC pass folds them
+                        self.nic.datapath.drain_rtt(entry.record)
+                    if now - entry.stalled_since > self._rto_ns(entry):
+                        if entry.retry_attempts >= config.max_data_retries:
+                            self._abort_connection(entry)
+                            continue
+                        entry.stalled_since = now
+                        entry.retry_attempts += 1
+                        entry.rto_multiplier = min(entry.rto_multiplier * 2, 64)
+                        self.retransmits_posted += 1
+                        self.nic.post_hc(CONTROL_CONTEXT, HostControlDescriptor(HC_RETRANSMIT, entry.index))
             else:
                 entry.stalled_since = None
                 entry.reset_backoff()
