@@ -57,7 +57,15 @@ def _verify_builtins():
         try:
             verify(program, maps)
         except VerifierError as exc:
-            findings.append(Finding(PASS_XDP, "repro/xdp/builtins/{}".format(name), 0, "verifier-reject", str(exc)))
+            findings.append(
+                Finding(
+                    PASS_XDP,
+                    "repro/xdp/builtins/{}".format(name),
+                    0,
+                    "verifier-reject",
+                    str(exc),
+                )
+            )
     return findings, len(factories)
 
 

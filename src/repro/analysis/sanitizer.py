@@ -25,10 +25,9 @@ It also checks what the kernel takes or runs on the spot (DESIGN §12 rule
 3): a process raises when it took a ``request()``, ``get()``, ``timeout()``
 or engine hold (``thread.compute``, ``core.run``) on the spot and yielded
 something else next or made another first; an engine step raises when it
-would run in place (``Simulator._next_in_line``; a wake, ``_wake``) inside
-a process's resume, or pushes anything after a wake it ran in place; a
-put's ride raises unless it is its get's last callback. Uninstalled, the
-data path pays one boolean check at construction.
+would run in place (``_next_in_line``, ``_wake``) in a process's resume or
+pushes after a wake it ran in place; so does a put's ride not last among
+its get's callbacks. Uninstalled, it costs one check at construction.
 """
 
 import functools
@@ -181,8 +180,7 @@ def _wake_checking_last_act(sim, event, value=None):
 def _ride_checking_last(put, get):
     # A waiter added after the ride would run after the put it precedes.
     if getattr(put.sim._dispatching[-1], "__self__", None) is not put:
-        raise SanitizerError("a put rode on {!r}, but a waiter was added after it: the ride is the "
-                             "get's last callback".format(get))
+        raise SanitizerError("a put rode on {!r}, but a waiter was added after it".format(get))
     _PLAIN["_ride"](put, get)
 
 

@@ -838,7 +838,7 @@ class ControlPlane:
                     entry.stalled_since = now
                     entry.reset_backoff()
                 elif entry.stalled_since is not None:
-                    if not self.cc_enabled:  # else the CC pass folds them
+                    if not self.cc_enabled:  # no CC pass folds its RTT samples
                         self.nic.datapath.drain_rtt(entry.record)
                     if now - entry.stalled_since > self._rto_ns(entry):
                         if entry.retry_attempts >= config.max_data_retries:

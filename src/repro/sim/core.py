@@ -9,10 +9,11 @@ mechanism with the number behind it): :meth:`Simulator.run` inlines
 :meth:`Simulator.step`; a process returning unwatched schedules no exit
 event (:meth:`Event.settle`); and what would be the very next dispatch
 runs in place instead of pushed (rule 3, :meth:`Simulator._next_in_line`):
-an event the running process yields at once (:meth:`Simulator._grant_on_the_spot`),
-an engine operation's next step (:meth:`Simulator._after`), the waiters an
-engine step wakes as its last act (:meth:`Simulator._wake`) and a put
-handed to a parked get (``StorePut._ride``).
+an event the running process yields at once, an engine operation's next
+step (:meth:`Simulator._after`), the waiters an engine step wakes as its
+last act (:meth:`Simulator._wake`) and a put handed to a parked get
+(``StorePut._ride``). For this every dispatch loop records the callbacks
+it runs, and :meth:`Simulator.run` its deadline and target.
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -403,7 +404,8 @@ class Simulator:
         done, a doorbell, ``Store.deliver``'s parked get). If its push at
         ``now`` would be the next dispatch (:meth:`_next_in_line`, which
         sees the value set: the run's target is pushed), its callbacks run
-        here instead, uncounted (DESIGN §12 rule 3). Between dispatches
+        here, uncounted (rule 3; :meth:`_run_here` inline, as a call per wake
+        would overrun the baselines' call budgets); between dispatches
         (``_dispatching`` empty) it is pushed."""
         if event._value is not PENDING:
             raise SimulationError("event already triggered")

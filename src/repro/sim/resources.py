@@ -17,10 +17,8 @@ from repro.sim.core import NORMAL, PENDING, Event, SimulationError
 
 
 class StorePut(Event):
-    """A put. One into a store with a parked get hands that get the item
-    and rides on it (DESIGN §12 rule 3): fired at once, under the key its
-    push would have had, it is dispatched by :meth:`_ride`, the get's last
-    callback."""
+    """A put; one into a store with a parked get hands it the item and,
+    fired at once under the key its push would have had, rides on it."""
 
     __slots__ = ("item", "_key")
 
