@@ -25,15 +25,16 @@ It also checks what the kernel takes or runs on the spot (DESIGN §12 rule
 3): a process raises when it took a ``request()``, ``get()``, ``timeout()``
 or engine hold (``thread.compute``, ``core.run``) on the spot and yielded
 something else next or made another first; an engine step raises when it
-would run in place (``_next_in_line``, ``_wake``) in a process's resume or
-pushes after a wake it ran in place; so does a put's ride not last among
-its get's callbacks. Uninstalled, it costs one check at construction.
+would run in place (``_next_in_line``) in a process's resume; and the
+same-instant queue raises when an entry joins it not at ``(now, NORMAL)``
+or under a key not above the last one's, or when ``now`` has moved past
+what it holds. Uninstalled, it costs one check at construction.
 """
 
 import functools
 import os
 
-from repro.sim import core, resources
+from repro.sim import core
 
 #: Kind of the atomic stage. The run-to-completion worker executes every
 #: stage's logic inline under this token.
@@ -50,10 +51,8 @@ _MISSING = object()
 _installed = False
 # class -> original __setattr__, for uninstall.
 _original_setattrs = {}
-# Name -> the kernel's own method or heap function that a check wraps.
+# Name -> the kernel's own method that a check wraps.
 _PLAIN = {}
-# The simulator whose dispatch ran a wake in place, until its next pop.
-_woken = None
 
 
 class SanitizerError(AssertionError):
@@ -99,7 +98,7 @@ def _check_owned(partition, self, name, owning_group):
 
 def install():
     """Instrument the three partition classes' ``__setattr__``, and the
-    kernel's in-place methods and heap functions (idempotent)."""
+    kernel's in-place methods and same-instant queue (idempotent)."""
     global _installed
     if _installed:
         return
@@ -170,47 +169,40 @@ def _next_in_line_checking_dispatch(sim, when, callback=None):
     return _PLAIN["_next_in_line"](sim, when, callback)
 
 
-def _wake_checking_last_act(sim, event, value=None):
-    global _woken
-    _PLAIN["_wake"](sim, event, value)
-    if event.callbacks is None:  # run in place: the engine step ends here
-        _woken = sim
+def _queue_checking_append(queue, entry):
+    # The head runs where the heap would dispatch it only if every entry
+    # is for (now, NORMAL) and the keys rise, as a heap's ties would.
+    sim = queue.sim
+    if entry[0] != sim.now or entry[1] != core.NORMAL:
+        raise SanitizerError("{!r} queued for ({}, priority {}) at {}: the queue holds (now, NORMAL) "
+                             "entries only".format(entry[3], entry[0], entry[1], sim.now))
+    if queue:
+        _check_not_passed(queue, queue[-1])
+        if entry[2] <= queue[-1][2]:
+            raise SanitizerError("{!r} queued under key {}, not above the last one's ({})".format(
+                entry[3], entry[2], queue[-1][2]))
+    _PLAIN["append"](queue, entry)
 
 
-def _ride_checking_last(put, get):
-    # A waiter added after the ride would run after the put it precedes.
-    if getattr(put.sim._dispatching[-1], "__self__", None) is not put:
-        raise SanitizerError("a put rode on {!r}, but a waiter was added after it".format(get))
-    _PLAIN["_ride"](put, get)
+def _queue_checking_popleft(queue):
+    return _check_not_passed(queue, _PLAIN["popleft"](queue))
 
 
-def _push_checking_last_act(heap, entry):
-    # Pushed after an in-place wake in its dispatch (none is running
-    # between runs and steps), the entry was made after what the waiters
-    # made, and may have been due before the woken event.
-    if _woken is not None and _woken._heap is heap and _woken._dispatching != ():
-        raise SanitizerError("an engine step pushed {!r} at {} after a wake it ran in place returned: a wake "
-                             "is the step's last act".format(entry[3], entry[0]))
-    _PLAIN["heappush"](heap, entry)
+def _check_not_passed(queue, entry):
+    if entry[0] != queue.sim.now:
+        raise SanitizerError("now moved to {} while the queue held {!r} for {}: an in-place advance must "
+                             "find the queue empty".format(queue.sim.now, entry[3], entry[0]))
+    return entry
 
 
-def _pop_ending_the_dispatch(heap):
-    global _woken
-    _woken = None
-    return _PLAIN["heappop"](heap)
-
-
-#: (owner, name, check): the kernel's methods and the heap functions it
-#: calls, rebound where it calls them as ``make ties`` does (no flag).
+#: (owner, name, check): the kernel's methods, rebound on their classes
+#: as ``make ties`` rebinds the queue's (no flag).
 _KERNEL_CHECKS = (
     (core.Process, "_resume", _resume_checking_grants),
     (core.Simulator, "_grant_on_the_spot", _grant_checking_spot),
     (core.Simulator, "_next_in_line", _next_in_line_checking_dispatch),
-    (core.Simulator, "_wake", _wake_checking_last_act),
-    (resources.StorePut, "_ride", _ride_checking_last),
-    (core, "heappush", _push_checking_last_act),
-    (resources, "heappush", _push_checking_last_act),
-    (core, "heappop", _pop_ending_the_dispatch),
+    (core._Queue, "append", _queue_checking_append),
+    (core._Queue, "popleft", _queue_checking_popleft),
 )
 
 

@@ -415,7 +415,6 @@ class BaselineHost:
             self._irq_frames.append(frame)
             self.sim._schedule(self.sim.now + int(delay), self._irq)
         else:
-            # The arrival step's last act: deliver() may run the taker here.
             self._rx_queue.deliver(frame)
 
     def _irq(self, _step):

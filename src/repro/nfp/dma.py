@@ -9,7 +9,7 @@ pipeline stage in FlexTOE.
 An operation is a continuation, not a process: it starts in the dispatch
 that issues it, and its steps (:class:`~repro.sim.core.Step`) grant a
 queued operation its slot, retry and complete it; the completing step
-wakes the operation's waiter as its last act (``Simulator._wake``).
+fires the operation's ``done``.
 """
 
 from repro.sim.resources import Slots
@@ -120,4 +120,4 @@ class _DmaOp:
         engine.ops += 1
         engine.bytes_moved += max(0, self.nbytes)
         self.queue.hand_on()
-        engine.sim._wake(self.done)
+        self.done.succeed()

@@ -4,7 +4,7 @@ The host rings doorbells via MMIO (posted writes, a few hundred ns); the
 NIC raises MSI-X interrupts toward host eventfds. Context-queue payload
 moves through :class:`~repro.nfp.dma.DmaEngine`. A posted write landing
 is an engine step (:class:`~repro.sim.core.Step`); a doorbell's landing
-wakes the oldest waiter as its last act (``Simulator._wake``).
+fires the oldest waiter's event.
 """
 
 from repro.nfp.dma import DmaEngine
@@ -65,7 +65,7 @@ class PcieBlock:
             bell.rings += 1
             if bell.waiters:
                 # The oldest waiter consumes this ring directly.
-                sim._wake(bell.waiters.pop(0))
+                bell.waiters.pop(0).succeed()
             else:
                 bell.pending += 1
 

@@ -48,8 +48,8 @@ class _Ring:
         return accepted
 
     def deliver(self, item):
-        """``Store.deliver``: the last act of an engine step, into a ring
-        with room; the tap sees the item before its taker runs."""
+        """``Store.deliver``: an engine step's put into a ring with room;
+        the tap sees the item first."""
         if self.tap is not None:
             self.tap(item)
         self.store.deliver(item)

@@ -7,13 +7,12 @@ yielded event fires. Time is an integer (nanoseconds by convention).
 Hot-path notes (DESIGN §12 keeps the ledger, one row per host-only
 mechanism with the number behind it): :meth:`Simulator.run` inlines
 :meth:`Simulator.step`; a process returning unwatched schedules no exit
-event (:meth:`Event.settle`); and what would be the very next dispatch
-runs in place instead of pushed (rule 3, :meth:`Simulator._next_in_line`):
-an event the running process yields at once, an engine operation's next
-step (:meth:`Simulator._after`), the waiters an engine step wakes as its
-last act (:meth:`Simulator._wake`) and a put handed to a parked get
-(``StorePut._ride``). For this every dispatch loop records the callbacks
-it runs, and :meth:`Simulator.run` its deadline and target.
+event (:meth:`Event.settle`); an entry for ``now`` joins the same-instant
+queue, not the heap; and an event the running process yields at once or
+an engine operation's next step runs in place when it would be the very
+next dispatch (rule 3, :meth:`Simulator._next_in_line`), for which every
+dispatch loop records the callbacks it runs, and :meth:`Simulator.run`
+its deadline and target.
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -23,6 +22,7 @@ propagation — is pinned by ``tests/sim`` (including hypothesis
 properties) and the golden-digest suite in ``tests/integration``.
 """
 
+from collections import deque
 from heapq import heappop, heappush
 
 #: Event priorities. Lower sorts earlier at equal timestamps.
@@ -81,7 +81,7 @@ class Event:
             self._scheduled = True
             sim = self.sim
             sim._seq += 1
-            heappush(sim._heap, (sim.now, NORMAL, sim._seq, self))
+            sim._queue.append((sim.now, NORMAL, sim._seq, self))
         return self
 
     def fail(self, exception):
@@ -118,12 +118,10 @@ _new = object.__new__
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay.
-
-    Constructed directly it is always pushed: that is how code that does
-    not yield a timeout at once (a callback, an :class:`AnyOf` member)
-    makes one. :meth:`Simulator.timeout` may sleep it on the spot.
-    """
+    """An event that fires after a fixed delay. Constructed directly it is
+    always scheduled: that is how code that does not yield a timeout at
+    once (a callback, an :class:`AnyOf` member) makes one.
+    :meth:`Simulator.timeout` may sleep it on the spot."""
 
     __slots__ = ()
 
@@ -137,7 +135,10 @@ class Timeout(Event):
         self._ok = True
         self._scheduled = True
         sim._seq += 1
-        heappush(sim._heap, (sim.now + delay, NORMAL, sim._seq, self))
+        if delay:
+            heappush(sim._heap, (sim.now + delay, NORMAL, sim._seq, self))
+        else:
+            sim._queue.append((sim.now, NORMAL, sim._seq, self))
 
 
 class Initialize(Event):
@@ -156,15 +157,19 @@ class Initialize(Event):
 
 
 class Step:
-    """A heap entry that runs one step of a hardware engine's operation
-    (FPC issue slots, host cores, the DMA engine, the wire, a doorbell):
-    the operation is a continuation, not a process. Its first timed step
-    is pushed where it is issued; a later one runs in place where it is
-    next in line (DESIGN §12 rule 3; :meth:`Simulator._schedule`,
-    :meth:`Simulator._after`), and so do the waiters its last act wakes
-    (:meth:`Simulator._wake`). Its one callback is the step."""
+    """An entry whose one callback is a step of a hardware engine's
+    operation (FPC issue slots, host cores, the DMA engine, the wire, a
+    doorbell), a continuation, not a process (DESIGN §12 rule 3;
+    :meth:`Simulator._schedule`, :meth:`Simulator._after`)."""
 
     __slots__ = ("callbacks",)
+
+
+class _Queue(deque):
+    """The entries made for ``now`` at NORMAL priority, keys rising (DESIGN
+    §12 rule 3); the sanitizer, ``make ties`` and ``opcodes`` rebind its methods."""
+
+    __slots__ = ("sim",)
 
 
 class Process(Event):
@@ -197,7 +202,7 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event.callbacks.append(self._resume_cb)
-        self.sim._post(event, URGENT)
+        self.sim._post(event)
 
     def _resume(self, event):
         sim = self.sim
@@ -215,9 +220,8 @@ class Process(Event):
                 except BaseException as exc:
                     if not self.callbacks:
                         raise
-                    self._ok = False
-                    self._value = exc
-                    sim._post(self, NORMAL)
+                    self._value = PENDING  # an earlier succeed() is overridden
+                    self.fail(exc)
                     return
                 if not isinstance(result, Event):
                     raise SimulationError(
@@ -242,7 +246,7 @@ class Process(Event):
         event2._ok = result._ok
         event2._value = result._value
         event2.callbacks.append(self._resume_cb)
-        sim._post(event2, URGENT)
+        sim._post(event2)
         self._target = event2
 
 
@@ -323,6 +327,8 @@ class Simulator:
     def __init__(self):
         self.now = 0
         self._heap = []
+        self._queue = _Queue()
+        self._queue.sim = self
         self._seq = 0
         self._active_process = None
         self._event_count = 0
@@ -338,23 +344,21 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _post(self, event, priority, delay=0):
-        if event._scheduled:
-            return
+    def _post(self, event):
+        """Push ``event``, fired, URGENT at ``now``."""
         event._scheduled = True
         self._seq += 1
-        heappush(self._heap, (self.now + delay, priority, self._seq, event))
+        heappush(self._heap, (self.now, URGENT, self._seq, event))
 
     def _next_in_line(self, when, callback=None):
         """Rule 3's test (DESIGN §12): whether what ``callback`` would push
         for ``when`` is the very next dispatch, so that it may run in place
-        instead. ``callback`` is the last callback of this dispatch (an
-        engine step passes None: its event has no other, so it must be
-        running in its own dispatch, not in a process's resume), no heap
-        entry is due at or before ``when``, and this run would go on to
-        ``when`` (within its deadline, its target not fired)."""
+        instead: ``callback`` is the last callback of this dispatch (an
+        engine step passes None: it must be running in its own dispatch,
+        not in a process's resume), nothing is queued nor due by ``when``,
+        and this run would go on to ``when`` (deadline; target unfired)."""
         heap = self._heap
-        if heap and heap[0][0] <= when:  # the common answer: first, then
+        if heap and heap[0][0] <= when or self._queue:  # the common answer first
             return False
         return (
             (callback is None or self._dispatching[-1] is callback)
@@ -380,18 +384,32 @@ class Simulator:
         self._spot_at = when
         return True
 
-    def _schedule(self, when, step, priority=NORMAL):
-        """Push a :class:`Step` running ``step`` at ``when``."""
+    def _schedule(self, when, step):
+        """Push a :class:`Step` running ``step`` at ``when``, or queue it."""
+        if when == self.now:
+            return self._schedule_now(step)
         entry = _new(Step)
         entry.callbacks = [step]
         self._seq += 1
-        heappush(self._heap, (when, priority, self._seq, entry))
+        heappush(self._heap, (when, NORMAL, self._seq, entry))
+
+    def _schedule_now(self, step):
+        """Queue a :class:`Step` running ``step`` now."""
+        entry = _new(Step)
+        entry.callbacks = [step]
+        self._seq += 1
+        self._queue.append((self.now, NORMAL, self._seq, entry))
+
+    def _push_queued(self):
+        """Push what the queue holds under its own keys."""
+        for entry in self._queue:
+            heappush(self._heap, entry)
+        self._queue.clear()
 
     def _after(self, delay, step):
         """Run the engine step ``step`` ``delay`` ns from now: in place when
-        next in line, else pushed. Only a step in its own dispatch calls
-        this; where an operation is issued, its first step is pushed
-        (:meth:`_schedule`)."""
+        next in line, else scheduled. Only a step in its own dispatch calls
+        this; where an operation is issued, its first step is scheduled."""
         when = self.now + delay
         if delay > 0 and self._next_in_line(when):
             self.now = when
@@ -399,39 +417,9 @@ class Simulator:
         else:
             self._schedule(when, step)
 
-    def _wake(self, event, value=None):
-        """:meth:`Event.succeed` as the last act of an engine step (a DMA
-        done, a doorbell, ``Store.deliver``'s parked get). If its push at
-        ``now`` would be the next dispatch (:meth:`_next_in_line`, which
-        sees the value set: the run's target is pushed), its callbacks run
-        here, uncounted (rule 3; :meth:`_run_here` inline, as a call per wake
-        would overrun the baselines' call budgets); between dispatches
-        (``_dispatching`` empty) it is pushed."""
-        if event._value is not PENDING:
-            raise SimulationError("event already triggered")
-        event._value = value
-        if self._dispatching and self._next_in_line(self.now):
-            callbacks = event.callbacks
-            event.callbacks = None
-            self._dispatching = callbacks
-            for callback in callbacks:
-                callback(event)
-        else:
-            self._post(event, NORMAL)
-
-    def _run_here(self, event):
-        """Dispatch ``event``, fired, where its push would have been the
-        next dispatch: here, uncounted (rule 3)."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        self._dispatching = callbacks
-        for callback in callbacks:
-            callback(event)
-
     def _passed(self):
         """An event the running process continues past in place, whatever
-        is due: what it yields for work that takes no time and waits for
-        nothing (a hold of no cycles), where it used to yield nothing."""
+        is due: what it yields for work that takes no time (a hold of no cycles)."""
         event = Event(self)
         event._value = event.callbacks = None
         self._spot = event
@@ -451,8 +439,7 @@ class Simulator:
             return Timeout(self, delay, value)
         heap = self._heap
         when = self.now + delay
-        # Timeout.__init__ inlined, so that the push reuses the check's
-        # operands; something due by then is the common answer.
+        # Timeout.__init__ inlined; something due by then is the common answer.
         event = _new(Timeout)
         event.sim = self
         event._ok = event._scheduled = True
@@ -477,22 +464,31 @@ class Simulator:
 
     def peek(self):
         """Timestamp of the next scheduled event, or None if empty."""
-        return self._heap[0][0] if self._heap else None
+        return self.now if self._queue else self._heap[0][0] if self._heap else None
 
     def step(self):
-        """Process one event, and what its processes take on the spot as
-        in an unbounded :meth:`run`. Raises IndexError when the heap is
-        empty."""
-        when, _priority, _seq, event = heappop(self._heap)
+        """Process one event, then what it queues for ``now`` and what its
+        processes take on the spot, as an unbounded :meth:`run` would.
+        Raises IndexError when nothing is scheduled."""
+        heap, queue = self._heap, self._queue
+        self._push_queued()  # made between steps
+        when, _priority, _seq, event = heappop(heap)
         if when < self.now:
             raise SimulationError("time went backwards")
         self.now = when
         self._event_count += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        self._dispatching = callbacks
-        for callback in callbacks:
-            callback(event)
+        while True:
+            callbacks = event.callbacks
+            event.callbacks = None
+            self._dispatching = callbacks
+            for callback in callbacks:
+                callback(event)
+            if not queue:
+                break
+            if heap and heap[0] < queue[0]:
+                self._push_queued()
+                break
+            event = queue.popleft()[3]
         self._dispatching = ()
 
     def run(self, until=None):
@@ -502,15 +498,16 @@ class Simulator:
         that event fires (its value is returned).
 
         The loops below are :meth:`step` unrolled with locals bound
-        outside the loop; they must stay behaviourally identical to it
-        (``tests/sim/test_core_property.py`` drives all three against
-        each other). Both record what ends them, so that nothing is
-        taken on the spot that this run would not reach.
+        outside the loop and must stay behaviourally identical to it
+        (``tests/sim/test_core_property.py``); both record what ends them,
+        so that nothing is taken on the spot or run from the queue that
+        this run would not reach.
         """
-        heap = self._heap
+        heap, queue = self._heap, self._queue
         count = 0
         outer = self._deadline, self._until, self._dispatching
         try:
+            self._push_queued()  # made between runs
             if isinstance(until, Event):
                 stop = self._until = until
                 while stop._value is PENDING:
@@ -521,11 +518,18 @@ class Simulator:
                         raise SimulationError("time went backwards")
                     self.now = when
                     count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    self._dispatching = callbacks
-                    for callback in callbacks:
-                        callback(event)
+                    while True:
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        self._dispatching = callbacks
+                        for callback in callbacks:
+                            callback(event)
+                        if not queue:
+                            break
+                        if heap and heap[0] < queue[0] or stop._value is not PENDING:
+                            self._push_queued()
+                            break
+                        event = queue.popleft()[3]
                 if not stop._ok:
                     raise stop._value
                 return stop._value
@@ -544,11 +548,18 @@ class Simulator:
                     raise SimulationError("time went backwards")
                 self.now = when
                 count += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                self._dispatching = callbacks
-                for callback in callbacks:
-                    callback(event)
+                while True:
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    self._dispatching = callbacks
+                    for callback in callbacks:
+                        callback(event)
+                    if not queue:
+                        break
+                    if heap and heap[0] < queue[0]:
+                        self._push_queued()
+                        break
+                    event = queue.popleft()[3]
             if deadline is not None:
                 self.now = deadline
             return None

@@ -7,7 +7,8 @@ hold — an FPC's issue slot, a host core, a DMA queue — are :class:`Slots`,
 held by a :class:`Hold` a process yields or by an engine's steps.
 
 A process yields a ``request()``, ``get()`` or ``put()`` at once; what
-would be the next dispatch runs in place (DESIGN §12 rule 3).
+would be the next dispatch runs in place, and what is made for ``now``
+joins the simulator's same-instant queue (DESIGN §12 rule 3).
 """
 
 from collections import deque
@@ -17,10 +18,10 @@ from repro.sim.core import NORMAL, PENDING, Event, SimulationError
 
 
 class StorePut(Event):
-    """A put; one into a store with a parked get hands it the item and,
-    fired at once under the key its push would have had, rides on it."""
+    """A put; one into a store with a parked get hands it the item and
+    fires right after that get."""
 
-    __slots__ = ("item", "_key")
+    __slots__ = ("item",)
 
     def __init__(self, store, item):
         sim = self.sim = store.sim
@@ -30,37 +31,28 @@ class StorePut(Event):
         gets = store._get_queue
         if gets:  # so the store is empty: the item passes straight through
             store.max_occupancy = store.max_occupancy or 1
-            gets.popleft().succeed(item).callbacks.append(self._ride)
-            sim._seq += 1
-            self._key = sim._seq
+            gets.popleft().succeed(item)
             self._value = None
             self._scheduled = True
+            sim._seq += 1
+            sim._queue.append((sim.now, NORMAL, sim._seq, self))
         else:
             self._value = PENDING
             self._scheduled = False
             store._put_queue.append(self)
             store._settle()
 
-    def _ride(self, _get):
-        """Dispatch the put after its get's other callbacks: here, uncounted,
-        unless an entry made meanwhile sorts before its key (one made
-        URGENT at ``now``) or the run's target has fired; then pushed, as
-        ``succeed`` would have pushed it."""
-        sim = self.sim
-        heap = sim._heap
-        now = sim.now
-        if (heap and heap[0] < (now, NORMAL, self._key)) or sim._until._value is not PENDING:
-            heappush(heap, (now, NORMAL, self._key, self))
-        else:
-            sim._run_here(self)
-
 
 class StoreGet(Event):
     __slots__ = ()
 
     def __init__(self, store):
-        sim = store.sim
-        super().__init__(sim)
+        # Event.__init__ inlined: a get per ring hop.
+        sim = self.sim = store.sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._scheduled = False
         # An item present means no get is parked (see Store._settle).
         items = store.items
         if items and sim._grant_on_the_spot(self, items[0], sim.now):
@@ -130,12 +122,12 @@ class Store:
         return False, None
 
     def deliver(self, item):
-        """:meth:`try_put` as the last act of an engine step, into a store
-        with room: a parked get is woken by ``Simulator._wake``."""
+        """:meth:`try_put` into a store with room (an engine step's frame
+        arrival); raises when it is full."""
         gets = self._get_queue
         if gets:  # the store is empty: the item passes straight through
             self.max_occupancy = self.max_occupancy or 1
-            self.sim._wake(gets.popleft(), item)
+            gets.popleft().succeed(item)
         elif self.is_full:
             raise SimulationError("deliver() into a full store: ask is_full first")
         else:
@@ -250,8 +242,8 @@ class Slots:
     FPC's issue slot and a host core (capacity 1), a DMA queue (128).
 
     A :class:`Resource` in all but the process: a slot reaching a waiting
-    operation pushes its turn (a :class:`~repro.sim.core.Step`) where the
-    resource pushed its grant. Each :class:`Hold` adds its cycles to
+    operation queues its turn (a :class:`~repro.sim.core.Step`) where the
+    resource made its grant. Each :class:`Hold` adds its cycles to
     ``busy_cycles`` at its end, and those of a category to
     ``accounting.charge(category, cycles)``.
     """
@@ -280,31 +272,25 @@ class Slots:
         return False
 
     def hand_on(self):
-        """Release a slot: the longest waiter's turn is pushed now, or the
+        """Release a slot: the longest waiter's turn is queued now, or the
         slot is free."""
         if self._waiting:
-            self.sim._schedule(self.sim.now, self._waiting.popleft())
+            self.sim._schedule_now(self._waiting.popleft())
         else:
             self.in_use -= 1
 
 
 class Hold(Event):
     """One of ``slots`` held for ``ns`` by the running process, as the one
-    event it yields (``yield thread.compute(cycles)``): no request, no
-    timeout, no generator. It fires when the hold ends; its first callback
-    charges ``cycles`` (of ``category``, if any) to ``slots`` and hands the
-    slot on, then the holder resumes — the order of a process that
-    requested, slept and released. Each step is taken where that process
-    took it (DESIGN §12 rule 3):
-
-    * slot free, and the holder next in line now: granted on the spot —
-      and if the hold would also end before anything else is due, taken on
-      the spot (``Simulator._grant_on_the_spot``), charged and handed back
-      at once; else the hold is pushed where the timeout was;
-    * else a turn (a :class:`~repro.sim.core.Step`) is pushed where the
-      grant was — now, or when the slot reaches the hold — and it starts
-      the sleep: in place when next in line, else the hold is pushed.
-
+    event it yields (``yield thread.compute(cycles)``). It fires when the
+    hold ends; its first callback charges ``cycles`` (of ``category``, if
+    any) to ``slots`` and hands the slot on, then the holder resumes: the
+    order of a process that requested, slept and released, each step taken
+    where that process took it (DESIGN §12 rule 3). A free slot is granted
+    on the spot when the holder is next in line now, and the whole hold
+    taken on the spot if nothing is due before it ends; otherwise a turn (a
+    :class:`~repro.sim.core.Step`) is queued where the grant was, now or
+    when the slot reaches the hold, and sleeps in place or pushes the hold.
     A holder interrupted while it waits for or holds the slot never hands
     it on, as its generator died at the ``yield``."""
 
@@ -318,10 +304,10 @@ class Hold(Event):
         if slots.in_use < slots.capacity:
             now = sim.now
             heap = sim._heap
-            if heap and heap[0][0] <= now:
+            if heap and heap[0][0] <= now or sim._queue:
                 # Something due now, the common answer under load: the
                 # holder is not next in line (the test below says no too).
-                sim._schedule(now, self._turn)
+                sim._schedule_now(self._turn)
             elif ns > 0 and sim._grant_on_the_spot(self, None, now + ns):
                 # Granted, slept and released: charged as _end does.
                 slots.busy_cycles += cycles
@@ -334,7 +320,7 @@ class Hold(Event):
                     sim._seq += 1  # granted on the spot; the sleep is pushed
                     heappush(heap, (now + ns, NORMAL, sim._seq, self))
                 else:
-                    sim._schedule(now, self._turn)
+                    sim._schedule_now(self._turn)
             slots.in_use += 1
         else:
             slots._waiting.append(self._turn)
@@ -355,7 +341,10 @@ class Hold(Event):
         when = sim.now + ns
         if ns > 0 and sim._next_in_line(when):
             sim.now = when  # dispatched in place, the holder last as ever
-            sim._run_here(self)
+            self.callbacks = None
+            sim._dispatching = callbacks
+            for callback in callbacks:
+                callback(self)
         else:
             sim._seq += 1
             heappush(sim._heap, (when, NORMAL, sim._seq, self))

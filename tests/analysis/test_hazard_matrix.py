@@ -1,10 +1,10 @@
 """Which checker catches which pipeline hazard (DESIGN §9).
 
-Each row seeds one hazard into ``repro/flextoe/stages.py`` as a text edit
-and checks both sides:
+Each row seeds one hazard into ``repro/flextoe/stages.py`` (or, where
+``FILES`` says, another module) as a text edit and checks both sides:
 
 * *static* — the ``hb-race`` findings ``stagelint`` reports over the
-  patched source, in process: ``(pass, partition, field)`` or none;
+  patched stages, in process: ``(pass, partition, field)`` or none;
 * *run time* — one sanitized ``repro faults --plan dma-flake`` run (the
   ownership sanitizer, the HB monitor and the data path's always-on
   checks) against a copy of the package with the edit applied: the
@@ -13,7 +13,9 @@ and checks both sides:
   so H5a runs ``nic-pressure`` instead.
 
 A row whose run-time side is clean is a hazard only the lint sees; that is
-why the lint stays. The unpatched tree is clean on both sides.
+why the lint stays. The unpatched tree is clean on both sides. H11 is the
+kernel's: an in-place advance that ignores the same-instant queue (DESIGN
+§12 rule 3), which only the sanitizer's queue check sees.
 """
 
 import os
@@ -98,18 +100,28 @@ HAZARDS = {
         ("hb-race", "pre", "flow_group"),
         ("SanitizerError", "write to PreprocState.flow_group"),
     ),
+    "H11": (
+        (
+            "        if heap and heap[0][0] <= when or self._queue:  # the common answer first\n",
+            "        if heap and heap[0][0] <= when:  # the common answer first\n",
+        ),
+        None,
+        ("SanitizerError", "while the queue held"),
+    ),
 }
 #: The fault plan a row runs under, where not ``dma-flake``.
 PLANS = {"H5a": "nic-pressure"}
+#: The module a row edits, where not ``flextoe/stages.py``.
+FILES = {"H11": "sim/core.py"}
 
 
-def _patched(edit):
-    with open(STAGES) as handle:
+def _patched(edit, module="flextoe/stages.py"):
+    with open(os.path.join(PACKAGE, module)) as handle:
         source = handle.read()
     if edit is None:
         return source
     old, new = edit
-    assert source.count(old) == 1, "the seed's anchor must occur once in stages.py"
+    assert source.count(old) == 1, "the seed's anchor must occur once in " + module
     return source.replace(old, new)
 
 
@@ -121,13 +133,13 @@ def _static(source):
     return {(f.pass_name,) + re.search(r"\b(pre|proto|post)\.(\w+)", f.message).groups() for f in findings}
 
 
-def _run_time(source, tmp_path, plan):
+def _run_time(source, tmp_path, plan, module="flextoe/stages.py"):
     """``(exception class, last stderr line)`` of one sanitized fault-plan
-    run over a copy of the package with ``source`` as its stages.py, or
+    run over a copy of the package with ``source`` as its ``module``, or
     None for a clean run."""
     root = tmp_path / "src"
     shutil.copytree(PACKAGE, str(root / "repro"), ignore=shutil.ignore_patterns("__pycache__"))
-    (root / "repro" / "flextoe" / "stages.py").write_text(source)
+    (root / "repro" / module).write_text(source)
     env = dict(os.environ, PYTHONPATH=str(root), REPRO_SANITIZE="1", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "repro", "faults", "--plan", plan, "--seed", "7", "--bytes", "60000"]
     run = subprocess.run(command, env=env, cwd=str(tmp_path), capture_output=True, text=True, timeout=60)
@@ -147,9 +159,11 @@ def test_the_unpatched_tree_is_clean_on_both_sides(plan, tmp_path):
 @pytest.mark.parametrize("hazard", sorted(HAZARDS))
 def test_hazard(hazard, tmp_path):
     edit, static, run_time = HAZARDS[hazard]
-    source = _patched(edit)
-    assert _static(source) == ({static} if static else set())
-    outcome = _run_time(source, tmp_path, PLANS.get(hazard, "dma-flake"))
+    module = FILES.get(hazard, "flextoe/stages.py")
+    source = _patched(edit, module)
+    stages = source if module == "flextoe/stages.py" else _patched(None)
+    assert _static(stages) == ({static} if static else set())
+    outcome = _run_time(source, tmp_path, PLANS.get(hazard, "dma-flake"), module)
     if run_time is None:
         assert outcome is None, "the run-time checks see it now: {}".format(outcome)
     else:

@@ -33,33 +33,37 @@ from repro.sim.resources import ResourceRequest
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 4 757.67 (5 008.28 with
-#: every put pushed, 5 040.09 with every wake pushed too, 5 117.34 with a
-#: start step per DMA op too, 5 352.13 with the wire as timeouts and
-#: processes, 6 530.08 with the engines as processes too); the bound is
-#: that reading + 0.5 %, rounded down.
-CALLS_PER_RPC = 4781
-#: Events dispatched per warm echo RPC: reads 159.22 (191.22 with every
-#: put pushed, 207.22 with every wake pushed too, 213.44 with a start step
-#: per DMA op too, 252.27 with every sleep pushed). The count is exact;
-#: the bound is that reading + 1 %, rounded up, so a sleep, grant, start
-#: step, wake or put per RPC going back through the heap (DESIGN §12 rule
-#: 3) fails.
-EVENTS_PER_RPC = 161
+#: simulator runs in that time included: reads 4 647.16 (4 757.67 with
+#: wakes and puts run in place instead of queued, 5 008.28 with every put
+#: pushed, 5 040.09 with every wake pushed too, 5 117.34 with a start step
+#: per DMA op too, 5 352.13 with the wire as timeouts and processes,
+#: 6 530.08 with the engines as processes too); the bound is that reading
+#: + 0.5 %, rounded down.
+CALLS_PER_RPC = 4670
+#: Events dispatched per warm echo RPC: reads 62.47 (159.22 with every
+#: entry for now pushed but in-place wakes and puts, 191.22 with every put
+#: pushed, 207.22 with every wake pushed too, 213.44 with a start step per
+#: DMA op too, 252.27 with every sleep pushed). The count is exact; the
+#: bound is that reading + 1 %, rounded up, so a sleep, grant, start step
+#: or same-instant entry per RPC going back through the heap (DESIGN §12
+#: rule 3) fails.
+EVENTS_PER_RPC = 64
 
 
 #: The same two budgets per baseline stack, whose frames cross the same
-#: wire: calls per RPC read 717.50 / 929.31 / 869.44 for Linux / TAS /
-#: Chelsio (729.50 / 953.31 / 881.44 with every frame's wake of the receive
+#: wire: calls per RPC read 717.53 / 929.34 / 869.47 for Linux / TAS /
+#: Chelsio (717.50 / 929.31 / 869.44 with wakes run in place instead of
+#: queued, 729.50 / 953.31 / 881.44 with every frame's wake of the receive
 #: loop pushed, 735.50 / 965.31 / 887.44 with a start step per switch
 #: egress burst too, 849.50 / 1 201.31 / 1 001.44 with the wire as timeouts
-#: and processes), bounded at + 0.5 %, rounded down; events read 15.89 /
-#: 20.03 / 14.69 (17.89 / 24.03 / 16.69 with the wakes pushed), bounded at
-#: + 1 %, rounded up to a tenth.
+#: and processes), bounded at + 0.5 %, rounded down; events read 13.89 /
+#: 16.09 / 12.69 (15.89 / 20.03 / 14.69 with wakes run in place instead of
+#: queued, 17.89 / 24.03 / 16.69 with the wakes pushed), bounded at + 1 %,
+#: rounded up to a tenth.
 BASELINE_BUDGETS = {
-    "linux": (add_linux_host, 721, 16.1),
-    "tas": (add_tas_host, 933, 20.3),
-    "chelsio": (add_chelsio_host, 873, 14.9),
+    "linux": (add_linux_host, 721, 14.1),
+    "tas": (add_tas_host, 933, 16.3),
+    "chelsio": (add_chelsio_host, 873, 12.9),
 }
 
 

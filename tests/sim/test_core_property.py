@@ -11,15 +11,17 @@ The kernel's invariants, whatever its dispatch loops look like:
 * ``step()``, ``run()``, ``run(until=t)`` and ``run(until=event)`` are
   one dispatch: however a program is driven, it produces the same
   transcript (``run()`` unrolls ``step()`` twice, and its docstring
-  promises they stay identical) and, but for slicing, the same event
-  count — grants and sleeps taken on the spot included, which read what
-  each loop records of the dispatch; a sleep never outlasts a slice.
+  promises they stay identical) and, but for slicing, the same count of
+  dispatches, those run from the same-instant queue included — grants
+  and sleeps taken on the spot too, which read what each loop records of
+  the dispatch; a sleep never outlasts a slice.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Resource, Simulator, Store
+from tests.sim.test_same_instant_queue import CountingQueue
 from tests.sim.test_spot_grants import CountingSpots
 
 
@@ -103,14 +105,15 @@ def test_waiterless_processes_never_reorder_what_is_observed(chains, silent):
         for steps in background[len(chains) :]:
             sim.process(unobserved(steps))
         sim.run()
-        return order, sim.processed_events + sim.spots
+        return order, sim.processed_events + sim.queued + sim.spots
 
     alone, alone_events = observe([])
     mixed, mixed_events = observe(silent)
     assert mixed == alone
     # Each silent process pays its Initialize and its timeouts; its exit
-    # is never dispatched. A sleep taken on the spot counts as the event it
-    # would have been: whose sleeps are taken moves with the mix.
+    # is never dispatched. A sleep taken on the spot or run from the queue
+    # counts as the event it would have been: whose sleeps are taken moves
+    # with the mix.
     assert mixed_events - alone_events == sum(1 + len(steps) for steps in silent)
 
 
@@ -170,8 +173,8 @@ _PROGRAM = st.lists(st.lists(_OP, max_size=6), min_size=1, max_size=8)
 
 def _play(program, sentinel_delays, drive):
     """Run ``program`` under ``drive(sim, sentinel)``; returns the
-    ``(now, process, value)`` transcript and the event count."""
-    sim = Simulator()
+    ``(now, process, value)`` transcript and the dispatch count."""
+    sim = CountingQueue()
     stores = [Store(sim, capacity=2) for _ in range(_N_STORES)]
     resources = [Resource(sim, capacity=k) for k in _CAPACITIES]
     gates = [sim.event() for _ in range(_N_GATES)]  # several waiters, one event
@@ -215,7 +218,7 @@ def _play(program, sentinel_delays, drive):
         processes.append(sim.process(body(pid, ops)))
     drive(sim, sim.process(sentinel_body()))
     assert sim.peek() is None  # drained: a parked get or put holds no event
-    return transcript, sim.processed_events
+    return transcript, sim.processed_events + sim.queued
 
 
 def _by_step(sim, _sentinel):

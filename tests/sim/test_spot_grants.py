@@ -5,7 +5,8 @@ process continues where — and when — the event's dispatch would have
 resumed it. The run is the same run with fewer events: the reference is a
 kernel whose next-in-line check always says no, so every grant and every
 sleep is pushed and dispatched, and each program is driven the four ways
-a caller can drive the kernel."""
+a caller can drive the kernel. Both count what they run from the
+same-instant queue as well as the events they dispatch."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,22 +15,23 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import SanitizerError
 from repro.nfp import Fpc
 from repro.sim import Resource, SimulationError, Simulator, Store, Timeout
+from tests.sim.test_same_instant_queue import CountingQueue
 
 
-class NeverNextInLine(Simulator):
+class NeverNextInLine(CountingQueue):
     """Every grant and every sleep goes through the heap."""
 
     def _grant_on_the_spot(self, event, value, when):
         return False
 
 
-class CountingSpots(Simulator):
+class CountingSpots(CountingQueue):
     """The kernel as it is, counting the events it takes on the spot."""
 
     spots = 0
 
     def _grant_on_the_spot(self, event, value, when):
-        taken = Simulator._grant_on_the_spot(self, event, value, when)
+        taken = CountingQueue._grant_on_the_spot(self, event, value, when)
         self.spots += taken
         return taken
 
@@ -166,7 +168,8 @@ def test_spot_grants_change_the_event_count_and_nothing_else(program, sentinel_o
         reference, pushed = transcript(NeverNextInLine, program, sentinel_ops, drive, slices)
         observed, spot = transcript(CountingSpots, program, sentinel_ops, drive, slices)
         assert observed == reference, drive.__name__
-        assert pushed.processed_events - spot.processed_events == spot.spots, drive.__name__
+        dispatched = pushed.processed_events + pushed.queued - spot.processed_events - spot.queued
+        assert dispatched == spot.spots, drive.__name__
         runs.add(tuple(entry for entry in observed if entry[1] != _DRIVER))
     assert len(runs) == 1  # one run, however it was driven
 
@@ -187,7 +190,7 @@ def test_an_uncontended_issue_slot_costs_no_event():
 
 def test_a_grant_waits_for_what_is_due_now():
     # Another event due at this instant would run before the grant's
-    # dispatch, so the grant is pushed behind it.
+    # dispatch, so the grant is queued behind it (both run uncounted).
     sim = Simulator()
     slot = Resource(sim)
     log = []
@@ -199,7 +202,7 @@ def test_a_grant_waits_for_what_is_due_now():
 
     sim.process(worker())
     sim.run()
-    assert log == ["other", "granted"] and sim.processed_events == 3
+    assert log == ["other", "granted"] and sim.processed_events == 1
 
 
 def test_a_sleep_waits_for_what_is_due_by_its_wake_time():

@@ -8,6 +8,7 @@ import pytest
 
 from repro.flextoe.seqr import KeyedFence
 from repro.sim import Simulator, Timeout
+from tests.sim.test_same_instant_queue import CountingQueue
 
 
 def returns_after(sim, delay, value):
@@ -27,13 +28,14 @@ def test_unobserved_process_exit_is_not_dispatched():
 
 
 def test_observed_process_exit_is_still_dispatched():
-    sim = Simulator()
+    sim = CountingQueue()
     seen = []
     proc = sim.process(returns_after(sim, 5, "done"))
     proc.callbacks.append(lambda event: seen.append((sim.now, event.value)))
     sim.run()
-    # Initialize and the exit; the sleep is taken on the spot (rule 3).
-    assert sim.processed_events == 2
+    # Initialize, and the exit from the same-instant queue; the sleep is
+    # taken on the spot (rule 3).
+    assert sim.processed_events == 1 and sim.queued == 1
     assert seen == [(5, "done")]
 
 

@@ -12,8 +12,10 @@ the ``perf/layers.py`` layer of the code it belongs to; once on a
 ``perf`` and ``repro``). It prints the measured phase per completed op
 and layer for both trees with the difference, set-up as one total, and
 the events the measured phase dispatched per op — so a change that
-removes events shows whether it also removed host work. Then those
-events per op by what they are and whom they wake: the event class and
+removes events shows whether it also removed host work — and the
+entries it ran from the kernel's same-instant queue. Then those events
+and entries (``queued``) per op by what they are and whom they wake:
+the event class and
 the innermost yield site of the process it resumes (``file function+k``,
 ``k`` lines into the function, so the key survives edits above it; the
 last process a dispatch resumes, after its event's own steps), or the
@@ -39,6 +41,8 @@ SETUP, MEASURED = 0, 1
 SITES_SHOWN = 25
 #: Marks a dispatch that can change nothing (:func:`dispatch_key`).
 DEAD = " (dead)"
+#: Marks an entry run from the same-instant queue rather than the heap.
+QUEUED = "queued "
 
 
 def _where(code, lineno, tree):
@@ -109,8 +113,8 @@ def dispatch_key(event, tree):
 
 def count(tree, workload):
     """Trace one repetition of ``workload`` from ``tree``; returns
-    ``{"ops", "events", "setup": {layer: bytecodes}, "measured": {...},
-    "sites": {dispatch key: measured events}}``."""
+    ``{"ops", "events", "queued", "setup": {layer: bytecodes}, "measured":
+    {...}, "sites": {dispatch key: measured events}}``."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [tree, os.path.join(tree, "src")]
     from perf import layers, spec, workloads
@@ -145,37 +149,50 @@ def count(tree, workload):
         return tracer
 
     kernel_pop = core.heappop
+    queue = getattr(core, "_Queue", None)  # absent before the kernel had one
+    kernel_popleft = queue.popleft if queue is not None else None
 
-    def tallying_pop(heap):
+    def tally(entry, prefix=""):
         # Every dispatch pops its event here, callbacks still attached.
         nonlocal tallying
         tallying = True
-        entry = kernel_pop(heap)
-        key = dispatch_key(entry[3], tree)
+        key = prefix + dispatch_key(entry[3], tree)
         sites[key] = sites.get(key, 0) + 1
         tallying = False
         return entry
+
+    def tallying_pop(heap):
+        return tally(kernel_pop(heap))
+
+    def tallying_popleft(queued):
+        return tally(kernel_popleft(queued), QUEUED)
 
     sys.settrace(on_call)
     try:
         cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **workloads.TINY[workload])
         phase = MEASURED
         core.heappop = tallying_pop
+        if queue is not None:
+            queue.popleft = tallying_popleft
         for cell in cells:
             cell.measure()
     finally:
         sys.settrace(None)
         core.heappop = kernel_pop
+        if queue is not None:
+            queue.popleft = kernel_popleft
     ops = sum(cell.ok for cell in cells)
     if not ops or ops != sum(cell.planned for cell in cells):
         raise SystemExit("{}: {} of {} ops completed".format(workload, ops, sum(cell.planned for cell in cells)))
     events = sum(cell.events for cell in cells)
-    tallied = sum(sites.values())
+    queued = sum(n for key, n in sites.items() if key.startswith(QUEUED))
+    tallied = sum(sites.values()) - queued
     if tallied != events:
         raise SystemExit("{}: tallied {} dispatches of {} events".format(workload, tallied, events))
     return {
         "ops": ops,
         "events": events,
+        "queued": queued,
         "setup": {layer: row[SETUP] for layer, row in rows.items()},
         "measured": {layer: row[MEASURED] for layer, row in rows.items()},
         "sites": sites,
@@ -230,9 +247,11 @@ def main(argv=None):
     row("measured, total", sum(base["measured"].values()), sum(here["measured"].values()))
     row("set-up, total", sum(base["setup"].values()), sum(here["setup"].values()))
     row("events, measured", base["events"], here["events"])
+    row("queued runs, measured", base.get("queued", 0), here.get("queued", 0))
 
     print()
-    print("events per op of the measured phase, by event class and the yield site it resumes (or callback)")
+    print("events per op of the measured phase and entries run from the same-instant queue ({}), by event "
+          "class and the yield site it resumes (or callback)".format(QUEUED.strip()))
     site_line = "{:>8} {:>8} {:>8}  {}"
     print(site_line.format("base", "here", "delta", "class, site"))
     was, now = base["sites"], here["sites"]

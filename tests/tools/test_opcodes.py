@@ -75,7 +75,22 @@ def test_a_dispatch_into_a_fired_condition_is_dead():
     sim.step()
     first, _late = _parked_events(sim)
     assert not dispatch_key(first, ROOT).endswith(" (dead)")
-    sim.step()  # the first member fires the AnyOf ...
-    sim.step()  # ... which resumes the process
+    sim.step()  # the first member fires the AnyOf, queued, which resumes the process
     (late,) = _parked_events(sim)
     assert dispatch_key(late, ROOT).endswith(" (dead)")
+
+
+def test_a_queued_entry_is_named_as_a_heap_event_is():
+    # What the kernel queues for now is named by the same key it would
+    # have had in the heap; count() tallies it apart, under QUEUED.
+    sim = Simulator()
+    gate = sim.event()
+
+    def program():
+        yield gate
+
+    sim.process(program())
+    sim.step()
+    gate.succeed()
+    (entry,) = sim._queue
+    assert dispatch_key(entry[3], ROOT) == "Event {} {}+1".format(HERE, code_name(program.__code__))

@@ -1,7 +1,7 @@
 """What ``make ties`` rests on (measurement code is code): it reorders
-same-instant events by rebinding the one ``heappush`` the kernel calls, so
-nothing else may push; seed 0 is today's run; another seed is another
-order of the same events."""
+same-instant events by rebinding the one ``heappush`` the kernel calls and
+its same-instant queue's append, so nothing else may push; seed 0 is
+today's run; another seed is another order of the same events."""
 
 import ast
 import pathlib
@@ -49,6 +49,29 @@ def test_a_tie_seed_reorders_ties_only():
     assert _order(0) == ["first", 0, 1, 2, 3, 4, 5]
     orders = {tuple(_order(seed)) for seed in range(1, 9)}
     assert all(order[0] == "first" and sorted(order[1:]) == list(range(6)) for order in orders)
+    assert len(orders) > 1
+
+
+def _wakes(seed, ties=6):
+    # Entries made for now in one dispatch: the kernel queues them, and
+    # a tie seed > 0 pushes them keyed.
+    sim = Simulator()
+    fired = []
+    gates = [sim.event() for _ in range(ties)]
+    for i, gate in enumerate(gates):
+        gate.callbacks.append(lambda _event, i=i: fired.append(i))
+    sim._schedule(5, lambda _step: [gate.succeed() for gate in gates])
+    append = type(sim._queue).append
+    with tie_order(seed):
+        sim.run()
+    assert not sim._queue and type(sim._queue).append is append  # restored
+    return fired
+
+
+def test_a_tie_seed_reorders_what_one_dispatch_queues():
+    assert _wakes(0) == list(range(6))
+    orders = {tuple(_wakes(seed)) for seed in range(1, 9)}
+    assert all(sorted(order) == list(range(6)) for order in orders)
     assert len(orders) > 1
 
 

@@ -10,7 +10,10 @@ that FIFO order; seed ``s > 0`` gives every heap entry the key
 order among ties, time and priority untouched. Nothing in the kernel
 knows: within its own process this rebinds the ``heappush`` that
 ``repro.sim.core`` and ``repro.sim.resources`` (the only modules under
-``src/repro`` that push, a test says) call. Once on a ``git archive`` of
+``src/repro`` that push, a test says) call and, for a seed > 0, the
+append of the kernel's same-instant queue (``core._Queue``), whose
+entries then go through the heap under the same keys (seed 0 leaves the
+queue as it is: its FIFO is that order). Once on a ``git archive`` of
 BASE and once on this tree, each in a process of its own.
 
 It prints, per workload and simulated metric, seed 0's value and the
@@ -47,22 +50,29 @@ def splitmix64(seq, seed):
 
 @contextmanager
 def tie_order(seed):
-    """Every kernel heap push, for the duration, keyed by tie seed ``seed``
-    (0: ``_seq`` itself, today's order)."""
+    """Every kernel heap push and same-instant queue entry, for the
+    duration, pushed keyed by tie seed ``seed`` (0: ``_seq`` itself,
+    today's run)."""
     from repro.sim import core, resources
 
     kernel_push = core.heappush
     assert resources.heappush is kernel_push
+    queue = getattr(core, "_Queue", None) if seed else None  # absent before the kernel had one
 
     def push(heap, entry):
         when, priority, seq, event = entry
         kernel_push(heap, (when, priority, splitmix64(seq, seed) if seed else seq, event))
 
     core.heappush = resources.heappush = push
+    if queue is not None:
+        kernel_append = queue.append
+        queue.append = lambda queued, entry: push(queued.sim._heap, entry)
     try:
         yield
     finally:
         core.heappush = resources.heappush = kernel_push
+        if queue is not None:
+            queue.append = kernel_append
 
 
 def read(workload, seed, sizes=None):
