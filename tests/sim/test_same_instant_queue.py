@@ -252,8 +252,75 @@ def transcript(kernel, program, target_at, drive, slices=()):
     return log, sim
 
 
+def _same_run_fewer_events(program, target_at, slices):
+    runs = set()
+    for drive in DRIVES:
+        reference, pushed = transcript(HeapOnly, program, target_at, drive, slices)
+        observed, queued = transcript(CountingQueue, program, target_at, drive, slices)
+        assert observed == reference, drive.__name__
+        assert pushed.processed_events - queued.processed_events == queued.queued, drive.__name__
+        runs.add(tuple(entry for entry in observed if entry[1] != _DRIVER))
+    assert len(runs) == 1  # one run, however it was driven
+
+
 @settings(max_examples=250, deadline=None)
 @given(_PROGRAM, _TARGET_AT, _SLICES)
+# Holds on a busy slot: each turn is queued where the slot is handed on.
+@example([[("hold", 2), ("hold", 0)], [("hold", 1), ("sleep", 0)], [("hold", 0), ("open", 0)]], 3, [])
+def test_the_queue_changes_the_event_count_and_nothing_else(program, target_at, slices):
+    _same_run_fewer_events(program, target_at, slices)
+
+
+# Wakes: gates opened by processes and by engine steps, deliveries, and
+# the run's target woken by a step.
+_WAKE_OP = st.one_of(
+    st.tuples(st.just("sleep"), _DELAY),
+    st.tuples(st.just("hold"), _DELAY),
+    st.tuples(st.just("put"), _STORE),
+    st.tuples(st.just("get"), _STORE),
+    st.tuples(st.just("wait"), _GATE),
+    st.tuples(st.just("open"), _GATE),
+    st.tuples(st.just("issue"), _ENGINE_OP),
+    st.just(("await",)),
+    st.just(("target",)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_WAKE_OP, max_size=6), min_size=1, max_size=5), _TARGET_AT, _SLICES)
+# Something due at the waker's instant: a timeout it made first runs first.
+@example([[("wait", 0), ("issue", ([1], ("due", 0), ("wake", 0)))]], 5, [])
+# A deadline at the waker's instant: the run dispatches the wake before it returns.
+@example([[("get", 0), ("wait", 1)], [("issue", ([2], ("nothing",), ("deliver", 0)))]], 6, [2])
+# The run's target is the woken event: its waiters resume after the run returns.
+@example([[("await",)], [("issue", ([1, 2], ("nothing",), ("target", None)))]], 9, [])
+# A full store with a put blocked on it refuses the delivery.
+@example([[("put", 0), ("put", 0)], [("sleep", 2), ("get", 0), ("get", 0)],
+          [("issue", ([1], ("nothing",), ("deliver", 0)))]], 2, [1])
+def test_queued_wakes_change_the_event_count_and_nothing_else(program, target_at, slices):
+    _same_run_fewer_events(program, target_at, slices)
+
+
+# Puts: to a parked get and not, yielded at once, late, in an AnyOf or
+# never, beside URGENT spawns and interrupts made by the woken getter.
+_PUT_OP = st.one_of(
+    st.tuples(st.just("sleep"), _DELAY),
+    st.tuples(st.just("hold"), _DELAY),
+    st.tuples(st.just("put"), _STORE),
+    st.tuples(st.just("put-late"), _STORE, _DELAY),
+    st.tuples(st.just("put-any"), _STORE, _DELAY),
+    st.tuples(st.just("put-drop"), _STORE),
+    st.tuples(st.just("get"), _STORE),
+    st.tuples(st.just("issue"), st.tuples(st.lists(_DELAY, min_size=1, max_size=3),
+                                          st.just(("nothing",)), st.tuples(st.just("deliver"), _STORE))),
+    st.tuples(st.just("spawn"), _DELAY),
+    st.tuples(st.just("interrupt"), st.integers(0, 4)),
+    st.just(("target",)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_PUT_OP, max_size=6), min_size=1, max_size=5), _TARGET_AT, _SLICES)
 # A getter spawns a process: its start, URGENT at now, runs before the put.
 @example([[("get", 0), ("spawn", 0)], [("put", 0)]], 5, [])
 # A getter interrupts someone: the interrupt, URGENT at now, comes first.
@@ -265,26 +332,8 @@ def transcript(kernel, program, target_at, drive, slices=()):
 # A put yielded inside an AnyOf, one never yielded, one yielded late.
 @example([[("get", 1)], [("put-drop", 1)], [("get", 0)], [("put-any", 0, 1)]], 5, [])
 @example([[("get", 1), ("sleep", 0)], [("put-late", 1, 0), ("sleep", 0)]], 5, [1])
-# Something due at the waker's instant: a timeout it made first runs first.
-@example([[("wait", 0), ("issue", ([1], ("due", 0), ("wake", 0)))]], 5, [])
-# A deadline at the waker's instant: the run dispatches the wake before it returns.
-@example([[("get", 0), ("wait", 1)], [("issue", ([2], ("nothing",), ("deliver", 0)))]], 6, [2])
-# The run's target is the woken event: its waiters resume after the run returns.
-@example([[("await",)], [("issue", ([1, 2], ("nothing",), ("target", None)))]], 9, [])
-# A full store with a put blocked on it refuses the delivery.
-@example([[("put", 0), ("put", 0)], [("sleep", 2), ("get", 0), ("get", 0)],
-          [("issue", ([1], ("nothing",), ("deliver", 0)))]], 2, [1])
-# Holds on a busy slot: each turn is queued where the slot is handed on.
-@example([[("hold", 2), ("hold", 0)], [("hold", 1), ("sleep", 0)], [("hold", 0), ("open", 0)]], 3, [])
-def test_the_queue_changes_the_event_count_and_nothing_else(program, target_at, slices):
-    runs = set()
-    for drive in DRIVES:
-        reference, pushed = transcript(HeapOnly, program, target_at, drive, slices)
-        observed, queued = transcript(CountingQueue, program, target_at, drive, slices)
-        assert observed == reference, drive.__name__
-        assert pushed.processed_events - queued.processed_events == queued.queued, drive.__name__
-        runs.add(tuple(entry for entry in observed if entry[1] != _DRIVER))
-    assert len(runs) == 1  # one run, however it was driven
+def test_queued_puts_change_the_event_count_and_nothing_else(program, target_at, slices):
+    _same_run_fewer_events(program, target_at, slices)
 
 
 def test_a_completion_wakes_its_waiter_without_an_event():
