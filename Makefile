@@ -129,14 +129,15 @@ perf-pairs:
 
 # The judge for a host-cost change too small for perf-pairs to resolve
 # (tests/tools/opcodes.py): one repetition of workload W at its TINY size
-# under sys.settrace with f_trace_opcodes, on a `git archive` of BASE and
-# on this tree; bytecodes per op per perf/layers.py layer and events per
-# op, and the difference. Exact for a given CPython; a table to read, not
-# a gate.
-#   make opcodes BASE=origin/main W=large-loss
+# (SIZE=bench: the benchmark's, minutes under the tracer) under
+# sys.settrace with f_trace_opcodes, on a `git archive` of BASE and on
+# this tree; bytecodes per op per perf/layers.py layer, events, queued
+# runs and heap pushes per op, and the difference. Exact for a given
+# CPython; a table to read, not a gate.
+#   make opcodes BASE=origin/main W=large-loss [SIZE=bench]
 opcodes:
-	@test -n "$(BASE)" || { echo "usage: make opcodes BASE=<git ref> [W=echo-small]" >&2; exit 2; }
-	python3 tests/tools/opcodes.py --base $(BASE) --workload $(or $(W),echo-small)
+	@test -n "$(BASE)" || { echo "usage: make opcodes BASE=<git ref> [W=echo-small] [SIZE=tiny|bench]" >&2; exit 2; }
+	python3 tests/tools/opcodes.py --base $(BASE) --workload $(or $(W),echo-small) --size $(or $(SIZE),tiny)
 
 # The memory counterpart of opcodes (tests/tools/footprint.py): one
 # repetition of workload W at its benchmark size on a `git archive` of BASE

@@ -27,12 +27,14 @@ or engine hold (``thread.compute``, ``core.run``) on the spot and yielded
 something else next or made another first; an engine step raises when it
 would run in place (``_next_in_line``) in a process's resume; and the
 same-instant queue raises when an entry joins it not at ``(now, NORMAL)``
-or under a key not above the last one's, or when ``now`` has moved past
-what it holds. Uninstalled, it costs one check at construction.
+or under a key not above the last one's, when ``now`` has moved past what
+it holds, or when a heap entry that does not sort before its head is
+dispatched. Uninstalled, it costs one check at construction.
 """
 
 import functools
 import os
+import sys
 
 from repro.sim import core
 
@@ -195,14 +197,25 @@ def _check_not_passed(queue, entry):
     return entry
 
 
+def _pop_checking_merge(heap):
+    # One sorted stream: what the heap yields while the queue holds entries sorts before its head.
+    entry = _PLAIN["heappop"](heap)
+    queue = sys._getframe(1).f_locals["self"]._queue  # popped by Simulator.run() or step()
+    if queue and not entry < queue[0]:
+        raise SanitizerError("{!r} at {} dispatched from the heap before the queue's head {!r} at {}, which sorts "
+                             "first".format(entry[3], entry[:3], queue[0][3], queue[0][:3]))
+    return entry
+
+
 #: (owner, name, check): the kernel's methods, rebound on their classes
-#: as ``make ties`` rebinds the queue's (no flag).
+#: and module as ``make ties`` and ``make opcodes`` rebind them (no flag).
 _KERNEL_CHECKS = (
     (core.Process, "_resume", _resume_checking_grants),
     (core.Simulator, "_grant_on_the_spot", _grant_checking_spot),
     (core.Simulator, "_next_in_line", _next_in_line_checking_dispatch),
     (core._Queue, "append", _queue_checking_append),
     (core._Queue, "popleft", _queue_checking_popleft),
+    (core, "heappop", _pop_checking_merge),
 )
 
 

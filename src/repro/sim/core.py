@@ -401,7 +401,8 @@ class Simulator:
         self._queue.append((self.now, NORMAL, self._seq, entry))
 
     def _push_queued(self):
-        """Push what the queue holds under its own keys."""
+        """Push what the queue holds under its own keys: what was made between
+        runs, or left by a run whose target fired."""
         for entry in self._queue:
             heappush(self._heap, entry)
         self._queue.clear()
@@ -467,9 +468,9 @@ class Simulator:
         return self.now if self._queue else self._heap[0][0] if self._heap else None
 
     def step(self):
-        """Process one event, then what it queues for ``now`` and what its
-        processes take on the spot, as an unbounded :meth:`run` would.
-        Raises IndexError when nothing is scheduled."""
+        """Process one event, then what it queues for ``now`` merged with the
+        heap by key and what their processes take on the spot, as an
+        unbounded :meth:`run` would. Raises IndexError when nothing is scheduled."""
         heap, queue = self._heap, self._queue
         self._push_queued()  # made between steps
         when, _priority, _seq, event = heappop(heap)
@@ -486,9 +487,10 @@ class Simulator:
             if not queue:
                 break
             if heap and heap[0] < queue[0]:
-                self._push_queued()
-                break
-            event = queue.popleft()[3]
+                event = heappop(heap)[3]
+                self._event_count += 1
+            else:
+                event = queue.popleft()[3]
         self._dispatching = ()
 
     def run(self, until=None):
@@ -497,11 +499,11 @@ class Simulator:
         ``until`` may also be an :class:`Event`; the loop then runs until
         that event fires (its value is returned).
 
-        The loops below are :meth:`step` unrolled with locals bound
-        outside the loop and must stay behaviourally identical to it
-        (``tests/sim/test_core_property.py``); both record what ends them,
-        so that nothing is taken on the spot or run from the queue that
-        this run would not reach.
+        The loops below are :meth:`step` unrolled with locals bound outside
+        the loop and must stay behaviourally identical to it, the queue and
+        the heap read as one sorted stream (``tests/sim``); both record what
+        ends them, so that nothing is taken on the spot or run from the
+        queue that this run would not reach.
         """
         heap, queue = self._heap, self._queue
         count = 0
@@ -524,12 +526,13 @@ class Simulator:
                         self._dispatching = callbacks
                         for callback in callbacks:
                             callback(event)
-                        if not queue:
-                            break
-                        if heap and heap[0] < queue[0] or stop._value is not PENDING:
-                            self._push_queued()
-                            break
-                        event = queue.popleft()[3]
+                        if not queue or stop._value is not PENDING:
+                            break  # what is left is pushed when the next run starts
+                        if heap and heap[0] < queue[0]:
+                            event = heappop(heap)[3]
+                            count += 1
+                        else:
+                            event = queue.popleft()[3]
                 if not stop._ok:
                     raise stop._value
                 return stop._value
@@ -557,9 +560,10 @@ class Simulator:
                     if not queue:
                         break
                     if heap and heap[0] < queue[0]:
-                        self._push_queued()
-                        break
-                    event = queue.popleft()[3]
+                        event = heappop(heap)[3]
+                        count += 1
+                    else:
+                        event = queue.popleft()[3]
             if deadline is not None:
                 self.now = deadline
             return None

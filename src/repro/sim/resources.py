@@ -71,15 +71,13 @@ class Store:
     """
 
     def __init__(self, sim, capacity=None, name=None):
-        if capacity is not None and capacity <= 0:
-            raise SimulationError("store capacity must be positive")
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self.items = deque()
         self._put_queue = deque()
         self._get_queue = deque()
         self.max_occupancy = 0
+        self.set_capacity(capacity)
 
     def __len__(self):
         return len(self.items)

@@ -31,14 +31,8 @@ class TraceRecorder:
 
     def filter(self, source=None, event=None):
         """Records matching the given source and/or event name."""
-        out = []
-        for record in self.records:
-            if source is not None and record[1] != source:
-                continue
-            if event is not None and record[2] != event:
-                continue
-            out.append(record)
-        return out
+        return [record for record in self.records
+                if (source is None or record[1] == source) and (event is None or record[2] == event)]
 
     def count(self, source=None, event=None):
         return len(self.filter(source, event))

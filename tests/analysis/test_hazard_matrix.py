@@ -13,9 +13,13 @@ Each row seeds one hazard into ``repro/flextoe/stages.py`` (or, where
   so H5a runs ``nic-pressure`` instead.
 
 A row whose run-time side is clean is a hazard only the lint sees; that is
-why the lint stays. The unpatched tree is clean on both sides. H11 is the
-kernel's: an in-place advance that ignores the same-instant queue (DESIGN
-§12 rule 3), which only the sanitizer's queue check sees.
+why the lint stays. The unpatched tree is clean on both sides. H11 and H12
+are the kernel's (DESIGN §12 rule 3): an in-place advance that ignores the
+same-instant queue, which only the sanitizer's queue check sees, and a
+merge of the queue and the heap by time alone. No fault plan reaches H12
+(the data path makes no hold of no time, the one entry pushed for ``now``
+under a key above the queue's), so ``TESTS`` names the kernel tests that
+must fail over its patched package: the sanitized one and the oracle.
 """
 
 import os
@@ -108,11 +112,29 @@ HAZARDS = {
         None,
         ("SanitizerError", "while the queue held"),
     ),
+    "H12": (
+        (
+            "\n                    if heap and heap[0] < queue[0]:\n",  # in run()'s deadline loop
+            "\n                    if heap and heap[0][0] <= queue[0][0]:\n",
+        ),
+        None,
+        None,
+    ),
 }
 #: The fault plan a row runs under, where not ``dma-flake``.
 PLANS = {"H5a": "nic-pressure"}
 #: The module a row edits, where not ``flextoe/stages.py``.
-FILES = {"H11": "sim/core.py"}
+FILES = {"H11": "sim/core.py", "H12": "sim/core.py"}
+QUEUE_TESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "sim",
+                           "test_same_instant_queue.py")
+#: Row -> ((test in QUEUE_TESTS, the exception it must fail with), ...)
+#: over the patched package.
+TESTS = {
+    "H12": (
+        ("test_heap_entries_at_now_interleave_with_the_queue_by_key", "SanitizerError"),
+        ("test_the_queue_changes_the_event_count_and_nothing_else", "AssertionError"),
+    ),
+}
 
 
 def _patched(edit, module="flextoe/stages.py"):
@@ -133,13 +155,19 @@ def _static(source):
     return {(f.pass_name,) + re.search(r"\b(pre|proto|post)\.(\w+)", f.message).groups() for f in findings}
 
 
+def _package(source, tmp_path, module):
+    """``tmp_path/src``, holding a copy of the package with ``source`` as its ``module``."""
+    root = tmp_path / "src"
+    shutil.copytree(PACKAGE, str(root / "repro"), ignore=shutil.ignore_patterns("__pycache__"))
+    (root / "repro" / module).write_text(source)
+    return root
+
+
 def _run_time(source, tmp_path, plan, module="flextoe/stages.py"):
     """``(exception class, last stderr line)`` of one sanitized fault-plan
     run over a copy of the package with ``source`` as its ``module``, or
     None for a clean run."""
-    root = tmp_path / "src"
-    shutil.copytree(PACKAGE, str(root / "repro"), ignore=shutil.ignore_patterns("__pycache__"))
-    (root / "repro" / module).write_text(source)
+    root = _package(source, tmp_path, module)
     env = dict(os.environ, PYTHONPATH=str(root), REPRO_SANITIZE="1", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "repro", "faults", "--plan", plan, "--seed", "7", "--bytes", "60000"]
     run = subprocess.run(command, env=env, cwd=str(tmp_path), capture_output=True, text=True, timeout=60)
@@ -170,3 +198,18 @@ def test_hazard(hazard, tmp_path):
         assert outcome is not None, "a clean run: no run-time check caught {}".format(hazard)
         name, line = outcome
         assert name == run_time[0] and run_time[1] in line, line
+    for test, error in TESTS.get(hazard, ()):
+        assert _test_failure(tmp_path / "src", test) == error, test
+
+
+def _test_failure(root, test):
+    """The exception class ``test`` in ``QUEUE_TESTS`` fails with over the
+    package under ``root``, or None when it passes."""
+    command = [sys.executable, "-m", "pytest", "-q", "--tb=line", "-p", "no:cacheprovider", QUEUE_TESTS + "::" + test]
+    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("REPRO_SANITIZE", None)
+    run = subprocess.run(command, env=env, cwd=str(root.parent), capture_output=True, text=True, timeout=300)
+    if run.returncode == 0:
+        return None
+    first = next(line for line in run.stdout.splitlines() if line.startswith("E   "))
+    return first[4:].split(":")[0].rsplit(".", 1)[-1]

@@ -33,21 +33,23 @@ from repro.sim.resources import ResourceRequest
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 4 647.16 (4 757.67 with
-#: wakes and puts run in place instead of queued, 5 008.28 with every put
+#: simulator runs in that time included: reads 4 644.12 (4 647.16 with
+#: the queue spilled to the heap once a heap entry sorts first, 4 757.67
+#: with wakes and puts run in place instead of queued, 5 008.28 with every put
 #: pushed, 5 040.09 with every wake pushed too, 5 117.34 with a start step
 #: per DMA op too, 5 352.13 with the wire as timeouts and processes,
 #: 6 530.08 with the engines as processes too); the bound is that reading
 #: + 0.5 %, rounded down.
-CALLS_PER_RPC = 4670
-#: Events dispatched per warm echo RPC: reads 62.47 (159.22 with every
+CALLS_PER_RPC = 4667
+#: Events dispatched per warm echo RPC: reads 61.12 (62.47 with the queue
+#: spilled to the heap once a heap entry sorts first, 159.22 with every
 #: entry for now pushed but in-place wakes and puts, 191.22 with every put
 #: pushed, 207.22 with every wake pushed too, 213.44 with a start step per
 #: DMA op too, 252.27 with every sleep pushed). The count is exact; the
 #: bound is that reading + 1 %, rounded up, so a sleep, grant, start step
 #: or same-instant entry per RPC going back through the heap (DESIGN §12
 #: rule 3) fails.
-EVENTS_PER_RPC = 64
+EVENTS_PER_RPC = 62
 
 
 #: The same two budgets per baseline stack, whose frames cross the same

@@ -1,12 +1,13 @@
 """The same-instant queue (DESIGN §12 rule 3): an entry made for ``now`` at
 NORMAL priority — a ``succeed`` (a wake, a woken get, a put handed to a
 parked get), a ``Timeout(0)``, a slot's turn — joins ``Simulator._queue``
-instead of the heap, and at the end of each dispatch its head runs there,
-uncounted, while it sorts before the heap's and the run's target has not
-fired. The run is the same run with fewer events: the reference is the
-kernel with its queue rebound to push every entry on the heap under its
-key, and each program is driven the four ways a caller can drive the
-kernel."""
+instead of the heap, and at the end of each dispatch the queue and the
+heap are read as one sorted stream while the run's target has not fired:
+the queue's head runs there, uncounted, and a heap entry that sorts
+before it runs first, counted. The run is the same run with fewer
+events: the reference is the kernel with its queue rebound to push every
+entry on the heap under its key, and each program is driven the four
+ways a caller can drive the kernel."""
 
 import heapq
 
@@ -390,10 +391,9 @@ def test_an_entry_made_between_runs_is_pushed():
     assert seen == ["frame"] and sim.processed_events == 2
 
 
-def test_a_heap_entry_due_first_pushes_the_queue():
+def test_a_heap_entry_due_first_runs_before_the_queue():
     # The timeout made for 3 after the step at 3 sorts before what that
-    # step queues: the queue is pushed under its keys and runs after it,
-    # counted.
+    # step queues: it runs first, counted, and the queue stays the queue.
     sim = Simulator()
     log = []
     gate = sim.event()
@@ -401,7 +401,169 @@ def test_a_heap_entry_due_first_pushes_the_queue():
     sim._schedule(3, lambda _step: gate.succeed())
     Timeout(sim, 3).callbacks.append(lambda _event: log.append("timeout"))
     sim.run()
-    assert log == ["timeout", "gate"] and sim.processed_events == 3
+    assert log == ["timeout", "gate"] and sim.processed_events == 2
+
+
+def _urgent_mid_queue(sim, log):
+    """A step at 3 wakes two waiters through the queue; the first starts a
+    process and interrupts a sleeper, both URGENT at 3."""
+    gates = [sim.event(), sim.event()]
+
+    def sleeper():
+        try:
+            yield Timeout(sim, 10)
+        except Interrupt as interrupt:
+            log.append((sim.now, "interrupted", interrupt.cause))
+
+    def child():
+        log.append((sim.now, "child"))
+        yield from ()
+
+    def first():
+        yield gates[0]
+        log.append((sim.now, "first"))
+        sim.process(child())
+        victim.interrupt("first")
+
+    def second():
+        yield gates[1]
+        log.append((sim.now, "second"))
+
+    def step(_step):
+        log.append((sim.now, "step"))
+        for gate in gates:
+            gate.succeed()
+
+    sim.process(first())
+    sim.process(second())
+    victim = sim.process(sleeper())
+    sim._schedule(3, step)
+
+
+def _interleaved(sim, log):
+    """A step at 3 wakes three waiters through the queue. A timeout made at
+    0 for 3 sorts before all the step queues, a process started at 3 before
+    the rest of it, and the end of a hold of no time, pushed at 3 under a
+    key above the queue's, after what the queue holds by then."""
+    slots = Slots(sim)
+    gates = [sim.event() for _ in range(3)]
+
+    def child():
+        log.append((sim.now, "child"))
+        yield from ()
+
+    def holder():
+        yield gates[0]
+        log.append((sim.now, "holder"))
+        sim.process(child())
+        yield Hold(slots, 0, 0)
+        log.append((sim.now, "held"))
+
+    def opener():
+        yield gates[1]
+        log.append((sim.now, "opener"))
+        gates[2].succeed()
+
+    def last():
+        yield gates[2]
+        log.append((sim.now, "last"))
+
+    def step(_step):
+        log.append((sim.now, "step"))
+        gates[0].succeed()
+        gates[1].succeed()
+
+    for body in (holder, opener, last):
+        sim.process(body())
+    sim._schedule(3, step)
+    Timeout(sim, 3).callbacks.append(lambda _event: log.append((sim.now, "timeout")))
+
+
+def _scenario(build, kernel, drive):
+    sim, log = kernel(), []
+    build(sim, log)
+    if drive == "step":
+        while sim.peek() is not None:
+            sim.step()
+    else:
+        sim.run()
+    return log, sim
+
+
+def test_an_urgent_entry_made_mid_queue_runs_before_the_rest():
+    # The start and the interrupt sort before the second wake: each runs,
+    # counted, between the two wakes, which run from the queue.
+    log, sim = _scenario(_urgent_mid_queue, CountingQueue, "run")
+    assert log == [(3, "step"), (3, "first"), (3, "child"), (3, "interrupted", "first"), (3, "second")]
+    # Three starts, the step, the child's start, the interrupt, the
+    # sleeper's timeout at 10 (it wakes no one).
+    assert (sim.processed_events, sim.queued) == (7, 2)
+    reference, pushed = _scenario(_urgent_mid_queue, HeapOnly, "run")
+    assert reference == log and pushed.processed_events == 7 + 2
+
+
+def test_heap_entries_at_now_interleave_with_the_queue_by_key(sanitized):
+    # Under the sanitizer, a heap entry that does not sort before the
+    # queue's head, dispatched before it, raises.
+    log, sim = _scenario(_interleaved, CountingQueue, "run")
+    assert log == [(3, "step"), (3, "timeout"), (3, "holder"), (3, "child"), (3, "opener"), (3, "last"),
+                   (3, "held")]
+    # Three starts, the step, the timeout, the child's start, the hold's end.
+    assert (sim.processed_events, sim.queued) == (7, 4)
+    reference, pushed = _scenario(_interleaved, HeapOnly, "run")
+    assert reference == log and pushed.processed_events == 7 + 4
+
+
+@pytest.mark.parametrize("build", [_urgent_mid_queue, _interleaved], ids=["urgent", "interleaved"])
+def test_a_step_driven_run_merges_as_run_does(build):
+    by_run, ran = _scenario(build, CountingQueue, "run")
+    by_step, stepped = _scenario(build, CountingQueue, "step")
+    assert by_step == by_run
+    assert (stepped.processed_events, stepped.queued) == (ran.processed_events, ran.queued)
+
+
+def test_a_target_fired_mid_merge_leaves_the_rest_to_the_next_run():
+    # The child started between the two wakes fires the run's target: the
+    # run returns with the second wake and the target's own dispatch still
+    # queued, and the next run pushes them and dispatches them in key
+    # order, counted.
+    sim = CountingQueue()
+    log = []
+    gates = [sim.event(), sim.event()]
+    target = sim.event()
+
+    def child():
+        log.append((sim.now, "child"))
+        target.succeed("fired")
+        yield from ()
+
+    def first():
+        yield gates[0]
+        log.append((sim.now, "first"))
+        sim.process(child())
+
+    def second():
+        yield gates[1]
+        log.append((sim.now, "second"))
+
+    def awaiter():
+        value = yield target
+        log.append((sim.now, "awaited", value))
+
+    def step(_step):
+        for gate in gates:
+            gate.succeed()
+
+    for body in (first, second, awaiter):
+        sim.process(body())
+    sim._schedule(3, step)
+    assert sim.run(until=target) == "fired"
+    log.append((sim.now, "returned"))
+    assert [entry[3] for entry in sim._queue] == [gates[1], target] and sim.peek() == 3
+    assert (sim.processed_events, sim.queued) == (5, 1)
+    sim.run()
+    assert log == [(3, "first"), (3, "child"), (3, "returned"), (3, "second"), (3, "awaited", "fired")]
+    assert (sim.processed_events, sim.queued) == (7, 1)
 
 
 def test_deliver_refuses_a_full_store():

@@ -5,15 +5,16 @@ Host time on a shared machine cannot resolve a 1 % change in what the
 simulator executes per op; the number of bytecodes it executes can,
 because for one CPython it repeats exactly. This runs one repetition of
 a ``perf/`` workload — set-up, then the measured phase, at
-``perf.workloads.TINY``'s size — under ``sys.settrace`` with
-``f_trace_opcodes`` on every frame, and charges each executed bytecode to
-the ``perf/layers.py`` layer of the code it belongs to; once on a
-``git archive`` of BASE and once on this tree (each side imports its own
-``perf`` and ``repro``). It prints the measured phase per completed op
+``perf.workloads.TINY``'s size or (``--size bench``, minutes) the
+benchmark's — under ``sys.settrace`` with ``f_trace_opcodes`` on every
+frame, and charges each executed bytecode to the ``perf/layers.py`` layer
+of the code it belongs to; once on a ``git archive`` of BASE and once on
+this tree (each side imports its own ``perf`` and ``repro``). It prints the measured phase per completed op
 and layer for both trees with the difference, set-up as one total, and
 the events the measured phase dispatched per op — so a change that
-removes events shows whether it also removed host work — and the
-entries it ran from the kernel's same-instant queue. Then those events
+removes events shows whether it also removed host work —, the entries
+it ran from the kernel's same-instant queue and the heap pushes it made
+(so a cut in events shows whether it cut pushes too). Then those events
 and entries (``queued``) per op by what they are and whom they wake:
 the event class and
 the innermost yield site of the process it resumes (``file function+k``,
@@ -43,6 +44,43 @@ SITES_SHOWN = 25
 DEAD = " (dead)"
 #: Marks an entry run from the same-instant queue rather than the heap.
 QUEUED = "queued "
+#: ``--size``: ``perf.workloads.TINY``'s, or each workload's defaults (what the benchmark runs).
+TINY, BENCH = "tiny", "bench"
+
+
+def sizes(workload, size):
+    """The keyword arguments that build ``workload`` at ``size``."""
+    from perf import workloads
+
+    return dict(workloads.TINY[workload]) if size == TINY else {}
+
+
+class CountingPushes:
+    """While entered, counts in ``count`` every heap push the kernel makes
+    (a queued entry is not one), by rebinding the ``heappush`` of the two
+    modules that call it, as ``make ties`` does. Its frames are this file's,
+    so the tracer below charges them to no layer."""
+
+    def __init__(self):
+        from repro.sim import core, resources
+
+        self.modules = (core, resources)
+        self.kernel_push = core.heappush
+        assert resources.heappush is self.kernel_push
+        self.count = 0
+
+    def push(self, heap, entry):
+        self.count += 1
+        self.kernel_push(heap, entry)
+
+    def __enter__(self):
+        for module in self.modules:
+            module.heappush = self.push
+        return self
+
+    def __exit__(self, *_exc):
+        for module in self.modules:
+            module.heappush = self.kernel_push
 
 
 def _where(code, lineno, tree):
@@ -111,10 +149,11 @@ def dispatch_key(event, tree):
     return key + DEAD if callbacks and all(map(_fired_check, callbacks)) else key
 
 
-def count(tree, workload):
-    """Trace one repetition of ``workload`` from ``tree``; returns
-    ``{"ops", "events", "queued", "setup": {layer: bytecodes}, "measured":
-    {...}, "sites": {dispatch key: measured events}}``."""
+def count(tree, workload, size=TINY):
+    """Trace one repetition of ``workload`` from ``tree`` at ``size``;
+    returns ``{"ops", "events", "queued", "pushes", "setup": {layer:
+    bytecodes}, "measured": {...}, "sites": {dispatch key: measured
+    events}}``."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [tree, os.path.join(tree, "src")]
     from perf import layers, spec, workloads
@@ -149,6 +188,8 @@ def count(tree, workload):
         return tracer
 
     kernel_pop = core.heappop
+    built = sizes(workload, size)
+    pushes = CountingPushes()
     queue = getattr(core, "_Queue", None)  # absent before the kernel had one
     kernel_popleft = queue.popleft if queue is not None else None
 
@@ -169,13 +210,14 @@ def count(tree, workload):
 
     sys.settrace(on_call)
     try:
-        cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **workloads.TINY[workload])
+        cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **built)
         phase = MEASURED
         core.heappop = tallying_pop
         if queue is not None:
             queue.popleft = tallying_popleft
-        for cell in cells:
-            cell.measure()
+        with pushes:
+            for cell in cells:
+                cell.measure()
     finally:
         sys.settrace(None)
         core.heappop = kernel_pop
@@ -193,16 +235,17 @@ def count(tree, workload):
         "ops": ops,
         "events": events,
         "queued": queued,
+        "pushes": pushes.count,
         "setup": {layer: row[SETUP] for layer, row in rows.items()},
         "measured": {layer: row[MEASURED] for layer, row in rows.items()},
         "sites": sites,
     }
 
 
-def count_in(tree, workload):
+def count_in(tree, workload, size=TINY):
     """:func:`count` in a process of its own, so each side's modules are its own."""
     done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--count", tree, "--workload", workload],
+        [sys.executable, os.path.abspath(__file__), "--count", tree, "--workload", workload, "--size", size],
         cwd=tree, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -215,10 +258,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git ref of the parent side")
     parser.add_argument("--workload", default="echo-small")
+    parser.add_argument("--size", choices=(TINY, BENCH), default=TINY,
+                        help="perf.workloads.TINY's (default) or the benchmark's")
     parser.add_argument("--count", metavar="TREE", help="(internal) trace TREE in this process, print JSON")
     args = parser.parse_args(argv)
     if args.count:
-        json.dump(count(args.count, args.workload), sys.stdout)
+        json.dump(count(args.count, args.workload, args.size), sys.stdout)
         return 0
     if not args.base:
         parser.error("--base is required")
@@ -226,14 +271,14 @@ def main(argv=None):
     try:
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        base, here = count_in(tmp, args.workload), count_in(ROOT, args.workload)
+        base, here = count_in(tmp, args.workload, args.size), count_in(ROOT, args.workload, args.size)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     if base["ops"] != here["ops"]:
         raise SystemExit("the two trees completed {} and {} ops".format(base["ops"], here["ops"]))
     ops = here["ops"]
-    print("bytecodes (and events) per op on {} ({} ops, CPython {}), base = {}".format(
-        args.workload, ops, sys.version.split()[0], args.base))
+    print("bytecodes (and events) per op on {} at the {} size ({} ops, CPython {}), base = {}".format(
+        args.workload, args.size, ops, sys.version.split()[0], args.base))
     line = "{:<22} {:>12} {:>12} {:>10}"
     print(line.format("layer", "base", "here", "delta"))
 
@@ -248,6 +293,7 @@ def main(argv=None):
     row("set-up, total", sum(base["setup"].values()), sum(here["setup"].values()))
     row("events, measured", base["events"], here["events"])
     row("queued runs, measured", base.get("queued", 0), here.get("queued", 0))
+    row("heap pushes, measured", base.get("pushes", 0), here.get("pushes", 0))
 
     print()
     print("events per op of the measured phase and entries run from the same-instant queue ({}), by event "

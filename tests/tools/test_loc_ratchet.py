@@ -9,9 +9,11 @@ import pathlib
 
 REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: ``make loc``'s reading for src/repro/sim when the ratchet was set.
-SIM_LINES = 1116
-#: ``make loc``'s reading for src/repro/analysis when the ratchet was set.
-ANALYSIS_LINES = 2549
+SIM_LINES = 1112
+#: ``make loc``'s reading for src/repro/analysis when the ratchet was set:
+#: 2 549, plus 13 for the sanitizer's check that the dispatch loops read
+#: the same-instant queue and the heap as one sorted stream.
+ANALYSIS_LINES = 2562
 
 
 def _lines(package):

@@ -1,9 +1,12 @@
-"""How ``make opcodes`` names a dispatched event (measurement code is code)."""
+"""How ``make opcodes`` names a dispatched event, sizes a workload and counts
+heap pushes (measurement code is code)."""
 
+from perf import workloads
 from repro.nfp import Fpc
 from repro.nfp.fpc import FpcThread
 from repro.sim import Simulator, Timeout
-from tests.tools.opcodes import ROOT, code_name, dispatch_key
+from repro.sim.resources import Hold, Slots
+from tests.tools.opcodes import BENCH, ROOT, TINY, CountingPushes, code_name, dispatch_key, sizes
 
 HERE = "tests/tools/test_opcodes.py"
 
@@ -94,3 +97,25 @@ def test_a_queued_entry_is_named_as_a_heap_event_is():
     gate.succeed()
     (entry,) = sim._queue
     assert dispatch_key(entry[3], ROOT) == "Event {} {}+1".format(HERE, code_name(program.__code__))
+
+
+def test_the_bench_size_is_what_the_benchmark_runs():
+    assert sizes("echo-small", TINY) == workloads.TINY["echo-small"]
+    assert sizes("large-loss", BENCH) == {}  # each workload's defaults: what perf/run.py runs
+
+
+def test_a_heap_push_is_counted_and_a_queued_entry_is_not():
+    sim = Simulator()
+    slots = Slots(sim)
+
+    def program():
+        Timeout(sim, 1)
+        yield Timeout(sim, 0)  # queued
+        yield Hold(slots, 2, 2)  # the timeout is due before it ends: its end is pushed, by sim/resources.py
+
+    sim.process(program())
+    with CountingPushes() as pushes:
+        sim.run()
+    assert pushes.count == 2 and sim.now == 2
+    Timeout(sim, 1)  # after the count: the kernel's own push again
+    assert pushes.count == 2
