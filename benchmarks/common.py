@@ -13,10 +13,7 @@ what the assertions check; EXPERIMENTS.md records both.
 
 from repro.apps import EchoServer, MemcachedServer, MemtierClient
 from repro.apps.rpc import ClosedLoopClient, OpenLoopClient
-from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
-from repro.harness import Testbed
-
-STACKS = ("flextoe", "linux", "tas", "chelsio")
+from repro.harness import STACKS, Testbed, build_host
 
 #: TAS reserves this many machine cores for its fast path; apps must
 #: not be pinned there.
@@ -24,17 +21,11 @@ TAS_FASTPATH_CORES = 2
 
 
 def add_server(bed, stack, name="server", n_cores=20, pipeline_config=None, cp_kwargs=None):
-    if stack == "flextoe":
-        return bed.add_flextoe_host(
-            name, n_cores=n_cores, pipeline_config=pipeline_config, cp_kwargs=cp_kwargs
-        )
-    if stack == "linux":
-        return add_linux_host(bed, name, n_cores=n_cores)
-    if stack == "tas":
-        return add_tas_host(bed, name, n_cores=n_cores, fast_path_cores=TAS_FASTPATH_CORES)
-    if stack == "chelsio":
-        return add_chelsio_host(bed, name, n_cores=n_cores)
-    raise ValueError(stack)
+    kwargs = {
+        "flextoe": {"pipeline_config": pipeline_config, "cp_kwargs": cp_kwargs},
+        "tas": {"fast_path_cores": TAS_FASTPATH_CORES},
+    }.get(stack, {})
+    return build_host(bed, stack, name, n_cores=n_cores, **kwargs)
 
 
 def add_client(bed, name="client", stack="flextoe", n_cores=20):

@@ -9,9 +9,8 @@ healthy.
 Subcommands (each forwards its remaining arguments to the subsystem's
 own argument parser — ``python -m repro <cmd> --help`` for details):
 
-* ``lint``   — static analysis suite (:mod:`repro.analysis.cli`): XDP
-  verifier and dead-code lint, stage race, atomicity, happens-before
-  race, ordering and sim-process passes.
+* ``lint``   — static analysis suite (:mod:`repro.analysis.cli`): the
+  xdp-verifier, xdp-deadcode, hb-race and sim-process passes.
 * ``faults`` — run a named deterministic fault plan as an asserted test
   (:mod:`repro.faults.cli`).
 """
@@ -23,18 +22,10 @@ import sys
 def demo_stack(stack):
     from repro.apps import EchoServer
     from repro.apps.rpc import ClosedLoopClient
-    from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
-    from repro.harness import Testbed
+    from repro.harness import Testbed, build_host
 
     bed = Testbed(seed=7)
-    if stack == "flextoe":
-        server = bed.add_flextoe_host("server")
-    elif stack == "linux":
-        server = add_linux_host(bed, "server")
-    elif stack == "tas":
-        server = add_tas_host(bed, "server")
-    else:
-        server = add_chelsio_host(bed, "server")
+    server = build_host(bed, stack, "server")
     client = bed.add_flextoe_host("client")
     bed.seed_all_arp()
     echo = EchoServer(server.new_context(), 7000, request_size=64)

@@ -28,22 +28,13 @@ from repro.faults.invariants import (
 from repro.faults.plans import REGISTRY, make_plan
 
 
-def build_host(bed, stack, name):
-    if stack == "flextoe":
-        return bed.add_flextoe_host(name)
-    from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
-
-    builders = {"linux": add_linux_host, "tas": add_tas_host, "chelsio": add_chelsio_host}
-    try:
-        return builders[stack](bed, name)
-    except KeyError:
-        raise SystemExit("unknown stack {!r}; known: flextoe, linux, tas, chelsio".format(stack))
-
-
 def run_plan(plan_name, seed=1, server_stack="flextoe", client_stack="flextoe", n_bytes=8000, horizon_ns=2_000_000_000):
     """Run one plan against one stack pair; returns a result dict."""
-    from repro.harness import Testbed
+    from repro.harness import STACKS, Testbed, build_host
 
+    for stack in (server_stack, client_stack):
+        if stack not in STACKS:
+            raise SystemExit("unknown stack {!r}; known: {}".format(stack, ", ".join(STACKS)))
     bed = Testbed(seed=seed)
     server = build_host(bed, server_stack, "server")
     client = build_host(bed, client_stack, "client")

@@ -18,8 +18,8 @@ Replicated stage instances of one flow group share their partition, so a
 plain read-modify-write from a replicated stage is a lost-update race on
 hardware. Fields that are *commutative counters* may instead use the NFP
 atomic-add engine; they must be declared in the :func:`atomic` registry,
-which the static atomicity lint checks and which :func:`atomic_add` uses
-to charge the engine's issue latency in the simulator.
+which ``hb-race``'s atomic verdict checks and which :func:`atomic_add`
+uses to charge the engine's issue latency in the simulator.
 """
 
 from collections import namedtuple

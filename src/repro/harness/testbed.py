@@ -119,3 +119,18 @@ class Testbed:
 
     def run(self, until=None):
         return self.sim.run(until=until)
+
+
+#: The four stacks a host can run.
+STACKS = ("flextoe", "linux", "tas", "chelsio")
+
+
+def build_host(bed, stack, name, **kwargs):
+    """A ``stack`` host named ``name`` on ``bed``; ``kwargs`` go to its builder."""
+    if stack not in STACKS:
+        raise ValueError("unknown stack {!r}; known: {}".format(stack, ", ".join(STACKS)))
+    if stack == "flextoe":
+        return bed.add_flextoe_host(name, **kwargs)
+    from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host  # only a baseline host needs them
+
+    return {"linux": add_linux_host, "tas": add_tas_host, "chelsio": add_chelsio_host}[stack](bed, name, **kwargs)

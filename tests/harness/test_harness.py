@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness import Testbed
+from repro.baselines import BaselineHost
+from repro.harness import STACKS, FlexToeHost, Testbed, build_host
 from repro.harness.report import Table, format_mops, format_rate, format_us
 
 
@@ -19,6 +20,17 @@ def test_duplicate_host_name_rejected():
     bed.add_flextoe_host("a")
     with pytest.raises(ValueError):
         bed.add_flextoe_host("a")
+
+
+def test_one_builder_per_stack_passes_its_keywords_through():
+    bed = Testbed()
+    hosts = {stack: build_host(bed, stack, stack, n_cores=4) for stack in STACKS}
+    assert isinstance(hosts["flextoe"], FlexToeHost)
+    assert all(isinstance(hosts[stack], BaselineHost) for stack in STACKS[1:])
+    assert {len(host.machine.cores) for host in hosts.values()} == {4}
+    assert build_host(bed, "tas", "tas2", fast_path_cores=1).personality.dedicated_cores == 1
+    with pytest.raises(ValueError, match="'bogus'; known: flextoe, linux, tas, chelsio"):
+        build_host(bed, "bogus", "x")
 
 
 def test_seed_all_arp_covers_every_host():

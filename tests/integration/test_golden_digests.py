@@ -34,11 +34,9 @@ import pytest
 from repro.apps import EchoServer
 from repro.apps.rpc import ClosedLoopClient
 from repro.faults.log import describe_frame
-from repro.harness import Testbed
+from repro.harness import STACKS, Testbed, build_host
 
 GOLDENS_PATH = os.path.join(os.path.dirname(__file__), "golden_digests.json")
-
-STACKS = ("flextoe", "linux", "tas", "chelsio")
 N_RPCS = 10
 
 
@@ -65,15 +63,7 @@ class WireTap:
 def run_golden_scenario(server_stack):
     """One 10-RPC echo exchange; returns (digest, n_wire_events, final_ns)."""
     bed = Testbed(seed=23)
-    if server_stack == "flextoe":
-        server = bed.add_flextoe_host("server")
-    else:
-        from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
-
-        builder = {"linux": add_linux_host, "tas": add_tas_host, "chelsio": add_chelsio_host}[
-            server_stack
-        ]
-        server = builder(bed, "server")
+    server = build_host(bed, server_stack, "server")
     client = bed.add_flextoe_host("client")
     bed.seed_all_arp()
     tap = WireTap(bed.sim)

@@ -4,29 +4,14 @@ exchange over the simulated switch with byte-exact verification."""
 
 import pytest
 
-from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
-from repro.harness import Testbed
+from repro.harness import STACKS, Testbed, build_host
 from tests.integration.driver import run_apps
-
-STACKS = ["flextoe", "linux", "tas", "chelsio"]
-
-
-def add_host(bed, stack, name):
-    if stack == "flextoe":
-        return bed.add_flextoe_host(name)
-    if stack == "linux":
-        return add_linux_host(bed, name)
-    if stack == "tas":
-        return add_tas_host(bed, name)
-    if stack == "chelsio":
-        return add_chelsio_host(bed, name)
-    raise ValueError(stack)
 
 
 def echo_exchange(server_stack, client_stack):
     bed = Testbed(seed=3)
-    server = add_host(bed, server_stack, "server")
-    client = add_host(bed, client_stack, "client")
+    server = build_host(bed, server_stack, "server")
+    client = build_host(bed, client_stack, "client")
     bed.seed_all_arp()
     sim = bed.sim
     results = {}

@@ -15,9 +15,8 @@ import zlib
 
 import pytest
 
-from repro.baselines import add_chelsio_host, add_linux_host, add_tas_host
 from repro.faults import BurstLoss, FaultPlan
-from repro.harness import Testbed
+from repro.harness import STACKS, Testbed, build_host
 from tests.integration.driver import run_apps
 
 
@@ -34,21 +33,14 @@ def uniform_loss_plan(probability):
 
 def build(stack, loss, seed):
     bed = Testbed(seed=seed)
-    if stack == "flextoe":
-        server = bed.add_flextoe_host("server")
-    elif stack == "linux":
-        server = add_linux_host(bed, "server")
-    elif stack == "tas":
-        server = add_tas_host(bed, "server")
-    else:
-        server = add_chelsio_host(bed, "server")
+    server = build_host(bed, stack, "server")
     client = bed.add_flextoe_host("client")
     bed.seed_all_arp()
     controller = bed.install_fault_plan(uniform_loss_plan(loss))
     return bed, server, client, controller
 
 
-@pytest.mark.parametrize("stack", ["flextoe", "linux", "tas", "chelsio"])
+@pytest.mark.parametrize("stack", STACKS)
 @pytest.mark.parametrize("loss", [0.02, 0.10])
 def test_stream_integrity_under_loss(stack, loss):
     bed, server, client, controller = build(stack, loss, seed=stable_seed(stack, loss))

@@ -3,44 +3,28 @@ and which layer holds it, here and at BASE — the memory counterpart of
 ``make opcodes``.
 
 ``peak_rss_mb`` says how much a run held at its worst, not what for.
-This runs one repetition of a ``perf/`` workload at its benchmark size
-(set-up, then the measured phase) on a ``git archive`` of BASE and on this
-tree, each side in processes of its own (each imports its own ``perf`` and
-``repro``):
-
-* untraced, for resident memory: ``VmRSS`` after import, after set-up and
-  after the measured phase, then ``ru_maxrss`` (what ``peak_rss_mb``
-  reads; the kernel updates it lazily, so it can read below the last
-  ``VmRSS``);
-* under ``tracemalloc`` (started after import), for the bytes still held
-  after set-up and after the measured phase, charged to the
-  ``perf/layers.py`` layer of the code that allocated them. On
-  ``sparse-idle`` a third run sets up with no quiescent connections, and
-  the difference per installed connection is printed per layer too, in
-  bytes and in blocks: a block is one allocation (an object, a dict's
-  table, an array's buffer growth), so blocks per connection count what
-  a connection costs in a unit no allocator or word size changes. Both
-  are printed again per source file under ``src/repro``, which names the
-  structure a layer lumps together (the lookup engine is ``nfp/cam.py``
-  inside ``nfp.other``).
-
-It prints both trees with the difference. Standard library only; nothing
-under ``perf/`` is edited. A table to read, not a gate: exit status 2
-only when a run fails.
+:func:`measure` runs one repetition of a ``perf/`` workload at its
+benchmark size, in separate processes: untraced, for ``VmRSS`` after
+import, set-up and the measured phase, then ``ru_maxrss`` (what
+``peak_rss_mb`` reads; updated lazily, so it can read below the last
+``VmRSS``); and under ``tracemalloc``, for the bytes still held after
+set-up and after the measured phase per ``perf/layers.py`` layer. On
+``sparse-idle`` a third run sets up with no quiescent connections, and the
+difference per installed connection is printed per layer and per source
+file, in bytes and in blocks (one block, one allocation: a unit no
+allocator or word size changes). A table to read, not a gate: exit status
+2 only when a run fails. Run as ``python3 -m tests.tools.footprint``.
 """
 
 import argparse
 import gc
-import json
 import os
 import resource
-import shutil
-import subprocess
 import sys
-import tempfile
 import tracemalloc
 
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.tools import judge
+
 PHASES = ("set-up", "measured")
 MIB = float(1 << 20)
 
@@ -73,13 +57,12 @@ def held_per_layer(layers, tree):
     return held
 
 
-def measure(tree, workload, traced, empty):
-    """One repetition of ``workload`` from ``tree``; returns ``{"ops",
-    "extras", "rss": {point: bytes}, "held": {phase: {layer: bytes}}}``
-    (``held`` is empty untraced). ``empty``: set ``sparse-idle`` up with no
-    quiescent connections, and stop there."""
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [tree, os.path.join(tree, "src")]
+def measure(tree, workload, traced=False, empty=False):
+    """One repetition of ``workload`` from ``tree`` (the side first on
+    ``sys.path``); returns ``{"ops", "extras", "rss": {point: bytes},
+    "held": {phase: {layer: bytes}}}`` (``held`` is empty untraced).
+    ``empty``: set ``sparse-idle`` up with no quiescent connections, and
+    stop there."""
     import perf.harness  # noqa: F401  (the import perf/run.py times: the simulator)
     from perf import layers, spec, workloads
 
@@ -108,50 +91,21 @@ def measure(tree, workload, traced, empty):
     return {"ops": ops, "extras": extras, "rss": rss, "held": held}
 
 
-def measure_in(tree, workload, *flags):
-    """:func:`measure` in a process of its own; ``flags`` are
-    ``--traced`` and ``--empty``."""
-    command = [sys.executable, os.path.abspath(__file__), "--measure", tree, "--workload", workload]
-    done = subprocess.run(command + list(flags), cwd=tree, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.stderr.write(done.stdout + done.stderr)
-        raise SystemExit(2)
-    return json.loads(done.stdout)
-
-
 def sides(tree, workload):
-    side = {"resident": measure_in(tree, workload), "traced": measure_in(tree, workload, "--traced")}
+    side = {"resident": judge.side(tree, measure, tree=tree, workload=workload),
+            "traced": judge.side(tree, measure, tree=tree, workload=workload, traced=True)}
     if workload == "sparse-idle":
-        side["empty"] = measure_in(tree, workload, "--traced", "--empty")
+        side["empty"] = judge.side(tree, measure, tree=tree, workload=workload, traced=True, empty=True)
     return side
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", help="git ref of the parent side")
-    parser.add_argument("--workload", default="echo-small")
-    parser.add_argument("--measure", metavar="TREE", help="(internal) run TREE in this process, print JSON")
-    parser.add_argument("--traced", action="store_true", help="(internal) with --measure: under tracemalloc")
-    parser.add_argument("--empty", action="store_true",
-                        help="(internal) with --measure: sparse-idle set-up with no quiescent connections")
-    args = parser.parse_args(argv)
-    if args.measure:
-        json.dump(measure(args.measure, args.workload, args.traced, args.empty), sys.stdout)
-        return 0
-    if not args.base:
-        parser.error("--base is required")
-    tmp = tempfile.mkdtemp(prefix="footprint-")
-    try:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        base, here = sides(tmp, args.workload), sides(ROOT, args.workload)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+def report(ref, workload, base, here):
+    """Resident memory, then what each layer holds (and, on ``sparse-idle``, per connection)."""
     if base["resident"]["ops"] != here["resident"]["ops"]:
         raise SystemExit("the two trees completed {} and {} ops".format(
             base["resident"]["ops"], here["resident"]["ops"]))
     print("footprint of one {} repetition ({} ops, CPython {}), base = {}".format(
-        args.workload, here["resident"]["ops"], sys.version.split()[0], args.base))
+        workload, here["resident"]["ops"], sys.version.split()[0], ref))
     line = "{:<38} {:>12} {:>12} {:>12}"
 
     def table(title, rows, unit, scale):
@@ -168,7 +122,7 @@ def main(argv=None):
         rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))]
         rows.append(("total", sum(was.values()), sum(now.values())))
         table("held after {} (KiB)".format(phase), rows, "%.1f", 1024.0)
-    if args.workload == "sparse-idle":
+    if workload == "sparse-idle":
         installed = here["traced"]["extras"]["installed"]
         for unit, title, floor in (("bytes", "B", installed), ("blocks", "blocks", installed / 100),
                                    ("file bytes", "B by file", installed),
@@ -186,6 +140,16 @@ def main(argv=None):
                              here["resident"]["extras"]["install_rss_bytes"]))
             table("{} per connection ({})".format(title, installed), rows,
                   "%.2f" if unit.endswith("blocks") else "%.1f", float(installed))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref of the parent side")
+    parser.add_argument("--workload", choices=judge.WORKLOADS, help="one workload (default: all five)")
+    args = parser.parse_args(argv)
+    with judge.base_tree(args.base) as base:
+        for workload in [args.workload] if args.workload else judge.WORKLOADS:
+            report(args.base, workload, sides(base, workload), sides(judge.ROOT, workload))
     return 0
 
 

@@ -2,41 +2,24 @@
 and at BASE.
 
 Host time on a shared machine cannot resolve a 1 % change in what the
-simulator executes per op; the number of bytecodes it executes can,
-because for one CPython it repeats exactly. This runs one repetition of
-a ``perf/`` workload — set-up, then the measured phase, at
-``perf.workloads.TINY``'s size or (``--size bench``, minutes) the
-benchmark's — under ``sys.settrace`` with ``f_trace_opcodes`` on every
-frame, and charges each executed bytecode to the ``perf/layers.py`` layer
-of the code it belongs to; once on a ``git archive`` of BASE and once on
-this tree (each side imports its own ``perf`` and ``repro``). It prints the measured phase per completed op
-and layer for both trees with the difference, set-up as one total, and
-the events the measured phase dispatched per op — so a change that
-removes events shows whether it also removed host work —, the entries
-it ran from the kernel's same-instant queue and the heap pushes it made
-(so a cut in events shows whether it cut pushes too). Then those events
-and entries (``queued``) per op by what they are and whom they wake:
-the event class and
-the innermost yield site of the process it resumes (``file function+k``,
-``k`` lines into the function, so the key survives edits above it; the
-last process a dispatch resumes, after its event's own steps), or the
-callback it runs — the table that shows an event diet what is left;
-``(dead)`` marks a dispatch whose callbacks are all the check of a
-condition that has already fired, and their total closes the table.
-
-Standard library only; nothing under ``perf/`` is edited. A table to
-read, not a gate: exit status 2 only when a run fails.
+simulator executes per op; the bytecodes it executes can, because for one
+CPython they repeat exactly. :func:`count` traces one repetition of a
+``perf/`` workload (at ``perf.workloads.TINY``'s size or, ``--size bench``,
+the benchmark's) with ``f_trace_opcodes`` and charges each bytecode to the
+``perf/layers.py`` layer of its code. The first table is the measured phase
+per op and layer, set-up as one total, then events, runs from the kernel's
+same-instant queue and heap pushes per op; the second is those events and
+runs (``queued``) per op by :func:`dispatch_key`, whose ``(dead)`` rows are
+totalled last. A table to read, not a gate: exit status 2 only when a run
+fails. Run as ``python3 -m tests.tools.opcodes``.
 """
 
 import argparse
-import json
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.tools import judge
+
 SETUP, MEASURED = 0, 1
 #: Rows of the per-site table; the rest are summed into one.
 SITES_SHOWN = 25
@@ -53,34 +36,6 @@ def sizes(workload, size):
     from perf import workloads
 
     return dict(workloads.TINY[workload]) if size == TINY else {}
-
-
-class CountingPushes:
-    """While entered, counts in ``count`` every heap push the kernel makes
-    (a queued entry is not one), by rebinding the ``heappush`` of the two
-    modules that call it, as ``make ties`` does. Its frames are this file's,
-    so the tracer below charges them to no layer."""
-
-    def __init__(self):
-        from repro.sim import core, resources
-
-        self.modules = (core, resources)
-        self.kernel_push = core.heappush
-        assert resources.heappush is self.kernel_push
-        self.count = 0
-
-    def push(self, heap, entry):
-        self.count += 1
-        self.kernel_push(heap, entry)
-
-    def __enter__(self):
-        for module in self.modules:
-            module.heappush = self.push
-        return self
-
-    def __exit__(self, *_exc):
-        for module in self.modules:
-            module.heappush = self.kernel_push
 
 
 def _where(code, lineno, tree):
@@ -150,14 +105,11 @@ def dispatch_key(event, tree):
 
 
 def count(tree, workload, size=TINY):
-    """Trace one repetition of ``workload`` from ``tree`` at ``size``;
-    returns ``{"ops", "events", "queued", "pushes", "setup": {layer:
-    bytecodes}, "measured": {...}, "sites": {dispatch key: measured
-    events}}``."""
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [tree, os.path.join(tree, "src")]
+    """Trace one repetition of ``workload`` from ``tree`` (the side first
+    on ``sys.path``) at ``size``; returns ``{"ops", "events", "queued",
+    "pushes", "setup": {layer: bytecodes}, "measured": {...}, "sites":
+    {dispatch key: measured events}}``."""
     from perf import layers, spec, workloads
-    from repro.sim import core
 
     rows = {}  # layer -> [set-up, measured]
     tracers = {}  # file name -> that layer's opcode tracer
@@ -175,11 +127,12 @@ def count(tree, workload, size=TINY):
         return on_opcode
 
     tallying = False
+    untraced = (__file__, judge.__file__)  # the kernel hooks and the tally are not the simulator's work
 
     def on_call(frame, event, arg):
         filename = frame.f_code.co_filename
-        if tallying or filename == __file__:
-            return None  # the dispatch tally below is not the simulator's work
+        if tallying or filename in untraced:
+            return None
         tracer = tracers.get(filename)
         if tracer is None:
             tracer = tracers[filename] = tracer_for(filename)
@@ -187,11 +140,8 @@ def count(tree, workload, size=TINY):
         frame.f_trace_lines = False
         return tracer
 
-    kernel_pop = core.heappop
     built = sizes(workload, size)
-    pushes = CountingPushes()
-    queue = getattr(core, "_Queue", None)  # absent before the kernel had one
-    kernel_popleft = queue.popleft if queue is not None else None
+    pushes = 0
 
     def tally(entry, prefix=""):
         # Every dispatch pops its event here, callbacks still attached.
@@ -202,27 +152,23 @@ def count(tree, workload, size=TINY):
         tallying = False
         return entry
 
-    def tallying_pop(heap):
-        return tally(kernel_pop(heap))
+    def counting_push(kernel_push, heap, entry):
+        # A heap push; an entry queued for now is not one.
+        nonlocal pushes
+        pushes += 1
+        kernel_push(heap, entry)
 
-    def tallying_popleft(queued):
-        return tally(kernel_popleft(queued), QUEUED)
-
+    hooks = judge.KernelHooks(heappush=counting_push, heappop=lambda kernel_pop, heap: tally(kernel_pop(heap)),
+                              popleft=lambda kernel_popleft, queued: tally(kernel_popleft(queued), QUEUED))
     sys.settrace(on_call)
     try:
         cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **built)
         phase = MEASURED
-        core.heappop = tallying_pop
-        if queue is not None:
-            queue.popleft = tallying_popleft
-        with pushes:
+        with hooks:
             for cell in cells:
                 cell.measure()
     finally:
         sys.settrace(None)
-        core.heappop = kernel_pop
-        if queue is not None:
-            queue.popleft = kernel_popleft
     ops = sum(cell.ok for cell in cells)
     if not ops or ops != sum(cell.planned for cell in cells):
         raise SystemExit("{}: {} of {} ops completed".format(workload, ops, sum(cell.planned for cell in cells)))
@@ -235,50 +181,20 @@ def count(tree, workload, size=TINY):
         "ops": ops,
         "events": events,
         "queued": queued,
-        "pushes": pushes.count,
+        "pushes": pushes,
         "setup": {layer: row[SETUP] for layer, row in rows.items()},
         "measured": {layer: row[MEASURED] for layer, row in rows.items()},
         "sites": sites,
     }
 
 
-def count_in(tree, workload, size=TINY):
-    """:func:`count` in a process of its own, so each side's modules are its own."""
-    done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--count", tree, "--workload", workload, "--size", size],
-        cwd=tree, capture_output=True, text=True,
-    )
-    if done.returncode != 0:
-        sys.stderr.write(done.stdout + done.stderr)
-        raise SystemExit(2)
-    return json.loads(done.stdout)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", help="git ref of the parent side")
-    parser.add_argument("--workload", default="echo-small")
-    parser.add_argument("--size", choices=(TINY, BENCH), default=TINY,
-                        help="perf.workloads.TINY's (default) or the benchmark's")
-    parser.add_argument("--count", metavar="TREE", help="(internal) trace TREE in this process, print JSON")
-    args = parser.parse_args(argv)
-    if args.count:
-        json.dump(count(args.count, args.workload, args.size), sys.stdout)
-        return 0
-    if not args.base:
-        parser.error("--base is required")
-    tmp = tempfile.mkdtemp(prefix="opcodes-")
-    try:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        base, here = count_in(tmp, args.workload, args.size), count_in(ROOT, args.workload, args.size)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+def report(ref, workload, size, base, here):
+    """The two tables for ``workload``: per layer, then per dispatch key."""
     if base["ops"] != here["ops"]:
         raise SystemExit("the two trees completed {} and {} ops".format(base["ops"], here["ops"]))
     ops = here["ops"]
     print("bytecodes (and events) per op on {} at the {} size ({} ops, CPython {}), base = {}".format(
-        args.workload, args.size, ops, sys.version.split()[0], args.base))
+        workload, size, ops, sys.version.split()[0], ref))
     line = "{:<22} {:>12} {:>12} {:>10}"
     print(line.format("layer", "base", "here", "delta"))
 
@@ -292,8 +208,8 @@ def main(argv=None):
     row("measured, total", sum(base["measured"].values()), sum(here["measured"].values()))
     row("set-up, total", sum(base["setup"].values()), sum(here["setup"].values()))
     row("events, measured", base["events"], here["events"])
-    row("queued runs, measured", base.get("queued", 0), here.get("queued", 0))
-    row("heap pushes, measured", base.get("pushes", 0), here.get("pushes", 0))
+    row("queued runs, measured", base["queued"], here["queued"])
+    row("heap pushes, measured", base["pushes"], here["pushes"])
 
     print()
     print("events per op of the measured phase and entries run from the same-instant queue ({}), by event "
@@ -314,6 +230,19 @@ def main(argv=None):
                  sum(was.get(key, 0) for key in rest), sum(now.get(key, 0) for key in rest))
     dead = [key for key in keys if key.endswith(DEAD)]
     site_row("dead dispatches, total", sum(was.get(key, 0) for key in dead), sum(now.get(key, 0) for key in dead))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref of the parent side")
+    parser.add_argument("--workload", choices=judge.WORKLOADS, help="one workload (default: all five)")
+    parser.add_argument("--size", choices=(TINY, BENCH), default=TINY,
+                        help="perf.workloads.TINY's (default) or the benchmark's")
+    args = parser.parse_args(argv)
+    with judge.base_tree(args.base) as base:
+        for workload in [args.workload] if args.workload else judge.WORKLOADS:
+            report(args.base, workload, args.size, *(judge.side(tree, count, tree=tree, workload=workload, size=args.size)
+                                                     for tree in (base, judge.ROOT)))
     return 0
 
 

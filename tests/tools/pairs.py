@@ -1,43 +1,30 @@
 """``make perf-pairs``: is one host-time metric better here than at BASE?
 
 Host timings on a shared machine drift by tens of percent over minutes,
-so one run of each side says nothing. This applies the rule the
-performance PRs applied by hand: N pairs of ``perf/run.py --workload W``
-on a ``git archive`` of BASE and on this tree, alternating which side
-runs first; each side's median and quartiles; a pair is won by the side
-with the better value (a tie by neither). The change **gains** when it
-wins at least nine tenths of the pairs *and* the medians differ by more
+so one run of each side says nothing. This runs N pairs of ``perf/run.py
+--workload W`` at BASE and here, alternating which side runs first, and
+reads one of ``BENCHMARK.json``'s end-to-end metrics; a pair is won by the
+side with the better value (a tie by neither). The change **gains** when
+it wins at least nine tenths of the pairs *and* the medians differ by more
 than the distance between the quartiles of BASE's own runs; the mirror
 image is a **regression**; anything else is **unresolved** — not
 "unchanged". Exit status 0 on a gain, 1 otherwise, 2 when a run fails.
-
-Standard library only. ``M`` is one of ``BENCHMARK.json``'s end-to-end
-metrics (the ones ``run.py --workload`` prints as its last line).
+Run as ``python3 -m tests.tools.pairs``.
 """
 
 import argparse
 import json
 import os
-import shutil
 import statistics
-import subprocess
 import sys
-import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.tools import judge
 
 
 def measure(tree, workload, metric, seconds):
-    """One ``perf/run.py`` process in ``tree``; the metric's value."""
-    done = subprocess.run(
-        [sys.executable, "perf/run.py", "--workload", workload, "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True,
-    )
-    record = json.loads(done.stdout.strip().splitlines()[-1]) if done.returncode == 0 else {}
-    if not record.get("correct"):
-        sys.stderr.write(done.stdout + done.stderr)
-        raise SystemExit(2)
-    return record["metrics"][metric]["value"]
+    """One ``perf/run.py`` process in ``tree`` (it exits 1 on wrong outputs); the metric's value."""
+    command = [sys.executable, "perf/run.py", "--workload", workload, "--seconds", str(seconds)]
+    return judge.read(tree, command)["metrics"][metric]["value"]
 
 
 def quartiles(values):
@@ -69,15 +56,12 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=5)
     args = parser.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+    with open(os.path.join(judge.ROOT, "BENCHMARK.json")) as handle:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
     if args.metric not in better:
         parser.error("metric must be one of: " + ", ".join(better))
-    tmp = tempfile.mkdtemp(prefix="perf-pairs-")
-    try:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        trees = {"base": tmp, "here": ROOT}
+    with judge.base_tree(args.base) as base:
+        trees = {"base": base, "here": judge.ROOT}
         runs = {"base": [], "here": []}
         print("{} {} on {}: {} pairs, --seconds {:g}, base = {}".format(
             args.metric, "(%s is better)" % better[args.metric], args.workload, args.pairs, args.seconds, args.base))
@@ -87,8 +71,6 @@ def main(argv=None):
             for side in order:
                 runs[side].append(measure(trees[side], args.workload, args.metric, args.seconds))
             print("{:>4}  {:>12.6g} {:>12.6g}  {}".format(pair + 1, runs["base"][-1], runs["here"][-1], order[0]), flush=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
     outcome, here_wins, base_wins = verdict(runs["base"], runs["here"], better[args.metric] == "lower")
     spread = {side: quartiles(runs[side]) for side in ("base", "here")}
     print("{:>4}  {:>12} {:>12} {:>12}".format("", "q1", "median", "q3"))

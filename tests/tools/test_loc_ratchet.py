@@ -5,9 +5,8 @@ change that grows one raises its number in its own diff and says why
 there; ROADMAP item 13 targets 900 for the kernel, item 8 < 2 300 for the
 analysis."""
 
-import pathlib
+from tests.tools.judge import ROOT, lines
 
-REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: ``make loc``'s reading for src/repro/sim when the ratchet was set.
 SIM_LINES = 1112
 #: ``make loc``'s reading for src/repro/analysis when the ratchet was set:
@@ -16,17 +15,12 @@ SIM_LINES = 1112
 ANALYSIS_LINES = 2562
 
 
-def _lines(package):
-    return sum(path.read_text().count("\n") for path in (REPRO / package).rglob("*.py"))
-
-
 def test_the_kernel_does_not_grow():
-    lines = _lines("sim")
-    assert lines <= SIM_LINES, "src/repro/sim has {} lines, over the ratchet's {}".format(lines, SIM_LINES)
+    sim = lines(ROOT, "src/repro/sim")
+    assert sim <= SIM_LINES, "src/repro/sim has {} lines, over the ratchet's {}".format(sim, SIM_LINES)
 
 
 def test_the_analysis_does_not_grow():
-    lines = _lines("analysis")
-    assert lines <= ANALYSIS_LINES, "src/repro/analysis has {} lines, over the ratchet's {}".format(
-        lines, ANALYSIS_LINES
-    )
+    analysis = lines(ROOT, "src/repro/analysis")
+    assert analysis <= ANALYSIS_LINES, "src/repro/analysis has {} lines, over the ratchet's {}".format(
+        analysis, ANALYSIS_LINES)

@@ -1,12 +1,13 @@
 """How ``make opcodes`` names a dispatched event, sizes a workload and counts
-heap pushes (measurement code is code)."""
+heap pushes through the judge's kernel hooks (measurement code is code)."""
 
 from perf import workloads
 from repro.nfp import Fpc
 from repro.nfp.fpc import FpcThread
 from repro.sim import Simulator, Timeout
 from repro.sim.resources import Hold, Slots
-from tests.tools.opcodes import BENCH, ROOT, TINY, CountingPushes, code_name, dispatch_key, sizes
+from tests.tools.judge import ROOT, KernelHooks
+from tests.tools.opcodes import BENCH, TINY, code_name, dispatch_key, sizes
 
 HERE = "tests/tools/test_opcodes.py"
 
@@ -113,9 +114,10 @@ def test_a_heap_push_is_counted_and_a_queued_entry_is_not():
         yield Timeout(sim, 0)  # queued
         yield Hold(slots, 2, 2)  # the timeout is due before it ends: its end is pushed, by sim/resources.py
 
+    pushes = []
     sim.process(program())
-    with CountingPushes() as pushes:
+    with KernelHooks(heappush=lambda kernel_push, heap, entry: pushes.append(kernel_push(heap, entry))):
         sim.run()
-    assert pushes.count == 2 and sim.now == 2
+    assert len(pushes) == 2 and sim.now == 2
     Timeout(sim, 1)  # after the count: the kernel's own push again
-    assert pushes.count == 2
+    assert len(pushes) == 2
