@@ -82,9 +82,6 @@ def main(argv=None):
         from repro.faults.cli import main as faults_main
 
         return faults_main(rest)
-    if argv and argv[0] == "bench":
-        print("repro: 'bench' was removed; run python3 perf/run.py (see perf/README.md)", file=sys.stderr)
-        return 2
     build_parser().parse_args(argv)
     return demo()
 

@@ -200,7 +200,7 @@ def _check_not_passed(queue, entry):
 def _pop_checking_merge(heap):
     # One sorted stream: what the heap yields while the queue holds entries sorts before its head.
     entry = _PLAIN["heappop"](heap)
-    queue = sys._getframe(1).f_locals["self"]._queue  # popped by Simulator.run() or step()
+    queue = sys._getframe(1).f_locals["self"]._queue  # popped by Simulator.run()
     if queue and not entry < queue[0]:
         raise SanitizerError("{!r} at {} dispatched from the heap before the queue's head {!r} at {}, which sorts "
                              "first".format(entry[3], entry[:3], queue[0][3], queue[0][:3]))

@@ -81,11 +81,6 @@ class StateCache:
             latency += LAT_CLS  # write back from local memory to CLS
         return latency, issue
 
-    def access_latency(self, conn_index):
-        """Latency-only view (compatibility for tests/tools)."""
-        latency, _issue = self.access(conn_index)
-        return latency
-
     def flush(self):
         """Evict every cached record (fault injection: forced eviction).
 

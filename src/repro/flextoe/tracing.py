@@ -11,8 +11,6 @@ hits, no more: a name listed here fires somewhere in
 the two sets).
 """
 
-from repro.sim import TraceRecorder
-
 #: The tracepoint catalog: event name -> extra FPC cycles when enabled.
 TRACEPOINTS = {
     # transport events
@@ -38,28 +36,29 @@ TRACEPOINTS = {
 
 
 class TracepointRegistry:
-    """Holds enablement state and the shared recorder."""
+    """Which tracepoints are on, and the ``(time, source, event, payload)``
+    records their hits made: at most ``limit``, past which ``dropped``
+    counts them. Off, a hit is one set lookup and appends nothing."""
 
-    __slots__ = ("recorder", "enabled", "_active")
+    __slots__ = ("enabled", "limit", "records", "dropped", "_active")
 
-    def __init__(self, enabled=False, recorder=None):
-        self.recorder = recorder or TraceRecorder(enabled=enabled, limit=200_000)
+    def __init__(self, enabled=False, limit=200_000):
         self.enabled = enabled
+        self.limit = limit
+        self.records = []
+        self.dropped = 0
         self._active = set(TRACEPOINTS) if enabled else set()
 
     def enable_all(self):
         self.enabled = True
-        self.recorder.enabled = True
         self._active = set(TRACEPOINTS)
 
     def disable_all(self):
         self.enabled = False
-        self.recorder.enabled = False
         self._active.clear()
 
     def enable(self, names):
         self.enabled = True
-        self.recorder.enabled = True
         self._active.update(names)
 
     def cost(self, name):
@@ -72,8 +71,17 @@ class TracepointRegistry:
         """Record the event (if enabled); returns the cycle cost."""
         if name not in self._active:
             return 0
-        self.recorder.emit(now, source, name, payload)
+        if len(self.records) < self.limit:
+            self.records.append((now, source, name, payload))
+        else:
+            self.dropped += 1
         return TRACEPOINTS.get(name, 20)
 
+    def clear(self):
+        self.records.clear()
+        self.dropped = 0
+
     def count(self, name=None, source=None):
-        return self.recorder.count(source=source, event=name)
+        """Records of the given event name and/or source."""
+        return sum((source is None or record[1] == source) and (name is None or record[2] == name)
+                   for record in self.records)

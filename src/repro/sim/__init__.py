@@ -9,9 +9,8 @@ from repro.sim.core import AllOf, AnyOf, Event, Interrupt, Process, SimulationEr
 from repro.sim.resources import Resource, Store
 from repro.sim.clock import Clock, CYCLES_2GHZ, CYCLES_800MHZ, ns_to_us, us_to_ns
 from repro.sim.rng import RngPool
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "AllOf", "AnyOf", "Clock", "CYCLES_2GHZ", "CYCLES_800MHZ", "RngPool", "Event", "Interrupt", "Process",
-    "Resource", "SimulationError", "Simulator", "Store", "Timeout", "TraceRecorder", "ns_to_us", "us_to_ns",
+    "Resource", "SimulationError", "Simulator", "Store", "Timeout", "ns_to_us", "us_to_ns",
 ]

@@ -5,14 +5,13 @@ generator that yields :class:`Event` objects; the process resumes when the
 yielded event fires. Time is an integer (nanoseconds by convention).
 
 Hot-path notes (DESIGN §12 keeps the ledger, one row per host-only
-mechanism with the number behind it): :meth:`Simulator.run` inlines
-:meth:`Simulator.step`; a process returning unwatched schedules no exit
-event (:meth:`Event.settle`); an entry for ``now`` joins the same-instant
+mechanism with the number behind it): :meth:`Simulator.run` is the one
+dispatch loop; a process returning unwatched schedules no exit event
+(:meth:`Event.settle`); an entry for ``now`` joins the same-instant
 queue, not the heap; and an event the running process yields at once or
 an engine operation's next step runs in place when it would be the very
-next dispatch (rule 3, :meth:`Simulator._next_in_line`), for which every
-dispatch loop records the callbacks it runs, and :meth:`Simulator.run`
-its deadline and target.
+next dispatch (rule 3, :meth:`Simulator._next_in_line`), for which the
+loop records the callbacks it runs, its deadline and its target.
 
 Event objects are never reused: one is created per occurrence, and what
 a caller still holds after the dispatch is what was dispatched.
@@ -400,13 +399,6 @@ class Simulator:
         self._seq += 1
         self._queue.append((self.now, NORMAL, self._seq, entry))
 
-    def _push_queued(self):
-        """Push what the queue holds under its own keys: what was made between
-        runs, or left by a run whose target fired."""
-        for entry in self._queue:
-            heappush(self._heap, entry)
-        self._queue.clear()
-
     def _after(self, delay, step):
         """Run the engine step ``step`` ``delay`` ns from now: in place when
         next in line, else scheduled. Only a step in its own dispatch calls
@@ -467,85 +459,37 @@ class Simulator:
         """Timestamp of the next scheduled event, or None if empty."""
         return self.now if self._queue else self._heap[0][0] if self._heap else None
 
-    def step(self):
-        """Process one event, then what it queues for ``now`` merged with the
-        heap by key and what their processes take on the spot, as an
-        unbounded :meth:`run` would. Raises IndexError when nothing is scheduled."""
-        heap, queue = self._heap, self._queue
-        self._push_queued()  # made between steps
-        when, _priority, _seq, event = heappop(heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        self._event_count += 1
-        while True:
-            callbacks = event.callbacks
-            event.callbacks = None
-            self._dispatching = callbacks
-            for callback in callbacks:
-                callback(event)
-            if not queue:
-                break
-            if heap and heap[0] < queue[0]:
-                event = heappop(heap)[3]
-                self._event_count += 1
-            else:
-                event = queue.popleft()[3]
-        self._dispatching = ()
-
     def run(self, until=None):
         """Run until the heap drains or simulated time reaches ``until``.
 
         ``until`` may also be an :class:`Event`; the loop then runs until
         that event fires (its value is returned).
 
-        The loops below are :meth:`step` unrolled with locals bound outside
-        the loop and must stay behaviourally identical to it, the queue and
-        the heap read as one sorted stream (``tests/sim``); both record what
-        ends them, so that nothing is taken on the spot or run from the
-        queue that this run would not reach.
+        One loop serves both bounds, ``stop`` (the target, or ``_NEVER``)
+        and ``deadline`` (``int(until)``, or ``_FOREVER``), with the queue
+        and the heap read as one sorted stream (``tests/sim``); the bounds
+        are recorded on the simulator, so that nothing is taken on the spot
+        or run from the queue that this run would not reach.
         """
         heap, queue = self._heap, self._queue
         count = 0
         outer = self._deadline, self._until, self._dispatching
+        stop, deadline = _NEVER, _FOREVER
         try:
-            self._push_queued()  # made between runs
+            for entry in queue:  # made between runs, or left when a target fired
+                heappush(heap, entry)
+            queue.clear()
             if isinstance(until, Event):
                 stop = self._until = until
-                while stop._value is PENDING:
-                    if not heap:
-                        raise SimulationError("simulation ran out of events before condition")
-                    when, _priority, _seq, event = heappop(heap)
-                    if when < self.now:
-                        raise SimulationError("time went backwards")
-                    self.now = when
-                    count += 1
-                    while True:
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        self._dispatching = callbacks
-                        for callback in callbacks:
-                            callback(event)
-                        if not queue or stop._value is not PENDING:
-                            break  # what is left is pushed when the next run starts
-                        if heap and heap[0] < queue[0]:
-                            event = heappop(heap)[3]
-                            count += 1
-                        else:
-                            event = queue.popleft()[3]
-                if not stop._ok:
-                    raise stop._value
-                return stop._value
-            deadline = None if until is None else int(until)
-            if deadline is not None:
+            elif until is not None:
+                deadline = int(until)
                 if deadline < self.now:
                     raise SimulationError("run(until={}) is before now ({})".format(deadline, self.now))
                 self._deadline = deadline
-            while heap:
+            while heap and stop._value is PENDING:
                 when = heap[0][0]
-                if deadline is not None and when > deadline:
-                    self.now = deadline
-                    return None
+                if when > deadline:
+                    break
                 event = heappop(heap)[3]
                 if when < self.now:
                     raise SimulationError("time went backwards")
@@ -557,16 +501,22 @@ class Simulator:
                     self._dispatching = callbacks
                     for callback in callbacks:
                         callback(event)
-                    if not queue:
-                        break
+                    if not queue or stop._value is not PENDING:
+                        break  # what is left is pushed when the next run starts
                     if heap and heap[0] < queue[0]:
                         event = heappop(heap)[3]
                         count += 1
                     else:
                         event = queue.popleft()[3]
-            if deadline is not None:
-                self.now = deadline
-            return None
+            if stop is _NEVER:
+                if deadline is not _FOREVER:
+                    self.now = deadline
+                return None
+            if stop._value is PENDING:
+                raise SimulationError("simulation ran out of events before condition")
+            if not stop._ok:
+                raise stop._value
+            return stop._value
         finally:
             self._event_count += count
             self._deadline, self._until, self._dispatching = outer

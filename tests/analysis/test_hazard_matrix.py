@@ -114,7 +114,7 @@ HAZARDS = {
     ),
     "H12": (
         (
-            "\n                    if heap and heap[0] < queue[0]:\n",  # in run()'s deadline loop
+            "\n                    if heap and heap[0] < queue[0]:\n",  # the merge in run()'s one loop
             "\n                    if heap and heap[0][0] <= queue[0][0]:\n",
         ),
         None,

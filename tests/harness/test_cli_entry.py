@@ -29,12 +29,11 @@ def test_unknown_command_is_an_error(capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
-def test_removed_bench_command_points_at_perf(capsys):
-    assert main(["bench", "--quick"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "python3 perf/run.py" in captured.err
+def test_bench_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--quick"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_faults_option_reaches_subparser_verbatim(capsys):

@@ -8,8 +8,8 @@ process-per-burst drain started in the dispatch that offers its first
 frame, kept below as the reference — so a run is the same run with the
 same number of events. Random traffic (sizes, send instants, shaped rates,
 ECN and RED thresholds, broadcast floods, unknown destinations, a wire
-fault that delays and duplicates, a link flap) is driven the four ways a
-caller can drive the kernel."""
+fault that delays and duplicates, a link flap) is driven the three ways a
+caller can drive the kernel (``tests/sim/drives.py``)."""
 
 import random
 from collections import deque
@@ -22,6 +22,7 @@ from repro.net.link import wire_time_ns
 from repro.proto import make_tcp_frame
 from repro.proto.ip import ECN_ECT0, ECN_NOT_ECT
 from repro.sim import Simulator, Timeout
+from tests.sim.drives import DRIVES, unmarked
 from tests.sim.test_engine_continuations import Started
 
 BROADCAST = (1 << 48) - 1
@@ -208,31 +209,6 @@ def transcript(reference, world, drive, sentinel_sleeps, slices):
     return log, sim.processed_events, sim.now, counters
 
 
-def _by_step(sim, _target, _slices, _log):
-    while sim.peek() is not None:
-        sim.step()
-
-
-def _by_run(sim, _target, _slices, _log):
-    sim.run()
-
-
-def _by_slices(sim, _target, slices, log):
-    for horizon in slices:
-        if horizon >= sim.now:
-            sim.run(until=horizon)
-            log.append((sim.now, "horizon"))
-    sim.run()
-
-
-def _by_event(sim, target, _slices, log):
-    sim.run(until=target)
-    log.append((sim.now, "target"))
-    sim.run()
-
-
-DRIVES = (_by_step, _by_run, _by_slices, _by_event)
-
 _RATES = st.sampled_from([100_000_000, 1_000_000_000, 10_000_000_000, 100_000_000_000])
 _PORT = st.tuples(
     _RATES,
@@ -283,5 +259,5 @@ def test_the_wire_pushes_what_its_processes_and_timeouts_pushed(world, sentinel_
         reference = transcript(True, world, drive, sentinel_sleeps, slices)
         observed = transcript(False, world, drive, sentinel_sleeps, slices)
         assert observed == reference, drive.__name__
-        runs.add(tuple(entry for entry in observed[0] if entry[1] not in ("horizon", "target")))
+        runs.add(unmarked(observed[0]))
     assert len(runs) == 1  # one run, however it was driven

@@ -1,8 +1,9 @@
-"""Unit tests for clock conversion, tracing, and RNG pools."""
+"""Unit tests for clock conversion, the tracepoint records, and RNG pools."""
 
 import pytest
 
-from repro.sim import CYCLES_2GHZ, CYCLES_800MHZ, Clock, RngPool, TraceRecorder, ns_to_us, us_to_ns
+from repro.flextoe.tracing import TracepointRegistry
+from repro.sim import CYCLES_2GHZ, CYCLES_800MHZ, Clock, RngPool, ns_to_us, us_to_ns
 
 
 def test_800mhz_cycle_duration():
@@ -40,26 +41,26 @@ def test_us_ns_roundtrip():
 
 
 def test_trace_disabled_records_nothing():
-    trace = TraceRecorder(enabled=False)
-    trace.emit(0, "stage", "event")
-    assert len(trace) == 0
+    trace = TracepointRegistry(enabled=False)
+    trace.hit(0, "pre", "rx.segment")
+    assert trace.records == []
 
 
 def test_trace_filter_and_count():
-    trace = TraceRecorder(enabled=True)
-    trace.emit(1, "proto", "win_update")
-    trace.emit(2, "proto", "ooo_drop")
-    trace.emit(3, "pre", "win_update")
+    trace = TracepointRegistry(enabled=True)
+    trace.hit(1, "proto", "ack.sent")
+    trace.hit(2, "proto", "rx.ooo_drop")
+    trace.hit(3, "pre", "ack.sent")
     assert trace.count(source="proto") == 2
-    assert trace.count(event="win_update") == 2
-    assert trace.count(source="pre", event="win_update") == 1
+    assert trace.count("ack.sent") == 2
+    assert trace.count("ack.sent", source="pre") == 1
 
 
 def test_trace_limit_drops():
-    trace = TraceRecorder(enabled=True, limit=2)
+    trace = TracepointRegistry(enabled=True, limit=2)
     for i in range(5):
-        trace.emit(i, "s", "e")
-    assert len(trace) == 2
+        trace.hit(i, "pre", "rx.segment")
+    assert len(trace.records) == 2
     assert trace.dropped == 3
 
 

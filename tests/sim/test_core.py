@@ -320,13 +320,15 @@ def test_yield_non_event_rejected():
         sim.run()
 
 
-def test_peek_and_step():
+def test_peek_and_run():
     sim = Simulator()
     sim.timeout(7)
+    sim.timeout(9)
     assert sim.peek() == 7
-    sim.step()
-    assert sim.now == 7
-    assert sim.peek() is None
+    sim.run(until=8)
+    assert (sim.now, sim.peek()) == (8, 9)
+    sim.run()
+    assert (sim.now, sim.peek()) == (9, None)
 
 
 def test_many_processes_scale():
@@ -453,16 +455,14 @@ def test_run_until_a_failed_event_raises_its_exception():
     assert sim.now == 3
 
 
-@pytest.mark.parametrize("drive", ["step", "run", "run-until-time", "run-until-event"])
+@pytest.mark.parametrize("drive", ["run", "run-until-time", "run-until-event"])
 def test_the_clock_never_runs_backwards(drive):
     # Only a push below now (which no public call makes) can get here.
     sim = Simulator()
     sim.run(until=10)
     sim._schedule(4, lambda _step: None)
     with pytest.raises(SimulationError, match="time went backwards"):
-        if drive == "step":
-            sim.step()
-        elif drive == "run":
+        if drive == "run":
             sim.run()
         elif drive == "run-until-time":
             sim.run(until=20)

@@ -1,6 +1,6 @@
 """Property-based tests for the event-loop kernel.
 
-The kernel's invariants, whatever its dispatch loops look like:
+The kernel's invariants, whatever its dispatch loop looks like:
 
 * dispatch times never decrease over a run;
 * events scheduled for the same instant fire in schedule order (FIFO
@@ -8,13 +8,12 @@ The kernel's invariants, whatever its dispatch loops look like:
 * a process nobody waits on costs its own steps and nothing else: its
   exit is not dispatched, and adding such processes to a schedule never
   changes the order in which everything else runs;
-* ``step()``, ``run()``, ``run(until=t)`` and ``run(until=event)`` are
-  one dispatch: however a program is driven, it produces the same
-  transcript (``run()`` unrolls ``step()`` twice, and its docstring
-  promises they stay identical) and, but for slicing, the same count of
-  dispatches, those run from the same-instant queue included — grants
-  and sleeps taken on the spot too, which read what each loop records of
-  the dispatch; a sleep never outlasts a slice.
+* ``run()``, ``run(until=t)`` and ``run(until=event)`` are one
+  dispatch: however a program is driven, it produces the same transcript
+  and, but for slicing, the same count of dispatches, those run from the
+  same-instant queue included — grants and sleeps taken on the spot too,
+  which read what the loop records of the dispatch and of its bounds; a
+  sleep never outlasts a slice.
 """
 
 from hypothesis import given, settings
@@ -221,11 +220,6 @@ def _play(program, sentinel_delays, drive):
     return transcript, sim.processed_events + sim.queued
 
 
-def _by_step(sim, _sentinel):
-    while sim.peek() is not None:
-        sim.step()
-
-
 def _by_run(sim, _sentinel):
     sim.run()
 
@@ -250,9 +244,8 @@ def test_every_way_of_driving_the_kernel_is_the_same_dispatch(program, sentinel_
                 assert sim.now == horizon
         sim.run()
 
-    reference, events = _play(program, sentinel_delays, _by_step)
-    for drive in (_by_run, _by_event):
-        assert _play(program, sentinel_delays, drive) == (reference, events)
+    reference, events = _play(program, sentinel_delays, _by_run)
+    assert _play(program, sentinel_delays, _by_event) == (reference, events)
     # A sleep that would end past a slice's horizon is pushed, not taken.
     sliced, sliced_events = _play(program, sentinel_delays, by_slices)
     assert sliced == reference and sliced_events >= events

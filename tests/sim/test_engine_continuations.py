@@ -9,7 +9,8 @@ issues it: it takes a free slot there and pushes its first sleep; a DMA
 operation's last act fires its ``done``. Random
 programs share FPCs, cores and shallow DMA queues, retry through a fault
 hook, stall, steal and interrupt each other mid-hold and in the queue,
-and are driven the four ways a caller can drive the kernel."""
+and are driven the three ways a caller can drive the kernel
+(``tests/sim/drives.py``)."""
 
 import random
 
@@ -23,6 +24,7 @@ from repro.nfp.fpc import FpcThread
 from repro.sim import Event, Interrupt, Process, Resource, Simulator
 from repro.sim.clock import CYCLES_2GHZ, CYCLES_800MHZ
 from repro.sim.resources import ResourceRequest
+from tests.sim.drives import DRIVES, unmarked
 
 # -- the reference: the engines as processes ---------------------------------
 
@@ -251,33 +253,6 @@ _SENTINEL = st.lists(
     max_size=4,
 )
 _SLICES = st.lists(st.integers(min_value=0, max_value=40), max_size=6)
-_DRIVER = "driver"
-
-
-def _by_step(sim, _sentinel, _slices, _log):
-    while sim.peek() is not None:
-        sim.step()
-
-
-def _by_run(sim, _sentinel, _slices, _log):
-    sim.run()
-
-
-def _by_slices(sim, _sentinel, slices, log):
-    for horizon in slices:
-        if horizon >= sim.now:
-            sim.run(until=horizon)
-            log.append((sim.now, _DRIVER, "horizon"))
-    sim.run()
-
-
-def _by_event(sim, sentinel, _slices, log):
-    sim.run(until=sentinel)
-    log.append((sim.now, _DRIVER, "target"))
-    sim.run()
-
-
-DRIVES = (_by_step, _by_run, _by_slices, _by_event)
 
 
 def _waiting(process):
@@ -359,5 +334,5 @@ def test_engines_push_what_their_processes_pushed(program, sentinel_ops, slices,
         reference = transcript(True, program, sentinel_ops, drive, slices, seed)
         observed = transcript(False, program, sentinel_ops, drive, slices, seed)
         assert observed == reference, drive.__name__
-        runs.add(tuple(entry for entry in observed[0] if entry[1] != _DRIVER))
+        runs.add(unmarked(observed[0]))
     assert len(runs) == 1  # one run, however it was driven

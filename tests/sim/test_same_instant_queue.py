@@ -6,8 +6,8 @@ heap are read as one sorted stream while the run's target has not fired:
 the queue's head runs there, uncounted, and a heap entry that sorts
 before it runs first, counted. The run is the same run with fewer
 events: the reference is the kernel with its queue rebound to push every
-entry on the heap under its key, and each program is driven the four
-ways a caller can drive the kernel."""
+entry on the heap under its key, and each program is driven the three
+ways a caller can drive the kernel (``tests/sim/drives.py``)."""
 
 import heapq
 
@@ -19,6 +19,7 @@ from repro.analysis.sanitizer import SanitizerError
 from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store, Timeout
 from repro.sim.core import NORMAL, PENDING, _Queue
 from repro.sim.resources import Hold, Slots
+from tests.sim.drives import DRIVES, unmarked
 
 
 class _Pushed(_Queue):
@@ -99,39 +100,6 @@ _OP = st.one_of(
 _PROGRAM = st.lists(st.lists(_OP, max_size=6), min_size=1, max_size=5)
 _TARGET_AT = st.integers(min_value=0, max_value=12)
 _SLICES = st.lists(st.integers(min_value=0, max_value=16), max_size=6)
-
-# A run logs where it hands control back to its caller: whatever ran by
-# then is what the caller could observe, so a run that went on past its
-# deadline or its target shows in the transcript.
-_DRIVER = "driver"
-
-
-def _by_step(sim, _target, _slices, _log):
-    while sim.peek() is not None:
-        sim.step()
-
-
-def _by_run(sim, _target, _slices, _log):
-    sim.run()
-
-
-def _by_slices(sim, _target, slices, log):
-    for horizon in slices:  # any order; a horizon in the past is skipped
-        if horizon >= sim.now:
-            sim.run(until=horizon)
-            assert sim.now == horizon
-            log.append((sim.now, _DRIVER, "horizon"))
-    sim.run()
-
-
-def _by_event(sim, target, _slices, log):
-    sim.run(until=target)
-    log.append((sim.now, _DRIVER, "target"))
-    sim.run()
-
-
-DRIVES = (_by_step, _by_run, _by_slices, _by_event)
-
 
 def transcript(kernel, program, target_at, drive, slices=()):
     """Run ``program`` on ``kernel`` under ``drive``; returns its
@@ -260,7 +228,7 @@ def _same_run_fewer_events(program, target_at, slices):
         observed, queued = transcript(CountingQueue, program, target_at, drive, slices)
         assert observed == reference, drive.__name__
         assert pushed.processed_events - queued.processed_events == queued.queued, drive.__name__
-        runs.add(tuple(entry for entry in observed if entry[1] != _DRIVER))
+        runs.add(unmarked(observed))
     assert len(runs) == 1  # one run, however it was driven
 
 
@@ -479,47 +447,35 @@ def _interleaved(sim, log):
     Timeout(sim, 3).callbacks.append(lambda _event: log.append((sim.now, "timeout")))
 
 
-def _scenario(build, kernel, drive):
+def _scenario(build, kernel):
     sim, log = kernel(), []
     build(sim, log)
-    if drive == "step":
-        while sim.peek() is not None:
-            sim.step()
-    else:
-        sim.run()
+    sim.run()
     return log, sim
 
 
 def test_an_urgent_entry_made_mid_queue_runs_before_the_rest():
     # The start and the interrupt sort before the second wake: each runs,
     # counted, between the two wakes, which run from the queue.
-    log, sim = _scenario(_urgent_mid_queue, CountingQueue, "run")
+    log, sim = _scenario(_urgent_mid_queue, CountingQueue)
     assert log == [(3, "step"), (3, "first"), (3, "child"), (3, "interrupted", "first"), (3, "second")]
     # Three starts, the step, the child's start, the interrupt, the
     # sleeper's timeout at 10 (it wakes no one).
     assert (sim.processed_events, sim.queued) == (7, 2)
-    reference, pushed = _scenario(_urgent_mid_queue, HeapOnly, "run")
+    reference, pushed = _scenario(_urgent_mid_queue, HeapOnly)
     assert reference == log and pushed.processed_events == 7 + 2
 
 
 def test_heap_entries_at_now_interleave_with_the_queue_by_key(sanitized):
     # Under the sanitizer, a heap entry that does not sort before the
     # queue's head, dispatched before it, raises.
-    log, sim = _scenario(_interleaved, CountingQueue, "run")
+    log, sim = _scenario(_interleaved, CountingQueue)
     assert log == [(3, "step"), (3, "timeout"), (3, "holder"), (3, "child"), (3, "opener"), (3, "last"),
                    (3, "held")]
     # Three starts, the step, the timeout, the child's start, the hold's end.
     assert (sim.processed_events, sim.queued) == (7, 4)
-    reference, pushed = _scenario(_interleaved, HeapOnly, "run")
+    reference, pushed = _scenario(_interleaved, HeapOnly)
     assert reference == log and pushed.processed_events == 7 + 4
-
-
-@pytest.mark.parametrize("build", [_urgent_mid_queue, _interleaved], ids=["urgent", "interleaved"])
-def test_a_step_driven_run_merges_as_run_does(build):
-    by_run, ran = _scenario(build, CountingQueue, "run")
-    by_step, stepped = _scenario(build, CountingQueue, "step")
-    assert by_step == by_run
-    assert (stepped.processed_events, stepped.queued) == (ran.processed_events, ran.queued)
 
 
 def test_a_target_fired_mid_merge_leaves_the_rest_to_the_next_run():

@@ -4,9 +4,10 @@ or ``Store.get()`` satisfied while its process is next in line, and a
 process continues where — and when — the event's dispatch would have
 resumed it. The run is the same run with fewer events: the reference is a
 kernel whose next-in-line check always says no, so every grant and every
-sleep is pushed and dispatched, and each program is driven the four ways
-a caller can drive the kernel. Both count what they run from the
-same-instant queue as well as the events they dispatch."""
+sleep is pushed and dispatched, and each program is driven the three
+ways a caller can drive the kernel (``tests/sim/drives.py``). Both count
+what they run from the same-instant queue as well as the events they
+dispatch."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import SanitizerError
 from repro.nfp import Fpc
 from repro.sim import Resource, SimulationError, Simulator, Store, Timeout
+from tests.sim.drives import DRIVES, unmarked
 from tests.sim.test_same_instant_queue import CountingQueue
 
 
@@ -67,41 +69,6 @@ _SENTINEL = st.tuples(
 _SLICES = st.lists(st.integers(min_value=0, max_value=16), max_size=6)
 
 
-# A run logs where it hands control back to its caller: whatever ran by
-# then is what the caller could observe, so a run that went on past its
-# deadline or its target shows in the transcript. (A step is one event and
-# what its process then takes on the spot, as in a run without bounds.)
-_DRIVER = "driver"
-
-
-def _by_step(sim, _sentinel, _slices, _log):
-    while sim.peek() is not None:
-        sim.step()
-
-
-def _by_run(sim, _sentinel, _slices, _log):
-    sim.run()
-
-
-def _by_slices(sim, _sentinel, slices, log):
-    for horizon in slices:  # any order; a horizon in the past is skipped
-        if horizon >= sim.now:
-            sim.run(until=horizon)
-            assert sim.now == horizon
-            log.append((sim.now, _DRIVER, "horizon"))
-    sim.run()
-
-
-def _by_event(sim, sentinel, _slices, log):
-    sim.run(until=sentinel)
-    assert not sentinel.is_alive
-    log.append((sim.now, _DRIVER, "target"))
-    sim.run()
-
-
-DRIVES = (_by_step, _by_run, _by_slices, _by_event)
-
-
 def transcript(kernel, program, sentinel_ops, drive, slices=()):
     """Run ``program`` on ``kernel`` under ``drive``; returns its
     ``(now, pid, value)`` transcript and the simulator."""
@@ -152,6 +119,7 @@ def transcript(kernel, program, sentinel_ops, drive, slices=()):
     for pid, ops in enumerate(program):
         processes.append(sim.process(body(pid, ops)))
     drive(sim, sentinel, slices, log)
+    assert not sentinel.is_alive
     return log, sim
 
 
@@ -170,7 +138,7 @@ def test_spot_grants_change_the_event_count_and_nothing_else(program, sentinel_o
         assert observed == reference, drive.__name__
         dispatched = pushed.processed_events + pushed.queued - spot.processed_events - spot.queued
         assert dispatched == spot.spots, drive.__name__
-        runs.add(tuple(entry for entry in observed if entry[1] != _DRIVER))
+        runs.add(unmarked(observed))
     assert len(runs) == 1  # one run, however it was driven
 
 

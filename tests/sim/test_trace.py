@@ -1,4 +1,4 @@
-"""TraceRecorder / TracepointRegistry: the disabled path must be free.
+"""TracepointRegistry: the disabled path must be free.
 
 Table 2 of the paper quantifies tracing overhead when *on*; when *off*
 the harness relies on tracing being zero-cost — no buffer appends, no
@@ -6,13 +6,12 @@ cycle charges — so benchmarks measure the data path, not the probes.
 """
 
 from repro.flextoe.tracing import TRACEPOINTS, TracepointRegistry
-from repro.sim import TraceRecorder
 
 
 def test_disabled_recorder_never_appends():
-    trace = TraceRecorder(enabled=False, limit=4)
+    trace = TracepointRegistry(enabled=False, limit=4)
     for i in range(1000):
-        trace.emit(i, "proto", "rx.segment", payload=i)
+        trace.hit(i, "proto", "rx.segment", payload=i)
     assert trace.records == []
     assert trace.dropped == 0
 
@@ -22,30 +21,29 @@ def test_disabled_registry_hits_are_free():
     for name in TRACEPOINTS:
         assert registry.hit(0, "proto", name) == 0
         assert registry.cost(name) == 0
-    assert len(registry.recorder) == 0
+    assert registry.records == []
 
 
 def test_enable_disable_roundtrip():
     registry = TracepointRegistry(enabled=False)
     registry.enable_all()
     assert registry.hit(5, "proto", "rx.segment") == TRACEPOINTS["rx.segment"]
-    assert len(registry.recorder) == 1
+    assert len(registry.records) == 1
     registry.disable_all()
     assert registry.hit(6, "proto", "rx.segment") == 0
-    assert len(registry.recorder) == 1  # nothing new appended
+    assert len(registry.records) == 1  # nothing new appended
 
 
 def test_clear_resets_records_and_drops():
-    trace = TraceRecorder(enabled=True, limit=2)
+    trace = TracepointRegistry(enabled=True, limit=2)
     for i in range(5):
-        trace.emit(i, "s", "e")
-    assert len(trace) == 2
+        trace.hit(i, "pre", "rx.segment")
+    assert len(trace.records) == 2
     assert trace.dropped == 3
     trace.clear()
-    assert len(trace) == 0
-    assert trace.dropped == 0
-    trace.emit(9, "s", "e")
-    assert trace.records == [(9, "s", "e", None)]
+    assert (trace.records, trace.dropped) == ([], 0)
+    trace.hit(9, "pre", "rx.segment")
+    assert trace.records == [(9, "pre", "rx.segment", None)]
 
 
 def test_selective_enable_appends_only_active():

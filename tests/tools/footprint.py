@@ -4,10 +4,12 @@ and which layer holds it, here and at BASE — the memory counterpart of
 
 ``peak_rss_mb`` says how much a run held at its worst, not what for.
 :func:`measure` runs one repetition of a ``perf/`` workload at its
-benchmark size, in separate processes: untraced, for ``VmRSS`` after
-import, set-up and the measured phase, then ``ru_maxrss`` (what
-``peak_rss_mb`` reads; updated lazily, so it can read below the last
-``VmRSS``); and under ``tracemalloc``, for the bytes still held after
+benchmark size, in separate processes: untraced, ``REPS`` times a side
+in alternating order, for ``VmRSS`` after import, set-up and the
+measured phase, then ``ru_maxrss`` (what ``peak_rss_mb`` reads; updated
+lazily, so it can read below the last ``VmRSS``), each printed as the
+median with its min–max (:func:`median_delta` says when the delta is
+unresolved); and once under ``tracemalloc``, for the bytes still held after
 set-up and after the measured phase per ``perf/layers.py`` layer. On
 ``sparse-idle`` a third run sets up with no quiescent connections, and the
 difference per installed connection is printed per layer and per source
@@ -20,6 +22,7 @@ import argparse
 import gc
 import os
 import resource
+import statistics
 import sys
 import tracemalloc
 
@@ -27,6 +30,8 @@ from tests.tools import judge
 
 PHASES = ("set-up", "measured")
 MIB = float(1 << 20)
+#: Untraced repetitions a side: resident memory moves between identical runs.
+REPS = 3
 
 
 def vm_rss_bytes():
@@ -91,21 +96,45 @@ def measure(tree, workload, traced=False, empty=False):
     return {"ops": ops, "extras": extras, "rss": rss, "held": held}
 
 
-def sides(tree, workload):
-    side = {"resident": judge.side(tree, measure, tree=tree, workload=workload),
-            "traced": judge.side(tree, measure, tree=tree, workload=workload, traced=True)}
-    if workload == "sparse-idle":
-        side["empty"] = judge.side(tree, measure, tree=tree, workload=workload, traced=True, empty=True)
-    return side
+def median_delta(base, here):
+    """The difference of two sides' median readings, and whether it is
+    resolved: only a delta wider than both sides' min–max spreads is (one
+    inside either spread is what that side's own runs move by)."""
+    delta = statistics.median(here) - statistics.median(base)
+    return delta, abs(delta) > max(max(base) - min(base), max(here) - min(here))
+
+
+def sides(trees, workload):
+    """``{side: {"resident": [REPS runs], "traced": run[, "empty": run]}}``
+    for ``trees`` (``{"base": tree, "here": tree}``); the untraced runs
+    alternate which side goes first, as ``make perf-pairs`` does."""
+    runs = {name: {"resident": []} for name in trees}
+    for rep in range(REPS):
+        for name in ("base", "here") if rep % 2 == 0 else ("here", "base"):
+            runs[name]["resident"].append(judge.side(trees[name], measure, tree=trees[name], workload=workload))
+    for name, tree in trees.items():
+        runs[name]["traced"] = judge.side(tree, measure, tree=tree, workload=workload, traced=True)
+        if workload == "sparse-idle":
+            runs[name]["empty"] = judge.side(tree, measure, tree=tree, workload=workload, traced=True, empty=True)
+    return runs
 
 
 def report(ref, workload, base, here):
     """Resident memory, then what each layer holds (and, on ``sparse-idle``, per connection)."""
-    if base["resident"]["ops"] != here["resident"]["ops"]:
-        raise SystemExit("the two trees completed {} and {} ops".format(
-            base["resident"]["ops"], here["resident"]["ops"]))
+    ops = {run["ops"] for side in (base, here) for run in side["resident"]}
+    if len(ops) != 1:
+        raise SystemExit("the two trees completed {} ops".format(sorted(ops)))
     print("footprint of one {} repetition ({} ops, CPython {}), base = {}".format(
-        workload, here["resident"]["ops"], sys.version.split()[0], ref))
+        workload, ops.pop(), sys.version.split()[0], ref))
+    spread = "{:<24} {:>24} {:>24} {:>20}"
+    print(spread.format("resident (MiB), {} runs".format(REPS), "base: median (min-max)", "here: median (min-max)",
+                        "delta"))
+    for name, key in (("after import", "import"), ("after set-up", "set-up"),
+                      ("after measured phase", "measured"), ("peak (ru_maxrss)", "peak")):
+        was, now = ([run["rss"][key] / MIB for run in side["resident"]] for side in (base, here))
+        delta, resolved = median_delta(was, now)
+        cells = ["%.2f (%.2f-%.2f)" % (statistics.median(v), min(v), max(v)) for v in (was, now)]
+        print(spread.format(name, *cells, "%+.2f" % delta + ("" if resolved else " (unresolved)")))
     line = "{:<38} {:>12} {:>12} {:>12}"
 
     def table(title, rows, unit, scale):
@@ -113,10 +142,6 @@ def report(ref, workload, base, here):
         for label, was, now in rows:
             print(line.format(label, unit % (was / scale), unit % (now / scale), ("%+" + unit[1:]) % ((now - was) / scale)))
 
-    rss = [(name, base["resident"]["rss"][key], here["resident"]["rss"][key]) for name, key in (
-        ("after import", "import"), ("after set-up", "set-up"), ("after measured phase", "measured"),
-        ("peak (ru_maxrss)", "peak"))]
-    table("resident (MiB)", rss, "%.2f", MIB)
     for phase in PHASES:
         was, now = base["traced"]["held"][phase]["bytes"], here["traced"]["held"][phase]["bytes"]
         rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))]
@@ -136,8 +161,8 @@ def report(ref, workload, base, here):
                     if max(abs(was.get(name, 0)), abs(now.get(name, 0))) >= floor]  # >= 1 B, 0.01 block each
             rows.append(("total", sum(was.values()), sum(now.values())))
             if unit == "bytes":
-                rows.append(("resident (install VmRSS)", base["resident"]["extras"]["install_rss_bytes"],
-                             here["resident"]["extras"]["install_rss_bytes"]))
+                rows.append(("resident (install VmRSS)", base["resident"][0]["extras"]["install_rss_bytes"],
+                             here["resident"][0]["extras"]["install_rss_bytes"]))
             table("{} per connection ({})".format(title, installed), rows,
                   "%.2f" if unit.endswith("blocks") else "%.1f", float(installed))
 
@@ -149,7 +174,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with judge.base_tree(args.base) as base:
         for workload in [args.workload] if args.workload else judge.WORKLOADS:
-            report(args.base, workload, sides(base, workload), sides(judge.ROOT, workload))
+            runs = sides({"base": base, "here": judge.ROOT}, workload)
+            report(args.base, workload, runs["base"], runs["here"])
     return 0
 
 

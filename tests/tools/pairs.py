@@ -7,9 +7,10 @@ reads one of ``BENCHMARK.json``'s end-to-end metrics; a pair is won by the
 side with the better value (a tie by neither). The change **gains** when
 it wins at least nine tenths of the pairs *and* the medians differ by more
 than the distance between the quartiles of BASE's own runs; the mirror
-image is a **regression**; anything else is **unresolved** — not
-"unchanged". Exit status 0 on a gain, 1 otherwise, 2 when a run fails.
-Run as ``python3 -m tests.tools.pairs``.
+image is a **regression**; anything else, and any verdict on fewer than
+``MIN_PAIRS`` pairs, is **unresolved** — not "unchanged". Exit status 0
+on a gain, 1 otherwise, 2 when a run fails. Run as
+``python3 -m tests.tools.pairs``.
 """
 
 import argparse
@@ -19,6 +20,9 @@ import statistics
 import sys
 
 from tests.tools import judge
+
+#: Below this many pairs, nine tenths of them is too few wins to call.
+MIN_PAIRS = 10
 
 
 def measure(tree, workload, metric, seconds):
@@ -41,6 +45,8 @@ def verdict(base, here, lower_is_better):
     q1, base_median, q3 = quartiles(base)
     gap = sign * (base_median - quartiles(here)[1])  # positive: here is better
     needed = 0.9 * len(base)
+    if len(base) < MIN_PAIRS:
+        return "unresolved", here_wins, base_wins
     if here_wins >= needed and gap > q3 - q1:
         return "gain", here_wins, base_wins
     if base_wins >= needed and -gap > q3 - q1:
@@ -53,7 +59,7 @@ def main(argv=None):
     parser.add_argument("--base", required=True, help="git ref of the parent side")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--metric", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=5)
     args = parser.parse_args(argv)
     with open(os.path.join(judge.ROOT, "BENCHMARK.json")) as handle:

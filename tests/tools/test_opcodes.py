@@ -30,10 +30,10 @@ def test_an_event_is_named_by_its_class_and_the_innermost_yield_site_it_resumes(
     sim.process(program())
     (start,) = _parked_events(sim)
     assert dispatch_key(start, ROOT).startswith("Initialize {} ".format(HERE))
-    sim.step()
+    sim.run(until=0)
     (sleep,) = _parked_events(sim)
     assert dispatch_key(sleep, ROOT) == "Timeout {} {}+1".format(HERE, code_name(wait.__code__))
-    sim.step()
+    sim.run(until=5)
     (member,) = _parked_events(sim)
     # A condition's member wakes the condition, which wakes the process.
     assert dispatch_key(member, ROOT) == "Timeout AnyOf <- {} {}+2".format(HERE, code_name(program.__code__))
@@ -50,7 +50,7 @@ def test_an_event_is_named_by_the_last_process_it_resumes():
         yield thread.compute(8)
 
     sim.process(program())
-    sim.step()
+    sim.run(until=0)
     _timer, end = _parked_events(sim)
     assert end.callbacks[0].__self__ is end
     assert dispatch_key(end, ROOT) == "Hold {} {}+1".format(HERE, code_name(program.__code__))
@@ -76,10 +76,10 @@ def test_a_dispatch_into_a_fired_condition_is_dead():
         yield sim.any_of([Timeout(sim, 1), Timeout(sim, 5)])
 
     sim.process(program())
-    sim.step()
+    sim.run(until=0)
     first, _late = _parked_events(sim)
     assert not dispatch_key(first, ROOT).endswith(" (dead)")
-    sim.step()  # the first member fires the AnyOf, queued, which resumes the process
+    sim.run(until=1)  # the first member fires the AnyOf, queued, which resumes the process
     (late,) = _parked_events(sim)
     assert dispatch_key(late, ROOT).endswith(" (dead)")
 
@@ -94,7 +94,7 @@ def test_a_queued_entry_is_named_as_a_heap_event_is():
         yield gate
 
     sim.process(program())
-    sim.step()
+    sim.run(until=0)
     gate.succeed()
     (entry,) = sim._queue
     assert dispatch_key(entry[3], ROOT) == "Event {} {}+1".format(HERE, code_name(program.__code__))

@@ -17,6 +17,8 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_parents_
     # A wide gap on the medians, but only eight pairs of ten.
     mixed = faster[:8] + [value * 2 for value in BASE[8:]]
     assert verdict(BASE, mixed, lower_is_better=True) == ("unresolved", 8, 2)
+    # Every pair, by a wide gap, but two pairs are too few to call.
+    assert verdict(BASE[:2], faster[:2], lower_is_better=True) == ("unresolved", 2, 0)
 
 
 def test_a_tie_is_won_by_neither_side():
