@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test sanitize durations untested loc lint lint-github baseline check-baseline perf perf-compare perf-exact faults-exact perf-pairs opcodes footprint ties
+.PHONY: test sanitize durations untested loc lint lint-github perf perf-compare perf-exact faults-exact perf-pairs opcodes footprint ties
 
 test:
 	$(PY) -m pytest -x -q
@@ -28,24 +28,13 @@ durations:
 untested:
 	PYTHONDONTWRITEBYTECODE=1 python tests/tools/untested.py $(ARGS)
 
-# Gate on findings not present in the committed baseline (all four
-# passes: xdp-verifier, xdp-deadcode, hb-race, sim-process).
+# Gate: any finding of the four passes (xdp-verifier, xdp-deadcode,
+# hb-race, sim-process) fails; there is no baseline.
 lint:
-	$(PY) -m repro lint --baseline lint-baseline.json
+	$(PY) -m repro lint
 
 lint-github:
 	$(PY) -m repro lint --format=github
-
-# Regenerate the committed lint baseline. Findings are deterministically
-# sorted, so this is a no-op unless the tree actually changed
-# (check-baseline asserts exactly that).
-baseline:
-	$(PY) -m repro lint --json > lint-baseline.json
-
-check-baseline:
-	$(PY) -m repro lint --json > lint-baseline.regen.json
-	cmp lint-baseline.json lint-baseline.regen.json
-	rm -f lint-baseline.regen.json
 
 # The performance instrument (perf/README.md): all five workloads into
 # perf/out/results.json; compare two such files with

@@ -17,9 +17,8 @@ Four passes over the tree, one exit code:
 Exit status 0 when clean, 1 when any pass reports findings, so CI can
 gate on it directly. ``--json`` (or ``--format=json``) emits the stable
 machine-readable report from :mod:`repro.analysis.report`;
-``--format=github`` prints GitHub Actions ``::warning`` annotations;
-``--baseline report.json`` compares against a stored report and fails
-only on *new* findings.
+``--format=github`` prints GitHub Actions ``::warning`` annotations.
+There is no baseline: every finding fails the run.
 """
 
 import argparse
@@ -31,9 +30,7 @@ from repro.analysis.report import (
     PASS_SIM,
     PASS_XDP,
     Finding,
-    diff_findings,
     finding_sort_key,
-    load_report,
     render_github,
     render_json,
     render_text,
@@ -124,7 +121,8 @@ def main(argv=None):
         prog="repro-lint",
         description=(
             "Data-path safety analyzer: XDP verifier, XDP dead-code lint, "
-            "happens-before race lint, sim-process lint."
+            "happens-before race lint, sim-process lint. Exit 0 when clean, "
+            "1 on any finding (there is no baseline), 2 on a usage error."
         ),
     )
     parser.add_argument(
@@ -142,34 +140,18 @@ def main(argv=None):
         default=None,
         help="directory tree for the sim-process pass (default: the installed repro package)",
     )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="REPORT_JSON",
-        help="fail only on findings not present in this stored JSON report",
-    )
     args = parser.parse_args(argv)
     fmt = args.fmt or ("json" if args.json else "text")
 
     findings, checked = run_all(args.root)
     findings.sort(key=finding_sort_key)
-    gating = findings
-    if args.baseline is not None:
-        gating = diff_findings(findings, load_report(args.baseline))
-        gating.sort(key=finding_sort_key)
     if fmt == "json":
         print(render_json(findings, checked))
     elif fmt == "github":
-        print(render_github(gating))
+        print(render_github(findings))
     else:
-        print(render_text(gating))
-        if args.baseline is not None and len(findings) != len(gating):
-            print(
-                "repro lint: {} baseline-accepted finding{} suppressed".format(
-                    len(findings) - len(gating), "" if len(findings) - len(gating) == 1 else "s"
-                )
-            )
-    return 1 if gating else 0
+        print(render_text(findings))
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

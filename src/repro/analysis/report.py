@@ -6,11 +6,6 @@ names, so CI and tooling can gate on them). Findings produced through
 call-graph summaries carry a ``via`` call chain (caller first, writer
 last) so a store attributed through helper indirection names the path
 that reaches it.
-
-:func:`diff_findings` implements the ``--baseline`` mode: compare a
-fresh run against a stored report and keep only *new* findings, so CI
-can gate on regressions without pre-existing accepted findings blocking
-unrelated changes.
 """
 
 import json
@@ -61,8 +56,8 @@ def finding_sort_key(finding):
     """Deterministic report order: (pass, path, line, code, message).
 
     Line alone is not a total order — two passes can anchor distinct
-    findings to the same line — and an unstable tail order would make
-    baseline regeneration churn. CI asserts regeneration is a no-op.
+    findings to the same line — and an unstable tail order would make two
+    runs over one tree print different reports.
     """
     return (finding.pass_name, finding.path, finding.line, finding.code, finding.message)
 
@@ -103,37 +98,3 @@ def _render(findings, template):
                  else "repro lint: clean (0 findings)")
     return "\n".join(lines)
 
-
-def _baseline_key(pass_name, path, code, message):
-    """Identity of a finding across runs and checkouts.
-
-    Line numbers drift with unrelated edits and absolute paths differ
-    between machines, so the key is (pass, repo-relative path, code,
-    message): stable for CI baselines.
-    """
-    path = path.replace("\\", "/")
-    marker = "/repro/"
-    cut = path.rfind(marker)
-    if cut >= 0:
-        path = "repro/" + path[cut + len(marker):]
-    return (pass_name, path, code, message)
-
-
-def load_report(path):
-    """Parse a JSON report produced by :func:`render_json`."""
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def diff_findings(findings, baseline_document):
-    """Findings not present in the baseline report (new regressions)."""
-    accepted = {
-        _baseline_key(f.get("pass", ""), f.get("path", ""), f.get("code", ""), f.get("message", ""))
-        for f in baseline_document.get("findings", [])
-    }
-    return [
-        finding
-        for finding in findings
-        if _baseline_key(finding.pass_name, finding.path, finding.code, finding.message)
-        not in accepted
-    ]

@@ -16,9 +16,6 @@ Generators (paper-level threat model, ROADMAP item 3):
 * :meth:`Attacker.rst_storm` — blind RSTs (or bare ACKs) spoofed into
   *established* victim flows; tests the RFC 5961 window check and the
   challenge-ACK rate limit.
-* :meth:`Attacker.http_flood` — handshake then request-shaped payload
-  spam with responses never read or ACKed; ties up app-level service
-  and retransmission machinery.
 * :meth:`Attacker.incast` — synchronized bursts of flag-less junk from
   many spoofed sources; overruns switch queues and, unchecked, the
   control plane's RST reflection amplifies it.
@@ -202,56 +199,6 @@ class Attacker:
             )
             self._send(forged, "storm-" + mode, src=client_ip, seq=seq)
             yield self.sim.timeout(interval_ns)
-
-    def http_flood(self, n_connections, requests_per_conn, interval_ns, request_size=128):
-        """Request floods: real handshakes, then request-shaped payload
-        spam with server responses never read or acknowledged."""
-        for conn in range(n_connections):
-            if self.stop:
-                return
-            sport = 30000 + (conn % 30000)
-            iss = self.rng.getrandbits(32)
-            self._responders[sport] = self._flood_responder(
-                sport, iss, requests_per_conn, request_size
-            )
-            syn = self._frame(
-                self.station.ip, sport, seq=iss, flags=FLAG_SYN, window=0xFFFF
-            )
-            self._send(syn, "flood-syn", sport=sport)
-            yield self.sim.timeout(interval_ns)
-
-    def _flood_responder(self, sport, iss, n_requests, request_size):
-        payload = b"GET /x HTTP/1.0\r\n\r\n".ljust(request_size, b".")
-
-        def on_frame(frame):
-            tcp = frame.tcp
-            if not (tcp.flags & FLAG_SYN and tcp.flags & FLAG_ACK):
-                return
-            self._responders.pop(sport, None)
-            self.synacks_seen += 1
-            seq = (iss + 1) & _MASK
-            ack = (tcp.seq + 1) & _MASK
-            self._send(
-                self._frame(self.station.ip, sport, seq=seq, ack=ack, flags=FLAG_ACK),
-                "flood-ack",
-                sport=sport,
-            )
-            for _ in range(n_requests):
-                self._send(
-                    self._frame(
-                        self.station.ip,
-                        sport,
-                        seq=seq,
-                        ack=ack,
-                        flags=FLAG_ACK,
-                        payload=payload,
-                    ),
-                    "flood-req",
-                    sport=sport,
-                )
-                seq = (seq + len(payload)) & _MASK
-
-        return on_frame
 
     def incast(self, n_bursts, burst_size, interval_ns, src_pool=32, junk_size=64):
         """Synchronized junk bursts from many spoofed sources.

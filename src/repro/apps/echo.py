@@ -15,13 +15,12 @@ class EchoServer:
     """Echoes fixed-size requests; optionally replies with a fixed-size
     response instead of the request body (consumer/producer modes)."""
 
-    def __init__(self, ctx, port, request_size, response_size=None, app_delay_cycles=0, max_requests=None):
+    def __init__(self, ctx, port, request_size, response_size=None, app_delay_cycles=0):
         self.ctx = ctx
         self.port = port
         self.request_size = request_size
         self.response_size = response_size  # None = echo the request
         self.app_delay_cycles = app_delay_cycles
-        self.max_requests = max_requests
         self.requests_served = 0
         self.connections_accepted = 0
         self._buffers = {}
@@ -32,7 +31,7 @@ class EchoServer:
         listener = ctx.listen(self.port)
         epoll = EventPoll(ctx)
         ctx.sim.process(self._acceptor(listener, epoll), name="echo-acceptor")
-        while self.max_requests is None or self.requests_served < self.max_requests:
+        while True:
             ready = yield from epoll.wait()
             for sock in ready:
                 yield from self._serve(sock, epoll)

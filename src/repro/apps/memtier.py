@@ -10,6 +10,9 @@ import random
 from repro.apps.memcached import OP_GET, OP_SET, decode_response, encode_request
 from repro.stats import LatencyHistogram, ThroughputMeter
 
+#: GETs per SET.
+GET_RATIO = 10
+
 
 class MemtierClient:
     """One closed-loop connection worth of load."""
@@ -21,7 +24,6 @@ class MemtierClient:
         port,
         key_size=32,
         value_size=32,
-        get_ratio=10,
         key_space=1000,
         seed=0,
         warmup=20,
@@ -31,7 +33,6 @@ class MemtierClient:
         self.port = port
         self.key_size = key_size
         self.value_size = value_size
-        self.get_ratio = get_ratio
         self.key_space = key_space
         self.warmup = warmup
         self.histogram = LatencyHistogram()
@@ -49,7 +50,7 @@ class MemtierClient:
     def _request(self):
         key = self._key()
         self._counter += 1
-        if self._counter % (self.get_ratio + 1) == 0:
+        if self._counter % (GET_RATIO + 1) == 0:
             return encode_request(OP_SET, key, b"v" * self.value_size)
         return encode_request(OP_GET, key)
 

@@ -29,6 +29,10 @@ from repro.proto.tcp import (
 
 WINDOW_SCALE = 7
 SEQ_MASK = 0xFFFFFFFF
+#: RTO ceiling after backoff, the send buffer's size, and DCTCP's alpha gain.
+MAX_RTO_NS = 64_000_000
+TX_BUFFER = 256 * 1024
+DCTCP_G = 1.0 / 16.0
 
 # Connection states.
 SYN_SENT = "syn-sent"
@@ -50,12 +54,7 @@ class TcpEngineConfig:
         init_cwnd_segments=10,
         rto_ns=1_000_000,
         min_rto_ns=200_000,
-        max_rto_ns=64_000_000,
-        use_dctcp=True,
-        use_timestamps=True,
         rx_buffer=256 * 1024,
-        tx_buffer=256 * 1024,
-        dctcp_g=1.0 / 16.0,
     ):
         self.mss = mss
         self.recovery = recovery
@@ -64,12 +63,7 @@ class TcpEngineConfig:
         self.init_cwnd_segments = init_cwnd_segments
         self.rto_ns = rto_ns
         self.min_rto_ns = min_rto_ns
-        self.max_rto_ns = max_rto_ns
-        self.use_dctcp = use_dctcp
-        self.use_timestamps = use_timestamps
         self.rx_buffer = rx_buffer
-        self.tx_buffer = tx_buffer
-        self.dctcp_g = dctcp_g
 
 
 class TcpConn:
@@ -149,7 +143,7 @@ class TcpConn:
 
     @property
     def tx_free(self):
-        return self.config.tx_buffer - len(self.tx_buf)
+        return TX_BUFFER - len(self.tx_buf)
 
     @property
     def rx_space(self):
@@ -200,9 +194,8 @@ class HostTcpEngine:
             options.mss = self.config.mss
             options.wscale = WINDOW_SCALE
             options.sack_permitted = self.config.recovery == "sack"
-        if self.config.use_timestamps:
-            options.ts_val = (now // 1000) & SEQ_MASK
-            options.ts_ecr = conn.peer_ts
+        options.ts_val = (now // 1000) & SEQ_MASK
+        options.ts_ecr = conn.peer_ts
         if not syn and self.config.recovery == "sack" and conn.rx_ooo:
             for start, data in conn.rx_ooo[:3]:
                 options.sack_blocks.append(
@@ -228,7 +221,7 @@ class HostTcpEngine:
             window=conn.advertised_window(),
             payload=payload,
             options=self._options(conn, now, syn=syn),
-            ecn=0b10 if self.config.use_dctcp else 0,
+            ecn=0b10,
             born_at=now,
         )
         return frame
@@ -501,11 +494,9 @@ class HostTcpEngine:
             conn.win_marked += acked
         if conn.snd_una_pos >= conn.win_end_pos:
             # A congestion window's worth of data acked: update alpha.
-            if config.use_dctcp and conn.win_acked > 0:
+            if conn.win_acked > 0:
                 fraction = conn.win_marked / conn.win_acked
-                conn.dctcp_alpha = (
-                    (1 - config.dctcp_g) * conn.dctcp_alpha + config.dctcp_g * fraction
-                )
+                conn.dctcp_alpha = (1 - DCTCP_G) * conn.dctcp_alpha + DCTCP_G * fraction
                 if fraction > 0:
                     conn.cwnd = max(config.mss, int(conn.cwnd * (1 - conn.dctcp_alpha / 2)))
             conn.win_acked = 0
@@ -568,7 +559,7 @@ class HostTcpEngine:
 
     def _rto(self, conn):
         rto = self.config.rto_ns << min(6, conn.rto_backoff)
-        return max(self.config.min_rto_ns, min(self.config.max_rto_ns, rto))
+        return max(self.config.min_rto_ns, min(MAX_RTO_NS, rto))
 
     # -- transmission ------------------------------------------------------------
 

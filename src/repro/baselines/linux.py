@@ -20,7 +20,6 @@ class LinuxPersonality(Personality):
             delayed_ack_segments=2,
             rto_ns=2_000_000,
             min_rto_ns=1_000_000,
-            use_dctcp=True,
         )
         super().__init__(LINUX_COSTS, config)
         self.kernel_lock = True

@@ -20,7 +20,6 @@ class TasPersonality(Personality):
             delayed_ack_segments=1,
             rto_ns=1_000_000,
             min_rto_ns=500_000,
-            use_dctcp=True,
         )
         super().__init__(TAS_COSTS, config)
         self.dedicated_cores = fast_path_cores

@@ -4,13 +4,12 @@ Runs in its own protection domain (host cores or SmartNIC control CPUs)
 and owns everything the one-shot data-path cannot do: ARP, the TCP
 connection state machine (handshake/teardown), retransmission timeouts,
 zero-window probes, per-flow congestion control (DCTCP / TIMELY), and
-policy (per-connection rate limits, per-application connection limits,
-port partitioning).
+admission (a host-wide connection limit,
+``ControlPlaneConfig(max_connections=)``).
 """
 
 from repro.control.cc import CongestionControl, Dctcp, Timely
 from repro.control.plane import ControlPlane, ControlPlaneConfig
-from repro.control.policy import PolicyConfig
 from repro.control.recovery import ConnShadow, RecoveryManager, SlowPathShim, reconstruct_protocol_state
 from repro.control.splice import SpliceError, SpliceManager
 
@@ -20,7 +19,6 @@ __all__ = [
     "ControlPlane",
     "ControlPlaneConfig",
     "Dctcp",
-    "PolicyConfig",
     "RecoveryManager",
     "SpliceError",
     "SpliceManager",

@@ -23,6 +23,9 @@ park in a bounded embryonic table (half-open reaper, backlog charge)
 and the data path is installed only on the final handshake ACK; past
 the embryonic budget the plane answers with stateless SYN cookies so
 legitimate clients still connect while the flood costs us nothing.
+
+Admission is one host-wide limit, ``ControlPlaneConfig(max_connections=)``:
+a SYN arriving while the host holds that many connections gets a RST.
 """
 
 import struct
@@ -38,7 +41,6 @@ from repro.control.connection import (
     SYN_RCVD,
     SYN_SENT,
 )
-from repro.control.policy import PolicyConfig
 from repro.control.recovery import RecoveryManager
 from repro.flextoe.descriptors import (
     HC_PROBE,
@@ -76,6 +78,8 @@ LINGER_NS = 2_000_000
 #: A connection's RTO until its first RTT sample (RFC 6298 §2.1's
 #: conservative start, at the baselines' engine's scale).
 INITIAL_RTO_NS = 1_000_000
+#: Keys the stateless SYN cookie (overload defense).
+SYN_COOKIE_SECRET = 0x5EED_CAFE
 
 
 class GridPoll:
@@ -121,9 +125,9 @@ class ControlPlaneConfig:
         syn_defense_enabled=False,
         embryonic_limit=64,
         half_open_timeout_ns=4_000_000,
-        syn_cookie_secret=0x5EED_CAFE,
         challenge_ack_limit=3,
         challenge_ack_interval_ns=1_000_000,
+        max_connections=None,
     ):
         self.rx_buffer_size = rx_buffer_size
         self.tx_buffer_size = tx_buffer_size
@@ -140,11 +144,11 @@ class ControlPlaneConfig:
         self.syn_defense_enabled = syn_defense_enabled
         self.embryonic_limit = embryonic_limit
         self.half_open_timeout_ns = half_open_timeout_ns
-        self.syn_cookie_secret = syn_cookie_secret
         # RFC 5961 challenge-ACK rate limit (responses per interval,
         # shared with RSTs answering segments for unknown connections).
         self.challenge_ack_limit = challenge_ack_limit
         self.challenge_ack_interval_ns = challenge_ack_interval_ns
+        self.max_connections = max_connections  # None: no admission limit
 
 
 class ControlPlane:
@@ -160,7 +164,6 @@ class ControlPlane:
         cc=None,
         cc_enabled=True,
         config=None,
-        policy=None,
     ):
         self.sim = sim
         self.nic = nic
@@ -170,7 +173,6 @@ class ControlPlane:
         self.cc = cc if cc is not None else Dctcp()
         self.cc_enabled = cc_enabled
         self.config = config or ControlPlaneConfig()
-        self.policy = policy or PolicyConfig()
         self.nic.register_context(CONTROL_CONTEXT)
         self.arp_table = {}
         self._arp_waiters = {}
@@ -433,7 +435,8 @@ class ControlPlane:
             else:
                 self._send_challenge_ack(entry)
             return
-        if not self.policy.admit(len(self.directory)):
+        limit = self.config.max_connections
+        if limit is not None and len(self.directory) >= limit:
             self._send_rst(frame)
             return
         if listener.backlog_full():
@@ -600,7 +603,7 @@ class ControlPlane:
             local_port & 0xFFFF,
             remote_port & 0xFFFF,
             irs & 0xFFFFFFFF,
-            self.config.syn_cookie_secret & 0xFFFFFFFF,
+            SYN_COOKIE_SECRET,
         )
         return zlib.crc32(material) & 0xFFFFFFFF
 
@@ -705,8 +708,6 @@ class ControlPlane:
         )
         self.nic.offload_connection(remote_win=pending.remote_win << WINDOW_SCALE, **offload)
         flow = self.cc.new_flow()
-        if self.policy.rate_limit_bps is not None:
-            flow.rate_bps = min(flow.rate_bps, self.policy.rate_limit_bps)
         # A new flow's first congestion-control poll creates its
         # algorithm state; its timers are at rest until data moves.
         self._arm_cc(self.directory.add(index, self.nic.connection(index), flow, snd_iss))
@@ -882,8 +883,6 @@ class ControlPlane:
             if raw is None:
                 continue
             new_rate = self.cc.update(entry.cc_flow, CcStats(*raw))
-            if self.policy.rate_limit_bps is not None:
-                new_rate = min(new_rate, self.policy.rate_limit_bps)
             if new_rate != entry.cc_flow.rate_bps:
                 entry.cc_flow.rate_bps = new_rate
                 self._program_rate(entry.index, entry.cc_flow)

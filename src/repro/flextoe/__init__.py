@@ -6,7 +6,7 @@ context-queue stages, with segment sequencing/reordering, flow-group
 islands, a Carousel flow scheduler, and XDP/module extension hooks.
 """
 
-from repro.flextoe.config import PipelineConfig, StageCosts
+from repro.flextoe.config import PipelineConfig
 from repro.flextoe.state import (
     ConnectionRecord,
     ConnectionTable,
@@ -52,5 +52,4 @@ __all__ = [
     "ReorderBuffer",
     "SegWork",
     "Sequencer",
-    "StageCosts",
 ]

@@ -10,58 +10,35 @@ The knobs correspond exactly to the rows of Table 3:
   sequencing + reordering for correctness.
 * ``n_flow_groups`` — protocol islands (1 vs 4).
 
-Cycle costs are the model's calibration surface; they are rough NFP
-micro-C instruction counts, not measurements, and the benchmarks only
-rely on their relative magnitudes.
+The cycle costs are the model's calibration surface: rough NFP micro-C
+instruction counts, not measurements, and the benchmarks only rely on
+their relative magnitudes. They are constants; segments always carry
+the timestamp option and ECT(0).
 """
 
 from repro.nfp.cam import crc32_tuple
 
-
-class StageCosts:
-    """Per-operation FPC cycle costs for each pipeline stage."""
-
-    def __init__(
-        self,
-        pre_validate=95,
-        pre_identify=60,
-        pre_summary=85,
-        pre_steer=25,
-        proto_update=115,
-        proto_ooo_extra=130,
-        proto_fast_retransmit=90,
-        post_ack_prepare=150,
-        post_stamp=55,
-        post_stats=60,
-        post_position=70,
-        dma_issue=70,
-        ctx_notify=80,
-        ctx_doorbell_poll=40,
-        hc_window_update=70,
-        tx_alloc=50,
-        tx_header=65,
-        tx_seq=85,
-        sched_dequeue=45,
-    ):
-        self.pre_validate = pre_validate
-        self.pre_identify = pre_identify
-        self.pre_summary = pre_summary
-        self.pre_steer = pre_steer
-        self.proto_update = proto_update
-        self.proto_ooo_extra = proto_ooo_extra
-        self.proto_fast_retransmit = proto_fast_retransmit
-        self.post_ack_prepare = post_ack_prepare
-        self.post_stamp = post_stamp
-        self.post_stats = post_stats
-        self.post_position = post_position
-        self.dma_issue = dma_issue
-        self.ctx_notify = ctx_notify
-        self.ctx_doorbell_poll = ctx_doorbell_poll
-        self.hc_window_update = hc_window_update
-        self.tx_alloc = tx_alloc
-        self.tx_header = tx_header
-        self.tx_seq = tx_seq
-        self.sched_dequeue = sched_dequeue
+# Per-operation FPC cycle costs for each pipeline stage, fixed in the
+# program as the rest of the NFP model is.
+PRE_VALIDATE = 95
+PRE_IDENTIFY = 60
+PRE_SUMMARY = 85
+PRE_STEER = 25
+PROTO_UPDATE = 115
+PROTO_OOO_EXTRA = 130
+PROTO_FAST_RETRANSMIT = 90
+POST_ACK_PREPARE = 150
+POST_STAMP = 55
+POST_STATS = 60
+POST_POSITION = 70
+DMA_ISSUE = 70
+CTX_NOTIFY = 80
+CTX_DOORBELL_POLL = 40
+HC_WINDOW_UPDATE = 70
+TX_ALLOC = 50
+TX_HEADER = 65
+TX_SEQ = 85
+SCHED_DEQUEUE = 45
 
 
 class PipelineConfig:
@@ -77,10 +54,7 @@ class PipelineConfig:
         dma_replicas=4,
         mss=1448,
         delayed_ack_segments=1,
-        use_timestamps=True,
-        use_ecn=True,
         tracepoints_enabled=False,
-        costs=None,
         state_cache_lmem_entries=16,
         state_cache_cls_entries=512,
         emem_cache_records=16384,
@@ -99,10 +73,7 @@ class PipelineConfig:
         self.dma_replicas = dma_replicas
         self.mss = mss
         self.delayed_ack_segments = max(1, delayed_ack_segments)
-        self.use_timestamps = use_timestamps
-        self.use_ecn = use_ecn
         self.tracepoints_enabled = tracepoints_enabled
-        self.costs = costs or StageCosts()
         self.state_cache_lmem_entries = state_cache_lmem_entries
         self.state_cache_cls_entries = state_cache_cls_entries
         self.emem_cache_records = emem_cache_records

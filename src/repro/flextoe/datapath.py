@@ -28,7 +28,7 @@ from repro.flextoe.statecache import EmemStateCache, StateCache
 from repro.flextoe.state import ConnectionTable, HeartbeatBoard, proto_hints
 from repro.flextoe.tracing import TracepointRegistry
 from repro.proto.ethernet import ETHERTYPE_IPV4, EthernetHeader
-from repro.proto.ip import ECN_ECT0, ECN_NOT_ECT, IPPROTO_TCP, Ipv4Header
+from repro.proto.ip import ECN_ECT0, IPPROTO_TCP, Ipv4Header
 from repro.proto.packet import Frame
 from repro.proto.tcp import TcpHeader
 from repro.sim import Interrupt, Resource, Store
@@ -71,7 +71,7 @@ class FlexToeDatapath:
         "nbi_ring": ("nbi", ("seqr",)),
     }
 
-    def __init__(self, sim, chip, config, capture=None, ingress_modules=None, egress_modules=None, control_ring=None):
+    def __init__(self, sim, chip, config, capture=None, ingress_modules=None, control_ring=None):
         self.sim = sim
         self.chip = chip
         self.config = config
@@ -83,10 +83,8 @@ class FlexToeDatapath:
         self.tracepoints = TracepointRegistry(enabled=config.tracepoints_enabled)
         self.capture = capture
         self.ingress_modules = ingress_modules
-        self.egress_modules = egress_modules
         self.contexts = {}
         self.stats = {}
-        self.ecn_codepoint = ECN_ECT0 if config.use_ecn else ECN_NOT_ECT
 
         self.pre_in = WorkQueue(sim, capacity=None, name="pre-in")
         self.proto_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="proto-in-%d" % g) for g in range(config.n_flow_groups)]
@@ -120,7 +118,7 @@ class FlexToeDatapath:
         self.dma_rx_fence = KeyedFence(sim)
 
         # Flow scheduler (service island SCH FPC).
-        self.scheduler = CarouselScheduler(sim, self.trigger_tx, mss=config.mss, costs=config.costs)
+        self.scheduler = CarouselScheduler(sim, self.trigger_tx, mss=config.mss)
 
         # Stage objects.
         self.emem_state_cache = EmemStateCache(capacity_records=config.emem_cache_records)
@@ -359,9 +357,7 @@ class FlexToeDatapath:
             self.pre_in.deliver(work)
 
     def _route_to_protocol(self, work):
-        ring = self.proto_rings[work.flow_group]
-        if not ring.try_put(work):
-            ring.force_put(work)
+        self.proto_rings[work.flow_group].force_put(work)
 
     def trigger_tx(self, conn_index):
         """The scheduler's TX trigger: a TX work enters the pre stage."""
@@ -374,7 +370,7 @@ class FlexToeDatapath:
         headers from its pre-processor state, no payload yet."""
         pre = record.pre
         eth = EthernetHeader(dst=pre.peer_mac, src=record.local_mac, ethertype=ETHERTYPE_IPV4)
-        ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=self.ecn_codepoint)
+        ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=ECN_ECT0)
         tcp = TcpHeader(pre.local_port, pre.remote_port, **tcp_fields)
         return Frame(eth, ip=ip, tcp=tcp, born_at=self.sim.now)
 

@@ -2,9 +2,10 @@
 
 Data-path extension modules get one-shot access to segments plus
 metadata, keep private state, and communicate only by forwarding
-metadata. Modules are inserted at named hook points; replicated hooks
-are automatically re-sequenced afterwards (§3.2), which the datapath
-wiring handles.
+metadata. The NIC has one hook point, ingress: the pre-processing
+stage runs its chain (``FlexToeNic(ingress_modules=)``) on every
+received frame before validation, and the RX GRO re-sequences what
+passes (§3.2).
 
 One flavor ships: XDP modules — eBPF programs (see :mod:`repro.xdp`)
 loaded through :class:`repro.xdp.XdpAdapter`, the :class:`DatapathModule`
@@ -34,7 +35,7 @@ class DatapathModule:
 
 
 class ModuleChain:
-    """An ordered list of modules at one hook point."""
+    """An ordered list of modules at the hook point."""
 
     def __init__(self, modules=None):
         self.modules = list(modules or [])

@@ -21,13 +21,12 @@ from repro.sim import Store
 class FlexToeNic:
     """A FlexTOE-programmed SmartNIC."""
 
-    def __init__(self, sim, config=None, chip=None, capture=None, ingress_modules=None, egress_modules=None):
+    def __init__(self, sim, config=None, chip=None, capture=None, ingress_modules=None):
         self.sim = sim
         self.config = config or PipelineConfig.full()
         self.chip = chip or Nfp4000(sim)
         self._capture = capture
         self._ingress_modules = ingress_modules
-        self._egress_modules = egress_modules
         # Host-memory control ring: survives data-path reboots so the
         # control plane's RX loop never has to re-subscribe.
         self._control_ring = Store(sim, name="to-control")
@@ -45,7 +44,6 @@ class FlexToeNic:
             self.config,
             capture=self._capture,
             ingress_modules=self._ingress_modules,
-            egress_modules=self._egress_modules,
             control_ring=self._control_ring,
         )
 
@@ -154,8 +152,6 @@ class FlexToeNic:
             opaque,
             rx_buffer,
             tx_buffer,
-            config.use_timestamps,
-            config.use_ecn,
         )
         self.datapath.install_connection(index, slot, four_tuple, crc, flow_group)
         return index

@@ -16,6 +16,7 @@ first enqueue until it empties, so an idle wheel costs nothing.
 
 from collections import deque
 
+from repro.flextoe.config import SCHED_DEQUEUE
 from repro.sim import Timeout
 
 INTERVAL_Q8_SHIFT = 8
@@ -45,14 +46,13 @@ class CarouselScheduler:
 
     STAGE_KIND = "sch"  # the owner token its TX triggers enter pre_in under
 
-    def __init__(self, sim, trigger_tx, mss=1448, slot_ns=1000, n_slots=4096, costs=None):
+    def __init__(self, sim, trigger_tx, mss=1448, slot_ns=1000, n_slots=4096):
         self.sim = sim
         #: ``trigger_tx(conn_index)``: the event of the trigger being taken.
         self.trigger_tx = trigger_tx
         self.mss = mss
         self.slot_ns = slot_ns
         self.n_slots = n_slots
-        self.costs = costs
         self._flows = {}
         self._rr = deque()
         #: Populated slots only: slot index -> FIFO of (deadline, entry).
@@ -145,7 +145,6 @@ class CarouselScheduler:
     def program(self, thread):
         """The SCH FPC program."""
         sim = self.sim
-        dequeue_cost = self.costs.sched_dequeue if self.costs else 45
         while True:
             entry = self._pop_due()
             if entry is None:
@@ -161,7 +160,7 @@ class CarouselScheduler:
             entry.queued = False
             if entry.deficit <= 0:
                 continue
-            yield thread.compute(dequeue_cost)
+            yield thread.compute(SCHED_DEQUEUE)
             burst = min(self.mss, entry.deficit)
             entry.deficit -= burst
             self.triggers_issued += 1

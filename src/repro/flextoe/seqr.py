@@ -131,8 +131,7 @@ class ReorderBuffer:
             return
         # Rings between reorder and protocol are sized for the burst;
         # a full ring here would deadlock the drain, so grow instead.
-        if not self.output_ring.try_put(work):
-            self.output_ring.force_put(work)
+        self.output_ring.force_put(work)
 
     @property
     def buffered(self):

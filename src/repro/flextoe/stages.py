@@ -16,6 +16,26 @@ work that stops short of the pipeline's end leaves through
 """
 
 from repro.flextoe import proto_logic
+from repro.flextoe.config import (
+    CTX_DOORBELL_POLL,
+    CTX_NOTIFY,
+    DMA_ISSUE,
+    HC_WINDOW_UPDATE,
+    POST_ACK_PREPARE,
+    POST_POSITION,
+    POST_STAMP,
+    POST_STATS,
+    PRE_IDENTIFY,
+    PRE_STEER,
+    PRE_SUMMARY,
+    PRE_VALIDATE,
+    PROTO_FAST_RETRANSMIT,
+    PROTO_OOO_EXTRA,
+    PROTO_UPDATE,
+    TX_ALLOC,
+    TX_HEADER,
+    TX_SEQ,
+)
 from repro.flextoe.descriptors import (
     NOTIFY_FIN,
     NOTIFY_RX,
@@ -85,7 +105,7 @@ class PreStage:
         verdict = yield from self._admit_rx(thread, work)
         if verdict == ACTION_PASS:
             # Steer: in pipeline-sequence order through the GRO.
-            yield thread.compute(dp.config.costs.pre_steer)
+            yield thread.compute(PRE_STEER)
             dp.rx_gro.offer(work)
             return
         # Not admitted: release the RX-GRO ticket (§3.2: a stage dropping
@@ -101,10 +121,9 @@ class PreStage:
         """Val / Id / Sum: ACTION_PASS for an admitted segment, else
         where the frame goes (DROP, TX bounce, REDIRECT to control)."""
         dp = self.dp
-        costs = dp.config.costs
         frame = work.frame
         trace = dp.tracepoints
-        yield thread.compute(costs.pre_validate + trace.hit(dp.sim.now, "pre", "rx.segment"))
+        yield thread.compute(PRE_VALIDATE + trace.hit(dp.sim.now, "pre", "rx.segment"))
         if dp.capture is not None:
             yield thread.compute(dp.capture.cost_cycles(frame))
             dp.capture.capture(dp.sim.now, "rx", frame)
@@ -135,14 +154,14 @@ class PreStage:
         if not hit:
             yield from thread.mem_read(LAT_IMEM)
             found, conn_index, _probes = dp.lookup_engine.lookup(four)
-            yield thread.compute(costs.pre_identify)
+            yield thread.compute(PRE_IDENTIFY)
             if not found:
                 return ACTION_REDIRECT
             self.id_cache.insert(four, conn_index)
         if self._identify(work, conn_index) is None:
             return ACTION_REDIRECT
         # Sum: build the header summary; later stages never see headers.
-        yield thread.compute(costs.pre_summary)
+        yield thread.compute(PRE_SUMMARY)
         tcp = frame.tcp
         work.summary = HeaderSummary(
             seq=tcp.seq,
@@ -160,18 +179,17 @@ class PreStage:
 
     def _handle_tx(self, thread, work):
         dp = self.dp
-        costs = dp.config.costs
         record = self._identify(work, work.conn_index)
         if record is None:
             return  # stale scheduler trigger: the work holds nothing yet
         # Alloc: a segment buffer from the island CTM pool (bounded).
         grant = yield dp.ctm_pool.request()
-        yield thread.compute(costs.tx_alloc)
+        yield thread.compute(TX_ALLOC)
         # Head: Ethernet and IP headers from pre-processor state.
-        yield thread.compute(costs.tx_header)
+        yield thread.compute(TX_HEADER)
         work.frame = dp.make_segment(record)
         work.frame.set_meta("ctm_grant", grant)
-        yield thread.compute(costs.pre_steer)
+        yield thread.compute(PRE_STEER)
         yield dp.proto_rings[work.flow_group].put(work)
 
     # -- HC ----------------------------------------------------------------
@@ -179,7 +197,7 @@ class PreStage:
     def _handle_hc(self, thread, work):
         dp = self.dp
         record = self._identify(work, work.hc.conn_index)
-        yield thread.compute(dp.config.costs.pre_steer + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
+        yield thread.compute(PRE_STEER + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
         if record is None or not record.active:
             dp.retire(work)
             return
@@ -260,18 +278,17 @@ class ProtocolStage:
 
     def _process_rx(self, thread, work, state):
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
-        cycles = costs.proto_update
+        cycles = PROTO_UPDATE
         snapshot = work.snapshot = proto_logic.process_rx(state, work.summary, work.frame.payload)
         dp.observer.proto_changed(work.conn_index, state)
         if snapshot.was_ooo:
-            cycles += costs.proto_ooo_extra
+            cycles += PROTO_OOO_EXTRA
             cycles += trace.hit(dp.sim.now, "proto", "rx.out_of_order")
         if snapshot.dropped_ooo:
             cycles += trace.hit(dp.sim.now, "proto", "rx.ooo_drop")
         if snapshot.fast_retransmit:
-            cycles += costs.proto_fast_retransmit
+            cycles += PROTO_FAST_RETRANSMIT
             cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
         yield thread.compute(cycles)
         if (
@@ -299,11 +316,10 @@ class ProtocolStage:
 
     def _process_tx(self, thread, work, state):
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
         result = proto_logic.process_tx(state, dp.config.mss)
         dp.observer.proto_changed(work.conn_index, state)
-        yield thread.compute(costs.tx_seq)
+        yield thread.compute(TX_SEQ)
         if result is None:
             extra = trace.hit(dp.sim.now, "proto", "tx.stale_trigger")
             if extra:
@@ -333,7 +349,7 @@ class ProtocolStage:
         dp = self.dp
         snapshot = work.snapshot = proto_logic.process_hc(state, work.hc)
         dp.observer.proto_changed(work.conn_index, state)
-        yield thread.compute(dp.config.costs.hc_window_update)
+        yield thread.compute(HC_WINDOW_UPDATE)
         if snapshot.send_ack:
             snapshot.nbi_seq = dp.nbi_seqr.assign(work)
 
@@ -399,7 +415,6 @@ class PostStage:
         """One work through this stage; true when the DMA stage has
         something of it to move (the caller emits it, or retires it)."""
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
         record = work.record
         snapshot = work.snapshot
@@ -408,7 +423,7 @@ class PostStage:
             # nothing to emit, and the caller retires what is not emitted.
             return False
         post = record.post
-        cycles = costs.post_stats
+        cycles = POST_STATS
         # Stats: congestion-control counters, read by the control plane.
         # Counters are commutative and go through the atomic-add engine
         # (declared in state.atomic()); replicated post instances may
@@ -422,7 +437,7 @@ class PostStage:
         if snapshot.fast_retransmit:
             cycles += atomic_add(post, "cnt_fretx", 1, maximum=255)
             self.fast_retransmits += 1
-        if snapshot.rtt_sample_ecr is not None and post.use_timestamps:
+        if snapshot.rtt_sample_ecr is not None:
             sample = (now_us(dp.sim) - snapshot.rtt_sample_ecr) & 0xFFFFFFFF
             if sample < 1_000_000:  # discard absurd samples (wrap)
                 # EWMA is not commutative: accumulate privately per
@@ -440,30 +455,27 @@ class PostStage:
             notifications.append(self._notify(work, NOTIFY_RX, offset, snapshot.notify_rx_len))
         if snapshot.fin_notified:
             notifications.append(self._notify(work, NOTIFY_FIN))
-        # Ack: build the acknowledgment segment (RX and window updates).
+        # Ack / Stamp: the acknowledgment segment (RX and window updates)
+        # and its timestamp option.
         if snapshot.send_ack:
-            cycles += costs.post_ack_prepare
-            options = None
-            if post.use_timestamps:
-                cycles += costs.post_stamp
-                options = TcpOptions(ts_val=now_us(dp.sim), ts_ecr=snapshot.echo_ts or 0)
+            cycles += POST_ACK_PREPARE + POST_STAMP
             work.ack_frame = dp.make_segment(
                 record,
                 seq=snapshot.ack_seq,
                 ack=snapshot.ack_ack,
-                flags=FLAG_ACK | (FLAG_ECE if (snapshot.ece and post.use_ecn) else 0),
+                flags=FLAG_ACK | (FLAG_ECE if snapshot.ece else 0),
                 window=snapshot.window,
-                options=options,
+                options=TcpOptions(ts_val=now_us(dp.sim), ts_ecr=snapshot.echo_ts or 0),
             )
             self.acks_built += 1
             trace.hit(dp.sim.now, "post", "ack.dup_sent" if snapshot.dup_ack else "ack.sent")
         # Pos: physical placement for the DMA stage.
         if work.kind == WORK_RX and snapshot.payload_dest_pos is not None:
-            cycles += costs.post_position
+            cycles += POST_POSITION
             work.rx_offset = snapshot.payload_dest_pos % post.rx_size
             work.rx_trimmed_payload = snapshot.payload
         if work.kind == WORK_TX and snapshot.tx is not None:
-            cycles += costs.post_position
+            cycles += POST_POSITION
             work.tx_offset = snapshot.tx.stream_pos % post.tx_size
             work.tx_len = snapshot.tx.length
         yield thread.compute(cycles)
@@ -506,7 +518,6 @@ class DmaStage:
     def process(self, thread, work):
         """One work's payload over PCIe, then its ACK and notifications."""
         dp = self.dp
-        costs = dp.config.costs
         record = work.record
         if not record.active:
             # Torn down mid-pipeline: nothing of the segment may reach
@@ -523,7 +534,7 @@ class DmaStage:
             # retries (repro.faults DmaFlake) make this reordering real.
             turn = dp.dma_rx_fence.enter(record)
             if payload:
-                yield thread.compute(costs.dma_issue)
+                yield thread.compute(DMA_ISSUE)
                 dp.tracepoints.hit(dp.sim.now, "dma", "dma.payload_issue")
                 events = []
                 written = 0
@@ -555,7 +566,7 @@ class DmaStage:
                 dp.nbi_gro.offer(ack_frame)
             turn.leave()
         elif work.kind == WORK_TX:
-            yield thread.compute(costs.dma_issue)
+            yield thread.compute(DMA_ISSUE)
             parts = []
             events = []
             for offset, length in self._split_wrap(work.tx_offset, work.tx_len, post.tx_size):
@@ -568,10 +579,9 @@ class DmaStage:
                 yield event
             frame = work.frame
             frame.payload = b"".join(parts)
-            if dp.config.use_timestamps:
-                frame.tcp.options = TcpOptions(
-                    ts_val=now_us(dp.sim), ts_ecr=work.snapshot.echo_ts
-                )
+            frame.tcp.options = TcpOptions(
+                ts_val=now_us(dp.sim), ts_ecr=work.snapshot.echo_ts
+            )
             frame.pipeline_seq = work.pipeline_seq
             dp.nbi_gro.offer(frame)
         else:
@@ -586,7 +596,7 @@ class DmaStage:
 
 
 class NbiStage:
-    """Drains the (reordered) NBI ring onto the wire; runs egress hooks."""
+    """Drains the (reordered) NBI ring onto the wire."""
 
     STAGE_KIND = "nbi"
     REPLICATED = False
@@ -602,16 +612,11 @@ class NbiStage:
             serial = None
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
-            action = None
-            if dp.egress_modules is not None and len(dp.egress_modules):
-                yield thread.compute(dp.egress_modules.total_cost)
-                action = dp.egress_modules.run(frame, None)
-            if action != ACTION_DROP:
-                if dp.capture is not None:
-                    yield thread.compute(dp.capture.cost_cycles(frame))
-                    dp.capture.capture(dp.sim.now, "tx", frame)
-                self.transmitted += 1
-                dp.mac.transmit(frame)
+            if dp.capture is not None:
+                yield thread.compute(dp.capture.cost_cycles(frame))
+                dp.capture.capture(dp.sim.now, "tx", frame)
+            self.transmitted += 1
+            dp.mac.transmit(frame)
             dp.release_ctm(frame)
             if serial is not None:
                 serial.release()
@@ -635,14 +640,13 @@ class CtxStage:
     def arx_program(self, thread):
         """NIC -> host notification path."""
         dp = self.dp
-        costs = dp.config.costs
         while True:
             notification = yield dp.ctx_ring.get()
             turn = self.arx_fence.enter(notification.context_id)
             serial = None
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
-            yield thread.compute(costs.ctx_notify)
+            yield thread.compute(CTX_NOTIFY)
             pair = dp.contexts.get(notification.context_id)
             yield dp.dma.issue(1, 32)
             if turn.blocked():
@@ -662,10 +666,9 @@ class CtxStage:
     def atx_program(self, thread):
         """Host -> NIC doorbell/descriptor path."""
         dp = self.dp
-        costs = dp.config.costs
         while True:
             yield dp.pcie.wait_doorbell("hc")
-            yield thread.compute(costs.ctx_doorbell_poll)
+            yield thread.compute(CTX_DOORBELL_POLL)
             dp.tracepoints.hit(dp.sim.now, "ctx", "hc.doorbell")
             # Scan all contexts for outbound descriptors. Multiple
             # updates ride one doorbell, so fetch DMAs are batched

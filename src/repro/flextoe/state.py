@@ -174,14 +174,12 @@ class PostprocState(SlabView):
         "cnt_fretx",
         "rtt_est",
         "rate",
-        "use_timestamps",
-        "use_ecn",
     )
     SIZE_BYTES = 51
 
     def __init__(self, opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region=None, tx_region=None):
         self._bind()
-        _write_post(self._i, opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region, True, True)
+        _write_post(self._i, opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region)
 
     def take_cc_stats(self):
         """Read-and-reset congestion statistics (control-plane poll)."""
@@ -308,8 +306,6 @@ class ConnectionRecord(SlabView):
 #: stable across growth, so the generated properties bind columns once.
 _CONN_KINDS = {
     "fin_pending": FLAG,
-    "use_timestamps": FLAG,
-    "use_ecn": FLAG,
     "active": FLAG,
     "opaque": OBJ,
     "rx_region": OBJ,
@@ -351,10 +347,7 @@ attach_fields(ConnectionRecord, CONN_SLAB)
 # What an install writes, per partition and for the whole row. Every
 # other column starts at zero: free() zeroes a slot before it can be
 # handed out again (the sanitized run asserts it in alloc()).
-_POST_INSTALL = (
-    "opaque", "context_id", "rx_base", "tx_base", "rx_size", "tx_size", "rx_region", "tx_region",
-    "use_timestamps", "use_ecn",
-)
+_POST_INSTALL = ("opaque", "context_id", "rx_base", "tx_base", "rx_size", "tx_size", "rx_region", "tx_region")
 _write_pre = CONN_SLAB.row_writer(PreprocState.SLAB_FIELDS)
 _write_proto = CONN_SLAB.row_writer(ProtoInstall._fields)
 _write_post = CONN_SLAB.row_writer(_POST_INSTALL)
@@ -373,8 +366,6 @@ def install_row(
     opaque=None,
     rx_buffer=(None, 0, 0),
     tx_buffer=(None, 0, 0),
-    use_timestamps=True,
-    use_ecn=True,
 ):
     """A connection's install: one row write of every field that does not
     start at zero, the same for a fresh, an adopted and a recovered
@@ -388,7 +379,6 @@ def install_row(
         peer_mac, remote_ip, local_port, remote_port, flow_group,
         *proto,
         opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region,
-        use_timestamps, use_ecn,
     )
     return slot
 

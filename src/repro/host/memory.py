@@ -11,6 +11,8 @@ import mmap
 from bisect import bisect_right
 
 HUGEPAGE_SIZE = 1 << 30
+#: Physical address of the hugepage pool's first byte.
+BASE_ADDR = 0x1_0000_0000
 
 
 class Region:
@@ -44,9 +46,8 @@ class HugepagePool:
     the kernel caps mappings per process.) No region straddles a page.
     """
 
-    def __init__(self, n_pages=4, base_addr=0x1_0000_0000):
+    def __init__(self, n_pages=4):
         self.capacity = n_pages * HUGEPAGE_SIZE
-        self.base_addr = base_addr
         self.brk = 0
         self._pages = []  # memoryview per mapped hugepage
         self._regions = []  # in address order (the allocator only bumps)
@@ -63,14 +64,14 @@ class HugepagePool:
         while len(self._pages) <= page:
             self._pages.append(memoryview(mmap.mmap(-1, HUGEPAGE_SIZE)))
         self.brk = start + length
-        region = Region(self.base_addr + start, self._pages[page][offset : offset + length])
+        region = Region(BASE_ADDR + start, self._pages[page][offset : offset + length])
         self._regions.append(region)
         self._starts.append(start)
         return region
 
     def region_at(self, addr):
         """Find the region containing physical address ``addr``."""
-        slot = bisect_right(self._starts, addr - self.base_addr) - 1
+        slot = bisect_right(self._starts, addr - BASE_ADDR) - 1
         if slot >= 0:
             region = self._regions[slot]
             if addr < region.addr + region.length:

@@ -51,7 +51,7 @@ class FpcThread:
 class Fpc:
     """A flow-processing core hosting up to ``n_threads`` programs."""
 
-    def __init__(self, sim, name, clock=CYCLES_800MHZ, n_threads=8, code_store=32 * 1024):
+    def __init__(self, sim, name, clock=CYCLES_800MHZ, n_threads=8):
         self.sim = sim
         self.name = name
         self.clock = clock
@@ -59,8 +59,6 @@ class Fpc:
         #: attribute hop on every compute/mem wait.
         self.cycles_to_ns = clock.cycles_to_ns
         self.n_threads = n_threads
-        self.code_store = code_store
-        self.code_used = 0
         self.issue_slot = Slots(sim, capacity=1, name="{}.issue".format(name))
         self._threads = []
         self.stalls = 0
@@ -99,12 +97,6 @@ class Fpc:
     def _stalled(self, duration_ns):
         self.stalls += 1
         self.stalled_ns += duration_ns
-
-    def load_code(self, nbytes):
-        """Account code-store usage; FPC code stores are only 32 KB."""
-        if self.code_used + nbytes > self.code_store:
-            raise MemoryError("{}: code store exhausted".format(self.name))
-        self.code_used += nbytes
 
     def utilization(self, elapsed_ns):
         """Fraction of cycles spent issuing instructions."""

@@ -1,8 +1,7 @@
-"""The PCIe island: MMIO doorbells, MSI-X interrupts, and the DMA engine.
+"""The PCIe island: MMIO doorbells and the DMA engine.
 
-The host rings doorbells via MMIO (posted writes, a few hundred ns); the
-NIC raises MSI-X interrupts toward host eventfds. Context-queue payload
-moves through :class:`~repro.nfp.dma.DmaEngine`. A posted write landing
+The host rings doorbells via MMIO (posted writes, a few hundred ns).
+Context-queue payload moves through :class:`~repro.nfp.dma.DmaEngine`. A posted write landing
 is an engine step (:class:`~repro.sim.core.Step`); a doorbell's landing
 fires the oldest waiter's event.
 """
@@ -24,14 +23,12 @@ class Doorbell:
 
 
 class PcieBlock:
-    """Doorbell registers + MSI-X + the chip's DMA engine."""
+    """Doorbell registers + the chip's DMA engine."""
 
     def __init__(self, sim, dma=None):
         self.sim = sim
         self.dma = dma or DmaEngine(sim)
         self._doorbells = {}
-        self._msix_handlers = {}
-        self.msix_raised = 0
         #: Optional fault hook (repro.faults): called with the doorbell
         #: key; returns ``None`` to drop the posted write entirely, or an
         #: extra delay in ns appended to the MMIO latency (0 = healthy).
@@ -82,15 +79,3 @@ class PcieBlock:
         else:
             bell.waiters.append(event)
         return event
-
-    def register_msix(self, vector, handler):
-        """Host driver registers an interrupt handler (eventfd ping)."""
-        self._msix_handlers[vector] = handler
-
-    def raise_msix(self, vector):
-        """NIC raises an interrupt; handler runs after the PCIe delay."""
-        handler = self._msix_handlers.get(vector)
-        self.msix_raised += 1
-        if handler is None:
-            return
-        self.sim._schedule(self.sim.now + MMIO_WRITE_NS, lambda _step: handler(vector))

@@ -41,12 +41,6 @@ class _Ring:
         """``(True, item)`` without waiting, or ``(False, None)`` if empty."""
         return self.store.try_get()
 
-    def try_put(self, item):
-        accepted = self.store.try_put(item)
-        if accepted and self.tap is not None:
-            self.tap(item)
-        return accepted
-
     def deliver(self, item):
         """``Store.deliver``: an engine step's put into a ring with room;
         the tap sees the item first."""
@@ -58,7 +52,7 @@ class _Ring:
         """Unconditional enqueue past the capacity bound (overflow path)."""
         if self.tap is not None:
             self.tap(item)
-        return self.store.force_put(item)
+        self.store.force_put(item)
 
     def __len__(self):
         return len(self.store)

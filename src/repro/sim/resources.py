@@ -104,13 +104,6 @@ class Store:
     def get(self):
         return StoreGet(self)
 
-    def try_put(self, item):
-        """Non-blocking put. Returns True if the item was accepted."""
-        if self.is_full:
-            return False
-        self._accept(item)
-        return True
-
     def try_get(self):
         """Non-blocking get. Returns (True, item) or (False, None)."""
         if self.items:
@@ -120,8 +113,8 @@ class Store:
         return False, None
 
     def deliver(self, item):
-        """:meth:`try_put` into a store with room (an engine step's frame
-        arrival); raises when it is full."""
+        """A non-blocking put into a store with room (an engine step's
+        frame arrival); raises when it is full."""
         gets = self._get_queue
         if gets:  # the store is empty: the item passes straight through
             self.max_occupancy = self.max_occupancy or 1

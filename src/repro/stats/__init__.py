@@ -2,11 +2,10 @@
 
 from repro.stats.fairness import jains_fairness_index
 from repro.stats.histogram import LatencyHistogram
-from repro.stats.meters import GoodputMeter, IntervalSeries, ThroughputMeter
+from repro.stats.meters import GoodputMeter, ThroughputMeter
 
 __all__ = [
     "GoodputMeter",
-    "IntervalSeries",
     "LatencyHistogram",
     "ThroughputMeter",
     "jains_fairness_index",

@@ -1,4 +1,4 @@
-"""Throughput meters and interval series."""
+"""Throughput meters: all traffic, and benign traffic under attack."""
 
 
 class ThroughputMeter:
@@ -76,32 +76,3 @@ class GoodputMeter:
         """Everything delivered, hostile included (for ratio reporting)."""
         return self.benign_bytes + self.attack_bytes
 
-
-class IntervalSeries:
-    """Per-interval samples (e.g. per-connection goodput over a run)."""
-
-    __slots__ = ("samples",)
-
-    def __init__(self):
-        self.samples = []
-
-    def add(self, value):
-        self.samples.append(value)
-
-    def percentile(self, pct):
-        if not self.samples:
-            return 0
-        ordered = sorted(self.samples)
-        index = max(0, min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1)))))
-        return ordered[index]
-
-    @property
-    def median(self):
-        return self.percentile(50)
-
-    @property
-    def mean(self):
-        return sum(self.samples) / len(self.samples) if self.samples else 0
-
-    def __len__(self):
-        return len(self.samples)

@@ -37,7 +37,7 @@ PACKAGE = os.path.dirname(repro.__file__)
 STAGES = os.path.join(PACKAGE, "flextoe", "stages.py")
 
 #: In ``PostStage.process``, once the record is known live.
-POST_BODY = "        post = record.post\n        cycles = costs.post_stats\n"
+POST_BODY = "        post = record.post\n        cycles = POST_STATS\n"
 #: A replicated stage's fence wait: its turn waits on its predecessor's.
 WAIT = "            if turn.blocked():\n                yield turn.prev\n"
 #: In ``PostStage.program``: the wait, then the emit into ``dma_ring``.

@@ -87,7 +87,7 @@ def test_baseline_tree_has_no_hb_races():
 
 def test_field_verdicts_match_the_partition_design():
     verdicts = stagelint.field_verdicts(_with_tree())
-    assert len(verdicts) == 32
+    assert len(verdicts) == 30
     flat = {"{}.{}".format(p, a): v for (p, a), (v, _fp) in verdicts.items()}
     # The TCP machine is owned by the atomic stage...
     assert flat["proto.next_ts"] == stagelint.VERDICT_OWNED

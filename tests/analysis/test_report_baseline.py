@@ -1,18 +1,17 @@
-"""Report rendering, finding identity, and the --baseline diff mode."""
+"""Report rendering and the lint's one gate: every finding fails the run,
+and each pass checks the units it is pinned to (a pass that silently
+checks fewer fails here). There is no baseline file."""
 
 import json
 
 import pytest
 
 from repro.analysis import cli
-from repro.analysis.report import (
-    PASS_HB,
-    Finding,
-    diff_findings,
-    load_report,
-    render_json,
-    render_text,
-)
+from repro.analysis.report import PASS_HB, Finding, render_json, render_text
+
+#: What each pass checks over the package: builtin XDP programs (twice),
+#: stage-touched connection-state fields, and ``.py`` files.
+CHECKED = {"hb-race": 30, "sim-process": 118, "xdp-deadcode": 6, "xdp-verifier": 6}
 
 
 def _finding(code="hb-race", path="/a/src/repro/flextoe/stages.py", line=10, message="m"):
@@ -24,26 +23,6 @@ def test_json_report_carries_via_chain():
     document = json.loads(render_json([finding]))
     assert document["findings"][0]["via"] == ["A.p", "helper"]
     assert "via A.p -> helper" in render_text([finding])
-
-
-def test_diff_ignores_line_drift_and_checkout_prefix():
-    baseline = json.loads(render_json([_finding(line=10)]))
-    # Same finding from another checkout, shifted by an unrelated edit.
-    fresh = _finding(path="/other/machine/repro/flextoe/stages.py", line=42)
-    assert diff_findings([fresh], baseline) == []
-
-
-def test_diff_reports_only_new_findings():
-    baseline = json.loads(render_json([_finding(message="old")]))
-    old = _finding(message="old")
-    new = _finding(message="new", path="/a/src/repro/flextoe/datapath.py")
-    assert diff_findings([old, new], baseline) == [new]
-
-
-def test_diff_against_empty_baseline_keeps_everything():
-    baseline = json.loads(render_json([]))
-    finding = _finding()
-    assert diff_findings([finding], baseline) == [finding]
 
 
 def test_pipeline_passes_parse_each_data_path_module_once(monkeypatch, tmp_path):
@@ -66,8 +45,13 @@ def test_pipeline_passes_parse_each_data_path_module_once(monkeypatch, tmp_path)
     findings, checked = cli.run_all(str(tmp_path))
     assert findings == []
     assert parsed == stagelint.default_paths() and len(parsed) == 6
-    assert sorted(checked) == ["hb-race", "sim-process", "xdp-deadcode", "xdp-verifier"]
-    assert checked["hb-race"] == 32
+    assert checked == dict(CHECKED, **{"sim-process": 0})
+
+
+def test_the_package_is_clean_and_every_pass_checks_its_units():
+    findings, checked = cli.run_all()
+    assert findings == []
+    assert checked == CHECKED
 
 
 @pytest.fixture
@@ -81,33 +65,9 @@ def fake_run_all(monkeypatch):
     return state
 
 
-def test_cli_baseline_suppresses_known_findings(fake_run_all, tmp_path, capsys):
-    fake_run_all["findings"] = [_finding(message="known")]
-    baseline_path = tmp_path / "baseline.json"
-    assert cli.main(["--json"]) == 1
-    baseline_path.write_text(capsys.readouterr().out)
-
-    # Same findings against the baseline: clean exit.
-    assert cli.main(["--baseline", str(baseline_path)]) == 0
-    out = capsys.readouterr().out
-    assert "baseline-accepted" in out
-
-    # A new finding still fails.
-    fake_run_all["findings"].append(_finding(message="fresh regression", line=99))
-    assert cli.main(["--baseline", str(baseline_path)]) == 1
-    assert "fresh regression" in capsys.readouterr().out
-
-
 def test_cli_without_baseline_fails_on_any_finding(fake_run_all):
     fake_run_all["findings"] = [_finding()]
     assert cli.main([]) == 1
     fake_run_all["findings"] = []
     assert cli.main([]) == 0
 
-
-def test_load_report_round_trip(tmp_path):
-    path = tmp_path / "report.json"
-    path.write_text(render_json([_finding()], {"hb-race": 32}))
-    document = load_report(str(path))
-    assert document["version"] == 3
-    assert document["summary"]["checked"]["hb-race"] == 32

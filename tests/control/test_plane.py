@@ -1,8 +1,8 @@
-"""Control-plane behavior: ARP, handshake robustness, RTO, policy."""
+"""Control-plane behavior: ARP, handshake robustness, RTO, admission."""
 
 import pytest
 
-from repro.control import PolicyConfig
+from repro.control import ControlPlaneConfig
 from repro.harness import Testbed
 from repro.libtoe.errors import ConnectRefusedError
 from repro.net import LossInjector
@@ -107,8 +107,7 @@ def test_rto_retransmission_recovers_lost_data():
 
 
 def test_connection_limit_policy():
-    policy = PolicyConfig(max_connections_per_app=2)
-    bed, server, client = build(server_kwargs={"policy": policy})
+    bed, server, client = build(server_kwargs={"config": ControlPlaneConfig(max_connections=2)})
     bed.seed_all_arp()
     outcome = {"ok": 0, "refused": 0}
     server_ctx = server.new_context()
@@ -132,13 +131,6 @@ def test_connection_limit_policy():
     bed.sim.run(until=300_000_000)
     assert outcome["ok"] == 2
     assert outcome["refused"] == 2
-
-
-def test_port_partitioning():
-    policy = PolicyConfig(port_ranges={"appA": (7000, 7099)})
-    assert policy.port_allowed("appA", 7050)
-    assert not policy.port_allowed("appB", 7050)
-    assert policy.port_allowed("appB", 8000)
 
 
 def test_cc_loop_programs_scheduler_rates():
@@ -313,8 +305,6 @@ def test_rto_fires_on_the_same_ticks_after_a_quiet_spell():
 
 
 def test_zero_window_probe_fires_on_the_same_ticks():
-    from repro.control.plane import ControlPlaneConfig
-
     bed, server, client = pair(server_config=ControlPlaneConfig(rx_buffer_size=4096))
     sim = bed.sim
     posted = []
@@ -454,7 +444,6 @@ def test_syn_retransmission_fires_on_the_same_ticks():
 
 def test_half_open_reaper_fires_on_the_same_ticks():
     from repro.apps.attackgen import Attacker
-    from repro.control.plane import ControlPlaneConfig
     from repro.proto import str_to_ip, str_to_mac
 
     config = ControlPlaneConfig(

@@ -108,7 +108,7 @@ def test_post_stage_drop_releases_nbi_ticket():
     work = ticketed_work(nic)
     assert drain(dp.post_stages[0].process(None, work)) is False  # frees nothing itself
     assert dp.ctm_pool.in_use == 1
-    assert dp.post_rings[0].try_put(work)
+    dp.post_rings[0].force_put(work)
     dp.sim.run(until=dp.sim.now + 10_000)
     assert_retired_once(dp)
 
@@ -135,8 +135,9 @@ def test_run_to_completion_post_drop_retires_once():
     bare.record, bare.conn_index = work.record, work.conn_index
     trigger = SegWork(WORK_TX)
     trigger.conn_index = work.conn_index
-    assert dp.post_rings[0].try_put(work) and dp.proto_rings[0].try_put(bare)
-    assert dp.pre_in.try_put(trigger)
+    dp.post_rings[0].force_put(work)
+    dp.proto_rings[0].force_put(bare)
+    dp.pre_in.force_put(trigger)
     dp.sim.run(until=dp.sim.now + 10_000)
     assert len(dp.proto_rings[0]) == 0 and len(dp.post_rings[0]) == 0
     assert_retired_once(dp)
@@ -148,7 +149,7 @@ def test_later_egress_flows_after_mid_pipeline_drop():
     # rather than wait behind the orphan.
     nic = make_nic()
     dp = nic.datapath
-    assert dp.post_rings[0].try_put(ticketed_work(nic))
+    dp.post_rings[0].force_put(ticketed_work(nic))
     dp.sim.run(until=dp.sim.now + 10_000)
 
     live = SegWork(WORK_TX)

@@ -247,12 +247,12 @@ def test_connection_state_uses_narrow_columns():
     assert kinds["dupack_cnt"] == U8 and kinds["cnt_fretx"] == U8 and kinds["delack_cnt"] == U8
     assert kinds["seq"] == U32 and kinds["ack"] == U32 and kinds["rtt_est"] == U32
     assert kinds["fin_pending"] == FLAG
-    # 13 INT + 13 U32 + 4 FLAG + 3 U16 + 3 U8 + 3 OBJ columns: 312 B at
-    # a uniform 8 B, 193 at Table 5's widths. The gap to the paper's
+    # 13 INT + 13 U32 + 2 FLAG + 3 U16 + 3 U8 + 3 OBJ columns: 296 B at
+    # a uniform 8 B, 191 at Table 5's widths. The gap to the paper's
     # 108 B/conn is the INT columns — 64-bit buffer heads and addresses,
     # IPs and MACs a test may pass as strings, fields that may be None —
     # and the three 8 B OBJ handles.
-    assert CONN_SLAB.bytes_per_slot() == 193
+    assert CONN_SLAB.bytes_per_slot() == 191
     assert CONN_SLAB.bytes_per_slot() < 8 * len(CONN_SLAB.fields)
     shadow = dict(SHADOW_SLAB.fields)
     assert shadow["snd_iss"] == U32 and shadow["index"] == U32 and shadow["local_port"] == U16
@@ -357,7 +357,6 @@ def test_a_record_is_complete_the_moment_it_exists():
         opaque="tok",
         rx_buffer=("rx", 64, 4096),
         tx_buffer=("tx", 128, 8192),
-        use_timestamps=False,
     ))
     record = table.get(7)
     assert table.get(7) is record and record.index == 7
@@ -372,7 +371,7 @@ def test_a_record_is_complete_the_moment_it_exists():
     post = record.post
     assert (post.opaque, post.context_id, post.rx_region, post.rx_base, post.rx_size) == ("tok", 4, "rx", 64, 4096)
     assert (post.tx_region, post.tx_base, post.tx_size) == ("tx", 128, 8192)
-    assert (post.use_timestamps, post.use_ecn, post.cnt_ackb, post.rtt_est, post.rate) == (False, True, 0, 0, 0)
+    assert (post.cnt_ackb, post.rtt_est, post.rate) == (0, 0, 0)
     slot = record.slab_slot
     del table, record, post
     assert CONN_SLAB.dirty_fields(slot) == []

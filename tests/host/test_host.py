@@ -3,7 +3,7 @@
 import pytest
 
 from repro.host import CAT_APP, CAT_SOCKETS, CAT_TCP, CpuCore, CycleAccounting, HostMemory, Machine
-from repro.host.memory import HUGEPAGE_SIZE, HugepagePool
+from repro.host.memory import BASE_ADDR, HUGEPAGE_SIZE, HugepagePool
 from repro.sim import Simulator
 
 
@@ -101,7 +101,7 @@ def test_hugepages_are_mapped_on_demand_and_regions_never_straddle_one():
         empty.write(0, b"x")
     # 8 KB no longer fits in page 0: the region starts on page 1, whole.
     tail = pool.alloc(8192)
-    assert tail.addr == pool.base_addr + HUGEPAGE_SIZE and len(pool._pages) == 2
+    assert tail.addr == BASE_ADDR + HUGEPAGE_SIZE and len(pool._pages) == 2
     tail.write(8192 - 5, b"hello")
     assert tail.read(8192 - 5, 5) == b"hello"
     assert pool.region_at(tail.addr + 100) == (tail, 100)

@@ -36,7 +36,6 @@ import os
 from repro.apps import EchoServer
 from repro.apps.attackgen import Attacker
 from repro.control.plane import ControlPlaneConfig
-from repro.control.policy import PolicyConfig
 from repro.flextoe.module import ModuleChain
 from repro.harness import Testbed
 from repro.libtoe.errors import ToeError
@@ -166,17 +165,14 @@ def _run_case(kind, mode, quick):
     CONN_SLAB.high_water = CONN_SLAB.live
 
     defense = mode == "on"
-    cp_kwargs = {}
+    config = {}
     if kind == "synflood":
         # The admission cap is the defense-off failure mode: bogus
         # SYN-time establishes exhaust it and benign connects get RSTs.
-        cp_kwargs["policy"] = PolicyConfig(max_connections_per_app=256)
+        config["max_connections"] = 256
     if defense:
-        cp_kwargs["config"] = ControlPlaneConfig(
-            syn_defense_enabled=True,
-            embryonic_limit=64,
-            half_open_timeout_ns=500_000,
-        )
+        config.update(syn_defense_enabled=True, embryonic_limit=64, half_open_timeout_ns=500_000)
+    cp_kwargs = {"config": ControlPlaneConfig(**config)}
 
     bed = Testbed(seed=29)
     server = bed.add_flextoe_host("server", cp_kwargs=cp_kwargs)

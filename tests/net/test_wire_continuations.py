@@ -87,7 +87,7 @@ class RefEgressQueue:
         if config.red_min_bytes is not None and self.bytes_queued > config.red_min_bytes:
             span = max(1, (config.red_max_bytes or config.queue_capacity_bytes) - config.red_min_bytes)
             excess = self.bytes_queued - config.red_min_bytes
-            drop_p = min(1.0, excess / span) * config.red_max_drop
+            drop_p = min(1.0, excess / span)
             if self.rng.random() < drop_p:
                 self.dropped_red += 1
                 return

@@ -105,14 +105,3 @@ def test_each_ring_wakes_one_waiter():
     sim.run()
     assert sorted(woke) == ["a", "b"]
 
-
-def test_msix_dispatch():
-    sim = Simulator()
-    pcie = PcieBlock(sim)
-    fired = []
-    pcie.register_msix(3, lambda vector: fired.append((vector, sim.now)))
-    pcie.raise_msix(3)
-    pcie.raise_msix(9)  # unregistered: counted, no crash
-    sim.run()
-    assert fired == [(3, MMIO_WRITE_NS)]
-    assert pcie.msix_raised == 2

@@ -95,14 +95,6 @@ def test_thread_limit_enforced():
         fpc.spawn(idle)
 
 
-def test_code_store_accounting():
-    sim = Simulator()
-    fpc = Fpc(sim, "fpc0")
-    fpc.load_code(30 * 1024)
-    with pytest.raises(MemoryError):
-        fpc.load_code(4 * 1024)
-
-
 def test_utilization():
     sim = Simulator()
     fpc = Fpc(sim, "fpc0")

@@ -73,15 +73,15 @@ def test_bounded_store_blocks_put():
     assert log[3][2] == 20
 
 
-def test_store_try_put_try_get():
+def test_store_force_put_overshoots_and_try_get_drains():
     sim = Simulator()
     store = Store(sim, capacity=1)
-    assert store.try_put("a")
-    assert not store.try_put("b")
-    ok, item = store.try_get()
-    assert ok and item == "a"
-    ok, item = store.try_get()
-    assert not ok and item is None
+    store.force_put("a")
+    store.force_put("b")  # past the bound: the overflow path never refuses
+    assert store.is_full and len(store) == 2
+    assert store.try_get() == (True, "a")
+    assert store.try_get() == (True, "b")
+    assert store.try_get() == (False, None)
 
 
 def test_store_try_get_unblocks_waiting_put():
@@ -125,7 +125,7 @@ def test_store_tracks_max_occupancy():
     sim = Simulator()
     store = Store(sim)
     for i in range(7):
-        store.try_put(i)
+        store.force_put(i)
     for _ in range(3):
         store.try_get()
     assert store.max_occupancy == 7

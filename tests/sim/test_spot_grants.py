@@ -194,7 +194,7 @@ def test_a_sleep_waits_for_what_is_due_by_its_wake_time():
 def test_a_grant_waits_for_the_callbacks_after_its_process():
     sim = Simulator()
     store = Store(sim)
-    store.try_put("item")
+    store.force_put("item")
     gate = sim.event()
     log = []
 
@@ -215,7 +215,7 @@ def test_a_condition_refuses_an_event_taken_on_the_spot():
     # out of its dispatch position; it fails loudly instead.
     sim = Simulator()
     store = Store(sim)
-    store.try_put("item")
+    store.force_put("item")
 
     def combiner():
         yield sim.any_of([store.get(), Timeout(sim, 5)])

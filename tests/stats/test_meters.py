@@ -1,9 +1,9 @@
-"""ThroughputMeter / IntervalSeries edge cases."""
+"""ThroughputMeter / GoodputMeter edge cases."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.stats import IntervalSeries, ThroughputMeter
+from repro.stats import ThroughputMeter
 
 
 def _advance(sim, ns):
@@ -43,23 +43,6 @@ def test_meter_rejects_unknown_attributes():
     meter = ThroughputMeter(Simulator())
     with pytest.raises(AttributeError):
         meter.eventz = 1
-
-
-def test_empty_series_is_safe():
-    series = IntervalSeries()
-    assert len(series) == 0
-    assert series.percentile(50) == 0
-    assert series.median == 0
-    assert series.mean == 0
-
-
-def test_series_percentile_clamps_to_range():
-    series = IntervalSeries()
-    for value in [10, 20, 30]:
-        series.add(value)
-    assert series.percentile(0) == 10
-    assert series.percentile(100) == 30
-    assert series.mean == 20
 
 
 # -- GoodputMeter: benign-only accounting under mixed load ----------------

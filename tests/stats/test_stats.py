@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.stats import IntervalSeries, LatencyHistogram, ThroughputMeter, jains_fairness_index
+from repro.stats import LatencyHistogram, ThroughputMeter, jains_fairness_index
 
 
 def test_histogram_basic_percentiles():
@@ -99,12 +99,3 @@ def test_throughput_meter():
     assert meter.bits_per_sec == pytest.approx(1e10)
     meter.reset()
     assert meter.events == 0
-
-
-def test_interval_series_percentiles():
-    series = IntervalSeries()
-    for v in [1, 2, 3, 4, 100]:
-        series.add(v)
-    assert series.median == 3
-    assert series.percentile(1) == 1
-    assert series.mean == 22

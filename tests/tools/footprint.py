@@ -14,7 +14,10 @@ set-up and after the measured phase per ``perf/layers.py`` layer. On
 ``sparse-idle`` a third run sets up with no quiescent connections, and the
 difference per installed connection is printed per layer and per source
 file, in bytes and in blocks (one block, one allocation: a unit no
-allocator or word size changes). A table to read, not a gate: exit status
+allocator or word size changes). Both sides run from copies whose paths
+are equally long (:func:`judge.here_tree`): resident memory moves by
+~0.2 MiB with the length of the path the code is loaded from. A table to
+read, not a gate: exit status
 2 only when a run fails. Run as ``python3 -m tests.tools.footprint``.
 """
 
@@ -172,9 +175,9 @@ def main(argv=None):
     parser.add_argument("--base", required=True, help="git ref of the parent side")
     parser.add_argument("--workload", choices=judge.WORKLOADS, help="one workload (default: all five)")
     args = parser.parse_args(argv)
-    with judge.base_tree(args.base) as base:
+    with judge.base_tree(args.base) as base, judge.here_tree() as here:
         for workload in [args.workload] if args.workload else judge.WORKLOADS:
-            runs = sides({"base": base, "here": judge.ROOT}, workload)
+            runs = sides({"base": base, "here": here}, workload)
             report(args.base, workload, runs["base"], runs["here"])
     return 0
 

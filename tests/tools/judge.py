@@ -1,5 +1,6 @@
 """One runner for the tools that compare BASE with this tree: it gets BASE
-(:func:`base_tree`), runs a measure on one side in a process of its own
+(:func:`base_tree`; :func:`here_tree` copies this tree to a path of the
+same shape), runs a measure on one side in a process of its own
 for its JSON (:func:`side`, :func:`read`: exit 2 with the side's output
 when it fails), and rebinds kernel functions (:class:`KernelHooks`). As
 ``python3 -m tests.tools.judge JOB [BASE]`` it is ``make loc``,
@@ -12,6 +13,7 @@ import importlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -35,6 +37,24 @@ def base_tree(ref):
     with tempfile.TemporaryDirectory(prefix="judge-") as tmp:
         archive = subprocess.run(["git", "archive", ref], cwd=ROOT, stdout=subprocess.PIPE, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        yield tmp
+
+
+@contextlib.contextmanager
+def here_tree():
+    """This working tree's files (tracked, and untracked but not ignored),
+    copied into a directory removed on exit whose path is as long as
+    :func:`base_tree`'s: where a process's strings and allocations depend
+    on the path its code was loaded from (resident memory does), the two
+    sides then differ in nothing but the code."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT,
+                            stdout=subprocess.PIPE, check=True).stdout.decode().split("\0")
+    with tempfile.TemporaryDirectory(prefix="judge-") as tmp:
+        for name in filter(None, listed):
+            source = os.path.join(ROOT, name)
+            if os.path.isfile(source):  # not a tracked file deleted from the working tree
+                os.makedirs(os.path.dirname(os.path.join(tmp, name)), exist_ok=True)
+                shutil.copy2(source, os.path.join(tmp, name))
         yield tmp
 
 
