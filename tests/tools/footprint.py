@@ -33,8 +33,11 @@ from tests.tools import judge
 
 PHASES = ("set-up", "measured")
 MIB = float(1 << 20)
-#: Untraced repetitions a side: resident memory moves between identical runs.
-REPS = 3
+#: Untraced repetitions a side: resident memory moves between identical
+#: runs (echo-small's set-up VmRSS over 26 runs on one x86-64 Linux host,
+#: CPython 3.11: 27.65-27.79 MiB). Drawn from those runs, an identical tree
+#: reads "resolved" on 6 % of rows with 3 a side, 0.6 % with 5.
+REPS = 5
 
 
 def vm_rss_bytes():
