@@ -290,13 +290,13 @@ def guard_process(generator, stage, flow_group=None):
         _OWNER_STACK.append(token)
         try:
             if thrown is not None:
-                exc, thrown = thrown, None
-                item = generator.throw(exc)
+                item = generator.throw(thrown)
             else:
                 item = generator.send(send_value)
         except StopIteration as stop:
             return getattr(stop, "value", None)
         finally:
+            thrown = None  # kept, its traceback would cycle back to this frame
             _OWNER_STACK.pop()
         try:
             send_value = yield item

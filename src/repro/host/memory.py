@@ -5,6 +5,11 @@ startup (paper §4) and carves socket payload buffers and context queues
 out of it, so NIC DMA needs no page translation. Region contents are
 real bytes — DMA in the simulation actually moves the payload, so
 end-to-end data integrity is checkable.
+
+A region costs the bytes written to it: what lands in its first
+:data:`SUBPAGE` bytes is kept in a ``bytearray`` as long as the highest
+byte written, and only a write ending past that maps the region's window
+of its hugepage (demand-zero, so even then it costs the pages touched).
 """
 
 import mmap
@@ -13,43 +18,78 @@ from bisect import bisect_right
 HUGEPAGE_SIZE = 1 << 30
 #: Physical address of the hugepage pool's first byte.
 BASE_ADDR = 0x1_0000_0000
+#: Writes that end within a region's first 4 KiB (one small page) are
+#: kept in a ``bytearray``; one ending past it maps the hugepage window.
+SUBPAGE = 4096
 
 
 class Region:
-    """A carved-out region: (physical address, length, backing bytes)."""
+    """A carved-out region: (physical address, length, backing bytes).
 
-    __slots__ = ("addr", "length", "data")
+    ``data`` holds the bytes written so far — a ``bytearray`` no longer
+    than the highest byte written, or, once a write ends past
+    :data:`SUBPAGE`, the region's window of its hugepage's mapping. Reads
+    past what ``data`` holds are zeros. A region holds the pool's page
+    list, never the pool, and nothing in that list refers to a region: no
+    cycle keeps a mapping alive until the collector runs.
+    """
 
-    def __init__(self, addr, data):
+    __slots__ = ("addr", "length", "data", "pages")
+
+    def __init__(self, addr, length, pages):
         self.addr = addr
-        self.length = len(data)
-        self.data = data  # a window of its hugepage's mapping
+        self.length = length
+        self.data = bytearray()
+        self.pages = pages  # the pool's: a memoryview per mapped hugepage, else None
 
     def write(self, offset, payload):
         end = offset + len(payload)
         if offset < 0 or end > self.length:
             raise IndexError("write outside region")
-        self.data[offset:end] = payload
+        data = self.data
+        if end > len(data):  # only ever a bytearray: a window is the whole region
+            if end > SUBPAGE:
+                data = self._map()
+            elif offset >= len(data):  # appending (``+=`` copies once, a slice twice)
+                if offset > len(data):
+                    data += bytes(offset - len(data))
+                data += payload
+                return
+        data[offset:end] = payload
 
     def read(self, offset, length):
-        if offset < 0 or offset + length > self.length:
+        end = offset + length
+        if offset < 0 or end > self.length:
             raise IndexError("read outside region")
-        return bytes(self.data[offset : offset + length])
+        chunk = bytes(self.data[offset:end])
+        return chunk if len(chunk) == length else chunk.ljust(length, b"\0")
+
+    def _map(self):
+        """Move ``data`` into the region's window of its hugepage, mapping
+        the page if no region has yet; returns the window."""
+        page, offset = divmod(self.addr - BASE_ADDR, HUGEPAGE_SIZE)
+        if self.pages[page] is None:
+            self.pages[page] = memoryview(mmap.mmap(-1, HUGEPAGE_SIZE))
+        window = self.pages[page][offset : offset + self.length]
+        window[: len(self.data)] = self.data
+        self.data = window
+        return window
 
 
 class HugepagePool:
     """Bump allocator over a fixed number of 1G hugepages.
 
-    A page is one anonymous mapping, made when the bump pointer first
-    enters it, so memory is demand-zero: a buffer costs the pages it
-    touched, not its length. (One mapping per hugepage, not per region:
-    the kernel caps mappings per process.) No region straddles a page.
+    A page is one anonymous mapping, made when a region's write first
+    ends past its :data:`SUBPAGE` prefix, so memory is demand-zero: a
+    buffer costs the bytes written to it below 4 KiB, the pages it
+    touched above. (One mapping per hugepage, not per region: the kernel
+    caps mappings per process.) No region straddles a page.
     """
 
     def __init__(self, n_pages=4):
         self.capacity = n_pages * HUGEPAGE_SIZE
         self.brk = 0
-        self._pages = []  # memoryview per mapped hugepage
+        self._pages = [None] * n_pages  # memoryview per mapped hugepage
         self._regions = []  # in address order (the allocator only bumps)
         self._starts = []  # their pool offsets, for region_at's bisect
 
@@ -61,10 +101,8 @@ class HugepagePool:
         start = page * HUGEPAGE_SIZE + offset
         if length > HUGEPAGE_SIZE or start + max(length, 1) > self.capacity:
             raise MemoryError("hugepage pool exhausted")
-        while len(self._pages) <= page:
-            self._pages.append(memoryview(mmap.mmap(-1, HUGEPAGE_SIZE)))
         self.brk = start + length
-        region = Region(BASE_ADDR + start, self._pages[page][offset : offset + length])
+        region = Region(BASE_ADDR + start, length, self._pages)
         self._regions.append(region)
         self._starts.append(start)
         return region

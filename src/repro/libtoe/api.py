@@ -13,8 +13,6 @@ Usage pattern::
     yield from ctx.close(sock)
 """
 
-from collections import deque
-
 from repro.flextoe.descriptors import (
     HC_FIN,
     HC_RX_UPDATE,
@@ -73,7 +71,7 @@ class ToeSocket:
         self.four_tuple = four_tuple
         self.rx_buffer = rx_buffer
         self.tx_buffer = tx_buffer
-        self.rx_ready = deque()  # (offset, length) notifications
+        self.rx_ready = []  # (offset, length) notifications; a deque is 760 B empty
         self.rx_bytes_ready = 0
         self.tx_free = tx_buffer.size
         self.tx_head = 0
@@ -201,16 +199,18 @@ class LibToeContext:
             CAT_SOCKETS,
         )
         chunks = []
-        taken = 0
-        while sock.rx_ready and taken < max_bytes:
-            offset, length = sock.rx_ready[0]
+        ready = sock.rx_ready
+        taken = done = 0
+        while done < len(ready) and taken < max_bytes:
+            offset, length = ready[done]
             take = min(length, max_bytes - taken)
             chunks.append(sock.rx_buffer.read_at_offset(offset, take))
             taken += take
             if take == length:
-                sock.rx_ready.popleft()
+                done += 1
             else:
-                sock.rx_ready[0] = ((offset + take) % sock.rx_buffer.size, length - take)
+                ready[done] = ((offset + take) % sock.rx_buffer.size, length - take)
+        del ready[:done]
         sock.rx_bytes_ready -= taken
         sock.bytes_received += taken
         # Return the consumed space to the receive window.

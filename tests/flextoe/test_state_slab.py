@@ -11,7 +11,10 @@ model under randomized alloc/free/write/read interleavings:
   inspection — before any reuse can observe stale state.
 """
 
-from hypothesis import given, settings
+import gc
+
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.flextoe import slab as slab_module
@@ -514,16 +517,25 @@ def _shadow_rows():
     )
 
 
-@settings(max_examples=100, deadline=None)
+@pytest.fixture
+def frozen_heap():
+    """Everything alive before the test moves to the collector's
+    permanent generation, so each example's ``gc.collect()`` walks only
+    what the test made since, not the whole process."""
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data(), st.sampled_from([_conn_rows, _shadow_rows]))
-def test_a_row_is_freed_once_by_whoever_lets_go_last(data, rows):
+def test_a_row_is_freed_once_by_whoever_lets_go_last(frozen_heap, data, rows):
     """Install, touch, hold, remove, re-install on the freed index, drop
     the table: a slot a held view owns is never handed to another row, a
     held removed record reads inactive, and once the tables and the held
     views are gone the slab is back where it started — rows nobody
     touched included."""
-    import gc
-
     from repro.flextoe.state import ConnectionTable
 
     slab, make_table, install = rows()

@@ -11,14 +11,16 @@ lazily, so it can read below the last ``VmRSS``), each printed as the
 median with its min–max (:func:`median_delta` says when the delta is
 unresolved); and once under ``tracemalloc``, for the bytes still held after
 set-up and after the measured phase per ``perf/layers.py`` layer. On
-``sparse-idle`` a third run sets up with no quiescent connections, and the
-difference per installed connection is printed per layer and per source
-file, in bytes and in blocks (one block, one allocation: a unit no
-allocator or word size changes). Both sides run from copies whose paths
-are equally long (:func:`judge.here_tree`): resident memory moves by
-~0.2 MiB with the length of the path the code is loaded from. A table to
-read, not a gate: exit status
-2 only when a run fails. Run as ``python3 -m tests.tools.footprint``.
+``conn-churn`` the measured phase's resident and traced growth is also
+printed per lifecycle (:func:`per_lifecycle`). On ``sparse-idle`` a
+third run sets up with no quiescent connections, and the difference per
+installed connection is printed per layer and per source file, in bytes
+and in blocks (one block, one allocation: a unit no allocator or word
+size changes). Both sides run from copies whose paths are equally long
+(:func:`judge.here_tree`): resident memory moves by ~0.2 MiB with the
+length of the path the code is loaded from. A table to read, not a
+gate: exit status 2 only when a run fails. Run as
+``python3 -m tests.tools.footprint``.
 """
 
 import argparse
@@ -125,6 +127,18 @@ def sides(trees, workload):
     return runs
 
 
+def per_lifecycle(side):
+    """``{"resident": B, "traced": B}`` the measured phase added per op
+    (on ``conn-churn``, one connection's lifecycle): the ``VmRSS`` delta
+    from set-up, median of the untraced runs, and the bytes still traced,
+    each ÷ ops."""
+    ops = side["traced"]["ops"]
+    resident = statistics.median(run["rss"]["measured"] - run["rss"]["set-up"] for run in side["resident"])
+    held = side["traced"]["held"]
+    traced = sum(held["measured"]["bytes"].values()) - sum(held["set-up"]["bytes"].values())
+    return {"resident": resident / ops, "traced": traced / ops}
+
+
 def report(ref, workload, base, here):
     """Resident memory, then what each layer holds (and, on ``sparse-idle``, per connection)."""
     ops = {run["ops"] for side in (base, here) for run in side["resident"]}
@@ -153,6 +167,9 @@ def report(ref, workload, base, here):
         rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))]
         rows.append(("total", sum(was.values()), sum(now.values())))
         table("held after {} (KiB)".format(phase), rows, "%.1f", 1024.0)
+    if workload == "conn-churn":
+        was, now = per_lifecycle(base), per_lifecycle(here)
+        table("per lifecycle (B)", [(key, was[key], now[key]) for key in ("resident", "traced")], "%.1f", 1.0)
     if workload == "sparse-idle":
         installed = here["traced"]["extras"]["installed"]
         for unit, title, floor in (("bytes", "B", installed), ("blocks", "blocks", installed / 100),
