@@ -89,7 +89,7 @@ class HugepagePool:
     def __init__(self, n_pages=4):
         self.capacity = n_pages * HUGEPAGE_SIZE
         self.brk = 0
-        self._pages = [None] * n_pages  # memoryview per mapped hugepage
+        self._pages = [None] * n_pages  # a memoryview once a region maps the page
         self._regions = []  # in address order (the allocator only bumps)
         self._starts = []  # their pool offsets, for region_at's bisect
 

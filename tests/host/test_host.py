@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.host import CAT_APP, CAT_SOCKETS, CAT_TCP, CpuCore, CycleAccounting, HostMemory, Machine
-from repro.host import memory
+from repro.host import CAT_APP, CAT_SOCKETS, CAT_TCP, CpuCore, CycleAccounting, HostMemory, Machine, memory
 from repro.host.memory import BASE_ADDR, HUGEPAGE_SIZE, SUBPAGE, HugepagePool
 from repro.sim import Simulator
 
