@@ -52,7 +52,7 @@ perf-compare:
 # tool to one of perf/'s five workloads (default: all five).
 JUDGE := python3 -m tests.tools.judge
 
-# Lines under src/repro per package (ROADMAP item 4); with BASE, at BASE too.
+# Lines under src/repro per package (ROADMAP item 17); with BASE, at BASE too.
 loc:
 	@$(JUDGE) loc $(BASE)
 

@@ -29,7 +29,7 @@ Checks
 
 * **model edges** — every ring enqueue must come from a producer the
   data path's ``RINGS`` table declares for that ring (owner tokens come
-  from the ownership sanitizer's process wrapping). ``None`` owners
+  from the ownership sanitizer's chain wrapping). ``None`` owners
   (control plane, the MAC's RX handler, test scaffolding) are never
   checked — the invariant is about data-path stages.
 * **per-connection protocol order** — works enter ``dma_ring`` in the

@@ -11,9 +11,9 @@ matrix in ``tests/analysis/test_hazard_matrix.py`` says which.) With
 * every partition of a connection installed in a connection table
   (``PreprocState``, ``ProtocolState``, ``PostprocState``) is registered
   with its owning flow group;
-* every data-path stage process runs wrapped, so the sanitizer knows
-  which stage kind (and flow group) is executing between yields: the
-  simulator is single-threaded;
+* every data-path chain's resume runs wrapped (:func:`guard`), so the
+  sanitizer knows which stage kind (and flow group) each step runs
+  under: the simulator is single-threaded;
 * instrumented ``__setattr__`` enforces Table 5 ownership: pre state is
   immutable once registered, even with no stage running; proto state
   is written only by the owning group's protocol stage, post state only
@@ -278,28 +278,27 @@ def current_owner():
     return _OWNER_STACK[-1] if _OWNER_STACK else None
 
 
-def guard_process(generator, stage, flow_group=None):
-    """Wrap a stage process so its execution carries ownership context:
-    the owner token is set while the inner generator runs and cleared
-    while it waits, so interleaved stage processes never see each other's;
-    exceptions thrown in (interrupts) are forwarded under the token."""
-    token = (stage, flow_group)
-    send_value = None
-    thrown = None
-    while True:
-        _OWNER_STACK.append(token)
+class guard:
+    """``resume`` (a chain's callback) run with the owner token ``(stage,
+    flow_group)`` set: each step it runs carries it, and a wait clears it.
+    The chain is the running process meanwhile, for the engine-step check.
+    Slotted: every hardware thread of a sanitized testbed holds two."""
+
+    __slots__ = ("resume", "token", "chain")
+
+    def __init__(self, resume, stage, flow_group=None):
+        self.resume = resume
+        self.token = (stage, flow_group)
+        self.chain = getattr(resume, "__self__", None)
+
+    def __call__(self, entry):
+        _OWNER_STACK.append(self.token)
+        chain = self.chain
+        if chain is not None:
+            chain.sim._active_process = chain
         try:
-            if thrown is not None:
-                item = generator.throw(thrown)
-            else:
-                item = generator.send(send_value)
-        except StopIteration as stop:
-            return getattr(stop, "value", None)
+            self.resume(entry)
         finally:
-            thrown = None  # kept, its traceback would cycle back to this frame
+            if chain is not None:
+                chain.sim._active_process = None
             _OWNER_STACK.pop()
-        try:
-            send_value = yield item
-        except BaseException as exc:  # forwarded on the next resume
-            thrown = exc
-            send_value = None

@@ -16,6 +16,7 @@ the post and DMA stages' per-connection fences) and the one early exit,
 :meth:`FlexToeDatapath.retire`; teardown has no ordering state to forget.
 """
 
+import functools
 from collections import deque
 
 from repro.analysis import sanitizer
@@ -31,7 +32,8 @@ from repro.proto.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.proto.ip import ECN_ECT0, IPPROTO_TCP, Ipv4Header
 from repro.proto.packet import Frame
 from repro.proto.tcp import TcpHeader
-from repro.sim import Interrupt, Resource, Store
+from repro.sim import Resource, Store
+from repro.nfp.fpc import Chain
 from repro.nfp.queues import ClsRing, WorkQueue
 
 #: Slots per protocol/post CLS ring; host-control descriptors in flight;
@@ -135,11 +137,11 @@ class FlexToeDatapath:
         #: target "stall a protocol FPC" without groping the islands.
         self.stage_fpcs = {}
 
-        #: Every spawned data-path process (stage threads, GRO delivery,
-        #: snapshot DMA). crash() interrupts them all.
-        self.processes = []
+        #: Every data-path chain (stage threads, GRO delivery, snapshot
+        #: DMA), in start order. crash() kills them all.
+        self.chains = []
         self.crashed = False
-        #: Liveness is derived from the clock, not simulated: no process
+        #: Liveness is derived from the clock, not simulated: no chain
         #: beats, so an idle data path schedules nothing.
         self.heartbeats = HeartbeatBoard(sim, HEARTBEAT_INTERVAL_NS, self.stage_fpcs)
         #: Whoever polls connection state in NIC memory (the control plane
@@ -162,50 +164,37 @@ class FlexToeDatapath:
 
     # -- construction ------------------------------------------------------
 
-    def _killable(self, generator):
-        """Outermost wrapper for every data-path process: a crash()
-        interrupt terminates the program cleanly instead of propagating
-        out of the simulator loop."""
-        try:
-            yield from generator
-        except Interrupt:
-            return
+    def _guard(self, stage_kind, flow_group=None):
+        """What wraps a chain's resume so that its steps carry ownership
+        context when the runtime sanitizer is active (REPRO_SANITIZE=1)."""
+        if sanitizer.enabled():
+            return functools.partial(sanitizer.guard, stage=stage_kind, flow_group=flow_group)
+        return None
 
     def _spawn(self, fpc, stage, program, name, flow_group=None):
-        """Spawn ``program`` on ``fpc`` as ``stage``'s kind, tagging it
-        with ownership context when the runtime sanitizer is active
-        (REPRO_SANITIZE=1)."""
+        """Run ``program`` (a first step) on ``fpc`` as ``stage``'s kind."""
         stage_kind = stage.STAGE_KIND
         fpcs = self.stage_fpcs.setdefault(stage_kind, [])
         if fpc not in fpcs:
             fpcs.append(fpc)
-
-        def factory(thread):
-            generator = program(thread)
-            if sanitizer.enabled():
-                generator = sanitizer.guard_process(generator, stage_kind, flow_group)
-            return self._killable(generator)
-
-        thread = fpc.spawn(factory, name=name)
-        self.processes.append(thread.process)
+        thread = fpc.run(program, name=name, guard=self._guard(stage_kind, flow_group))
+        self.chains.append(thread)
         return thread
 
     def _spawn_gro_delivery(self, gro, name, stage_kind):
-        """Run a reorder buffer's delivery loop as its own sim process.
+        """Run a reorder buffer's deliveries as a chain of their own.
 
         The GRO/BLM FPCs are real pipeline actors in the paper (§3.2);
         running their releases inline in whichever stage happened to
         complete the sequence hid them from the runtime sanitizer. The
-        dedicated process carries a ``gro``/``seqr`` owner token so
+        dedicated chain carries a ``gro``/``seqr`` owner token so
         REPRO_SANITIZE=1 attributes any illegal write it performs.
         """
-        gro.use_process_delivery()
-        generator = gro.delivery_program()
-        if sanitizer.enabled():
-            generator = sanitizer.guard_process(generator, stage_kind)
-        process = self.sim.process(self._killable(generator), name=name)
-        self.processes.append(process)
-        return process
+        chain = Chain(self.sim, name)
+        chain.wrap(self._guard(stage_kind))
+        gro.deliver_by(chain)
+        self.chains.append(chain)
+        return chain
 
     def enable_state_snapshots(self, writer, interval_ns):
         """Periodically DMA volatile protocol fields to a host shadow.
@@ -214,29 +203,35 @@ class FlexToeDatapath:
         it fills survives a data-path crash and bounds the staleness of
         the fields recovery cannot derive from descriptor history
         (``remote_win``, timestamp echo state)."""
+        table = self.conn_table
+        rows = None  # the table as it stood when the DMA was issued
 
-        def snapshot_loop():
-            table = self.conn_table
-            while True:
-                yield self.sim.timeout(interval_ns)
-                installed = len(table)
-                if not installed:
-                    continue
-                rows = table.items()
-                yield self.dma.issue(0, 16 * installed)
-                for index, slot in rows:
-                    if table.slot(index) == slot:  # not torn down during the DMA
-                        writer(index, proto_hints(slot))
+        def sleep(chain, _value=None):
+            return chain.sleep(interval_ns, woke)
 
-        process = self.sim.process(self._killable(snapshot_loop()), name="state-snapshot")
-        self.processes.append(process)
-        return process
+        def woke(chain, _value):
+            nonlocal rows
+            installed = len(table)
+            if not installed:
+                return sleep(chain)
+            rows = table.items()
+            return chain.wait(self.dma.issue(0, 16 * installed), copied)
+
+        def copied(chain, _value):
+            for index, slot in rows:
+                if table.slot(index) == slot:  # not torn down during the DMA
+                    writer(index, proto_hints(slot))
+            return sleep(chain)
+
+        chain = Chain(self.sim, "state-snapshot").start(sleep)
+        self.chains.append(chain)
+        return chain
 
     def crash(self):
         """Hard-stop the data path (fault injection / recovery quiesce).
 
-        Kills every spawned process, freezes the heartbeat board and
-        detaches the NBI ingress handler; NIC-internal state (rings,
+        Kills every chain (no step of a dead chip runs again), freezes the
+        heartbeat board and detaches the NBI ingress handler; NIC-internal state (rings,
         caches, connection table) is dead with the chip. Host-visible
         memory — context queue pairs, the control ring, payload
         buffers — is untouched. Idempotent."""
@@ -248,9 +243,9 @@ class FlexToeDatapath:
         if board.watcher is not None:  # wakes the recovery watchdog
             board.watcher.succeed(board)
         self.mac.rx_handler = None
-        for process in self.processes:
-            if process.is_alive:
-                process.interrupt("nic-crash")
+        for chain in self.chains:
+            if chain.is_alive:
+                chain.kill()
 
     def rings(self, attr):
         """The ring objects behind one ``RINGS`` entry (one per flow
@@ -312,38 +307,50 @@ class FlexToeDatapath:
             self._spawn(ctx_fpc, self.ctx_stage, self.ctx_stage.arx_program, "ctx-arx")
         self._spawn(service.claim_fpc(), self.scheduler, self.scheduler.program, "sch")
 
-    def _run_to_completion(self, thread):
+    def _run_to_completion(self, thread, _value=None):
         """Table 3 baseline: the whole TCP data-path on one FPC thread.
 
         Stage *logic* is reused; only the execution structure changes:
         one worker pulls from the pre-stage input and runs
         pre/protocol/post/DMA for each item to completion, waiting out
         every memory and PCIe latency inline, one segment in the NIC at
-        a time (the service programs contend on the same lock).
+        a time (the service programs contend on the same lock, which a
+        killed worker releases).
         """
-        while True:
-            work = yield self.pre_in.get()
-            grant = yield self.serial_lock.request()
-            try:
-                yield from self._run_item(thread, work)
-            finally:
-                grant.release()
+        return thread.get(self.pre_in, self._rtc_take)
 
-    def _run_item(self, thread, work):
-        yield from self.pre_stages[0].process(thread, work)
+    def _rtc_take(self, thread, work):
+        thread.work = work
+        return thread.request(self.serial_lock, self._rtc_locked)
+
+    def _rtc_locked(self, thread, grant):
+        thread.held = grant
+        return self.pre_stages[0].process(thread, thread.work, self._rtc_pre_done)
+
+    def _rtc_pre_done(self, thread, _):
         admitted, work = self.proto_rings[0].try_get()
         if not admitted:
-            return
-        yield from self.protocol_stages[0].process(thread, work)
+            return self._rtc_done(thread, None)
+        return self.protocol_stages[0].process(thread, work, self._rtc_protocol_done)
+
+    def _rtc_protocol_done(self, thread, _):
         processed, work = self.post_rings[0].try_get()
         if not processed:
-            return
-        # PostStage.program owns the dma_ring hop and its fence; one
-        # thread needs neither.
-        if (yield from self.post_stages[0].process(thread, work)):
-            yield from self.dma_stages[0].process(thread, work)
-        else:
-            self.retire(work)
+            return self._rtc_done(thread, None)
+        return self.post_stages[0].process(thread, work, self._rtc_post_done)
+
+    def _rtc_post_done(self, thread, emit):
+        # PostStage's own program owns the dma_ring hop and its fence;
+        # one thread needs neither.
+        if emit:
+            return self.dma_stages[0].process(thread, thread.work, self._rtc_done)
+        self.retire(thread.work)
+        return self._rtc_done(thread, None)
+
+    def _rtc_done(self, thread, _):
+        grant, thread.held = thread.held, None
+        grant.release()
+        return self._run_to_completion(thread)
 
     # -- runtime entry points ----------------------------------------------
 

@@ -90,6 +90,7 @@ class SegWork:
     __slots__ = (
         "kind",
         "pipeline_seq",
+        "sequencer",
         "frame",
         "record",
         "conn_index",
@@ -109,6 +110,7 @@ class SegWork:
     def __init__(self, kind, frame=None, hc=None, born_at=0):
         self.kind = kind
         self.pipeline_seq = None
+        self.sequencer = None  # whose ticket pipeline_seq is
         self.frame = frame
         self.record = None
         self.conn_index = None

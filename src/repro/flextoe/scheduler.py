@@ -18,6 +18,7 @@ from collections import deque
 
 from repro.flextoe.config import SCHED_DEQUEUE
 from repro.sim import Timeout
+from repro.sim.core import PENDING
 
 INTERVAL_Q8_SHIFT = 8
 
@@ -58,6 +59,9 @@ class CarouselScheduler:
         #: Populated slots only: slot index -> FIFO of (deadline, entry).
         self._wheel = {}
         self._wheel_population = 0
+        #: What an FS update wakes: the idle SCH thread itself (parked), or
+        #: the event it waits on with the wheel's next deadline.
+        self._parked = None
         self._wake = None
         self.triggers_issued = 0
         self.rate_limited_enqueues = 0
@@ -108,8 +112,14 @@ class CarouselScheduler:
         self.rate_limited_enqueues += 1
 
     def _kick(self):
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        parked = self._parked
+        if parked is not None:
+            self._parked = None
+            parked.succeed()
+            return
+        wake = self._wake
+        if wake is not None and wake._value is PENDING:
+            wake.succeed()
 
     def _pop_due(self):
         """Pop one flow whose deadline has passed (or an RR flow)."""
@@ -142,32 +152,42 @@ class CarouselScheduler:
             return None
         return min(bucket[0][0] for bucket in self._wheel.values())
 
-    def program(self, thread):
-        """The SCH FPC program."""
+    def program(self, thread, _value=None):
+        """The SCH FPC program: pop a due flow, charge the dequeue, take
+        the trigger; idle, sleep until an FS update or the next wheel
+        deadline."""
         sim = self.sim
         while True:
             entry = self._pop_due()
             if entry is None:
-                # Idle: sleep until an FS update or the next wheel deadline.
-                self._wake = sim.event()
                 deadline = self._next_wheel_deadline()
                 if deadline is None:
-                    yield self._wake
-                else:
-                    yield sim.any_of([self._wake, Timeout(sim, int(max(0, deadline - sim.now)))])
-                self._wake = None
-                continue
+                    self._parked = thread
+                    return thread.park(self._woken)
+                self._wake = sim.event()
+                return thread.wait(sim.any_of([self._wake, Timeout(sim, int(max(0, deadline - sim.now)))]), self._woken)
             entry.queued = False
-            if entry.deficit <= 0:
-                continue
-            yield thread.compute(SCHED_DEQUEUE)
-            burst = min(self.mss, entry.deficit)
-            entry.deficit -= burst
-            self.triggers_issued += 1
-            yield self.trigger_tx(entry.conn_index)
             if entry.deficit > 0:
-                if entry.interval_q8 > 0:
-                    entry.next_deadline = max(entry.next_deadline, sim.now) + (
-                        (burst * entry.interval_q8) >> INTERVAL_Q8_SHIFT
-                    )
-                self._enqueue(entry)
+                thread.work = entry
+                return thread.charge(SCHED_DEQUEUE, self._dequeued)
+
+    def _woken(self, thread, _):
+        self._wake = None
+        return self.program(thread)
+
+    def _dequeued(self, thread, _):
+        entry = thread.work
+        burst = thread.n = min(self.mss, entry.deficit)
+        entry.deficit -= burst
+        self.triggers_issued += 1
+        return thread.wait(self.trigger_tx(entry.conn_index), self._triggered)
+
+    def _triggered(self, thread, _):
+        entry = thread.work
+        if entry.deficit > 0:
+            if entry.interval_q8 > 0:
+                entry.next_deadline = max(entry.next_deadline, self.sim.now) + (
+                    (thread.n * entry.interval_q8) >> INTERVAL_Q8_SHIFT
+                )
+            self._enqueue(entry)
+        return self.program(thread)

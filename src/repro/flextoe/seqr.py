@@ -11,17 +11,23 @@ orders a replicated stage's emissions per key (connection, context
 queue) with no ticket domain: turns are taken in dequeue order.
 
 Delivery has two modes. By default releases happen inline, in whichever
-process called :meth:`offer`/:meth:`skip` (required by the
+stage called :meth:`offer`/:meth:`skip` (required by the
 run-to-completion baseline, whose worker polls the downstream ring
-synchronously). The pipelined datapath instead calls
-:meth:`use_process_delivery` and spawns :meth:`delivery_program` as a
-real sim process, so the GRO's releases run under their own sanitizer
-owner token rather than the offering stage's.
+synchronously). The pipelined datapath instead hands the buffer a
+:class:`~repro.nfp.fpc.Chain` (:meth:`deliver_by`) woken per release
+batch, so the GRO's releases run under their own sanitizer owner token
+rather than the offering stage's.
 """
 
 from collections import deque
 
 from repro.sim import Event
+from repro.sim.core import PENDING
+
+
+class SequencingError(ValueError):
+    """A work was handed a second ticket of one sequencer: its first is
+    never offered nor skipped, so the reorder buffer waits for it forever."""
 
 
 class Sequencer:
@@ -31,6 +37,9 @@ class Sequencer:
         self._next = 0
 
     def assign(self, work):
+        if work.sequencer is self:
+            raise SequencingError("{!r} already holds ticket {} of this sequencer".format(work, work.pipeline_seq))
+        work.sequencer = self
         work.pipeline_seq = self._next
         self._next += 1
         return work.pipeline_seq
@@ -60,9 +69,9 @@ class ReorderBuffer:
         self.released = 0
         self.buffered_peak = 0
         self.out_of_order_arrivals = 0
-        self._process_delivery = False
+        self._chain = None
         self._outbox = None
-        self._wake = None
+        self._parked = False
 
     def offer(self, work):
         """Accept a tagged work item; release everything now in order."""
@@ -85,28 +94,27 @@ class ReorderBuffer:
         self._skipped.add(seq)
         self._drain()
 
-    def use_process_delivery(self):
-        """Switch to asynchronous delivery via :meth:`delivery_program`.
+    def deliver_by(self, chain):
+        """Release through ``chain`` (started here) instead of inline.
 
-        Must be called before any work is offered; the caller is
-        responsible for spawning the program as a sim process.
+        Must be called before any work is offered: releases wait in an
+        outbox, and the chain, parked, is woken to deliver them.
         """
-        self._process_delivery = True
+        self._chain = chain
         self._outbox = deque()
+        chain.start(self._deliver_all)
 
-    def delivery_program(self):
-        """The GRO delivery loop, run as a dedicated sim process."""
-        while True:
-            while self._outbox:
-                self._deliver(self._outbox.popleft())
-            self._wake = self.sim.event()
-            yield self._wake
+    def _deliver_all(self, chain, _value):
+        """The GRO delivery step: everything released so far, then park."""
+        while self._outbox:
+            self._deliver(self._outbox.popleft())
+        self._parked = True
+        return chain.park(self._deliver_all)
 
     def _notify(self):
-        wake = self._wake
-        if wake is not None and not wake.triggered:
-            self._wake = None
-            wake.succeed()
+        if self._parked:
+            self._parked = False
+            self._chain.succeed()
 
     def _drain(self):
         while True:
@@ -119,7 +127,7 @@ class ReorderBuffer:
                 return
             self._expected += 1
             self.released += 1
-            if self._process_delivery:
+            if self._chain is not None:
                 self._outbox.append(work)
                 self._notify()
                 continue
@@ -173,19 +181,30 @@ class _Turn(Event):
     __slots__ = ("_fence", "_key", "prev")
 
     def __init__(self, fence, key, prev):
-        Event.__init__(self, fence.sim)
+        # Event.__init__ inlined: a turn per work through a fenced stage.
+        self.sim = fence.sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._scheduled = False
         self._fence = fence
         self._key = key
         self.prev = prev
 
     def blocked(self):
-        return self.prev is not None and not self.prev.triggered
+        prev = self.prev
+        return prev is not None and prev._value is PENDING
 
     def leave(self):
         tail = self._fence._tail
         if tail.get(self._key) is self:
             del tail[self._key]
         self.prev = None  # or every past turn of the key stays reachable
-        # blocked() tests ``triggered``: a turn that has left is never
-        # yielded later, so with no waiter now there is nothing to wake.
-        self.settle()
+        # Event.settle inlined. blocked() tests whether the turn fired: a
+        # turn that has left is never waited on later, so with no waiter
+        # now there is nothing to wake.
+        if self.callbacks:
+            self.succeed()
+        else:
+            self._value = None
+            self.callbacks = None

@@ -1,10 +1,16 @@
 """The five data-path pipeline stages as FPC programs (paper §3.1).
 
 Each stage class is constructed with the shared :class:`FlexToeDatapath`
-(rings, tables, engines) and exposes ``program(thread)`` — a generator
-run on one FPC hardware thread — around ``process(thread, work)``, one
-work through the stage (what the run-to-completion runner composes).
-Replication = spawning the program on more FPCs/threads. Stage logic that is pure TCP lives in
+(rings, tables, engines). A stage's program is its ordered list of steps,
+run as a :class:`~repro.nfp.fpc.Chain` on one FPC hardware thread: each
+step ends in the one wait that follows it — a compute charge
+(``thread.charge``), a memory read, a ring get or put, a pool or lock
+request, a DMA, a fence turn — naming the next step. ``program`` is the
+first step (take a work from the stage's ring) and ``process(thread,
+work, then)`` one work through the stage, ending in ``then``: what the
+run-to-completion runner composes. A work's values between steps ride
+the work or the thread's registers. Replication = starting the program on
+more FPCs/threads. Stage logic that is pure TCP lives in
 :mod:`repro.flextoe.proto_logic`; this module charges cycles, touches
 memories, and moves work between rings.
 
@@ -52,6 +58,7 @@ from repro.flextoe.module import ACTION_DROP, ACTION_PASS, ACTION_REDIRECT, ACTI
 from repro.flextoe.seqr import KeyedFence
 from repro.flextoe.state import atomic_add
 from repro.nfp.cam import Cam
+from repro.nfp.fpc import ISSUE_CYCLES
 from repro.nfp.memory import LAT_IMEM, LAT_LMEM
 from repro.proto.tcp import FLAG_ACK, FLAG_ECE, FLAG_FIN, FLAG_PSH, TcpOptions
 
@@ -76,18 +83,20 @@ class PreStage:
         self.id_cache = Cam(capacity=128)  # direct-mapped lookup cache (§4.1)
         self.csum_drops = 0
 
-    def program(self, thread):
-        while True:
-            work = yield self.dp.pre_in.get()
-            yield from self.process(thread, work)
+    def program(self, thread, _value=None):
+        return thread.get(self.dp.pre_in, self.process)
 
-    def process(self, thread, work):
-        """One work through this stage, by kind."""
+    def process(self, thread, work, then=None):
+        """One work through this stage, by kind, then ``then`` (by
+        default, the program's next work)."""
+        thread.work = work
+        thread.after = then or self.program
         if work.kind == WORK_RX:
-            return self._handle_rx(thread, work)
+            dp = self.dp
+            return thread.charge(PRE_VALIDATE + dp.tracepoints.hit(dp.sim.now, "pre", "rx.segment"), self._rx_valid)
         if work.kind == WORK_TX:
-            return self._handle_tx(thread, work)
-        return self._handle_hc(thread, work)
+            return self._tx(thread, work)
+        return self._hc(thread, work)
 
     def _identify(self, work, conn_index):
         """Id: bind the work to its connection, once; the record rides it."""
@@ -98,49 +107,43 @@ class PreStage:
             work.flow_group = record.pre.flow_group
         return record
 
-    # -- RX ----------------------------------------------------------------
+    # -- RX: Val / Id / Sum, then Steer ----------------------------------------
 
-    def _handle_rx(self, thread, work):
-        dp = self.dp
-        verdict = yield from self._admit_rx(thread, work)
-        if verdict == ACTION_PASS:
-            # Steer: in pipeline-sequence order through the GRO.
-            yield thread.compute(PRE_STEER)
-            dp.rx_gro.offer(work)
-            return
-        # Not admitted: release the RX-GRO ticket (§3.2: a stage dropping
-        # a tagged segment must) before the frame goes where it is sent.
-        dp.rx_gro.skip(work.pipeline_seq)
-        if verdict == ACTION_TX:
-            dp.stats["xdp_tx"] = dp.stats.get("xdp_tx", 0) + 1
-            dp.nic_transmit_direct(work.frame)
-        elif verdict == ACTION_REDIRECT:
-            yield dp.control_ring.put(work.frame)
+    def _rx_valid(self, thread, _):
+        capture = self.dp.capture
+        if capture is not None:
+            return thread.charge(capture.cost_cycles(thread.work.frame), self._rx_captured)
+        return self._rx_filter(thread)
 
-    def _admit_rx(self, thread, work):
-        """Val / Id / Sum: ACTION_PASS for an admitted segment, else
-        where the frame goes (DROP, TX bounce, REDIRECT to control)."""
+    def _rx_captured(self, thread, _):
+        self.dp.capture.capture(self.dp.sim.now, "rx", thread.work.frame)
+        return self._rx_filter(thread)
+
+    def _rx_filter(self, thread):
+        modules = self.dp.ingress_modules
+        if modules is not None and len(modules):
+            return thread.charge(modules.total_cost, self._rx_filtered)
+        return self._rx_lookup(thread)
+
+    def _rx_filtered(self, thread, _):
+        work = thread.work
+        action = self.dp.ingress_modules.run(work.frame, work)
+        if action != ACTION_PASS:
+            return self._rx_refused(thread, action)
+        return self._rx_lookup(thread)
+
+    def _rx_lookup(self, thread):
         dp = self.dp
-        frame = work.frame
-        trace = dp.tracepoints
-        yield thread.compute(PRE_VALIDATE + trace.hit(dp.sim.now, "pre", "rx.segment"))
-        if dp.capture is not None:
-            yield thread.compute(dp.capture.cost_cycles(frame))
-            dp.capture.capture(dp.sim.now, "rx", frame)
-        if dp.ingress_modules is not None and len(dp.ingress_modules):
-            yield thread.compute(dp.ingress_modules.total_cost)
-            action = dp.ingress_modules.run(frame, work)
-            if action != ACTION_PASS:
-                return action
+        frame = thread.work.frame
         # Val: the checksum verified by the pre-processor rejects frames
         # whose payload was corrupted in flight (repro.faults marks them
         # ``csum_bad`` instead of recomputing a wrong 16-bit sum).
         if frame.get_meta("csum_bad"):
             self.csum_drops += 1
-            return ACTION_DROP
+            return self._rx_refused(thread, ACTION_DROP)
         # Val: only established-connection data-path segments continue.
         if frame.tcp is None or frame.ip is None or not frame.tcp.is_data_path:
-            return ACTION_REDIRECT
+            return self._rx_refused(thread, ACTION_REDIRECT)
         # Id: connection lookup (local CAM, then the IMEM engine).
         four = (frame.ip.dst, frame.ip.src, frame.tcp.dport, frame.tcp.sport)
         hit, conn_index = self.id_cache.lookup(four)
@@ -151,17 +154,33 @@ class PreStage:
                 # re-let: the cache says nothing about this tuple.
                 self.id_cache.invalidate(four)
                 hit = False
-        if not hit:
-            yield from thread.mem_read(LAT_IMEM)
-            found, conn_index, _probes = dp.lookup_engine.lookup(four)
-            yield thread.compute(PRE_IDENTIFY)
-            if not found:
-                return ACTION_REDIRECT
-            self.id_cache.insert(four, conn_index)
-        if self._identify(work, conn_index) is None:
-            return ACTION_REDIRECT
+        if hit:
+            return self._rx_bind(thread, conn_index)
+        thread.aux = four
+        return thread.read(LAT_IMEM, ISSUE_CYCLES, self._rx_read)
+
+    def _rx_read(self, thread, _):
+        found, conn_index, _probes = self.dp.lookup_engine.lookup(thread.aux)
+        thread.aux = (thread.aux, conn_index) if found else None
+        return thread.charge(PRE_IDENTIFY, self._rx_looked_up)
+
+    def _rx_looked_up(self, thread, _):
+        if thread.aux is None:
+            return self._rx_refused(thread, ACTION_REDIRECT)
+        four, conn_index = thread.aux
+        thread.aux = None
+        self.id_cache.insert(four, conn_index)
+        return self._rx_bind(thread, conn_index)
+
+    def _rx_bind(self, thread, conn_index):
+        if self._identify(thread.work, conn_index) is None:
+            return self._rx_refused(thread, ACTION_REDIRECT)
+        return thread.charge(PRE_SUMMARY, self._rx_summarize)
+
+    def _rx_summarize(self, thread, _):
         # Sum: build the header summary; later stages never see headers.
-        yield thread.compute(PRE_SUMMARY)
+        work = thread.work
+        frame = work.frame
         tcp = frame.tcp
         work.summary = HeaderSummary(
             seq=tcp.seq,
@@ -173,35 +192,66 @@ class PreStage:
             ts_ecr=tcp.options.ts_ecr,
             ce_marked=frame.ip.ce_marked,
         )
-        return ACTION_PASS
+        # Steer: in pipeline-sequence order through the GRO.
+        return thread.charge(PRE_STEER, self._rx_steered)
 
-    # -- TX ----------------------------------------------------------------
+    def _rx_steered(self, thread, _):
+        self.dp.rx_gro.offer(thread.work)
+        return thread.after(thread, None)
 
-    def _handle_tx(self, thread, work):
+    def _rx_refused(self, thread, verdict):
+        # Not admitted: release the RX-GRO ticket (§3.2: a stage dropping
+        # a tagged segment must) before the frame goes where it is sent.
         dp = self.dp
-        record = self._identify(work, work.conn_index)
-        if record is None:
-            return  # stale scheduler trigger: the work holds nothing yet
+        work = thread.work
+        dp.rx_gro.skip(work.pipeline_seq)
+        if verdict == ACTION_TX:
+            dp.stats["xdp_tx"] = dp.stats.get("xdp_tx", 0) + 1
+            dp.nic_transmit_direct(work.frame)
+        elif verdict == ACTION_REDIRECT:
+            return thread.wait(dp.control_ring.put(work.frame), thread.after)
+        return thread.after(thread, None)
+
+    # -- TX: Alloc / Head ------------------------------------------------------
+
+    def _tx(self, thread, work):
+        if self._identify(work, work.conn_index) is None:
+            return thread.after(thread, None)  # stale scheduler trigger: the work holds nothing yet
         # Alloc: a segment buffer from the island CTM pool (bounded).
-        grant = yield dp.ctm_pool.request()
-        yield thread.compute(TX_ALLOC)
+        return thread.request(self.dp.ctm_pool, self._tx_buffer)
+
+    def _tx_buffer(self, thread, grant):
+        thread.aux = grant
+        return thread.charge(TX_ALLOC, self._tx_allocated)
+
+    def _tx_allocated(self, thread, _):
         # Head: Ethernet and IP headers from pre-processor state.
-        yield thread.compute(TX_HEADER)
-        work.frame = dp.make_segment(record)
-        work.frame.set_meta("ctm_grant", grant)
-        yield thread.compute(PRE_STEER)
-        yield dp.proto_rings[work.flow_group].put(work)
+        return thread.charge(TX_HEADER, self._tx_headed)
 
-    # -- HC ----------------------------------------------------------------
+    def _tx_headed(self, thread, _):
+        work = thread.work
+        work.frame = self.dp.make_segment(work.record)
+        work.frame.set_meta("ctm_grant", thread.aux)
+        thread.aux = None  # the frame holds the grant now
+        return thread.charge(PRE_STEER, self._to_protocol)
 
-    def _handle_hc(self, thread, work):
+    def _to_protocol(self, thread, _):
+        work = thread.work
+        return thread.put(self.dp.proto_rings[work.flow_group], work, thread.after)
+
+    # -- HC --------------------------------------------------------------------
+
+    def _hc(self, thread, work):
         dp = self.dp
-        record = self._identify(work, work.hc.conn_index)
-        yield thread.compute(PRE_STEER + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
+        self._identify(work, work.hc.conn_index)
+        return thread.charge(PRE_STEER + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"), self._hc_steered)
+
+    def _hc_steered(self, thread, _):
+        record = thread.work.record
         if record is None or not record.active:
-            dp.retire(work)
-            return
-        yield dp.proto_rings[work.flow_group].put(work)
+            self.dp.retire(thread.work)
+            return thread.after(thread, None)
+        return self._to_protocol(thread, None)
 
 
 class ProtocolStage:
@@ -222,75 +272,78 @@ class ProtocolStage:
         self._busy = {}
         self.processed = {WORK_RX: 0, WORK_TX: 0, WORK_HC: 0}
 
-    def program(self, thread):
-        dp = self.dp
-        ring = dp.proto_rings[self.flow_group]
-        while True:
-            work = yield ring.get()
-            record = work.record  # the fences' key: a recycled index is another tenant
-            if record in self._busy:
-                self._busy[record].append(work)
-                continue
-            self._busy[record] = []
-            yield from self._process_until_idle(thread, record, work)
+    def program(self, thread, _value=None):
+        return thread.get(self.dp.proto_rings[self.flow_group], self._take)
 
-    def _process_until_idle(self, thread, record, work):
-        while True:
-            yield from self.process(thread, work)
-            pending = self._busy[record]
-            if pending:
-                work = pending.pop(0)
-                continue
-            del self._busy[record]
-            return
+    def _take(self, thread, work):
+        record = work.record  # the busy map's key: a recycled index is another tenant
+        if record in self._busy:
+            self._busy[record].append(work)
+            return self.program(thread)
+        self._busy[record] = []
+        return self.process(thread, work, self._next_of_record)
 
-    def process(self, thread, work):
-        """One work through the atomic stage, handed on to its post ring."""
-        dp = self.dp
-        trace = dp.tracepoints
+    def _next_of_record(self, thread, _):
+        record = thread.work.record
+        pending = self._busy[record]
+        if pending:
+            return self.process(thread, pending.pop(0), self._next_of_record)
+        del self._busy[record]
+        return self.program(thread)
+
+    def process(self, thread, work, then):
+        """One work through the atomic stage, handed on to its post ring,
+        then ``then``."""
+        thread.work = work
+        thread.after = then
         record = work.record
         if not record.active:
-            dp.retire(work)
-            return
+            self.dp.retire(work)
+            return thread.goto(then)
         # Fetch connection state (LMEM/CLS/EMEM hierarchy, §4.1): the
         # wait latency hides behind other hardware threads, but the
         # record-movement instructions occupy this FPC's issue slot.
         latency, issue = self.state_cache.access(work.conn_index)
         if latency > LAT_LMEM:
-            yield from thread.mem_read(latency, issue_cycles=2 + issue)
-            extra = trace.hit(dp.sim.now, "proto", "proto.state_miss")
-            if extra:
-                yield thread.compute(extra)
-        state = record.proto
-        if work.kind == WORK_RX:
-            yield from self._process_rx(thread, work, state)
-        elif work.kind == WORK_TX:
-            done = yield from self._process_tx(thread, work, state)
-            if not done:
-                return
-        else:
-            yield from self._process_hc(thread, work, state)
-        extra = trace.hit(dp.sim.now, "proto", "proto.critical_section")
-        if extra:
-            yield thread.compute(extra)
-        self.processed[work.kind] += 1
-        yield dp.post_rings[self.flow_group].put(work)
+            return thread.read(latency, 2 + issue, self._missed)
+        return self._fetched(thread, None)
 
-    def _process_rx(self, thread, work, state):
+    def _missed(self, thread, _):
+        dp = self.dp
+        extra = dp.tracepoints.hit(dp.sim.now, "proto", "proto.state_miss")
+        return thread.charge(extra, self._fetched) if extra else self._fetched(thread, None)
+
+    def _fetched(self, thread, _):
         dp = self.dp
         trace = dp.tracepoints
-        cycles = PROTO_UPDATE
-        snapshot = work.snapshot = proto_logic.process_rx(state, work.summary, work.frame.payload)
+        work = thread.work
+        state = work.record.proto
+        if work.kind == WORK_RX:
+            cycles = PROTO_UPDATE
+            snapshot = work.snapshot = proto_logic.process_rx(state, work.summary, work.frame.payload)
+            dp.observer.proto_changed(work.conn_index, state)
+            if snapshot.was_ooo:
+                cycles += PROTO_OOO_EXTRA
+                cycles += trace.hit(dp.sim.now, "proto", "rx.out_of_order")
+            if snapshot.dropped_ooo:
+                cycles += trace.hit(dp.sim.now, "proto", "rx.ooo_drop")
+            if snapshot.fast_retransmit:
+                cycles += PROTO_FAST_RETRANSMIT
+                cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
+            return thread.charge(cycles, self._rx_updated)
+        if work.kind == WORK_TX:
+            thread.aux = proto_logic.process_tx(state, dp.config.mss)
+            dp.observer.proto_changed(work.conn_index, state)
+            return thread.charge(TX_SEQ, self._tx_sequenced)
+        snapshot = work.snapshot = proto_logic.process_hc(state, work.hc)
         dp.observer.proto_changed(work.conn_index, state)
-        if snapshot.was_ooo:
-            cycles += PROTO_OOO_EXTRA
-            cycles += trace.hit(dp.sim.now, "proto", "rx.out_of_order")
-        if snapshot.dropped_ooo:
-            cycles += trace.hit(dp.sim.now, "proto", "rx.ooo_drop")
-        if snapshot.fast_retransmit:
-            cycles += PROTO_FAST_RETRANSMIT
-            cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
-        yield thread.compute(cycles)
+        return thread.charge(HC_WINDOW_UPDATE, self._hc_updated)
+
+    def _rx_updated(self, thread, _):
+        dp = self.dp
+        work = thread.work
+        state = work.record.proto
+        snapshot = work.snapshot
         if (
             snapshot.send_ack
             and dp.config.delayed_ack_segments > 1
@@ -313,21 +366,16 @@ class ProtocolStage:
         # The inbound frame is consumed here; drop the reference so the
         # payload is not retained past the one-shot access.
         work.frame = None
+        return self._processed(thread)
 
-    def _process_tx(self, thread, work, state):
+    def _tx_sequenced(self, thread, _):
         dp = self.dp
         trace = dp.tracepoints
-        result = proto_logic.process_tx(state, dp.config.mss)
-        dp.observer.proto_changed(work.conn_index, state)
-        yield thread.compute(TX_SEQ)
+        work = thread.work
+        state = work.record.proto
+        result = thread.aux
         if result is None:
-            extra = trace.hit(dp.sim.now, "proto", "tx.stale_trigger")
-            if extra:
-                yield thread.compute(extra)
-            dp.retire(work)
-            # Refresh the scheduler so it stops triggering a dry flow.
-            dp.scheduler.fs_update(work.conn_index, state.flight_limit())
-            return False
+            return thread.charge(trace.hit(dp.sim.now, "proto", "tx.stale_trigger"), self._tx_stale)
         tcp = work.frame.tcp
         tcp.seq = result.seq
         tcp.ack = result.ack
@@ -343,15 +391,30 @@ class ProtocolStage:
         snapshot.echo_ts = state.next_ts
         trace.hit(dp.sim.now, "proto", "tx.segment")
         snapshot.nbi_seq = dp.nbi_seqr.assign(work)
-        return True
+        return self._processed(thread)
 
-    def _process_hc(self, thread, work, state):
+    def _tx_stale(self, thread, _):
+        work = thread.work
+        self.dp.retire(work)
+        # Refresh the scheduler so it stops triggering a dry flow.
+        self.dp.scheduler.fs_update(work.conn_index, work.record.proto.flight_limit())
+        return thread.goto(thread.after)
+
+    def _hc_updated(self, thread, _):
+        work = thread.work
+        if work.snapshot.send_ack:
+            work.snapshot.nbi_seq = self.dp.nbi_seqr.assign(work)
+        return self._processed(thread)
+
+    def _processed(self, thread):
         dp = self.dp
-        snapshot = work.snapshot = proto_logic.process_hc(state, work.hc)
-        dp.observer.proto_changed(work.conn_index, state)
-        yield thread.compute(HC_WINDOW_UPDATE)
-        if snapshot.send_ack:
-            snapshot.nbi_seq = dp.nbi_seqr.assign(work)
+        extra = dp.tracepoints.hit(dp.sim.now, "proto", "proto.critical_section")
+        return thread.charge(extra, self._to_post) if extra else self._to_post(thread, None)
+
+    def _to_post(self, thread, _):
+        work = thread.work
+        self.processed[work.kind] += 1
+        return thread.put(self.dp.post_rings[self.flow_group], work, thread.after)
 
 
 class PostStage:
@@ -379,27 +442,35 @@ class PostStage:
         """Drain this replica's (total_us, count) RTT accumulator."""
         return self.rtt_samples.pop(conn_index, (0, 0))
 
-    def program(self, thread):
-        dp = self.dp
-        ring = dp.post_rings[self.flow_group]
-        while True:
-            work = yield ring.get()
-            # Per-connection order fence: replicated post threads finish
-            # out of order (variable compute, stalls), but one connection's
-            # works must enter dma_ring in protocol order — notification
-            # order is delivery order for libTOE (§3.1.3). Pop order is
-            # protocol order: the proto stage serializes per connection.
-            turn = dp.post_fence.enter(work.record)
-            emit = yield from self.process(thread, work)
-            if turn.blocked():
-                yield turn.prev
-            if emit:
-                yield dp.dma_ring.put(work)
-            else:
-                # Torn down (frees what it holds) or done here; the one exit
-                # is also how an attached HB monitor learns it will not arrive.
-                dp.retire(work)
-            turn.leave()
+    def program(self, thread, _value=None):
+        return thread.get(self.dp.post_rings[self.flow_group], self._take)
+
+    def _take(self, thread, work):
+        # Per-connection order fence: replicated post threads finish
+        # out of order (variable compute, stalls), but one connection's
+        # works must enter dma_ring in protocol order — notification
+        # order is delivery order for libTOE (§3.1.3). Pop order is
+        # protocol order: the proto stage serializes per connection.
+        thread.turn = self.dp.post_fence.enter(work.record)
+        return self.process(thread, work, self._fence)
+
+    def _fence(self, thread, emit):
+        thread.aux = emit
+        if thread.turn.blocked():
+            return thread.wait(thread.turn.prev, self._emit)
+        return self._emit(thread, None)
+
+    def _emit(self, thread, _):
+        if thread.aux:
+            return thread.put(self.dp.dma_ring, thread.work, self._left)
+        # Torn down (frees what it holds) or done here; the one exit is
+        # also how an attached HB monitor learns it will not arrive.
+        self.dp.retire(thread.work)
+        return self._left(thread, None)
+
+    def _left(self, thread, _):
+        thread.turn.leave()
+        return self.program(thread)
 
     def _notify(self, work, kind, offset=0, length=0):
         """Stamp a notification with its connection's identity, once."""
@@ -411,9 +482,12 @@ class PostStage:
             offset=offset, length=length, created_at=dp.sim.now,
         )
 
-    def process(self, thread, work):
-        """One work through this stage; true when the DMA stage has
-        something of it to move (the caller emits it, or retires it)."""
+    def process(self, thread, work, then):
+        """One work through this stage, then ``then(thread, emit)``: emit
+        is true when the DMA stage has something of it to move (the caller
+        emits it, or retires it)."""
+        thread.work = work
+        thread.after = then
         dp = self.dp
         trace = dp.tracepoints
         record = work.record
@@ -421,7 +495,7 @@ class PostStage:
         if not record.active:
             # Torn down since the protocol stage (churn makes it real):
             # nothing to emit, and the caller retires what is not emitted.
-            return False
+            return then(thread, False)
         post = record.post
         cycles = POST_STATS
         # Stats: congestion-control counters, read by the control plane.
@@ -478,12 +552,15 @@ class PostStage:
             cycles += POST_POSITION
             work.tx_offset = snapshot.tx.stream_pos % post.tx_size
             work.tx_len = snapshot.tx.length
-        yield thread.compute(cycles)
+        return thread.charge(cycles, self._posted)
+
+    def _posted(self, thread, _):
+        work = thread.work
         if work.hc is not None:
-            dp.release_descriptor(work)
-        return bool(
-            work.kind == WORK_TX or work.rx_trimmed_payload or work.ack_frame is not None or notifications
-        )
+            self.dp.release_descriptor(work)
+        return thread.after(thread, bool(
+            work.kind == WORK_TX or work.rx_trimmed_payload or work.ack_frame is not None or work.notify
+        ))
 
 
 class DmaStage:
@@ -499,11 +576,8 @@ class DmaStage:
         self.dp = dp
         self.replica_id = replica_id
 
-    def program(self, thread):
-        dp = self.dp
-        while True:
-            work = yield dp.dma_ring.get()
-            yield from self.process(thread, work)
+    def program(self, thread, _value=None):
+        return thread.get(self.dp.dma_ring, self.process)
 
     def _split_wrap(self, offset, length, size):
         """Circular-buffer split: one or two (offset, length) chunks."""
@@ -515,84 +589,123 @@ class DmaStage:
             chunks.append((0, length - first))
         return chunks
 
-    def process(self, thread, work):
-        """One work's payload over PCIe, then its ACK and notifications."""
+    def process(self, thread, work, then=None):
+        """One work's payload over PCIe, then its ACK and notifications,
+        then ``then`` (by default, the program's next work)."""
+        thread.work = work
+        then = thread.after = then or self.program
         dp = self.dp
         record = work.record
         if not record.active:
             # Torn down mid-pipeline: nothing of the segment may reach
             # host memory (the buffers may be another connection's now).
             dp.retire(work)
-            return
-        post = record.post
+            return then(thread, None)
         if work.kind == WORK_RX:
-            payload = work.rx_trimmed_payload
             # Per-connection completion fence: a segment's notification
             # (and ACK) may not overtake an earlier segment's still-
             # pending payload DMA — otherwise libTOE would see NOTIFY_RX
             # out of order and stitch the stream wrong (§3.1.3). DMA
             # retries (repro.faults DmaFlake) make this reordering real.
-            turn = dp.dma_rx_fence.enter(record)
-            if payload:
-                yield thread.compute(DMA_ISSUE)
-                dp.tracepoints.hit(dp.sim.now, "dma", "dma.payload_issue")
-                events = []
-                written = 0
-                for offset, length in self._split_wrap(work.rx_offset, len(payload), post.rx_size):
-                    if post.rx_region is not None:
-                        post.rx_region.write(offset, payload[written : written + length])
-                    written += length
-                    events.append(dp.dma.issue(self.replica_id, length))
-                for event in events:
-                    yield event
-            if turn.blocked():
-                yield turn.prev
-            # Payload is in host memory. Write-ahead rule (DESIGN §11):
-            # a segment's ACK must not reach the wire before its
-            # notification is host-visible, or a crash in between leaves
-            # the peer believing bytes delivered that recovery never saw.
-            # The ACK rides the last notification; ARX releases it after
-            # nic_deliver, on the NBI ticket taken at the protocol stage.
-            ack_frame = work.ack_frame
-            if ack_frame is not None:
-                ack_frame.pipeline_seq = work.pipeline_seq
-            notifications = work.notify or ()
-            if notifications and ack_frame is not None:
-                notifications[-1].piggyback_ack = ack_frame
-                ack_frame = None
-            for notification in notifications:
-                yield dp.ctx_ring.put(notification)
-            if ack_frame is not None:
-                dp.nbi_gro.offer(ack_frame)
-            turn.leave()
-        elif work.kind == WORK_TX:
-            yield thread.compute(DMA_ISSUE)
-            parts = []
-            events = []
-            for offset, length in self._split_wrap(work.tx_offset, work.tx_len, post.tx_size):
-                if post.tx_region is not None:
-                    parts.append(post.tx_region.read(offset, length))
-                else:
-                    parts.append(b"\x00" * length)
-                events.append(dp.dma.issue(self.replica_id, length))
-            for event in events:
-                yield event
-            frame = work.frame
-            frame.payload = b"".join(parts)
-            frame.tcp.options = TcpOptions(
-                ts_val=now_us(dp.sim), ts_ecr=work.snapshot.echo_ts
-            )
-            frame.pipeline_seq = work.pipeline_seq
-            dp.nbi_gro.offer(frame)
-        else:
-            # HC work carries no payload and (its protocol path never
-            # acks, notifies or FINs) no notifications: it gets here only
-            # when a window-update ACK must leave the NIC, on the NBI
-            # ticket taken at the protocol stage.
-            ack_frame = work.ack_frame
-            if ack_frame is not None:
-                ack_frame.pipeline_seq = work.pipeline_seq
-                dp.nbi_gro.offer(ack_frame)
+            thread.turn = dp.dma_rx_fence.enter(record)
+            if work.rx_trimmed_payload:
+                return thread.charge(DMA_ISSUE, self._rx_issue)
+            return self._rx_fence(thread, None)
+        if work.kind == WORK_TX:
+            return thread.charge(DMA_ISSUE, self._tx_issue)
+        # HC work carries no payload and (its protocol path never acks,
+        # notifies or FINs) no notifications: it gets here only when a
+        # window-update ACK must leave the NIC, on the NBI ticket taken
+        # at the protocol stage.
+        ack_frame = work.ack_frame
+        if ack_frame is not None:
+            ack_frame.pipeline_seq = work.pipeline_seq
+            dp.nbi_gro.offer(ack_frame)
+        return then(thread, None)
+
+    def _rx_issue(self, thread, _):
+        dp = self.dp
+        work = thread.work
+        record = work.record
+        if not record.active:
+            # Torn down during the issue charge: the buffers may be
+            # another connection's by now, as at the entry check.
+            dp.retire(work)
+            thread.turn.leave()
+            return thread.after(thread, None)
+        dp.tracepoints.hit(dp.sim.now, "dma", "dma.payload_issue")
+        post = record.post
+        payload = work.rx_trimmed_payload
+        events = []
+        written = 0
+        for offset, length in self._split_wrap(work.rx_offset, len(payload), post.rx_size):
+            if post.rx_region is not None:
+                post.rx_region.write(offset, payload[written : written + length])
+            written += length
+            events.append(dp.dma.issue(self.replica_id, length))
+        return thread.wait_all(events, self._rx_fence)
+
+    def _rx_fence(self, thread, _):
+        if thread.turn.blocked():
+            return thread.wait(thread.turn.prev, self._rx_deliver)
+        return self._rx_deliver(thread, None)
+
+    def _rx_deliver(self, thread, _):
+        # Payload is in host memory. Write-ahead rule (DESIGN §11):
+        # a segment's ACK must not reach the wire before its
+        # notification is host-visible, or a crash in between leaves
+        # the peer believing bytes delivered that recovery never saw.
+        # The ACK rides the last notification; ARX releases it after
+        # nic_deliver, on the NBI ticket taken at the protocol stage.
+        work = thread.work
+        ack_frame = work.ack_frame
+        if ack_frame is not None:
+            ack_frame.pipeline_seq = work.pipeline_seq
+        notifications = work.notify or ()
+        if notifications and ack_frame is not None:
+            notifications[-1].piggyback_ack = ack_frame
+            ack_frame = None
+        thread.aux = ack_frame
+        thread.items = notifications
+        thread.n = 0
+        return self._rx_notify(thread, None)
+
+    def _rx_notify(self, thread, _):
+        n = thread.n
+        if n < len(thread.items):
+            thread.n = n + 1
+            return thread.put(self.dp.ctx_ring, thread.items[n], self._rx_notify)
+        if thread.aux is not None:
+            self.dp.nbi_gro.offer(thread.aux)
+        thread.turn.leave()
+        return thread.after(thread, None)
+
+    def _tx_issue(self, thread, _):
+        dp = self.dp
+        work = thread.work
+        post = work.record.post
+        parts = thread.aux = []
+        events = []
+        for offset, length in self._split_wrap(work.tx_offset, work.tx_len, post.tx_size):
+            if post.tx_region is not None:
+                parts.append(post.tx_region.read(offset, length))
+            else:
+                parts.append(b"\x00" * length)
+            events.append(dp.dma.issue(self.replica_id, length))
+        return thread.wait_all(events, self._tx_moved)
+
+    def _tx_moved(self, thread, _):
+        dp = self.dp
+        work = thread.work
+        frame = work.frame
+        frame.payload = b"".join(thread.aux)
+        thread.aux = None  # the parts are the frame's now
+        frame.tcp.options = TcpOptions(
+            ts_val=now_us(dp.sim), ts_ecr=work.snapshot.echo_ts
+        )
+        frame.pipeline_seq = work.pipeline_seq
+        dp.nbi_gro.offer(frame)
+        return thread.after(thread, None)
 
 
 class NbiStage:
@@ -605,21 +718,35 @@ class NbiStage:
         self.dp = dp
         self.transmitted = 0
 
-    def program(self, thread):
+    def program(self, thread, _value=None):
+        return thread.get(self.dp.nbi_ring, self._take)
+
+    def _take(self, thread, frame):
+        thread.work = frame
+        if self.dp.serial_lock is not None:
+            return thread.request(self.dp.serial_lock, self._serialized)
+        return self._serialized(thread, None)
+
+    def _serialized(self, thread, serial):
+        thread.serial = serial
+        capture = self.dp.capture
+        if capture is not None:
+            return thread.charge(capture.cost_cycles(thread.work), self._captured)
+        return self._transmit(thread, None)
+
+    def _captured(self, thread, _):
+        self.dp.capture.capture(self.dp.sim.now, "tx", thread.work)
+        return self._transmit(thread, None)
+
+    def _transmit(self, thread, _):
         dp = self.dp
-        while True:
-            frame = yield dp.nbi_ring.get()
-            serial = None
-            if dp.serial_lock is not None:
-                serial = yield dp.serial_lock.request()
-            if dp.capture is not None:
-                yield thread.compute(dp.capture.cost_cycles(frame))
-                dp.capture.capture(dp.sim.now, "tx", frame)
-            self.transmitted += 1
-            dp.mac.transmit(frame)
-            dp.release_ctm(frame)
-            if serial is not None:
-                serial.release()
+        frame = thread.work
+        self.transmitted += 1
+        dp.mac.transmit(frame)
+        dp.release_ctm(frame)
+        if thread.serial is not None:
+            thread.serial.release()
+        return self.program(thread)
 
 
 class CtxStage:
@@ -637,68 +764,121 @@ class CtxStage:
         # one within the same context queue.
         self.arx_fence = KeyedFence(dp.sim)
 
-    def arx_program(self, thread):
-        """NIC -> host notification path."""
-        dp = self.dp
-        while True:
-            notification = yield dp.ctx_ring.get()
-            turn = self.arx_fence.enter(notification.context_id)
-            serial = None
-            if dp.serial_lock is not None:
-                serial = yield dp.serial_lock.request()
-            yield thread.compute(CTX_NOTIFY)
-            pair = dp.contexts.get(notification.context_id)
-            yield dp.dma.issue(1, 32)
-            if turn.blocked():
-                yield turn.prev
-            piggyback = notification.piggyback_ack
-            notification.piggyback_ack = None
-            if pair is not None:
-                pair.nic_deliver(notification)
-            if piggyback is not None:
-                # Notification is host-visible: the ACK may leave now
-                # (write-ahead rule; see the DMA stage).
-                dp.nbi_gro.offer(piggyback)
-            turn.leave()
-            if serial is not None:
-                serial.release()
+    # -- ARX: NIC -> host notifications ----------------------------------------
 
-    def atx_program(self, thread):
-        """Host -> NIC doorbell/descriptor path."""
+    def arx_program(self, thread, _value=None):
+        return thread.get(self.dp.ctx_ring, self._arx_take)
+
+    def _arx_take(self, thread, notification):
+        thread.work = notification
+        thread.turn = self.arx_fence.enter(notification.context_id)
+        if self.dp.serial_lock is not None:
+            return thread.request(self.dp.serial_lock, self._arx_serialized)
+        return self._arx_serialized(thread, None)
+
+    def _arx_serialized(self, thread, serial):
+        thread.serial = serial
+        return thread.charge(CTX_NOTIFY, self._arx_charged)
+
+    def _arx_charged(self, thread, _):
         dp = self.dp
-        while True:
-            yield dp.pcie.wait_doorbell("hc")
-            yield thread.compute(CTX_DOORBELL_POLL)
-            dp.tracepoints.hit(dp.sim.now, "ctx", "hc.doorbell")
-            # Scan all contexts for outbound descriptors. Multiple
-            # updates ride one doorbell, so fetch DMAs are batched
-            # (§3.1.1) — one PCIe transaction per up to 16 descriptors.
-            progress = True
-            while progress:
-                progress = False
-                for pair in list(dp.contexts.values()):
-                    if not pair.has_outbound:
-                        continue
-                    progress = True
-                    # Descriptor buffers come from a bounded NIC pool;
-                    # allocation failure pauses fetching (flow control).
-                    grants = []
-                    while len(grants) < 16 and pair.has_outbound:
-                        grant = yield dp.descriptor_pool.request()
-                        grants.append(grant)
-                        if len(grants) >= len(pair.outbound):
-                            break
-                    batch = pair.nic_fetch_batch(max_batch=len(grants))
-                    for grant in grants[len(batch):]:
-                        grant.release()
-                    serial = None
-                    if dp.serial_lock is not None:
-                        serial = yield dp.serial_lock.request()
-                    yield dp.dma.issue(1, 32 * len(batch))
-                    for grant in grants[: len(batch)]:
-                        dp.hold_descriptor(grant)
-                    for descriptor in batch:
-                        work = SegWork(WORK_HC, hc=descriptor, born_at=dp.sim.now)
-                        yield dp.pre_in.put(work)
-                    if serial is not None:
-                        serial.release()
+        thread.aux = dp.contexts.get(thread.work.context_id)
+        return thread.wait(dp.dma.issue(1, 32), self._arx_fence)
+
+    def _arx_fence(self, thread, _):
+        if thread.turn.blocked():
+            return thread.wait(thread.turn.prev, self._arx_deliver)
+        return self._arx_deliver(thread, None)
+
+    def _arx_deliver(self, thread, _):
+        notification = thread.work
+        piggyback = notification.piggyback_ack
+        notification.piggyback_ack = None
+        if thread.aux is not None:
+            thread.aux.nic_deliver(notification)
+        if piggyback is not None:
+            # Notification is host-visible: the ACK may leave now
+            # (write-ahead rule; see the DMA stage).
+            self.dp.nbi_gro.offer(piggyback)
+        thread.turn.leave()
+        if thread.serial is not None:
+            thread.serial.release()
+        return self.arx_program(thread)
+
+    # -- ATX: host -> NIC doorbells and descriptors ----------------------------
+
+    def atx_program(self, thread, _value=None):
+        return thread.wait(self.dp.pcie.wait_doorbell("hc"), self._atx_rung)
+
+    def _atx_rung(self, thread, _):
+        return thread.charge(CTX_DOORBELL_POLL, self._atx_polled)
+
+    def _atx_polled(self, thread, _):
+        dp = self.dp
+        dp.tracepoints.hit(dp.sim.now, "ctx", "hc.doorbell")
+        # Scan all contexts for outbound descriptors. Multiple updates
+        # ride one doorbell, so fetch DMAs are batched (§3.1.1) — one
+        # PCIe transaction per up to 16 descriptors.
+        return self._atx_scan(thread)
+
+    def _atx_scan(self, thread):
+        """One pass over the contexts; another while a pass found work."""
+        thread.items = list(self.dp.contexts.values())
+        thread.n = 0
+        thread.found = False
+        return self._atx_next(thread, None)
+
+    def _atx_next(self, thread, _):
+        pairs = thread.items
+        while thread.n < len(pairs):
+            pair = pairs[thread.n]
+            thread.n += 1
+            if pair.has_outbound:
+                thread.found = True
+                thread.work = pair
+                # Descriptor buffers come from a bounded NIC pool;
+                # allocation failure pauses fetching (flow control).
+                thread.aux = []
+                return self._atx_grant(thread)
+        if thread.found:
+            return self._atx_scan(thread)
+        return self.atx_program(thread)
+
+    def _atx_grant(self, thread):
+        if len(thread.aux) < 16 and thread.work.has_outbound:
+            return thread.request(self.dp.descriptor_pool, self._atx_granted)
+        return self._atx_fetch(thread)
+
+    def _atx_granted(self, thread, grant):
+        grants = thread.aux
+        grants.append(grant)
+        if len(grants) >= len(thread.work.outbound):
+            return self._atx_fetch(thread)
+        return self._atx_grant(thread)
+
+    def _atx_fetch(self, thread):
+        grants = thread.aux
+        batch = thread.batch = thread.work.nic_fetch_batch(max_batch=len(grants))
+        for grant in grants[len(batch):]:
+            grant.release()
+        if self.dp.serial_lock is not None:
+            return thread.request(self.dp.serial_lock, self._atx_serialized)
+        return self._atx_serialized(thread, None)
+
+    def _atx_serialized(self, thread, serial):
+        thread.serial = serial
+        return thread.wait(self.dp.dma.issue(1, 32 * len(thread.batch)), self._atx_fetched)
+
+    def _atx_fetched(self, thread, _):
+        for grant in thread.aux[: len(thread.batch)]:
+            self.dp.hold_descriptor(grant)
+        return self._atx_enqueue(thread, None)
+
+    def _atx_enqueue(self, thread, _):
+        dp = self.dp
+        if thread.batch:
+            work = SegWork(WORK_HC, hc=thread.batch.pop(0), born_at=dp.sim.now)
+            return thread.put(dp.pre_in, work, self._atx_enqueue)
+        if thread.serial is not None:
+            thread.serial.release()
+        return self._atx_next(thread, None)

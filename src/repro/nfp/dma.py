@@ -12,6 +12,7 @@ queued operation its slot, retry and complete it; the completing step
 fires the operation's ``done``.
 """
 
+from repro.sim.core import Event
 from repro.sim.resources import Slots
 
 PCIE_GEN3_X8_BPS = 63_000_000_000  # ~7.9 GB/s usable
@@ -60,7 +61,7 @@ class DmaEngine:
         DMA runs — that is the entire point of the asynchronous engine.
         """
         queue = self._queues[queue_id % len(self._queues)]
-        done = self.sim.event()
+        done = Event(self.sim)
         _DmaOp(self, queue, nbytes, done)
         return done
 

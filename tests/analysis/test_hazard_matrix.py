@@ -38,19 +38,21 @@ STAGES = os.path.join(PACKAGE, "flextoe", "stages.py")
 
 #: In ``PostStage.process``, once the record is known live.
 POST_BODY = "        post = record.post\n        cycles = POST_STATS\n"
-#: A replicated stage's fence wait: its turn waits on its predecessor's.
-WAIT = "            if turn.blocked():\n                yield turn.prev\n"
-#: In ``PostStage.program``: the wait, then the emit into ``dma_ring``.
-POST_EMIT = WAIT + "            if emit:\n                yield dp.dma_ring.put(work)\n"
-#: What follows the wait in ``DmaStage.process`` (RX) and ``CtxStage.arx_program``.
-DMA_NEXT = "            # Payload is in host memory."
-ARX_NEXT = "            piggyback = notification.piggyback_ack"
-#: In ``DmaStage.process`` (RX): the ACK rides the last notification.
+#: In ``DmaStage._rx_deliver``: the ACK rides the last notification.
 PIGGYBACK = (
-    "            if notifications and ack_frame is not None:\n"
-    "                notifications[-1].piggyback_ack = ack_frame\n"
-    "                ack_frame = None\n"
+    "        if notifications and ack_frame is not None:\n"
+    "            notifications[-1].piggyback_ack = ack_frame\n"
+    "            ack_frame = None\n"
 )
+#: In ``PreStage._rx_steered``: the admitted segment is offered to the RX GRO.
+RX_OFFER = "        self.dp.rx_gro.offer(thread.work)\n"
+
+
+def _wait(step):
+    """A replicated stage's fence step: its turn waits on its predecessor's
+    before ``step``, the ordered emission (the post stage's ``_emit`` into
+    ``dma_ring``, the DMA stage's ``_rx_deliver``, ARX's ``_arx_deliver``)."""
+    return "        if thread.turn.blocked():\n            return thread.wait(thread.turn.prev, self.{0})\n".format(step)
 
 
 def _after(anchor, line):
@@ -78,29 +80,23 @@ HAZARDS = {
         ("hb-race", "post", "rx_size"),
         ("ValueError", "atomic_add on 'rx_size': not declared"),
     ),
-    # The emit moves ahead of the wait; ``if emit: pass`` keeps the
-    # ``else: dp.retire(work)`` that follows attached to the same test.
-    "H5a": (
-        (
-            POST_EMIT,
-            "            if emit:\n                yield dp.dma_ring.put(work)\n"
-            + WAIT
-            + "            if emit:\n                pass\n",
-        ),
-        None,
-        ("HBViolationError", "post_chain fence contract"),
-    ),
-    "H5b": ((WAIT + DMA_NEXT, DMA_NEXT), None, ("HBViolationError", "dma_rx_chain fence")),
-    "H5c": ((WAIT + ARX_NEXT, ARX_NEXT), None, ("HBViolationError", "ARX chain fence")),
+    # An RX ticket taken again just before the GRO offer: the one the
+    # segment entered with is never offered nor skipped.
+    "H6": ((RX_OFFER, "        self.dp.rx_seqr.assign(thread.work)\n" + RX_OFFER), None,
+           ("SequencingError", "already holds ticket")),
+    # Each fence step goes straight on to its ordered emission.
+    "H5a": ((_wait("_emit"), ""), None, ("HBViolationError", "post_chain fence contract")),
+    "H5b": ((_wait("_rx_deliver"), ""), None, ("HBViolationError", "dma_rx_chain fence")),
+    "H5c": ((_wait("_arx_deliver"), ""), None, ("HBViolationError", "ARX chain fence")),
     "H7": ((PIGGYBACK, ""), None, ("HBViolationError", "write-ahead rule violated")),
     "H8": (
-        ("ts_ecr=work.snapshot.echo_ts\n", "ts_ecr=record.proto.next_ts\n"),
+        ("ts_ecr=work.snapshot.echo_ts\n", "ts_ecr=work.record.proto.next_ts\n"),
         ("hb-race", "proto", "next_ts"),
         None,
     ),
     "H9": (_after(POST_BODY, "        post.bogus_field = 1\n"), None, ("AttributeError", "bogus_field")),
     "H10": (
-        ("            dp.rx_gro.offer(work)\n", "            work.record.pre.flow_group = 0\n            dp.rx_gro.offer(work)\n"),
+        (RX_OFFER, "        thread.work.record.pre.flow_group = 0\n" + RX_OFFER),
         ("hb-race", "pre", "flow_group"),
         ("SanitizerError", "write to PreprocState.flow_group"),
     ),

@@ -99,12 +99,8 @@ def _work(conn=3):
 
 
 def _put_as(owner, ring, item):
-    """Enqueue ``item`` from a process carrying ``owner``'s token."""
-
-    def producer():
-        yield ring.put(item)
-
-    next(sanitizer.guard_process(producer(), owner))
+    """Enqueue ``item`` from a step carrying ``owner``'s token."""
+    sanitizer.guard(lambda _entry: ring.put(item), owner)(None)
 
 
 def test_model_edge_violation_names_ring_and_declared_producers(sanitized):

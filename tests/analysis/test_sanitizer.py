@@ -17,8 +17,11 @@ def _make_post():
 
 
 def _run_wrapped(factory, stage, flow_group=None):
-    wrapped = sanitizer.guard_process(factory(), stage, flow_group)
-    return next(wrapped)
+    """What ``factory()`` yields first, run as a chain's step is: under
+    ``stage``'s owner token (``sanitizer.guard``)."""
+    first = []
+    sanitizer.guard(lambda _entry: first.append(next(factory())), stage, flow_group)(None)
+    return first[0]
 
 
 def test_install_is_idempotent_and_uninstall_restores(sanitized):
@@ -85,8 +88,7 @@ def test_owner_cleared_while_suspended(sanitized):
     def proc():
         yield "suspend"
 
-    wrapped = sanitizer.guard_process(proc(), "pre")
-    next(wrapped)
+    sanitizer.guard(lambda _entry: next(proc()), "pre")(None)
     assert sanitizer.current_owner() is None
     state.seq = 3  # control-plane write between stage steps: allowed
 

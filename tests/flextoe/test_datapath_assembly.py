@@ -102,7 +102,7 @@ def test_assembly_follows_the_declaration(row):
 
     names, fpcs = LADDER[row]
     dp = make_nic(getattr(PipelineConfig, row)()).datapath
-    assert [p.name for p in dp.processes] == [name for name, count in names for _ in range(count)]
+    assert [chain.name for chain in dp.chains] == [name for name, count in names for _ in range(count)]
     assert {kind: len(claimed) for kind, claimed in dp.stage_fpcs.items()} == fpcs
     # Every declared ring exists, and every stage kind that runs is one
     # the ring table (or the scheduler's anchor) declares.

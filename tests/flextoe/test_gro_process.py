@@ -1,11 +1,10 @@
-"""GRO/seqr delivery as real sim processes (ISSUE 2 satellite).
+"""GRO/seqr delivery by a chain of its own.
 
-The ROADMAP flagged that reorder-buffer releases ran inline inside the
-offering stage's process, so GRO work was invisible to the ownership
-sanitizer. The pipelined datapath now spawns
-:meth:`ReorderBuffer.delivery_program` under ``gro``/``seqr`` tokens;
-these tests pin the process-delivery semantics and the sanitizer
-visibility.
+Reorder-buffer releases that ran inline inside the offering stage were
+invisible to the ownership sanitizer. The pipelined datapath hands each
+buffer a :class:`~repro.nfp.fpc.Chain` (:meth:`ReorderBuffer.deliver_by`)
+under ``gro``/``seqr`` tokens; these tests pin the deferred-delivery
+semantics and the sanitizer visibility.
 """
 
 import pytest
@@ -15,6 +14,7 @@ from repro.flextoe import ReorderBuffer, Sequencer
 from repro.flextoe.config import PipelineConfig
 from repro.flextoe.descriptors import SegWork, WORK_RX
 from repro.flextoe.state import ProtocolState
+from repro.nfp.fpc import Chain
 from repro.sim import Simulator
 
 
@@ -28,8 +28,7 @@ def test_process_delivery_defers_to_the_delivery_process():
     sim = Simulator()
     out = []
     rob = ReorderBuffer(sim, output_fn=out.append)
-    rob.use_process_delivery()
-    sim.process(rob.delivery_program(), name="gro-deliver")
+    rob.deliver_by(Chain(sim, "gro-deliver"))
     seqr = Sequencer()
     works = [make_work(seqr) for _ in range(4)]
     rob.offer(works[1])
@@ -48,8 +47,7 @@ def test_process_delivery_preserves_permutation_order():
     sim = Simulator()
     out = []
     rob = ReorderBuffer(sim, output_fn=out.append)
-    rob.use_process_delivery()
-    sim.process(rob.delivery_program(), name="gro-deliver")
+    rob.deliver_by(Chain(sim, "gro-deliver"))
     seqr = Sequencer()
     works = [make_work(seqr) for _ in range(8)]
     for index in (3, 0, 5, 1, 2, 7, 4, 6):
@@ -64,14 +62,14 @@ def test_pipelined_datapath_uses_process_delivery_rtc_does_not():
     bed = Testbed(seed=1)
     host = bed.add_flextoe_host("full")
     dp = host.nic.datapath
-    assert dp.rx_gro._process_delivery, "pipelined rx GRO must deliver via its own process"
-    assert dp.nbi_gro._process_delivery, "pipelined NBI seqr must deliver via its own process"
+    assert dp.rx_gro._chain is not None, "pipelined rx GRO must deliver by its own chain"
+    assert dp.nbi_gro._chain is not None, "pipelined NBI seqr must deliver by its own chain"
 
     rtc = Testbed(seed=1).add_flextoe_host(
         "rtc", pipeline_config=PipelineConfig.baseline_run_to_completion()
     )
     rtc_dp = rtc.nic.datapath
-    assert not rtc_dp.rx_gro._process_delivery, (
+    assert rtc_dp.rx_gro._chain is None, (
         "run-to-completion polls synchronously; inline delivery required"
     )
 
@@ -87,15 +85,14 @@ def test_gro_delivery_runs_under_gro_sanitizer_token():
         def deliver(work):
             seen["owner"] = sanitizer.current_owner()
             # GRO only forwards the work; touching protocol state from
-            # the delivery process must trip the ownership sanitizer.
+            # the delivery chain must trip the ownership sanitizer.
             with pytest.raises(sanitizer.SanitizerError, match="only the atomic protocol stage"):
                 state.ack = 1
 
         rob = ReorderBuffer(sim, output_fn=deliver)
-        rob.use_process_delivery()
-        sim.process(
-            sanitizer.guard_process(rob.delivery_program(), "gro"), name="gro-deliver"
-        )
+        chain = Chain(sim, "gro-deliver")
+        chain.wrap(lambda resume: sanitizer.guard(resume, "gro"))
+        rob.deliver_by(chain)
         seqr = Sequencer()
         rob.offer(make_work(seqr))
         sim.run(until=1)
@@ -107,7 +104,7 @@ def test_gro_delivery_runs_under_gro_sanitizer_token():
 
 def test_sanitized_end_to_end_transfer_with_process_gro():
     """A full sanitized echo over the pipelined datapath: the spawned
-    gro/seqr processes must not trip ownership checks."""
+    gro/seqr chains must not trip ownership checks."""
     sanitizer.install()
     try:
         from repro.apps import EchoServer

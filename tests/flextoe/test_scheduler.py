@@ -16,7 +16,7 @@ def build(mss=1000, slot_ns=1000):
     ring = Store(sim)
     sched = CarouselScheduler(sim, ring.put, mss=mss, slot_ns=slot_ns)
     fpc = Fpc(sim, "sch")
-    fpc.spawn(sched.program)
+    fpc.run(sched.program)
     return sim, ring, sched
 
 

@@ -12,6 +12,7 @@ from repro.flextoe.config import PipelineConfig
 from repro.flextoe.descriptors import WORK_TX, ProtoSnapshot, SegWork
 from repro.host.memory import HugepagePool
 from repro.libtoe.buffers import CircularBuffer
+from repro.nfp.fpc import Fpc, FpcThread
 from repro.proto.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.proto.ip import IPPROTO_TCP, Ipv4Header
 from repro.proto.packet import Frame
@@ -22,15 +23,14 @@ LOCAL_IP, PEER_IP, PEER_PORT = 0x0A000001, 0x0A000002, 6000
 ISS, IRS = 1000, 2000
 
 
-def drain(result):
-    """Run a stage helper to completion whether or not it is a generator."""
-    if not hasattr(result, "send"):
-        return result
-    try:
-        while True:
-            next(result)
-    except StopIteration as stop:
-        return stop.value
+def finish(stage, work):
+    """``stage.process`` for a work it finishes with no wait, on a spare
+    hardware thread: the value it goes on to its last step with."""
+    thread = FpcThread(Fpc(stage.dp.sim, "probe"), 0)
+    ended = []
+    stage.process(thread, work, lambda _thread, value: ended.append(value))
+    (value,) = ended
+    return value
 
 
 class Wire:
@@ -106,7 +106,7 @@ def test_post_stage_drop_releases_nbi_ticket():
     nic = make_nic()
     dp = nic.datapath
     work = ticketed_work(nic)
-    assert drain(dp.post_stages[0].process(None, work)) is False  # frees nothing itself
+    assert finish(dp.post_stages[0], work) is False  # frees nothing itself
     assert dp.ctm_pool.in_use == 1
     dp.post_rings[0].force_put(work)
     dp.sim.run(until=dp.sim.now + 10_000)
@@ -116,7 +116,7 @@ def test_post_stage_drop_releases_nbi_ticket():
 def test_dma_stage_drop_releases_nbi_ticket():
     nic = make_nic()
     dp = nic.datapath
-    drain(dp.dma_stages[0].process(None, ticketed_work(nic)))  # all of DmaStage.program
+    finish(dp.dma_stages[0], ticketed_work(nic))  # all of DmaStage.program
     assert_retired_once(dp)
 
 
@@ -268,3 +268,25 @@ def test_late_segment_of_removed_connection_never_reaches_the_next_tenant():
     dp.sim.run(until=dp.sim.now + 100_000)
     assert new_rx.region.read(0, 51) == b"\xbb" * 50 + b"\x00"
     assert cache.lookup((LOCAL_IP, PEER_IP, 5001, PEER_PORT)) == (True, new.index)
+
+
+def test_removal_during_the_dma_issue_charge_writes_no_byte():
+    # The DMA stage checks the record at its entry and again once its
+    # issue charge is done: a connection removed in between has its
+    # buffers no more (a freed buffer may be another connection's), so
+    # the work is retired, its ACK ticket released and its fence turn left.
+    nic = make_nic()
+    dp = nic.datapath
+    record, rx = offload(nic, 5000, "gone")
+    dp._on_mac_rx(segment(5000, b"\xaa" * 200))
+    deadline = dp.sim.now + 100_000
+    while not len(dp.dma_rx_fence):  # the DMA stage took the work and charges its issue
+        assert dp.sim.now < deadline, "segment never reached the DMA stage"
+        dp.sim.run(until=dp.sim.now + 1)
+    assert dp.dma.ops == 0 and rx.region.read(0, 200) == bytes(200)
+    nic.remove_connection(record.index)
+    dp.sim.run(until=dp.sim.now + 100_000)
+    assert rx.region.read(0, 200) == bytes(200)
+    assert dp.dma.ops == 0 and notifications(nic) == []
+    assert dp.nbi_gro.expected == dp.nbi_seqr.issued  # the ACK's ticket released
+    assert len(dp.dma_rx_fence) == 0 and nic.port.sent == []

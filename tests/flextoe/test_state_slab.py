@@ -460,7 +460,7 @@ def test_sanitized_row_install_is_guarded_and_alloc_asserts_zero():
             yield
 
         with pytest.raises(sanitizer.SanitizerError, match="only the atomic protocol stage"):
-            next(sanitizer.guard_process(pre_stage(), "pre"))
+            sanitizer.guard(lambda _entry: next(pre_stage()), "pre")(None)
         with pytest.raises(sanitizer.SanitizerError, match="immutable"):
             record.pre.flow_group = 0
         # A slot that comes back dirty (a free() that missed a column, a

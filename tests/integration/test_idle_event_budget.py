@@ -30,7 +30,7 @@ def test_idle_testbed_stays_within_its_event_budget():
     bed.sim.run(until=1_000_000)  # stage threads start up and park on their rings
     assert idle_events(bed) <= IDLE_EVENTS_PER_SIM_MS * IDLE_SIM_MS
     for host in (server, client):
-        names = [process.name for process in host.nic.datapath.processes]
+        names = [chain.name for chain in host.nic.datapath.chains]
         assert names and not any(name.startswith("hb-") for name in names)
         assert not host.control_plane._poll.pending  # no cp-timer, no cp-cc: nothing armed
 

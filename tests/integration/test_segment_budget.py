@@ -25,7 +25,7 @@ from repro.harness import Testbed
 from repro.host import CpuCore
 from repro.net import Topology
 from repro.nfp import DmaEngine
-from repro.nfp.fpc import FpcThread
+from repro.nfp.fpc import Chain, FpcThread
 from repro.proto import Frame, make_tcp_frame
 from repro.sim import Process, Simulator, Timeout
 from repro.sim.resources import ResourceRequest
@@ -33,14 +33,15 @@ from repro.sim.resources import ResourceRequest
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 4 644.12 (4 647.16 with
+#: simulator runs in that time included: reads 3 431.02 (4 644.12 with the
+#: data path's FPC programs as generator processes, 4 647.16 with
 #: the queue spilled to the heap once a heap entry sorts first, 4 757.67
 #: with wakes and puts run in place instead of queued, 5 008.28 with every put
 #: pushed, 5 040.09 with every wake pushed too, 5 117.34 with a start step
 #: per DMA op too, 5 352.13 with the wire as timeouts and processes,
 #: 6 530.08 with the engines as processes too); the bound is that reading
 #: + 0.5 %, rounded down.
-CALLS_PER_RPC = 4667
+CALLS_PER_RPC = 3448
 #: Events dispatched per warm echo RPC: reads 61.12 (62.47 with the queue
 #: spilled to the heap once a heap entry sorts first, 159.22 with every
 #: entry for now pushed but in-place wakes and puts, 191.22 with every put
@@ -159,8 +160,8 @@ def _where(code):
 def test_an_engine_use_makes_no_request_timeout_or_process():
     """An FPC compute, a host-core run and a DMA operation are continuations
     (DESIGN §12 rule 3): during echo RPCs none of them constructs a
-    ``ResourceRequest``, a ``Timeout`` or a ``Process`` — only a memory
-    read still sleeps on a timeout, its wait with the issue slot free."""
+    ``ResourceRequest``, a ``Timeout`` or a ``Process``, nor does a memory
+    read's wait, a chain's own entry."""
     bed, measured = echo_pair()
     client = bed.sim.process(measured(), name="client")
     kernel = {
@@ -169,7 +170,7 @@ def test_an_engine_use_makes_no_request_timeout_or_process():
         Timeout.__init__.__code__: "Timeout",
         Process.__init__.__code__: "Process",
     }
-    engines = {FpcThread.compute.__code__, CpuCore.run.__code__, DmaEngine.issue.__code__}
+    engines = {FpcThread.charge.__code__, CpuCore.run.__code__, DmaEngine.issue.__code__}
     uses = Counter()
     made = Counter()
 
@@ -181,7 +182,8 @@ def test_an_engine_use_makes_no_request_timeout_or_process():
             uses[code.co_name] += 1
         elif code in kernel:
             caller = frame.f_back
-            while _where(caller.f_code)[0].startswith("sim/"):  # Resource.request, Simulator.process
+            # Resource.request, Simulator.process, and a chain's request of a pool for its program.
+            while _where(caller.f_code)[0].startswith("sim/") or caller.f_code is Chain.request.__code__:
                 caller = caller.f_back
             made[(kernel[code],) + _where(caller.f_code)] += 1
 
@@ -190,12 +192,41 @@ def test_an_engine_use_makes_no_request_timeout_or_process():
         bed.sim.run(until=client)
     finally:
         sys.setprofile(None)
-    assert uses["compute"] and uses["run"] and uses["issue"], uses
+    assert uses["charge"] and uses["run"] and uses["issue"], uses
     by_engines = {
         key: n for key, n in made.items()
-        if key[1] in ("nfp/fpc.py", "host/cpu.py", "nfp/dma.py") and key[2] != "mem_read"
+        if key[1] in ("nfp/fpc.py", "host/cpu.py", "nfp/dma.py")
     }
     assert not by_engines, by_engines
+
+
+#: Process resumes per warm echo RPC: the two apps' only, 6.03 (173 with
+#: the data path's FPC programs as generator processes).
+RESUMES_PER_RPC = 40
+
+
+def test_no_data_path_program_resumes_as_a_process():
+    """Every program the data path runs — the stages, the scheduler, the
+    GRO deliveries, the state snapshots — is a Step chain (DESIGN §4):
+    during echo RPCs no process whose code is the NIC's resumes, and the
+    processes that do (apps, libTOE, the control plane) resume fewer than
+    ``RESUMES_PER_RPC`` times per RPC."""
+    bed, measured = echo_pair()
+    client = bed.sim.process(measured(), name="client")
+    resumed = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call" and _where(frame.f_code) == ("sim/core.py", "_resume"):  # the sanitizer's wraps it
+            resumed[_where(frame.f_locals["self"]._generator.gi_code)[0]] += 1
+
+    sys.setprofile(profiler)
+    try:
+        bed.sim.run(until=client)
+    finally:
+        sys.setprofile(None)
+    assert resumed, "no process resumed: the profile saw nothing"
+    assert not [path for path in resumed if path.startswith(("flextoe/", "nfp/", "sim/"))], resumed
+    assert sum(resumed.values()) < RESUMES_PER_RPC * RPCS, resumed
 
 
 def test_a_frame_crosses_the_switch_as_continuations_measured_twice():

@@ -8,10 +8,12 @@ CPython they repeat exactly. :func:`count` traces one repetition of a
 the benchmark's) with ``f_trace_opcodes`` and charges each bytecode to the
 ``perf/layers.py`` layer of its code. The first table is the measured phase
 per op and layer, set-up as one total, then events, runs from the kernel's
-same-instant queue and heap pushes per op; the second is those events and
-runs (``queued``) per op by :func:`dispatch_key`, whose ``(dead)`` rows are
-totalled last. A table to read, not a gate: exit status 2 only when a run
-fails. Run as ``python3 -m tests.tools.opcodes``.
+same-instant queue, heap pushes and process resumes per op; the second is
+those events and runs (``queued``) per op by :func:`dispatch_key`, whose
+``(dead)`` rows are totalled last; the third is the process resumes per op
+by program (the process's name): a data-path program that is a Step chain
+resumes no process. A table to read, not a gate: exit status 2 only when a
+run fails. Run as ``python3 -m tests.tools.opcodes``.
 """
 
 import argparse
@@ -23,6 +25,8 @@ from tests.tools import judge
 SETUP, MEASURED = 0, 1
 #: Rows of the per-site table; the rest are summed into one.
 SITES_SHOWN = 25
+#: Rows of the per-program resume table.
+PROGRAMS_SHOWN = 12
 #: Marks a dispatch that can change nothing (:func:`dispatch_key`).
 DEAD = " (dead)"
 #: Marks an entry run from the same-instant queue rather than the heap.
@@ -70,6 +74,9 @@ def _waker(callbacks):
 
 def _callback_site(callback, tree):
     owner = getattr(callback, "__self__", None)
+    step = getattr(owner, "_then", None)
+    if step is not None:  # a chain's resume: the step it goes on with
+        callback = step
     generator = getattr(owner, "_generator", None)
     if generator is not None:  # a process's resume: where it is parked
         while getattr(generator.gi_yieldfrom, "gi_frame", None) is not None:
@@ -104,11 +111,40 @@ def dispatch_key(event, tree):
     return key + DEAD if callbacks and all(map(_fired_check, callbacks)) else key
 
 
+class ResumeCounter:
+    """While entered, counts ``Process._resume`` calls by process name into
+    ``resumes`` whenever ``counting`` is true. Enter it before the processes
+    are made: a process binds its resume when it is created."""
+
+    def __init__(self):
+        from repro.sim import core
+
+        self.core = core
+        self.counting = True
+        self.resumes = {}
+
+    def __enter__(self):
+        plain = self.plain = self.core.Process._resume
+        resumes = self.resumes
+
+        def resume(process, event):
+            if self.counting:
+                resumes[process.name] = resumes.get(process.name, 0) + 1
+            plain(process, event)
+
+        self.core.Process._resume = resume
+        return self
+
+    def __exit__(self, *_exc):
+        self.core.Process._resume = self.plain
+
+
 def count(tree, workload, size=TINY):
     """Trace one repetition of ``workload`` from ``tree`` (the side first
     on ``sys.path``) at ``size``; returns ``{"ops", "events", "queued",
     "pushes", "setup": {layer: bytecodes}, "measured": {...}, "sites":
-    {dispatch key: measured events}}``."""
+    {dispatch key: measured events}, "resumes": {process name: measured
+    resumes}}``."""
     from perf import layers, spec, workloads
 
     rows = {}  # layer -> [set-up, measured]
@@ -160,13 +196,17 @@ def count(tree, workload, size=TINY):
 
     hooks = judge.KernelHooks(heappush=counting_push, heappop=lambda kernel_pop, heap: tally(kernel_pop(heap)),
                               popleft=lambda kernel_popleft, queued: tally(kernel_popleft(queued), QUEUED))
+    counter = ResumeCounter()
+    counter.counting = False
     sys.settrace(on_call)
     try:
-        cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **built)
-        phase = MEASURED
-        with hooks:
-            for cell in cells:
-                cell.measure()
+        with counter:
+            cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **built)
+            phase = MEASURED
+            counter.counting = True
+            with hooks:
+                for cell in cells:
+                    cell.measure()
     finally:
         sys.settrace(None)
     ops = sum(cell.ok for cell in cells)
@@ -185,6 +225,7 @@ def count(tree, workload, size=TINY):
         "setup": {layer: row[SETUP] for layer, row in rows.items()},
         "measured": {layer: row[MEASURED] for layer, row in rows.items()},
         "sites": sites,
+        "resumes": counter.resumes,
     }
 
 
@@ -210,6 +251,7 @@ def report(ref, workload, size, base, here):
     row("events, measured", base["events"], here["events"])
     row("queued runs, measured", base["queued"], here["queued"])
     row("heap pushes, measured", base["pushes"], here["pushes"])
+    row("process resumes, measured", sum(base["resumes"].values()), sum(here["resumes"].values()))
 
     print()
     print("events per op of the measured phase and entries run from the same-instant queue ({}), by event "
@@ -230,6 +272,18 @@ def report(ref, workload, size, base, here):
                  sum(was.get(key, 0) for key in rest), sum(now.get(key, 0) for key in rest))
     dead = [key for key in keys if key.endswith(DEAD)]
     site_row("dead dispatches, total", sum(was.get(key, 0) for key in dead), sum(now.get(key, 0) for key in dead))
+
+    print()
+    print("process resumes per op of the measured phase, by program (process name)")
+    print(site_line.format("base", "here", "delta", "program"))
+    was, now = base["resumes"], here["resumes"]
+    names = sorted(set(was) | set(now), key=lambda name: (-max(was.get(name, 0), now.get(name, 0)), name))
+    for name in names[:PROGRAMS_SHOWN]:
+        site_row(name, was.get(name, 0), now.get(name, 0))
+    rest = names[PROGRAMS_SHOWN:]
+    if rest:
+        site_row("({} more)".format(len(rest)), sum(was.get(name, 0) for name in rest),
+                 sum(now.get(name, 0) for name in rest))
 
 
 def main(argv=None):

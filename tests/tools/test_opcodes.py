@@ -1,13 +1,14 @@
-"""How ``make opcodes`` names a dispatched event, sizes a workload and counts
-heap pushes through the judge's kernel hooks (measurement code is code)."""
+"""How ``make opcodes`` names a dispatched event, sizes a workload, counts
+heap pushes through the judge's kernel hooks and process resumes by program
+(measurement code is code)."""
 
 from perf import workloads
 from repro.nfp import Fpc
-from repro.nfp.fpc import FpcThread
+from repro.nfp.fpc import Chain, FpcThread
 from repro.sim import Simulator, Timeout
 from repro.sim.resources import Hold, Slots
 from tests.tools.judge import ROOT, KernelHooks
-from tests.tools.opcodes import BENCH, TINY, code_name, dispatch_key, sizes
+from tests.tools.opcodes import BENCH, TINY, ResumeCounter, code_name, dispatch_key, sizes
 
 HERE = "tests/tools/test_opcodes.py"
 
@@ -121,3 +122,30 @@ def test_a_heap_push_is_counted_and_a_queued_entry_is_not():
     assert len(pushes) == 2 and sim.now == 2
     Timeout(sim, 1)  # after the count: the kernel's own push again
     assert len(pushes) == 2
+
+
+def test_process_resumes_are_counted_by_program_and_a_chain_resumes_none():
+    sim = Simulator()
+    with ResumeCounter() as counter:
+
+        def program():
+            yield Timeout(sim, 1)
+            yield Timeout(sim, 2)
+
+        sim.process(program(), name="app")
+        Chain(sim, "chain").start(lambda chain, _value: chain.sleep(3, lambda _chain, _value: False))
+        sim.run()
+    assert sim.now == 3
+    assert counter.resumes == {"app": 3}  # its start and its two timeouts; the chain's three entries are none
+
+
+def test_a_chain_entry_is_named_by_the_step_it_goes_on_with():
+    sim = Simulator()
+
+    def slept(_chain, _value):
+        return False
+
+    Chain(sim, "chain").start(lambda chain, _value: chain.sleep(3, slept))
+    sim.run(until=0)
+    (entry,) = _parked_events(sim)
+    assert dispatch_key(entry, ROOT) == "Step {} {}+0".format(HERE, code_name(slept.__code__))
