@@ -28,11 +28,11 @@ def measure_ecn_gradient_ns():
     fpc = Fpc(sim, "fpc0")
     finished = {}
 
-    def program(thread):
-        yield thread.compute(ECN_GRADIENT_CYCLES)
+    def computed(_thread, _value):
         finished["at"] = sim.now
+        return False
 
-    fpc.spawn(program)
+    fpc.run(lambda thread, _value: thread.charge(ECN_GRADIENT_CYCLES, computed))
     sim.run()
     return finished["at"]
 
@@ -51,16 +51,17 @@ def measure_splice_rate():
     fpcs = [Fpc(sim, "fpc%d" % i) for i in range(3)]  # the 3 idle FPCs/island
     done = {"count": 0}
 
-    def worker(thread):
-        while done["count"] < n_packets:
-            done["count"] += 1
-            frame = make_tcp_frame(0xA, 0xB, src, dst, 1000, 2000, payload=b"")
-            adapter.handle(frame, None)
-            yield thread.compute(adapter.cost_cycles)
+    def worker(thread, _value):
+        if done["count"] >= n_packets:
+            return False
+        done["count"] += 1
+        frame = make_tcp_frame(0xA, 0xB, src, dst, 1000, 2000, payload=b"")
+        adapter.handle(frame, None)
+        return thread.charge(adapter.cost_cycles, worker)
 
     for fpc in fpcs:
         for _ in range(8):
-            fpc.spawn(worker)
+            fpc.run(worker)
     sim.run()
     return n_packets * 1e9 / sim.now
 

@@ -23,7 +23,7 @@ matrix in ``tests/analysis/test_hazard_matrix.py`` says which.) With
 
 It also checks what the kernel takes or runs on the spot (DESIGN §12 rule
 3): a process raises when it took a ``request()``, ``get()``, ``timeout()``
-or engine hold (``thread.compute``, ``core.run``) on the spot and yielded
+or engine hold (``core.run``, a ``Hold``) on the spot and yielded
 something else next or made another first; an engine step raises when it
 would run in place (``_next_in_line``) in a process's resume; and the
 same-instant queue raises when an entry joins it not at ``(now, NORMAL)``

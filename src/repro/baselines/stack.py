@@ -12,12 +12,10 @@ from collections import deque
 
 from repro.baselines.engine import HostTcpEngine
 from repro.host import Machine
+from repro.host.arp import ArpResolver
 from repro.host.cpu import CAT_DRIVER, CAT_OTHER, CAT_SOCKETS, CAT_TCP
 from repro.libtoe.errors import ConnectRefusedError, ToeError
-from repro.proto import ARP_REPLY, ARP_REQUEST, ArpHeader, ETHERTYPE_ARP, EthernetHeader, Frame
-from repro.sim import Resource, Store, Timeout
-
-BROADCAST_MAC = (1 << 48) - 1
+from repro.sim import Resource, Store
 
 
 class Personality:
@@ -276,8 +274,7 @@ class BaselineHost:
         self.listeners = {}
         self.connect_waiters = {}
         self._sockets = {}
-        self.arp_table = {}
-        self._arp_waiters = {}
+        self.arp = ArpResolver(sim, self.mac, self.ip, self.transmit)
         self._ephemeral = 42_000
         self._rx_queue = Store(sim, name="{}-rxq".format(name))
         self._irq_frames = deque()  # received, interrupt not yet taken
@@ -305,7 +302,7 @@ class BaselineHost:
     # -- addressing ------------------------------------------------------------
 
     def seed_arp(self, ip, mac):
-        self.arp_table[ip] = mac
+        self.arp.table[ip] = mac
 
     def _next_port(self):
         self._ephemeral += 1
@@ -326,7 +323,7 @@ class BaselineHost:
         return listener
 
     def connect(self, ctx, remote_ip, remote_port):
-        peer_mac = yield from self._resolve(remote_ip)
+        peer_mac = yield from self.arp.resolve(remote_ip)
         four = (self.ip, remote_ip, self._next_port(), remote_port)
         waiter = self.sim.event()
         self.connect_waiters[four] = waiter
@@ -424,7 +421,7 @@ class BaselineHost:
         while True:
             frame = yield self._rx_queue.get()
             if frame.arp is not None:
-                self._handle_arp(frame)
+                self.arp.handle(frame)
                 continue
             if frame.tcp is None:
                 continue
@@ -471,33 +468,6 @@ class BaselineHost:
         while True:
             yield self.sim.timeout(100_000)
             self.engine.tick(self.sim.now)
-
-    # -- ARP ----------------------------------------------------------------------
-
-    def _handle_arp(self, frame):
-        arp = frame.arp
-        if arp.op == ARP_REQUEST and arp.target_ip == self.ip:
-            eth = EthernetHeader(dst=arp.sender_mac, src=self.mac, ethertype=ETHERTYPE_ARP)
-            self.transmit(Frame(eth, arp=arp.reply(self.mac), born_at=self.sim.now))
-            self.arp_table[arp.sender_ip] = arp.sender_mac
-        elif arp.op == ARP_REPLY:
-            self.arp_table[arp.sender_ip] = arp.sender_mac
-            for waiter in self._arp_waiters.pop(arp.sender_ip, []):
-                if not waiter.triggered:
-                    waiter.succeed(arp.sender_mac)
-
-    def _resolve(self, ip):
-        if ip in self.arp_table:
-            return self.arp_table[ip]
-        waiter = self.sim.event()
-        self._arp_waiters.setdefault(ip, []).append(waiter)
-        request = ArpHeader.request(self.mac, self.ip, ip)
-        eth = EthernetHeader(dst=BROADCAST_MAC, src=self.mac, ethertype=ETHERTYPE_ARP)
-        self.transmit(Frame(eth, arp=request, born_at=self.sim.now))
-        yield self.sim.any_of([waiter, Timeout(self.sim, 5_000_000)])
-        if ip not in self.arp_table:
-            raise ConnectRefusedError("ARP resolution failed for {}".format(ip))
-        return self.arp_table[ip]
 
     # -- transmit --------------------------------------------------------------------
 

@@ -50,21 +50,12 @@ from repro.flextoe.descriptors import (
     Notification,
 )
 from repro.flextoe.proto_logic import WINDOW_SCALE, advertised_window
+from repro.host.arp import ArpResolver
 from repro.libtoe.buffers import CircularBuffer
 from repro.libtoe.errors import ConnectRefusedError, HandshakeTimeoutError
-from repro.proto import (
-    ARP_REPLY,
-    ARP_REQUEST,
-    ArpHeader,
-    ETHERTYPE_ARP,
-    EthernetHeader,
-    Frame,
-    make_tcp_frame,
-)
+from repro.proto import make_tcp_frame
 from repro.proto.tcp import FLAG_ACK, FLAG_RST, FLAG_SYN, TcpOptions
 from repro.sim import Timeout
-
-BROADCAST_MAC = (1 << 48) - 1
 
 #: Control-plane context-queue id (reserved; app contexts start at 1).
 CONTROL_CONTEXT = 0
@@ -174,8 +165,7 @@ class ControlPlane:
         self.cc_enabled = cc_enabled
         self.config = config or ControlPlaneConfig()
         self.nic.register_context(CONTROL_CONTEXT)
-        self.arp_table = {}
-        self._arp_waiters = {}
+        self.arp = ArpResolver(sim, local_mac, local_ip, self._control_tx)
         self.listeners = {}
         self.pending = {}  # four_tuple -> PendingConnection
         self.directory = ConnectionDirectory()
@@ -250,7 +240,7 @@ class ControlPlane:
 
     def seed_arp(self, ip, mac):
         """Static ARP entry (used by the testbed builder for speed)."""
-        self.arp_table[ip] = mac
+        self.arp.table[ip] = mac
 
     def _next_iss(self):
         self._iss_counter += 64_000
@@ -303,7 +293,7 @@ class ControlPlane:
 
     def connect(self, ctx, remote_ip, remote_port):
         """Generator: active open; returns EstablishedInfo."""
-        peer_mac = yield from self._resolve(remote_ip)
+        peer_mac = yield from self.arp.resolve(remote_ip)
         local_port = self._next_port()
         four = (self.local_ip, remote_ip, local_port, remote_port)
         iss = self._next_iss()
@@ -339,7 +329,7 @@ class ControlPlane:
 
     def _handle_frame(self, frame):
         if frame.arp is not None:
-            self._handle_arp(frame)
+            self.arp.handle(frame)
             return
         if frame.tcp is None:
             return
@@ -377,37 +367,6 @@ class ControlPlane:
         if self._complete_handshake(frame):
             return
         self._send_rst(frame)
-
-    def _handle_arp(self, frame):
-        arp = frame.arp
-        if arp.op == ARP_REQUEST and arp.target_ip == self.local_ip:
-            reply = arp.reply(self.local_mac)
-            eth = EthernetHeader(dst=arp.sender_mac, src=self.local_mac, ethertype=ETHERTYPE_ARP)
-            self._control_tx(Frame(eth, arp=reply, born_at=self.sim.now))
-            self.arp_table[arp.sender_ip] = arp.sender_mac
-        elif arp.op == ARP_REPLY:
-            self.arp_table[arp.sender_ip] = arp.sender_mac
-            for waiter in self._arp_waiters.pop(arp.sender_ip, []):
-                waiter.succeed(arp.sender_mac)
-
-    def _resolve(self, ip):
-        """Generator: ARP resolution with one retry."""
-        if ip in self.arp_table:
-            return self.arp_table[ip]
-        waiter = self.sim.event()
-        self._arp_waiters.setdefault(ip, []).append(waiter)
-        request = ArpHeader.request(self.local_mac, self.local_ip, ip)
-        eth = EthernetHeader(dst=BROADCAST_MAC, src=self.local_mac, ethertype=ETHERTYPE_ARP)
-        self._control_tx(Frame(eth, arp=request, born_at=self.sim.now))
-        result = yield self.sim.any_of([waiter, Timeout(self.sim, 5_000_000)])
-        if ip in self.arp_table:
-            return self.arp_table[ip]
-        # Retry once, then fail.
-        self._control_tx(Frame(eth.copy(), arp=request, born_at=self.sim.now))
-        yield self.sim.timeout(5_000_000)
-        if ip in self.arp_table:
-            return self.arp_table[ip]
-        raise ConnectRefusedError("ARP resolution failed for {}".format(ip))
 
     def _handle_syn(self, frame):
         port = frame.tcp.dport
@@ -454,14 +413,14 @@ class ControlPlane:
             # echoes the cookie back in its handshake ACK.
             self.cookies_sent += 1
             irs = (frame.tcp.seq + 1) & 0xFFFFFFFF
-            self.arp_table.setdefault(frame.ip.src, frame.eth.src)
+            self.arp.table.setdefault(frame.ip.src, frame.eth.src)
             self._handshake_tx(frame.eth.src, four, FLAG_SYN | FLAG_ACK, self._syn_cookie(four, irs), irs)
             return
         pending = PendingConnection(SYN_RCVD, four, self._next_iss(), listener=listener)
         pending.irs = (frame.tcp.seq + 1) & 0xFFFFFFFF
         pending.peer_mac = frame.eth.src
         pending.remote_win = frame.tcp.window
-        self.arp_table.setdefault(frame.ip.src, frame.eth.src)
+        self.arp.table.setdefault(frame.ip.src, frame.eth.src)
         self.pending[four] = pending
         self._poll.arm()
         if config.syn_defense_enabled:
@@ -657,7 +616,7 @@ class ControlPlane:
         pending.irs = irs
         pending.peer_mac = frame.eth.src
         pending.remote_win = tcp.window
-        self.arp_table.setdefault(frame.ip.src, frame.eth.src)
+        self.arp.table.setdefault(frame.ip.src, frame.eth.src)
         self.cookies_validated += 1
         self._establish(pending)
         return True

@@ -303,8 +303,8 @@ class QueueBackpressure(NicFault):
         name, host = obj
         saved = []
         for ring in self._rings(host):
-            saved.append(ring.store.capacity)
-            ring.store.set_capacity(self.capacity)
+            saved.append(ring.capacity)
+            ring.set_capacity(self.capacity)
         self._saved[name] = saved
         ctx.log_event("backpressure", "{}:{}".format(name, self.ring), "capacity={}".format(self.capacity))
 
@@ -312,7 +312,7 @@ class QueueBackpressure(NicFault):
         name, host = obj
         saved = self._saved.pop(name, [])
         for ring, capacity in zip(self._rings(host), saved):
-            ring.store.set_capacity(capacity)
+            ring.set_capacity(capacity)
         ctx.log_event("backpressure-end", "{}:{}".format(name, self.ring), "")
 
 

@@ -34,7 +34,7 @@ from repro.proto.packet import Frame
 from repro.proto.tcp import TcpHeader
 from repro.sim import Resource, Store
 from repro.nfp.fpc import Chain
-from repro.nfp.queues import ClsRing, WorkQueue
+from repro.nfp.queues import Ring
 
 #: Slots per protocol/post CLS ring; host-control descriptors in flight;
 #: period of each stage FPC's liveness beat.
@@ -88,12 +88,12 @@ class FlexToeDatapath:
         self.contexts = {}
         self.stats = {}
 
-        self.pre_in = WorkQueue(sim, capacity=None, name="pre-in")
-        self.proto_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="proto-in-%d" % g) for g in range(config.n_flow_groups)]
-        self.post_rings = [ClsRing(sim, capacity=RING_CAPACITY, name="post-in-%d" % g) for g in range(config.n_flow_groups)]
-        self.dma_ring = WorkQueue(sim, capacity=None, name="dma-in")
-        self.ctx_ring = WorkQueue(sim, capacity=None, name="ctx-in")
-        self.nbi_ring = WorkQueue(sim, capacity=None, name="nbi-in")
+        self.pre_in = Ring(sim, name="pre-in")
+        self.proto_rings = [Ring(sim, RING_CAPACITY, "proto-in-%d" % g) for g in range(config.n_flow_groups)]
+        self.post_rings = [Ring(sim, RING_CAPACITY, "post-in-%d" % g) for g in range(config.n_flow_groups)]
+        self.dma_ring = Ring(sim, name="dma-in")
+        self.ctx_ring = Ring(sim, name="ctx-in")
+        self.nbi_ring = Ring(sim, name="nbi-in")
         # The control ring lives in host memory: a NIC facade that reboots
         # the datapath passes the same ring so the control plane's RX loop
         # survives the swap.
@@ -101,9 +101,9 @@ class FlexToeDatapath:
 
         # Sequencing domains (§3.2).
         self.rx_seqr = Sequencer()
-        self.rx_gro = ReorderBuffer(sim, output_fn=self._route_to_protocol, name="rx-gro")
+        self.rx_gro = ReorderBuffer(sim, self._route_to_protocol, name="rx-gro")
         self.nbi_seqr = Sequencer()
-        self.nbi_gro = ReorderBuffer(sim, output_ring=self.nbi_ring, name="nbi-gro")
+        self.nbi_gro = ReorderBuffer(sim, self.nbi_ring.force_put, name="nbi-gro")
 
         # Bounded NIC resources.
         self.ctm_pool = Resource(sim, capacity=max(8, 64 * config.n_flow_groups), name="ctm-segments")
@@ -358,7 +358,7 @@ class FlexToeDatapath:
         self.rx_frames_seen += 1
         work = SegWork(WORK_RX, frame=frame, born_at=self.sim.now)
         self.rx_seqr.assign(work)
-        if self.pre_in.store.is_full:
+        if self.pre_in.is_full:
             self.rx_gro.skip(work.pipeline_seq)
         else:
             self.pre_in.deliver(work)
@@ -436,7 +436,7 @@ class FlexToeDatapath:
         pair = self.contexts[context_id]
         if not pair.post_hc(descriptor):
             return False
-        self.pcie.ring("hc")
+        self.pcie.ring()
         return True
 
     def install_connection(self, index, slot, four_tuple, crc, flow_group):

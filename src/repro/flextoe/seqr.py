@@ -3,10 +3,11 @@
 Parallel pipeline stages may reorder segments; TCP cannot tolerate that.
 The pipeline's three ordering devices live here. A :class:`Sequencer`
 tags work entering the pipeline; a :class:`ReorderBuffer` (the GRO FPCs)
-buffers and releases work in tag order before the protocol stage and
-before the NBI. A stage dropping a tagged segment must call
-:meth:`ReorderBuffer.skip` so the stream does not stall — exactly the
-BLM bookkeeping the paper assigns its own FPCs. A :class:`KeyedFence`
+buffers work and releases it in tag order to its one ``output``: the
+protocol rings' router, or the NBI ring's ``force_put``. A stage
+dropping a tagged segment must call :meth:`ReorderBuffer.skip` so the
+stream does not stall — exactly the BLM bookkeeping the paper assigns
+its own FPCs. A :class:`KeyedFence`
 orders a replicated stage's emissions per key (connection, context
 queue) with no ticket domain: turns are taken in dequeue order.
 
@@ -50,18 +51,19 @@ class Sequencer:
 
 
 class ReorderBuffer:
-    """Releases work items in sequence order into an output ring.
+    """Releases work items in sequence order to ``output(work)``.
 
     Out-of-order arrivals are buffered; ``skip()`` advances past dropped
     sequence numbers. The buffer is unbounded in entries but its peak
     occupancy is recorded (inter-module queue occupancy is one of the
-    paper's 48 tracepoints).
+    paper's 48 tracepoints). An output into a ring must not block: a full
+    ring would deadlock the drain, so the data path hands its rings'
+    ``force_put``, which grows them instead.
     """
 
-    def __init__(self, sim, output_ring=None, output_fn=None, name="reorder"):
+    def __init__(self, sim, output, name="reorder"):
         self.sim = sim
-        self.output_ring = output_ring
-        self.output_fn = output_fn
+        self.output = output
         self.name = name
         self._expected = 0
         self._pending = {}
@@ -107,7 +109,7 @@ class ReorderBuffer:
     def _deliver_all(self, chain, _value):
         """The GRO delivery step: everything released so far, then park."""
         while self._outbox:
-            self._deliver(self._outbox.popleft())
+            self.output(self._outbox.popleft())
         self._parked = True
         return chain.park(self._deliver_all)
 
@@ -131,15 +133,7 @@ class ReorderBuffer:
                 self._outbox.append(work)
                 self._notify()
                 continue
-            self._deliver(work)
-
-    def _deliver(self, work):
-        if self.output_fn is not None:
-            self.output_fn(work)
-            return
-        # Rings between reorder and protocol are sized for the burst;
-        # a full ring here would deadlock the drain, so grow instead.
-        self.output_ring.force_put(work)
+            self.output(work)
 
     @property
     def buffered(self):
@@ -155,10 +149,10 @@ class KeyedFence:
 
     Replicas dequeue one key's works in ring order but finish them out
     of order (variable compute, DMA retries). ``turn = fence.enter(key)``
-    at dequeue; ``if turn.blocked(): yield turn.prev`` before the ordered
-    emission; ``turn.leave()`` after it. Only the latest turn per key is
-    held and the last ``leave()`` drops it: a key whose works have all
-    left costs nothing, and nobody has to forget it. A ``leave()`` that
+    at dequeue; ``if turn.blocked(): return thread.wait(turn.prev, then)``
+    before the ordered emission; ``turn.leave()`` after it. Only the
+    latest turn per key is held and the last ``leave()`` drops it: a key
+    whose works have all left costs nothing, and nobody has to forget it. A ``leave()`` that
     no successor is blocked on schedules no event either.
     """
 

@@ -808,7 +808,7 @@ class CtxStage:
     # -- ATX: host -> NIC doorbells and descriptors ----------------------------
 
     def atx_program(self, thread, _value=None):
-        return thread.wait(self.dp.pcie.wait_doorbell("hc"), self._atx_rung)
+        return thread.wait(self.dp.pcie.wait_doorbell(), self._atx_rung)
 
     def _atx_rung(self, thread, _):
         return thread.charge(CTX_DOORBELL_POLL, self._atx_polled)

@@ -1,7 +1,7 @@
 """The assembled NFP-4000 chip (paper Figure 1).
 
 Five general-purpose islands of 12 FPCs, chip-wide IMEM/EMEM with the
-EMEM SRAM cache, the IMEM hash-lookup engine, the PCIe block (doorbells +
+EMEM SRAM cache, the IMEM hash-lookup engine, the PCIe block (doorbell +
 DMA), and the MAC block. An :class:`NfpConfig` captures the knobs that
 distinguish the Agilio CX40 from the LX (frequency, island count).
 """

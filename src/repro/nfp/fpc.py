@@ -8,17 +8,17 @@ capacity-1 issue slot (:class:`~repro.sim.resources.Slots`) held for each
 compute, and released during the wait of a memory read; a program waits
 on IO (a DMA, a ring) holding no slot.
 
-A data-path program is a :class:`Chain` of steps, not a generator: each
-step runs to its one wait and names the step that follows it (DESIGN §4).
-Each wait pushes the entry a generator process's ``yield`` of the same
-event pushed, so a run is the same run (``tests/flextoe/
+Every program an FPC runs is a :class:`Chain` of steps, not a generator:
+each step runs to its one wait and names the step that follows it
+(DESIGN §4). Each wait pushes the entry a generator process's ``yield``
+of the same event pushed, so a run is the same run (``tests/flextoe/
 test_stage_continuations.py`` keeps the generator stages as its oracle).
 """
 
 from repro.sim.clock import CYCLES_800MHZ
 from repro.sim import core
 from repro.sim.core import NORMAL, Event, Step
-from repro.sim.resources import Hold, Occupancy, Slots
+from repro.sim.resources import Occupancy, Slots, StorePut
 
 #: Cycles to issue a memory/IO command before swapping out.
 ISSUE_CYCLES = 2
@@ -199,21 +199,20 @@ class Chain:
         """Wait for the next item of ``ring`` (a ``get()``): taken in place
         when the chain is next in line, else the chain parks on the store."""
         self._then = then
-        store = ring.store
-        items = store.items
+        items = ring.items
         if items:
             sim = self.sim
             heap = sim._heap
             now = sim.now
             if not (heap and heap[0][0] <= now) and sim._next_in_line(now, self._resume_cb):
                 self._value = items.popleft()
-                if store._put_queue:  # room for a blocked put
-                    store._settle()
+                if ring._put_queue:  # room for a blocked put
+                    ring._settle()
                 return True
         self._target = None  # parked, it holds no spent event
-        store._get_queue.append(self)
+        ring._get_queue.append(self)
         if items:  # not next in line: the item comes at an entry queued now
-            store._settle()
+            ring._settle()
         return False
 
     def put(self, ring, item, then):
@@ -222,17 +221,16 @@ class Chain:
         entry its put's event was queued at. A full store blocks the put."""
         if ring.tap is not None:
             ring.tap(item)
-        store = ring.store
-        gets = store._get_queue
-        capacity = store.capacity
+        gets = ring._get_queue
+        capacity = ring.capacity
         if gets:
-            store.max_occupancy = store.max_occupancy or 1
+            ring.max_occupancy = ring.max_occupancy or 1
             gets.popleft().succeed(item)
-        elif capacity is not None and len(store.items) >= capacity:
+        elif capacity is not None and len(ring.items) >= capacity:
             self._value = None
-            return self.wait(store.put(item), then)
+            return self.wait(StorePut(ring, item), then)
         else:
-            store._accept(item)
+            ring._accept(item)
         self._then = then
         self._value = None
         sim = self.sim
@@ -244,20 +242,17 @@ class Chain:
 
 
 class FpcThread(Chain):
-    """One hardware thread context. A :class:`Chain` program calls
-    :meth:`charge` and :meth:`read`; a generator program (:meth:`Fpc.spawn`)
-    yields :meth:`compute` and ``yield from`` :meth:`mem_read`. The other
-    slots are the program's registers, for what a work carries between
-    steps."""
+    """One hardware thread context, running a :class:`Chain` program that
+    calls :meth:`charge` and :meth:`read`. The other slots are the
+    program's registers, for what a work carries between steps."""
 
-    __slots__ = ("fpc", "thread_id", "process", "_slots", "_ns_cache", "_turn_cbs", "_end_cb", "_end_cbs", "_ns", "_read",
+    __slots__ = ("fpc", "thread_id", "_slots", "_ns_cache", "_turn_cbs", "_end_cb", "_end_cbs", "_ns", "_read",
                  "work", "after", "turn", "serial", "aux", "items", "n", "found", "batch")
 
     def __init__(self, fpc, thread_id, name=None):
         Chain.__init__(self, fpc.sim, name or "{}.t{}".format(fpc.name, thread_id))
         self.fpc = fpc
         self.thread_id = thread_id
-        self.process = None
         self._slots = fpc.issue_slot
         self._ns_cache = fpc.clock._ns_cache  # cycles -> ns, filled by cycles_to_ns
         self._turn_cbs = [self._turn]
@@ -273,24 +268,10 @@ class FpcThread(Chain):
         self._end_cb = self._end if guard is None else guard(self._end)
         self._end_cbs = [self._end_cb]
 
-    def compute(self, cycles):
-        """The event of executing ``cycles`` instructions, holding the issue
-        slot; the program yields it at once. No cycles wait for nothing."""
-        if cycles <= 0:
-            return self.fpc.sim._passed()
-        fpc = self.fpc
-        return Hold(fpc.issue_slot, fpc.cycles_to_ns(cycles), cycles)
-
-    def mem_read(self, latency_cycles, issue_cycles=ISSUE_CYCLES):
-        """Read from a memory ``latency_cycles`` away: brief issue, then
-        the wait with the issue slot released (another thread may run)."""
-        yield self.compute(issue_cycles)
-        yield self.sim.timeout(self.fpc.cycles_to_ns(latency_cycles))
-
     def charge(self, cycles, then):
         """Execute ``cycles`` instructions holding the issue slot, then
-        ``then``: :meth:`compute`'s :class:`~repro.sim.resources.Hold`,
-        its entries pushed where the hold pushes them. The slot is taken as
+        ``then``: a :class:`~repro.sim.resources.Hold` of the slot, its
+        entries pushed where the hold pushes them. The slot is taken as
         ``Slots.take`` takes it, or the thread's turn waits for it; a free
         slot with nothing due before the hold ends is held and released in
         place."""
@@ -366,8 +347,9 @@ class FpcThread(Chain):
             pass
 
     def read(self, latency_cycles, issue_cycles, then):
-        """:meth:`mem_read`: charge ``issue_cycles``, then wait out the
-        latency with the slot free, then ``then``."""
+        """Read from a memory ``latency_cycles`` away: charge
+        ``issue_cycles``, then wait out the latency with the issue slot
+        free (another thread may run), then ``then``."""
         self._read = (self.fpc.cycles_to_ns(latency_cycles), then)
         return self.charge(issue_cycles, FpcThread._read_wait)
 
@@ -400,21 +382,12 @@ class Fpc:
         self._threads.append(thread)
         return thread
 
-    def spawn(self, program_factory, name=None):
-        """Start a generator program on a fresh hardware thread.
-
-        ``program_factory(thread)`` must return a generator. Raises when
-        all 8 thread contexts are taken.
-        """
-        thread = self._thread(name)
-        thread.process = self.sim.process(program_factory(thread), name=thread.name)
-        return thread
-
     def run(self, first, name=None, guard=None):
         """Start a :class:`Chain` program on a fresh hardware thread: its
         first step ``first(thread, None)`` runs at the start entry.
         ``guard(resume)``, if given, wraps the thread's resume (the
-        sanitizer's owner token)."""
+        sanitizer's owner token). Raises when all thread contexts are
+        taken."""
         thread = self._thread(name)
         thread.wrap(guard)
         return thread.start(first)

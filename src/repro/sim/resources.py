@@ -273,7 +273,7 @@ class Slots:
 
 class Hold(Event):
     """One of ``slots`` held for ``ns`` by the running process, as the one
-    event it yields (``yield thread.compute(cycles)``). It fires when the
+    event it yields (``yield core.run(cycles)``). It fires when the
     hold ends; its first callback charges ``cycles`` (of ``category``, if
     any) to ``slots`` and hands the slot on, then the holder resumes: the
     order of a process that requested, slept and released, each step taken

@@ -11,7 +11,7 @@ from repro.analysis.report import PASS_HB, Finding, render_json, render_text
 
 #: What each pass checks over the package: builtin XDP programs (twice),
 #: stage-touched connection-state fields, and ``.py`` files.
-CHECKED = {"hb-race": 30, "sim-process": 118, "xdp-deadcode": 6, "xdp-verifier": 6}
+CHECKED = {"hb-race": 30, "sim-process": 119, "xdp-deadcode": 6, "xdp-verifier": 6}
 
 
 def _finding(code="hb-race", path="/a/src/repro/flextoe/stages.py", line=10, message="m"):

@@ -1,28 +1,33 @@
-"""ARP on a baseline host (``BaselineHost._resolve`` / ``_handle_arp``):
-testbeds seed ARP tables, so only a host built without
-``Testbed.seed_all_arp()`` resolves — its request is the switch's one
-broadcast, flooded to every other port in one dispatch."""
+"""ARP on a host (``repro.host.arp.ArpResolver``, the one resolver of the
+baseline hosts and the FlexTOE control plane): testbeds seed ARP tables,
+so only a host built without ``Testbed.seed_all_arp()`` resolves — its
+request is the switch's one broadcast, flooded to every other port in
+one dispatch."""
 
 import pytest
 
-from repro.baselines import add_linux_host
-from repro.harness import Testbed
+from repro.harness import Testbed, build_host
 from repro.libtoe.errors import ConnectRefusedError
 
 ABSENT_IP = 0x0A0000FE
 
 
-def _unseeded_pair():
+def _unseeded_pair(stack="linux"):
     bed = Testbed(seed=3)
-    server = add_linux_host(bed, "server")
-    client = add_linux_host(bed, "client")
+    server = build_host(bed, stack, "server")
+    client = build_host(bed, stack, "client")
     return bed, server, client
+
+
+def _arp_table(host):
+    """A FlexTOE host resolves in its control plane."""
+    return getattr(host, "control_plane", host).arp.table
 
 
 def test_connect_resolves_through_the_switch_flood():
     bed, server, client = _unseeded_pair()
     server_ctx, client_ctx = server.new_context(), client.new_context()
-    assert not client.arp_table and not server.arp_table
+    assert not _arp_table(client) and not _arp_table(server)
 
     def server_app():
         listener = server_ctx.listen(7000)
@@ -38,12 +43,13 @@ def test_connect_resolves_through_the_switch_flood():
     bed.sim.process(server_app())
     assert bed.sim.run(until=bed.sim.process(client_app())) == b"ping"
     assert bed.switch.flooded == 1  # the request; the reply is unicast
-    assert client.arp_table == {server.ip: server.mac}
-    assert server.arp_table == {client.ip: client.mac}
+    assert _arp_table(client) == {server.ip: server.mac}
+    assert _arp_table(server) == {client.ip: client.mac}
 
 
-def test_an_absent_address_is_refused_after_the_arp_timeout():
-    bed, _server, client = _unseeded_pair()
+@pytest.mark.parametrize("stack", ["linux", "flextoe"])
+def test_an_absent_address_is_refused_after_the_arp_timeout(stack):
+    bed, _server, client = _unseeded_pair(stack)
     ctx = client.new_context()
     outcome = []
 
@@ -58,7 +64,7 @@ def test_an_absent_address_is_refused_after_the_arp_timeout():
     (elapsed, message), = outcome
     assert 5_000_000 <= elapsed < 5_100_000  # the 5 ms timeout, after the socket call's cycles
     assert "ARP resolution failed" in message
-    assert bed.switch.flooded == 1 and ABSENT_IP not in client.arp_table
+    assert bed.switch.flooded == 1 and ABSENT_IP not in _arp_table(client)
 
 
 @pytest.mark.parametrize("seeded", [False, True])

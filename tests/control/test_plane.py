@@ -44,7 +44,7 @@ def test_dynamic_arp_resolution():
     bed, server, client = build()
     results = run_echo_once(bed, server, client)
     assert results.get("reply") == b"ping"
-    assert server.ip in client.control_plane.arp_table
+    assert server.ip in client.control_plane.arp.table
 
 
 def test_connect_to_closed_port_is_refused():

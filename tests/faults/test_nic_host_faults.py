@@ -56,14 +56,14 @@ def test_mmio_delay_chains_after_prior_hook():
 def test_queue_backpressure_saves_and_restores_capacity():
     bed, host = one_host_bed()
     rings = [host.nic.datapath.dma_ring]
-    before = [ring.store.capacity for ring in rings]
+    before = [ring.capacity for ring in rings]
     bed.install_fault_plan(
         FaultPlan("p").add(QueueBackpressure(ring="dma", capacity=1, duration_ns=1_000_000))
     )
     bed.sim.run(until=10)
-    assert [ring.store.capacity for ring in rings] == [1]
+    assert [ring.capacity for ring in rings] == [1]
     bed.sim.run(until=2_000_000)
-    assert [ring.store.capacity for ring in rings] == before
+    assert [ring.capacity for ring in rings] == before
 
 
 def test_state_cache_evict_flushes_every_group():

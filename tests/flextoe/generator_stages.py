@@ -42,9 +42,28 @@ from repro.flextoe.module import ACTION_DROP, ACTION_PASS, ACTION_REDIRECT, ACTI
 from repro.flextoe.scheduler import INTERVAL_Q8_SHIFT
 from repro.flextoe.stages import now_us
 from repro.flextoe.state import atomic_add, proto_hints
+from repro.nfp.fpc import ISSUE_CYCLES
 from repro.nfp.memory import LAT_IMEM, LAT_LMEM
 from repro.proto.tcp import FLAG_ACK, FLAG_ECE, FLAG_FIN, FLAG_PSH, TcpOptions
 from repro.sim import Interrupt, Timeout
+from repro.sim.resources import Hold
+
+
+def compute(thread, cycles):
+    """The event of executing ``cycles`` instructions on ``thread``'s FPC,
+    holding its issue slot; the program yields it at once. No cycles wait
+    for nothing."""
+    fpc = thread.fpc
+    if cycles <= 0:
+        return fpc.sim._passed()
+    return Hold(fpc.issue_slot, fpc.cycles_to_ns(cycles), cycles)
+
+
+def mem_read(thread, latency_cycles, issue_cycles=ISSUE_CYCLES):
+    """Read from a memory ``latency_cycles`` away: brief issue, then the
+    wait with the issue slot released (another thread may run)."""
+    yield compute(thread, issue_cycles)
+    yield thread.sim.timeout(thread.fpc.cycles_to_ns(latency_cycles))
 
 
 class PreStage(stages.PreStage):
@@ -65,7 +84,7 @@ class PreStage(stages.PreStage):
         dp = self.dp
         verdict = yield from self._admit_rx(thread, work)
         if verdict == ACTION_PASS:
-            yield thread.compute(PRE_STEER)
+            yield compute(thread, PRE_STEER)
             dp.rx_gro.offer(work)
             return
         dp.rx_gro.skip(work.pipeline_seq)
@@ -79,12 +98,12 @@ class PreStage(stages.PreStage):
         dp = self.dp
         frame = work.frame
         trace = dp.tracepoints
-        yield thread.compute(PRE_VALIDATE + trace.hit(dp.sim.now, "pre", "rx.segment"))
+        yield compute(thread, PRE_VALIDATE + trace.hit(dp.sim.now, "pre", "rx.segment"))
         if dp.capture is not None:
-            yield thread.compute(dp.capture.cost_cycles(frame))
+            yield compute(thread, dp.capture.cost_cycles(frame))
             dp.capture.capture(dp.sim.now, "rx", frame)
         if dp.ingress_modules is not None and len(dp.ingress_modules):
-            yield thread.compute(dp.ingress_modules.total_cost)
+            yield compute(thread, dp.ingress_modules.total_cost)
             action = dp.ingress_modules.run(frame, work)
             if action != ACTION_PASS:
                 return action
@@ -101,15 +120,15 @@ class PreStage(stages.PreStage):
                 self.id_cache.invalidate(four)
                 hit = False
         if not hit:
-            yield from thread.mem_read(LAT_IMEM)
+            yield from mem_read(thread, LAT_IMEM)
             found, conn_index, _probes = dp.lookup_engine.lookup(four)
-            yield thread.compute(PRE_IDENTIFY)
+            yield compute(thread, PRE_IDENTIFY)
             if not found:
                 return ACTION_REDIRECT
             self.id_cache.insert(four, conn_index)
         if self._identify(work, conn_index) is None:
             return ACTION_REDIRECT
-        yield thread.compute(PRE_SUMMARY)
+        yield compute(thread, PRE_SUMMARY)
         tcp = frame.tcp
         work.summary = HeaderSummary(
             seq=tcp.seq,
@@ -129,17 +148,17 @@ class PreStage(stages.PreStage):
         if record is None:
             return
         grant = yield dp.ctm_pool.request()
-        yield thread.compute(TX_ALLOC)
-        yield thread.compute(TX_HEADER)
+        yield compute(thread, TX_ALLOC)
+        yield compute(thread, TX_HEADER)
         work.frame = dp.make_segment(record)
         work.frame.set_meta("ctm_grant", grant)
-        yield thread.compute(PRE_STEER)
+        yield compute(thread, PRE_STEER)
         yield dp.proto_rings[work.flow_group].put(work)
 
     def _handle_hc(self, thread, work):
         dp = self.dp
         record = self._identify(work, work.hc.conn_index)
-        yield thread.compute(PRE_STEER + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
+        yield compute(thread, PRE_STEER + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
         if record is None or not record.active:
             dp.retire(work)
             return
@@ -179,10 +198,10 @@ class ProtocolStage(stages.ProtocolStage):
             return
         latency, issue = self.state_cache.access(work.conn_index)
         if latency > LAT_LMEM:
-            yield from thread.mem_read(latency, issue_cycles=2 + issue)
+            yield from mem_read(thread, latency, 2 + issue)
             extra = trace.hit(dp.sim.now, "proto", "proto.state_miss")
             if extra:
-                yield thread.compute(extra)
+                yield compute(thread, extra)
         state = record.proto
         if work.kind == WORK_RX:
             yield from self._process_rx(thread, work, state)
@@ -194,7 +213,7 @@ class ProtocolStage(stages.ProtocolStage):
             yield from self._process_hc(thread, work, state)
         extra = trace.hit(dp.sim.now, "proto", "proto.critical_section")
         if extra:
-            yield thread.compute(extra)
+            yield compute(thread, extra)
         self.processed[work.kind] += 1
         yield dp.post_rings[self.flow_group].put(work)
 
@@ -212,7 +231,7 @@ class ProtocolStage(stages.ProtocolStage):
         if snapshot.fast_retransmit:
             cycles += PROTO_FAST_RETRANSMIT
             cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
-        yield thread.compute(cycles)
+        yield compute(thread, cycles)
         if (
             snapshot.send_ack
             and dp.config.delayed_ack_segments > 1
@@ -234,11 +253,11 @@ class ProtocolStage(stages.ProtocolStage):
         trace = dp.tracepoints
         result = proto_logic.process_tx(state, dp.config.mss)
         dp.observer.proto_changed(work.conn_index, state)
-        yield thread.compute(TX_SEQ)
+        yield compute(thread, TX_SEQ)
         if result is None:
             extra = trace.hit(dp.sim.now, "proto", "tx.stale_trigger")
             if extra:
-                yield thread.compute(extra)
+                yield compute(thread, extra)
             dp.retire(work)
             dp.scheduler.fs_update(work.conn_index, state.flight_limit())
             return False
@@ -259,7 +278,7 @@ class ProtocolStage(stages.ProtocolStage):
         dp = self.dp
         snapshot = work.snapshot = proto_logic.process_hc(state, work.hc)
         dp.observer.proto_changed(work.conn_index, state)
-        yield thread.compute(HC_WINDOW_UPDATE)
+        yield compute(thread, HC_WINDOW_UPDATE)
         if snapshot.send_ack:
             snapshot.nbi_seq = dp.nbi_seqr.assign(work)
 
@@ -334,7 +353,7 @@ class PostStage(stages.PostStage):
             cycles += POST_POSITION
             work.tx_offset = snapshot.tx.stream_pos % post.tx_size
             work.tx_len = snapshot.tx.length
-        yield thread.compute(cycles)
+        yield compute(thread, cycles)
         if work.hc is not None:
             dp.release_descriptor(work)
         return bool(
@@ -361,7 +380,7 @@ class DmaStage(stages.DmaStage):
             payload = work.rx_trimmed_payload
             turn = dp.dma_rx_fence.enter(record)
             if payload:
-                yield thread.compute(DMA_ISSUE)
+                yield compute(thread, DMA_ISSUE)
                 if not record.active:
                     dp.retire(work)
                     turn.leave()
@@ -391,7 +410,7 @@ class DmaStage(stages.DmaStage):
                 dp.nbi_gro.offer(ack_frame)
             turn.leave()
         elif work.kind == WORK_TX:
-            yield thread.compute(DMA_ISSUE)
+            yield compute(thread, DMA_ISSUE)
             parts = []
             events = []
             for offset, length in self._split_wrap(work.tx_offset, work.tx_len, post.tx_size):
@@ -426,7 +445,7 @@ class NbiStage(stages.NbiStage):
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
             if dp.capture is not None:
-                yield thread.compute(dp.capture.cost_cycles(frame))
+                yield compute(thread, dp.capture.cost_cycles(frame))
                 dp.capture.capture(dp.sim.now, "tx", frame)
             self.transmitted += 1
             dp.mac.transmit(frame)
@@ -445,7 +464,7 @@ class CtxStage(stages.CtxStage):
             serial = None
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
-            yield thread.compute(CTX_NOTIFY)
+            yield compute(thread, CTX_NOTIFY)
             pair = dp.contexts.get(notification.context_id)
             yield dp.dma.issue(1, 32)
             if turn.blocked():
@@ -463,8 +482,8 @@ class CtxStage(stages.CtxStage):
     def atx_program(self, thread):
         dp = self.dp
         while True:
-            yield dp.pcie.wait_doorbell("hc")
-            yield thread.compute(CTX_DOORBELL_POLL)
+            yield dp.pcie.wait_doorbell()
+            yield compute(thread, CTX_DOORBELL_POLL)
             dp.tracepoints.hit(dp.sim.now, "ctx", "hc.doorbell")
             progress = True
             while progress:
@@ -512,7 +531,7 @@ class CarouselScheduler(scheduler.CarouselScheduler):
             entry.queued = False
             if entry.deficit <= 0:
                 continue
-            yield thread.compute(SCHED_DEQUEUE)
+            yield compute(thread, SCHED_DEQUEUE)
             burst = min(self.mss, entry.deficit)
             entry.deficit -= burst
             self.triggers_issued += 1
@@ -536,7 +555,7 @@ class ProcessDelivery(seqr.ReorderBuffer):
     def delivery_program(self):
         while True:
             while self._outbox:
-                self._deliver(self._outbox.popleft())
+                self.output(self._outbox.popleft())
             self._wake = self.sim.event()
             yield self._wake
 
@@ -566,8 +585,8 @@ class Datapath(datapath.FlexToeDatapath):
         if fpc not in fpcs:
             fpcs.append(fpc)
         program = getattr(program.__self__, program.__name__)
-        thread = fpc.spawn(lambda thread: self._killable(program(thread)), name=name)
-        self.chains.append(thread.process)
+        thread = fpc._thread(name)
+        self.chains.append(self.sim.process(self._killable(program(thread)), name=thread.name))
         return thread
 
     def _spawn_gro_delivery(self, gro, name, stage_kind):

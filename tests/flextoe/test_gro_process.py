@@ -27,7 +27,7 @@ def make_work(seqr):
 def test_process_delivery_defers_to_the_delivery_process():
     sim = Simulator()
     out = []
-    rob = ReorderBuffer(sim, output_fn=out.append)
+    rob = ReorderBuffer(sim, out.append)
     rob.deliver_by(Chain(sim, "gro-deliver"))
     seqr = Sequencer()
     works = [make_work(seqr) for _ in range(4)]
@@ -46,7 +46,7 @@ def test_process_delivery_defers_to_the_delivery_process():
 def test_process_delivery_preserves_permutation_order():
     sim = Simulator()
     out = []
-    rob = ReorderBuffer(sim, output_fn=out.append)
+    rob = ReorderBuffer(sim, out.append)
     rob.deliver_by(Chain(sim, "gro-deliver"))
     seqr = Sequencer()
     works = [make_work(seqr) for _ in range(8)]
@@ -89,7 +89,7 @@ def test_gro_delivery_runs_under_gro_sanitizer_token():
             with pytest.raises(sanitizer.SanitizerError, match="only the atomic protocol stage"):
                 state.ack = 1
 
-        rob = ReorderBuffer(sim, output_fn=deliver)
+        rob = ReorderBuffer(sim, deliver)
         chain = Chain(sim, "gro-deliver")
         chain.wrap(lambda resume: sanitizer.guard(resume, "gro"))
         rob.deliver_by(chain)

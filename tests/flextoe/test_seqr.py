@@ -26,7 +26,7 @@ def test_sequencer_is_dense():
 def test_in_order_passthrough():
     sim = Simulator()
     out = []
-    rob = ReorderBuffer(sim, output_fn=out.append)
+    rob = ReorderBuffer(sim, out.append)
     seqr = Sequencer()
     for _ in range(5):
         rob.offer(make_work(seqr))
@@ -37,7 +37,7 @@ def test_in_order_passthrough():
 def test_out_of_order_buffered_and_released():
     sim = Simulator()
     out = []
-    rob = ReorderBuffer(sim, output_fn=out.append)
+    rob = ReorderBuffer(sim, out.append)
     seqr = Sequencer()
     works = [make_work(seqr) for _ in range(4)]
     rob.offer(works[2])
@@ -57,7 +57,7 @@ def test_out_of_order_buffered_and_released():
 def test_skip_unblocks_stream():
     sim = Simulator()
     out = []
-    rob = ReorderBuffer(sim, output_fn=out.append)
+    rob = ReorderBuffer(sim, out.append)
     seqr = Sequencer()
     works = [make_work(seqr) for _ in range(3)]
     rob.offer(works[1])
@@ -70,7 +70,7 @@ def test_skip_unblocks_stream():
 def test_skip_already_released_is_noop():
     sim = Simulator()
     out = []
-    rob = ReorderBuffer(sim, output_fn=out.append)
+    rob = ReorderBuffer(sim, out.append)
     seqr = Sequencer()
     work = make_work(seqr)
     rob.offer(work)
@@ -80,7 +80,7 @@ def test_skip_already_released_is_noop():
 
 def test_duplicate_sequence_rejected():
     sim = Simulator()
-    rob = ReorderBuffer(sim, output_fn=lambda w: None)
+    rob = ReorderBuffer(sim, lambda w: None)
     seqr = Sequencer()
     work = make_work(seqr)
     rob.offer(work)
@@ -90,7 +90,7 @@ def test_duplicate_sequence_rejected():
 
 def test_unsequenced_work_rejected():
     sim = Simulator()
-    rob = ReorderBuffer(sim, output_fn=lambda w: None)
+    rob = ReorderBuffer(sim, lambda w: None)
     with pytest.raises(ValueError):
         rob.offer(make_work())
 
@@ -101,7 +101,7 @@ def test_any_permutation_with_drops_releases_in_order(order, drops):
     out in strictly ascending sequence and nothing is lost."""
     sim = Simulator()
     out = []
-    rob = ReorderBuffer(sim, output_fn=out.append)
+    rob = ReorderBuffer(sim, out.append)
     works = {}
     seqr = Sequencer()
     for _ in range(12):
@@ -116,12 +116,12 @@ def test_any_permutation_with_drops_releases_in_order(order, drops):
     assert released == sorted(set(range(12)) - drops)
 
 
-def test_output_ring_force_put_when_full():
-    from repro.nfp.queues import ClsRing
+def test_a_ring_output_grows_past_its_capacity():
+    from repro.nfp.queues import Ring
 
     sim = Simulator()
-    ring = ClsRing(sim, capacity=2)
-    rob = ReorderBuffer(sim, output_ring=ring)
+    ring = Ring(sim, capacity=2)
+    rob = ReorderBuffer(sim, ring.force_put)
     seqr = Sequencer()
     for _ in range(5):
         rob.offer(make_work(seqr))

@@ -97,6 +97,9 @@ def transcript(oracle, structure, sizes, crash_ns):
 # A crash mid-transfer in each structure: the rebooted NIC's chains finish it.
 @example("pipelined", [3000, 64, 2500], 15_000)
 @example("run-to-completion", [1500, 900], 25_000)
+# The crash kills the worker holding the serial lock, two ctx threads
+# queued on it: the kill releases the grant (the process's ``finally``).
+@example("run-to-completion", [1500, 900], 13_000)
 def test_chains_dispatch_what_their_processes_dispatched(structure, sizes, crash_ns):
     if sanitizer.maybe_install_from_env():
         pytest.skip("the sanitizer checks the kernel's pop by its frame, which the transcript hooks")

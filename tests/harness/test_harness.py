@@ -38,8 +38,8 @@ def test_seed_all_arp_covers_every_host():
     a = bed.add_flextoe_host("a")
     b = bed.add_flextoe_host("b")
     bed.seed_all_arp()
-    assert b.ip in a.control_plane.arp_table
-    assert a.ip in b.control_plane.arp_table
+    assert b.ip in a.control_plane.arp.table
+    assert a.ip in b.control_plane.arp.table
 
 
 def test_contexts_get_unique_ids():

@@ -33,15 +33,17 @@ from repro.sim.resources import ResourceRequest
 RPCS = 64
 SIZE = 64
 #: Python + C calls per warm 64-byte echo RPC, both hosts, everything the
-#: simulator runs in that time included: reads 3 431.02 (4 644.12 with the
-#: data path's FPC programs as generator processes, 4 647.16 with
-#: the queue spilled to the heap once a heap entry sorts first, 4 757.67
-#: with wakes and puts run in place instead of queued, 5 008.28 with every put
-#: pushed, 5 040.09 with every wake pushed too, 5 117.34 with a start step
+#: simulator runs in that time included: reads 3 405.02 (3 431.02 with a
+#: wrapper object around each ring's store, a doorbell looked up by key per
+#: post and per wait, and a reorder buffer choosing between two outputs,
+#: 4 644.12 with the data path's FPC programs as generator processes,
+#: 4 647.16 with the queue spilled to the heap once a heap entry sorts
+#: first, 4 757.67 with wakes and puts run in place instead of queued,
+#: 5 008.28 with every put pushed, 5 040.09 with every wake pushed too, 5 117.34 with a start step
 #: per DMA op too, 5 352.13 with the wire as timeouts and processes,
 #: 6 530.08 with the engines as processes too); the bound is that reading
 #: + 0.5 %, rounded down.
-CALLS_PER_RPC = 3448
+CALLS_PER_RPC = 3422
 #: Events dispatched per warm echo RPC: reads 61.12 (62.47 with the queue
 #: spilled to the heap once a heap entry sorts first, 159.22 with every
 #: entry for now pushed but in-place wakes and puts, 191.22 with every put

@@ -62,11 +62,11 @@ def test_doorbell_wakes_waiter_after_mmio_delay():
     woke = []
 
     def nic_side(sim):
-        yield pcie.wait_doorbell("ctx0")
+        yield pcie.wait_doorbell()
         woke.append(sim.now)
 
     sim.process(nic_side(sim))
-    pcie.ring("ctx0")
+    pcie.ring()
     sim.run()
     assert woke == [MMIO_WRITE_NS]
 
@@ -75,11 +75,11 @@ def test_doorbell_pending_ring_consumed_immediately():
     sim = Simulator()
     pcie = PcieBlock(sim)
     woke = []
-    pcie.ring("ctx0")
+    pcie.ring()
 
     def nic_side(sim):
         yield sim.timeout(10_000)
-        yield pcie.wait_doorbell("ctx0")
+        yield pcie.wait_doorbell()
         woke.append(sim.now)
 
     sim.process(nic_side(sim))
@@ -93,15 +93,15 @@ def test_each_ring_wakes_one_waiter():
     woke = []
 
     def nic_side(sim, name):
-        yield pcie.wait_doorbell("ctx0")
+        yield pcie.wait_doorbell()
         woke.append(name)
 
     sim.process(nic_side(sim, "a"))
     sim.process(nic_side(sim, "b"))
-    pcie.ring("ctx0")
+    pcie.ring()
     sim.run()
     assert woke == ["a"]
-    pcie.ring("ctx0")
+    pcie.ring()
     sim.run()
     assert sorted(woke) == ["a", "b"]
 

@@ -1,10 +1,10 @@
-"""CAM, hash lookup engine, rings, work queues, memory."""
+"""CAM, hash lookup engine, rings (CLS and work queues alike), memory."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nfp import Cam, ClsRing, HashLookupEngine, WorkQueue
+from repro.nfp import Cam, HashLookupEngine, Ring
 from repro.nfp.memory import MEM_CLS, MEM_EMEM, MemoryLevel
 from repro.sim import Simulator
 
@@ -96,7 +96,7 @@ def test_lookup_engine_update_in_place():
 
 def test_cls_ring_fifo():
     sim = Simulator()
-    ring = ClsRing(sim, capacity=4)
+    ring = Ring(sim, capacity=4)
     got = []
 
     def producer(sim):
@@ -117,7 +117,7 @@ def test_cls_ring_fifo():
 
 def test_work_queue_multiple_consumers_drain_everything():
     sim = Simulator()
-    queue = WorkQueue(sim)
+    queue = Ring(sim)
     drained = []
 
     def consumer(sim, name):

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 from repro.host import CpuCore
 from repro.host.cpu import CAT_OTHER, CATEGORIES, CycleAccounting
 from repro.nfp import DmaEngine, Fpc
-from repro.nfp.fpc import FpcThread
 from repro.sim import Event, Interrupt, Process, Resource, Simulator
 from repro.sim.clock import CYCLES_2GHZ, CYCLES_800MHZ
-from repro.sim.resources import ResourceRequest
+from repro.sim.resources import Hold, ResourceRequest
 from tests.sim.drives import DRIVES, unmarked
 
 # -- the reference: the engines as processes ---------------------------------
@@ -96,10 +95,6 @@ class RefThread:
         yield fpc.sim.timeout(fpc.cycles_to_ns(cycles))
         fpc.busy_cycles += cycles
         grant.release()
-
-    def mem_read(self, latency_cycles, issue_cycles=2):
-        yield from self.compute(issue_cycles)
-        yield self.sim.timeout(self.fpc.cycles_to_ns(latency_cycles))
 
 
 class RefCore:
@@ -184,7 +179,6 @@ class Engines:
             self.dma = RefDma(sim, **self.DMA)
         else:
             self.fpcs = [Fpc(sim, "fpc%d" % i) for i in range(2)]
-            self.threads = [FpcThread(fpc, 0) for fpc in self.fpcs]
             self.cores = [CpuCore(sim, "core%d" % i) for i in range(2)]
             self.dma = DmaEngine(sim, **self.DMA)
         rng = random.Random(seed)
@@ -197,17 +191,23 @@ class Engines:
 
         self.dma.fault_hook = flaky
 
-    def compute(self, index, cycles):
-        thread = self.threads[index]
+    def hold(self, index, cycles):
+        """What an FPC thread's ``charge`` holds: its issue slot."""
         if self.reference:
-            yield from thread.compute(cycles)
-        else:
-            yield thread.compute(cycles)
+            yield from self.threads[index].compute(cycles)
+        elif cycles > 0:
+            fpc = self.fpcs[index]
+            yield Hold(fpc.issue_slot, fpc.cycles_to_ns(cycles), cycles)
+
+    def compute(self, index, cycles):
+        yield from self.hold(index, cycles)
         return ("computed", index, self.fpcs[index].busy_cycles)
 
-    def mem_read(self, index, latency, issue):
-        yield from self.threads[index].mem_read(latency, issue_cycles=issue)
-        return ("read", index, self.fpcs[index].busy_cycles)
+    def read(self, index, latency, issue):
+        fpc = self.fpcs[index]
+        yield from self.hold(index, issue)
+        yield fpc.sim.timeout(fpc.cycles_to_ns(latency))
+        return ("read", index, fpc.busy_cycles)
 
     def run(self, index, cycles, category):
         core = self.cores[index]
@@ -278,7 +278,7 @@ def transcript(reference, program, sentinel_ops, drive, slices=(), seed=0):
         if kind == "compute":
             return (yield from engines.compute(op[1], op[2]))
         if kind == "mem":
-            return (yield from engines.mem_read(op[1], op[2], op[3]))
+            return (yield from engines.read(op[1], op[2], op[3]))
         if kind == "run":
             return (yield from engines.run(op[1], op[2], op[3]))
         if kind == "dma":

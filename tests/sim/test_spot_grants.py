@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import SanitizerError
 from repro.nfp import Fpc
 from repro.sim import Resource, SimulationError, Simulator, Store, Timeout
+from repro.sim.resources import Hold
 from tests.sim.drives import DRIVES, unmarked
 from tests.sim.test_same_instant_queue import CountingQueue
 
@@ -146,11 +147,11 @@ def test_an_uncontended_issue_slot_costs_no_event():
     sim = Simulator()
     fpc = Fpc(sim, "fpc0")
 
-    def program(thread):
-        yield thread.compute(8)
-        yield thread.compute(8)
+    def program():
+        yield Hold(fpc.issue_slot, fpc.cycles_to_ns(8), 8)
+        yield Hold(fpc.issue_slot, fpc.cycles_to_ns(8), 8)
 
-    fpc.spawn(program)
+    sim.process(program())
     sim.run()
     # The start only: both slot grants and both compute sleeps on the spot.
     assert sim.processed_events == 1 and sim.now == 20
@@ -280,11 +281,11 @@ def test_a_hold_not_yielded_next_raises_under_the_sanitizer(sanitized):
     sim = Simulator()
     fpc = Fpc(sim, "fpc0")
 
-    def idler(thread):
-        thread.compute(8)  # held, slept and released on the spot, then left unyielded
+    def idler():
+        Hold(fpc.issue_slot, fpc.cycles_to_ns(8), 8)  # held, slept and released on the spot, then left unyielded
         yield Timeout(sim, 1)
 
-    fpc.spawn(idler, name="idler")
+    sim.process(idler(), name="idler")
     with pytest.raises(SanitizerError, match="'idler' took .* on the spot but yielded something else"):
         sim.run()
 

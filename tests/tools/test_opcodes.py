@@ -4,7 +4,7 @@ heap pushes through the judge's kernel hooks and process resumes by program
 
 from perf import workloads
 from repro.nfp import Fpc
-from repro.nfp.fpc import Chain, FpcThread
+from repro.nfp.fpc import Chain
 from repro.sim import Simulator, Timeout
 from repro.sim.resources import Hold, Slots
 from tests.tools.judge import ROOT, KernelHooks
@@ -44,11 +44,11 @@ def test_an_event_is_named_by_the_last_process_it_resumes():
     # A hold's end charges and hands on its slot before the holder
     # resumes: it is named by where the holder waits, not by that step.
     sim = Simulator()
-    thread = FpcThread(Fpc(sim, "fpc0"), 0)
+    fpc = Fpc(sim, "fpc0")
     Timeout(sim, 5)  # due before the hold would end: the end is pushed
 
     def program():
-        yield thread.compute(8)
+        yield Hold(fpc.issue_slot, fpc.cycles_to_ns(8), 8)
 
     sim.process(program())
     sim.run(until=0)
