@@ -69,7 +69,7 @@ class EchoBench:
     ):
         self.bed = Testbed(seed=seed, **(switch_kwargs or {}))
         if loss is not None:
-            self.bed.switch.loss = loss(self.bed.rng.stream("loss"))
+            self.bed.switch.faults = loss(self.bed.rng.stream("loss"))
         self.server_stack = server_stack
         self.server = add_server(
             self.bed, server_stack, n_cores=20, pipeline_config=pipeline_config, cp_kwargs=cp_kwargs

@@ -1,8 +1,11 @@
 """Baseline TCP stacks: Linux, TAS, and the Chelsio Terminator TOE.
 
-All three share one software TCP engine (:mod:`repro.baselines.engine`)
-that speaks the same wire format as FlexTOE over the simulated network;
-a *personality* parameterizes what differs in the paper's analysis:
+All three are one :class:`BaselineHost` over one software TCP engine
+(:mod:`repro.baselines.engine`) that speaks the same wire format as
+FlexTOE over the simulated network; a :class:`Personality` record
+(``LINUX``, ``TAS``, ``CHELSIO``) holds what differs in the paper's
+analysis — its cycle costs, its engine's TCP rules, and where protocol
+work runs:
 
 * **Linux** — in-kernel: syscall/driver/kernel cycle costs (Table 1),
   a coarse kernel lock that throttles multi-core scaling (Fig 9),
@@ -17,20 +20,31 @@ a *personality* parameterizes what differs in the paper's analysis:
 """
 
 from repro.baselines.engine import HostTcpEngine, TcpEngineConfig
-from repro.baselines.stack import BaselineContext, BaselineHost, BaselineSocket
-from repro.baselines.linux import LinuxPersonality, add_linux_host
-from repro.baselines.tas import TasPersonality, add_tas_host
-from repro.baselines.chelsio import ChelsioPersonality, add_chelsio_host
+from repro.baselines.stack import (
+    CHELSIO,
+    LINUX,
+    TAS,
+    BaselineContext,
+    BaselineHost,
+    BaselineSocket,
+    Personality,
+    add_baseline_host,
+    add_chelsio_host,
+    add_linux_host,
+    add_tas_host,
+)
 
 __all__ = [
     "BaselineContext",
     "BaselineHost",
     "BaselineSocket",
-    "ChelsioPersonality",
+    "CHELSIO",
     "HostTcpEngine",
-    "LinuxPersonality",
-    "TasPersonality",
+    "LINUX",
+    "Personality",
+    "TAS",
     "TcpEngineConfig",
+    "add_baseline_host",
     "add_chelsio_host",
     "add_linux_host",
     "add_tas_host",

@@ -1,52 +1,75 @@
-"""Baseline stack plumbing: NIC delivery, cycle charging, socket API.
+"""Baseline stacks: one host model under a per-stack personality.
 
-A :class:`BaselineHost` runs one personality's TCP on a machine. Its
-:class:`BaselineContext`/:class:`BaselineSocket` expose the same
-generator API as libTOE, so applications (echo, Memcached, RPC clients)
-run unmodified on any stack.
+A :class:`BaselineHost` runs one :class:`Personality`'s TCP on a
+machine. Its :class:`BaselineContext`/:class:`BaselineSocket` expose the
+same generator API as libTOE, so applications (echo, Memcached, RPC
+clients) run unmodified on any stack. :func:`add_baseline_host` builds
+every baseline host; ``add_linux_host``/``add_tas_host``/
+``add_chelsio_host`` name the three personalities.
 """
 
 import random
 import zlib
-from collections import deque
+from collections import deque, namedtuple
 
-from repro.baselines.engine import HostTcpEngine
+from repro.baselines.costs import CHELSIO_COSTS, LINUX_COSTS, TAS_COSTS
+from repro.baselines.engine import HostTcpEngine, TcpEngineConfig
 from repro.host import Machine
 from repro.host.arp import ArpResolver
 from repro.host.cpu import CAT_DRIVER, CAT_OTHER, CAT_SOCKETS, CAT_TCP
 from repro.libtoe.errors import ConnectRefusedError, ToeError
 from repro.sim import Resource, Store
 
+#: Where a personality's protocol work runs.
+KERNEL = "kernel"  # host cores; TCP serialized by a coarse kernel lock
+FAST_PATH = "fast-path"  # dedicated fast-path cores, no lock
+TOE = "toe"  # the NIC; the host's TOE driver runs under the kernel lock
 
-class Personality:
-    """What differs between Linux / TAS / Chelsio (see subclasses)."""
+#: Softirq workers draining a kernel-driven stack's receive queue (a
+#: fast path runs one per fast-path core).
+KERNEL_RX_WORKERS = 4
+#: The hardwired TOE's concurrent segments and service time per segment.
+TOE_CAPACITY = 16
+TOE_SERVICE_NS = 100
 
-    name = "base"
+#: What differs between the baseline stacks: a name, host cycle costs,
+#: the engine's TCP rules, where protocol work runs (``runs_on``) and,
+#: on a fast path, how many of the machine's last cores it claims.
+Personality = namedtuple("Personality", "name costs engine_config runs_on fast_path_cores", defaults=(0,))
 
-    def __init__(self, costs, engine_config):
-        self.costs = costs
-        self.engine_config = engine_config
-        #: Coarse in-kernel lock serializing all TCP work (Linux).
-        self.kernel_lock = False
-        #: Number of machine cores dedicated to the stack fast path
-        #: (TAS); 0 means processing runs on interrupt/app cores.
-        self.dedicated_cores = 0
-        #: TCP processing happens on the NIC (Chelsio TOE).
-        self.nic_tcp = False
-        #: NIC TOE concurrent segment capacity and service time.
-        self.nic_tcp_capacity = 8
-        self.nic_tcp_service_ns = 250
-        #: RX dispatcher parallelism when not using dedicated cores.
-        self.rx_dispatchers = 2
-
-    def charge_rx(self, host, core, frame):
-        """Generator: host cycles for receiving one segment."""
-        costs = self.costs
-        yield core.run(costs.driver_rx, CAT_DRIVER)
-        yield core.run(costs.tcp_rx, CAT_TCP)
-        extra = costs.per_kb_copy * (len(frame.payload) // 1024)
-        if extra:
-            yield core.run(extra, CAT_TCP)
+#: Linux: versatile but bulky (paper §2.1). Full SACK recovery and
+#: unrestricted reassembly make it the most loss-robust stack (Fig 15b),
+#: but syscall overheads, a coarse kernel lock and interrupt wakeup
+#: latency cap its throughput and multi-core scaling (Figs 9/10/16).
+LINUX = Personality(
+    "linux",
+    LINUX_COSTS,
+    TcpEngineConfig(recovery="sack", reassembly="full", delayed_ack_segments=2, rto_ns=2_000_000, min_rto_ns=1_000_000),
+    KERNEL,
+)
+#: TAS (Kaufmann et al.): a protected fast path on dedicated host cores
+#: handles common-case TCP; applications use per-core context queues
+#: without kernel calls. Low per-request cost and good scaling (Figs
+#: 9/14), go-back-N recovery with out-of-order drop (Fig 15).
+TAS = Personality(
+    "tas",
+    TAS_COSTS,
+    TcpEngineConfig(recovery="gbn", reassembly="drop", delayed_ack_segments=1, rto_ns=1_000_000, min_rto_ns=500_000),
+    FAST_PATH,
+    fast_path_cores=4,
+)
+#: Chelsio Terminator: TCP runs in fixed-function NIC hardware, so host
+#: TCP cycles nearly vanish (Table 1) and unidirectional streaming at
+#: 100 Gbps is its strength (Fig 13a). The hardwired engine cannot be
+#: adapted: recovery is RTO-only with a conservative minimum (Fig 15
+#: collapse), reassembly is a single interval, and the kernel-based
+#: driver + epoll dominate RPC cost (Figs 9/11/14).
+CHELSIO = Personality(
+    "chelsio",
+    CHELSIO_COSTS,
+    TcpEngineConfig(recovery="rto_only", reassembly="interval", delayed_ack_segments=2, rto_ns=5_000_000, min_rto_ns=5_000_000),
+    TOE,
+)
 
 
 class Listener:
@@ -199,65 +222,9 @@ class BaselineContext:
         return costs.epoll_base + (costs.epoll_per_conn_milli * n_watched) // 1000
 
 
-class _EngineCallbacks:
-    """Bridges engine events to sockets/contexts/NIC."""
-
-    def __init__(self, host):
-        self.host = host
-
-    def transmit(self, frame):
-        self.host.transmit(frame)
-
-    def syn_to_unknown_port(self, frame):
-        return frame.tcp.dport in self.host.listeners
-
-    def on_connected(self, conn):
-        waiter = self.host.connect_waiters.pop(conn.four_tuple, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(conn)
-
-    def on_accept(self, conn):
-        port = conn.four_tuple[2]
-        listener = self.host.listeners.get(port)
-        if listener is None:
-            self.host.engine.close_silently(conn)
-            return
-        if listener.waiters:
-            # Hand the connection straight to a blocked accept().
-            listener.ready.append(conn)
-            listener.waiters.popleft().succeed()
-        elif len(listener.ready) < listener.backlog:
-            listener.ready.append(conn)
-
-    def _wake_sock(self, conn):
-        sock = self.host.socket_of(conn)
-        if sock is None:
-            return
-        sock.ctx.wake()
-        for epoll in sock.ctx.epolls:
-            epoll.on_event(sock)
-
-    def on_data(self, conn):
-        self._wake_sock(conn)
-
-    def on_tx_space(self, conn):
-        self._wake_sock(conn)
-
-    def on_eof(self, conn):
-        self._wake_sock(conn)
-
-    def on_reset(self, conn):
-        sock = self.host.socket_of(conn)
-        waiter = self.host.connect_waiters.pop(conn.four_tuple, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(None)
-        if sock is not None:
-            sock.reset = True
-            self._wake_sock(conn)
-
-
 class BaselineHost:
-    """A machine running one baseline stack."""
+    """A machine running one baseline stack: the engine's callbacks
+    (``HostTcpEngine``'s ``callbacks`` protocol) are its methods."""
 
     def __init__(self, sim, testbed, name, personality, n_cores=20, **attach_kwargs):
         self.sim = sim
@@ -270,7 +237,7 @@ class BaselineHost:
         self.ip = station.ip
         self.port = station.port
         self.port.receiver = self._on_rx_frame
-        self.engine = HostTcpEngine(self.mac, self.ip, personality.engine_config, _EngineCallbacks(self))
+        self.engine = HostTcpEngine(self.mac, self.ip, personality.engine_config, self)
         self.listeners = {}
         self.connect_waiters = {}
         self._sockets = {}
@@ -283,19 +250,19 @@ class BaselineHost:
         self.jitter_rng = random.Random(0xC0FFEE ^ zlib.crc32(name.encode()))
         self._rx_rr = 0
         self.csum_drops = 0
-        self._kernel_lock = Resource(sim, capacity=1) if personality.kernel_lock else None
-        self._nic_toe = (
-            Resource(sim, capacity=personality.nic_tcp_capacity) if personality.nic_tcp else None
-        )
+        runs_on = personality.runs_on
+        self._kernel_mutex = None if runs_on == FAST_PATH else Resource(sim, capacity=1)
+        self._nic_toe = Resource(sim, capacity=TOE_CAPACITY) if runs_on == TOE else None
         # The hardwired TOE's per-connection engine state serializes RX
         # and TX of one connection (it is optimized for unidirectional
         # streaming, paper §5.2) — one lock per four-tuple.
         self._toe_conn_locks = {}
-        if personality.dedicated_cores:
-            self._fastpath_cores = self.machine.cores[-personality.dedicated_cores :]
+        if runs_on == FAST_PATH:
+            self._fastpath_cores = self.machine.cores[-personality.fast_path_cores :]
+            rx_workers = personality.fast_path_cores
         else:
-            self._fastpath_cores = None
-        for i in range(max(1, personality.rx_dispatchers)):
+            rx_workers = KERNEL_RX_WORKERS
+        for i in range(rx_workers):
             sim.process(self._rx_loop(i), name="{}-rx{}".format(name, i))
         sim.process(self._timer_loop(), name="{}-tcp-timers".format(name))
 
@@ -336,9 +303,6 @@ class BaselineHost:
     def bind_socket(self, conn, sock):
         self._sockets[conn.four_tuple] = sock
 
-    def socket_of(self, conn):
-        return self._sockets.get(conn.four_tuple)
-
     def tcp_send(self, ctx, conn, data):
         """Charge TX protocol cycles, then hand bytes to the engine."""
         accepted = min(len(data), conn.tx_free)
@@ -358,39 +322,30 @@ class BaselineHost:
         yield from self._run_protocol(ctx.core, costs.tcp_tx, conn)
         self.engine.app_close(conn, self.sim.now)
 
-    def _toe_conn_lock(self, four_tuple):
-        lock = self._toe_conn_locks.get(four_tuple)
-        if lock is None:
-            lock = Resource(self.sim, capacity=1)
-            self._toe_conn_locks[four_tuple] = lock
-        return lock
-
     def _toe_process(self, four_tuple, n_segments=1):
         """TOE engine occupancy: per-connection serialized service."""
-        lock = self._toe_conn_lock(four_tuple)
+        lock = self._toe_conn_locks.get(four_tuple)
+        if lock is None:
+            lock = self._toe_conn_locks[four_tuple] = Resource(self.sim, capacity=1)
         grant = yield lock.request()
         toe = yield self._nic_toe.request()
-        yield self.sim.timeout(self.personality.nic_tcp_service_ns * n_segments)
+        yield self.sim.timeout(TOE_SERVICE_NS * n_segments)
         toe.release()
         grant.release()
 
     def _run_protocol(self, core, cycles, conn, len_hint=1):
-        """Run protocol cycles under the personality's concurrency model."""
+        """Run protocol cycles where the personality runs them."""
         if self._nic_toe is not None:
             # TOE: the NIC does protocol work; the host pays the complex
             # TOE driver (buffer management + synchronization, §2.1),
             # which runs under the kernel lock like any driver.
-            if self._kernel_lock is not None:
-                lock = yield self._kernel_lock.request()
-                yield core.run(self.personality.costs.driver_tx, CAT_DRIVER)
-                lock.release()
-            else:
-                yield core.run(self.personality.costs.driver_tx, CAT_DRIVER)
+            lock = yield self._kernel_mutex.request()
+            yield core.run(self.personality.costs.driver_tx, CAT_DRIVER)
+            lock.release()
             segments = -(-max(1, len_hint) // self.engine.config.mss)
             yield from self._toe_process(conn.four_tuple, n_segments=segments)
-            return
-        if self._kernel_lock is not None:
-            grant = yield self._kernel_lock.request()
+        elif self._kernel_mutex is not None:
+            grant = yield self._kernel_mutex.request()
             yield core.run(cycles, CAT_TCP)
             grant.release()
         else:
@@ -428,7 +383,7 @@ class BaselineHost:
             yield from self._process_segment(index, frame)
 
     def _process_segment(self, index, frame):
-        personality = self.personality
+        costs = self.personality.costs
         if self._nic_toe is not None:
             four = (frame.ip.dst, frame.ip.src, frame.tcp.dport, frame.tcp.sport)
             yield from self._toe_process(four)
@@ -436,32 +391,29 @@ class BaselineHost:
             # serialized by the kernel lock.
             self._rx_rr += 1
             core = self.machine.cores[self._rx_rr % len(self.machine.cores)]
-            if self._kernel_lock is not None:
-                lock = yield self._kernel_lock.request()
-                yield core.run(personality.costs.driver_rx, CAT_DRIVER)
-                lock.release()
-            else:
-                yield core.run(personality.costs.driver_rx, CAT_DRIVER)
+            lock = yield self._kernel_mutex.request()
+            yield core.run(costs.driver_rx, CAT_DRIVER)
+            lock.release()
+        elif self._kernel_mutex is None:
+            # The fast path: this worker's own core, no lock.
+            core = self._fastpath_cores[index % len(self._fastpath_cores)]
+            yield core.run(costs.driver_rx, CAT_DRIVER)
+            yield core.run(costs.tcp_rx, CAT_TCP)
+            extra = costs.per_kb_copy * (len(frame.payload) // 1024)
+            if extra:
+                yield core.run(extra, CAT_TCP)
         else:
-            if self._fastpath_cores is not None:
-                core = self._fastpath_cores[index % len(self._fastpath_cores)]
-            else:
-                self._rx_rr += 1
-                app_cores = self.machine.cores
-                core = app_cores[self._rx_rr % len(app_cores)]
-            if self._kernel_lock is not None:
-                # Driver work runs outside the lock; TCP processing
-                # (shared protocol state) serializes under it. GRO
-                # halves the per-segment TCP cost for full segments.
-                costs = personality.costs
-                gro = 2 if len(frame.payload) >= 1024 else 1
-                yield core.run(costs.driver_rx // gro, CAT_DRIVER)
-                grant = yield self._kernel_lock.request()
-                cycles = costs.tcp_rx // gro + costs.per_kb_copy * (len(frame.payload) // 1024)
-                yield core.run(cycles, CAT_TCP)
-                grant.release()
-            else:
-                yield from personality.charge_rx(self, core, frame)
+            self._rx_rr += 1
+            core = self.machine.cores[self._rx_rr % len(self.machine.cores)]
+            # Driver work runs outside the lock; TCP processing (shared
+            # protocol state) serializes under it. GRO halves the
+            # per-segment TCP cost for full segments.
+            gro = 2 if len(frame.payload) >= 1024 else 1
+            yield core.run(costs.driver_rx // gro, CAT_DRIVER)
+            grant = yield self._kernel_mutex.request()
+            cycles = costs.tcp_rx // gro + costs.per_kb_copy * (len(frame.payload) // 1024)
+            yield core.run(cycles, CAT_TCP)
+            grant.release()
         self.engine.on_segment(frame, self.sim.now)
 
     def _timer_loop(self):
@@ -473,3 +425,74 @@ class BaselineHost:
 
     def transmit(self, frame):
         self.port.send(frame)
+
+    # -- engine callbacks ------------------------------------------------------------
+
+    def syn_to_unknown_port(self, frame):
+        return frame.tcp.dport in self.listeners
+
+    def on_connected(self, conn):
+        waiter = self.connect_waiters.pop(conn.four_tuple, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(conn)
+
+    def on_accept(self, conn):
+        listener = self.listeners.get(conn.four_tuple[2])
+        if listener is None:
+            self.engine.close_silently(conn)
+            return
+        if listener.waiters:
+            # Hand the connection straight to a blocked accept().
+            listener.ready.append(conn)
+            listener.waiters.popleft().succeed()
+        elif len(listener.ready) < listener.backlog:
+            listener.ready.append(conn)
+
+    def on_data(self, conn):
+        """Wake the connection's socket: its context and its epolls."""
+        sock = self._sockets.get(conn.four_tuple)
+        if sock is None:
+            return
+        sock.ctx.wake()
+        for epoll in sock.ctx.epolls:
+            epoll.on_event(sock)
+
+    on_tx_space = on_eof = on_data
+
+    def on_reset(self, conn):
+        sock = self._sockets.get(conn.four_tuple)
+        waiter = self.connect_waiters.pop(conn.four_tuple, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(None)
+        if sock is not None:
+            sock.reset = True
+            self.on_data(conn)
+
+
+def add_baseline_host(testbed, name, personality, n_cores=20, **attach_kwargs):
+    """Attach a host running ``personality``'s stack to a testbed."""
+    mac, ip = testbed.addresses()
+    attach_kwargs.setdefault("mac", mac)
+    attach_kwargs.setdefault("ip", ip)
+    host = BaselineHost(testbed.sim, testbed, name, personality, n_cores=n_cores, **attach_kwargs)
+    testbed.add_host(name, host)
+    return host
+
+
+def add_linux_host(testbed, name, n_cores=20, **attach_kwargs):
+    """Attach a Linux-stack host to a testbed."""
+    return add_baseline_host(testbed, name, LINUX, n_cores, **attach_kwargs)
+
+
+def add_tas_host(testbed, name, n_cores=20, fast_path_cores=TAS.fast_path_cores, **attach_kwargs):
+    """Attach a TAS host. The fast path claims the machine's last cores;
+    application work should use the earlier ones."""
+    if fast_path_cores < 1:
+        raise ValueError("a TAS host needs a fast-path core, not {}".format(fast_path_cores))
+    return add_baseline_host(testbed, name, TAS._replace(fast_path_cores=fast_path_cores), n_cores, **attach_kwargs)
+
+
+def add_chelsio_host(testbed, name, n_cores=20, link_rate_bps=100_000_000_000, **attach_kwargs):
+    """Attach a Chelsio-TOE host (100 Gbps NIC, per the testbed)."""
+    attach_kwargs.setdefault("rate_bps", link_rate_bps)
+    return add_baseline_host(testbed, name, CHELSIO, n_cores, **attach_kwargs)

@@ -49,7 +49,7 @@ from repro.flextoe.descriptors import (
     NOTIFY_ERROR,
     Notification,
 )
-from repro.flextoe.proto_logic import WINDOW_SCALE, advertised_window
+from repro.flextoe.proto_logic import MSS, WINDOW_SCALE, advertised_window
 from repro.host.arp import ArpResolver
 from repro.libtoe.buffers import CircularBuffer
 from repro.libtoe.errors import ConnectRefusedError, HandshakeTimeoutError
@@ -69,6 +69,8 @@ LINGER_NS = 2_000_000
 #: A connection's RTO until its first RTT sample (RFC 6298 §2.1's
 #: conservative start, at the baselines' engine's scale).
 INITIAL_RTO_NS = 1_000_000
+#: The floor of an RTT-scaled RTO.
+MIN_RTO_NS = 250_000
 #: Keys the stateless SYN cookie (overload defense).
 SYN_COOKIE_SECRET = 0x5EED_CAFE
 
@@ -105,8 +107,6 @@ class ControlPlaneConfig:
         self,
         rx_buffer_size=256 * 1024,
         tx_buffer_size=256 * 1024,
-        rto_ns=250_000,
-        mss=1448,
         max_syn_retries=8,
         max_data_retries=10,
         rto_max_ns=4_000_000,
@@ -122,8 +122,6 @@ class ControlPlaneConfig:
     ):
         self.rx_buffer_size = rx_buffer_size
         self.tx_buffer_size = tx_buffer_size
-        self.rto_ns = rto_ns
-        self.mss = mss
         self.max_syn_retries = max_syn_retries
         self.max_data_retries = max_data_retries
         self.rto_max_ns = rto_max_ns
@@ -253,7 +251,7 @@ class ControlPlane:
         return self._ephemeral_port
 
     def _syn_options(self):
-        return TcpOptions(mss=self.config.mss, wscale=WINDOW_SCALE, sack_permitted=False)
+        return TcpOptions(mss=MSS, wscale=WINDOW_SCALE, sack_permitted=False)
 
     def _alloc_buffers(self):
         rx_region = self.machine.memory.alloc(self.config.rx_buffer_size)
@@ -691,7 +689,7 @@ class ControlPlane:
         """Current retransmission timeout: RTT-scaled (the initial RTO
         before any sample), backed off, capped."""
         rtt_us = entry.record.post.rtt_est
-        base_rto = max(self.config.rto_ns, 4_000 * rtt_us) if rtt_us else INITIAL_RTO_NS
+        base_rto = max(MIN_RTO_NS, 4_000 * rtt_us) if rtt_us else INITIAL_RTO_NS
         return min(base_rto * entry.rto_multiplier, self.config.rto_max_ns)
 
     # -- the poll grid (DESIGN §12) -------------------------------------------

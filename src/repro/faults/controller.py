@@ -10,8 +10,7 @@ One :class:`FaultController` per installed plan. For each spec it:
    targets that do not apply (e.g. a NIC fault aimed at a Linux host)
    are recorded in the injection log as ``skipped``, never an error —
    plans are meant to run unchanged across the whole interop matrix;
-3. runs a scheduler process honoring ``start_ns``, the optional
-   ``when`` predicate (polled every ``poll_ns``), ``duration_ns``, and
+3. runs a scheduler process honoring ``start_ns``, ``duration_ns`` and
    the spec's ``tick_ns`` pulse period.
 """
 
@@ -116,9 +115,6 @@ class FaultController:
     def _schedule(self, ctx, spec, objs):
         if spec.start_ns > 0:
             yield self.sim.timeout(spec.start_ns)
-        if spec.when is not None:
-            while not spec.when(self.testbed):
-                yield self.sim.timeout(spec.poll_ns)
         for name, obj in objs:
             if spec.layer == "wire":
                 obj.add_effect(spec, ctx)

@@ -2,7 +2,7 @@
 
 A *spec* describes one fault: what it does (the subclass), where it
 applies (``target``), and when it is active (``start_ns`` /
-``duration_ns`` / an optional ``when`` predicate polled on sim time).
+``duration_ns``).
 Specs are inert descriptions; the
 :class:`~repro.faults.controller.FaultController` resolves targets,
 derives a dedicated RNG stream per spec, and drives the lifecycle:
@@ -46,13 +46,11 @@ class FaultSpec:
     #: Pulse period in ns; None means the fault is steady-state.
     tick_ns = None
 
-    def __init__(self, label=None, target=None, start_ns=0, duration_ns=None, when=None, poll_ns=50_000):
+    def __init__(self, label=None, target=None, start_ns=0, duration_ns=None):
         self.label = label or type(self).__name__.lower()
         self.target = target if target is not None else self.default_target
         self.start_ns = start_ns
         self.duration_ns = duration_ns
-        self.when = when
-        self.poll_ns = poll_ns
 
     def activate(self, ctx, obj):
         pass

@@ -7,10 +7,11 @@ plan order. Each spec maps one frame to zero (drop), one (pass, corrupt
 or delay), or several (duplicate) frames; delays compose additively, so
 a duplicated frame can also be held back by a later reorder spec.
 
-Control traffic (SYN/RST segments and ARP) is exempt by default, the
-same policy as :class:`repro.net.loss.LossInjector` — the paper's
-robustness experiments measure established connections, and plans that
-want to attack handshakes can pass ``protect_control=False``.
+Control traffic (SYN/RST segments and ARP: :func:`is_control_frame`, the
+one control-frame policy, which :class:`repro.net.loss.LossInjector`
+applies too) is exempt by default — the paper's robustness experiments
+measure established connections, and plans that want to attack
+handshakes can pass ``protect_control=False``.
 """
 
 from repro.proto.tcp import FLAG_RST, FLAG_SYN

@@ -52,7 +52,6 @@ class PipelineConfig:
         post_replicas=4,
         n_flow_groups=4,
         dma_replicas=4,
-        mss=1448,
         delayed_ack_segments=1,
         tracepoints_enabled=False,
         state_cache_lmem_entries=16,
@@ -71,7 +70,6 @@ class PipelineConfig:
         self.post_replicas = post_replicas
         self.n_flow_groups = n_flow_groups
         self.dma_replicas = dma_replicas
-        self.mss = mss
         self.delayed_ack_segments = max(1, delayed_ack_segments)
         self.tracepoints_enabled = tracepoints_enabled
         self.state_cache_lmem_entries = state_cache_lmem_entries

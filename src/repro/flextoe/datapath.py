@@ -120,7 +120,7 @@ class FlexToeDatapath:
         self.dma_rx_fence = KeyedFence(sim)
 
         # Flow scheduler (service island SCH FPC).
-        self.scheduler = CarouselScheduler(sim, self.trigger_tx, mss=config.mss)
+        self.scheduler = CarouselScheduler(sim, self.trigger_tx)
 
         # Stage objects.
         self.emem_state_cache = EmemStateCache(capacity_records=config.emem_cache_records)

@@ -28,6 +28,10 @@ from repro.proto.tcp import FLAG_ECE, FLAG_FIN, seq_add, seq_diff
 #: plane sets it in the SYN; the data-path only shifts by it).
 WINDOW_SCALE = 7
 
+#: Maximum segment size of every FlexTOE connection: the SYN option the
+#: control plane sends, the scheduler's burst and ``process_tx``'s cap.
+MSS = 1448
+
 #: Duplicate-ACK threshold for fast retransmit.
 DUPACK_THRESHOLD = 3
 

@@ -17,6 +17,7 @@ first enqueue until it empties, so an idle wheel costs nothing.
 from collections import deque
 
 from repro.flextoe.config import SCHED_DEQUEUE
+from repro.flextoe.proto_logic import MSS
 from repro.sim import Timeout
 from repro.sim.core import PENDING
 
@@ -47,7 +48,7 @@ class CarouselScheduler:
 
     STAGE_KIND = "sch"  # the owner token its TX triggers enter pre_in under
 
-    def __init__(self, sim, trigger_tx, mss=1448, slot_ns=1000, n_slots=4096):
+    def __init__(self, sim, trigger_tx, mss=MSS, slot_ns=1000, n_slots=4096):
         self.sim = sim
         #: ``trigger_tx(conn_index)``: the event of the trigger being taken.
         self.trigger_tx = trigger_tx

@@ -16,16 +16,15 @@ Layout
 A :class:`Slab` is a structure-of-arrays pool. Every declared field is
 one column:
 
-* ``INT`` — an ``array('q')`` of signed 64-bit values. Two sentinel
-  encodings keep the column total: ``None`` is stored as a reserved
-  sentinel, and rare non-integer values (tests pass MAC bytes / dotted
-  IP strings) spill into a per-column overflow dict keyed by slot.
-  Inline integers must sit above ``_SENT_FLOOR``; anything else spills.
+* ``INT`` — an ``array('q')`` of signed 64-bit values, or ``None``,
+  stored as a reserved sentinel below ``_SENT_FLOOR``. Anything else —
+  a str, bytes, an int at or below the floor or past 64 bits — raises,
+  naming the field.
 * ``FLAG`` — an ``array('b')`` column read back as real ``bool``.
 * ``U8`` / ``U16`` / ``U32`` — ``array('B')`` / ``array('H')`` /
   ``array('I')`` unsigned columns for ports, flow groups, small
   saturating counters, sequence space, windows and buffer sizes. No
-  sentinels and no overflow: the declared range *is* the invariant
+  sentinels: the declared range *is* the invariant
   (Table 5 stores these as 1, 2 or 4 hardware bytes), so an
   out-of-range write raises, naming the field, instead of widening or
   wrapping.
@@ -108,7 +107,6 @@ assert array(_TYPECODES[U32]).itemsize == _KIND_BYTES[U32]
 #: is reserved for sentinels. (No protocol field comes near -2**60.)
 _SENT_FLOOR = -(1 << 60)
 _NONE = -(1 << 62)  # field holds None
-_SPILL = -(1 << 62) + 1  # value lives in the column's overflow dict
 _INLINE_MAX = (1 << 63) - 1  # top of array('q') range
 
 #: Growth step (slots) once the initial preallocation is full. Linear,
@@ -118,24 +116,17 @@ _INLINE_MAX = (1 << 63) - 1  # top of array('q') range
 _GROW_STEP = 4096
 
 #: The one statement of each kind's encoding, as source over four names:
-#: ``{c}`` the column, ``{o}`` its overflow dict (INT only), ``{i}`` the
-#: slot and ``{v}`` the value. Property accessors, row writers and the
+#: ``{c}`` the column, ``{i}`` the slot, ``{v}`` the value and ``{name}``
+#: the field. Property accessors, row writers and the
 #: row zeroer are all compiled from these (``Slab._compile``).
 _STORE = {
     INT: """\
 if {v} is None:
     {c}[{i}] = _NONE
-    if {o}:
-        {o}.pop({i}, None)
 elif type({v}) is int and _SENT_FLOOR < {v} <= _INLINE_MAX:
     {c}[{i}] = {v}
-    if {o}:
-        {o}.pop({i}, None)
 else:
-    # Rare: non-int identity values (MAC bytes, dotted-quad strings)
-    # or out-of-range ints spill out of the column.
-    {c}[{i}] = _SPILL
-    {o}[{i}] = {v}
+    raise _not_int("{name}", {v})
 """,
     FLAG: "{c}[{i}] = 1 if {v} else 0\n",
     OBJ: "{c}[{i}] = {v}\n",
@@ -153,17 +144,26 @@ _LOAD = {
 value = {c}[{i}]
 if value > _SENT_FLOOR:
     return value
-return None if value == _NONE else {o}[{i}]
+return None
 """,
     FLAG: "return {c}[{i}] != 0\n",
     **dict.fromkeys((U8, U16, U32, OBJ), "return {c}[{i}]\n"),
 }
 _ZERO = {
-    INT: "{c}[{i}] = 0\nif {o}:\n    {o}.pop({i}, None)\n",
     OBJ: "{c}[{i}] = None\n",
-    **dict.fromkeys((FLAG, U8, U16, U32), "{c}[{i}] = 0\n"),
+    **dict.fromkeys((INT, FLAG, U8, U16, U32), "{c}[{i}] = 0\n"),
 }
-_SENTINELS = {"_NONE": _NONE, "_SPILL": _SPILL, "_SENT_FLOOR": _SENT_FLOOR, "_INLINE_MAX": _INLINE_MAX}
+
+
+def _not_int(name, value):
+    """What an INT column raises for a value it cannot hold."""
+    if type(value) is int:
+        return OverflowError("{}: {} is outside an INT column's range".format(name, value))
+    return TypeError("{}: an INT column holds an int or None, not {!r}".format(name, value))
+
+
+_GLOBALS = {"_NONE": _NONE, "_SENT_FLOOR": _SENT_FLOOR, "_INLINE_MAX": _INLINE_MAX, "_not_int": _not_int}
+
 #: Generated code is compiled under this file's name, so profilers charge
 #: it to this module, at line numbers past the file's end, so a traceback
 #: or a line tracer cannot mistake it for the text above — each function
@@ -182,7 +182,6 @@ class Slab:
         "live",
         "high_water",
         "columns",
-        "overflow",
         "on_alloc",
         "on_free",
         "_free",
@@ -205,7 +204,6 @@ class Slab:
         self.live = 0
         self.high_water = 0
         self.columns = {}
-        self.overflow = {}  # INT columns only: slot -> spilled value
         self._free = []  # LIFO, so slot reuse is deterministic
         self._next = 0
         # Optional observers called with the slot id: on_free on every
@@ -216,24 +214,21 @@ class Slab:
         self.on_alloc = None
         self.on_free = None
         # Globals of every function compiled for this slab: the sentinels,
-        # each column as c_<field>, each overflow dict as o_<field>.
-        self._names = dict(_SENTINELS)
+        # ``_not_int`` and each column as c_<field>.
+        self._names = dict(_GLOBALS)
         for field_name, kind in self.fields:
             column = self.columns[field_name] = [] if kind == OBJ else array(_TYPECODES[kind])
             self._names["c_" + field_name] = column
-            if kind == INT:
-                self._names["o_" + field_name] = self.overflow[field_name] = {}
         self._zero = self._compile("zero(slot)", "slot", _ZERO, [(name, None) for name in self.kinds])
         self._grow(max(1, initial))
 
     def _compile(self, signature, slot, templates, stores):
         """Compile ``def <signature>`` whose body is, per ``(field name,
         value expression)`` in ``stores``, the field's kind's template
-        written over its column, its overflow dict and the slot
-        expression ``slot``."""
+        written over its column and the slot expression ``slot``."""
         body = "".join(
             templates[self.kinds[field_name]].format(
-                c="c_" + field_name, o="o_" + field_name, i=slot, v=value, name=field_name
+                c="c_" + field_name, i=slot, v=value, name=field_name
             )
             for field_name, value in stores
         )
@@ -293,7 +288,6 @@ class Slab:
             field_name
             for field_name, kind in self.fields
             if self.columns[field_name][slot] != (None if kind == OBJ else 0)
-            or slot in self.overflow.get(field_name, ())
         ]
 
     def column_view(self, field_name):
@@ -314,7 +308,6 @@ class Slab:
             "live": self.live,
             "high_water": self.high_water,
             "bytes_per_slot": self.bytes_per_slot(),
-            "overflow_entries": sum(len(ovf) for ovf in self.overflow.values()),
         }
 
 

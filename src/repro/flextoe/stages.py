@@ -332,7 +332,7 @@ class ProtocolStage:
                 cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
             return thread.charge(cycles, self._rx_updated)
         if work.kind == WORK_TX:
-            thread.aux = proto_logic.process_tx(state, dp.config.mss)
+            thread.aux = proto_logic.process_tx(state, proto_logic.MSS)
             dp.observer.proto_changed(work.conn_index, state)
             return thread.charge(TX_SEQ, self._tx_sequenced)
         snapshot = work.snapshot = proto_logic.process_hc(state, work.hc)

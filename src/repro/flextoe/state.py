@@ -316,9 +316,9 @@ _CONN_KINDS = {
     # saturates at 255 via atomic_add(maximum=255), and sequence space,
     # windows, buffer sizes, the timestamp echo, context ids and the RTT
     # in us are 32-bit. INT stays for the 64-bit buffer heads, addresses
-    # past 2**32, rate in bytes/s, FIN sequences that may be None, IPs and
-    # MACs tests pass as strings and bytes, and cnt_ackb/cnt_ecnb, which
-    # nothing drains while congestion control is off.
+    # past 2**32, rate in bytes/s, FIN sequences that may be None, 48-bit
+    # MACs, and cnt_ackb/cnt_ecnb, which nothing drains while congestion
+    # control is off.
     **dict.fromkeys(("local_port", "remote_port", "flow_group"), U16),
     **dict.fromkeys(("dupack_cnt", "delack_cnt", "cnt_fretx"), U8),
     **dict.fromkeys(("tx_avail", "rx_avail", "remote_win", "tx_sent", "seq", "ack", "ooo_start", "ooo_len"), U32),

@@ -4,7 +4,8 @@ The testbed (paper §5) is two-to-six machines connected through a 100 Gbps
 Ethernet switch. Here ports and links move :class:`~repro.proto.Frame`
 objects with serialization + propagation delay; the switch adds bounded
 output queues, ECN marking, WRED, per-port shaping (for the incast
-experiment) and random loss injection (for the robustness experiments).
+experiment) and one ingress hook, ``switch.faults``, which a fault plan
+or the random :class:`LossInjector` (the robustness experiments) fills.
 """
 
 from repro.net.link import Link, Port

@@ -1,12 +1,13 @@
 """Random loss injection (paper §5.3, Figure 15).
 
 The paper induces loss "by randomly dropping packets at the switch with a
-fixed probability"; :class:`LossInjector` reproduces that, with an option
-to protect pure control segments so handshakes complete (the paper
-measures established-connection throughput).
+fixed probability"; :class:`LossInjector` reproduces that as the switch's
+ingress hook (``switch.faults``), with an option to protect control
+frames (:func:`repro.faults.wire.is_control_frame`) so handshakes
+complete (the paper measures established-connection throughput).
 """
 
-from repro.proto.tcp import FLAG_RST, FLAG_SYN
+from repro.faults.wire import is_control_frame
 
 
 class LossInjector:
@@ -21,22 +22,17 @@ class LossInjector:
         self.dropped = 0
         self.passed = 0
 
-    def should_drop(self, frame):
-        if self.probability == 0.0:
+    def admit(self, frame):
+        """Switch hook: ``[]`` drops ``frame``, ``[(frame, 0)]`` passes it."""
+        if (
+            self.probability == 0.0
+            or (self.protect_control and is_control_frame(frame))
+            or self.rng.random() >= self.probability
+        ):
             self.passed += 1
-            return False
-        if self.protect_control and frame.tcp is not None:
-            if frame.tcp.flags & (FLAG_SYN | FLAG_RST):
-                self.passed += 1
-                return False
-        if self.protect_control and frame.arp is not None:
-            self.passed += 1
-            return False
-        if self.rng.random() < self.probability:
-            self.dropped += 1
-            return True
-        self.passed += 1
-        return False
+            return [(frame, 0)]
+        self.dropped += 1
+        return []
 
     @property
     def observed_rate(self):

@@ -109,15 +109,15 @@ class _EgressQueue:
 class Switch:
     """A store-and-forward switch with per-egress-port queue policy."""
 
-    def __init__(self, sim, name="switch", default_config=None, rng=None, loss=None, faults=None):
+    def __init__(self, sim, name="switch", default_config=None, rng=None, faults=None):
         self.sim = sim
         self.name = name
         self.default_config = default_config or SwitchPortConfig()
         self.rng = rng
-        self.loss = loss
-        #: Optional wire-fault hook (repro.faults.WireFaultInjector):
-        #: ``admit(frame)`` returns [(frame, extra_delay_ns), ...] — an
-        #: empty list drops, several entries duplicate, a delay reorders.
+        #: The one ingress hook (a repro.faults.WireFaultInjector or a
+        #: repro.net.LossInjector): ``admit(frame)`` returns
+        #: [(frame, extra_delay_ns), ...] — an empty list drops, several
+        #: entries duplicate, a delay reorders.
         self.faults = faults
         self._ports = []
         self._egress = []
@@ -148,8 +148,6 @@ class Switch:
     def _ingress(self, in_index, frame):
         # Learn source MAC.
         self._mac_table.setdefault(frame.eth.src, in_index)
-        if self.loss is not None and self.loss.should_drop(frame):
-            return
         if self.faults is not None:
             for out_frame, delay_ns in self.faults.admit(frame):
                 if delay_ns > 0:

@@ -9,7 +9,7 @@ from repro.flextoe.state import PostprocState, PreprocState, ProtocolState
 
 
 def _make_pre(flow_group=0):
-    return PreprocState(b"\x02" * 6, "10.0.0.2", 1000, 2000, flow_group)
+    return PreprocState(0x020202020202, 0x0A000002, 1000, 2000, flow_group)
 
 
 def _make_post():
@@ -197,7 +197,7 @@ def _installed_record(index=0, flow_group=2):
     """A row installed as the data path installs one, and its record."""
     from repro.flextoe.state import ConnectionRecord, install_row
 
-    slot = install_row(("10.0.0.1", "10.0.0.2", 1000, 2000), b"\x01" * 6)
+    slot = install_row((0x0A000001, 0x0A000002, 1000, 2000), 0x010101010101)
     sanitizer.register_row(slot, flow_group)
     return ConnectionRecord.claim(index, slot)
 
@@ -272,9 +272,9 @@ def test_slot_recycling_does_not_inherit_stale_ownership(sanitized):
     record = _installed_record(index=3, flow_group=3)
     slot = record.slab_slot
     del record  # refcount drop frees the slot, no unregister call
-    fresh = ConnectionRecord.claim(4, install_row(("10.0.0.1", "10.0.0.9", 1, 2), b"\x01" * 6))
+    fresh = ConnectionRecord.claim(4, install_row((0x0A000001, 0x0A000009, 1, 2), 0x010101010101))
     assert fresh.slab_slot == slot  # LIFO free list recycles
-    fresh.pre.peer_mac = b"\x09" * 6  # would raise "immutable" if stale
+    fresh.pre.peer_mac = 0x090909090909  # would raise "immutable" if stale
 
 
 def test_end_to_end_flextoe_run_is_clean(sanitized):

@@ -70,22 +70,20 @@ def test_linux_charges_all_categories():
 
 
 def test_engine_configs_match_paper_traits():
-    from repro.baselines import ChelsioPersonality, LinuxPersonality, TasPersonality
+    from repro.baselines import CHELSIO, LINUX, TAS
+    from repro.baselines.stack import FAST_PATH, KERNEL, TOE
 
-    linux = LinuxPersonality()
-    assert linux.engine_config.recovery == "sack"
-    assert linux.engine_config.reassembly == "full"
-    assert linux.kernel_lock
+    assert LINUX.engine_config.recovery == "sack"
+    assert LINUX.engine_config.reassembly == "full"
+    assert LINUX.runs_on == KERNEL
 
-    tas = TasPersonality()
-    assert tas.engine_config.recovery == "gbn"
-    assert tas.engine_config.reassembly == "drop"
-    assert tas.dedicated_cores > 0
+    assert TAS.engine_config.recovery == "gbn"
+    assert TAS.engine_config.reassembly == "drop"
+    assert TAS.runs_on == FAST_PATH and TAS.fast_path_cores > 0
 
-    chelsio = ChelsioPersonality()
-    assert chelsio.engine_config.recovery == "rto_only"
-    assert chelsio.nic_tcp
-    assert chelsio.engine_config.min_rto_ns >= 5_000_000  # conservative HW RTO
+    assert CHELSIO.engine_config.recovery == "rto_only"
+    assert CHELSIO.runs_on == TOE
+    assert CHELSIO.engine_config.min_rto_ns >= 5_000_000  # conservative HW RTO
 
 
 def test_stack_counters_consistent():

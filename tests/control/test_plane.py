@@ -11,7 +11,7 @@ from repro.net import LossInjector
 def build(seed=9, server_kwargs=None, loss=None, client_kwargs=None):
     bed = Testbed(seed=seed)
     if loss is not None:
-        bed.switch.loss = LossInjector(bed.rng.stream("loss"), probability=loss, protect_control=False)
+        bed.switch.faults = LossInjector(bed.rng.stream("loss"), probability=loss, protect_control=False)
     server = bed.add_flextoe_host("server", cp_kwargs=server_kwargs)
     client = bed.add_flextoe_host("client", cp_kwargs=client_kwargs)
     return bed, server, client
@@ -97,7 +97,7 @@ def test_rto_retransmission_recovers_lost_data():
 
     def client_app():
         sock = yield from client_ctx.connect(server.ip, 7000)
-        bed.switch.loss = LossInjector(bed.rng.stream("late-loss"), probability=0.25)
+        bed.switch.faults = LossInjector(bed.rng.stream("late-loss"), probability=0.25)
         yield from client_ctx.send(sock, b"z" * 4000)
 
     bed.sim.process(server_app(), name="server")

@@ -139,7 +139,7 @@ def test_backoff_resets_after_progress():
 
     def client_app():
         sock = yield from client_ctx.connect(server.ip, 7000)
-        bed.switch.loss = LossInjector(bed.rng.stream("late-loss"), probability=0.25)
+        bed.switch.faults = LossInjector(bed.rng.stream("late-loss"), probability=0.25)
         yield from client_ctx.send(sock, b"z" * 4000)
 
     bed.sim.process(server_app(), name="server")

@@ -124,18 +124,3 @@ def test_link_flap_bounces_the_link():
     downs = controller.log.actions("link-down")
     ups = controller.log.actions("link-up")
     assert len(downs) == len(ups) >= 2
-
-
-def test_when_predicate_defers_activation():
-    bed, host = one_host_bed()
-    gate = {"open": False}
-    bed.install_fault_plan(
-        FaultPlan("p").add(
-            DoorbellLoss(probability=1.0, when=lambda _bed: gate["open"], poll_ns=10_000)
-        )
-    )
-    bed.sim.run(until=100_000)
-    assert host.nic.chip.pcie.mmio_fault is None, "activated before the predicate held"
-    gate["open"] = True
-    bed.sim.run(until=200_000)
-    assert host.nic.chip.pcie.mmio_fault is not None

@@ -251,7 +251,7 @@ class ProtocolStage(stages.ProtocolStage):
     def _process_tx(self, thread, work, state):
         dp = self.dp
         trace = dp.tracepoints
-        result = proto_logic.process_tx(state, dp.config.mss)
+        result = proto_logic.process_tx(state, proto_logic.MSS)
         dp.observer.proto_changed(work.conn_index, state)
         yield compute(thread, TX_SEQ)
         if result is None:

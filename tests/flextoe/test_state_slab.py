@@ -7,8 +7,8 @@ model under randomized alloc/free/write/read interleavings:
 * no aliasing: writes through one live view never show through another;
 * flyweight reads always equal the model (a dict per live slot);
 * freed slots are fully zeroed — scalar columns via the raw
-  ``column_view`` buffer, OBJ columns and overflow dicts by direct
-  inspection — before any reuse can observe stale state.
+  ``column_view`` buffer, OBJ columns by direct inspection — before
+  any reuse can observe stale state.
 """
 
 import gc
@@ -31,14 +31,8 @@ FIELDS = (
 )
 FIELD_NAMES = tuple(name for name, _ in FIELDS)
 
-#: Values exercising every INT encoding path: inline ints, None
-#: (sentinel), and spill values (non-int / out-of-64-bit-range).
-INT_VALUES = st.one_of(
-    st.integers(min_value=-(1 << 40), max_value=(1 << 40)),
-    st.none(),
-    st.integers(min_value=1 << 64, max_value=1 << 70),  # overflow spill
-    st.binary(min_size=6, max_size=6),  # MAC-like spill
-)
+#: Values exercising both INT encodings: inline ints and None (sentinel).
+INT_VALUES = st.one_of(st.integers(min_value=-(1 << 40), max_value=(1 << 40)), st.none())
 FLAG_VALUES = st.booleans()
 OBJ_VALUES = st.one_of(st.none(), st.text(max_size=4), st.tuples(st.integers()))
 U8_VALUES = st.integers(min_value=0, max_value=255)
@@ -141,7 +135,7 @@ def test_writes_never_alias_across_live_slots(data):
         views.append(view)
     victim = data.draw(st.integers(min_value=0, max_value=len(views) - 1))
     view = views[victim]
-    view.alpha = data.draw(st.integers())
+    view.alpha = data.draw(st.integers(min_value=slab_module._SENT_FLOOR + 1, max_value=slab_module._INLINE_MAX))
     view.gamma = data.draw(st.booleans())
     view.delta = "overwritten"
     for i, other in enumerate(views):
@@ -157,7 +151,7 @@ def test_writes_never_alias_across_live_slots(data):
 @given(st.data())
 def test_freed_slots_are_fully_zeroed(data):
     """After free(), the slot's scalar cells read 0 through the raw
-    column buffer, OBJ cells are None, and no overflow entry remains."""
+    column buffer and OBJ cells are None."""
     slab, View = make_slab_and_cls()
     views = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
@@ -177,7 +171,6 @@ def test_freed_slots_are_fully_zeroed(data):
                 assert slab.columns[name][slot] is None
             else:
                 assert slab.column_view(name)[slot] == 0
-            assert slot not in slab.overflow.get(name, {})
     # Reuse starts from the zeroed state: a fresh view on a recycled
     # slot observes defaults, not the prior tenant's values.
     fresh = View()
@@ -253,7 +246,7 @@ def test_connection_state_uses_narrow_columns():
     # 13 INT + 13 U32 + 2 FLAG + 3 U16 + 3 U8 + 3 OBJ columns: 296 B at
     # a uniform 8 B, 191 at Table 5's widths. The gap to the paper's
     # 108 B/conn is the INT columns — 64-bit buffer heads and addresses,
-    # IPs and MACs a test may pass as strings, fields that may be None —
+    # 48-bit MACs, fields that may be None —
     # and the three 8 B OBJ handles.
     assert CONN_SLAB.bytes_per_slot() == 191
     assert CONN_SLAB.bytes_per_slot() < 8 * len(CONN_SLAB.fields)
@@ -267,12 +260,11 @@ def test_connection_state_uses_narrow_columns():
 
 EDGE_INTS = st.sampled_from(
     [
-        slab_module._SENT_FLOOR,  # at the floor: spills
+        slab_module._SENT_FLOOR,  # at the floor: raises
         slab_module._SENT_FLOOR + 1,  # lowest inline value
         slab_module._INLINE_MAX,  # highest inline value
-        slab_module._INLINE_MAX + 1,  # past array('q'): spills
-        slab_module._NONE,  # the sentinels themselves, as values
-        slab_module._SPILL,
+        slab_module._INLINE_MAX + 1,  # past array('q'): raises
+        slab_module._NONE,  # the sentinel itself, as a value: raises
     ]
 )
 #: Everything a caller has been seen to store, legal for the column or not.
@@ -284,12 +276,9 @@ ANY_VALUE = st.one_of(
 
 
 def column_bytes(slab):
-    """Every column's raw content plus the overflow dicts: what two
-    slabs must agree on to be the same storage."""
-    return (
-        {name: (list(col) if isinstance(col, list) else col.tobytes()) for name, col in slab.columns.items()},
-        {name: dict(ovf) for name, ovf in slab.overflow.items()},
-    )
+    """Every column's raw content: what two slabs must agree on to be
+    the same storage."""
+    return {name: (list(col) if isinstance(col, list) else col.tobytes()) for name, col in slab.columns.items()}
 
 
 def outcome(store):
@@ -324,7 +313,6 @@ def test_row_writer_and_property_stores_leave_identical_storage(data):
     del row
     assert by_row.dirty_fields(slot) == []
     assert all(by_row.column_view(name)[slot] == 0 for name, kind in FIELDS if kind != OBJ)
-    assert not any(by_row.overflow.values())
 
 
 def test_row_writer_names_the_field_it_could_not_store():
@@ -343,6 +331,30 @@ def test_row_writer_names_the_field_it_could_not_store():
     assert slab.row_writer(())(view.slab_slot) is None
 
 
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ("10.0.0.1", TypeError),
+        (b"\x02" * 6, TypeError),
+        (True, TypeError),
+        (slab_module._INLINE_MAX + 1, OverflowError),
+        (slab_module._SENT_FLOOR, OverflowError),
+    ],
+)
+def test_an_int_column_refuses_what_it_cannot_hold_and_names_the_field(value, error):
+    slab, View = make_slab_and_cls()
+    view = View()
+    view._bind()
+    view.alpha = 7
+    with pytest.raises(error, match="^alpha: "):
+        view.alpha = value
+    with pytest.raises(error, match="^beta: "):
+        slab.row_writer(("beta",))(view.slab_slot, value)
+    assert (view.alpha, view.beta) == (7, 0)  # nothing was stored
+    view.alpha = None
+    assert view.alpha is None
+
+
 def test_a_record_is_complete_the_moment_it_exists():
     """The row write is the install: the record its first touch makes shows
     no placeholder flow group or peer MAC, and untouched fields are the
@@ -353,7 +365,7 @@ def test_a_record_is_complete_the_moment_it_exists():
     table.put(7, install_row(
         (0x0A000001, 0x0A000002, 5000, 6000),
         0xAA,
-        peer_mac=b"\x02" * 6,
+        peer_mac=0x020202020202,
         flow_group=3,
         proto=ProtoInstall(seq=10, ack=20, rx_avail=4096, remote_win=1 << 20),
         context_id=4,
@@ -364,7 +376,7 @@ def test_a_record_is_complete_the_moment_it_exists():
     record = table.get(7)
     assert table.get(7) is record and record.index == 7
     assert record._pre is None and record._proto is None and record._post is None  # no view was needed
-    assert (record.pre.flow_group, record.pre.peer_mac) == (3, b"\x02" * 6)
+    assert (record.pre.flow_group, record.pre.peer_mac) == (3, 0x020202020202)
     assert record.four_tuple == (0x0A000001, 0x0A000002, 5000, 6000)
     assert record.active and record.local_mac == 0xAA
     fresh = ProtocolState(seq=10, ack=20, rx_avail=4096, remote_win=1 << 20)

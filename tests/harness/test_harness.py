@@ -28,7 +28,7 @@ def test_one_builder_per_stack_passes_its_keywords_through():
     assert isinstance(hosts["flextoe"], FlexToeHost)
     assert all(isinstance(hosts[stack], BaselineHost) for stack in STACKS[1:])
     assert {len(host.machine.cores) for host in hosts.values()} == {4}
-    assert build_host(bed, "tas", "tas2", fast_path_cores=1).personality.dedicated_cores == 1
+    assert build_host(bed, "tas", "tas2", fast_path_cores=1).personality.fast_path_cores == 1
     with pytest.raises(ValueError, match="'bogus'; known: flextoe, linux, tas, chelsio"):
         build_host(bed, "bogus", "x")
 

@@ -158,7 +158,7 @@ def test_loss_injector_drops_at_configured_rate():
     rng = random.Random(42)
     injector = LossInjector(rng, probability=0.3, protect_control=False)
     frame = frame_a_to_b()
-    outcomes = [injector.should_drop(frame) for _ in range(5000)]
+    outcomes = [injector.admit(frame) == [] for _ in range(5000)]
     rate = sum(outcomes) / len(outcomes)
     assert 0.25 < rate < 0.35
     assert abs(injector.observed_rate - rate) < 1e-9
@@ -171,14 +171,14 @@ def test_loss_injector_protects_syn():
     injector = LossInjector(rng, probability=1.0, protect_control=True)
     syn = make_tcp_frame(0xA, 0xB, 1, 2, 1, 2, flags=FLAG_SYN)
     data = frame_a_to_b()
-    assert not injector.should_drop(syn)
-    assert injector.should_drop(data)
+    assert injector.admit(syn) == [(syn, 0)]
+    assert injector.admit(data) == []
 
 
 def test_switch_level_loss():
     sim = Simulator()
     injector = LossInjector(random.Random(7), probability=1.0, protect_control=False)
-    switch = Switch(sim, loss=injector)
+    switch = Switch(sim, faults=injector)
     topo, a, b = build_pair(sim, switch=switch)
     got = []
     b.port.receiver = lambda frame: got.append(frame)
