@@ -285,6 +285,8 @@ class HostTcpEngine:
             conn.state = ESTABLISHED
             conn.rto_deadline = None
             self.callbacks.on_accept(conn)
+            if conn.state == CLOSED:
+                return conn  # refused at accept: nothing more of it is processed
             # Fall through: the ACK may carry data.
         self._on_established_segment(conn, frame, now)
         return conn
@@ -716,6 +718,11 @@ class HostTcpEngine:
         self.conns.pop(conn.four_tuple, None)
         if reset:
             self.callbacks.on_reset(conn)
+
+    def abort(self, conn, now):
+        """Reset ``conn``: one RST to the peer, and its state goes."""
+        self.callbacks.transmit(self._frame(conn, conn.snd_seq(conn.snd_nxt_pos), FLAG_RST, now=now))
+        self._teardown(conn)
 
     def close_silently(self, conn):
         """Drop state without emitting anything (test/util hook)."""

@@ -447,6 +447,10 @@ class BaselineHost:
             listener.waiters.popleft().succeed()
         elif len(listener.ready) < listener.backlog:
             listener.ready.append(conn)
+        else:
+            # No room in the accept queue: reset the connection, as Linux
+            # does with tcp_abort_on_overflow, rather than keep it unqueued.
+            self.engine.abort(conn, self.sim.now)
 
     def on_data(self, conn):
         """Wake the connection's socket: its context and its epolls."""

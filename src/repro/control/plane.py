@@ -148,8 +148,6 @@ class ControlPlane:
         sim,
         nic,
         machine,
-        local_mac,
-        local_ip,
         cc=None,
         cc_enabled=True,
         config=None,
@@ -157,13 +155,13 @@ class ControlPlane:
         self.sim = sim
         self.nic = nic
         self.machine = machine
-        self.local_mac = local_mac
-        self.local_ip = local_ip
+        self.local_mac = nic.local_mac
+        self.local_ip = nic.local_ip
         self.cc = cc if cc is not None else Dctcp()
         self.cc_enabled = cc_enabled
         self.config = config or ControlPlaneConfig()
         self.nic.register_context(CONTROL_CONTEXT)
-        self.arp = ArpResolver(sim, local_mac, local_ip, self._control_tx)
+        self.arp = ArpResolver(sim, self.local_mac, self.local_ip, self._control_tx)
         self.listeners = {}
         self.pending = {}  # four_tuple -> PendingConnection
         self.directory = ConnectionDirectory()
@@ -655,7 +653,6 @@ class ControlPlane:
             index=index,
             four_tuple=pending.four_tuple,
             peer_mac=pending.peer_mac,
-            local_mac=self.local_mac,
             iss=snd_iss,
             irs=pending.irs,
             context_id=ctx.context_id,

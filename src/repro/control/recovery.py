@@ -74,19 +74,18 @@ class ConnShadow(SlabView):
 
     Shadows live in their own host-memory slab (one row per tracked
     connection — this is exactly the memory a crash must not take down),
-    and carry everything re-offload needs: identity, initial sequence
-    numbers, queue-derived counters, and the host buffer geometry. A
-    shadow is therefore self-sufficient — the manager can reinstall a
-    connection from its shadow alone, without the (dead) old record.
-    Tracking writes the row; this view exists only once the connection's
-    queue traffic (or a test) touches it.
+    and carry everything re-offload needs beside the host's own
+    addresses, which the manager holds: the peer's identity, initial
+    sequence numbers, queue-derived counters, and the host buffer
+    geometry. The manager can therefore reinstall a connection from its
+    shadow alone, without the (dead) old record. Tracking writes the
+    row; this view exists only once the connection's queue traffic (or a
+    test) touches it, and gets ``local_ip`` from the :class:`ShadowTable`.
     """
 
-    __slots__ = ()
+    __slots__ = ("local_ip",)
     #: Written once, as one row, when tracking starts.
     INSTALL_FIELDS = (
-        "index",
-        "local_ip",
         "remote_ip",
         "local_port",
         "remote_port",
@@ -94,7 +93,6 @@ class ConnShadow(SlabView):
         "snd_iss",  # first data byte's sequence number
         "rcv_irs",  # first expected peer data byte
         "peer_mac",
-        "local_mac",
         "opaque",
         "rx_region",
         "rx_base",
@@ -135,13 +133,15 @@ class ConnShadow(SlabView):
 #: The host-side shadow slab: one slot per tracked connection. This is
 #: the memory recovery reads after a crash, so it lives outside the NIC
 #: object graph entirely — ``crash()``/``reboot()`` never touch it.
-#: Identity, sequence numbers and buffer sizes are stored at their
-#: width; addresses, IPs, MACs and the four mirrored byte counts are INT.
+#: The peer's IPv4 address, ports, sequence numbers and buffer sizes are
+#: stored at their width; buffer addresses, the MAC and the four mirrored
+#: byte counts are INT. The connection index is the table's key, the
+#: host's addresses the manager's: neither is a column.
 _SHADOW_KINDS = {
     **dict.fromkeys(("fin_posted", "peer_fin_seen"), FLAG),
     **dict.fromkeys(("rx_region", "tx_region", "opaque", "nic_snapshot"), OBJ),
     **dict.fromkeys(("local_port", "remote_port"), U16),
-    **dict.fromkeys(("index", "context_id", "snd_iss", "rcv_irs", "rx_size", "tx_size"), U32),
+    **dict.fromkeys(("remote_ip", "context_id", "snd_iss", "rcv_irs", "rx_size", "tx_size"), U32),
 }
 SHADOW_SLAB = Slab(
     fields=[(name, _SHADOW_KINDS.get(name, INT)) for name in ConnShadow.SLAB_FIELDS],
@@ -154,11 +154,37 @@ _write_shadow = SHADOW_SLAB.row_writer(ConnShadow.INSTALL_FIELDS)
 _write_nic_snapshot = SHADOW_SLAB.row_writer(("nic_snapshot",))
 
 
-def write_shadow(index, four_tuple, peer_mac, local_mac, snd_iss, rcv_irs, context_id, opaque, rx_buffer, tx_buffer):
-    """A tracked connection's shadow, as one row write; returns the slot."""
+def write_shadow(four_tuple, peer_mac, snd_iss, rcv_irs, context_id, opaque, rx_buffer, tx_buffer):
+    """A tracked connection's shadow, as one row write; returns the slot.
+    The four-tuple's local address is the :class:`ShadowTable`'s."""
+    _local_ip, remote_ip, local_port, remote_port = four_tuple
     slot = SHADOW_SLAB.alloc()
-    _write_shadow(slot, index, *four_tuple, context_id, snd_iss, rcv_irs, peer_mac, local_mac, opaque, *rx_buffer, *tx_buffer)
+    _write_shadow(
+        slot, remote_ip, local_port, remote_port, context_id, snd_iss, rcv_irs, peer_mac, opaque, *rx_buffer, *tx_buffer
+    )
     return slot
+
+
+class ShadowTable(SlotTable):
+    """Connection index -> shadow row, for one host: every shadow it
+    makes, claimed or borrowed, has the host's ``local_ip``."""
+
+    __slots__ = ("local_ip",)
+
+    def __init__(self, local_ip):
+        super().__init__(ConnShadow)
+        self.local_ip = local_ip
+
+    def claim(self, index, slot):
+        shadow = ConnShadow.claim(index, slot)
+        shadow.local_ip = self.local_ip
+        return shadow
+
+    def view(self, slot):
+        """A borrowing view of the row at ``slot``: it owns nothing."""
+        shadow = ConnShadow.view(slot)
+        shadow.local_ip = self.local_ip
+        return shadow
 
 
 def reconstruct_protocol_state(shadow):
@@ -282,7 +308,10 @@ class RecoveryManager:
         self.sim = plane.sim
         self.nic = plane.nic
         self.config = plane.config
-        self.shadows = SlotTable(ConnShadow)  # conn_index -> shadow row
+        # The host's addresses, once: shadows hold the peer's only.
+        self.local_mac = plane.local_mac
+        self.local_ip = plane.local_ip
+        self.shadows = ShadowTable(self.local_ip)  # conn_index -> shadow row
         # pack_four_tuple(four_tuple) -> conn_index, built lazily on the
         # first tuple lookup (the slow-path shim during an outage) and
         # maintained incrementally afterwards. Steady-state tracking —
@@ -304,13 +333,11 @@ class RecoveryManager:
 
     # -- shadow maintenance --------------------------------------------------
 
-    def track(self, index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer):
+    def track(self, index, four_tuple, peer_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer):
         """Start shadowing a freshly established connection: one shadow
         row, written from the values it was offloaded with (the leading
         parameters of ``FlexToeNic.offload_connection``, in its order)."""
-        self.shadows.put(
-            index, write_shadow(index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
-        )
+        self.shadows.put(index, write_shadow(four_tuple, peer_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer))
         if self._by_tuple is not None:
             self._by_tuple[pack_four_tuple(four_tuple)] = index
         if context_id not in self._tapped_contexts:
@@ -339,12 +366,15 @@ class RecoveryManager:
         the shadow-only re-offload pass) but skip the per-tick timer and
         congestion scans, whose cost is proportional to directory size.
         Two row writes, two table puts and no object. Returns the index.
+        ``local_mac`` must be the host's: no row stores it.
         """
+        if local_mac != self.local_mac:
+            raise ValueError("{:#x} is not this host's MAC {:#x}".format(local_mac, self.local_mac))
         index = self.nic.offload_connection(
             self.nic.allocate_connection_index(),
-            four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer,
+            four_tuple, peer_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer,
         )
-        self.track(index, four_tuple, peer_mac, local_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
+        self.track(index, four_tuple, peer_mac, iss, irs, context_id, opaque, rx_buffer, tx_buffer)
         return index
 
     def forget(self, index):
@@ -357,7 +387,7 @@ class RecoveryManager:
     def shadow_for_tuple(self, four_tuple):
         if self._by_tuple is None:
             self._by_tuple = {
-                pack_four_tuple(ConnShadow.view(slot).four_tuple): index
+                pack_four_tuple(self.shadows.view(slot).four_tuple): index
                 for index, slot in self.shadows.items()
             }
         index = self._by_tuple.get(pack_four_tuple(four_tuple))
@@ -460,7 +490,7 @@ class RecoveryManager:
             shadow = self.shadows.get(entry.index)
             if shadow is None:
                 continue
-            proto = self._reoffload(shadow)
+            proto = self._reoffload(entry.index, shadow)
             entry.record = record = self.nic.connection(entry.index)
             entry.last_snd_una = None
             entry.stalled_since = None
@@ -478,18 +508,17 @@ class RecoveryManager:
         # read through a passing view: recovery makes no object of them.
         for index, slot in self.shadows.items():
             if index not in reinstalled:
-                self._kick(index, self._reoffload(ConnShadow.view(slot)))
+                self._kick(index, self._reoffload(index, self.shadows.view(slot)))
 
-    def _reoffload(self, shadow):
-        """Reinstall one connection from its shadow alone — the shadow is
-        self-sufficient, the old record died with the chip. Returns the
+    def _reoffload(self, index, shadow):
+        """Reinstall connection ``index`` from its shadow and the host's
+        addresses alone — the old record died with the chip. Returns the
         protocol fields it was installed with."""
         proto = reconstruct_protocol_state(shadow)
         self.nic.offload_connection(
-            index=shadow.index,
+            index=index,
             four_tuple=shadow.four_tuple,
             peer_mac=shadow.peer_mac,
-            local_mac=shadow.local_mac,
             iss=proto.seq,
             irs=proto.ack,
             context_id=shadow.context_id,

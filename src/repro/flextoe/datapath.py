@@ -73,15 +73,18 @@ class FlexToeDatapath:
         "nbi_ring": ("nbi", ("seqr",)),
     }
 
-    def __init__(self, sim, chip, config, capture=None, ingress_modules=None, control_ring=None):
+    def __init__(self, sim, chip, config, local_mac, local_ip, capture=None, ingress_modules=None, control_ring=None):
         self.sim = sim
         self.chip = chip
         self.config = config
+        # The host's addresses, once for every connection: no row holds them.
+        self.local_mac = local_mac
+        self.local_ip = local_ip
         self.mac = chip.mac
         self.pcie = chip.pcie
         self.dma = chip.dma
         self.lookup_engine = chip.lookup_engine
-        self.conn_table = ConnectionTable()
+        self.conn_table = ConnectionTable(local_mac, local_ip)
         self.tracepoints = TracepointRegistry(enabled=config.tracepoints_enabled)
         self.capture = capture
         self.ingress_modules = ingress_modules
@@ -374,10 +377,11 @@ class FlexToeDatapath:
 
     def make_segment(self, record, **tcp_fields):
         """Head: a segment of ``record``'s connection, Ethernet and IP
-        headers from its pre-processor state, no payload yet."""
+        headers from this NIC's addresses and the connection's
+        pre-processor state, no payload yet."""
         pre = record.pre
-        eth = EthernetHeader(dst=pre.peer_mac, src=record.local_mac, ethertype=ETHERTYPE_IPV4)
-        ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=ECN_ECT0)
+        eth = EthernetHeader(dst=pre.peer_mac, src=self.local_mac, ethertype=ETHERTYPE_IPV4)
+        ip = Ipv4Header(src=self.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=ECN_ECT0)
         tcp = TcpHeader(pre.local_port, pre.remote_port, **tcp_fields)
         return Frame(eth, ip=ip, tcp=tcp, born_at=self.sim.now)
 

@@ -21,8 +21,13 @@ from repro.sim import Store
 class FlexToeNic:
     """A FlexTOE-programmed SmartNIC."""
 
-    def __init__(self, sim, config=None, chip=None, capture=None, ingress_modules=None):
+    def __init__(self, sim, config=None, chip=None, capture=None, ingress_modules=None, local_mac=0, local_ip=0):
         self.sim = sim
+        # The host's addresses: every data path this NIC boots sends from
+        # them, and every connection it offloads has ``local_ip`` as its
+        # local end.
+        self.local_mac = local_mac
+        self.local_ip = local_ip
         self.config = config or PipelineConfig.full()
         self.chip = chip or Nfp4000(sim)
         self._capture = capture
@@ -42,6 +47,8 @@ class FlexToeNic:
             self.sim,
             self.chip,
             self.config,
+            self.local_mac,
+            self.local_ip,
             capture=self._capture,
             ingress_modules=self._ingress_modules,
             control_ring=self._control_ring,
@@ -119,7 +126,6 @@ class FlexToeNic:
         index,
         four_tuple,
         peer_mac,
-        local_mac,
         iss,
         irs,
         context_id,
@@ -137,14 +143,16 @@ class FlexToeNic:
         from its shadow) in place of the fresh post-handshake ones
         ``iss``/``irs``/``remote_win`` describe. The install is one row
         write and no object; returns ``index`` (``connection(index)`` is
-        the record, made when first asked for).
+        the record, made when first asked for). The connection's local
+        end is this NIC: ``four_tuple`` starts with its ``local_ip``.
         """
+        if four_tuple[0] != self.local_ip:
+            raise ValueError("{:#x} is not this NIC's address {:#x}".format(four_tuple[0], self.local_ip))
         crc = crc32_tuple(*four_tuple)
         config = self.config
         flow_group = config.flow_group_of(four_tuple, crc)
         slot = install_row(
             four_tuple,
-            local_mac,
             peer_mac,
             flow_group,
             proto or ProtoInstall(iss, irs, rx_buffer[2], remote_win),

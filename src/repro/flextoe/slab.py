@@ -80,7 +80,9 @@ when a whole table is dropped (a crashed chip, a discarded testbed).
 :meth:`SlabView.view` binds a borrowing view that owns nothing (the three
 partitions of one :class:`~repro.flextoe.state.ConnectionRecord` share
 the record's slot). Reclamation rides CPython's deterministic
-refcounting; no simulated quantity reads a slot number.
+refcounting; no simulated quantity reads a slot number. A freed slot
+waits on its slab's free stack, one 4 B entry, and the last freed is the
+first handed out again.
 """
 
 from array import array
@@ -204,7 +206,8 @@ class Slab:
         self.live = 0
         self.high_water = 0
         self.columns = {}
-        self._free = []  # LIFO, so slot reuse is deterministic
+        # Freed slots, LIFO so reuse is deterministic.
+        self._free = array("i")
         self._next = 0
         # Optional observers called with the slot id: on_free on every
         # free() — the race sanitizer drops ownership registrations
@@ -397,13 +400,18 @@ class SlotTable:
         rows = self._rows
         return rows[index] if 0 <= index < len(rows) else -1
 
+    def claim(self, index, slot):
+        """The view :meth:`get` makes of ``index``'s row on its first
+        touch; a table whose views carry more than the row overrides it."""
+        return self.view_class.claim(index, slot)
+
     def get(self, index):
         """``index``'s view, made on its first touch, or None."""
         view = self._views.get(index)
         if view is None:
             slot = self.slot(index)
             if slot >= 0:
-                view = self._views[index] = self.view_class.claim(index, slot)
+                view = self._views[index] = self.claim(index, slot)
         return view
 
     def remove(self, index):

@@ -259,15 +259,19 @@ class ConnectionRecord(SlabView):
     makes of it the first time something touches the connection
     (:meth:`ConnectionTable.get`), and owns the row from then on.
     ``pre``/``proto``/``post`` are borrowing views of the same slot.
+    ``local_mac``/``local_ip`` are the host's, the same for every
+    connection of one NIC: the table hands them over, no row holds them.
     """
 
-    __slots__ = ("index", "_pre", "_proto", "_post")
-    SLAB_FIELDS = ("local_mac", "local_ip", "active")
+    __slots__ = ("index", "local_mac", "local_ip", "_pre", "_proto", "_post")
+    SLAB_FIELDS = ("active",)
 
     @classmethod
-    def claim(cls, index, slot):
+    def claim(cls, index, slot, local_mac=0, local_ip=0):
         self = super().claim(index, slot)
         self.index = index
+        self.local_mac = local_mac
+        self.local_ip = local_ip
         # Lazy and cached: a record the data path processes makes each
         # partition view once; one touched only by the control plane
         # makes only what it reads.
@@ -315,14 +319,14 @@ _CONN_KINDS = {
     # clamped to 15, delack_cnt resets at delayed_ack_segments, cnt_fretx
     # saturates at 255 via atomic_add(maximum=255), and sequence space,
     # windows, buffer sizes, the timestamp echo, context ids and the RTT
-    # in us are 32-bit. INT stays for the 64-bit buffer heads, addresses
-    # past 2**32, rate in bytes/s, FIN sequences that may be None, 48-bit
-    # MACs, and cnt_ackb/cnt_ecnb, which nothing drains while congestion
-    # control is off.
+    # in us and the peer's IPv4 address are 32-bit. INT stays for the
+    # 64-bit buffer heads, addresses past 2**32, rate in bytes/s, FIN
+    # sequences that may be None, 48-bit MACs, and cnt_ackb/cnt_ecnb,
+    # which nothing drains while congestion control is off.
     **dict.fromkeys(("local_port", "remote_port", "flow_group"), U16),
     **dict.fromkeys(("dupack_cnt", "delack_cnt", "cnt_fretx"), U8),
     **dict.fromkeys(("tx_avail", "rx_avail", "remote_win", "tx_sent", "seq", "ack", "ooo_start", "ooo_len"), U32),
-    **dict.fromkeys(("next_ts", "context_id", "rx_size", "tx_size", "rtt_est"), U32),
+    **dict.fromkeys(("next_ts", "context_id", "rx_size", "tx_size", "rtt_est", "peer_ip"), U32),
 }
 
 CONN_SLAB = Slab(
@@ -358,7 +362,6 @@ _write_install = CONN_SLAB.row_writer(
 
 def install_row(
     four_tuple,
-    local_mac,
     peer_mac=None,
     flow_group=0,
     proto=ProtoInstall(),
@@ -369,13 +372,15 @@ def install_row(
 ):
     """A connection's install: one row write of every field that does not
     start at zero, the same for a fresh, an adopted and a recovered
-    connection. Returns the slot, for :meth:`ConnectionTable.put`."""
-    local_ip, remote_ip, local_port, remote_port = four_tuple
+    connection. Returns the slot, for :meth:`ConnectionTable.put`. The
+    four-tuple's local address is the table's (:class:`ConnectionTable`),
+    not the row's."""
+    _local_ip, remote_ip, local_port, remote_port = four_tuple
     rx_region, rx_base, rx_size = rx_buffer
     tx_region, tx_base, tx_size = tx_buffer
     slot = CONN_SLAB.alloc()
     _write_install(
-        slot, local_mac, local_ip, True,
+        slot, True,
         peer_mac, remote_ip, local_port, remote_port, flow_group,
         *proto,
         opaque, context_id, rx_base, tx_base, rx_size, tx_size, rx_region, tx_region,
@@ -400,16 +405,22 @@ class ConnectionTable(SlotTable):
     collisions in the direct-mapped CLS cache (paper §4.1) — a simple
     ascending allocator achieves that layout — so the table is dense:
     four bytes per index, and a :class:`ConnectionRecord` only for a
-    connection something has touched.
+    connection something has touched. ``local_mac``/``local_ip`` are the
+    NIC's own, handed to every record the table claims.
     """
 
-    __slots__ = ("capacity", "_free_indices", "_next_index")
+    __slots__ = ("local_mac", "local_ip", "capacity", "_free_indices", "_next_index")
 
-    def __init__(self, capacity=1 << 20):
+    def __init__(self, local_mac=0, local_ip=0, capacity=1 << 20):
         super().__init__(ConnectionRecord)
+        self.local_mac = local_mac
+        self.local_ip = local_ip
         self.capacity = capacity
         self._free_indices = []
         self._next_index = 0
+
+    def claim(self, index, slot):
+        return ConnectionRecord.claim(index, slot, self.local_mac, self.local_ip)
 
     def allocate_index(self):
         if self._free_indices:

@@ -25,13 +25,11 @@ class FlexToeHost:
         self.mac = mac
         self.ip = ip
         self.machine = Machine(sim, name, n_cores=n_cores)
-        self.nic = FlexToeNic(sim, config=pipeline_config or PipelineConfig.full())
+        self.nic = FlexToeNic(sim, config=pipeline_config or PipelineConfig.full(), local_mac=mac, local_ip=ip)
         station = testbed.topology.attach(name, mac=mac, ip=ip, **attach_kwargs)
         self.station = station
         self.nic.attach_port(station.port)
-        self.control_plane = ControlPlane(
-            sim, self.nic, self.machine, local_mac=mac, local_ip=ip, **(cp_kwargs or {})
-        )
+        self.control_plane = ControlPlane(sim, self.nic, self.machine, **(cp_kwargs or {}))
         self.control_plane.enable_recovery(station)
         self._next_context = 1
         self.contexts = []

@@ -222,7 +222,7 @@ def test_violation_message_explains_itself(sanitized):
     record = nic.connection(nic.offload_connection(
         index=nic.allocate_connection_index(),
         four_tuple=(server.ip, 0x0A000063, 7000, 6000),
-        peer_mac=0xBB, local_mac=server.mac, iss=1, irs=1,
+        peer_mac=0xBB, iss=1, irs=1,
         context_id=1, opaque="sock-9", rx_buffer=(None, 0, 4096), tx_buffer=(None, 0, 4096),
     ))
     monitor = nic.datapath.hb_monitor

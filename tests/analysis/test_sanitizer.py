@@ -197,7 +197,7 @@ def _installed_record(index=0, flow_group=2):
     """A row installed as the data path installs one, and its record."""
     from repro.flextoe.state import ConnectionRecord, install_row
 
-    slot = install_row((0x0A000001, 0x0A000002, 1000, 2000), 0x010101010101)
+    slot = install_row((0x0A000001, 0x0A000002, 1000, 2000), 0x020202020202)
     sanitizer.register_row(slot, flow_group)
     return ConnectionRecord.claim(index, slot)
 
@@ -272,7 +272,7 @@ def test_slot_recycling_does_not_inherit_stale_ownership(sanitized):
     record = _installed_record(index=3, flow_group=3)
     slot = record.slab_slot
     del record  # refcount drop frees the slot, no unregister call
-    fresh = ConnectionRecord.claim(4, install_row((0x0A000001, 0x0A000009, 1, 2), 0x010101010101))
+    fresh = ConnectionRecord.claim(4, install_row((0x0A000001, 0x0A000009, 1, 2), 0x020202020202))
     assert fresh.slab_slot == slot  # LIFO free list recycles
     fresh.pre.peer_mac = 0x090909090909  # would raise "immutable" if stale
 

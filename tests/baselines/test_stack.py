@@ -1,6 +1,6 @@
 """The baseline host's socket and receive paths (``repro.baselines.stack``):
-close, non-blocking calls, resets, accept without room or without a
-listener, frames the stack never sees, ephemeral ports and listen."""
+close, non-blocking calls, resets, accept without room (a reset) or
+without a listener, frames the stack never sees, ephemeral ports and listen."""
 
 import pytest
 
@@ -122,20 +122,27 @@ def test_a_reset_refuses_a_blocked_connect():
     assert out == ["refused"] and not client.connect_waiters
 
 
-def test_a_full_backlog_leaves_a_connection_unqueued():
+def test_a_connection_past_a_full_backlog_is_reset():
     bed, server, client = _pair()
     listener = server.new_context().listen(PORT, backlog=1)
     contexts = [client.new_context(0), client.new_context(1)]
+    out = []
 
     def client_app(ctx):
         sock = yield from ctx.connect(server.ip, PORT)
         yield from ctx.send(sock, b"early")
+        try:
+            out.append((yield from ctx.recv(sock, 64)))
+        except ToeError as exc:
+            out.append(str(exc))
 
     _run(bed, *(client_app(ctx) for ctx in contexts))
-    assert len(server.engine.conns) == 2  # both handshakes completed
-    assert len(listener.ready) == 1  # only one fits the backlog
+    # One connection fits the backlog; the other was reset and is gone.
+    assert len(listener.ready) == 1
+    assert list(server.engine.conns.values()) == list(listener.ready)
+    assert out == ["connection reset"]  # the queued one still waits for a reply
     # Data before any accept() wakes no socket; it waits in the engine.
-    assert all(conn.readable for conn in server.engine.conns.values())
+    assert listener.ready[0].readable
 
 
 def test_a_handshake_completing_after_its_listener_went_is_dropped_silently():

@@ -273,6 +273,11 @@ def test_recovery_at_scale_reoffloads_every_shadow():
         record = server.nic.connection(index)
         assert record is not None
         assert record.four_tuple == four
+        # No row holds the host's addresses: the rebooted data path has
+        # them from the NIC, and sends from them.
+        assert (record.local_mac, record.local_ip) == (server.mac, server.ip)
+        frame = server.nic.datapath.make_segment(record)
+        assert (frame.eth.src, frame.ip.src, frame.eth.dst) == (server.mac, server.ip, 0x020000000099)
         found, looked_up, _ = server.nic.datapath.lookup_engine.lookup(four)
         assert found and looked_up == index
         # Quiescent connections re-offload at their shadow's sequence
@@ -281,6 +286,20 @@ def test_recovery_at_scale_reoffloads_every_shadow():
         assert record.proto.ack == recovery.shadows.get(index).rcv_nxt
     # The NIC-side table was rebuilt, not leaked: one record per shadow.
     assert len(server.nic.datapath.conn_table) == n_bulk + 1
+
+
+def test_an_adopt_is_refused_an_identity_that_is_not_the_hosts():
+    """The host's MAC and IP are the NIC's and the manager's, not a row's:
+    an adopt naming another MAC, or another local IP, installs nothing."""
+    bed, server, client = build()
+    recovery = server.control_plane.recovery
+    region = server.machine.memory.alloc(4096)
+    buffers = ((region, 0, 2048), (region, 2048, 2048))
+    with pytest.raises(ValueError, match="not this host's MAC"):
+        recovery.adopt_offloaded((server.ip, 11 << 24, 9, 40000), client.mac, client.mac, 1, 1, 500, None, *buffers)
+    with pytest.raises(ValueError, match="not this NIC's address"):
+        recovery.adopt_offloaded((client.ip, 11 << 24, 9, 40000), client.mac, server.mac, 1, 1, 500, None, *buffers)
+    assert len(recovery.shadows) == 0 and len(server.nic.datapath.conn_table) == 0
 
 
 def test_state_snapshots_make_no_object_of_a_quiescent_connection():

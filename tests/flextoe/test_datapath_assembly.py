@@ -11,7 +11,7 @@ from repro.sim import Simulator
 
 
 def make_nic(config=None):
-    return FlexToeNic(Simulator(), config=config or PipelineConfig.full())
+    return FlexToeNic(Simulator(), config=config or PipelineConfig.full(), local_mac=0xAA, local_ip=0x0A000001)
 
 
 def test_full_config_fpc_layout():
@@ -135,7 +135,6 @@ def offload(nic, index=None, port=5000):
         index=index,
         four_tuple=(0x0A000001, 0x0A000002, port, 6000),
         peer_mac=0xBB,
-        local_mac=0xAA,
         iss=1000,
         irs=2000,
         context_id=1,

@@ -46,7 +46,8 @@ class Wire:
 
 
 def make_nic(config=None):
-    nic = FlexToeNic(Simulator(), config=config or PipelineConfig.with_intra_fpc_parallelism())
+    config = config or PipelineConfig.with_intra_fpc_parallelism()
+    nic = FlexToeNic(Simulator(), config=config, local_mac=0xAA, local_ip=LOCAL_IP)
     nic.register_context(1)
     nic.attach_port(Wire())
     return nic
@@ -61,7 +62,6 @@ def offload(nic, port, opaque):
         index=nic.allocate_connection_index(),
         four_tuple=(LOCAL_IP, PEER_IP, port, PEER_PORT),
         peer_mac=0xBB,
-        local_mac=0xAA,
         iss=ISS,
         irs=IRS,
         context_id=1,
@@ -123,7 +123,7 @@ def test_dma_stage_drop_releases_nbi_ticket():
 def test_run_to_completion_post_drop_retires_once():
     # The single-thread baseline has its own post->DMA hop and therefore
     # its own else-arm; same contract.
-    nic = FlexToeNic(Simulator(), config=PipelineConfig.baseline_run_to_completion())
+    nic = FlexToeNic(Simulator(), config=PipelineConfig.baseline_run_to_completion(), local_mac=0xAA, local_ip=LOCAL_IP)
     nic.register_context(1)
     nic.attach_port(Wire())
     dp = nic.datapath

@@ -207,6 +207,22 @@ def test_linear_growth_and_stats():
     assert slab.capacity >= 5
 
 
+def test_freed_slots_are_reused_last_in_first_out():
+    # Slot numbers reach no simulated quantity, but reuse order keeps a
+    # run's slab layout (and a sanitized run's dirty-slot report)
+    # reproducible: the free stack hands back the most recent free first.
+    slab = Slab(fields=[("x", U32)], initial=2)
+    slots = [slab.alloc() for _ in range(6)]
+    assert slots == list(range(6))
+    for slot in (4, 1, 5, 2):
+        slab.free(slot)
+    assert [slab.alloc() for _ in range(5)] == [2, 5, 1, 4, 6]
+    slab.free(3)
+    slab.free(0)
+    assert slab.alloc() == 0 and slab.alloc() == 3
+    assert (slab.live, slab.high_water) == (7, 7)
+
+
 def test_narrow_columns_enforce_their_range():
     import pytest
 
@@ -243,17 +259,21 @@ def test_connection_state_uses_narrow_columns():
     assert kinds["dupack_cnt"] == U8 and kinds["cnt_fretx"] == U8 and kinds["delack_cnt"] == U8
     assert kinds["seq"] == U32 and kinds["ack"] == U32 and kinds["rtt_est"] == U32
     assert kinds["fin_pending"] == FLAG
-    # 13 INT + 13 U32 + 2 FLAG + 3 U16 + 3 U8 + 3 OBJ columns: 296 B at
-    # a uniform 8 B, 191 at Table 5's widths. The gap to the paper's
+    assert kinds["peer_ip"] == U32
+    # 10 INT + 14 U32 + 2 FLAG + 3 U16 + 3 U8 + 3 OBJ columns: 280 B at
+    # a uniform 8 B, 171 at Table 5's widths. The gap to the paper's
     # 108 B/conn is the INT columns — 64-bit buffer heads and addresses,
-    # 48-bit MACs, fields that may be None —
-    # and the three 8 B OBJ handles.
-    assert CONN_SLAB.bytes_per_slot() == 191
+    # the peer's 48-bit MAC, fields that may be None —
+    # and the three 8 B OBJ handles. The host's MAC and IP are the
+    # connection table's, in no row (they were 191 B with them).
+    assert CONN_SLAB.bytes_per_slot() == 171
     assert CONN_SLAB.bytes_per_slot() < 8 * len(CONN_SLAB.fields)
+    assert "local_mac" not in kinds and "local_ip" not in kinds
     shadow = dict(SHADOW_SLAB.fields)
-    assert shadow["snd_iss"] == U32 and shadow["index"] == U32 and shadow["local_port"] == U16
-    # 10 INT + 6 U32 + 2 U16 + 2 FLAG + 4 OBJ: 178 B with every scalar INT.
-    assert SHADOW_SLAB.bytes_per_slot() == 142
+    assert shadow["snd_iss"] == U32 and shadow["remote_ip"] == U32 and shadow["local_port"] == U16
+    assert not {"index", "local_mac", "local_ip"} & set(shadow)
+    # 7 INT + 6 U32 + 2 U16 + 2 FLAG + 4 OBJ: 168 B with every scalar INT.
+    assert SHADOW_SLAB.bytes_per_slot() == 118
 
 
 # -- row operations: one statement of the encoding, two ways to run it ------
@@ -361,10 +381,9 @@ def test_a_record_is_complete_the_moment_it_exists():
     zero alloc() promises."""
     from repro.flextoe.state import CONN_SLAB, ConnectionTable, ProtoInstall, ProtocolState, install_row
 
-    table = ConnectionTable()
+    table = ConnectionTable(local_mac=0xAA, local_ip=0x0A000001)
     table.put(7, install_row(
         (0x0A000001, 0x0A000002, 5000, 6000),
-        0xAA,
         peer_mac=0x020202020202,
         flow_group=3,
         proto=ProtoInstall(seq=10, ack=20, rx_avail=4096, remote_win=1 << 20),
@@ -430,7 +449,7 @@ def test_recovered_install_equals_the_field_by_field_one(data):
     count = st.integers(min_value=0, max_value=1 << 40)
     four = (0x0A000001, 0x0A000002, 5000, 6000)
     buffers = (("rx", 0, 1 << 16), ("tx", 1 << 16, 1 << 16))
-    shadow = ConnShadow.claim(0, write_shadow(0, four, 0xBB, 0xAA, data.draw(u32), data.draw(u32), 1, "tok", *buffers))
+    shadow = ConnShadow.claim(0, write_shadow(four, 0xBB, data.draw(u32), data.draw(u32), 1, "tok", *buffers))
     shadow.tx_acked = data.draw(count)
     shadow.tx_posted = shadow.tx_acked + data.draw(st.integers(min_value=0, max_value=1 << 16))
     shadow.rx_consumed = data.draw(count)
@@ -444,8 +463,8 @@ def test_recovered_install_equals_the_field_by_field_one(data):
         )
     )
     proto = reconstruct_protocol_state(shadow)
-    nic = FlexToeNic(Simulator())
-    record = nic.connection(nic.offload_connection(0, four, 0xBB, 0xAA, proto.seq, proto.ack, 1, "tok", *buffers, proto=proto))
+    nic = FlexToeNic(Simulator(), local_mac=0xAA, local_ip=four[0])
+    record = nic.connection(nic.offload_connection(0, four, 0xBB, proto.seq, proto.ack, 1, "tok", *buffers, proto=proto))
     assert {name: getattr(record.proto, name) for name in ProtocolState.SLAB_FIELDS} == parent_reconstruction(shadow)
     assert record.pre.flow_group == nic.config.flow_group_of(four)
     assert nic.datapath.lookup_engine.lookup(four)[:2] == (True, 0)
@@ -462,9 +481,9 @@ def test_sanitized_row_install_is_guarded_and_alloc_asserts_zero():
     was_installed = sanitizer.enabled()
     sanitizer.install()
     try:
-        nic = FlexToeNic(Simulator())
+        nic = FlexToeNic(Simulator(), local_mac=0xAA, local_ip=0x0A000001)
         record = nic.connection(nic.offload_connection(
-            0, (0x0A000001, 0x0A000002, 5000, 6000), 0xBB, 0xAA, 1, 1, 1, "tok", ("rx", 0, 4096), ("tx", 0, 4096)
+            0, (0x0A000001, 0x0A000002, 5000, 6000), 0xBB, 1, 1, 1, "tok", ("rx", 0, 4096), ("tx", 0, 4096)
         ))
 
         def pre_stage():
@@ -518,14 +537,13 @@ def _conn_rows():
 
 
 def _shadow_rows():
-    from repro.control.recovery import SHADOW_SLAB, ConnShadow, write_shadow
-    from repro.flextoe.slab import SlotTable
+    from repro.control.recovery import SHADOW_SLAB, ShadowTable, write_shadow
 
     buffer = (None, 0, 0)
     return (
         SHADOW_SLAB,
-        lambda: SlotTable(ConnShadow),
-        lambda index: write_shadow(index, (1, 2, 3, index), 0xBB, 0xAA, 1, 1, 1, None, buffer, buffer),
+        lambda: ShadowTable(1),
+        lambda index: write_shadow((1, 2, 3, index), 0xBB, 1, 1, 1, None, buffer, buffer),
     )
 
 

@@ -31,13 +31,20 @@ TESTBED_BUDGET = 2 << 20
 #: queue built up front.
 SCHEDULER_BUDGET = 16 << 10
 #: One adopted, quiescent connection, its two slab rows charged at their
-#: declared width (193 + 142 B): reads 365 — the rows, its lookup-engine
-#: node (20 B, plus chunk slack) and its two table slots (8). With every
-#: 32-bit field in an 8 B column (252 + 178 B), a 48 B packed-int bucket
-#: entry and 8 B table slots it read 495; with a record and a shadow
-#: object per connection as well, and the dict holding the shadows, 679.
-ADOPT_BUDGET = 420
+#: declared width (171 + 118 B): reads 348 — the rows, its lookup-engine
+#: node (20 B, plus chunk slack) and its two table slots (8). With the
+#: host's MAC and IP in both rows, the shadow's index too and IPv4
+#: addresses in 8 B columns (191 + 142 B) it read 393; with every 32-bit
+#: field in an 8 B column (252 + 178 B), a 48 B packed-int bucket entry
+#: and 8 B table slots, 495; with a record and a shadow object per
+#: connection as well, and the dict holding the shadows, 679.
+ADOPT_BUDGET = 370
 ADOPTED = 2000
+#: What a freed slab row leaves behind, past the first drop that grew the
+#: slabs' free stacks: reads 0.2 B (4 B entries in stack capacity the
+#: first drop allocated). With a list of int objects for a stack it read
+#: 36 B, which the next repetition of a workload carried into its peak.
+FREED_ROW_BUDGET = 4
 #: One churned connection — connect, echo 256 B, close from the client
 #: side only, as ``conn-churn`` does — once it is done, past a warm-up:
 #: reads 5 534 B (5 891 under REPRO_SANITIZE=1), all of it left behind:
@@ -106,24 +113,79 @@ def held_beside_slab_growth(action):
         tracemalloc.stop()
 
 
-def test_a_quiescent_connection_is_its_rows():
+def idle_testbed():
+    """Two hosts and ``adopt(n)``, which adopts ``n`` quiescent
+    connections on the server, as ``perf/``'s ``sparse-idle`` does."""
     bed = Testbed(seed=1)
     server = bed.add_flextoe_host("server", cp_kwargs={"config": ControlPlaneConfig(snapshot_interval_ns=0)})
     client = bed.add_flextoe_host("client")
-    if sanitizer.enabled():
-        pytest.skip("a sanitized install also registers its row's owner")
     recovery = server.control_plane.recovery
     server.nic.register_context(500, capacity=4)
     region = server.machine.memory.alloc(4096)
     shared = (region, region.addr, 4096)
 
-    def adopt():
-        for i in range(ADOPTED):
+    def adopt(n):
+        for i in range(n):
             recovery.adopt_offloaded((server.ip, (11 << 24) + i, 9, 40000), client.mac, server.mac, 1, 1, 500, None, shared, shared)
 
+    return bed, adopt
+
+
+def test_a_quiescent_connection_is_its_rows():
+    bed, adopt = idle_testbed()
+    if sanitizer.enabled():
+        pytest.skip("a sanitized install also registers its row's owner")
     rows = CONN_SLAB.bytes_per_slot() + SHADOW_SLAB.bytes_per_slot()
-    per_connection = held_beside_slab_growth(adopt) / ADOPTED + rows
+    per_connection = held_beside_slab_growth(lambda: adopt(ADOPTED)) / ADOPTED + rows
     assert per_connection <= ADOPT_BUDGET, "%.1f B per connection" % per_connection
+
+
+def live_rows():
+    return CONN_SLAB.live + SHADOW_SLAB.live
+
+
+def test_a_dropped_testbeds_rows_hold_four_bytes_each():
+    """Rows go back to their slab when a testbed is dropped; what each
+    still holds then is its free-stack entry. The first drop grows the
+    stacks; the one measured refills the capacity it left."""
+    for measured in (False, True):
+        bed, adopt = idle_testbed()
+        adopt(ADOPTED)
+        live = live_rows()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            del bed, adopt
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        freed = live - live_rows()
+        assert freed >= 2 * ADOPTED
+    assert held / freed <= FREED_ROW_BUDGET, "%.1f B per freed row" % (held / freed)
+
+
+def test_a_second_testbed_holds_no_more_than_the_first():
+    """A repetition starts where the last one's dropped testbed left the
+    heap: the same connections adopted again hold no more than they did,
+    to within a byte a connection (in a full tier-1 run the second has
+    read 80 B more in all). Past an untraced warm-up, so neither grows a
+    slab or a free stack."""
+    held = []
+    try:
+        for traced in (False, True, True):
+            gc.collect()
+            if traced and not tracemalloc.is_tracing():
+                tracemalloc.start()
+            bed, adopt = idle_testbed()
+            adopt(ADOPTED)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+            del bed, adopt
+    finally:
+        tracemalloc.stop()
+    first, second = held[1:]
+    assert second - first <= ADOPTED, "%+.1f B per connection" % ((second - first) / ADOPTED)
 
 
 def churn(bed, n, port, request=b"\x5a" * 256):

@@ -12,7 +12,10 @@ median with its min–max (:func:`median_delta` says when the delta is
 unresolved); and once under ``tracemalloc``, for the bytes still held after
 set-up and after the measured phase per ``perf/layers.py`` layer. On
 ``conn-churn`` the measured phase's resident and traced growth is also
-printed per lifecycle (:func:`per_lifecycle`). On ``sparse-idle`` a
+printed per lifecycle (:func:`per_lifecycle`). Every workload prints
+the two slab rows' declared widths (``CONN_SLAB``/``SHADOW_SLAB``
+``bytes_per_slot()``), so a row-width change shows beside the resident
+delta it explains. On ``sparse-idle`` a
 third run sets up with no quiescent connections, and the difference per
 installed connection is printed per layer and per source file, in bytes
 and in blocks (one block, one allocation: a unit no allocator or word
@@ -73,11 +76,14 @@ def held_per_layer(layers, tree):
 def measure(tree, workload, traced=False, empty=False):
     """One repetition of ``workload`` from ``tree`` (the side first on
     ``sys.path``); returns ``{"ops", "extras", "rss": {point: bytes},
-    "held": {phase: {layer: bytes}}}`` (``held`` is empty untraced).
+    "held": {phase: {layer: bytes}}, "row bytes": {slab: bytes}}``
+    (``held`` is empty untraced).
     ``empty``: set ``sparse-idle`` up with no quiescent connections, and
     stop there."""
     import perf.harness  # noqa: F401  (the import perf/run.py times: the simulator)
     from perf import layers, spec, workloads
+    from repro.control.recovery import SHADOW_SLAB
+    from repro.flextoe.state import CONN_SLAB
 
     rss = {"import": vm_rss_bytes()}
     held = {}
@@ -101,7 +107,8 @@ def measure(tree, workload, traced=False, empty=False):
     extras = {}
     for cell in cells:
         extras.update(cell.extras)
-    return {"ops": ops, "extras": extras, "rss": rss, "held": held}
+    row_bytes = {"CONN_SLAB": CONN_SLAB.bytes_per_slot(), "SHADOW_SLAB": SHADOW_SLAB.bytes_per_slot()}
+    return {"ops": ops, "extras": extras, "rss": rss, "held": held, "row bytes": row_bytes}
 
 
 def median_delta(base, here):
@@ -162,6 +169,8 @@ def report(ref, workload, base, here):
         for label, was, now in rows:
             print(line.format(label, unit % (was / scale), unit % (now / scale), ("%+" + unit[1:]) % ((now - was) / scale)))
 
+    was, now = base["traced"]["row bytes"], here["traced"]["row bytes"]
+    table("row width (B per slot)", [(name, was[name], now[name]) for name in sorted(was)], "%.0f", 1.0)
     for phase in PHASES:
         was, now = base["traced"]["held"][phase]["bytes"], here["traced"]["held"][phase]["bytes"]
         rows = [(layer, was.get(layer, 0), now.get(layer, 0)) for layer in sorted(set(was) | set(now))]

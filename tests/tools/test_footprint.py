@@ -35,11 +35,11 @@ def test_the_two_sides_run_from_paths_of_one_length(monkeypatch):
     assert seen["copied"] == pathlib.Path(judge.ROOT, "tests/tools/footprint.py").read_bytes()
 
 
-def run(ops, set_up, measured, held=None):
+def run(ops, set_up, measured, held=None, rows=(171, 118)):
     """A ``measure`` result: VmRSS after set-up and the measured phase,
-    and (traced) the bytes held per layer after each."""
+    (traced) the bytes held per layer after each, and the slab rows' widths."""
     return {"ops": ops, "extras": {}, "rss": {"import": 0, "set-up": set_up, "measured": measured, "peak": measured},
-            "held": held or {}}
+            "held": held or {}, "row bytes": dict(zip(("CONN_SLAB", "SHADOW_SLAB"), rows))}
 
 
 def test_a_lifecycle_costs_the_measured_phase_growth_over_its_ops(capsys):
@@ -55,3 +55,13 @@ def test_a_lifecycle_costs_the_measured_phase_growth_over_its_ops(capsys):
     assert rows[2].split() == ["traced", "100.0", "100.0", "+0.0"]
     footprint.report("HEAD", "echo-small", side, side)
     assert "per lifecycle" not in capsys.readouterr().out
+
+
+def test_the_slab_rows_widths_print_beside_the_resident_delta(capsys):
+    held = {phase: {"bytes": {"host": 1000}} for phase in footprint.PHASES}
+    base = {"resident": [run(80, 100, 100)], "traced": run(80, 0, 0, held, rows=(191, 142))}
+    here = {"resident": [run(80, 100, 100)], "traced": run(80, 0, 0, held)}
+    footprint.report("HEAD", "echo-small", base, here)
+    rows = capsys.readouterr().out.split("row width (B per slot)")[1].splitlines()
+    assert rows[1].split() == ["CONN_SLAB", "191", "171", "-20"]
+    assert rows[2].split() == ["SHADOW_SLAB", "142", "118", "-24"]

@@ -1,11 +1,13 @@
 """``make untested``: the statements under ``src/repro`` that tier-1 never executes.
 
 ``coverage`` is not a dependency, so this is the standard library only:
-a ``sys.settrace`` tracer that hands out a line tracer for frames whose
+each file's executable statements (from its AST: docstrings and
+``def``/``class``/``import`` lines excluded), parsed before the run, a
+``sys.settrace`` tracer that hands out a line tracer for frames whose
 code lives under ``src/repro`` and for nothing else, one in-process
-``pytest.main`` run, then each file's executable statements (from its
-AST: docstrings and ``def``/``class``/``import`` lines excluded) minus
-the lines that were hit. No threshold — the table is for reading.
+``pytest.main`` run, then the statements minus the lines that were hit.
+Parsing first keeps a file edited during the run from reporting lines
+shifted from those that ran. No threshold — the table is for reading.
 """
 
 import ast
@@ -44,8 +46,32 @@ def statements(path):
     return found
 
 
+def parse(package=PACKAGE):
+    """``{path: statements(path)}`` for every ``.py`` file under ``package``, as it reads now."""
+    return {
+        os.path.join(dirpath, name): statements(os.path.join(dirpath, name))
+        for dirpath, _, filenames in os.walk(package)
+        for name in filenames
+        if name.endswith(".py")
+    }
+
+
+def missed(parsed, hit):
+    """``[(missed, of, path, [first lines never hit])]`` per file of
+    ``parsed`` (from :func:`parse`) with a miss, ``hit`` being
+    ``{path: lines executed}``."""
+    rows = []
+    for path, lines in parsed.items():
+        seen = hit.get(path, set())
+        never = sorted(line for line, span in lines.items() if seen.isdisjoint(span))
+        if never:
+            rows.append((len(never), len(lines), path, never))
+    return rows
+
+
 def main(argv):
     sys.dont_write_bytecode = True
+    parsed = parse()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import pytest
 
@@ -76,22 +102,11 @@ def main(argv):
     finally:
         sys.settrace(None)
 
-    rows, missed_total, total = [], 0, 0
-    for dirpath, _, filenames in os.walk(PACKAGE):
-        for name in filenames:
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, name)
-            lines = statements(path)
-            seen = hit.get(path, set())
-            missed = sorted(line for line, span in lines.items() if seen.isdisjoint(span))
-            total += len(lines)
-            missed_total += len(missed)
-            if missed:
-                rows.append((len(missed), len(lines), os.path.relpath(path, ROOT), missed))
-    for count, of, path, missed in sorted(rows, key=lambda row: (-row[0], row[2])):
-        print("{:4d} / {:4d}  {}  {}".format(count, of, path, " ".join(map(str, missed))))
-    print("{} of {} statements never executed".format(missed_total, total))
+    rows = missed(parsed, hit)
+    for count, of, path, never in sorted(rows, key=lambda row: (-row[0], row[2])):
+        print("{:4d} / {:4d}  {}  {}".format(count, of, os.path.relpath(path, ROOT), " ".join(map(str, never))))
+    total = sum(len(lines) for lines in parsed.values())
+    print("{} of {} statements never executed".format(sum(row[0] for row in rows), total))
     return int(status)
 
 
