@@ -165,6 +165,9 @@ class ControlPlane:
         self.listeners = {}
         self.pending = {}  # four_tuple -> PendingConnection
         self.directory = ConnectionDirectory()
+        #: The libTOE contexts on this host by context id (each registers
+        #: itself): a connection withdrawn leaves its context's table.
+        self.contexts = {}
         self._iss_counter = 10_000
         self._ephemeral_port = 40_000
         self._conn_token = 0
@@ -481,24 +484,7 @@ class ControlPlane:
             self._send_challenge_ack(entry)
             return
         self.resets_received += 1
-        self._teardown_entry(entry, "reset")
-
-    def _teardown_entry(self, entry, reason):
-        """Remove directory + NIC state and surface a typed error."""
-        self.withdraw(entry.index)
-        post = entry.record.post
-        pair = self.nic.context_pair(post.context_id)
-        if pair is not None:
-            pair.nic_deliver(
-                Notification(
-                    NOTIFY_ERROR,
-                    post.opaque,
-                    entry.index,
-                    context_id=post.context_id,
-                    created_at=self.sim.now,
-                    error=reason,
-                )
-            )
+        self.withdraw(entry.index, "reset")
 
     def _abort_connection(self, entry):
         """Max-retry abort: RST the peer, tear down, surface a timeout."""
@@ -512,7 +498,7 @@ class ControlPlane:
         )
         self._control_tx(rst)
         self.aborts += 1
-        self._teardown_entry(entry, "timeout")
+        self.withdraw(entry.index, "timeout")
 
     def _send_rst(self, frame):
         rst = self._tcp_frame(
@@ -732,13 +718,35 @@ class ControlPlane:
         directory = self.directory
         return bool(self.pending or directory.timer_armed or directory.cc_armed)
 
-    def withdraw(self, index):
+    def withdraw(self, index, error=None):
         """The one teardown of an offloaded connection: its directory
-        entry (if any), its data-path row and its recovery shadow."""
-        self.directory.remove(index)
+        entry (if any), its data-path row, its recovery shadow and its place
+        in its libTOE context's socket table. With an ``error``
+        (``"reset"``, ``"timeout"``) the context is notified of it."""
+        entry = self.directory.remove(index)
         self.nic.remove_connection(index)
         if self.recovery is not None:
             self.recovery.forget(index)
+        if entry is None:
+            return
+        post = entry.record.post
+        ctx = self.contexts.get(post.context_id)
+        if ctx is not None:
+            ctx.forget(index, post.opaque)
+        if error is None:
+            return
+        pair = self.nic.context_pair(post.context_id)
+        if pair is not None:
+            pair.nic_deliver(
+                Notification(
+                    NOTIFY_ERROR,
+                    post.opaque,
+                    index,
+                    context_id=post.context_id,
+                    created_at=self.sim.now,
+                    error=error,
+                )
+            )
 
     def _poll_timers(self, now):
         config = self.config

@@ -12,14 +12,16 @@ round-robin — the work-conserving fast path. Rate-limited flows are
 enqueued into time-wheel slots (EMEM hardware queues) by deadline. The
 wheel holds only its populated slots: a slot's queue exists from its
 first enqueue until it empties, so an idle wheel costs nothing.
+
+An idle SCH thread sleeps on one kernel timer at the wheel's next
+deadline; an FS update that comes first withdraws it (DESIGN §12), so a
+deadline that never fires costs no dispatch.
 """
 
 from collections import deque
 
 from repro.flextoe.config import SCHED_DEQUEUE
 from repro.flextoe.proto_logic import MSS
-from repro.sim import Timeout
-from repro.sim.core import PENDING
 
 INTERVAL_Q8_SHIFT = 8
 
@@ -59,11 +61,13 @@ class CarouselScheduler:
         self._rr = deque()
         #: Populated slots only: slot index -> FIFO of (deadline, entry).
         self._wheel = {}
-        self._wheel_population = 0
-        #: What an FS update wakes: the idle SCH thread itself (parked), or
-        #: the event it waits on with the wheel's next deadline.
+        #: What an FS update wakes, by its ``succeed()``: the idle SCH thread
+        #: parked with no deadline (``_parked``), or sleeping until the
+        #: kernel timer ``_timer`` (``_wake``, until a kick or its resume;
+        #: the kick settles the race by ``sim._won``).
         self._parked = None
         self._wake = None
+        self._timer = None
         self.triggers_issued = 0
         self.rate_limited_enqueues = 0
 
@@ -109,8 +113,16 @@ class CarouselScheduler:
         if bucket is None:
             bucket = self._wheel[slot] = deque()
         bucket.append((deadline, entry))
-        self._wheel_population += 1
         self.rate_limited_enqueues += 1
+
+    def _sleep(self, sleeper, deadline):
+        """Idle: ``sleeper`` wakes (``sleeper.succeed()``) at the next FS
+        update, or at ``deadline`` (after now) if that comes first."""
+        if deadline is None:
+            self._parked = sleeper
+        else:
+            self._wake = sleeper
+            self._timer = self.sim._timer(deadline, sleeper.succeed)
 
     def _kick(self):
         parked = self._parked
@@ -118,55 +130,55 @@ class CarouselScheduler:
             self._parked = None
             parked.succeed()
             return
-        wake = self._wake
-        if wake is not None and wake._value is PENDING:
-            wake.succeed()
+        sleeper = self._wake
+        if sleeper is not None:
+            # Two queued hops wake the sleeper (the kernel's, then what its
+            # succeed() queues), the order the AnyOf oracle in
+            # test_scheduler.py pins; a timer due by now has won.
+            self._wake = None
+            self.sim._won(self._timer, sleeper.succeed)
 
     def _pop_due(self):
-        """Pop one flow whose deadline has passed (or an RR flow)."""
+        """Pop one flow whose deadline has passed (or an RR flow); else
+        None and the wheel's next deadline (None when it is empty)."""
         if self._rr:
-            return self._rr.popleft()
-        if self._wheel_population == 0:
-            return None
-        now = self.sim.now
-        slot = (now // self.slot_ns) % self.n_slots
-        n_slots = self.n_slots
-        # Scan from the current slot backwards over the horizon for due
-        # entries. Real hardware pops the slot queue whose deadline
-        # passed; a scan is equivalent and keeps the model simple. The
-        # wheel holds populated slots only, visited in the same backwards
-        # order a sweep over every slot would reach them.
+            return self._rr.popleft(), None
         wheel = self._wheel
-        for index in sorted(wheel, key=lambda s: (slot - s) % n_slots):
-            bucket = wheel[index]
-            deadline, entry = bucket[0]
+        if not wheel:
+            return None, None
+        now = self.sim.now
+        n_slots = self.n_slots
+        slot = now // self.slot_ns
+        # Real hardware pops the slot queue whose deadline passed; one pass
+        # over the populated slots finds the due head nearest behind the
+        # current slot (the one a backwards sweep over every slot reaches
+        # first) and the earliest head.
+        due = nearest = soonest = None
+        for index, bucket in wheel.items():
+            deadline = bucket[0][0]
             if deadline <= now:
-                bucket.popleft()
-                self._wheel_population -= 1
-                if not bucket:
-                    del wheel[index]
-                return entry
-        return None
-
-    def _next_wheel_deadline(self):
-        if self._wheel_population == 0:
-            return None
-        return min(bucket[0][0] for bucket in self._wheel.values())
+                back = (slot - index) % n_slots
+                if due is None or back < nearest:
+                    due, nearest = index, back
+            elif soonest is None or deadline < soonest:
+                soonest = deadline
+        if due is None:
+            return None, soonest
+        bucket = wheel[due]
+        entry = bucket.popleft()[1]
+        if not bucket:
+            del wheel[due]
+        return entry, None
 
     def program(self, thread, _value=None):
         """The SCH FPC program: pop a due flow, charge the dequeue, take
         the trigger; idle, sleep until an FS update or the next wheel
         deadline."""
-        sim = self.sim
         while True:
-            entry = self._pop_due()
+            entry, deadline = self._pop_due()
             if entry is None:
-                deadline = self._next_wheel_deadline()
-                if deadline is None:
-                    self._parked = thread
-                    return thread.park(self._woken)
-                self._wake = sim.event()
-                return thread.wait(sim.any_of([self._wake, Timeout(sim, int(max(0, deadline - sim.now)))]), self._woken)
+                self._sleep(thread, deadline)
+                return thread.park(self._woken)
             entry.queued = False
             if entry.deficit > 0:
                 thread.work = entry

@@ -13,6 +13,8 @@ Usage pattern::
     yield from ctx.close(sock)
 """
 
+import weakref
+
 from repro.flextoe.descriptors import (
     HC_FIN,
     HC_RX_UPDATE,
@@ -59,6 +61,7 @@ class ToeSocket:
         "bytes_received",
         "error",
         "token",
+        "__weakref__",
     )
 
     def __init__(self, ctx, conn_index, four_tuple, rx_buffer, tx_buffer, token=None):
@@ -99,6 +102,7 @@ class LibToeContext:
         self.control_plane = control_plane
         self.context_id = context_id
         self.pair = nic.register_context(context_id)
+        control_plane.contexts[context_id] = self
         self.sockets = {}
         self.epolls = []
         # Notifications that arrived before their connection was adopted
@@ -106,6 +110,11 @@ class LibToeContext:
         # or after its index was reallocated; keyed by conn_index and
         # drained — generation-filtered — at adoption time.
         self._parked = {}
+        #: conn_index -> (token, weak reference to its socket) of the
+        #: generation last withdrawn there: a notification still on its way
+        #: reaches that socket while the application holds it, and is
+        #: dropped once the application has let it go, never parked.
+        self._gone = {}
 
     # -- connection setup ---------------------------------------------------
 
@@ -253,6 +262,15 @@ class LibToeContext:
         for epoll in self.epolls:
             epoll.on_event(sock)
 
+    def forget(self, conn_index, token):
+        """Generation ``token`` of ``conn_index`` was withdrawn: its socket,
+        if adopted, leaves the table, and the context holds it only weakly
+        (``_gone``) for what the data path has yet to deliver."""
+        sock = self.sockets.get(conn_index)
+        if sock is not None and sock.token == token:
+            del self.sockets[conn_index]
+            self._gone[conn_index] = (token, weakref.ref(sock))
+
     def dispatch(self):
         """Drain the inbound context queue into socket state; returns the
         number of notifications processed."""
@@ -263,14 +281,19 @@ class LibToeContext:
                 return count
             count += 1
             sock = self.sockets.get(notification.conn_index)
-            if sock is not None and self._matches(sock, notification):
-                self._deliver(sock, notification)
-                continue
-            # Either the connection is still in the accept queue (no
-            # socket yet) or the index was reallocated to a newer
-            # generation: park for the matching adoption, never drop —
-            # data may arrive before accept() returns.
-            self._parked.setdefault(notification.conn_index, []).append(notification)
+            if sock is None or not self._matches(sock, notification):
+                gone = self._gone.get(notification.conn_index)
+                if gone is None or gone[0] != notification.opaque:
+                    # Either the connection is still in the accept queue
+                    # (no socket yet) or the index was reallocated to a
+                    # newer generation: park for the matching adoption,
+                    # never drop — data may arrive before accept() returns.
+                    self._parked.setdefault(notification.conn_index, []).append(notification)
+                    continue
+                sock = gone[1]()
+                if sock is None:
+                    continue  # withdrawn, and its socket let go
+            self._deliver(sock, notification)
 
     def _wait_and_dispatch(self):
         """Block until the NIC delivers a notification, then dispatch.

@@ -22,7 +22,7 @@ properties) and the golden-digest suite in ``tests/integration``.
 """
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 #: Event priorities. Lower sorts earlier at equal timestamps.
 URGENT = 0
@@ -42,6 +42,16 @@ class Interrupt(Exception):
 
 
 PENDING = object()
+
+
+def heapwithdraw(heap, item):
+    """Take ``item`` out of ``heap`` (the name ``make ties`` and ``make opcodes`` rebind)."""
+    heap.remove(item)
+    heapify(heap)
+
+
+def _lost(_step):
+    """The queued hop of a wait whose timer won the race: it wakes nothing."""
 
 
 class Event:
@@ -119,7 +129,7 @@ _new = object.__new__
 class Timeout(Event):
     """An event that fires after a fixed delay. Constructed directly it is
     always scheduled: that is how code that does not yield a timeout at
-    once (a callback, an :class:`AnyOf` member) makes one.
+    once (a callback, a condition's member) makes one.
     :meth:`Simulator.timeout` may sleep it on the spot."""
 
     __slots__ = ()
@@ -291,24 +301,6 @@ class Condition(Event):
                 self.succeed({event: event._value})
 
 
-class AllOf(Condition):
-    """Fires when every sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events):
-        super().__init__(sim, events, wait_for_all=True)
-
-
-class AnyOf(Condition):
-    """Fires when at least one sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events):
-        super().__init__(sim, events, wait_for_all=False)
-
-
 class Simulator:
     """The event loop.
 
@@ -410,6 +402,37 @@ class Simulator:
         else:
             self._schedule(when, step)
 
+    def _timer(self, when, step):
+        """Push a :class:`Step` running ``step`` at ``when`` (after now);
+        its heap item, which :meth:`_withdraw` takes back while pending.
+        :meth:`_schedule` returns nothing: every engine step passes it,
+        and keeping its item costs two bytecodes a call."""
+        entry = _new(Step)
+        entry.callbacks = [step]
+        self._seq += 1
+        item = (when, NORMAL, self._seq, entry)
+        heappush(self._heap, item)
+        return item
+
+    def _withdraw(self, item):
+        """Take a :meth:`_timer`'s ``item`` off the heap: it never runs."""
+        try:
+            heapwithdraw(self._heap, item)
+        except ValueError:
+            raise SimulationError("the timer due at {} (seq {}) is not pending".format(item[0], item[2])) from None
+
+    def _won(self, timer, step):
+        """A wait that raced ``timer`` (a :meth:`_timer` item) ends now:
+        withdraw the timer and queue ``step``, unless the timer is due by now
+        and so has won (it sorts first); then the queued hop runs nothing.
+        Either way the hop takes one seq and one queue place, as the
+        ``succeed()`` of an event raced in an any-of condition did."""
+        if timer[0] > self.now:
+            self._withdraw(timer)
+            self._schedule_now(step)
+        else:
+            self._schedule_now(_lost)
+
     def _passed(self):
         """An event the running process continues past in place, whatever
         is due: what it yields for work that takes no time (a hold of no cycles)."""
@@ -448,10 +471,10 @@ class Simulator:
         return Process(self, generator, name=name)
 
     def all_of(self, events):
-        return AllOf(self, events)
+        return Condition(self, events, True)
 
     def any_of(self, events):
-        return AnyOf(self, events)
+        return Condition(self, events, False)
 
     # -- running ---------------------------------------------------------
 

@@ -45,6 +45,8 @@ def test_connect_resolves_through_the_switch_flood():
     assert bed.switch.flooded == 1  # the request; the reply is unicast
     assert _arp_table(client) == {server.ip: server.mac}
     assert _arp_table(server) == {client.ip: client.mac}
+    # The reply withdrew the resolver's 5 ms timer: nothing stays due near it.
+    assert max(when for when, *_ in bed.sim._heap) < 1_000_000
 
 
 @pytest.mark.parametrize("stack", ["linux", "flextoe"])

@@ -192,6 +192,7 @@ def test_established_rst_tears_down_connection():
     assert outcome.get("error") == "reset"
     assert plane.resets_received == 1
     assert len(plane.directory) == 0
+    assert sock.conn_index not in ctx.sockets  # withdrawn: the socket left its context
     assert plane.directory.lookup(entry.record.four_tuple) is None
 
 

@@ -45,7 +45,7 @@ from repro.flextoe.state import atomic_add, proto_hints
 from repro.nfp.fpc import ISSUE_CYCLES
 from repro.nfp.memory import LAT_IMEM, LAT_LMEM
 from repro.proto.tcp import FLAG_ACK, FLAG_ECE, FLAG_FIN, FLAG_PSH, TcpOptions
-from repro.sim import Interrupt, Timeout
+from repro.sim import Interrupt
 from repro.sim.resources import Hold
 
 
@@ -518,14 +518,11 @@ class CarouselScheduler(scheduler.CarouselScheduler):
     def program(self, thread):
         sim = self.sim
         while True:
-            entry = self._pop_due()
+            entry, deadline = self._pop_due()
             if entry is None:
-                self._wake = sim.event()
-                deadline = self._next_wheel_deadline()
-                if deadline is None:
-                    yield self._wake
-                else:
-                    yield sim.any_of([self._wake, Timeout(sim, int(max(0, deadline - sim.now)))])
+                wake = sim.event()
+                self._sleep(wake, deadline)
+                yield wake
                 self._wake = None
                 continue
             entry.queued = False

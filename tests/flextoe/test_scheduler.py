@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.flextoe import CarouselScheduler
+from repro.flextoe.config import SCHED_DEQUEUE
 from repro.flextoe.scheduler import INTERVAL_Q8_SHIFT, rate_to_interval_q8
 from repro.nfp import Fpc
-from repro.sim import Simulator, Store
+from repro.sim import Simulator, Store, Timeout
+from repro.sim.core import PENDING
+from tests.tools.judge import KernelHooks
 
 
 def build(mss=1000, slot_ns=1000):
@@ -120,7 +123,8 @@ def test_wake_from_idle():
 
 class _SweptWheel(CarouselScheduler):
     """Reference layout: one queue per slot, every slot built up front,
-    swept backwards from the current slot over the whole horizon."""
+    swept backwards from the current slot over the whole horizon; the next
+    deadline is the least head of all."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -133,23 +137,18 @@ class _SweptWheel(CarouselScheduler):
             return
         deadline = max(entry.next_deadline, self.sim.now)
         self._wheel[(deadline // self.slot_ns) % self.n_slots].append((deadline, entry))
-        self._wheel_population += 1
 
     def _pop_due(self):
         if self._rr:
-            return self._rr.popleft()
+            return self._rr.popleft(), None
         now = self.sim.now
         slot = (now // self.slot_ns) % self.n_slots
         for back in range(self.n_slots):
             bucket = self._wheel[(slot - back) % self.n_slots]
             if bucket and bucket[0][0] <= now:
-                self._wheel_population -= 1
-                return bucket.popleft()[1]
-        return None
-
-    def _next_wheel_deadline(self):
+                return bucket.popleft()[1], None
         heads = [bucket[0][0] for bucket in self._wheel if bucket]
-        return min(heads) if heads else None
+        return None, min(heads) if heads else None
 
 
 class _Clock:
@@ -158,10 +157,11 @@ class _Clock:
 
 def serve(sched):
     """One pass of the SCH program's loop body without its FPC charge and
-    trigger: pop a due flow, take one burst, re-enqueue what remains."""
-    entry = sched._pop_due()
+    trigger: pop a due flow, take one burst, re-enqueue what remains; idle,
+    the wheel's next deadline."""
+    entry, deadline = sched._pop_due()
     if entry is None:
-        return None
+        return "idle", deadline
     entry.queued = False
     if entry.deficit > 0:
         burst = min(sched.mss, entry.deficit)
@@ -172,7 +172,7 @@ def serve(sched):
                     (burst * entry.interval_q8) >> INTERVAL_Q8_SHIFT
                 )
             sched._enqueue(entry)
-    return entry.conn_index
+    return entry.conn_index, None
 
 
 _conn = st.integers(0, 3)
@@ -199,6 +199,11 @@ _TWO_PAST_SLOTS = [
 ]
 
 
+def _queued(slots):
+    """Each populated slot's queue as (deadline, conn index) pairs."""
+    return {slot: [(deadline, entry.conn_index) for deadline, entry in bucket] for slot, bucket in slots if bucket}
+
+
 @settings(max_examples=120, deadline=None)
 @given(_ops)
 @example(_TWO_PAST_SLOTS)
@@ -217,8 +222,180 @@ def test_wheel_of_populated_slots_pops_as_the_full_sweep_does(ops):
             clock.now += op[1]
         else:
             assert serve(wheel) == serve(swept)
-        assert wheel._next_wheel_deadline() == swept._next_wheel_deadline()
-        assert wheel._wheel_population == swept._wheel_population
-        assert wheel._wheel_population == sum(len(bucket) for bucket in wheel._wheel.values())
         assert all(wheel._wheel.values())  # no slot outlives its last entry
-        assert set(wheel._wheel) == {s for s, bucket in enumerate(swept._wheel) if bucket}
+        assert _queued(wheel._wheel.items()) == _queued(enumerate(swept._wheel))
+
+
+class _AnyOfIdle(CarouselScheduler):
+    """The idle wait before the kernel's withdrawable timer: an event for
+    the next FS update and a ``Timeout`` at the wheel's deadline, in an
+    AnyOf; the member that loses stays in the heap and is dispatched into
+    the fired condition (the oracle)."""
+
+    def program(self, thread, _value=None):
+        sim = self.sim
+        while True:
+            entry, deadline = self._pop_due()
+            if entry is None:
+                if deadline is None:
+                    self._parked = thread
+                    return thread.park(self._woken)
+                self._wake = sim.event()
+                return thread.wait(sim.any_of([self._wake, Timeout(sim, deadline - sim.now)]), self._woken)
+            entry.queued = False
+            if entry.deficit > 0:
+                thread.work = entry
+                return thread.charge(SCHED_DEQUEUE, self._dequeued)
+
+    def _kick(self):
+        parked = self._parked
+        if parked is not None:
+            self._parked = None
+            parked.succeed()
+            return
+        wake = self._wake
+        if wake is not None and wake._value is PENDING:
+            wake.succeed()
+
+
+class _Cases(CarouselScheduler):
+    """The scheduler, noting which race each kick and kill of a sleeping
+    SCH thread met: ``early`` (before the deadline), ``at`` (at it, the
+    timer not yet run), ``after`` (the timer run, the thread not yet
+    resumed), ``killed`` (a crash of the sleeping thread)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cases = set()
+
+    def _kick(self):
+        if self._wake is not None:
+            timer, sim = self._timer, self.sim
+            self.cases.add("early" if timer[0] > sim.now else "at" if timer in sim._heap else "after")
+        super()._kick()
+
+
+class _Pushing(Simulator):
+    """A kernel that runs nothing in place (DESIGN §12 rule 3 off): every
+    wait is an entry, so a timer that leaves the heap changes no other."""
+
+    def _next_in_line(self, when, callback=None):
+        return False
+
+
+def _race(cls, ops, kernel):
+    """Drive an SCH thread of ``cls`` through ``ops`` from a driver process
+    on a ``kernel``; the dispatch transcript ((time, priority, seq) of each
+    entry run, from the heap or the same-instant queue, but a Timeout run
+    into a condition that had fired), the triggers taken, and the scheduler."""
+    sim = kernel()
+    ring = Store(sim)
+    sched = cls(sim, ring.put, mss=1000, slot_ns=1000, n_slots=64)
+    chain = Fpc(sim, "sch").run(sched.program)
+    triggers = []
+
+    def driver():
+        for op in ops:
+            if op[0] == "interval":
+                sched.set_interval(op[1], op[2])
+            elif op[0] == "fs":
+                sched.fs_update(op[1], op[2])
+            elif op[0] == "wait":
+                yield sim.timeout(op[1])
+            elif op[0] in ("at", "head"):  # a time, or the wheel's earliest deadline
+                when = op[1] if op[0] == "at" else min((bucket[0][0] for bucket in sched._wheel.values()), default=0)
+                if when > sim.now:
+                    yield sim.timeout(when - sim.now)
+            else:
+                cases = getattr(sched, "cases", None)
+                if cases is not None and sched._wake is not None:
+                    cases.add("killed")
+                chain.kill()
+
+    def taker():
+        while True:
+            conn = yield ring.get()
+            triggers.append((sim.now, conn))
+
+    transcript = []
+
+    def ran(entry, queued):
+        event = entry[3]
+        dead = isinstance(event, Timeout) and event.callbacks and all(
+            getattr(callback, "__name__", None) == "_check" and callback.__self__.triggered
+            for callback in event.callbacks)
+        if not dead:
+            transcript.append((entry[:3], queued))
+        return entry
+
+    sim.process(driver())
+    sim.process(taker())
+    with KernelHooks(heappop=lambda pop, heap: ran(pop(heap), False),
+                     popleft=lambda popleft, queue: ran(popleft(queue), True)):
+        sim.run(until=200_000)
+    return transcript, triggers, sched
+
+
+def _same_run(ops):
+    """The races ``ops`` meets: the same dispatches but the dead timers'
+    where nothing runs in place, the same triggers where rule 3 holds (a
+    timer that left the heap may let a later wait run in place)."""
+    oracle, oracle_triggers, _ = _race(_AnyOfIdle, ops, _Pushing)
+    here, here_triggers, sched = _race(_Cases, ops, _Pushing)
+    assert here == oracle and here_triggers == oracle_triggers
+    _, oracle_triggers, _ = _race(_AnyOfIdle, ops, Simulator)
+    assert _race(_Cases, ops, Simulator)[1] == oracle_triggers
+    return sched.cases
+
+
+# One rate-limited flow (1 ns/byte: a 1000 B burst a microsecond): the SCH
+# thread sleeps on the wheel between bursts, and the other flow's FS updates
+# race its timer.
+_PACED = [("interval", 1, 1 << INTERVAL_Q8_SHIFT), ("fs", 1, 4000)]
+_race_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("interval"), _conn, st.integers(0, 3).map(lambda k: k << INTERVAL_Q8_SHIFT)),
+        st.tuples(st.just("fs"), _conn, st.integers(0, 4000)),
+        st.tuples(st.just("wait"), st.integers(0, 3000)),
+        st.tuples(st.just("at"), st.integers(0, 12_000)),
+        st.just(("head",)),
+        st.just(("kill",)),
+    ),
+    max_size=30,
+).map(lambda ops: _PACED + ops)
+
+
+def _first_deadline():
+    """When the paced flow's SCH thread first sleeps until (the same in both)."""
+    sim, _ring, sched = build()
+    sched.set_interval(1, 1 << INTERVAL_Q8_SHIFT)
+    sched.fs_update(1, 4000)
+    while sched._wake is None:
+        sim.run(until=sim.now + 1)
+    return sched._timer[0]
+
+
+def test_a_kick_before_the_deadline_withdraws_the_timer():
+    assert _same_run(_PACED + [("wait", 300), ("fs", 2, 500)]) == {"early"}
+
+
+def test_a_kick_at_the_deadline_leaves_the_timer_to_win():
+    # The driver's timeout to the deadline is pushed before the SCH sleeps.
+    assert "at" in _same_run(_PACED + [("at", _first_deadline()), ("fs", 2, 500)])
+
+
+def test_a_kick_after_the_timer_ran_wakes_nothing_more():
+    # Pushed once the SCH sleeps, the driver's timeout runs after the timer
+    # and before the SCH's resume the timer queued.
+    assert "after" in _same_run(_PACED + [("wait", 300), ("at", _first_deadline()), ("fs", 2, 500)])
+
+
+def test_a_crash_while_sleeping_leaves_the_timer_as_it_left_the_any_of():
+    assert "killed" in _same_run(_PACED + [("wait", 300), ("kill",), ("wait", 100), ("fs", 2, 500)])
+    assert "killed" in _same_run(_PACED + [("wait", 300), ("kill",), ("fs", 1, 3000)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_race_ops)
+def test_the_timer_dispatches_what_the_any_of_dispatched(ops):
+    _same_run(ops)

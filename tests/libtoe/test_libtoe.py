@@ -1,9 +1,13 @@
 """libTOE: circular buffers, socket bookkeeping, epoll semantics."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.plane import TIMER_TICK_NS
+from repro.flextoe.descriptors import NOTIFY_TX_ACKED, Notification
 from repro.harness import Testbed
 from repro.host.memory import HugepagePool
 from repro.libtoe import CircularBuffer, EventPoll
@@ -197,3 +201,57 @@ def test_socket_byte_counters():
     sock = out["sock"]
     assert sock.bytes_received == 3
     assert sock.bytes_sent == 8
+
+
+def _half_close_then_read_late(bed, server, client):
+    """The client sends ``ping`` and half-closes; the server answers
+    ``pong`` and closes; the client reads only once the control plane's
+    timer ticks have withdrawn the connection. The client's socket and
+    what it read (kept in the returned dict)."""
+    server_ctx, client_ctx = server.new_context(), client.new_context()
+    out = {}
+
+    def server_app():
+        sock = yield from server_ctx.accept(server_ctx.listen(7000))
+        yield from server_ctx.send(sock, b"pong" if (yield from server_ctx.recv(sock, 4096)) == b"ping" else b"?")
+        yield from server_ctx.close(sock)
+
+    def client_app():
+        sock = out["sock"] = yield from client_ctx.connect(server.ip, 7000)
+        yield from client_ctx.send(sock, b"ping")
+        yield from client_ctx.close(sock)
+        yield bed.sim.timeout(10 * TIMER_TICK_NS)
+        out["withdrawn"] = len(client.control_plane.directory) == 0 and client_ctx.sockets == {}
+        out["read"] = [(yield from client_ctx.recv(sock, 4096)), (yield from client_ctx.recv(sock, 4096))]
+
+    bed.sim.process(server_app())
+    bed.sim.process(client_app())
+    bed.sim.run(until=20_000_000)
+    return out, client_ctx
+
+
+def test_a_half_closed_socket_reads_what_came_before_its_withdrawal():
+    bed, server, client = build_pair()
+    out, _ctx = _half_close_then_read_late(bed, server, client)
+    assert out["withdrawn"]  # both FINs seen before the client read
+    assert out["read"] == [b"pong", b""]
+
+
+def test_a_withdrawn_socket_is_held_weakly_by_its_context():
+    bed, server, client = build_pair()
+    out, ctx = _half_close_then_read_late(bed, server, client)
+    sock = out.pop("sock")
+    index, token, free = sock.conn_index, sock.token, sock.tx_free
+
+    def late(opaque, length=64):
+        return Notification(NOTIFY_TX_ACKED, opaque, index, context_id=ctx.context_id, length=length)
+
+    ctx.pair.inbound.append(late(token))
+    assert ctx.dispatch() == 1 and sock.tx_free == free + 64  # still held: it reaches the socket
+    gone = weakref.ref(sock)
+    del sock
+    assert gone() is None  # the context kept it no longer than the application
+    stale = late(token + 1000)
+    ctx.pair.inbound.extend([late(token), stale])
+    assert ctx.dispatch() == 2
+    assert ctx._parked == {index: [stale]}  # the let-go generation's dropped; another's may still be adopted

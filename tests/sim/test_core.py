@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     SimulationError,
@@ -235,12 +233,34 @@ def test_all_of_collects_values():
         # by a running process is yielded at once (DESIGN §12 rule 3).
         t1 = Timeout(sim, 5, value="a")
         t2 = Timeout(sim, 10, value="b")
-        values = yield AllOf(sim, [t1, t2])
+        values = yield sim.all_of([t1, t2])
         results.append((sim.now, sorted(values.values())))
 
     sim.process(proc(sim))
     sim.run()
     assert results == [(10, ["a", "b"])]
+
+
+def test_a_withdrawn_timer_never_runs_and_the_rest_keep_their_order():
+    sim = Simulator()
+    fired = []
+    timers = [sim._timer(when, lambda _step, when=when: fired.append(when)) for when in (30, 10, 20, 40)]
+    sim._withdraw(timers[1])
+    sim._withdraw(timers[3])
+    sim.run()
+    assert fired == [20, 30] and sim.now == 30 and sim.processed_events == 2
+
+
+def test_withdrawing_a_timer_that_is_not_pending_raises_naming_it():
+    sim = Simulator()
+    ran = sim._timer(5, lambda _step: None)
+    withdrawn = sim._timer(7, lambda _step: None)
+    sim._withdraw(withdrawn)
+    sim.run()
+    for item in (ran, withdrawn):
+        with pytest.raises(SimulationError, match=r"the timer due at {} \(seq {}\) is not pending".format(
+                item[0], item[2])):
+            sim._withdraw(item)
 
 
 def test_any_of_fires_on_first():
@@ -250,7 +270,7 @@ def test_any_of_fires_on_first():
     def proc(sim):
         t1 = Timeout(sim, 5, value="fast")
         t2 = Timeout(sim, 50, value="slow")
-        values = yield AnyOf(sim, [t1, t2])
+        values = yield sim.any_of([t1, t2])
         results.append((sim.now, list(values.values())))
 
     sim.process(proc(sim))

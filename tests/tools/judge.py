@@ -102,16 +102,20 @@ class KernelHooks:
     """While entered, each kernel function named in ``hooks`` calls
     ``hooks[name](the kernel's own, *args)``: ``heappush`` (of
     ``repro.sim.core`` and ``repro.sim.resources``, the only modules that
-    push, as ``test_ties`` checks), ``heappop``, and the same-instant queue's
-    ``append`` and ``popleft``. Build it before a tracer starts: its import
-    is then done, and the frames it adds are this file's."""
+    push, as ``test_ties`` checks), ``heappop``, ``heapwithdraw`` (a
+    timer taken back), and the same-instant queue's ``append`` and
+    ``popleft``. A hook a kernel lacks is not bound (a BASE older than its
+    function). Build it before a tracer starts: its import is then done,
+    and the frames it adds are this file's."""
 
     def __init__(self, **hooks):
         from repro.sim import core, resources
 
         assert resources.heappush is core.heappush
         queue = getattr(core, "_Queue", None)  # absent before the kernel had one
-        owners = {"heappush": (core, resources), "heappop": (core,), "append": (queue,), "popleft": (queue,)}
+        withdraw = core if hasattr(core, "heapwithdraw") else None  # likewise
+        owners = {"heappush": (core, resources), "heappop": (core,), "heapwithdraw": (withdraw,),
+                  "append": (queue,), "popleft": (queue,)}
         self.bindings = [(owner, name, getattr(owner, name), hook) for name, hook in hooks.items()
                          for owner in owners[name] if owner is not None]
 

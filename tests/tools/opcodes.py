@@ -8,11 +8,13 @@ CPython they repeat exactly. :func:`count` traces one repetition of a
 the benchmark's) with ``f_trace_opcodes`` and charges each bytecode to the
 ``perf/layers.py`` layer of its code. The first table is the measured phase
 per op and layer, set-up as one total, then events, runs from the kernel's
-same-instant queue, heap pushes and process resumes per op; the second is
-those events and runs (``queued``) per op by :func:`dispatch_key`, whose
-``(dead)`` rows are totalled last; the third is the process resumes per op
-by program (the process's name): a data-path program that is a Step chain
-resumes no process. A table to read, not a gate: exit status 2 only when a
+same-instant queue, heap pushes, timers withdrawn, the heap's growth and
+process resumes per op (pushes = events + withdrawn + growth, checked); the
+second is those events, runs (``queued``) and withdrawn timers
+(``withdrawn``) per op by :func:`dispatch_key`, whose ``(dead)`` rows are
+totalled last; the third is the process resumes per op by program (the
+process's name): a data-path program that is a Step chain resumes no
+process. A table to read, not a gate: exit status 2 only when a
 run fails. Run as ``python3 -m tests.tools.opcodes``.
 """
 
@@ -31,6 +33,8 @@ PROGRAMS_SHOWN = 12
 DEAD = " (dead)"
 #: Marks an entry run from the same-instant queue rather than the heap.
 QUEUED = "queued "
+#: Marks a timer taken off the heap before it ran.
+WITHDRAWN = "withdrawn "
 #: ``--size``: ``perf.workloads.TINY``'s, or each workload's defaults (what the benchmark runs).
 TINY, BENCH = "tiny", "bench"
 
@@ -139,17 +143,48 @@ class ResumeCounter:
         self.core.Process._resume = self.plain
 
 
+class Tally:
+    """While :meth:`hooks` is entered: every entry the kernel runs, by
+    :func:`dispatch_key` (``sites``; one run from the same-instant queue
+    under ``QUEUED``, a timer withdrawn under ``WITHDRAWN``), and every
+    heap push (``pushes``; an entry queued for now is not one)."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.sites = {}
+        self.pushes = 0
+        self.busy = False  # while it names an entry: not the simulator's work
+
+    def _tally(self, entry, prefix=""):
+        # Every dispatch pops its event here, callbacks still attached.
+        self.busy = True
+        key = prefix + dispatch_key(entry[3], self.tree)
+        self.sites[key] = self.sites.get(key, 0) + 1
+        self.busy = False
+        return entry
+
+    def _push(self, kernel_push, heap, entry):
+        self.pushes += 1
+        kernel_push(heap, entry)
+
+    def hooks(self):
+        return judge.KernelHooks(
+            heappush=self._push,
+            heappop=lambda kernel_pop, heap: self._tally(kernel_pop(heap)),
+            popleft=lambda kernel_popleft, queued: self._tally(kernel_popleft(queued), QUEUED),
+            heapwithdraw=lambda kernel_withdraw, heap, item: kernel_withdraw(heap, self._tally(item, WITHDRAWN)))
+
+
 def count(tree, workload, size=TINY):
     """Trace one repetition of ``workload`` from ``tree`` (the side first
     on ``sys.path``) at ``size``; returns ``{"ops", "events", "queued",
-    "pushes", "setup": {layer: bytecodes}, "measured": {...}, "sites":
-    {dispatch key: measured events}, "resumes": {process name: measured
-    resumes}}``."""
+    "pushes", "withdrawn", "pending" (the heaps' growth), "setup": {layer:
+    bytecodes}, "measured": {...}, "sites": {dispatch key: measured events},
+    "resumes": {process name: measured resumes}}``."""
     from perf import layers, spec, workloads
 
     rows = {}  # layer -> [set-up, measured]
     tracers = {}  # file name -> that layer's opcode tracer
-    sites = {}  # dispatch key -> events of the measured phase
     phase = SETUP
 
     def tracer_for(filename):
@@ -162,12 +197,12 @@ def count(tree, workload, size=TINY):
 
         return on_opcode
 
-    tallying = False
+    tally = Tally(tree)
     untraced = (__file__, judge.__file__)  # the kernel hooks and the tally are not the simulator's work
 
     def on_call(frame, event, arg):
         filename = frame.f_code.co_filename
-        if tallying or filename in untraced:
+        if tally.busy or filename in untraced:
             return None
         tracer = tracers.get(filename)
         if tracer is None:
@@ -177,25 +212,7 @@ def count(tree, workload, size=TINY):
         return tracer
 
     built = sizes(workload, size)
-    pushes = 0
-
-    def tally(entry, prefix=""):
-        # Every dispatch pops its event here, callbacks still attached.
-        nonlocal tallying
-        tallying = True
-        key = prefix + dispatch_key(entry[3], tree)
-        sites[key] = sites.get(key, 0) + 1
-        tallying = False
-        return entry
-
-    def counting_push(kernel_push, heap, entry):
-        # A heap push; an entry queued for now is not one.
-        nonlocal pushes
-        pushes += 1
-        kernel_push(heap, entry)
-
-    hooks = judge.KernelHooks(heappush=counting_push, heappop=lambda kernel_pop, heap: tally(kernel_pop(heap)),
-                              popleft=lambda kernel_popleft, queued: tally(kernel_popleft(queued), QUEUED))
+    hooks = tally.hooks()
     counter = ResumeCounter()
     counter.counting = False
     sys.settrace(on_call)
@@ -204,24 +221,34 @@ def count(tree, workload, size=TINY):
             cells = workloads.BUILDERS[workload](spec.DEFAULT_SEED, **built)
             phase = MEASURED
             counter.counting = True
+            heaps = list({id(cell.sim._heap): cell.sim._heap for cell in cells}.values())
+            pending = -sum(map(len, heaps))
             with hooks:
                 for cell in cells:
                     cell.measure()
+            pending += sum(map(len, heaps))
     finally:
         sys.settrace(None)
+    sites, pushes = tally.sites, tally.pushes
     ops = sum(cell.ok for cell in cells)
     if not ops or ops != sum(cell.planned for cell in cells):
         raise SystemExit("{}: {} of {} ops completed".format(workload, ops, sum(cell.planned for cell in cells)))
     events = sum(cell.events for cell in cells)
     queued = sum(n for key, n in sites.items() if key.startswith(QUEUED))
-    tallied = sum(sites.values()) - queued
+    withdrawn = sum(n for key, n in sites.items() if key.startswith(WITHDRAWN))
+    tallied = sum(sites.values()) - queued - withdrawn
     if tallied != events:
         raise SystemExit("{}: tallied {} dispatches of {} events".format(workload, tallied, events))
+    if pushes != events + withdrawn + pending:
+        raise SystemExit("{}: {} heap pushes, {} events + {} withdrawn + {} left".format(
+            workload, pushes, events, withdrawn, pending))
     return {
         "ops": ops,
         "events": events,
         "queued": queued,
         "pushes": pushes,
+        "withdrawn": withdrawn,
+        "pending": pending,
         "setup": {layer: row[SETUP] for layer, row in rows.items()},
         "measured": {layer: row[MEASURED] for layer, row in rows.items()},
         "sites": sites,
@@ -251,11 +278,14 @@ def report(ref, workload, size, base, here):
     row("events, measured", base["events"], here["events"])
     row("queued runs, measured", base["queued"], here["queued"])
     row("heap pushes, measured", base["pushes"], here["pushes"])
+    row("withdrawn, measured", base["withdrawn"], here["withdrawn"])
+    row("heap growth, measured", base["pending"], here["pending"])
     row("process resumes, measured", sum(base["resumes"].values()), sum(here["resumes"].values()))
 
     print()
-    print("events per op of the measured phase and entries run from the same-instant queue ({}), by event "
-          "class and the yield site it resumes (or callback)".format(QUEUED.strip()))
+    print("events per op of the measured phase, entries run from the same-instant queue ({}) and timers "
+          "withdrawn ({}), by event class and the yield site it resumes (or callback)".format(
+              QUEUED.strip(), WITHDRAWN.strip()))
     site_line = "{:>8} {:>8} {:>8}  {}"
     print(site_line.format("base", "here", "delta", "class, site"))
     was, now = base["sites"], here["sites"]

@@ -6,7 +6,7 @@ A change that shrinks it lowers the number in its own diff; ROADMAP item
 import pathlib
 
 DESIGN = pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md"
-DESIGN_BYTES = 54469
+DESIGN_BYTES = 54459
 
 
 def test_design_does_not_grow():

@@ -1,6 +1,6 @@
 """How ``make opcodes`` names a dispatched event, sizes a workload, counts
-heap pushes through the judge's kernel hooks and process resumes by program
-(measurement code is code)."""
+heap pushes and withdrawn timers through the judge's kernel hooks and
+process resumes by program (measurement code is code)."""
 
 from perf import workloads
 from repro.nfp import Fpc
@@ -8,7 +8,7 @@ from repro.nfp.fpc import Chain
 from repro.sim import Simulator, Timeout
 from repro.sim.resources import Hold, Slots
 from tests.tools.judge import ROOT, KernelHooks
-from tests.tools.opcodes import BENCH, TINY, ResumeCounter, code_name, dispatch_key, sizes
+from tests.tools.opcodes import BENCH, TINY, WITHDRAWN, ResumeCounter, Tally, code_name, dispatch_key, sizes
 
 HERE = "tests/tools/test_opcodes.py"
 
@@ -37,7 +37,7 @@ def test_an_event_is_named_by_its_class_and_the_innermost_yield_site_it_resumes(
     sim.run(until=5)
     (member,) = _parked_events(sim)
     # A condition's member wakes the condition, which wakes the process.
-    assert dispatch_key(member, ROOT) == "Timeout AnyOf <- {} {}+2".format(HERE, code_name(program.__code__))
+    assert dispatch_key(member, ROOT) == "Timeout Condition <- {} {}+2".format(HERE, code_name(program.__code__))
 
 
 def test_an_event_is_named_by_the_last_process_it_resumes():
@@ -149,3 +149,24 @@ def test_a_chain_entry_is_named_by_the_step_it_goes_on_with():
     sim.run(until=0)
     (entry,) = _parked_events(sim)
     assert dispatch_key(entry, ROOT) == "Step {} {}+0".format(HERE, code_name(slept.__code__))
+
+
+def test_a_withdrawn_timer_is_counted_as_withdrawn_never_as_an_event():
+    sim = Simulator()
+
+    def kept(_step):
+        pass
+
+    def withdrawn(_step):
+        pass
+
+    tally = Tally(ROOT)
+    with tally.hooks():
+        sim._timer(3, kept)
+        sim._withdraw(sim._timer(2, withdrawn))
+        sim.run()
+    assert sim.processed_events == 1 and tally.pushes == 2
+    assert tally.sites == {
+        "Step {} {}+0".format(HERE, code_name(kept.__code__)): 1,
+        WITHDRAWN + "Step {} {}+0".format(HERE, code_name(withdrawn.__code__)): 1,
+    }

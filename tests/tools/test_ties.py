@@ -1,13 +1,16 @@
 """What ``make ties`` rests on (measurement code is code): it reorders
 same-instant events by rebinding the one ``heappush`` the kernel calls and
-its same-instant queue's append, so nothing else may push; seed 0 is
-today's run; another seed is another order of the same events."""
+its same-instant queue's append, so nothing else may push, and finds a
+withdrawn timer by the key it pushed; seed 0 is today's run; another seed
+is another order of the same events."""
 
 import ast
 import pathlib
 
+import pytest
+
 from perf import harness, spec, workloads
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 from tests.tools.ties import read, splitmix64, tie_order
 
 REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -79,3 +82,25 @@ def test_splitmix64_keys_never_tie():
     for seed in (1, 7):
         keys = {splitmix64(seq, seed) for seq in range(1, 5_000)}
         assert len(keys) == 4_999 and max(keys) < 1 << 64
+
+
+def _withdrawn(seed):
+    sim = Simulator()
+    fired = []
+    with tie_order(seed):
+        timers = [sim._timer(5, lambda _step, i=i: fired.append(i)) for i in range(6)]
+        sim._withdraw(timers[2])
+        sim._withdraw(timers[5])
+        sim.run()
+    return fired
+
+
+def test_a_tie_seed_withdraws_the_timer_it_keyed():
+    assert _withdrawn(0) == [0, 1, 3, 4]
+    assert sorted(_withdrawn(1)) == [0, 1, 3, 4]
+    assert len({tuple(_withdrawn(seed)) for seed in range(1, 9)}) > 1
+    sim = Simulator()
+    with tie_order(1):
+        timer = sim._timer(5, lambda _step: None)
+    with pytest.raises(SimulationError, match="not pending"):  # the kernel's own withdraw knows no key
+        sim._withdraw(timer)

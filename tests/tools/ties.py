@@ -8,7 +8,7 @@ repetition of a ``perf/`` workload at its benchmark size per *tie seed*
 ``s``: seed 0 is that FIFO order; for ``s > 0`` the judge's kernel hooks
 key every heap push and same-instant queue entry (then pushed) by
 ``splitmix64(_seq, s)`` — a fixed pseudo-random order among ties, and
-nothing in the kernel knows. Per workload and metric it prints seed 0's
+nothing in the kernel knows (a timer withdrawn is looked up by that key). Per workload and metric it prints seed 0's
 value and the envelope (min..max over seeds 1..K) on both trees, and flags
 this tree's values outside BASE's envelope. A table to read, not a gate:
 exit status 2 only when a run fails. Run as ``python3 -m tests.tools.ties``.
@@ -35,18 +35,25 @@ def splitmix64(seq, seed):
 
 def tie_order(seed):
     """Kernel hooks under which every heap push and same-instant queue
-    entry is pushed keyed by tie seed ``seed`` (0: nothing rebound)."""
+    entry is pushed keyed by tie seed ``seed``, and a withdrawn timer is
+    the item so keyed (0: nothing rebound)."""
     if not seed:
         return judge.KernelHooks()
 
-    def push(kernel_push, heap, entry):
+    def keyed(entry):
         when, priority, seq, event = entry
-        kernel_push(heap, (when, priority, splitmix64(seq, seed), event))
+        return when, priority, splitmix64(seq, seed), event
+
+    def push(kernel_push, heap, entry):
+        kernel_push(heap, keyed(entry))
 
     def append(_kernel_append, queued, entry):
         push(heapq.heappush, queued.sim._heap, entry)
 
-    return judge.KernelHooks(heappush=push, append=append)
+    def withdraw(kernel_withdraw, heap, item):
+        kernel_withdraw(heap, keyed(item))
+
+    return judge.KernelHooks(heappush=push, append=append, heapwithdraw=withdraw)
 
 
 def read(workload, seed, sizes=None):
