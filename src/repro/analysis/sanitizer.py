@@ -8,14 +8,14 @@ declaration statically, for the hazards a run does not reach; the hazard
 matrix in ``tests/analysis/test_hazard_matrix.py`` says which.) With
 ``REPRO_SANITIZE=1`` (or a programmatic :func:`install`):
 
-* every partition of a connection installed in a connection table
-  (``PreprocState``, ``ProtocolState``, ``PostprocState``) is registered
-  with its owning flow group;
+* a connection's partitions (``PreprocState``, ``ProtocolState``,
+  ``PostprocState``) are guarded while its row is installed (``active``)
+  and owned by the row's ``flow_group``: the owner is read off the row;
 * every data-path chain's resume runs wrapped (:func:`guard`), so the
   sanitizer knows which stage kind (and flow group) each step runs
   under: the simulator is single-threaded;
 * instrumented ``__setattr__`` enforces Table 5 ownership: pre state is
-  immutable once registered, even with no stage running; proto state
+  immutable once installed, even with no stage running; proto state
   is written only by the owning group's protocol stage, post state only
   by its post stage (or the run-to-completion worker, under its
   ``proto`` token). With no stage running (control-plane setup and
@@ -45,11 +45,6 @@ PROTO_STAGE = "proto"
 _OWNER = {"proto": "the atomic protocol stage", "post": "the owning post stage"}
 
 _OWNER_STACK = []
-# (partition class, slab slot) -> flow_group, until unregister or
-# uninstall. Keyed by the slot: views are flyweights, a row-installed
-# connection has none until first touched, and any view carries its token.
-_REGISTRY = {}
-_MISSING = object()
 _installed = False
 # class -> original __setattr__, for uninstall.
 _original_setattrs = {}
@@ -111,11 +106,13 @@ def install():
         (ProtocolState, functools.partial(_check_owned, "proto")),
         (PostprocState, functools.partial(_check_owned, "post")),
     )
-    # A registration must not outlive its slot (the next tenant would
-    # inherit it), and a slot handed out must be the all-zero row: an
-    # install writes only the fields that start elsewhere.
-    CONN_SLAB.on_free = unregister_row
+    # A slot handed out must be the all-zero row: an install writes only
+    # the fields that start elsewhere.
     CONN_SLAB.on_alloc = functools.partial(_check_zeroed, CONN_SLAB)
+    # Column identity is stable across slab growth. Keyed by the slot:
+    # views are flyweights, and any view of an installed row is guarded.
+    active = CONN_SLAB.columns["active"]
+    flow_groups = CONN_SLAB.columns["flow_group"]
 
     for cls, check in checks:
         original = cls.__setattr__
@@ -124,10 +121,8 @@ def install():
         def _guarded_setattr(self, name, value, _original=original, _check=check):
             # Underscored names are the flyweight binding machinery
             # (_i/_own in SlabView.view()), not partition data.
-            if not name.startswith("_"):
-                owning_group = _REGISTRY.get(_registry_key(self), _MISSING)
-                if owning_group is not _MISSING:
-                    _check(self, name, owning_group)
+            if not name.startswith("_") and active[self._i]:
+                _check(self, name, flow_groups[self._i])
             _original(self, name, value)
 
         cls.__setattr__ = _guarded_setattr
@@ -220,7 +215,7 @@ _KERNEL_CHECKS = (
 
 
 def uninstall():
-    """Remove the instrumentation and forget all registrations."""
+    """Remove the instrumentation."""
     global _installed
     if not _installed:
         return
@@ -229,27 +224,12 @@ def uninstall():
     for owner, name, _check in _KERNEL_CHECKS:
         setattr(owner, name, _PLAIN[name])
     _PLAIN.clear()
-    CONN_SLAB.on_free = CONN_SLAB.on_alloc = None
+    CONN_SLAB.on_alloc = None
     for cls, original in _original_setattrs.items():
         cls.__setattr__ = original
     _original_setattrs.clear()
     _installed = False
-    _REGISTRY.clear()
     del _OWNER_STACK[:]
-
-
-def register_row(slot, flow_group):
-    """Declare the connection row at ``slot`` owned by ``flow_group``
-    (at install): its three partitions, whichever views touch them."""
-    for cls in _original_setattrs:
-        _REGISTRY[(cls, slot)] = flow_group
-
-
-def unregister_row(slot):
-    """Drop the row's registrations (at teardown, and when its slot is
-    freed: the next tenant must not inherit the old ownership)."""
-    for cls in _original_setattrs:
-        _REGISTRY.pop((cls, slot), None)
 
 
 def _check_zeroed(slab, slot):
@@ -257,20 +237,6 @@ def _check_zeroed(slab, slot):
     if dirty:
         raise SanitizerError("{} slab: alloc() handed out slot {} with stale {}".format(
             slab.name, slot, ", ".join(dirty)))
-
-
-def _registry_key(state):
-    return (type(state), state._i)
-
-
-def register(state, flow_group):
-    """Declare ``state``'s slab slot owned by ``flow_group`` (at connection
-    install): every view of that slot carries the token."""
-    _REGISTRY[_registry_key(state)] = flow_group
-
-
-def unregister(state):
-    _REGISTRY.pop(_registry_key(state), None)
 
 
 def current_owner():

@@ -73,6 +73,10 @@ INITIAL_RTO_NS = 1_000_000
 MIN_RTO_NS = 250_000
 #: Keys the stateless SYN cookie (overload defense).
 SYN_COOKIE_SECRET = 0x5EED_CAFE
+#: RFC 5961 challenge-ACK rate limit: responses per window, shared with
+#: RSTs answering segments for unknown connections.
+CHALLENGE_ACK_LIMIT = 3
+CHALLENGE_ACK_INTERVAL_NS = 1_000_000
 
 
 class GridPoll:
@@ -116,8 +120,6 @@ class ControlPlaneConfig:
         syn_defense_enabled=False,
         embryonic_limit=64,
         half_open_timeout_ns=4_000_000,
-        challenge_ack_limit=3,
-        challenge_ack_interval_ns=1_000_000,
         max_connections=None,
     ):
         self.rx_buffer_size = rx_buffer_size
@@ -133,10 +135,6 @@ class ControlPlaneConfig:
         self.syn_defense_enabled = syn_defense_enabled
         self.embryonic_limit = embryonic_limit
         self.half_open_timeout_ns = half_open_timeout_ns
-        # RFC 5961 challenge-ACK rate limit (responses per interval,
-        # shared with RSTs answering segments for unknown connections).
-        self.challenge_ack_limit = challenge_ack_limit
-        self.challenge_ack_interval_ns = challenge_ack_interval_ns
         self.max_connections = max_connections  # None: no admission limit
 
 
@@ -513,14 +511,13 @@ class ControlPlane:
     # -- overload defense ---------------------------------------------------
 
     def _challenge_allowed(self):
-        """RFC 5961 §7 ACK-throttling: at most ``challenge_ack_limit``
-        challenge responses per ``challenge_ack_interval_ns`` window."""
-        config = self.config
+        """RFC 5961 §7 ACK-throttling: at most ``CHALLENGE_ACK_LIMIT``
+        challenge responses per ``CHALLENGE_ACK_INTERVAL_NS`` window."""
         now = self.sim.now
-        if now - self._challenge_window_start >= config.challenge_ack_interval_ns:
+        if now - self._challenge_window_start >= CHALLENGE_ACK_INTERVAL_NS:
             self._challenge_window_start = now
             self._challenge_window_count = 0
-        if self._challenge_window_count >= config.challenge_ack_limit:
+        if self._challenge_window_count >= CHALLENGE_ACK_LIMIT:
             self.challenge_acks_limited += 1
             return False
         self._challenge_window_count += 1

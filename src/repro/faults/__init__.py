@@ -30,7 +30,6 @@ from repro.faults.invariants import (
     InvariantViolation,
     LivenessViolation,
     assert_exact_delivery,
-    counter_delta,
     counters_snapshot,
     run_until,
     total_retransmits,
@@ -68,7 +67,6 @@ __all__ = [
     "WireFaultInjector",
     "assert_exact_delivery",
     "canonical_plans",
-    "counter_delta",
     "counters_snapshot",
     "describe_frame",
     "make_plan",

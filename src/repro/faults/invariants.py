@@ -133,12 +133,3 @@ def total_retransmits(snapshot):
         total += entry.get("fast_retransmits", 0)
         total += entry.get("retransmitted_bytes", 0)
     return total
-
-
-def counter_delta(before, after):
-    """Per-host, per-counter difference of two snapshots."""
-    delta = {}
-    for name, entry in after.items():
-        base = before.get(name, {})
-        delta[name] = {key: value - base.get(key, 0) for key, value in entry.items()}
-    return delta

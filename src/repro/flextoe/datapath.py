@@ -174,13 +174,14 @@ class FlexToeDatapath:
             return functools.partial(sanitizer.guard, stage=stage_kind, flow_group=flow_group)
         return None
 
-    def _spawn(self, fpc, stage, program, name, flow_group=None):
-        """Run ``program`` (a first step) on ``fpc`` as ``stage``'s kind."""
+    def _spawn(self, fpc, stage, program, name):
+        """Run ``program`` (a first step) on ``fpc`` as ``stage``'s kind,
+        and its flow group's if it has one (protocol and post stages)."""
         stage_kind = stage.STAGE_KIND
         fpcs = self.stage_fpcs.setdefault(stage_kind, [])
         if fpc not in fpcs:
             fpcs.append(fpc)
-        thread = fpc.run(program, name=name, guard=self._guard(stage_kind, flow_group))
+        thread = fpc.run(program, name=name, guard=self._guard(stage_kind, getattr(stage, "flow_group", None)))
         self.chains.append(thread)
         return thread
 
@@ -272,12 +273,12 @@ class FlexToeDatapath:
             self._spawn_gro_delivery(self.rx_gro, "rx-gro-deliver", "gro")
             self._spawn_gro_delivery(self.nbi_gro, "nbi-gro-deliver", "seqr")
 
-        def place(island, stages, stage, name, flow_group=None):
+        def place(island, stages, stage, name):
             stages.append(stage)
             if pipelined:
                 fpc = island.claim_fpc()
                 for _ in range(threads):
-                    self._spawn(fpc, stage, stage.program, name, flow_group)
+                    self._spawn(fpc, stage, stage.program, name)
 
         # Protocol islands: flow-groups spread over the first N islands.
         for group in range(config.n_flow_groups):
@@ -287,11 +288,11 @@ class FlexToeDatapath:
                 cls_entries=config.state_cache_cls_entries,
                 emem_cache=self.emem_state_cache,
             )
-            place(island, self.protocol_stages, ProtocolStage(self, group, cache), "proto-g%d" % group, group)
+            place(island, self.protocol_stages, ProtocolStage(self, group, cache), "proto-g%d" % group)
             for replica in range(config.pre_replicas):
                 place(island, self.pre_stages, PreStage(self, replica), "pre-g%d-r%d" % (group, replica))
             for replica in range(config.post_replicas):
-                place(island, self.post_stages, PostStage(self, group, replica), "post-g%d-r%d" % (group, replica), group)
+                place(island, self.post_stages, PostStage(self, group, replica), "post-g%d-r%d" % (group, replica))
         # Service island: DMA managers, NBI, context queues, scheduler.
         # The baseline fits its four FPCs into the first island.
         service = chip.islands[-1 if pipelined else 0]
@@ -300,7 +301,7 @@ class FlexToeDatapath:
         if not pipelined:
             # The whole data-path runs on this one thread, so it legitimately
             # carries protocol ownership for the single flow group.
-            self._spawn(service.claim_fpc(), self.protocol_stages[0], self._run_to_completion, "run-to-completion", 0)
+            self._spawn(service.claim_fpc(), self.protocol_stages[0], self._run_to_completion, "run-to-completion")
         nbi_fpc = service.claim_fpc()
         for _ in range(max(1, threads // 2)):
             self._spawn(nbi_fpc, self.nbi_stage, self.nbi_stage.program, "nbi")
@@ -443,14 +444,12 @@ class FlexToeDatapath:
         self.pcie.ring()
         return True
 
-    def install_connection(self, index, slot, four_tuple, crc, flow_group):
+    def install_connection(self, index, slot, four_tuple, crc):
         """Publish the row written at ``slot`` as connection ``index``:
         ``crc`` is the four-tuple's CRC-32, which the caller already
-        computed to pick ``flow_group``."""
+        computed to pick the row's flow group."""
         self.conn_table.put(index, slot)
         self.lookup_engine.insert(four_tuple, index, crc)
-        if sanitizer.enabled():
-            sanitizer.register_row(slot, flow_group)
 
     def remove_connection(self, index):
         record = self.conn_table.get(index)
@@ -458,8 +457,6 @@ class FlexToeDatapath:
             self.conn_table.remove(index)
             self.lookup_engine.remove(record.four_tuple)
             self.scheduler.remove_flow(index)
-            if sanitizer.enabled():
-                sanitizer.unregister_row(record.slab_slot)
         for stage in self.protocol_stages:
             stage.state_cache.invalidate(index)
         for stage in self.post_stages:

@@ -149,19 +149,17 @@ class FlexToeNic:
         if four_tuple[0] != self.local_ip:
             raise ValueError("{:#x} is not this NIC's address {:#x}".format(four_tuple[0], self.local_ip))
         crc = crc32_tuple(*four_tuple)
-        config = self.config
-        flow_group = config.flow_group_of(four_tuple, crc)
         slot = install_row(
             four_tuple,
             peer_mac,
-            flow_group,
+            self.config.flow_group_of(four_tuple, crc),
             proto or ProtoInstall(iss, irs, rx_buffer[2], remote_win),
             context_id,
             opaque,
             rx_buffer,
             tx_buffer,
         )
-        self.datapath.install_connection(index, slot, four_tuple, crc, flow_group)
+        self.datapath.install_connection(index, slot, four_tuple, crc)
         return index
 
     def allocate_connection_index(self):

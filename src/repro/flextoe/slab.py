@@ -185,7 +185,6 @@ class Slab:
         "high_water",
         "columns",
         "on_alloc",
-        "on_free",
         "_free",
         "_next",
         "_names",
@@ -209,13 +208,9 @@ class Slab:
         # Freed slots, LIFO so reuse is deterministic.
         self._free = array("i")
         self._next = 0
-        # Optional observers called with the slot id: on_free on every
-        # free() — the race sanitizer drops ownership registrations
-        # before the slot can be recycled for an unrelated connection —
-        # and on_alloc on every alloc(), where it asserts the slot is
-        # the all-zero row installs rely on.
+        # Optional observer called with the slot id on every alloc(): the
+        # sanitizer asserts the slot is the all-zero row installs rely on.
         self.on_alloc = None
-        self.on_free = None
         # Globals of every function compiled for this slab: the sentinels,
         # ``_not_int`` and each column as c_<field>.
         self._names = dict(_GLOBALS)
@@ -282,8 +277,6 @@ class Slab:
         self._zero(slot)
         self.live -= 1
         self._free.append(slot)
-        if self.on_free is not None:
-            self.on_free(slot)
 
     def dirty_fields(self, slot):
         """The columns in which ``slot`` is not the zero alloc() promises."""

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.analysis import sanitizer
-from repro.flextoe.state import PostprocState, PreprocState, ProtocolState
+from repro.flextoe.state import CONN_SLAB, PostprocState, PreprocState, ProtocolState
 
 
 def _make_pre(flow_group=0):
@@ -14,6 +14,14 @@ def _make_pre(flow_group=0):
 
 def _make_post():
     return PostprocState(opaque=1, context_id=0, rx_base=0, tx_base=0, rx_size=4096, tx_size=4096)
+
+
+def _install(state, flow_group):
+    """Mark a scratch partition's row as install_row() leaves one: live
+    (``active``) and owned by ``flow_group``."""
+    CONN_SLAB.columns["active"][state.slab_slot] = True
+    CONN_SLAB.columns["flow_group"][state.slab_slot] = flow_group
+    return state
 
 
 def _run_wrapped(factory, stage, flow_group=None):
@@ -37,7 +45,7 @@ def test_install_is_idempotent_and_uninstall_restores(sanitized):
 
 def test_non_protocol_stage_write_raises(sanitized):
     state = ProtocolState()
-    sanitizer.register(state, flow_group=0)
+    _install(state, 0)
 
     def pre_stage():
         state.seq = 99
@@ -49,7 +57,7 @@ def test_non_protocol_stage_write_raises(sanitized):
 
 def test_cross_flow_group_write_raises(sanitized):
     state = ProtocolState()
-    sanitizer.register(state, flow_group=2)
+    _install(state, 2)
 
     def wrong_group():
         state.ack = 5
@@ -61,7 +69,7 @@ def test_cross_flow_group_write_raises(sanitized):
 
 def test_owning_protocol_stage_write_allowed(sanitized):
     state = ProtocolState()
-    sanitizer.register(state, flow_group=2)
+    _install(state, 2)
 
     def owner():
         state.ack = 7
@@ -71,8 +79,8 @@ def test_owning_protocol_stage_write_allowed(sanitized):
     assert state.ack == 7
 
 
-def test_unregistered_state_is_not_guarded(sanitized):
-    state = ProtocolState()  # never registered: e.g. a scratch record
+def test_uninstalled_state_is_not_guarded(sanitized):
+    state = ProtocolState()  # never installed: e.g. a scratch record
 
     def pre_stage():
         state.seq = 1
@@ -83,7 +91,7 @@ def test_unregistered_state_is_not_guarded(sanitized):
 
 def test_owner_cleared_while_suspended(sanitized):
     state = ProtocolState()
-    sanitizer.register(state, flow_group=0)
+    _install(state, 0)
 
     def proc():
         yield "suspend"
@@ -93,10 +101,9 @@ def test_owner_cleared_while_suspended(sanitized):
     state.seq = 3  # control-plane write between stage steps: allowed
 
 
-def test_unregister_drops_the_guard(sanitized):
-    state = ProtocolState()
-    sanitizer.register(state, flow_group=0)
-    sanitizer.unregister(state)
+def test_a_removed_row_is_not_guarded(sanitized):
+    state = _install(ProtocolState(), 0)
+    CONN_SLAB.columns["active"][state.slab_slot] = False  # as ConnectionTable.remove leaves it
 
     def pre_stage():
         state.seq = 1
@@ -107,7 +114,7 @@ def test_unregister_drops_the_guard(sanitized):
 
 def test_preproc_state_immutable_after_install(sanitized):
     pre = _make_pre()
-    sanitizer.register(pre, flow_group=0)
+    _install(pre, 0)
     # Even without stage context: the identification partition is
     # install-time-only.
     with pytest.raises(sanitizer.SanitizerError, match="immutable"):
@@ -129,7 +136,7 @@ def test_preproc_state_writable_before_install(sanitized):
 
 def test_postproc_state_rejects_non_post_stages(sanitized):
     post = _make_post()
-    sanitizer.register(post, flow_group=0)
+    _install(post, 0)
 
     def pre_stage():
         post.cnt_ackb = 10
@@ -141,7 +148,7 @@ def test_postproc_state_rejects_non_post_stages(sanitized):
 
 def test_postproc_state_owning_post_stage_allowed(sanitized):
     post = _make_post()
-    sanitizer.register(post, flow_group=2)
+    _install(post, 2)
 
     def owner():
         post.cnt_ackb = 10
@@ -153,7 +160,7 @@ def test_postproc_state_owning_post_stage_allowed(sanitized):
 
 def test_postproc_state_cross_group_post_stage_raises(sanitized):
     post = _make_post()
-    sanitizer.register(post, flow_group=2)
+    _install(post, 2)
 
     def wrong_group():
         post.cnt_ackb = 10
@@ -167,7 +174,7 @@ def test_postproc_state_run_to_completion_proto_token_allowed(sanitized):
     # Run-to-completion executes the post logic inline under the worker's
     # 'proto' token; that is the same serialized execution, not a race.
     post = _make_post()
-    sanitizer.register(post, flow_group=0)
+    _install(post, 0)
 
     def rtc_worker():
         post.cnt_ackb = 3
@@ -178,7 +185,7 @@ def test_postproc_state_run_to_completion_proto_token_allowed(sanitized):
 
 def test_postproc_state_control_plane_poll_allowed(sanitized):
     post = _make_post()
-    sanitizer.register(post, flow_group=0)
+    _install(post, 0)
     post.cnt_ackb = 77  # no stage context: the cc-stats poll
     assert post.take_cc_stats() == (77, 0, 0, 0)
     post.fold_rtt_samples(100, 2)
@@ -197,15 +204,14 @@ def _installed_record(index=0, flow_group=2):
     """A row installed as the data path installs one, and its record."""
     from repro.flextoe.state import ConnectionRecord, install_row
 
-    slot = install_row((0x0A000001, 0x0A000002, 1000, 2000), 0x020202020202)
-    sanitizer.register_row(slot, flow_group)
+    slot = install_row((0x0A000001, 0x0A000002, 1000, 2000), 0x020202020202, flow_group)
     return ConnectionRecord.claim(index, slot)
 
 
 def test_guard_is_keyed_by_slot_not_by_view(sanitized):
     # A connection installed as a row has no partition view until
     # something touches it; whichever view that is — a *different
-    # object* on the *same slab slot* — carries the registered token.
+    # object* on the *same slab slot* — is owned by the row's group.
     record = _installed_record(flow_group=2)
     slot = record.slab_slot
     proto, pre = ProtocolState.view(slot), PreprocState.view(slot)
@@ -228,41 +234,31 @@ def test_guard_is_keyed_by_slot_not_by_view(sanitized):
     assert record.proto.seq == 7
 
 
-def test_unregister_through_a_fresh_view_drops_the_guard(sanitized):
-    # Teardown unregisters through whatever views it has, not the ones
-    # install registered; the slot keying makes that equivalent.
-    record = _installed_record(index=1, flow_group=0)
-    slot = record.slab_slot
-    sanitizer.unregister(PreprocState.view(slot))
-    sanitizer.unregister(ProtocolState.view(slot))
-    sanitizer.unregister(PostprocState.view(slot))
+def test_removal_through_the_table_unguards_every_view(sanitized):
+    # Teardown clears the row's ``active``; views made before it, and
+    # fresh ones, are all views of that row.
+    from repro.flextoe.state import ConnectionTable, install_row
+
+    table = ConnectionTable()
+    table.put(1, install_row((0x0A000001, 0x0A000002, 1000, 2000), 0x020202020202, 0))
+    record = table.get(1)
+    proto = record.proto
+    table.remove(1)
+    fresh = ProtocolState.view(record.slab_slot)
 
     def pre_stage():
-        record.proto.seq = 1
+        proto.seq = 1
+        fresh.ack = 2
+        record.pre.local_port = 3
         yield "ok"
 
     assert _run_wrapped(pre_stage, "pre") == "ok"
-
-
-def test_sibling_partitions_share_the_slot_without_sharing_tokens(sanitized):
-    # pre/proto/post are three views of ONE slab slot; registration is
-    # per partition class, so guarding proto does not guard post.
-    record = _installed_record(index=2, flow_group=1)
-    sanitizer.unregister(record.post)
-
-    def pre_stage():
-        record.post.cnt_ackb = 1  # unregistered partition: scratch
-        yield "ok"
-
-    assert _run_wrapped(pre_stage, "pre") == "ok"
-    with pytest.raises(sanitizer.SanitizerError, match="immutable"):
-        record.pre.flow_group = 3
 
 
 def test_slot_recycling_does_not_inherit_stale_ownership(sanitized):
-    # A record abandoned without explicit unregister (a dropped testbed)
-    # frees its slab slot; the next connection recycling that slot must
-    # start unguarded, not inherit the dead connection's registration.
+    # A record abandoned without teardown (a dropped testbed) frees its
+    # slab slot; the next connection recycling that slot is owned by its
+    # own install's group, never by the dead connection's.
     from repro.flextoe.state import ConnectionRecord, install_row
 
     # An earlier test's record held in a reference cycle (a caught
@@ -271,15 +267,28 @@ def test_slot_recycling_does_not_inherit_stale_ownership(sanitized):
     gc.collect()
     record = _installed_record(index=3, flow_group=3)
     slot = record.slab_slot
-    del record  # refcount drop frees the slot, no unregister call
-    fresh = ConnectionRecord.claim(4, install_row((0x0A000001, 0x0A000009, 1, 2), 0x020202020202))
+    del record  # refcount drop frees (and zeroes) the slot
+    fresh = ConnectionRecord.claim(4, install_row((0x0A000001, 0x0A000009, 1, 2), 0x020202020202, 1))
     assert fresh.slab_slot == slot  # LIFO free list recycles
-    fresh.pre.peer_mac = 0x090909090909  # would raise "immutable" if stale
+    with pytest.raises(sanitizer.SanitizerError, match=r"flow group 1\)"):
+        fresh.pre.peer_mac = 0x090909090909
+
+    def owner():
+        fresh.proto.seq = 5
+        yield "ok"
+
+    def old_owner():
+        fresh.proto.seq = 6
+        yield "unreached"
+
+    assert _run_wrapped(owner, "proto", flow_group=1) == "ok"
+    with pytest.raises(sanitizer.SanitizerError, match="owned by flow group 1"):
+        _run_wrapped(old_owner, "proto", flow_group=3)
 
 
 def test_end_to_end_flextoe_run_is_clean(sanitized):
     # A real echo RPC exchange over the sanitized pipeline: every stage
-    # process is wrapped, connection state is registered at offload, and
+    # process is wrapped, connection state is installed at offload, and
     # no ownership violation fires.
     from repro.apps import EchoServer
     from repro.apps.rpc import ClosedLoopClient

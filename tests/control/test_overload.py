@@ -5,7 +5,7 @@ challenge-ACK rate limit under an RST storm."""
 import pytest
 
 from repro.apps.attackgen import Attacker
-from repro.control.plane import ControlPlaneConfig
+from repro.control.plane import CHALLENGE_ACK_INTERVAL_NS, CHALLENGE_ACK_LIMIT, ControlPlaneConfig
 from repro.harness import Testbed
 
 
@@ -143,16 +143,9 @@ def test_half_open_reaper_frees_embryonic_slots():
 
 def test_rst_storm_challenge_acks_are_rate_limited():
     # Blind in-window-ish RSTs against an established flow draw
-    # challenge ACKs (RFC 5961 §3.2) — but at most challenge_ack_limit
+    # challenge ACKs (RFC 5961 §3.2) — but at most CHALLENGE_ACK_LIMIT
     # per interval, pinned by the challenge_acks counter.
-    bed, server, client = build(
-        cp_kwargs={
-            "config": ControlPlaneConfig(
-                challenge_ack_limit=3,
-                challenge_ack_interval_ns=100_000_000,
-            )
-        }
-    )
+    bed, server, client = build()
     sctx = server.new_context()
     listener = sctx.listen(7000)
     held = {}
@@ -190,8 +183,9 @@ def test_rst_storm_challenge_acks_are_rate_limited():
     bed.sim.run(until=bed.sim.now + 5_000_000)
     plane = server.control_plane
     # The storm drew challenges, but never more than the per-window cap
-    # (the whole storm fits inside one rate-limit window).
-    assert 0 < plane.challenge_acks <= 3
+    # (the whole storm, 40 us, fits inside one rate-limit window).
+    assert CHALLENGE_ACK_INTERVAL_NS > 40 * 1_000
+    assert 0 < plane.challenge_acks <= CHALLENGE_ACK_LIMIT
     assert plane.challenge_acks_limited > 0
     # The victim flow survived: blind RSTs did not tear it down.
     assert len(plane.directory) > 0

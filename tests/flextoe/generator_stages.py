@@ -573,7 +573,7 @@ ORACLES = {
 class Datapath(datapath.FlexToeDatapath):
     """The data path, each program spawned as a process, as it was."""
 
-    def _spawn(self, fpc, stage, program, name, flow_group=None):
+    def _spawn(self, fpc, stage, program, name):
         for obj in [self.scheduler, self.nbi_stage, self.ctx_stage] + self.pre_stages + self.protocol_stages + (
             self.post_stages + self.dma_stages
         ):

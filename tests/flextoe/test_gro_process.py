@@ -13,7 +13,7 @@ from repro.analysis import sanitizer
 from repro.flextoe import ReorderBuffer, Sequencer
 from repro.flextoe.config import PipelineConfig
 from repro.flextoe.descriptors import SegWork, WORK_RX
-from repro.flextoe.state import ProtocolState
+from repro.flextoe.state import CONN_SLAB, ProtocolState
 from repro.nfp.fpc import Chain
 from repro.sim import Simulator
 
@@ -79,7 +79,7 @@ def test_gro_delivery_runs_under_gro_sanitizer_token():
     try:
         sim = Simulator()
         state = ProtocolState()
-        sanitizer.register(state, flow_group=0)
+        CONN_SLAB.columns["active"][state.slab_slot] = True  # an installed row of flow group 0
         seen = {}
 
         def deliver(work):

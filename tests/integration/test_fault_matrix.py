@@ -82,6 +82,18 @@ def test_dma_flake_injects_retries():
     assert retries > 0, "no DMA retries injected; tune the plan or seed"
 
 
+def test_host_pressure_drops_and_delays_doorbells():
+    """The host-pressure plan loses an MMIO doorbell and delays others on
+    a FlexTOE pair (``nfp/pcie.py``), and the stream is still exact."""
+    result = run_plan(
+        "host-pressure", seed=7, server_stack="flextoe", client_stack="flextoe", n_bytes=20000
+    )
+    assert not result["violations"]
+    counts = result["event_counts"]
+    assert counts.get("doorbellloss/doorbell-drop", 0) >= 1, counts
+    assert counts.get("mmiodelay/mmio-delay", 0) >= 1, counts
+
+
 # -- data-path crash recovery (ISSUE 4) -------------------------------------
 
 
